@@ -1,11 +1,11 @@
 // Benchmarks for the checkpointed measurement paths: one difftest
-// point and one channel calibration, each measured with the classic
-// fresh-core-per-call protocol (checkpoint=off, cycle skip disabled)
-// and with checkpoint forking plus the event-driven fast path
-// (checkpoint=on). The =on variants report the measured speedup over
-// an inline baseline and the fraction of simulated cycles the fast
-// path crossed in single steps — the two numbers the perf-regression
-// gate watches.
+// point measured with a fresh PointRunner per point and cycle skip
+// disabled (checkpoint=off) and with trained-checkpoint forking plus
+// the event-driven fast path (checkpoint=on), and one channel
+// calibration. The =on variant reports the measured speedup over an
+// inline baseline; it and the calibration report the fraction of
+// simulated cycles the fast path crossed in single steps — the numbers
+// the perf-regression gate watches.
 package deaduops_test
 
 import (
@@ -16,22 +16,23 @@ import (
 	"deaduops/internal/attack"
 	"deaduops/internal/cpu"
 	"deaduops/internal/perfctr"
+	"deaduops/internal/profile"
 	"deaduops/internal/staticlint/difftest"
 )
 
 // difftestPointSeed picks one mid-corpus victim; any seed works, the
-// protocols are equivalent on all of them (TestPointRunnerMatchesMeasure).
+// checkpointed and fresh paths are equivalent on all of them
+// (TestPointRunnerMatchesMeasure).
 const difftestPointSeed = 7
 
-// classicPoint is one point measured the pre-checkpoint way: a fresh
-// core and a full training prefix per direction per quantity.
-func classicPoint(b *testing.B, h *difftest.Harness, v *difftest.Victim, a *cpu.Arena) {
+// freshPoint measures one point on a new PointRunner: each direction's
+// first Measure restores the pristine checkpoint (a fresh core) and
+// pays the full training prefix.
+func freshPoint(b *testing.B, h *difftest.Harness, v *difftest.Victim, a *cpu.Arena) {
 	b.Helper()
+	r := h.NewPointRunner(v, a)
 	for _, secret := range []int64{1, 0} {
-		if _, err := h.MeasureDirectionWith(v, secret, a); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := h.MeasureSwitches(v, secret, a); err != nil {
+		if _, err := r.Measure(secret); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,35 +41,31 @@ func classicPoint(b *testing.B, h *difftest.Harness, v *difftest.Victim, a *cpu.
 // BenchmarkDifftestPoint measures one full difftest point (both
 // directions' refill deltas and switch counts) per iteration.
 func BenchmarkDifftestPoint(b *testing.B) {
+	h := difftest.NewHarness(profile.Default())
+	v, err := h.Generate(difftestPointSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("checkpoint=off", func(b *testing.B) {
-		h := difftest.DefaultHarness().WithoutCycleSkip()
-		v, err := h.Generate(difftestPointSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
+		hOff := h.WithoutCycleSkip()
 		a := new(cpu.Arena)
-		classicPoint(b, h, v, a) // warm the arena
+		freshPoint(b, hOff, v, a) // warm the arena
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			classicPoint(b, h, v, a)
+			freshPoint(b, hOff, v, a)
 		}
 	})
 	b.Run("checkpoint=on", func(b *testing.B) {
-		h := difftest.DefaultHarness()
-		v, err := h.Generate(difftestPointSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Inline baseline: the classic protocol on a skip-disabled
+		// Inline baseline: the fresh-runner path on a skip-disabled
 		// harness, so the reported speedup is measured in-process
 		// rather than inferred across sub-benchmarks.
 		hOff := h.WithoutCycleSkip()
 		aOff := new(cpu.Arena)
-		classicPoint(b, hOff, v, aOff)
+		freshPoint(b, hOff, v, aOff)
 		const baseReps = 3
 		t0 := time.Now()
 		for i := 0; i < baseReps; i++ {
-			classicPoint(b, hOff, v, aOff)
+			freshPoint(b, hOff, v, aOff)
 		}
 		baseNs := float64(time.Since(t0).Nanoseconds()) / baseReps
 
@@ -96,9 +93,10 @@ func BenchmarkDifftestPoint(b *testing.B) {
 	})
 }
 
-// calibrateRig builds the standard receiver/sender tiger pair for cfg.
-func calibrateRig(b *testing.B, cfg cpu.Config) (*cpu.CPU, *attack.Routine, *attack.Routine) {
-	b.Helper()
+// BenchmarkCalibrate measures one full channel calibration (4 rounds,
+// hit and miss each) per iteration on a persistent Intel core.
+func BenchmarkCalibrate(b *testing.B) {
+	const primeIters, probeIters, rounds = 20, 5, 4
 	g := attack.DefaultGeometry()
 	recv, err := attack.Build(attack.Tiger(0x40000, g, "recv"))
 	if err != nil {
@@ -112,76 +110,18 @@ func calibrateRig(b *testing.B, cfg cpu.Config) (*cpu.CPU, *attack.Routine, *att
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := cpu.New(cfg)
+	c := cpu.New(cpu.Intel())
 	c.LoadProgram(merged)
-	return c, recv, send
-}
-
-// BenchmarkCalibrate measures one full channel calibration (4 rounds,
-// hit and miss each) per iteration.
-func BenchmarkCalibrate(b *testing.B) {
-	const primeIters, probeIters, rounds = 20, 5, 4
-	b.Run("checkpoint=off", func(b *testing.B) {
-		cfg := cpu.Intel()
-		cfg.DisableCycleSkip = true
-		c, recv, send := calibrateRig(b, cfg)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := attack.Calibrate(c, recv, send, primeIters, probeIters, rounds); err != nil {
-				b.Fatal(err)
-			}
+	s0 := c.Counters(0).Snapshot()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := attack.Calibrate(c, recv, send, primeIters, probeIters, rounds); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("checkpoint=on", func(b *testing.B) {
-		offCfg := cpu.Intel()
-		offCfg.DisableCycleSkip = true
-		cOff, recvOff, sendOff := calibrateRig(b, offCfg)
-		const baseReps = 3
-		t0 := time.Now()
-		for i := 0; i < baseReps; i++ {
-			if _, err := attack.Calibrate(cOff, recvOff, sendOff, primeIters, probeIters, rounds); err != nil {
-				b.Fatal(err)
-			}
-		}
-		baseNs := float64(time.Since(t0).Nanoseconds()) / baseReps
-
-		c, recv, send := calibrateRig(b, cpu.Intel())
-		var ck cpu.Checkpoint
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := attack.CalibrateCheckpointed(c, &ck, recv, send, primeIters, probeIters, rounds); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if el := b.Elapsed(); el > 0 && b.N > 0 {
-			b.ReportMetric(baseNs/(float64(el.Nanoseconds())/float64(b.N)), "speedup-vs-fresh")
-		}
-		// Skip-engagement audit: every Restore rewinds the perf
-		// counters to the snapshot, so a loop-wide counter delta would
-		// be meaningless — instead replay one calibration with a
-		// counter read around each run between restores.
-		var skipped, total uint64
-		runCounted := func(r *attack.Routine, iters int64) {
-			s0 := c.Counters(0).Snapshot()
-			if _, err := r.Run(c, 0, iters); err != nil {
-				b.Fatal(err)
-			}
-			d := c.Counters(0).Snapshot().Delta(s0)
-			skipped += d.Get(perfctr.SkippedCycles)
-			total += d.Get(perfctr.Cycles)
-		}
-		runCounted(recv, primeIters)
-		c.Checkpoint(&ck)
-		for i := 0; i < rounds; i++ {
-			c.Restore(&ck)
-			runCounted(recv, probeIters)
-			c.Restore(&ck)
-			runCounted(send, primeIters)
-			runCounted(recv, probeIters)
-		}
-		if total > 0 {
-			b.ReportMetric(float64(skipped)/float64(total), "skipped/total-cycles")
-		}
-	})
+	}
+	b.StopTimer()
+	d := c.Counters(0).Snapshot().Delta(s0)
+	if total := d.Get(perfctr.Cycles); total > 0 {
+		b.ReportMetric(float64(d.Get(perfctr.SkippedCycles))/float64(total), "skipped/total-cycles")
+	}
 }

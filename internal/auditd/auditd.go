@@ -162,6 +162,16 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// Request bounds. Every accepted job allocates in proportion to its
+// random-program count, and an out-of-memory fault is fatal to the
+// process rather than a panic the per-job containment can catch, so
+// both the count and the body that carries it are capped at submit
+// time.
+const (
+	maxRandom       = 10_000
+	maxRequestBytes = 1 << 20
+)
+
 // jobPlan is a fully validated submission: everything the worker needs,
 // resolved up front so a bad request fails with 400 at submit time, not
 // as a failed job.
@@ -175,8 +185,8 @@ type jobPlan struct {
 // plan validates a request against the same rules the CLI flags
 // enforce.
 func (s *Server) plan(req JobRequest) (*jobPlan, error) {
-	if req.Random < 0 {
-		return nil, fmt.Errorf("random must be >= 0, got %d", req.Random)
+	if req.Random < 0 || req.Random > maxRandom {
+		return nil, fmt.Errorf("random must be in [0, %d], got %d", maxRandom, req.Random)
 	}
 	profName := req.Profile
 	if profName == "" {
@@ -224,7 +234,7 @@ func (s *Server) plan(req JobRequest) (*jobPlan, error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding job request: %v", err)

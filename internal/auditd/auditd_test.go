@@ -212,6 +212,8 @@ func TestJobValidation(t *testing.T) {
 		{"bad checker", `{"checkers":["zzz-bogus","aaa-bogus"]}`, `unknown checkers "aaa-bogus", "zzz-bogus"`},
 		{"unknown fixture", `{"fixture":"no-such"}`, `unknown fixture "no-such"`},
 		{"negative random", `{"random":-3}`, "random"},
+		{"random above cap", `{"random":1000000000}`, "random"},
+		{"oversized body", `{"fixture":"` + strings.Repeat("x", maxRequestBytes) + `"}`, "too large"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))

@@ -123,7 +123,7 @@ func (ch *CrossSMT) round(bit bool) (uint64, error) {
 	}
 	ch.c.SetReg(0, isa.R14, ch.cfg.PrimeIters+ch.cfg.ProbeIters)
 	ch.c.SetReg(1, isa.R14, 1<<40) // Trojan runs for the spy's whole window
-	res := ch.c.RunSMTPrimary(ch.recvEntry, sender, 20_000_000)
+	res := ch.c.RunSMT(ch.recvEntry, sender, 20_000_000)
 	if res[0].TimedOut {
 		return 0, fmt.Errorf("channel: SMT spy window timed out")
 	}

@@ -112,13 +112,6 @@ func Intel() Config { return FromProfile(profile.Skylake()) }
 // micro-op cache and 1:2 decoders.
 func AMD() Config { return FromProfile(profile.Zen()) }
 
-// IntelSunnyCove returns the Intel configuration with the 1.5×-larger
-// Sunny Cove micro-op cache the paper mentions.
-func IntelSunnyCove() Config { return FromProfile(profile.SunnyCove()) }
-
-// AMDZen2 returns the AMD configuration with the 4K-µop Zen-2 op cache.
-func AMDZen2() Config { return FromProfile(profile.Zen2()) }
-
 // Memory is the guest data memory: a flat little-endian byte image.
 // Out-of-image accesses read zero and drop writes (no faults are
 // modelled; transient wild accesses are harmless).
@@ -438,19 +431,62 @@ type RunResult struct {
 // memory persist across runs — the attacks depend on that persistence.
 // In single-thread runs the micro-op cache operates unpartitioned.
 func (c *CPU) Run(t int, entry uint64, maxCycles uint64) RunResult {
-	c.uc.SetSMTMode(false)
-	th := c.threads[t]
-	before := th.ctr.Snapshot()
-	beforeRetired := th.be.Retired()
-	th.be.Reset(entry)
+	var entries [NumThreads]uint64
+	entries[t] = entry
+	return c.run(t, t+1, entries, maxCycles)[t]
+}
+
+// RunSMT executes both threads simultaneously from their entries until
+// thread 0 retires HALT or maxCycles elapse; thread 1 acts as a
+// background workload that idles once it halts (the Fig 6/7 co-runner
+// setups, where the sibling spins on PAUSE or pointer chasing for the
+// duration of the measured thread). Under Intel's policy the micro-op
+// cache is statically partitioned for the duration; under AMD's it is
+// competitively shared. The shared decoders are modelled by
+// alternating MITE access between threads cycle by cycle.
+func (c *CPU) RunSMT(entryA, entryB uint64, maxCycles uint64) [NumThreads]RunResult {
+	return c.run(0, NumThreads, [NumThreads]uint64{entryA, entryB}, maxCycles)
+}
+
+// run is the cycle loop behind Run and RunSMT. Threads lo through hi-1
+// are live; thread lo is the primary, whose HALT ends the run. A live
+// thread that halts before the primary idles for the rest of the run,
+// and its Cycles stop at its own HALT.
+func (c *CPU) run(lo, hi int, entries [NumThreads]uint64, maxCycles uint64) [NumThreads]RunResult {
+	smt := hi-lo > 1
+	c.uc.SetSMTMode(smt)
+	var before [NumThreads]perfctr.Snapshot
+	var beforeRet, end [NumThreads]uint64
+	for t := lo; t < hi; t++ {
+		th := c.threads[t]
+		before[t] = th.ctr.Snapshot()
+		beforeRet[t] = th.be.Retired()
+		th.be.Reset(entries[t])
+	}
+	pt := c.threads[lo]
 	start := c.cycle
-	skip := !c.cfg.DisableCycleSkip
-	for !th.be.Halted() && c.cycle-start < maxCycles {
+	// SMT decoder arbitration keys off absolute cycle parity (miteTurn),
+	// which a jump would break, so only single-thread runs skip.
+	skip := !smt && !c.cfg.DisableCycleSkip
+	for !pt.be.Halted() && c.cycle-start < maxCycles {
 		c.cycle++
-		th.ctr.Inc(perfctr.Cycles)
-		th.fe.Tick()
-		th.be.Tick(c.cycle)
-		if !skip || th.be.Halted() {
+		for t := lo; t < hi; t++ {
+			th := c.threads[t]
+			if th.be.Halted() {
+				continue
+			}
+			th.ctr.Inc(perfctr.Cycles)
+			// Decoders are shared between SMT threads: only one thread
+			// may occupy the legacy decode pipeline per cycle.
+			if !smt || c.miteTurn(t) || !c.inMITE(t) {
+				th.fe.Tick()
+			}
+			th.be.Tick(c.cycle)
+			if th.be.Halted() {
+				end[t] = c.cycle
+			}
+		}
+		if !skip || pt.be.Halted() {
 			continue
 		}
 		// Event-driven fast path: when both units report the next k
@@ -460,11 +496,9 @@ func (c *CPU) Run(t int, entry uint64, maxCycles uint64) RunResult {
 		// carries the proof that its skipped Ticks would have been
 		// no-ops beyond deterministic counter effects, which ApplySkip
 		// replays — so cycle counts and every counter are bit-identical
-		// to the ticked execution. Single-thread runs only: SMT decoder
-		// arbitration keys off absolute cycle parity (miteTurn), which a
-		// jump would break.
-		k := th.fe.SkipBound()
-		if b := th.be.SkipBound(c.cycle); b < k {
+		// to the ticked execution.
+		k := pt.fe.SkipBound()
+		if b := pt.be.SkipBound(c.cycle); b < k {
 			k = b
 		}
 		if budget := maxCycles - (c.cycle - start); k > budget {
@@ -476,82 +510,18 @@ func (c *CPU) Run(t int, entry uint64, maxCycles uint64) RunResult {
 			continue
 		}
 		c.cycle += k
-		th.ctr.Add(perfctr.Cycles, k)
-		th.ctr.Add(perfctr.SkippedCycles, k)
-		th.fe.ApplySkip(k)
-	}
-	return RunResult{
-		Cycles:   c.cycle - start,
-		Retired:  th.be.Retired() - beforeRetired,
-		Counters: th.ctr.Snapshot().Delta(before),
-		TimedOut: !th.be.Halted(),
-	}
-}
-
-// RunSMT executes both threads simultaneously from their entries until
-// each retires HALT (a finished thread idles while the other runs) or
-// maxCycles elapse. Under Intel's policy the micro-op cache is
-// statically partitioned for the duration; under AMD's it is
-// competitively shared. The shared decoders are modelled by
-// alternating MITE access between threads cycle by cycle.
-func (c *CPU) RunSMT(entryA, entryB uint64, maxCycles uint64) [NumThreads]RunResult {
-	return c.runSMT(entryA, entryB, maxCycles, false)
-}
-
-// RunSMTPrimary is RunSMT, but the run ends as soon as thread 0 retires
-// HALT — thread 1 acts as a background workload (the Fig 6/7 co-runner
-// setups, where the sibling spins on PAUSE or pointer chasing for the
-// duration of the measured thread).
-func (c *CPU) RunSMTPrimary(entryA, entryB uint64, maxCycles uint64) [NumThreads]RunResult {
-	return c.runSMT(entryA, entryB, maxCycles, true)
-}
-
-func (c *CPU) runSMT(entryA, entryB uint64, maxCycles uint64, stopOnPrimary bool) [NumThreads]RunResult {
-	c.uc.SetSMTMode(true)
-	var before [NumThreads]perfctr.Snapshot
-	var beforeRet [NumThreads]uint64
-	entries := [NumThreads]uint64{entryA, entryB}
-	for t, th := range c.threads {
-		before[t] = th.ctr.Snapshot()
-		beforeRet[t] = th.be.Retired()
-		th.be.Reset(entries[t])
-	}
-	start := c.cycle
-	var startCycle, endCycle [NumThreads]uint64
-	for t := range startCycle {
-		startCycle[t] = c.cycle
-	}
-	for c.cycle-start < maxCycles {
-		if c.threads[0].be.Halted() && (stopOnPrimary || c.threads[1].be.Halted()) {
-			break
-		}
-		c.cycle++
-		for t, th := range c.threads {
-			if th.be.Halted() {
-				continue
-			}
-			th.ctr.Inc(perfctr.Cycles)
-			// Decoders are shared between SMT threads: only one thread
-			// may occupy the legacy decode pipeline per cycle.
-			if c.miteTurn(t) {
-				th.fe.Tick()
-			} else if !c.inMITE(t) {
-				th.fe.Tick()
-			}
-			th.be.Tick(c.cycle)
-			if th.be.Halted() {
-				endCycle[t] = c.cycle
-			}
-		}
+		pt.ctr.Add(perfctr.Cycles, k)
+		pt.ctr.Add(perfctr.SkippedCycles, k)
+		pt.fe.ApplySkip(k)
 	}
 	var out [NumThreads]RunResult
-	for t, th := range c.threads {
-		end := endCycle[t]
-		if end == 0 {
-			end = c.cycle
+	for t := lo; t < hi; t++ {
+		th := c.threads[t]
+		if end[t] == 0 {
+			end[t] = c.cycle
 		}
 		out[t] = RunResult{
-			Cycles:   end - startCycle[t],
+			Cycles:   end[t] - start,
 			Retired:  th.be.Retired() - beforeRet[t],
 			Counters: th.ctr.Snapshot().Delta(before[t]),
 			TimedOut: !th.be.Halted(),

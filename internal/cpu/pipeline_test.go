@@ -307,11 +307,20 @@ func TestMitigationFlushKillsPersistence(t *testing.T) {
 	}
 }
 
-// TestSMTRunsBothThreads sanity-checks the SMT loop.
+// TestSMTRunsBothThreads sanity-checks the SMT loop: thread 0 (the
+// primary, whose HALT ends the run) counts down a loop long enough for
+// the short sibling to halt first, so both threads must finish with
+// their own register state and the sibling's cycle count must stop at
+// its own HALT.
 func TestSMTRunsBothThreads(t *testing.T) {
 	a := asm.New(0x10000)
 	a.Label("entry")
 	a.Movi(isa.R1, 7)
+	a.Movi(isa.R2, 200)
+	a.Label("loop")
+	a.Subi(isa.R2, 1)
+	a.Cmpi(isa.R2, 0)
+	a.Jcc(isa.NE, "loop")
 	a.Halt()
 	bld := asm.New(0x20000)
 	bld.Label("entry")
@@ -330,6 +339,9 @@ func TestSMTRunsBothThreads(t *testing.T) {
 	}
 	if c.Reg(0, isa.R1) != 7 || c.Reg(1, isa.R1) != 9 {
 		t.Errorf("thread state mixed: %d/%d", c.Reg(0, isa.R1), c.Reg(1, isa.R1))
+	}
+	if res[1].Cycles >= res[0].Cycles {
+		t.Errorf("sibling cycles %d not below primary's %d", res[1].Cycles, res[0].Cycles)
 	}
 }
 

@@ -8,18 +8,19 @@ import (
 )
 
 // TestConstructorsDelegateToProfiles pins the de-hardcoding: the named
-// vendor constructors are exactly FromProfile over the corresponding
-// registered profiles, so a geometry edit in the registry is the only
-// way to change what the simulator runs.
+// vendor constructors, and FromProfile over the profile package's named
+// geometries, are exactly FromProfile over the corresponding registered
+// profiles, so a geometry edit in the registry is the only way to
+// change what the simulator runs.
 func TestConstructorsDelegateToProfiles(t *testing.T) {
 	cases := []struct {
 		name string
 		got  Config
 	}{
 		{"skylake", Intel()},
-		{"sunnycove", IntelSunnyCove()},
+		{"sunnycove", FromProfile(profile.SunnyCove())},
 		{"zen", AMD()},
-		{"zen2", AMDZen2()},
+		{"zen2", FromProfile(profile.Zen2())},
 	}
 	for _, c := range cases {
 		p, err := profile.Get(c.name)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"deaduops/internal/profile"
 	"deaduops/internal/staticlint/difftest"
 )
 
@@ -33,7 +34,7 @@ func AlignChannel(o Options) (*Table, error) {
 			"Victim (seed)", "Direction", "Straddling jccs", "Align stall", "Predicted", "Measured", "Error",
 		},
 	}
-	results, err := difftest.RunShapeMany(alignChannelSeeds, o.Workers, difftest.ShapeAlign)
+	results, err := difftest.NewHarness(profile.Default()).RunShapeMany(alignChannelSeeds, o.Workers, difftest.ShapeAlign)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"deaduops/internal/cpu"
 	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
+	"deaduops/internal/profile"
 )
 
 func init() {
@@ -33,9 +34,9 @@ func CapacityAcrossGenerations(o Options) (*Table, error) {
 		cfg  cpu.Config
 	}{
 		{"Intel Skylake/Coffee Lake", cpu.Intel()},
-		{"Intel Sunny Cove", cpu.IntelSunnyCove()},
+		{"Intel Sunny Cove", cpu.FromProfile(profile.SunnyCove())},
 		{"AMD Zen", cpu.AMD()},
-		{"AMD Zen 2", cpu.AMDZen2()},
+		{"AMD Zen 2", cpu.FromProfile(profile.Zen2())},
 	}
 	rows, err := sweep(o, len(configs), func(a *cpu.Arena, i int) ([]string, error) {
 		c := configs[i]

@@ -158,7 +158,7 @@ func fig6SMTPoint(regions int, sibling Fig6Sibling, o Options, a *cpu.Arena) (t1
 	run := func(iters int64) ([2]cpu.RunResult, error) {
 		c.SetReg(0, isa.R14, iters)
 		c.SetReg(1, isa.R14, 1<<40) // T2 runs for as long as T1 needs
-		res := c.RunSMTPrimary(t1.Entry, t2.Entry, maxRunCycle)
+		res := c.RunSMT(t1.Entry, t2.Entry, maxRunCycle)
 		if res[0].TimedOut {
 			return res, fmt.Errorf("fig6 SMT point timed out (%d regions)", regions)
 		}

@@ -54,7 +54,7 @@ func Fig7aSetProbe(o Options) (*Figure, error) {
 		run := func(iters int64) (cpu.RunResult, error) {
 			c.SetReg(0, isa.R14, iters)
 			c.SetReg(1, isa.R14, 1<<40)
-			res := c.RunSMTPrimary(t1.Entry, t2.Entry, maxRunCycle)
+			res := c.RunSMT(t1.Entry, t2.Entry, maxRunCycle)
 			if res[0].TimedOut {
 				return res[0], fmt.Errorf("fig7a timed out at set %d", set)
 			}
@@ -134,7 +134,7 @@ func Fig7bSetCount(o Options) (*Figure, error) {
 		runSMT := func(iters int64) (cpu.RunResult, error) {
 			cs.SetReg(0, isa.R14, iters)
 			cs.SetReg(1, isa.R14, 1<<40)
-			res := cs.RunSMTPrimary(t1.Entry, t2.Entry, maxRunCycle)
+			res := cs.RunSMT(t1.Entry, t2.Entry, maxRunCycle)
 			if res[0].TimedOut {
 				return res[0], fmt.Errorf("fig7b SMT timed out at %d", n)
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"deaduops/internal/profile"
 	"deaduops/internal/staticlint/difftest"
 )
 
@@ -30,7 +31,7 @@ func LeakPredict(o Options) (*Table, error) {
 			"Victim (seed)", "Direction", "Predicted", "Measured", "Error",
 		},
 	}
-	results, err := difftest.RunMany(leakpredictSeeds, o.Workers)
+	results, err := difftest.NewHarness(profile.Default()).RunMany(leakpredictSeeds, o.Workers)
 	if err != nil {
 		return nil, err
 	}

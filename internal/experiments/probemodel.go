@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"deaduops/internal/profile"
 	"deaduops/internal/staticlint/difftest"
 )
 
@@ -34,7 +35,7 @@ func ProbeModel(o Options) (*Table, error) {
 			"Victim (seed)", "Probe", "Predicted", "Measured", "Error", "Margin",
 		},
 	}
-	results, err := difftest.RunProbeMany(probemodelSeeds, o.Workers)
+	results, err := difftest.NewHarness(profile.Default()).RunProbeMany(probemodelSeeds, o.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -75,18 +75,28 @@ func TestVPDFootprintDivergenceFlagged(t *testing.T) {
 	}
 }
 
+// TestVPDGadgetCheckerReproducesCensus requires a µop-cache gadget in
+// the full pci-vpd victim and in the bare pci_vpd_find_tag-style
+// routine (the Listing 4 victim alone has no dependent branch, but this
+// routine branches on the guarded tag load).
 func TestVPDGadgetCheckerReproducesCensus(t *testing.T) {
 	l := victim.DefaultLayout()
-	p := victim.BuildPCIVPD(l)
-	hits := ScanGadgets(p, DefaultConfig())
-	uop := 0
-	for _, h := range hits {
-		if h.Kind == GadgetUopCache {
-			uop++
-		}
-	}
-	if uop == 0 {
-		t.Fatalf("gadget checker missed the vpd µop-cache gadget: %v", hits)
+	b := asm.New(0x20000)
+	victim.PCIVPDStyleGadget(b, l)
+	b.Label("vpd_large")
+	b.Ret()
+	b.Label("vpd_small")
+	b.Ret()
+	for name, p := range map[string]*asm.Program{
+		"pci-vpd":      victim.BuildPCIVPD(l),
+		"vpd-find-tag": b.MustBuild(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			hits := ScanGadgets(p, DefaultConfig())
+			if countGadgets(hits)[GadgetUopCache] == 0 {
+				t.Errorf("gadget checker missed the vpd µop-cache gadget: %v", hits)
+			}
+		})
 	}
 }
 

@@ -4,8 +4,8 @@ package difftest
 // on: the event-driven cycle-skip fast path (TestSkipCyclesEquivalence
 // proves skip on/off is bit-identical over the full corpus, per
 // profile) and the checkpoint-based PointRunner
-// (TestPointRunnerMatchesMeasure proves it reproduces the classic
-// fresh-core-per-call entry points exactly, including on repeat
+// (TestPointRunnerMatchesMeasure proves it reproduces a fresh core's
+// train-warm-flush-cold sequence exactly, including on repeat
 // measurements served from trained checkpoints).
 
 import (
@@ -17,8 +17,8 @@ import (
 	"deaduops/internal/perfctr"
 )
 
-// measureSequence replays MeasureDirectionWith's exact run sequence —
-// train ×trainRuns, warm, flush, cold — on a core built from cfg,
+// measureSequence replays PointRunner.Measure's run sequence on a
+// fresh core built from cfg — train ×trainRuns, warm, flush, cold —
 // returning every run's full RunResult for byte-level comparison.
 func measureSequence(cfg cpu.Config, v *Victim, a *cpu.Arena, secret int64) ([trainRuns + 2]cpu.RunResult, error) {
 	var out [trainRuns + 2]cpu.RunResult
@@ -115,16 +115,16 @@ func TestSkipCyclesEquivalence(t *testing.T) {
 }
 
 // pointSeeds bounds the PointRunner equality corpus per profile; each
-// seed costs four classic fresh-core measurements plus four
-// checkpointed ones.
+// seed costs two fresh-core sequences plus four checkpointed
+// measurements.
 const pointSeeds = 40
 
 // TestPointRunnerMatchesMeasure proves the checkpointed PointRunner
-// reproduces the classic entry points exactly: per (seed, secret), its
-// Delta must equal MeasureDirectionWith and its switch counts must
-// equal MeasureSwitches — on the first call (trained from the pristine
-// checkpoint) and again on a repeat call (served from the trained
-// checkpoint).
+// reproduces a fresh core exactly: per (seed, secret), its Point —
+// delta, switch counts, skipped and total cycles — must equal the one
+// measureSequence's warm and cold runs give, on the first call
+// (trained from the pristine checkpoint) and again on a repeat call
+// (served from the trained checkpoint).
 func TestPointRunnerMatchesMeasure(t *testing.T) {
 	for _, p := range matrixProfiles(t) {
 		p := p
@@ -138,26 +138,27 @@ func TestPointRunnerMatchesMeasure(t *testing.T) {
 					if err != nil {
 						return zero, err
 					}
+					// The fresh-core sequences run before the runner is
+					// built: NewWith hands the arena's memory image to each
+					// new core, so at most one core per arena is live.
+					var fresh [2]Point
+					for d, secret := range []int64{1, 0} {
+						seq, err := measureSequence(h.CPUConfig(), v, a, secret)
+						if err != nil {
+							return zero, err
+						}
+						fresh[d] = pointOf(seq[trainRuns], seq[trainRuns+1])
+					}
 					r := h.NewPointRunner(v, a)
-					for _, secret := range []int64{1, 0} {
-						delta, err := h.MeasureDirectionWith(v, secret, a)
-						if err != nil {
-							return zero, err
-						}
-						warm, cold, err := h.MeasureSwitches(v, secret, a)
-						if err != nil {
-							return zero, err
-						}
+					for d, secret := range []int64{1, 0} {
 						for pass := 0; pass < 2; pass++ {
 							pt, err := r.Measure(secret)
 							if err != nil {
 								return zero, err
 							}
-							if pt.Delta != delta || pt.WarmSwitches != warm || pt.ColdSwitches != cold {
-								return zero, fmt.Errorf(
-									"seed %d secret %d pass %d: point {Δ%d w%d c%d}, classic {Δ%d w%d c%d}",
-									v.Seed, secret, pass, pt.Delta, pt.WarmSwitches, pt.ColdSwitches,
-									delta, warm, cold)
+							if pt != fresh[d] {
+								return zero, fmt.Errorf("seed %d secret %d pass %d: point %+v, fresh core %+v",
+									v.Seed, secret, pass, pt, fresh[d])
 							}
 							if pt.TotalCycles == 0 {
 								return zero, fmt.Errorf("seed %d: empty measurement window", v.Seed)

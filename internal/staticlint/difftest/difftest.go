@@ -18,7 +18,6 @@ import (
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
 	"deaduops/internal/isa"
-	"deaduops/internal/perfctr"
 	"deaduops/internal/staticlint"
 	"deaduops/internal/uopcache"
 )
@@ -255,13 +254,6 @@ func Spec() staticlint.Spec {
 	}
 }
 
-// Config returns the analysis configuration the default (Skylake)
-// harness lints with. Profile-parameterized callers use
-// NewHarness(p).Config() instead.
-func Config() staticlint.Config {
-	return DefaultHarness().Config()
-}
-
 // rng is splitmix64, the same deterministic generator internal/ref
 // uses, so fuzz corpus seeds reproduce exactly.
 type rng struct{ x uint64 }
@@ -473,20 +465,16 @@ func (h *Harness) suffixShape(r *rng) codegen.ChainSpec {
 	return s
 }
 
-// Generate builds the victim for seed. Generation is total: every seed
-// yields a valid program. The first draw picks the shape; each shape
-// then consumes its own deterministic stream, so fuzz corpus seeds
-// reproduce exactly.
+// Generate builds the victim for seed under the harness's profile.
+// Generation is total: every seed yields a valid program. The first
+// draw picks the shape; each shape then consumes its own deterministic
+// stream, so fuzz corpus seeds reproduce exactly.
 //
 // Every shape keeps the leaf invariants the quantifier relies on: the
 // region holding the secret-dependent branch ends exactly at a
 // 32-byte boundary (so both directions share its trace), the fall
 // chain's first region is the one fetch streams into past the branch,
 // and the two directions' chain set pools are disjoint.
-func Generate(seed uint64) (*Victim, error) { return DefaultHarness().Generate(seed) }
-
-// Generate builds the victim for seed under the harness's profile; see
-// the package-level Generate for the generation contract.
 func (h *Harness) Generate(seed uint64) (*Victim, error) {
 	r := rng{x: seed}
 	shape := Shape(r.intn(numRandomShapes))
@@ -494,17 +482,12 @@ func (h *Harness) Generate(seed uint64) (*Victim, error) {
 }
 
 // GenerateShape builds a victim of an explicitly chosen shape for
-// seed, bypassing Generate's shape draw — the entry point for the
-// shapes outside the random pool (ShapeAlign through
-// ShapeIndirectMutual) and for per-shape corpora. For the random-pool shapes
-// the stream differs from Generate's (no draw is consumed), so the two
-// entry points yield different victims for the same seed.
-func GenerateShape(seed uint64, shape Shape) (*Victim, error) {
-	return DefaultHarness().GenerateShape(seed, shape)
-}
-
-// GenerateShape builds a victim of an explicitly chosen shape for seed
-// under the harness's profile.
+// seed under the harness's profile, bypassing Generate's shape draw —
+// the entry point for the shapes outside the random pool (ShapeAlign
+// through ShapeIndirectMutual) and for per-shape corpora. For the
+// random-pool shapes the stream differs from Generate's (no draw is
+// consumed), so the two entry points yield different victims for the
+// same seed.
 func (h *Harness) GenerateShape(seed uint64, shape Shape) (*Victim, error) {
 	if shape < 0 || shape > ShapeIndirectMutual {
 		return nil, fmt.Errorf("difftest: unknown shape %d", int(shape))
@@ -854,11 +837,9 @@ type Prediction struct {
 // run — the backend drain bound and its pipeline-fill lag apply once,
 // the delivery/drain race is replayed cycle for cycle, and the run
 // start/stop overhead lands on both sides — exactly as the measurement
-// side pays them.
-func Predict(v *Victim) (Prediction, error) { return DefaultHarness().Predict(v) }
-
-// Predict is the harness-bound predictor; see the package-level
-// Predict. Under a profile without a DSB the divergence finding is
+// side pays them (PointRunner.Measure).
+//
+// Under a profile without a DSB the divergence finding is
 // required to be ABSENT — there is no probe-visible footprint to
 // diverge — and the per-direction costs are priced without it, so the
 // mite-only contract (zero refill deltas on both paths) stays
@@ -914,88 +895,6 @@ func (h *Harness) Predict(v *Victim) (Prediction, error) {
 	}, nil
 }
 
-// MeasureDirection runs the victim on a fresh modelled core with the
-// secret steering one direction and returns the measured refill delta:
-// train runs settle the predictors and fill the micro-op cache, a warm
-// run is timed, the micro-op cache alone is flushed, and a cold run is
-// timed. The difference isolates the DSB-refill cost of the executed
-// path — branch predictors and data caches stay warm throughout, so no
-// misprediction or memory-latency noise enters the delta.
-func MeasureDirection(v *Victim, secret int64) (int, error) {
-	return MeasureDirectionWith(v, secret, nil)
-}
-
-// MeasureDirectionWith is MeasureDirection drawing the core's guest
-// memory from arena (which may be nil) — the sweep runners thread one
-// arena per worker through it.
-func MeasureDirectionWith(v *Victim, secret int64, a *cpu.Arena) (int, error) {
-	return DefaultHarness().MeasureDirectionWith(v, secret, a)
-}
-
-// MeasureDirectionWith measures one direction's refill delta on a core
-// assembled for the harness's profile.
-func (h *Harness) MeasureDirectionWith(v *Victim, secret int64, a *cpu.Arena) (int, error) {
-	c := cpu.NewWith(h.cpuCfg, a)
-	c.LoadProgram(v.Prog)
-	c.Mem().Write(SecretAddr, 1, secret)
-	run := func(tag string) (cpu.RunResult, error) {
-		res := c.Run(0, v.Entry, maxCycles)
-		if res.TimedOut {
-			return res, fmt.Errorf("difftest seed %d: %s run timed out", v.Seed, tag)
-		}
-		return res, nil
-	}
-	for i := 0; i < trainRuns; i++ {
-		if _, err := run("train"); err != nil {
-			return 0, err
-		}
-	}
-	warm, err := run("warm")
-	if err != nil {
-		return 0, err
-	}
-	c.FlushUopCache()
-	cold, err := run("cold")
-	if err != nil {
-		return 0, err
-	}
-	return int(cold.Cycles) - int(warm.Cycles), nil
-}
-
-// MeasureSwitches runs the victim with the secret steering one
-// direction and returns the DSB→MITE switch counts of a fully warmed
-// traversal and of a flushed (cold) traversal — the per-run transition
-// counts the quantifier predicts as WarmSwitchPoints/ColdSwitchPoints.
-// Unlike the cycle deltas these are exact counter reads, so the
-// validation contract is equality, not a tolerance band.
-func MeasureSwitches(v *Victim, secret int64, a *cpu.Arena) (warm, cold int, err error) {
-	return DefaultHarness().MeasureSwitches(v, secret, a)
-}
-
-// MeasureSwitches measures the per-run DSB→MITE switch counters on a
-// core assembled for the harness's profile.
-func (h *Harness) MeasureSwitches(v *Victim, secret int64, a *cpu.Arena) (warm, cold int, err error) {
-	c := cpu.NewWith(h.cpuCfg, a)
-	c.LoadProgram(v.Prog)
-	c.Mem().Write(SecretAddr, 1, secret)
-	for i := 0; i < trainRuns; i++ {
-		if res := c.Run(0, v.Entry, maxCycles); res.TimedOut {
-			return 0, 0, fmt.Errorf("difftest seed %d: switch train run timed out", v.Seed)
-		}
-	}
-	wres := c.Run(0, v.Entry, maxCycles)
-	if wres.TimedOut {
-		return 0, 0, fmt.Errorf("difftest seed %d: switch warm run timed out", v.Seed)
-	}
-	c.FlushUopCache()
-	cres := c.Run(0, v.Entry, maxCycles)
-	if cres.TimedOut {
-		return 0, 0, fmt.Errorf("difftest seed %d: switch cold run timed out", v.Seed)
-	}
-	return int(wres.Counters.Get(perfctr.DSB2MITESwitches)),
-		int(cres.Counters.Get(perfctr.DSB2MITESwitches)), nil
-}
-
 // Result is one victim's predicted-vs-measured comparison.
 type Result struct {
 	Seed                uint64
@@ -1013,15 +912,6 @@ type Result struct {
 	NoDSB   bool
 }
 
-// Run generates, predicts, and measures one seed.
-func Run(seed uint64) (Result, error) { return RunWith(seed, nil) }
-
-// RunWith is Run reusing arena (which may be nil) for each direction's
-// simulated core.
-func RunWith(seed uint64, a *cpu.Arena) (Result, error) {
-	return DefaultHarness().RunWith(seed, a)
-}
-
 // RunWith generates, predicts, and measures one seed under the
 // harness's profile, reusing arena (which may be nil).
 func (h *Harness) RunWith(seed uint64, a *cpu.Arena) (Result, error) {
@@ -1032,18 +922,9 @@ func (h *Harness) RunWith(seed uint64, a *cpu.Arena) (Result, error) {
 	return h.runVictim(v, a)
 }
 
-// RunShape is Run with the victim shape pinned (via GenerateShape)
-// instead of drawn from the seed — the per-shape corpora use it.
-func RunShape(seed uint64, shape Shape) (Result, error) {
-	return RunShapeWith(seed, shape, nil)
-}
-
-// RunShapeWith is RunShape reusing arena for each direction's core.
-func RunShapeWith(seed uint64, shape Shape, a *cpu.Arena) (Result, error) {
-	return DefaultHarness().RunShapeWith(seed, shape, a)
-}
-
-// RunShapeWith is RunWith with the victim shape pinned.
+// RunShapeWith is RunWith with the victim shape pinned (via
+// GenerateShape) instead of drawn from the seed — the per-shape
+// corpora use it.
 func (h *Harness) RunShapeWith(seed uint64, shape Shape, a *cpu.Arena) (Result, error) {
 	v, err := h.GenerateShape(seed, shape)
 	if err != nil {
@@ -1058,9 +939,8 @@ func (h *Harness) runVictim(v *Victim, a *cpu.Arena) (Result, error) {
 		return Result{}, err
 	}
 	// One core, one program load, both directions forked from the
-	// pristine checkpoint. The deltas are bit-identical to the classic
-	// fresh-core-per-direction path (TestPointRunnerMatchesMeasure),
-	// so every corpus golden is unchanged by the shared core.
+	// pristine checkpoint. The deltas are bit-identical to a fresh core
+	// per direction (TestPointRunnerMatchesMeasure).
 	r := h.NewPointRunner(v, a)
 	taken, err := r.Measure(1)
 	if err != nil {

@@ -14,11 +14,11 @@ import (
 // window-straddling jumps, and the straddle count must price exactly
 // (one straddling jcc per region, JccAlignPenalty cycles each).
 func TestAlignCorpus(t *testing.T) {
-	results, err := RunShapeMany(SeedRange(1, corpusSize), 0, ShapeAlign)
+	results, err := skylake.RunShapeMany(SeedRange(1, corpusSize), 0, ShapeAlign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	penalty := Config().Decode.JccAlignPenalty
+	penalty := skylake.Config().Decode.JccAlignPenalty
 	var straddleTaken, straddleFall int
 	for _, r := range results {
 		if err := r.Validate(); err != nil {
@@ -70,11 +70,11 @@ func btoi(b bool) int {
 // branch whose align delta matches the prediction's breakout.
 func TestAlignCheckerOnCorpus(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
-		v, err := GenerateShape(seed, ShapeAlign)
+		v, err := skylake.GenerateShape(seed, ShapeAlign)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := staticlint.Lint(v.Prog, Spec(), Config())
+		r := staticlint.Lint(v.Prog, Spec(), skylake.Config())
 		var hit *staticlint.Finding
 		for i, f := range r.ByChecker("secret-dependent-jump-alignment") {
 			if f.Addr == v.Branch {
@@ -97,7 +97,7 @@ func TestAlignCheckerOnCorpus(t *testing.T) {
 // DSB2MITESwitches counter reads exactly — the switch contract is
 // counter equality, not tolerance.
 func TestSwitchCorpus(t *testing.T) {
-	results, err := RunShapeMany(SeedRange(1, corpusSize), 0, ShapeSwitch)
+	results, err := skylake.RunShapeMany(SeedRange(1, corpusSize), 0, ShapeSwitch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +108,7 @@ func TestSwitchCorpus(t *testing.T) {
 			continue
 		}
 		v, p := r.Victim, r.Prediction
+		runner := skylake.NewPointRunner(v, arena)
 		if v.TakenUnc == nil {
 			t.Fatalf("seed %d: switch victim has no uncacheable taken tail", r.Seed)
 		}
@@ -124,13 +125,13 @@ func TestSwitchCorpus(t *testing.T) {
 			{"taken", 1, p.TakenCost},
 			{"fall", 0, p.FallCost},
 		} {
-			warm, cold, err := MeasureSwitches(v, dir.secret, arena)
+			pt, err := runner.Measure(dir.secret)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if warm != dir.cost.WarmSwitchPoints || cold != dir.cost.ColdSwitchPoints {
+			if pt.WarmSwitches != dir.cost.WarmSwitchPoints || pt.ColdSwitches != dir.cost.ColdSwitchPoints {
 				t.Errorf("seed %d %s: measured switches warm %d / cold %d, predicted %d / %d\nvictim: %s",
-					r.Seed, dir.name, warm, cold,
+					r.Seed, dir.name, pt.WarmSwitches, pt.ColdSwitches,
 					dir.cost.WarmSwitchPoints, dir.cost.ColdSwitchPoints, r.Describe())
 			}
 		}
@@ -142,13 +143,13 @@ func TestSwitchCorpus(t *testing.T) {
 // fire at the generated branch with the tail chain's region count
 // priced at the full switch bubble.
 func TestSwitchCheckerOnCorpus(t *testing.T) {
-	bubble := 1 + Config().Costs().SwitchPenalty()
+	bubble := 1 + skylake.Config().Costs().SwitchPenalty()
 	for seed := uint64(1); seed <= 25; seed++ {
-		v, err := GenerateShape(seed, ShapeSwitch)
+		v, err := skylake.GenerateShape(seed, ShapeSwitch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := staticlint.Lint(v.Prog, Spec(), Config())
+		r := staticlint.Lint(v.Prog, Spec(), skylake.Config())
 		var hit *staticlint.Finding
 		for i, f := range r.ByChecker("dsb-mite-switch") {
 			if f.Addr == v.Branch {
@@ -169,7 +170,7 @@ func TestSwitchCheckerOnCorpus(t *testing.T) {
 // carry taint across the CALLI and the stitched fetch path must price
 // the callee exactly.
 func TestIndirectCorpus(t *testing.T) {
-	results, err := RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirect)
+	results, err := skylake.RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +190,11 @@ func TestIndirectCorpus(t *testing.T) {
 // this test fails — missed taint is unsoundness, not precision.
 func TestIndirectHavocSoundness(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 7, 42} {
-		v, err := GenerateShape(seed, ShapeIndirect)
+		v, err := skylake.GenerateShape(seed, ShapeIndirect)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := staticlint.Lint(v.Prog, Spec(), Config())
+		r := staticlint.Lint(v.Prog, Spec(), skylake.Config())
 		var hit *staticlint.Finding
 		for i, f := range r.ByChecker("secret-dependent-branch") {
 			if f.Addr == v.Branch {
@@ -219,11 +220,11 @@ func TestIndirectHavocSoundness(t *testing.T) {
 func TestGenerateShapeDeterministic(t *testing.T) {
 	for _, shape := range []Shape{ShapeAlign, ShapeSwitch, ShapeIndirect, ShapeIndirectTable, ShapeIndirectMutual} {
 		for _, seed := range []uint64{1, 7, 99} {
-			v1, err := GenerateShape(seed, shape)
+			v1, err := skylake.GenerateShape(seed, shape)
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", shape, seed, err)
 			}
-			v2, err := GenerateShape(seed, shape)
+			v2, err := skylake.GenerateShape(seed, shape)
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", shape, seed, err)
 			}
@@ -235,7 +236,7 @@ func TestGenerateShapeDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if _, err := GenerateShape(1, ShapeIndirectMutual+1); err == nil {
+	if _, err := skylake.GenerateShape(1, ShapeIndirectMutual+1); err == nil {
 		t.Error("out-of-range shape accepted")
 	}
 }
@@ -251,7 +252,7 @@ func FuzzAlignmentDelta(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		r, err := RunShape(seed, ShapeAlign)
+		r, err := skylake.RunShapeWith(seed, ShapeAlign, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -272,7 +273,7 @@ func FuzzAlignmentDelta(f *testing.F) {
 // resolution proves the complete {hot, decoy} set and joins the hot
 // callee's summary across the call.
 func TestIndirectTableCorpus(t *testing.T) {
-	results, err := RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirectTable)
+	results, err := skylake.RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirectTable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestIndirectTableCorpus(t *testing.T) {
 // differential contract: the summary fixpoint must converge over the
 // resolved A → B → A cycle before the callee's branch can be priced.
 func TestIndirectMutualCorpus(t *testing.T) {
-	results, err := RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirectMutual)
+	results, err := skylake.RunShapeMany(SeedRange(1, corpusSize), 0, ShapeIndirectMutual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +308,11 @@ func TestIndirectMutualCorpus(t *testing.T) {
 // call chain crosses the resolved indirect frame.
 func TestIndirectTableResolution(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
-		v, err := GenerateShape(seed, ShapeIndirectTable)
+		v, err := skylake.GenerateShape(seed, ShapeIndirectTable)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := staticlint.Lint(v.Prog, Spec(), Config())
+		r := staticlint.Lint(v.Prog, Spec(), skylake.Config())
 		if len(r.Resolved) != 1 {
 			t.Fatalf("seed %d: %d resolved sites, want 1", seed, len(r.Resolved))
 		}
@@ -336,11 +337,11 @@ func TestIndirectTableResolution(t *testing.T) {
 // frame.
 func TestIndirectMutualResolution(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
-		v, err := GenerateShape(seed, ShapeIndirectMutual)
+		v, err := skylake.GenerateShape(seed, ShapeIndirectMutual)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := staticlint.Lint(v.Prog, Spec(), Config())
+		r := staticlint.Lint(v.Prog, Spec(), skylake.Config())
 		if len(r.Resolved) != 3 {
 			t.Fatalf("seed %d: %d resolved sites, want 3 (entry + two recursion stubs)", seed, len(r.Resolved))
 		}
@@ -405,11 +406,11 @@ func assertChainThroughFrame(t *testing.T, r *staticlint.Report, v *Victim, call
 func TestIndirectBPUCrossCheck(t *testing.T) {
 	for _, shape := range []Shape{ShapeIndirectTable, ShapeIndirectMutual} {
 		for seed := uint64(1); seed <= 10; seed++ {
-			v, err := GenerateShape(seed, shape)
+			v, err := skylake.GenerateShape(seed, shape)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := staticlint.Lint(v.Prog, Spec(), Config())
+			r := staticlint.Lint(v.Prog, Spec(), skylake.Config())
 			static := map[uint64]map[uint64]bool{}
 			for _, site := range r.Resolved {
 				set := map[uint64]bool{}
@@ -418,7 +419,7 @@ func TestIndirectBPUCrossCheck(t *testing.T) {
 				}
 				static[site.Addr] = set
 			}
-			c := cpu.NewWith(DefaultHarness().cpuCfg, nil)
+			c := cpu.New(skylake.CPUConfig())
 			c.LoadProgram(v.Prog)
 			for _, secret := range []int64{0, 1} {
 				c.Mem().Write(SecretAddr, 1, secret)
@@ -467,7 +468,7 @@ func FuzzIndirectDelta(f *testing.F) {
 		if table {
 			shape = ShapeIndirectTable
 		}
-		r, err := RunShape(seed, shape)
+		r, err := skylake.RunShapeWith(seed, shape, nil)
 		if err != nil {
 			t.Fatalf("%v seed %d: %v", shape, seed, err)
 		}

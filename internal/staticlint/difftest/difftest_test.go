@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"deaduops/internal/profile"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -16,9 +18,13 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // contract (sign agreement and ±25% accuracy per direction).
 const corpusSize = 200
 
+// skylake is the default-profile harness the single-profile corpus
+// tests run under; the profile matrix tests build one per profile.
+var skylake = NewHarness(profile.Default())
+
 func TestDifferentialCorpus(t *testing.T) {
 	worst := 0.0
-	results, err := RunMany(SeedRange(1, corpusSize), 0)
+	results, err := skylake.RunMany(SeedRange(1, corpusSize), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +51,11 @@ func TestDifferentialCorpus(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	for _, seed := range []uint64{1, 4, 8, 1337} {
-		v1, err := Generate(seed)
+		v1, err := skylake.Generate(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		v2, err := Generate(seed)
+		v2, err := skylake.Generate(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -61,11 +67,11 @@ func TestGenerateDeterministic(t *testing.T) {
 			!reflect.DeepEqual(v1.FallUnc, v2.FallUnc) {
 			t.Errorf("seed %d: generation not deterministic:\n%+v\n%+v", seed, v1, v2)
 		}
-		p1, err := Predict(v1)
+		p1, err := skylake.Predict(v1)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		p2, err := Predict(v2)
+		p2, err := skylake.Predict(v2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -97,7 +103,7 @@ type canonicalRecord struct {
 func TestCanonicalGolden(t *testing.T) {
 	var records []canonicalRecord
 	for _, seed := range canonicalSeeds {
-		r, err := Run(seed)
+		r, err := skylake.RunWith(seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -159,7 +165,7 @@ func FuzzPredictedDelta(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		r, err := Run(seed)
+		r, err := skylake.RunWith(seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -5,10 +5,10 @@ package difftest
 // was hard-wired to the Skylake model; a Harness carries the profile's
 // analysis configuration, the matching simulator core configuration,
 // and the generator geometry derived from the profile, so the same
-// corpus contracts run under Zen, Zen 2, or the no-DSB control. The
-// package-level functions (Generate, Predict, Run, RunMany, ...)
-// delegate to the default Skylake harness, keeping their RNG streams —
-// and therefore every committed fuzz seed and golden — byte-identical.
+// corpus contracts run under Zen, Zen 2, or the no-DSB control. Under
+// profile.Default() (Skylake) the generator draws exactly the
+// historical RNG streams, so every committed fuzz seed and golden
+// reproduces byte for byte.
 
 import (
 	"deaduops/internal/cpu"
@@ -65,12 +65,6 @@ func NewHarness(p profile.Profile) *Harness {
 	}
 	return h
 }
-
-var defaultHarness = NewHarness(profile.Default())
-
-// DefaultHarness returns the package's default (Skylake) harness — the
-// one every package-level entry point delegates to.
-func DefaultHarness() *Harness { return defaultHarness }
 
 // Config returns the analysis configuration the harness lints with:
 // the profile's model with a path budget covering the largest

@@ -2,7 +2,7 @@ package difftest
 
 // parallel.go fans the differential corpora out over a bounded worker
 // pool. Every seed is an independent measurement — Generate is a pure
-// function of the seed and each direction runs on a fresh core — so
+// function of the seed and each seed runs on its own core — so
 // the corpus runners only need parsweep's ordering guarantee: results
 // come back seed-ordered and the reported failure is the
 // lowest-indexed one, making corpus runs reproducible at any worker
@@ -13,15 +13,9 @@ import (
 	"deaduops/internal/parsweep"
 )
 
-// RunMany runs every seed through the victim-side harness (Run) across
-// workers pool goroutines (0 selects GOMAXPROCS), one reusable
+// RunMany runs every seed through the victim-side harness (RunWith)
+// across workers pool goroutines (0 selects GOMAXPROCS), one reusable
 // simulator arena per worker. Results are seed-ordered.
-func RunMany(seeds []uint64, workers int) ([]Result, error) {
-	return DefaultHarness().RunMany(seeds, workers)
-}
-
-// RunMany is the harness-bound corpus runner; see the package-level
-// RunMany.
 func (h *Harness) RunMany(seeds []uint64, workers int) ([]Result, error) {
 	return parsweep.MapArena(parsweep.Options{Workers: workers}, len(seeds),
 		func() *cpu.Arena { return new(cpu.Arena) },
@@ -31,14 +25,8 @@ func (h *Harness) RunMany(seeds []uint64, workers int) ([]Result, error) {
 }
 
 // RunShapeMany runs every seed through the victim-side harness with
-// the victim shape pinned (RunShape) across workers pool goroutines,
-// one arena per worker. Results are seed-ordered.
-func RunShapeMany(seeds []uint64, workers int, shape Shape) ([]Result, error) {
-	return DefaultHarness().RunShapeMany(seeds, workers, shape)
-}
-
-// RunShapeMany is the harness-bound shape-corpus runner; see the
-// package-level RunShapeMany.
+// the victim shape pinned (RunShapeWith) across workers pool
+// goroutines, one arena per worker. Results are seed-ordered.
 func (h *Harness) RunShapeMany(seeds []uint64, workers int, shape Shape) ([]Result, error) {
 	return parsweep.MapArena(parsweep.Options{Workers: workers}, len(seeds),
 		func() *cpu.Arena { return new(cpu.Arena) },
@@ -48,14 +36,8 @@ func (h *Harness) RunShapeMany(seeds []uint64, workers int, shape Shape) ([]Resu
 }
 
 // RunProbeMany runs every seed through the attacker-side harness
-// (RunProbe) across workers pool goroutines, one arena per worker.
+// (RunProbeWith) across workers pool goroutines, one arena per worker.
 // Results are seed-ordered.
-func RunProbeMany(seeds []uint64, workers int) ([]ProbeResult, error) {
-	return DefaultHarness().RunProbeMany(seeds, workers)
-}
-
-// RunProbeMany is the harness-bound probe-corpus runner; see the
-// package-level RunProbeMany.
 func (h *Harness) RunProbeMany(seeds []uint64, workers int) ([]ProbeResult, error) {
 	return parsweep.MapArena(parsweep.Options{Workers: workers}, len(seeds),
 		func() *cpu.Arena { return new(cpu.Arena) },

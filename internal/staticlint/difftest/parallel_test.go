@@ -13,11 +13,11 @@ import (
 // -race in CI, this also shakes out shared state between seeds.
 func TestRunManyDeterminism(t *testing.T) {
 	seeds := SeedRange(1, 20)
-	seq, err := RunMany(seeds, 1)
+	seq, err := skylake.RunMany(seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunMany(seeds, 4)
+	par, err := skylake.RunMany(seeds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func TestRunManyDeterminism(t *testing.T) {
 // TestRunProbeManyDeterminism is the receiver-model half of the gate.
 func TestRunProbeManyDeterminism(t *testing.T) {
 	seeds := SeedRange(1, 20)
-	seq, err := RunProbeMany(seeds, 1)
+	seq, err := skylake.RunProbeMany(seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunProbeMany(seeds, 4)
+	par, err := skylake.RunProbeMany(seeds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

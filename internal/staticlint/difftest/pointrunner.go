@@ -1,23 +1,21 @@
 package difftest
 
-// pointrunner.go measures one victim repeatedly without re-paying core
-// construction or predictor training on every call. The classic
-// entry points (MeasureDirectionWith, MeasureSwitches) build a fresh
-// core per call and re-run the training prefix every time — correct,
-// but most of the work is identical across calls. A PointRunner builds
-// the core once, snapshots it immediately after program load (the
-// pristine checkpoint), and snapshots it again after each direction's
-// training runs settle the predictors and fill the micro-op cache (the
+// pointrunner.go is the harness's one simulator measurement. It
+// measures one victim repeatedly without re-paying core construction
+// or predictor training on every call: a PointRunner builds the core
+// once, snapshots it immediately after program load (the pristine
+// checkpoint), and snapshots it again after each direction's training
+// runs settle the predictors and fill the micro-op cache (the
 // per-direction trained checkpoints). Repeat measurements restore the
 // trained checkpoint and pay only the two timed runs.
 //
 // Equivalence is exact, not approximate: restoring the pristine
 // checkpoint reproduces a fresh core bit for bit (cycle clock zero,
 // counters zero, cold caches, loaded image), so a PointRunner's first
-// Measure per direction replays MeasureDirectionWith's sequence
-// exactly, and every later Measure replays the first one's timed tail
-// from the identical trained state. TestPointRunnerMatchesMeasure pins
-// this against the classic entry points across the corpus.
+// Measure per direction replays a fresh core's train-warm-flush-cold
+// sequence exactly, and every later Measure replays the first one's
+// timed tail from the identical trained state.
+// TestPointRunnerMatchesMeasure pins this across the corpus.
 
 import (
 	"fmt"
@@ -27,12 +25,20 @@ import (
 )
 
 // Point bundles everything one (victim, secret) measurement produces:
-// the refill delta MeasureDirectionWith returns, the warm/cold
-// DSB→MITE switch counts MeasureSwitches returns, and the fast-path
-// audit counters (skipped vs total cycles over the two timed runs) the
-// checkpoint benchmarks report.
+// the refill delta, the warm/cold DSB→MITE switch counts, and the
+// fast-path audit counters (skipped vs total cycles over the two timed
+// runs) the checkpoint benchmarks report.
 type Point struct {
-	Delta        int
+	// Delta is the cold run's cycles minus the warm run's: the
+	// DSB-refill cost of the executed path. Branch predictors and data
+	// caches stay warm throughout (only the micro-op cache is flushed),
+	// so no misprediction or memory-latency noise enters it.
+	Delta int
+	// WarmSwitches and ColdSwitches are the two timed runs'
+	// DSB2MITESwitches counter reads — the per-run transition counts
+	// the quantifier predicts as WarmSwitchPoints/ColdSwitchPoints.
+	// They are exact counter reads, so the validation contract is
+	// equality, not a tolerance band.
 	WarmSwitches int
 	ColdSwitches int
 	// SkippedCycles and TotalCycles aggregate the warm and cold timed
@@ -109,6 +115,11 @@ func (r *PointRunner) Measure(secret int64) (Point, error) {
 	if cold.TimedOut {
 		return Point{}, fmt.Errorf("difftest seed %d: cold run timed out", r.v.Seed)
 	}
+	return pointOf(warm, cold), nil
+}
+
+// pointOf reduces the warm and cold timed runs to their Point.
+func pointOf(warm, cold cpu.RunResult) Point {
 	return Point{
 		Delta:        int(cold.Cycles) - int(warm.Cycles),
 		WarmSwitches: int(warm.Counters.Get(perfctr.DSB2MITESwitches)),
@@ -116,7 +127,7 @@ func (r *PointRunner) Measure(secret int64) (Point, error) {
 		SkippedCycles: warm.Counters.Get(perfctr.SkippedCycles) +
 			cold.Counters.Get(perfctr.SkippedCycles),
 		TotalCycles: warm.Cycles + cold.Cycles,
-	}, nil
+	}
 }
 
 // WithoutCycleSkip returns a copy of h whose simulator cores tick every

@@ -2,7 +2,7 @@ package difftest
 
 // profile_matrix_test.go runs the package's differential contracts
 // under every registered front-end profile, not just the default
-// Skylake model the package-level entry points are frozen to. The
+// Skylake model the single-profile tests use. The
 // matrix is filtered by the DEADUOPS_PROFILE environment variable
 // (profile.Matrix), which is how CI runs one profile per job. Per
 // profile the expectations fork where the microarchitectures genuinely
@@ -163,6 +163,7 @@ func TestMatrixSwitchCorpus(t *testing.T) {
 					continue
 				}
 				v, pr := r.Victim, r.Prediction
+				runner := h.NewPointRunner(v, arena)
 				if v.TakenUnc == nil {
 					t.Fatalf("seed %d: switch victim has no uncacheable taken tail", r.Seed)
 				}
@@ -181,10 +182,11 @@ func TestMatrixSwitchCorpus(t *testing.T) {
 					{"taken", 1, pr.TakenCost},
 					{"fall", 0, pr.FallCost},
 				} {
-					warm, cold, err := h.MeasureSwitches(v, dir.secret, arena)
+					pt, err := runner.Measure(dir.secret)
 					if err != nil {
 						t.Fatal(err)
 					}
+					warm, cold := pt.WarmSwitches, pt.ColdSwitches
 					if warm != dir.cost.WarmSwitchPoints || cold != dir.cost.ColdSwitchPoints {
 						t.Errorf("seed %d %s: measured switches warm %d / cold %d, predicted %d / %d",
 							r.Seed, dir.name, warm, cold,

@@ -39,23 +39,14 @@ type ProbeResult struct {
 	Victim                    *Victim
 }
 
-// RunProbe generates the victim for seed, takes the receiver model's
-// histogram off its divergence finding, and measures the predicted
-// protocol for real: the receiver chain from
+// RunProbeWith generates the victim for seed, takes the receiver
+// model's histogram off its divergence finding, and measures the
+// predicted protocol for real: the receiver chain from
 // staticlint.ReceiverSpec is merged into the victim's address space,
-// and each secret direction gets a fresh core, training runs to
-// settle the branch predictors, then one attack.MeasureRounds round
-// with the victim's runs as the sender activity.
-func RunProbe(seed uint64) (ProbeResult, error) { return RunProbeWith(seed, nil) }
-
-// RunProbeWith is RunProbe reusing arena (which may be nil) for each
-// direction's simulated core.
-func RunProbeWith(seed uint64, arena *cpu.Arena) (ProbeResult, error) {
-	return DefaultHarness().RunProbeWith(seed, arena)
-}
-
-// RunProbeWith is the harness-bound attacker-side runner; see the
-// package-level RunProbe. The prime+probe protocol has no meaning
+// and each secret direction gets a fresh core (drawing guest memory
+// from arena, which may be nil), training runs to settle the branch
+// predictors, then one attack.MeasureRounds round with the victim's
+// runs as the sender activity. The prime+probe protocol has no meaning
 // without a DSB to contend in, so a no-DSB harness refuses outright —
 // the matrix tests assert that refusal rather than skipping silently.
 func (h *Harness) RunProbeWith(seed uint64, arena *cpu.Arena) (ProbeResult, error) {

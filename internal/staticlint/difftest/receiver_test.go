@@ -18,7 +18,7 @@ import (
 func TestProbeCorpus(t *testing.T) {
 	worst := 0.0
 	exact := 0
-	results, err := RunProbeMany(SeedRange(1, corpusSize), 0)
+	results, err := skylake.RunProbeMany(SeedRange(1, corpusSize), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ type probeRecord struct {
 func TestProbeGolden(t *testing.T) {
 	var records []probeRecord
 	for _, seed := range canonicalSeeds {
-		r, err := RunProbe(seed)
+		r, err := skylake.RunProbeWith(seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -120,7 +120,7 @@ func TestProbeGolden(t *testing.T) {
 // direction's miss probe at or above it).
 func TestProbeHistogramConsistency(t *testing.T) {
 	for _, seed := range canonicalSeeds {
-		r, err := RunProbe(seed)
+		r, err := skylake.RunProbeWith(seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -159,7 +159,7 @@ func FuzzProbeModel(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		r, err := RunProbe(seed)
+		r, err := skylake.RunProbeWith(seed, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -21,9 +21,9 @@
 //     instructions on a secret-dependent path, which widen the
 //     measurable cycle delta between hit and miss;
 //   - the two §VI-A gadget classes (µop-cache gadget and Spectre-v1
-//     double-load), reimplemented on the dataflow engine with
-//     kill-on-overwrite and taint-through-memory precision the linear
-//     scanner in internal/gadget lacked.
+//     double-load) on the dataflow engine, with kill-on-overwrite and
+//     taint-through-memory precision; `uoplint -checkers
+//     uop-cache-gadget,spectre-v1-gadget -random N` runs the census.
 //
 // The engine is a forward may-taint analysis over the CFG: a taint
 // lattice seeded from declared secret registers and memory ranges,

@@ -7,8 +7,8 @@ import (
 
 // Fixture is one fully linked victim program, ready for static
 // analysis or simulation. The fixtures are the canonical corpus the
-// linter (cmd/uoplint) and the census scanner (cmd/gadgetscan) gate:
-// programs this repository itself ships as attack targets.
+// linter (cmd/uoplint) gates: programs this repository itself ships as
+// attack targets.
 type Fixture struct {
 	Name        string
 	Description string
