@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"deaduops/internal/auditd"
-	"deaduops/internal/parsweep"
 	"deaduops/internal/profile"
 	"deaduops/internal/staticlint"
 	"deaduops/internal/victim"
@@ -62,141 +61,58 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	min, err := staticlint.ParseSeverity(*minSev)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	// gate is the CI threshold: negative when -fail-on is unset.
+	// gate is the CI threshold: negative when -fail-on is unset. It is
+	// the one flag with no counterpart in the audit request.
 	gate := staticlint.Severity(-1)
 	if *failOn != "" {
+		var err error
 		if gate, err = staticlint.ParseSeverity(*failOn); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-	prof, err := profile.Get(*profName)
-	if err != nil {
-		fmt.Fprintln(stderr, "uoplint:", err)
-		return 2
-	}
-	// Default-profile reports keep an empty profile tag so the committed
-	// golden files predate the flag byte for byte.
-	profTag := ""
-	if prof.Name != profile.Default().Name {
-		profTag = prof.Name
-	}
-
-	lay := victim.DefaultLayout()
-	cfg := staticlint.ConfigForProfile(prof)
-	if *checkers != "" {
-		var names []string
-		for _, n := range strings.Split(*checkers, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-		sel, err := staticlint.SelectCheckers(names)
-		if err != nil {
 			fmt.Fprintln(stderr, "uoplint:", err)
 			return 2
 		}
-		cfg.Checkers = sel
 	}
 	// The corpus is shared with the audit service: victim fixtures under
 	// the victim spec, then the codegen-emitted attack probes (which
 	// carry no secrets — a finding on one would be a checker false
 	// positive the selftest pins clean).
-	corpus, err := auditd.Corpus(lay)
+	corpus, err := auditd.Corpus(victim.DefaultLayout())
 	if err != nil {
 		fmt.Fprintln(stderr, "uoplint:", err)
 		return 1
 	}
-	var programs []auditd.Program
-	matched := false
-	for _, p := range corpus {
-		if *fixture != "" && p.Name != *fixture {
-			continue
+	// The flags map onto the service's job request, so the CLI and
+	// uoplintd validate and audit through the same plan.
+	req := auditd.JobRequest{Fixture: *fixture, Random: *random, Profile: *profName, Severity: *minSev}
+	for _, n := range strings.Split(*checkers, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			req.Checkers = append(req.Checkers, n)
 		}
-		matched = true
-		programs = append(programs, p)
 	}
-	if *fixture != "" && !matched {
-		fmt.Fprintf(stderr, "uoplint: unknown fixture %q\n", *fixture)
+	plan, err := auditd.NewPlan(req, corpus)
+	if err != nil {
+		fmt.Fprintln(stderr, "uoplint:", err)
 		return 2
 	}
-	// Random programs carry no declared secrets; only the transient
-	// gadget checkers can fire on them.
-	if *random > 0 {
-		randoms, err := auditd.RandomPrograms(*random)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		programs = append(programs, randoms...)
-	}
-
-	// The batch is dispatched over a worker pool with one shared
-	// incremental cache, so programs with common functions (the random
-	// population especially) reuse each other's summaries. parsweep.Map
-	// returns results in input order, making the report byte-identical
-	// at any worker count.
-	//
-	// The -fail-on gate is evaluated against every finding the analysis
-	// produces, BEFORE the -severity display filter: the exit code is a
-	// CI contract and must not depend on what the report chose to show
-	// (`-severity error -fail-on warning` still fails on warnings).
-	cache := staticlint.NewCache()
-	type lintResult struct {
-		report  programReport
-		tripped bool
-	}
-	results, err := parsweep.Map(parsweep.Options{Workers: *workers}, len(programs),
-		func(i int) (lintResult, error) {
-			p := programs[i]
-			r, _ := staticlint.LintCached(p.Prog, p.Spec, cfg, cache)
-			tripped := false
-			if gate >= 0 {
-				for _, f := range r.Findings {
-					if f.Severity >= gate {
-						tripped = true
-					}
-				}
-			}
-			r = r.Filter(min)
-			return lintResult{
-				report: programReport{
-					Program:     p.Name,
-					Description: p.Description,
-					Profile:     profTag,
-					Findings:    r.Findings,
-					Resolved:    r.Resolved,
-					Precision:   r.Precision,
-				},
-				tripped: tripped,
-			}, nil
-		})
+	res, err := plan.Run(corpus, staticlint.NewCache(), *workers)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
+		fmt.Fprintln(stderr, "uoplint:", err)
 		return 1
 	}
-	gateTripped := false
-	reports := make([]programReport, len(results))
-	for i, res := range results {
-		reports[i] = res.report
-		gateTripped = gateTripped || res.tripped
-	}
+	reports := res.Reports
 
-	// The -fail-on gate: a clean run exits 0, any finding at or above
-	// the threshold (display-filtered or not) turns the exit code into 1
+	// The -fail-on gate is evaluated against every finding the analysis
+	// produced, BEFORE the -severity display filter: the exit code is a
+	// CI contract and must not depend on what the report chose to show
+	// (`-severity error -fail-on warning` still fails on warnings). A
+	// clean run exits 0; a tripped gate turns the exit code into 1
 	// after the full report is emitted — the shape CI pipelines consume.
 	exit := 0
-	if gateTripped {
+	if gate >= 0 && res.MaxSeverity >= gate {
 		exit = 1
 	}
 
 	if *selftest {
-		if msgs := selfTest(reports, prof); len(msgs) > 0 {
+		if msgs := selfTest(reports, plan.Profile); len(msgs) > 0 {
 			for _, m := range msgs {
 				fmt.Fprintf(stderr, "uoplint: selftest: %s\n", m)
 			}

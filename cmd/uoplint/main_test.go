@@ -276,6 +276,30 @@ func TestUnknownFixtureRejected(t *testing.T) {
 	}
 }
 
+// TestBadFlagValuesExit2 pins the usage-error contract for the flags
+// the audit service also validates: the CLI maps them onto a job
+// request, so each bad value exits 2 with the service's message —
+// including the service's cap on the random population.
+func TestBadFlagValuesExit2(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-random", "-1"}, "random must be in [0, 10000], got -1"},
+		{[]string{"-random", "10001"}, "random must be in [0, 10000], got 10001"},
+		{[]string{"-severity", "catastrophic"}, "unknown severity"},
+	}
+	for _, tc := range cases {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb.String(), tc.wantErr) {
+			t.Errorf("%v: error %q, want it to contain %q", tc.args, errb.String(), tc.wantErr)
+		}
+	}
+}
+
 // TestGoldenJccAlign pins the alignment-channel fixture: the
 // jump-alignment checker must fire with its cycle-quantified delta in
 // the JSON form.

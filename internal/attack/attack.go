@@ -195,39 +195,55 @@ type Rounds struct {
 	ProbeIters int64
 }
 
-// MeasureRounds runs the calibration protocol and returns the raw
-// per-round timings. Each round measures a hit (prime, then probe with
-// nothing in between) and a miss (prime, sender activity, probe). The
-// receiver primes with primeIters traversals — enough to reclaim its
-// sets from a hot opponent under the hotness replacement policy — and
-// probes with probeIters (few, so a misowned set cannot be reclaimed
-// mid-measurement).
-func MeasureRounds(c *cpu.CPU, receiver *Routine, send SendFunc, primeIters, probeIters int64, rounds int) (Rounds, error) {
+// KnownRounds is the one calibration collector: every threshold in
+// the repository is measured through it and reduced with Rounds.Stats.
+// measure(hit) sets up the known hit (or miss) condition, runs one
+// timed probe, and returns its cycles. KnownRounds first runs warmup
+// (hit, miss) pairs it does not record — they absorb cold compulsory
+// misses and train predictors — then rounds recorded pairs, hit side
+// first. probeIters is the traversal count of one measurement, recorded
+// as the unit of the result.
+func KnownRounds(warmup, rounds int, probeIters int64, measure func(hit bool) (uint64, error)) (Rounds, error) {
 	r := Rounds{ProbeIters: probeIters}
-	for i := 0; i < rounds; i++ {
-		// Hit: prime then probe, nothing in between.
-		if _, err := receiver.Run(c, 0, primeIters); err != nil {
-			return r, err
-		}
-		hc, err := receiver.Run(c, 0, probeIters)
+	if rounds < 1 {
+		return r, fmt.Errorf("attack: no calibration rounds requested")
+	}
+	for i := 0; i < warmup+rounds; i++ {
+		hc, err := measure(true)
 		if err != nil {
 			return r, err
 		}
-		r.Hit = append(r.Hit, float64(hc))
-		// Miss: prime, let the sender evict, probe.
-		if _, err := receiver.Run(c, 0, primeIters); err != nil {
-			return r, err
-		}
-		if err := send(); err != nil {
-			return r, err
-		}
-		mc, err := receiver.Run(c, 0, probeIters)
+		mc, err := measure(false)
 		if err != nil {
 			return r, err
 		}
-		r.Miss = append(r.Miss, float64(mc))
+		if i >= warmup {
+			r.Hit = append(r.Hit, float64(hc))
+			r.Miss = append(r.Miss, float64(mc))
+		}
 	}
 	return r, nil
+}
+
+// MeasureRounds runs the prime+probe calibration protocol through
+// KnownRounds and returns the raw per-round timings. A hit is prime,
+// then probe with nothing in between; a miss is prime, sender
+// activity, probe. The receiver primes with primeIters traversals —
+// enough to reclaim its sets from a hot opponent under the hotness
+// replacement policy — and probes with probeIters (few, so a misowned
+// set cannot be reclaimed mid-measurement).
+func MeasureRounds(c *cpu.CPU, receiver *Routine, send SendFunc, primeIters, probeIters int64, rounds int) (Rounds, error) {
+	return KnownRounds(0, rounds, probeIters, func(hit bool) (uint64, error) {
+		if _, err := receiver.Run(c, 0, primeIters); err != nil {
+			return 0, err
+		}
+		if !hit {
+			if err := send(); err != nil {
+				return 0, err
+			}
+		}
+		return receiver.Run(c, 0, probeIters)
+	})
 }
 
 func meanMinMax(v []float64) (mean, min, max float64) {

@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -243,6 +245,58 @@ func TestCalibrateRecordsSpread(t *testing.T) {
 	}
 	if th.ProbeIters != 5 {
 		t.Errorf("probe unit %d, want 5", th.ProbeIters)
+	}
+}
+
+// TestKnownRounds pins the collector's protocol with a fake measure:
+// warm-up pairs run but are not recorded, every round measures the hit
+// side before the miss side, and a measurement error aborts the
+// collection.
+func TestKnownRounds(t *testing.T) {
+	var calls []bool
+	cycles := uint64(0)
+	measure := func(hit bool) (uint64, error) {
+		calls = append(calls, hit)
+		cycles++
+		return cycles, nil
+	}
+	r, err := KnownRounds(2, 3, 7, measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 10 {
+		t.Fatalf("%d measurements, want 10 (2 warm-up + 3 recorded pairs)", len(calls))
+	}
+	for i, hit := range calls {
+		if hit != (i%2 == 0) {
+			t.Errorf("measurement %d: hit=%v, want hit side first in every pair", i, hit)
+		}
+	}
+	// Warm-up pairs returned cycles 1..4; the recorded ones follow.
+	wantHit, wantMiss := []float64{5, 7, 9}, []float64{6, 8, 10}
+	if !slices.Equal(r.Hit, wantHit) || !slices.Equal(r.Miss, wantMiss) {
+		t.Errorf("recorded hit %v miss %v, want %v %v", r.Hit, r.Miss, wantHit, wantMiss)
+	}
+	if r.ProbeIters != 7 {
+		t.Errorf("probe unit %d, want 7", r.ProbeIters)
+	}
+
+	boom := errors.New("boom")
+	n := 0
+	_, err = KnownRounds(1, 4, 1, func(hit bool) (uint64, error) {
+		if n++; n == 4 {
+			return 0, boom
+		}
+		return 1, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("error %v, want the measurement's error", err)
+	}
+	if n != 4 {
+		t.Errorf("collector kept measuring after an error: %d calls", n)
+	}
+	if _, err := KnownRounds(0, 0, 1, measure); err == nil {
+		t.Error("zero recorded rounds accepted")
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 
 	"deaduops/internal/parsweep"
-	"deaduops/internal/profile"
 	"deaduops/internal/staticlint"
 	"deaduops/internal/victim"
 )
@@ -93,7 +91,6 @@ type Stats struct {
 // http.Handler.
 type Server struct {
 	cfg    Config
-	layout victim.Layout
 	corpus []Program
 	cache  *staticlint.Cache
 	pool   *parsweep.Pool
@@ -116,14 +113,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxJobs < 1 {
 		cfg.MaxJobs = 1
 	}
-	lay := victim.DefaultLayout()
-	corpus, err := Corpus(lay)
+	corpus, err := Corpus(victim.DefaultLayout())
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:    cfg,
-		layout: lay,
 		corpus: corpus,
 		cache:  staticlint.NewCache(),
 		pool:   parsweep.NewPool(cfg.Workers, cfg.QueueCap),
@@ -162,75 +157,9 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// Request bounds. Every accepted job allocates in proportion to its
-// random-program count, and an out-of-memory fault is fatal to the
-// process rather than a panic the per-job containment can catch, so
-// both the count and the body that carries it are capped at submit
-// time.
-const (
-	maxRandom       = 10_000
-	maxRequestBytes = 1 << 20
-)
-
-// jobPlan is a fully validated submission: everything the worker needs,
-// resolved up front so a bad request fails with 400 at submit time, not
-// as a failed job.
-type jobPlan struct {
-	req     JobRequest
-	cfg     staticlint.Config
-	profTag string
-	minSev  staticlint.Severity
-}
-
-// plan validates a request against the same rules the CLI flags
-// enforce.
-func (s *Server) plan(req JobRequest) (*jobPlan, error) {
-	if req.Random < 0 || req.Random > maxRandom {
-		return nil, fmt.Errorf("random must be in [0, %d], got %d", maxRandom, req.Random)
-	}
-	profName := req.Profile
-	if profName == "" {
-		profName = profile.Default().Name
-	}
-	prof, err := profile.Get(profName)
-	if err != nil {
-		return nil, err
-	}
-	// Default-profile reports keep an empty profile tag so the service
-	// wire form matches the CLI's historical golden files byte for byte.
-	profTag := ""
-	if prof.Name != profile.Default().Name {
-		profTag = prof.Name
-	}
-	sev := req.Severity
-	if sev == "" {
-		sev = "info"
-	}
-	minSev, err := staticlint.ParseSeverity(sev)
-	if err != nil {
-		return nil, err
-	}
-	cfg := staticlint.ConfigForProfile(prof)
-	if len(req.Checkers) > 0 {
-		sel, err := staticlint.SelectCheckers(req.Checkers)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Checkers = sel
-	}
-	if req.Fixture != "" {
-		known := false
-		names := make([]string, 0, len(s.corpus))
-		for _, p := range s.corpus {
-			names = append(names, p.Name)
-			known = known || p.Name == req.Fixture
-		}
-		if !known {
-			return nil, fmt.Errorf("unknown fixture %q (valid: %s)", req.Fixture, strings.Join(names, ", "))
-		}
-	}
-	return &jobPlan{req: req, cfg: cfg, profTag: profTag, minSev: minSev}, nil
-}
+// maxRequestBytes caps a POST body: see maxRandom for why request
+// sizes are bounded at submit time.
+const maxRequestBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
@@ -240,7 +169,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding job request: %v", err)
 		return
 	}
-	p, err := s.plan(req)
+	p, err := NewPlan(req, s.corpus)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -284,83 +213,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // analysis marks the job failed instead of taking the worker down —
 // parsweep re-raises worker panics as *parsweep.PanicError, so the
 // original fault and its stack survive into the job's error text.
-func (s *Server) runJob(job *Job, p *jobPlan) {
+func (s *Server) runJob(job *Job, p *Plan) {
 	defer func() {
 		if v := recover(); v != nil {
-			s.finishJob(job, nil, 0, 0, fmt.Errorf("audit panicked: %v", v))
+			s.finishJob(job, Result{}, fmt.Errorf("audit panicked: %v", v))
 		}
 	}()
-
-	programs := make([]Program, 0, len(s.corpus)+p.req.Random)
-	for _, prog := range s.corpus {
-		if p.req.Fixture != "" && prog.Name != p.req.Fixture {
-			continue
-		}
-		programs = append(programs, prog)
-	}
-	if p.req.Random > 0 {
-		randoms, err := RandomPrograms(p.req.Random)
-		if err != nil {
-			s.finishJob(job, nil, 0, 0, err)
-			return
-		}
-		programs = append(programs, randoms...)
-	}
-
 	s.mu.Lock()
 	job.Status = "running"
 	s.mu.Unlock()
-
-	type lintOut struct {
-		report ProgramReport
-		hit    bool
-	}
-	results, err := parsweep.Map(parsweep.Options{Workers: s.cfg.JobWorkers}, len(programs),
-		func(i int) (lintOut, error) {
-			prog := programs[i]
-			r, hit := staticlint.LintCached(prog.Prog, prog.Spec, p.cfg, s.cache)
-			r = r.Filter(p.minSev)
-			return lintOut{
-				report: ProgramReport{
-					Program:     prog.Name,
-					Description: prog.Description,
-					Profile:     p.profTag,
-					Findings:    r.Findings,
-					Resolved:    r.Resolved,
-					Precision:   r.Precision,
-				},
-				hit: hit,
-			}, nil
-		})
-	if err != nil {
-		s.finishJob(job, nil, 0, 0, err)
-		return
-	}
-	reports := make([]ProgramReport, len(results))
-	hits, misses := 0, 0
-	for i, res := range results {
-		reports[i] = res.report
-		if res.hit {
-			hits++
-		} else {
-			misses++
-		}
-	}
-	s.finishJob(job, reports, hits, misses, nil)
+	res, err := p.Run(s.corpus, s.cache, s.cfg.JobWorkers)
+	s.finishJob(job, res, err)
 }
 
-func (s *Server) finishJob(job *Job, reports []ProgramReport, hits, misses int, err error) {
+func (s *Server) finishJob(job *Job, res Result, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job.CacheHits, job.CacheMisses = hits, misses
+	job.CacheHits, job.CacheMisses = res.CacheHits, res.CacheMisses
 	if err != nil {
 		job.Status, job.Error = "failed", err.Error()
 		s.counters.Failed++
 		return
 	}
-	job.Status, job.Reports = "done", reports
+	job.Status, job.Reports = "done", res.Reports
 	s.counters.Completed++
-	for _, r := range reports {
+	for _, r := range res.Reports {
 		if r.Precision != nil {
 			s.indirect += r.Precision.IndirectSites
 			s.resolved += r.Precision.ResolvedSites

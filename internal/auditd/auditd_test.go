@@ -389,7 +389,7 @@ func TestRunJobPanicContained(t *testing.T) {
 	defer s.Close()
 	// A nil program makes the analysis panic on first touch.
 	s.corpus = []Program{{Name: "boom", Prog: nil}}
-	p, err := s.plan(JobRequest{})
+	p, err := NewPlan(JobRequest{}, s.corpus)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
-// Package auditd implements the long-lived leakage-audit service
-// behind cmd/uoplintd: an HTTP/JSON front door over the same corpus
-// and checkers cmd/uoplint runs once, backed by a bounded job queue
-// (parsweep.Pool) and the incremental per-function summary cache
+// Package auditd implements the leakage-audit pipeline shared by
+// cmd/uoplint and cmd/uoplintd — NewPlan validates a JobRequest,
+// Plan.Run lints it — and the long-lived service behind cmd/uoplintd:
+// an HTTP/JSON front door over that pipeline, backed by a bounded job
+// queue (parsweep.Pool) and the incremental per-function summary cache
 // (staticlint.Cache), so re-auditing a corpus after an edit
 // re-analyzes only what the edit reaches.
 package auditd

@@ -70,20 +70,13 @@ func NewAlignment(c *cpu.CPU, cfg Config) (*Alignment, error) {
 			return nil, err
 		}
 	}
-	rounds := attack.Rounds{ProbeIters: cfg.ProbeIters}
-	for i := 0; i < cfg.CalibrationRounds; i++ {
-		hc, err := aligned.Run(c, 0, cfg.ProbeIters)
-		if err != nil {
-			return nil, err
-		}
-		mc, err := straddle.Run(c, 0, cfg.ProbeIters)
-		if err != nil {
-			return nil, err
-		}
-		rounds.Hit = append(rounds.Hit, float64(hc))
-		rounds.Miss = append(rounds.Miss, float64(mc))
+	// The aligned chain is the hit side, the straddling one the miss.
+	r, err := attack.KnownRounds(0, cfg.CalibrationRounds, cfg.ProbeIters,
+		func(hit bool) (uint64, error) { return ch.time(!hit) })
+	if err != nil {
+		return nil, err
 	}
-	ch.th = rounds.Stats()
+	ch.th = r.Stats()
 	if ch.th.MissMin <= ch.th.HitMax {
 		return nil, fmt.Errorf("channel: alignment timings overlap (%s)", ch.th.Spread())
 	}
@@ -93,15 +86,20 @@ func NewAlignment(c *cpu.CPU, cfg Config) (*Alignment, error) {
 // Threshold exposes the calibrated aligned/straddle cut.
 func (ch *Alignment) Threshold() attack.Threshold { return ch.th }
 
-// TransmitBit runs the transmitter once — the straddling chain for a
-// one, the aligned chain for a zero — times it, and decodes the bit
-// from the elapsed cycles.
-func (ch *Alignment) TransmitBit(bit bool) (bool, error) {
+// time runs the transmitter once — the straddling chain for a one,
+// the aligned chain for a zero — and returns the elapsed cycles.
+func (ch *Alignment) time(bit bool) (uint64, error) {
 	r := ch.aligned
 	if bit {
 		r = ch.straddle
 	}
-	cycles, err := r.Run(ch.c, 0, ch.cfg.ProbeIters)
+	return r.Run(ch.c, 0, ch.cfg.ProbeIters)
+}
+
+// TransmitBit transmits one bit and decodes it from the elapsed
+// cycles.
+func (ch *Alignment) TransmitBit(bit bool) (bool, error) {
+	cycles, err := ch.time(bit)
 	if err != nil {
 		return false, err
 	}
@@ -111,7 +109,5 @@ func (ch *Alignment) TransmitBit(bit bool) (bool, error) {
 // Transmit sends payload bit-by-bit and returns the received bytes
 // and the channel statistics.
 func (ch *Alignment) Transmit(payload []byte) ([]byte, Result, error) {
-	return transmitBits(payload, ch.c, func(bit bool) (bool, error) {
-		return ch.TransmitBit(bit)
-	})
+	return transmitBits(payload, ch.c, ch.TransmitBit)
 }

@@ -78,26 +78,24 @@ func NewUserKernel(c *cpu.CPU, cfg Config) (*UserKernel, error) {
 		SecretBase:   ukSecretBase,
 	}
 
-	// Calibrate with known secret bits.
-	rounds := attack.Rounds{ProbeIters: cfg.ProbeIters}
-	for i := 0; i < cfg.CalibrationRounds; i++ {
-		ch.WriteSecret([]byte{0x00})
-		z, err := ch.leakBit(0)
-		if err != nil {
-			return nil, err
-		}
-		rounds.Hit = append(rounds.Hit, float64(z))
-		ch.WriteSecret([]byte{0xFF})
-		o, err := ch.leakBit(0)
-		if err != nil {
-			return nil, err
-		}
-		rounds.Miss = append(rounds.Miss, float64(o))
+	// Calibrate with known secret bits: a clear bit leaves the spy's
+	// tiger intact (hit), a set one makes the kernel evict it (miss).
+	r, err := attack.KnownRounds(0, cfg.CalibrationRounds, cfg.ProbeIters,
+		func(hit bool) (uint64, error) {
+			secret := byte(0xFF)
+			if hit {
+				secret = 0x00
+			}
+			ch.WriteSecret([]byte{secret})
+			return ch.leakBit(0)
+		})
+	if err != nil {
+		return nil, err
 	}
 	// The syscall trampoline adds constant overhead to both sides, so
 	// the ratio floor does not transfer; accept any positive separation
 	// but keep the per-round spread stats.
-	ch.th = rounds.Stats()
+	ch.th = r.Stats()
 	if ch.th.MissMean <= ch.th.HitMean {
 		return nil, fmt.Errorf("channel: no user/kernel timing signal (%s)", ch.th.Spread())
 	}

@@ -17,9 +17,9 @@ type MultiSymbol struct {
 	cfg  Config
 	c    *cpu.CPU
 	bits int
-	recv []*attack.Routine // one receiver per set group
-	send []*attack.Routine // one sender per set group
-	cut  []float64         // per-group hit/miss threshold
+	recv []*attack.Routine  // one receiver per set group
+	send []*attack.Routine  // one sender per set group
+	th   []attack.Threshold // per-group hit/miss threshold
 }
 
 // msBase spaces the routines' code images.
@@ -65,13 +65,16 @@ func NewMultiSymbol(c *cpu.CPU, cfg Config, bits int) (*MultiSymbol, error) {
 		if err != nil {
 			return nil, fmt.Errorf("channel: group %d: %w", s, err)
 		}
-		ch.cut = append(ch.cut, th.Cut)
+		ch.th = append(ch.th, th)
 	}
 	return ch, nil
 }
 
 // Symbols returns the alphabet size.
 func (ch *MultiSymbol) Symbols() int { return 1 << ch.bits }
+
+// Thresholds exposes the per-group calibrated thresholds.
+func (ch *MultiSymbol) Thresholds() []attack.Threshold { return ch.th }
 
 // BitsPerSymbol returns the per-round payload.
 func (ch *MultiSymbol) BitsPerSymbol() int { return ch.bits }
@@ -101,7 +104,7 @@ func (ch *MultiSymbol) TransmitSymbol(sym int) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		score := float64(cycles) / ch.cut[s]
+		score := float64(cycles) / ch.th[s].Cut
 		if score > bestScore {
 			best, bestScore = s, score
 		}

@@ -80,34 +80,19 @@ func NewCrossSMT(c *cpu.CPU, cfg Config) (*CrossSMT, error) {
 		zeroEntry: pause.Entry,
 	}
 
-	// Warm-up windows: the first SMT window pays all the cold compulsory
-	// misses and would poison the threshold.
-	for i := 0; i < 2; i++ {
-		if _, err := ch.round(false); err != nil {
-			return nil, err
-		}
-		if _, err := ch.round(true); err != nil {
-			return nil, err
-		}
-	}
-
-	rounds := attack.Rounds{ProbeIters: cfg.ProbeIters}
-	for i := 0; i < cfg.CalibrationRounds; i++ {
-		z, err := ch.round(false)
-		if err != nil {
-			return nil, err
-		}
-		rounds.Hit = append(rounds.Hit, float64(z))
-		o, err := ch.round(true)
-		if err != nil {
-			return nil, err
-		}
-		rounds.Miss = append(rounds.Miss, float64(o))
+	// Calibrate with known bits: a hit window runs the PAUSE spin, a
+	// miss window the evicting tiger. Two warm-up pairs absorb the cold
+	// compulsory misses the first SMT windows pay, which would poison
+	// the threshold.
+	r, err := attack.KnownRounds(2, cfg.CalibrationRounds, cfg.ProbeIters,
+		func(hit bool) (uint64, error) { return ch.round(!hit) })
+	if err != nil {
+		return nil, err
 	}
 	// The competitively shared cache gives a weaker contrast than the
 	// same-thread channel, so accept any positive separation instead of
 	// the full SeparationFloor — but keep the per-round spread stats.
-	ch.th = rounds.Stats()
+	ch.th = r.Stats()
 	if ch.th.MissMean <= ch.th.HitMean {
 		return nil, fmt.Errorf("channel: no cross-SMT timing signal (%s)", ch.th.Spread())
 	}

@@ -116,11 +116,6 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int(lineAddr & c.setMask), lineAddr >> log2(uint64(c.cfg.Sets))
 }
 
-// LineAddr returns the line-aligned base address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr >> c.lineShift << c.lineShift
-}
-
 // Lookup probes without filling. It reports a hit and updates recency.
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.index(addr)

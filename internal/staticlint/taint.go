@@ -486,21 +486,3 @@ func foldConst(op isa.Op, x, y constVal) constVal {
 		return constVal{}
 	}
 }
-
-// StateBefore recomputes the dataflow state immediately before the
-// instruction at addr (from its block's fixpoint in-state). It returns
-// nil when addr is unmapped or its block was never reached.
-func (a *Analysis) StateBefore(addr uint64) *State {
-	b := a.CFG.BlockOf(addr)
-	if b == nil || !a.reached[b.Index] {
-		return nil
-	}
-	st := a.in[b.Index].clone()
-	for _, in := range b.Insts {
-		if in.Addr == addr {
-			return st
-		}
-		a.step(st, in, nil)
-	}
-	return nil
-}

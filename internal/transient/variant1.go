@@ -247,43 +247,37 @@ func (v *Variant1) leakBitRaw(byteIndex, bit int) (uint64, error) {
 }
 
 // calibrate plants known bits and measures both probe distributions.
-func (v *Variant1) calibrate() error {
-	// Warm-up rounds: fill the instruction cache and train the branch
-	// predictors; the first windows are otherwise consumed by cold L1I
-	// misses.
-	for _, b := range []byte{0xFF, 0x00, 0xFF, 0x00} {
-		v.WriteSecret([]byte{b})
-		if _, err := v.leakBitRaw(0, 0); err != nil {
-			return err
-		}
-	}
+func (v *Variant1) calibrate() (err error) {
+	v.th, err = calibratePresence("variant-1", v.WriteSecret,
+		func() (uint64, error) { return v.leakBitRaw(0, 0) })
+	return err
+}
 
-	const rounds = 6
-	var one, zero float64
-	for i := 0; i < rounds; i++ {
-		v.WriteSecret([]byte{0xFF})
-		o, err := v.leakBitRaw(0, 0)
-		if err != nil {
-			return err
+// calibratePresence calibrates a presence-test probe (Variant1,
+// NaturalGadget): the hit side plants an all-ones secret byte so the
+// transient transmitter installs the probed chain, the miss side an
+// all-zeros byte so the eraser keeps it. Two warm-up pairs fill the
+// instruction cache and train the branch predictors; the first windows
+// are otherwise consumed by cold L1I misses. The probe times one
+// traversal, and any positive separation is accepted: the signal is a
+// single chain's presence, not a tuned prime+probe ratio.
+func calibratePresence(name string, write func([]byte), leak func() (uint64, error)) (th attack.Threshold, err error) {
+	r, err := attack.KnownRounds(2, 6, 1, func(hit bool) (uint64, error) {
+		secret := byte(0x00)
+		if hit {
+			secret = 0xFF
 		}
-		one += float64(o)
-		v.WriteSecret([]byte{0x00})
-		z, err := v.leakBitRaw(0, 0)
-		if err != nil {
-			return err
-		}
-		zero += float64(z)
+		write([]byte{secret})
+		return leak()
+	})
+	if err != nil {
+		return th, err
 	}
-	v.th = attack.Threshold{
-		HitMean:  one / rounds,
-		MissMean: zero / rounds,
-		Cut:      (one + zero) / (2 * rounds),
+	th = r.Stats()
+	if th.MissMean <= th.HitMean {
+		return th, fmt.Errorf("transient: no %s signal (%s)", name, th.Spread())
 	}
-	if v.th.MissMean <= v.th.HitMean {
-		return fmt.Errorf("transient: no variant-1 signal (one %.0f ≥ zero %.0f)",
-			v.th.HitMean, v.th.MissMean)
-	}
-	return nil
+	return th, nil
 }
 
 // LeakBit transiently reads bit `bit` of secret byte `byteIndex`.

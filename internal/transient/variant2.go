@@ -177,44 +177,50 @@ func (v *Variant2) LeakRaw() (uint64, error) {
 }
 
 // Calibrate measures both secret values and fixes the threshold. It
-// returns an error when no signal separates them — the expected outcome
-// under the CPUID fence.
+// returns an error when the zero-secret mean is not above 1.2× the
+// one-secret mean — the expected outcome under the CPUID fence, where
+// both secrets probe alike. The 1.2× margin only has to tell a leaking
+// fence from a closed one; it is not the prime+probe channels'
+// attack.SeparationFloor.
 func (v *Variant2) Calibrate(rounds int) error {
-	one, zero, err := v.SignalStrength(rounds)
+	r, err := v.rounds(rounds)
 	if err != nil {
 		return err
 	}
-	v.th = attack.Threshold{HitMean: one, MissMean: zero, Cut: (one + zero) / 2}
-	if zero <= one*1.2 {
-		return fmt.Errorf("transient: no variant-2 signal under %s fence (one %.0f, zero %.0f)",
-			v.fence, one, zero)
+	v.th = r.Stats()
+	if v.th.MissMean <= v.th.HitMean*1.2 {
+		return fmt.Errorf("transient: no variant-2 signal under %s fence (%s)", v.fence, v.th.Spread())
 	}
 	return nil
 }
 
+// Threshold exposes the calibrated probe threshold (HitMean = secret
+// one, i.e. fun1 fetched).
+func (v *Variant2) Threshold() attack.Threshold { return v.th }
+
 // SignalStrength returns the mean probe time with the secret planted as
 // one and as zero. A separated pair means the channel leaks under this
-// fence. The first round of each is warm-up and discarded.
+// fence.
 func (v *Variant2) SignalStrength(rounds int) (oneMean, zeroMean float64, err error) {
-	var one, zero float64
-	for i := 0; i < rounds+1; i++ {
-		v.WriteSecret(1)
-		o, err := v.LeakRaw()
-		if err != nil {
-			return 0, 0, err
-		}
-		v.WriteSecret(0)
-		z, err := v.LeakRaw()
-		if err != nil {
-			return 0, 0, err
-		}
-		if i == 0 {
-			continue // warm-up
-		}
-		one += float64(o)
-		zero += float64(z)
+	r, err := v.rounds(rounds)
+	if err != nil {
+		return 0, 0, err
 	}
-	return one / float64(rounds), zero / float64(rounds), nil
+	th := r.Stats()
+	return th.HitMean, th.MissMean, nil
+}
+
+// rounds collects the known-secret probe times: secret one is the hit
+// side, secret zero the miss. The first pair is warm-up and discarded.
+func (v *Variant2) rounds(n int) (attack.Rounds, error) {
+	return attack.KnownRounds(1, n, 1, func(hit bool) (uint64, error) {
+		bit := 0
+		if hit {
+			bit = 1
+		}
+		v.WriteSecret(bit)
+		return v.LeakRaw()
+	})
 }
 
 // LeakBit recovers the planted secret bit through the fence.

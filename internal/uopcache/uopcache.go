@@ -214,9 +214,6 @@ func (c *Cache) SetSMTMode(on bool) {
 	c.flushAllInternal()
 }
 
-// SMTMode reports whether SMT mode is active.
-func (c *Cache) SMTMode() bool { return c.smtMode }
-
 // RegionOf returns the region base address containing addr.
 func (c *Cache) RegionOf(addr uint64) uint64 {
 	return addr &^ (c.cfg.RegionSize() - 1)
