@@ -4,7 +4,7 @@ GO ?= go
 # for a real fuzzing session (e.g. make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint serve fuzz check bench-json bench-diff
+.PHONY: build test race vet lint serve fuzz check bench-diff
 
 build:
 	$(GO) build ./...
@@ -31,33 +31,32 @@ lint:
 serve:
 	$(GO) run ./cmd/uoplintd
 
-# bench-json snapshots the benchmark suite as BENCH_<date>.json via
-# cmd/benchjson: one record per benchmark with ns/op, allocs/op, and
-# every custom metric (sim-cycles/s, sim-Kbit/s, …). BENCHTIME=1x keeps
-# the snapshot cheap enough for CI; raise it locally (e.g.
-# make bench-json BENCHTIME=2s) for a low-noise baseline.
-BENCHTIME ?= 1x
-BENCHDATE ?= $(shell date -u +%Y-%m-%d)
-
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -benchmem . \
-		| $(GO) run ./cmd/benchjson > BENCH_$(BENCHDATE).json
-	@echo wrote BENCH_$(BENCHDATE).json
-
-# bench-diff is the perf-regression gate: it takes a fresh
-# -benchtime=1x snapshot and diffs it against the newest committed
-# BENCH_*.json baseline, failing on a >10% drop in sim-cycles/s or
-# findings/s. BENCHALLOW exempts benchmarks with intentional changes,
-# e.g. make bench-diff BENCHALLOW=BenchmarkRefillSweep. The fresh
-# snapshot lands in bench-new.json (untracked).
-BENCHBASE ?= $(shell ls BENCH_*.json 2>/dev/null | sort | tail -n 1)
-BENCHALLOW ?=
+# bench-diff is the perf-regression gate. It checks out BENCHBASE (a
+# git revision, e.g. make bench-diff BENCHBASE=HEAD^) into a worktree
+# under .bench_build/, runs every bench/ workload 5 times on that tree
+# and 5 times on the working tree, alternating which side runs first,
+# and exits with bench/run.sh -compare: non-zero only when an
+# end-to-end metric regressed beyond its BENCHMARK.json bound. Each
+# run's JSON line is kept in .bench_build/bench-diff/{base,change}.jsonl.
+BENCHBASE ?=
 
 bench-diff:
-	@test -n "$(BENCHBASE)" || { echo "bench-diff: no committed BENCH_*.json baseline"; exit 2; }
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -benchmem . \
-		| $(GO) run ./cmd/benchjson > bench-new.json
-	$(GO) run ./cmd/benchjson -diff -allow '$(BENCHALLOW)' $(BENCHBASE) bench-new.json
+	@test -n "$(BENCHBASE)" || { echo "bench-diff: set BENCHBASE to a git revision, e.g. make bench-diff BENCHBASE=HEAD^"; exit 2; }
+	@set -e; d='$(CURDIR)/.bench_build/bench-diff'; \
+	git worktree remove --force "$$d/tree" 2>/dev/null || true; \
+	rm -rf "$$d"; git worktree prune; mkdir -p "$$d"; \
+	git worktree add --detach "$$d/tree" '$(BENCHBASE)'; \
+	trap 'git worktree remove --force "$$d/tree"' EXIT; \
+	run() { \
+		echo "bench-diff: pair $$1/5, $$2"; \
+		if [ "$$2" = base ]; then dir="$$d/tree"; else dir='$(CURDIR)'; fi; \
+		(cd "$$dir" && bash bench/run.sh -workload all -seed 2 -seconds 5 -trace 0 -out "$$d/$$2") >> "$$d/$$2.jsonl"; \
+	}; \
+	for i in 1 2 3 4 5; do \
+		if [ $$((i % 2)) = 1 ]; then run $$i base; run $$i change; \
+		else run $$i change; run $$i base; fi; \
+	done; \
+	bash bench/run.sh -compare "$$d/base" "$$d/change"
 
 # fuzz runs every native fuzz target for FUZZTIME each: the assembler
 # and legacy-decode invariants, the indirect-target resolution
@@ -65,7 +64,8 @@ bench-diff:
 # simulator-measured refill deltas (including the resolution-gated
 # indirect shapes), the receiver model's predicted vs attack-measured
 # probe cycles, and the jump-alignment stall asymmetry on
-# alignment-divergent victims.
+# alignment-divergent victims; and the audit service's POST decoder
+# and request planner.
 fuzz:
 	$(GO) test ./internal/asm -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/decode -fuzz FuzzPlanRegion -fuzztime $(FUZZTIME)
@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzProbeModel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzAlignmentDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzIndirectDelta -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/auditd -fuzz FuzzJobRequest -fuzztime $(FUZZTIME)
 
 check: build vet test race lint
 	$(MAKE) fuzz FUZZTIME=5s

@@ -80,49 +80,6 @@ func BenchmarkTable1Channels(b *testing.B) { runExperiment(b, "table1") }
 // comparison).
 func BenchmarkTable2SpectreTrace(b *testing.B) { runExperiment(b, "table2") }
 
-// BenchmarkChannelSameAddressSpace measures the §V-A channel's
-// per-byte cost and reports its simulated bandwidth.
-func BenchmarkChannelSameAddressSpace(b *testing.B) {
-	c := cpu.New(cpu.Intel())
-	ch, err := channel.NewSameAddressSpace(c, channel.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := []byte{0xA5}
-	b.ResetTimer()
-	var last channel.Result
-	for i := 0; i < b.N; i++ {
-		_, res, err := ch.Transmit(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.BandwidthKbps(), "sim-Kbit/s")
-	b.ReportMetric(100*last.ErrorRate(), "err-%")
-}
-
-// BenchmarkChannelCrossSMT measures the §V-B channel on the AMD
-// configuration.
-func BenchmarkChannelCrossSMT(b *testing.B) {
-	c := cpu.New(cpu.AMD())
-	ch, err := channel.NewCrossSMT(c, channel.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := []byte{0x3C}
-	b.ResetTimer()
-	var last channel.Result
-	for i := 0; i < b.N; i++ {
-		_, res, err := ch.Transmit(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.BandwidthKbps(), "sim-Kbit/s")
-}
-
 // BenchmarkVariant1LeakByte measures the transient attack's per-byte
 // cost.
 func BenchmarkVariant1LeakByte(b *testing.B) {

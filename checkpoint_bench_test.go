@@ -4,8 +4,7 @@
 // the event-driven fast path (checkpoint=on), and one channel
 // calibration. The =on variant reports the measured speedup over an
 // inline baseline; it and the calibration report the fraction of
-// simulated cycles the fast path crossed in single steps — the numbers
-// the perf-regression gate watches.
+// simulated cycles the fast path crossed in single steps.
 package deaduops_test
 
 import (

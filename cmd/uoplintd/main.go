@@ -23,8 +23,19 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"deaduops/internal/auditd"
+)
+
+// A client gets readHeaderTimeout to send a request's headers and
+// idleTimeout between requests on a kept-alive connection; after
+// either, the server closes the connection, so a stalled client cannot
+// hold one forever. Job bodies are small and read by the handler under
+// a size cap, so no whole-request timeout is set.
+const (
+	readHeaderTimeout = 3 * time.Second
+	idleTimeout       = 60 * time.Second
 )
 
 func main() {
@@ -64,7 +75,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The resolved address (not the flag) is printed so ":0" users —
 	// tests, CI — can parse the chosen port.
 	fmt.Fprintf(stdout, "uoplintd: listening on %s\n", ln.Addr())
-	if err := http.Serve(ln, srv); err != nil {
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	if err := hs.Serve(ln); err != nil {
 		fmt.Fprintln(stderr, "uoplintd:", err)
 		return 1
 	}

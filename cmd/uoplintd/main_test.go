@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -47,11 +48,11 @@ func (w *lineWriter) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestDaemonRoundTrip boots the daemon on an ephemeral port and walks
-// the full client path: healthz, job submission, polling to done,
-// stats. The serve goroutine is not joined — http.Serve runs for the
-// process lifetime, exactly like the real daemon.
-func TestDaemonRoundTrip(t *testing.T) {
+// startDaemon boots the daemon on an ephemeral port and returns the
+// address it listens on. The serve goroutine is not joined — the
+// server runs for the process lifetime, exactly like the real daemon.
+func startDaemon(t *testing.T) string {
+	t.Helper()
 	w := &lineWriter{ch: make(chan string, 1)}
 	go run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-queue", "4"}, w, io.Discard)
 
@@ -65,7 +66,36 @@ func TestDaemonRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(banner, prefix) {
 		t.Fatalf("banner %q", banner)
 	}
-	base := "http://" + strings.TrimPrefix(banner, prefix)
+	return strings.TrimPrefix(banner, prefix)
+}
+
+// TestSlowHeadersClosed: a client that never finishes its request
+// headers loses the connection once the header timeout passes.
+func TestSlowHeadersClosed(t *testing.T) {
+	conn, err := net.Dial("tcp", startDaemon(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	// The server may answer 408 before it closes; either way the read
+	// must end at EOF, not at the client's own deadline.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection not closed %v after a half-sent request line: %v", time.Since(start), err)
+	}
+	if d := time.Since(start); d > readHeaderTimeout+time.Second {
+		t.Errorf("connection closed after %v, want within the %v header timeout", d, readHeaderTimeout)
+	}
+}
+
+// TestDaemonRoundTrip walks the full client path against a booted
+// daemon: healthz, job submission, polling to done, stats.
+func TestDaemonRoundTrip(t *testing.T) {
+	base := "http://" + startDaemon(t)
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {

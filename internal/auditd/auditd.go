@@ -2,7 +2,9 @@ package auditd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -161,12 +163,26 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // sizes are bounded at submit time.
 const maxRequestBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobRequest reads one JobRequest from a POST body of at most
+// maxRequestBytes. Unknown fields and any data after the object are
+// errors, so a request is never run on only part of what was sent.
+func decodeJobRequest(w http.ResponseWriter, r *http.Request) (JobRequest, error) {
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding job request: %v", err)
+		return JobRequest{}, fmt.Errorf("decoding job request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobRequest{}, errors.New("decoding job request: unexpected data after the JSON object")
+	}
+	return req, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(w, r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	p, err := NewPlan(req, s.corpus)
@@ -178,25 +194,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.seq++
 	job := &Job{ID: fmt.Sprintf("job-%d", s.seq), Status: "queued"}
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	for len(s.order) > s.cfg.MaxJobs {
-		delete(s.jobs, s.order[0])
-		s.order = s.order[1:]
-	}
 	s.mu.Unlock()
 
+	// The job joins the retained table only once the queue accepts it:
+	// a rejected submission must not evict a finished result.
 	if !s.pool.TrySubmit(func() { s.runJob(job, p) }) {
-		// Backpressure: the queue is full. Drop the job entry and tell
-		// the client when to come back.
+		// Backpressure: the queue is full. Tell the client when to come
+		// back.
 		s.mu.Lock()
-		delete(s.jobs, job.ID)
-		for i, id := range s.order {
-			if id == job.ID {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
 		s.counters.Rejected++
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", "1")
@@ -204,6 +209,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
+	s.jobs[job.ID] = job
+	s.order = append(s.order, job.ID)
+	for len(s.order) > s.cfg.MaxJobs {
+		delete(s.jobs, s.order[0])
+		s.order = s.order[1:]
+	}
 	s.counters.Accepted++
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": job.ID, "status": "queued"})

@@ -198,24 +198,28 @@ func TestJobRequestMirrorsCLI(t *testing.T) {
 	}
 }
 
+// invalidJobs are POST bodies the service must reject with 400, each
+// with a phrase its error must contain. They also seed FuzzJobRequest.
+var invalidJobs = []struct {
+	name, body, wantErr string
+}{
+	{"bad json", `{`, "decoding"},
+	{"unknown field", `{"fixtures":"x"}`, "unknown field"},
+	{"trailing object", `{}{"random":-1}`, "after the JSON object"},
+	{"bad profile", `{"profile":"pentium"}`, "profile"},
+	{"bad severity", `{"severity":"catastrophic"}`, "severity"},
+	{"bad checker", `{"checkers":["zzz-bogus","aaa-bogus"]}`, `unknown checkers "aaa-bogus", "zzz-bogus"`},
+	{"unknown fixture", `{"fixture":"no-such"}`, `unknown fixture "no-such"`},
+	{"negative random", `{"random":-3}`, "random"},
+	{"random above cap", `{"random":1000000000}`, "random"},
+	{"oversized body", `{"fixture":"` + strings.Repeat("x", maxRequestBytes) + `"}`, "too large"},
+}
+
 // TestJobValidation pins the 400 contract: a malformed request fails at
 // submit time with a useful message, never as a failed job.
 func TestJobValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 4, MaxJobs: 4})
-	cases := []struct {
-		name, body, wantErr string
-	}{
-		{"bad json", `{`, "decoding"},
-		{"unknown field", `{"fixtures":"x"}`, "unknown field"},
-		{"bad profile", `{"profile":"pentium"}`, "profile"},
-		{"bad severity", `{"severity":"catastrophic"}`, "severity"},
-		{"bad checker", `{"checkers":["zzz-bogus","aaa-bogus"]}`, `unknown checkers "aaa-bogus", "zzz-bogus"`},
-		{"unknown fixture", `{"fixture":"no-such"}`, `unknown fixture "no-such"`},
-		{"negative random", `{"random":-3}`, "random"},
-		{"random above cap", `{"random":1000000000}`, "random"},
-		{"oversized body", `{"fixture":"` + strings.Repeat("x", maxRequestBytes) + `"}`, "too large"},
-	}
-	for _, tc := range cases {
+	for _, tc := range invalidJobs {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
@@ -234,13 +238,11 @@ func TestJobValidation(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 pins the overflow contract: with the one worker
-// wedged and the queue full, a submission is rejected immediately with
-// 429 and a Retry-After hint — and succeeds once the queue drains.
-func TestBackpressure429(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1, MaxJobs: 4})
-
-	// Wedge the worker, then fill the one queue slot.
+// wedgeQueue occupies the one worker of s and fills its one queue
+// slot, so the next submission is rejected. Closing the returned
+// channel releases the worker.
+func wedgeQueue(t *testing.T, s *Server) chan struct{} {
+	t.Helper()
 	release := make(chan struct{})
 	if !s.pool.TrySubmit(func() { <-release }) {
 		t.Fatal("could not wedge the worker")
@@ -254,6 +256,15 @@ func TestBackpressure429(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return release
+}
+
+// TestBackpressure429 pins the overflow contract: with the one worker
+// wedged and the queue full, a submission is rejected immediately with
+// 429 and a Retry-After hint — and succeeds once the queue drains.
+func TestBackpressure429(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1, MaxJobs: 4})
+	release := wedgeQueue(t, s)
 
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{}`))
 	if err != nil {
@@ -280,6 +291,75 @@ func TestBackpressure429(t *testing.T) {
 	if job := waitJob(t, ts, id); job.Status != "done" {
 		t.Fatalf("post-drain job failed: %s", job.Error)
 	}
+}
+
+// TestRejectedSubmitKeepsResults: a 429 must not evict a retained
+// result. With room for one job, the finished job stays queryable
+// after a submission is turned away.
+func TestRejectedSubmitKeepsResults(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1, MaxJobs: 1})
+	id, code := submitJob(t, ts, `{"fixture":"bounds-check"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d, want 202", code)
+	}
+	if job := waitJob(t, ts, id); job.Status != "done" {
+		t.Fatalf("job failed: %s", job.Error)
+	}
+
+	release := wedgeQueue(t, s)
+	defer close(release)
+	if _, code := submitJob(t, ts, `{}`); code != http.StatusTooManyRequests {
+		t.Fatalf("submit against a full queue: status %d, want 429", code)
+	}
+	if job := waitJob(t, ts, id); job.Status != "done" {
+		t.Fatalf("finished job after a 429: status %q, want done", job.Status)
+	}
+}
+
+// FuzzJobRequest drives arbitrary POST bodies through the submit path's
+// decoder and planner: neither may panic, and every accepted plan must
+// be one the service can run — random within its cap, a registered
+// profile, and only known checkers.
+func FuzzJobRequest(f *testing.F) {
+	for _, tc := range invalidJobs {
+		// Inputs over the size cap only exercise MaxBytesReader, and
+		// minimizing one that turns up new coverage stalls the fuzzer.
+		if len(tc.body) <= maxRequestBytes {
+			f.Add([]byte(tc.body))
+		}
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"fixture":"pci-vpd","random":2,"profile":"zen","checkers":["secret-dependent-branch"],"severity":"info"}`))
+	corpus, err := Corpus(victim.DefaultLayout())
+	if err != nil {
+		f.Fatal(err)
+	}
+	known := map[string]bool{}
+	for _, c := range staticlint.AllCheckers() {
+		known[c.Name()] = true
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		req, err := decodeJobRequest(httptest.NewRecorder(), r)
+		if err != nil {
+			return
+		}
+		p, err := NewPlan(req, corpus)
+		if err != nil {
+			return
+		}
+		if req.Random < 0 || req.Random > maxRandom {
+			t.Errorf("accepted random %d outside [0, %d]", req.Random, maxRandom)
+		}
+		if _, err := profile.Get(p.Profile.Name); err != nil {
+			t.Errorf("accepted an unregistered profile: %v", err)
+		}
+		for _, name := range req.Checkers {
+			if !known[name] {
+				t.Errorf("accepted unknown checker %q", name)
+			}
+		}
+	})
 }
 
 func statsGet(t *testing.T, ts *httptest.Server, st *Stats) {

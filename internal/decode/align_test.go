@@ -102,7 +102,7 @@ func TestJccAlignFusedPairStillCharged(t *testing.T) {
 	cfg := Skylake()
 	plan := PlanRegion(cfg, insts(func(b *asm.Builder) {
 		b.Nop(11)
-		b.Cmpi(isa.R1, 0) // bytes 11..14
+		b.Cmpi(isa.R1, 0)  // bytes 11..14
 		b.Jcc(isa.EQ, "x") // bytes 15..16: straddles
 		b.Label("x")
 		b.Halt()
