@@ -67,6 +67,7 @@ type Cache struct {
 
 	lineShift uint
 	setMask   uint64
+	tagShift  uint // log2(Sets): the tag is the line address above the set index
 
 	// onEvict, if set, is called with the line-aligned address of every
 	// line leaving this level (capacity eviction, back-invalidation, or
@@ -84,12 +85,19 @@ func NewCache(name string, cfg CacheConfig) *Cache {
 		cfg:       cfg,
 		sets:      make([][]line, cfg.Sets),
 		istouched: make([]bool, cfg.Sets),
+		lineShift: log2(uint64(cfg.LineSize)),
+		setMask:   uint64(cfg.Sets - 1),
+		tagShift:  log2(uint64(cfg.Sets)),
 	}
+	// Every row is carved from one backing array, so building a level
+	// costs a constant number of allocations however many sets it has.
+	// The 3-index slices cap each row at Ways, so no row can grow into
+	// its neighbour.
+	w := cfg.Ways
+	lines := make([]line, cfg.Sets*w)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = lines[i*w : (i+1)*w : (i+1)*w]
 	}
-	c.lineShift = log2(uint64(cfg.LineSize))
-	c.setMask = uint64(cfg.Sets - 1)
 	return c
 }
 
@@ -113,7 +121,7 @@ func (c *Cache) SetEvictHook(fn func(lineAddr uint64)) { c.onEvict = fn }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	lineAddr := addr >> c.lineShift
-	return int(lineAddr & c.setMask), lineAddr >> log2(uint64(c.cfg.Sets))
+	return int(lineAddr & c.setMask), lineAddr >> c.tagShift
 }
 
 // Lookup probes without filling. It reports a hit and updates recency.
@@ -172,7 +180,7 @@ func (c *Cache) notifyEvict(set int, tag uint64) {
 	if c.onEvict == nil {
 		return
 	}
-	lineAddr := (tag<<log2(uint64(c.cfg.Sets)) | uint64(set)) << c.lineShift
+	lineAddr := (tag<<c.tagShift | uint64(set)) << c.lineShift
 	c.onEvict(lineAddr)
 }
 

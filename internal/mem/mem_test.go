@@ -214,3 +214,35 @@ func TestCacheConfigHelpers(t *testing.T) {
 		t.Errorf("bytes %d", cfg.Bytes())
 	}
 }
+
+// TestNewCacheAllocsConstantInSets pins that building a level costs the
+// same number of allocations at 64 sets as at 8192 (the LLC's count):
+// the rows share one backing array instead of one allocation per set.
+// The slack absorbs the few allocations the runtime makes in the
+// background (more of them under -race); one per set would be 8128.
+func TestNewCacheAllocsConstantInSets(t *testing.T) {
+	const slack = 10
+	allocs := func(sets int) float64 {
+		cfg := CacheConfig{Sets: sets, Ways: 16, LineSize: 64, Latency: 40}
+		return testing.AllocsPerRun(20, func() { NewCache("t", cfg) })
+	}
+	if small, large := allocs(64), allocs(8192); large > small+slack {
+		t.Errorf("NewCache allocations: %v at 64 sets, %v at 8192 sets; want at most %d more", small, large, slack)
+	}
+}
+
+// TestCacheRowsCappedAtWays pins the 3-index carving of the shared
+// backing array: every row's capacity is exactly Ways, so an append to
+// one row reallocates instead of overwriting the next row.
+func TestCacheRowsCappedAtWays(t *testing.T) {
+	cfg := CacheConfig{Sets: 64, Ways: 12, LineSize: 64, Latency: 3}
+	c := NewCache("t", cfg)
+	if len(c.sets) != cfg.Sets {
+		t.Fatalf("%d rows, want %d", len(c.sets), cfg.Sets)
+	}
+	for i, row := range c.sets {
+		if len(row) != cfg.Ways || cap(row) != cfg.Ways {
+			t.Fatalf("row %d: len %d cap %d, want %d/%d", i, len(row), cap(row), cfg.Ways, cfg.Ways)
+		}
+	}
+}

@@ -192,14 +192,57 @@ func round2(x float64) float64 { return math.Round(x*100) / 100 }
 // The validation harness's victims keep their shared prefixes clear of
 // the divergent sets, so there the predictions are exact.
 func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
+	h, rp, err := probeSetup(cfg, div)
+	if err != nil {
+		return nil, err
+	}
+	// Miss states. A static eviction count is not enough here: the
+	// hotness replacement policy makes the protocol path-dependent. The
+	// victim's set-full fill failures wear every surviving receiver
+	// line in the set to hotness zero before its own line installs, so
+	// the probe's own failed refills then cascade — a refill of the one
+	// missing region can displace a not-yet-reaccessed neighbour, whose
+	// region misses later in the same traversal, and so on. The model
+	// therefore replays the full measurement protocol (prime → hit
+	// probe → prime → victim runs → timed probe, the attack.Calibrate
+	// round order) against the real replacement state machine in
+	// internal/uopcache, and prices each observed probe miss with the
+	// segment's refill delta from the shared cost table. The prefix up
+	// to the victim runs does not depend on the direction, so it is
+	// replayed once and each direction forks from a snapshot of it.
+	cache := uopcache.New(cfg.UopCache)
+	rp.prefix(cache)
+	var primed uopcache.State
+	cache.Save(&primed)
+	bin := func(fp uopcache.FootprintResult) ProbeBin {
+		cache.Restore(&primed)
+		misses, extra := rp.victimProbe(cache, fp)
+		return h.missBin(fp, misses, extra)
+	}
+	h.setDirections(bin(taken), bin(fall))
+	return h, nil
+}
+
+// probeReplay is the modelled measurement protocol as replayable fetch
+// segments: the receiver run's entry header, one probe traversal, and
+// the final HALT.
+type probeReplay struct {
+	cfg              Config
+	head, trav, halt []probeSeg
+}
+
+// probeSetup lays out the receiver routine over div, prices its hit
+// state, and returns the histogram with every direction-independent
+// field filled, plus the protocol replay the miss states need.
+func probeSetup(cfg Config, div []int) (*ProbeHistogram, *probeReplay, error) {
 	if cfg.ProbeIters <= 0 || cfg.PrimeTraversals <= 0 || cfg.VictimRuns <= 0 || len(div) == 0 {
-		return nil, fmt.Errorf("staticlint: receiver model disabled (probeIters %d, primeTraversals %d, victimRuns %d, %d probed sets)",
+		return nil, nil, fmt.Errorf("staticlint: receiver model disabled (probeIters %d, primeTraversals %d, victimRuns %d, %d probed sets)",
 			cfg.ProbeIters, cfg.PrimeTraversals, cfg.VictimRuns, len(div))
 	}
 	spec := ReceiverSpec(cfg, div)
 	prog, err := spec.LoopProgram(spec.TailAddr())
 	if err != nil {
-		return nil, fmt.Errorf("staticlint: receiver routine: %w", err)
+		return nil, nil, fmt.Errorf("staticlint: receiver routine: %w", err)
 	}
 	ct := cfg.Costs()
 	iters := cfg.ProbeIters
@@ -243,10 +286,12 @@ func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*P
 		}
 		return segs, warm, uops, nil
 	}
+	rp := &probeReplay{cfg: cfg}
 	travSegs, travWarm, travUops, err := build(trav)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	rp.trav = travSegs
 	regionDelta := 0
 	for _, s := range travSegs {
 		if s.trace.Region == spec.RegionAddr(spec.Sets[0], 0) {
@@ -261,12 +306,13 @@ func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*P
 	halt := uopcache.Range{Start: jcc.End(), End: prog.At(jcc.End()).End()}
 	headSegs, headWarm, headUops, err := build([]uopcache.Range{header})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	haltSegs, haltWarm, haltUops, err := build([]uopcache.Range{halt})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	rp.head, rp.halt = headSegs, haltSegs
 	bookWarm := headWarm + haltWarm
 	bookUops := headUops + haltUops
 
@@ -293,100 +339,107 @@ func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*P
 		HitPerTraversal:   round2(float64(hit) / float64(iters)),
 		SeparationFloor:   ProbeSeparationFloor,
 	}
+	return h, rp, nil
+}
 
-	// Miss states. A static eviction count is not enough here: the
-	// hotness replacement policy makes the protocol path-dependent. The
-	// victim's set-full fill failures wear every surviving receiver
-	// line in the set to hotness zero before its own line installs, so
-	// the probe's own failed refills then cascade — a refill of the one
-	// missing region can displace a not-yet-reaccessed neighbour, whose
-	// region misses later in the same traversal, and so on. The model
-	// therefore replays the full measurement protocol (prime → hit
-	// probe → prime → victim runs → timed probe, the attack.Calibrate
-	// round order) against the real replacement state machine in
-	// internal/uopcache, and prices each observed probe miss with the
-	// segment's refill delta from the shared cost table.
-	runRecv := func(cache *uopcache.Cache, n int) (misses, extra int) {
-		touch := func(s probeSeg) {
-			if _, ok := cache.Lookup(0, s.addr); ok {
-				return
-			}
-			misses++
-			extra += s.delta
-			cache.Fill(0, s.trace)
+// recv runs the receiver routine once with n probe traversals, refilling
+// every segment that misses as MITE would, and returns the missed
+// segment count and the refill cycles they add. Hit tests copy no µops.
+func (rp *probeReplay) recv(cache *uopcache.Cache, n int) (misses, extra int) {
+	touch := func(s probeSeg) {
+		if cache.Hit(0, s.addr) {
+			return
 		}
-		for _, s := range headSegs {
+		misses++
+		extra += s.delta
+		cache.Fill(0, s.trace)
+	}
+	for _, s := range rp.head {
+		touch(s)
+	}
+	for i := 0; i < n; i++ {
+		for _, s := range rp.trav {
 			touch(s)
 		}
-		for i := 0; i < n; i++ {
-			for _, s := range travSegs {
-				touch(s)
-			}
-		}
-		for _, s := range haltSegs {
-			touch(s)
-		}
-		return misses, extra
 	}
-	bin := func(fp uopcache.FootprintResult) ProbeBin {
-		// The victim's fetch stream over its predicted footprint: each
-		// run touches every cacheable region once, in path order, with
-		// the trace's real line count (the synthetic trace carries no
-		// µops — only the line structure the replacement policy sees).
-		var victim []probeSeg
-		for _, rf := range fp.Regions {
-			if !rf.Cacheable || rf.Ways <= 0 {
-				continue
-			}
-			victim = append(victim, probeSeg{
-				addr: rf.Region + uint64(rf.Entry),
-				trace: &uopcache.Trace{
-					Region:    rf.Region,
-					Entry:     rf.Entry,
-					Lines:     make([]uopcache.LineUops, rf.Ways),
-					Cacheable: true,
-				},
-			})
-		}
-		cache := uopcache.New(cfg.UopCache)
-		runRecv(cache, cfg.PrimeTraversals) // prime
-		runRecv(cache, iters)               // hit probe
-		runRecv(cache, cfg.PrimeTraversals) // prime
-		for r := 0; r < cfg.VictimRuns; r++ {
-			for _, s := range victim {
-				if _, ok := cache.Lookup(0, s.addr); !ok {
-					cache.Fill(0, s.trace)
-				}
-			}
-		}
-		misses, extra := runRecv(cache, iters) // timed probe
-		evicted := 0
-		for _, set := range div {
-			lines := fp.Sets[set]
-			if lines > spec.Ways {
-				lines = spec.Ways
-			}
-			evicted += lines
-		}
-		miss := hit + extra
-		return ProbeBin{
-			EvictedLines: evicted,
-			ProbeMisses:  misses,
-			Cycles:       miss,
-			PerTraversal: round2(float64(miss) / float64(iters)),
-			Cut:          round2((float64(hit) + float64(miss)) / 2),
-			Separation:   round2(float64(miss) / float64(hit)),
-		}
+	for _, s := range rp.halt {
+		touch(s)
 	}
-	h.Taken = bin(taken)
-	h.Fall = bin(fall)
+	return misses, extra
+}
 
-	slow, fast := h.Taken.Cycles, h.Fall.Cycles
+// prefix replays the direction-independent start of the protocol on a
+// fresh cache: prime, hit probe, prime.
+func (rp *probeReplay) prefix(cache *uopcache.Cache) {
+	rp.recv(cache, rp.cfg.PrimeTraversals)
+	rp.recv(cache, rp.cfg.ProbeIters)
+	rp.recv(cache, rp.cfg.PrimeTraversals)
+}
+
+// victimProbe replays the rest of the protocol from the primed state:
+// the victim's runs over its predicted footprint fp, then the timed
+// probe, whose misses and refill cycles it returns.
+func (rp *probeReplay) victimProbe(cache *uopcache.Cache, fp uopcache.FootprintResult) (misses, extra int) {
+	// The victim's fetch stream over its predicted footprint: each run
+	// touches every cacheable region once, in path order, with the
+	// trace's real line count (the synthetic trace carries no µops —
+	// only the line structure the replacement policy sees).
+	var victim []probeSeg
+	for _, rf := range fp.Regions {
+		if !rf.Cacheable || rf.Ways <= 0 {
+			continue
+		}
+		victim = append(victim, probeSeg{
+			addr: rf.Region + uint64(rf.Entry),
+			trace: &uopcache.Trace{
+				Region:    rf.Region,
+				Entry:     rf.Entry,
+				Lines:     make([]uopcache.LineUops, rf.Ways),
+				Cacheable: true,
+			},
+		})
+	}
+	for r := 0; r < rp.cfg.VictimRuns; r++ {
+		for _, s := range victim {
+			if !cache.Hit(0, s.addr) {
+				cache.Fill(0, s.trace)
+			}
+		}
+	}
+	return rp.recv(cache, rp.cfg.ProbeIters)
+}
+
+// missBin prices one direction's timed probe from its replayed misses.
+func (h *ProbeHistogram) missBin(fp uopcache.FootprintResult, misses, extra int) ProbeBin {
+	evicted := 0
+	for _, set := range h.ProbedSets {
+		lines := fp.Sets[set]
+		if lines > h.ReceiverWays {
+			lines = h.ReceiverWays
+		}
+		evicted += lines
+	}
+	hit := h.HitCycles
+	miss := hit + extra
+	return ProbeBin{
+		EvictedLines: evicted,
+		ProbeMisses:  misses,
+		Cycles:       miss,
+		PerTraversal: round2(float64(miss) / float64(h.ProbeIters)),
+		Cut:          round2((float64(hit) + float64(miss)) / 2),
+		Separation:   round2(float64(miss) / float64(hit)),
+	}
+}
+
+// setDirections stores the two directions' bins and derives the
+// cross-direction threshold, margin and verdict.
+func (h *ProbeHistogram) setDirections(taken, fall ProbeBin) {
+	h.Taken, h.Fall = taken, fall
+	slow, fast := taken.Cycles, fall.Cycles
 	if slow < fast {
 		slow, fast = fast, slow
 	}
-	h.DirectionCut = round2((float64(h.Taken.Cycles) + float64(h.Fall.Cycles)) / 2)
+	h.DirectionCut = round2((float64(taken.Cycles) + float64(fall.Cycles)) / 2)
 	h.SeparationMargin = round2(float64(slow) / float64(fast))
 	h.Distinguishable = h.SeparationMargin >= ProbeSeparationFloor
-	return h, nil
 }

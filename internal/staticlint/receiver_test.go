@@ -1,6 +1,7 @@
 package staticlint
 
 import (
+	"reflect"
 	"testing"
 
 	"deaduops/internal/asm"
@@ -54,6 +55,26 @@ func chainVictimFootprint(spec *codegen.ChainSpec) uopcache.FootprintResult {
 	return fp
 }
 
+// probeFixture is a receiver over probe and a probe-chain victim
+// occupying victimWays ways of each of victimSets.
+type probeFixture struct {
+	name       string
+	probe      []int
+	victimSets []int
+	victimWays int
+}
+
+// simFixtures are the receiver/victim pairs the model is held to the
+// simulator on.
+var simFixtures = []probeFixture{
+	{"one-line", []int{4}, []int{4}, 1},
+	{"three-lines", []int{4}, []int{4}, 3},
+	{"two-sets-partial", []int{3, 7}, []int{3}, 2},
+	{"two-sets-both", []int{3, 7}, []int{3, 7}, 2},
+	{"dense-sets", []int{1, 2, 6}, []int{2}, 1},
+	{"wide", []int{6, 14, 22, 30}, []int{14, 30}, 3},
+}
+
 // TestProbeModelMatchesSimulator holds the receiver model to the
 // simulator exactly: the predicted hit and miss probe measurements
 // must equal what the actual prime → probe → prime → victim → probe
@@ -64,20 +85,7 @@ func chainVictimFootprint(spec *codegen.ChainSpec) uopcache.FootprintResult {
 // model only sees the divergence footprint, not scaffolding).
 func TestProbeModelMatchesSimulator(t *testing.T) {
 	cfg := DefaultConfig()
-	cases := []struct {
-		name       string
-		probe      []int
-		victimSets []int
-		victimWays int
-	}{
-		{"one-line", []int{4}, []int{4}, 1},
-		{"three-lines", []int{4}, []int{4}, 3},
-		{"two-sets-partial", []int{3, 7}, []int{3}, 2},
-		{"two-sets-both", []int{3, 7}, []int{3, 7}, 2},
-		{"dense-sets", []int{1, 2, 6}, []int{2}, 1},
-		{"wide", []int{6, 14, 22, 30}, []int{14, 30}, 3},
-	}
-	for _, x := range cases {
+	for _, x := range simFixtures {
 		t.Run(x.name, func(t *testing.T) {
 			spec := ReceiverSpec(cfg, x.probe)
 			recv, err := attack.Build(spec)
@@ -251,5 +259,66 @@ func TestProbeMarginAgreesWithCalibrate(t *testing.T) {
 	}
 	if err := calibrate(quietSpec); err == nil {
 		t.Error("model predicts no separation, but Calibrate produced a threshold")
+	}
+}
+
+// TestProbeModelForkEqualsFullReplay holds the forked-prefix replay to
+// a full per-direction replay of the protocol on a fresh cache: every
+// fixture of this file, with the victim in either direction or both,
+// must yield the identical histogram.
+func TestProbeModelForkEqualsFullReplay(t *testing.T) {
+	fixtures := append([]probeFixture{
+		{"separation-loud", []int{4, 12}, []int{4, 12}, 3},
+		{"calibrate-quiet", []int{4, 12}, []int{20}, 1},
+	}, simFixtures...)
+	empty := uopcache.FootprintResult{Sets: map[int]int{}}
+	cfg := DefaultConfig()
+	for _, x := range fixtures {
+		vic := chainVictimFootprint(codegen.ProbeChain(0x100000, x.victimSets, x.victimWays, "vic"))
+		for _, dir := range []struct {
+			name        string
+			taken, fall uopcache.FootprintResult
+		}{
+			{"taken", vic, empty},
+			{"fall", empty, vic},
+			{"both", vic, vic},
+		} {
+			got, err := ProbeModel(cfg, dir.taken, dir.fall, x.probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ProbeModelFullReplay(cfg, dir.taken, dir.fall, x.probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: forked replay\n%+v\nfull replay\n%+v", x.name, dir.name, got, want)
+			}
+		}
+	}
+}
+
+// TestProbeModelAllocsIndependentOfTraversals pins that the protocol
+// replay allocates nothing per traversal: ProbeModel allocates the same
+// at 160 priming traversals and victim runs as at 16. The slack absorbs
+// the few allocations the runtime makes in the background (more of
+// them under -race); one allocation per added traversal would exceed
+// it by two orders of magnitude.
+func TestProbeModelAllocsIndependentOfTraversals(t *testing.T) {
+	const slack = 10
+	empty := uopcache.FootprintResult{Sets: map[int]int{}}
+	vic := chainVictimFootprint(codegen.ProbeChain(0x100000, []int{14, 30}, 3, "vic"))
+	probe := []int{6, 14, 22, 30}
+	allocs := func(n int) float64 {
+		cfg := DefaultConfig()
+		cfg.PrimeTraversals, cfg.VictimRuns = n, n
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ProbeModel(cfg, vic, empty, probe); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(16), allocs(160); many > few+slack {
+		t.Errorf("ProbeModel allocations: %v at 16 traversals, %v at 160; want at most %d more", few, many, slack)
 	}
 }

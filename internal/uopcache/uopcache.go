@@ -44,6 +44,7 @@ type Config struct {
 	SlotsPerLine int // micro-op slots per line (6 on Skylake)
 	// MaxLinesPerRegion caps how many ways one 32-byte code region may
 	// occupy (3 on Skylake; an 18-µop region is the largest cacheable).
+	// It may not exceed maxTraceLines.
 	MaxLinesPerRegion int
 	// IndexLoBit is the lowest address bit of the set index; regions
 	// are 1<<IndexLoBit bytes (bit 5 → 32-byte regions).
@@ -114,6 +115,11 @@ func Zen2() Config {
 	return c
 }
 
+// maxTraceLines bounds a trace's line count: a hit gathers the trace's
+// lines into a fixed array of this size, so a longer trace could never
+// hit.
+const maxTraceLines = 8
+
 // RegionSize returns the code-region granularity in bytes.
 func (c Config) RegionSize() uint64 { return 1 << c.IndexLoBit }
 
@@ -129,6 +135,9 @@ func (c Config) validate() error {
 	}
 	if c.MaxLinesPerRegion > c.Ways {
 		return fmt.Errorf("uopcache: MaxLinesPerRegion %d exceeds ways %d", c.MaxLinesPerRegion, c.Ways)
+	}
+	if c.MaxLinesPerRegion > maxTraceLines {
+		return fmt.Errorf("uopcache: MaxLinesPerRegion %d exceeds the %d-line trace limit", c.MaxLinesPerRegion, maxTraceLines)
 	}
 	return nil
 }
@@ -269,6 +278,21 @@ func (c *Cache) Lookup(thread int, addr uint64) ([]isa.Uop, bool) {
 // fetch engine's stream buffer) can stay allocation-free on every DSB
 // hit. On a miss dst is returned unchanged.
 func (c *Cache) LookupAppend(thread int, addr uint64, dst []isa.Uop) ([]isa.Uop, bool) {
+	return c.lookup(thread, addr, dst, true)
+}
+
+// Hit is LookupAppend without the copy: it reports whether the trace
+// for addr is fully cached, with the same hotness and counter updates,
+// but copies no micro-ops. Callers that need only the hit/miss outcome
+// (the static receiver model's protocol replay) use it.
+func (c *Cache) Hit(thread int, addr uint64) bool {
+	_, ok := c.lookup(thread, addr, nil, false)
+	return ok
+}
+
+// lookup is LookupAppend and Hit: it appends the hit trace's µops to
+// dst only when copyUops is set.
+func (c *Cache) lookup(thread int, addr uint64, dst []isa.Uop, copyUops bool) ([]isa.Uop, bool) {
 	region := c.RegionOf(addr)
 	entry := uint8(addr - region)
 	c.stats.Lookups++
@@ -278,7 +302,7 @@ func (c *Cache) LookupAppend(thread int, addr uint64, dst []isa.Uop) ([]isa.Uop,
 	}
 	set := c.sets[c.setIndex(thread, region)]
 
-	var found [8]*line
+	var found [maxTraceLines]*line
 	var total int = -1
 	n := 0
 	for i := range set {
@@ -296,6 +320,7 @@ func (c *Cache) LookupAppend(thread int, addr uint64, dst []isa.Uop) ([]isa.Uop,
 		return dst, false
 	}
 	uops := dst
+	streamed := 0
 	for s := 0; s < total; s++ {
 		l := found[s]
 		if l == nil {
@@ -305,10 +330,13 @@ func (c *Cache) LookupAppend(thread int, addr uint64, dst []isa.Uop) ([]isa.Uop,
 		if l.hotness < c.cfg.HotnessMax {
 			l.hotness++
 		}
-		uops = append(uops, l.uops...)
+		if copyUops {
+			uops = append(uops, l.uops...)
+		}
+		streamed += len(l.uops)
 	}
 	c.stats.Hits++
-	c.stats.StreamedUops += uint64(len(uops) - len(dst))
+	c.stats.StreamedUops += uint64(streamed)
 	return uops, true
 }
 

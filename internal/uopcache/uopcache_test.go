@@ -47,6 +47,9 @@ func TestConfigValidation(t *testing.T) {
 		{Sets: 3, Ways: 8, SlotsPerLine: 6, MaxLinesPerRegion: 3},
 		{Sets: 32, Ways: 0, SlotsPerLine: 6, MaxLinesPerRegion: 3},
 		{Sets: 32, Ways: 8, SlotsPerLine: 6, MaxLinesPerRegion: 9},
+		// More lines per region than a hit can gather: such a trace
+		// would always miss, so the geometry is rejected outright.
+		{Sets: 32, Ways: 12, SlotsPerLine: 6, MaxLinesPerRegion: maxTraceLines + 1},
 	}
 	for _, cfg := range bad {
 		func() {
@@ -401,6 +404,65 @@ func TestStreamedUopsCounter(t *testing.T) {
 	c.Lookup(0, 0x1000)
 	if got := c.Stats().StreamedUops; got != 10 {
 		t.Errorf("streamed µops %d, want 10", got)
+	}
+}
+
+// TestLongestTraceHits fills a trace of the longest legal line count
+// into a set wide enough to hold it, and requires it to hit.
+func TestLongestTraceHits(t *testing.T) {
+	cfg := Skylake()
+	cfg.Ways = 12
+	cfg.MaxLinesPerRegion = maxTraceLines
+	c := New(cfg)
+	tr := &Trace{Region: 0x1000, Lines: make([]LineUops, maxTraceLines), Cacheable: true}
+	for i := range tr.Lines {
+		tr.Lines[i] = LineUops{Uops: []isa.Uop{{Op: isa.NOP, Slots: 1}}, Slots: 1}
+	}
+	c.Fill(0, tr)
+	uops, ok := c.Lookup(0, 0x1000)
+	if !ok || len(uops) != maxTraceLines {
+		t.Errorf("%d-line trace: hit %v with %d µops", maxTraceLines, ok, len(uops))
+	}
+}
+
+// TestHitMatchesLookupAppend drives two caches through the same
+// lookup/fill sequence, one testing hits with Hit and one with
+// LookupAppend: line state (hotness included) and every counter must
+// agree after each step.
+func TestHitMatchesLookupAppend(t *testing.T) {
+	cfg := Skylake()
+	a, b := New(cfg), New(cfg)
+	traces := []*Trace{
+		simpleTrace(cfg, 0x1000, 5),
+		simpleTrace(cfg, 0x1400, 6),
+		BuildTrace(cfg, 0x1800, 0, []MacroUops{mkMacro(0x1800, 4, 6), mkMacro(0x1804, 4, 6)}),
+	}
+	for i := 0; i < 40; i++ {
+		tr := traces[i%len(traces)]
+		hitA := a.Hit(0, tr.Region)
+		_, hitB := b.LookupAppend(0, tr.Region, nil)
+		if hitA != hitB {
+			t.Fatalf("step %d: Hit %v, LookupAppend %v", i, hitA, hitB)
+		}
+		if !hitA {
+			a.Fill(0, tr)
+			b.Fill(0, tr)
+		}
+		if a.Stats() != b.Stats() {
+			t.Fatalf("step %d: stats diverged\nHit:          %+v\nLookupAppend: %+v", i, a.Stats(), b.Stats())
+		}
+		sa, sb := a.Snapshot(), b.Snapshot()
+		if len(sa) != len(sb) {
+			t.Fatalf("step %d: %d vs %d valid lines", i, len(sa), len(sb))
+		}
+		for j := range sa {
+			if sa[j] != sb[j] {
+				t.Fatalf("step %d: line %+v vs %+v", i, sa[j], sb[j])
+			}
+		}
+	}
+	if a.Stats().Hits == 0 || a.Stats().StreamedUops == 0 {
+		t.Fatalf("sequence never hit: %+v", a.Stats())
 	}
 }
 
