@@ -105,7 +105,11 @@ type Routine struct {
 // zebra's stripes, and outside an arbitrary probe chain's set list, so
 // the tail's own line never pollutes a probed set.
 func Build(spec *codegen.ChainSpec) (*Routine, error) {
-	prog, err := spec.LoopProgram(spec.TailAddr())
+	tail, err := spec.TailAddr()
+	if err != nil {
+		return nil, fmt.Errorf("attack: building %s: %w", spec.Label, err)
+	}
+	prog, err := spec.LoopProgram(tail)
 	if err != nil {
 		return nil, fmt.Errorf("attack: building %s: %w", spec.Label, err)
 	}

@@ -181,8 +181,9 @@ func (s *ChainSpec) BodyBytes() int { return s.regionBodyBytes() }
 // chain's own sets matters when the set list is dense (a receiver
 // probing adjacent divergent sets): the naive "+1" rule would park the
 // tail inside a probed set, and the tail's own line would then pollute
-// the very occupancy the probe measures.
-func (s *ChainSpec) TailAddr() uint64 {
+// the very occupancy the probe measures. A chain that occupies every
+// set leaves no such index, and TailAddr returns an error.
+func (s *ChainSpec) TailAddr() (uint64, error) {
 	nsets := s.numSets()
 	tailSet := 0
 	if len(s.Sets) > 0 {
@@ -191,11 +192,14 @@ func (s *ChainSpec) TailAddr() uint64 {
 			occupied[set] = true
 		}
 		tailSet = (s.Sets[0] + 1) % nsets
-		for occupied[tailSet] {
+		for n := 1; occupied[tailSet]; n++ {
+			if n == nsets {
+				return 0, fmt.Errorf("codegen: chain occupies every set; no free set for the loop tail")
+			}
 			tailSet = (tailSet + 1) % nsets
 		}
 	}
-	return s.Base + uint64(s.Ways+1)*s.wayStride() + uint64(tailSet)*RegionSize
+	return s.Base + uint64(s.Ways+1)*s.wayStride() + uint64(tailSet)*RegionSize, nil
 }
 
 // UopsPerRegion returns the micro-op count of each region (NOPs, the

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"strings"
 	"testing"
 
 	"deaduops/internal/cpu"
@@ -257,7 +258,10 @@ func TestTailAddrAvoidsChainSets(t *testing.T) {
 	}
 	for _, sets := range cases {
 		s := ProbeChain(0x40000, sets, 2, "p")
-		tail := s.TailAddr()
+		tail, err := s.TailAddr()
+		if err != nil {
+			t.Fatalf("sets %v: %v", sets, err)
+		}
 		tailSet := int(tail / RegionSize % (WayStride / RegionSize))
 		for _, set := range sets {
 			if tailSet == set {
@@ -272,6 +276,13 @@ func TestTailAddrAvoidsChainSets(t *testing.T) {
 		if _, err := s.LoopProgram(tail); err != nil {
 			t.Errorf("sets %v: loop program rejects own tail: %v", sets, err)
 		}
+	}
+
+	// A chain over every set leaves no free set: TailAddr must report
+	// it rather than scan forever.
+	if _, err := ProbeChain(0x40000, EvenSets(32, 0), 2, "p").TailAddr(); err == nil ||
+		!strings.Contains(err.Error(), "occupies every set") {
+		t.Errorf("all-sets chain: err %v, want \"occupies every set\"", err)
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package experiments regenerates every figure and table of the
 // paper's evaluation on the simulated core. Each experiment function
 // returns structured series/rows and can render itself as text, so the
-// CLI tools, the benchmark harness, and the tests share one
-// implementation. The DESIGN.md experiment index maps each function to
-// its paper artifact.
+// CLI tools and the tests share one implementation. The DESIGN.md
+// experiment index maps each function to its paper artifact.
 package experiments
 
 import (

@@ -263,7 +263,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig3a", "fig3b", "fig4", "fig5", "fig6a", "fig6b",
 		"fig7a", "fig7b", "fig8", "fig9", "fig10", "table1", "table2",
 		"mitigations", "capacity", "invisispec", "leakpredict",
-		"probemodel", "alignchannel", "profilematrix",
+		"probemodel", "alignchannel", "profilematrix", "ablations",
 	}
 	for _, id := range want {
 		if _, ok := Registry[id]; !ok {
@@ -272,6 +272,46 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(IDs()) != len(want) {
 		t.Errorf("registry has %d entries, want %d: %v", len(IDs()), len(want), IDs())
+	}
+}
+
+// TestAblationsClaims pins the ablation table's claims: the hotness
+// cap must be small but nonzero for a usable channel, a costlier
+// DSB→MITE switch never weakens the signal, the paper's LCP padding
+// more than doubles the contrast of a plain tiger, and an enabled loop
+// stream detector all but stops a locked loop probing the µop cache.
+func TestAblationsClaims(t *testing.T) {
+	rows, err := ablationRows(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKnob := map[string][]ablation{}
+	for _, r := range rows {
+		byKnob[r.knob] = append(byKnob[r.knob], r)
+	}
+	caps, pens, pad, lsd := byKnob["hotness cap"], byKnob["switch penalty"], byKnob["tiger padding"], byKnob[lsdKnob]
+	if len(caps) != 4 || len(pens) != 3 || len(pad) != 2 || len(lsd) != 2 {
+		t.Fatalf("rows per knob %d/%d/%d/%d, want 4/3/2/2", len(caps), len(pens), len(pad), len(lsd))
+	}
+	for _, r := range caps[:3] {
+		if r.calErr != nil {
+			t.Errorf("hotness cap %s does not calibrate: %v", r.setting, r.calErr)
+		}
+	}
+	if err := caps[3].calErr; err == nil || !strings.Contains(err.Error(), "no timing signal") {
+		t.Errorf("hotness cap 64: calibration error %v, want no timing signal", err)
+	}
+	for i := 1; i < len(pens); i++ {
+		if pens[i].ratio() < pens[i-1].ratio() {
+			t.Errorf("switch penalty %s ratio %.2f below penalty %s's %.2f",
+				pens[i].setting, pens[i].ratio(), pens[i-1].setting, pens[i-1].ratio())
+		}
+	}
+	if lcp, plain := pad[0].ratio(), pad[1].ratio(); lcp < 2*plain {
+		t.Errorf("LCP tiger ratio %.2f, want at least 2× the plain tiger's %.2f", lcp, plain)
+	}
+	if off, on := lsd[0].lookups, lsd[1].lookups; off == 0 || 100*on > off {
+		t.Errorf("µop-cache lookups %d with the LSD on, want at most 1%% of %d with it off", on, off)
 	}
 }
 

@@ -240,7 +240,11 @@ func probeSetup(cfg Config, div []int) (*ProbeHistogram, *probeReplay, error) {
 			cfg.ProbeIters, cfg.PrimeTraversals, cfg.VictimRuns, len(div))
 	}
 	spec := ReceiverSpec(cfg, div)
-	prog, err := spec.LoopProgram(spec.TailAddr())
+	tailAddr, err := spec.TailAddr()
+	if err != nil {
+		return nil, nil, fmt.Errorf("staticlint: receiver routine: %w", err)
+	}
+	prog, err := spec.LoopProgram(tailAddr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("staticlint: receiver routine: %w", err)
 	}

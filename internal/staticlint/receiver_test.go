@@ -2,6 +2,7 @@ package staticlint
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"deaduops/internal/asm"
@@ -37,6 +38,12 @@ func TestProbeModelDisabled(t *testing.T) {
 	}
 	if _, err := ProbeModel(DefaultConfig(), fp, fp, nil); err == nil {
 		t.Error("empty probed-set list accepted")
+	}
+	// Divergence in every set leaves the receiver no free set for its
+	// loop tail; the model must say so rather than search forever.
+	if _, err := ProbeModel(DefaultConfig(), fp, fp, codegen.EvenSets(32, 0)); err == nil ||
+		!strings.Contains(err.Error(), "no free set for the loop tail") {
+		t.Errorf("all-sets receiver: err %v, want the loop-tail error", err)
 	}
 }
 

@@ -20,14 +20,15 @@ type ClassicSpectre struct {
 
 	attackEntry uint64
 	probeEntry  uint64
-
-	// AttackReps is the number of (train, misspeculate) rounds per
-	// byte before probing.
-	AttackReps int
 }
 
-// classicLineStride spaces probe-array entries one cache line apart.
-const classicLineStride = 64
+const (
+	// classicLineStride spaces probe-array entries one cache line apart.
+	classicLineStride = 64
+	// classicAttackReps is the number of (train, misspeculate) rounds
+	// per byte before probing.
+	classicAttackReps = 2
+)
 
 // NewClassicSpectre assembles the victim and the flush+reload harness.
 func NewClassicSpectre(c *cpu.CPU) (*ClassicSpectre, error) {
@@ -62,7 +63,6 @@ func NewClassicSpectre(c *cpu.CPU) (*ClassicSpectre, error) {
 		c: c, lay: lay,
 		attackEntry: prog.MustLabel("cl_attack"),
 		probeEntry:  prog.MustLabel("cl_probe"),
-		AttackReps:  2,
 	}
 	c.Mem().Write(lay.ArraySizeAddr, 8, lay.ArrayLen)
 	return cl, nil
@@ -97,7 +97,7 @@ func (cl *ClassicSpectre) train(rounds int) error {
 func (cl *ClassicSpectre) LeakByte(byteIndex int) (byte, error) {
 	cl.flushProbeArray()
 	idx := int64(cl.lay.SecretBase-cl.lay.ArrayBase) + int64(byteIndex)
-	for r := 0; r < cl.AttackReps; r++ {
+	for r := 0; r < classicAttackReps; r++ {
 		if err := cl.train(2); err != nil {
 			return 0, err
 		}

@@ -25,10 +25,6 @@ type NaturalGadget struct {
 	attackEntry uint64
 	probeEntry  uint64
 	touchEntry  uint64
-
-	EraseIters int64
-	AttackReps int
-	XmitLoops  int64
 }
 
 // newNaturalGadgetForDebug builds without calibrating (tests).
@@ -126,9 +122,6 @@ func buildNaturalGadget(c *cpu.CPU) (*NaturalGadget, error) {
 		attackEntry: prog.MustLabel("ng_attack"),
 		probeEntry:  prog.MustLabel("ng_probe"),
 		touchEntry:  prog.MustLabel("touch_entry"),
-		EraseIters:  30,
-		AttackReps:  4,
-		XmitLoops:   50,
 	}
 	c.Mem().Write(lay.ArraySizeAddr, 8, lay.ArrayLen)
 	// Public buffer: bytes 0-6 carry small tags (0x00) for the
@@ -197,7 +190,7 @@ func (v *NaturalGadget) leakRaw(byteIndex int) (uint64, error) {
 	if err := v.trainLarge(4); err != nil {
 		return 0, err
 	}
-	if _, err := v.eraser.Run(v.c, 0, v.EraseIters); err != nil {
+	if _, err := v.eraser.Run(v.c, 0, presenceEraseIters); err != nil {
 		return 0, err
 	}
 	v.c.SetReg(0, isa.R1, int64(byteIndex))
@@ -205,13 +198,13 @@ func (v *NaturalGadget) leakRaw(byteIndex int) (uint64, error) {
 		return 0, fmt.Errorf("transient: secret-use timed out")
 	}
 	idx := int64(v.lay.SecretBase-v.lay.ArrayBase) + int64(byteIndex)
-	for r := 0; r < v.AttackReps; r++ {
+	for r := 0; r < presenceAttackReps; r++ {
 		if err := v.train(2); err != nil {
 			return 0, err
 		}
 		v.c.SetReg(0, isa.R1, idx)
 		v.c.SetReg(0, isa.R2, 0)
-		v.c.SetReg(0, isa.R7, v.XmitLoops)
+		v.c.SetReg(0, isa.R7, presenceXmitLoops)
 		if res := v.c.Run(0, v.attackEntry, maxRun); res.TimedOut {
 			return 0, fmt.Errorf("transient: gadget attack timed out")
 		}

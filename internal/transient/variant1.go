@@ -53,12 +53,17 @@ type Variant1 struct {
 	attackEntry uint64
 	probeEntry  uint64
 	touchEntry  uint64
-
-	// EraseIters/AttackReps/XmitLoops tune the per-bit protocol.
-	EraseIters int64
-	AttackReps int
-	XmitLoops  int64
 }
+
+// The per-bit protocol of the two presence-test attacks (Variant1,
+// NaturalGadget): the eraser tiger runs presenceEraseIters traversals,
+// then the victim is triggered presenceAttackReps times, each with the
+// transmitter looping presenceXmitLoops times.
+const (
+	presenceEraseIters = 30
+	presenceAttackReps = 4
+	presenceXmitLoops  = 50
+)
 
 // NewVariant1 assembles the victim library, the attacker gadget, and
 // the probing tigers, then calibrates the timing threshold.
@@ -154,9 +159,6 @@ func newVariant1NoCal(c *cpu.CPU) (*Variant1, error) {
 		attackEntry: aprog.MustLabel("attack_entry"),
 		touchEntry:  aprog.MustLabel("touch_entry"),
 		probeEntry:  aprog.MustLabel(send.EntryLabel()),
-		EraseIters:  30,
-		AttackReps:  4,
-		XmitLoops:   50,
 	}
 	c.Mem().Write(lay.ArraySizeAddr, 8, lay.ArrayLen)
 	return v, nil
@@ -220,7 +222,7 @@ func (v *Variant1) probe() (uint64, error) {
 // bounds) outcome, so two benign calls precede each malicious one —
 // the classic Spectre-v1 cadence.
 func (v *Variant1) leakBitRaw(byteIndex, bit int) (uint64, error) {
-	if _, err := v.eraser.Run(v.c, 0, v.EraseIters); err != nil {
+	if _, err := v.eraser.Run(v.c, 0, presenceEraseIters); err != nil {
 		return 0, err
 	}
 	// The victim's own activity keeps the secret line cache-resident
@@ -231,14 +233,14 @@ func (v *Variant1) leakBitRaw(byteIndex, bit int) (uint64, error) {
 		return 0, fmt.Errorf("transient: victim secret-use timed out")
 	}
 	idx := int64(v.lay.SecretBase-v.lay.ArrayBase) + int64(byteIndex)
-	for r := 0; r < v.AttackReps; r++ {
+	for r := 0; r < presenceAttackReps; r++ {
 		if err := v.train(2); err != nil {
 			return 0, err
 		}
 		v.c.SetReg(0, isa.R1, idx)
 		v.c.SetReg(0, isa.R2, 0)
 		v.c.SetReg(0, isa.R6, int64(bit))
-		v.c.SetReg(0, isa.R7, v.XmitLoops)
+		v.c.SetReg(0, isa.R7, presenceXmitLoops)
 		if res := v.c.Run(0, v.attackEntry, maxRun); res.TimedOut {
 			return 0, fmt.Errorf("transient: attack run timed out")
 		}

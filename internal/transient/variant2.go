@@ -36,13 +36,15 @@ type Variant2 struct {
 	trainEntry  uint64
 	probeEntry  uint64
 	resetEntry  uint64
-
-	// AttackReps tunes the per-bit protocol (at most two misspeculated
-	// calls fit before the direction predictor flips); TrainRounds is
-	// the number of legitimate authorized calls encoding the secret.
-	AttackReps  int
-	TrainRounds int
 }
+
+// The variant-2 per-bit protocol: v2AttackReps misspeculated calls (at
+// most two fit before the direction predictor flips) after
+// v2TrainRounds legitimate authorized calls encoding the secret.
+const (
+	v2AttackReps  = 1
+	v2TrainRounds = 6
+)
 
 // NewVariant2 assembles the victim (with the given fence), the two
 // transmitter targets, and the attacker harness. It does NOT calibrate:
@@ -112,8 +114,6 @@ func NewVariant2(c *cpu.CPU, fence victim.Fence) (*Variant2, error) {
 		trainEntry:  prog.MustLabel("v2_train"),
 		probeEntry:  prog.MustLabel("v2_probe"),
 		resetEntry:  prog.MustLabel("v2_reset"),
-		AttackReps:  1,
-		TrainRounds: 6,
 	}
 	// Authorization token and function table.
 	c.Mem().Write(lay.AuthAddr, 8, victim.AuthToken)
@@ -160,13 +160,13 @@ func (v *Variant2) probe() (uint64, error) {
 // architecturally: any fun1 footprint at probe time came from transient
 // fetch alone.
 func (v *Variant2) LeakRaw() (uint64, error) {
-	if err := v.train(v.TrainRounds); err != nil {
+	if err := v.train(v2TrainRounds); err != nil {
 		return 0, err
 	}
 	if res := v.c.Run(0, v.resetEntry, maxRun); res.TimedOut {
 		return 0, fmt.Errorf("transient: v2 reset timed out")
 	}
-	for r := 0; r < v.AttackReps; r++ {
+	for r := 0; r < v2AttackReps; r++ {
 		v.c.SetReg(0, isa.R1, 0xBAD) // unauthorized id
 		v.c.SetReg(0, isa.R2, 0)
 		if res := v.c.Run(0, v.attackEntry, maxRun); res.TimedOut {

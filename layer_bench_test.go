@@ -1,16 +1,28 @@
-// Layer benchmarks for the two costs a difftest point pays outside the
-// simulated cycle loop: the receiver model's protocol replay
-// (staticlint.ProbeModel, run by Harness.Predict) and building the core
-// a point measures on (cpu.NewWith). Both report allocations; neither
-// should grow with the protocol's traversal counts or the cache
-// hierarchy's set counts.
+// Layer benchmarks: each times one layer of the simulator or the
+// analyzer on a fixed input and reports a domain metric next to Go's
+// timing. SimulatorThroughput and its Parallel form time the cycle
+// loop on a µop-cache-resident tiger; RSCodec times the Reed-Solomon
+// codec behind Table I's corrected bandwidth. ProbeModel and
+// CoreConstruction time the two costs a difftest point pays outside
+// the cycle loop: the receiver model's protocol replay
+// (staticlint.ProbeModel, run by Harness.Predict) and building the
+// core a point measures on (cpu.NewWith). Both report allocations;
+// neither should grow with the protocol's traversal counts or the
+// cache hierarchy's set counts.
+//
+//	go test -run '^$' -bench . -benchmem .
 package deaduops_test
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"deaduops/internal/attack"
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
+	"deaduops/internal/ecc"
 	"deaduops/internal/profile"
 	"deaduops/internal/staticlint"
 	"deaduops/internal/staticlint/difftest"
@@ -55,5 +67,101 @@ func BenchmarkCoreConstruction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cpu.NewWith(cfg, a)
+	}
+}
+
+// BenchmarkSimulatorThroughput measures raw simulation speed: simulated
+// cycles per second of host time on a µop-cache-resident loop, plus
+// heap allocations per simulated cycle (pinned near zero by the
+// steady-state pools; see internal/cpu's TestSteadyStateRunAllocs).
+func BenchmarkSimulatorThroughput(b *testing.B) {
+	tiger, err := attack.Build(attack.Tiger(0x40000, attack.DefaultGeometry(), "bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := cpu.New(cpu.Intel())
+	c.LoadProgram(tiger.Prog)
+	if _, err := tiger.Run(c, 0, 10); err != nil {
+		b.Fatal(err)
+	}
+	var ms0 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	start := time.Now()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		n, err := tiger.Run(c, 0, 100)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += n
+	}
+	elapsed := time.Since(start)
+	var ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
+	if elapsed > 0 {
+		b.ReportMetric(float64(cycles)/elapsed.Seconds(), "sim-cycles/s")
+	}
+	if cycles > 0 {
+		b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(cycles), "allocs/sim-cycle")
+	}
+}
+
+// BenchmarkSimulatorThroughputParallel runs one independent simulated
+// core per worker goroutine — the parallel-sweep workload shape — and
+// reports aggregate simulated cycles per second across all workers.
+func BenchmarkSimulatorThroughputParallel(b *testing.B) {
+	spec := attack.Tiger(0x40000, attack.DefaultGeometry(), "bench")
+	var cycles atomic.Uint64
+	b.ResetTimer()
+	start := time.Now()
+	b.RunParallel(func(pb *testing.PB) {
+		tiger, err := attack.Build(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := cpu.New(cpu.Intel())
+		c.LoadProgram(tiger.Prog)
+		if _, err := tiger.Run(c, 0, 10); err != nil {
+			b.Fatal(err)
+		}
+		var local uint64
+		for pb.Next() {
+			n, err := tiger.Run(c, 0, 100)
+			if err != nil {
+				b.Fatal(err)
+			}
+			local += n
+		}
+		cycles.Add(local)
+	})
+	if elapsed := time.Since(start); elapsed > 0 {
+		b.ReportMetric(float64(cycles.Load())/elapsed.Seconds(), "sim-cycles/s")
+	}
+}
+
+// BenchmarkRSCodec measures the Reed-Solomon encode+decode pipeline
+// used for Table I's corrected bandwidth.
+func BenchmarkRSCodec(b *testing.B) {
+	codec, err := ecc.NewCodec(42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, 512)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc, err := codec.Encode(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		enc[i%len(enc)] ^= 0xFF // one error per block of interest
+		if _, err := codec.Decode(enc, len(data)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
