@@ -56,10 +56,10 @@ func main() {
 	ac.LoadProgram(merged)
 	before = ac.Counters(0).Snapshot()
 	for round := 0; round < 10; round++ {
-		if _, err := recv.Run(ac, 0, 20); err != nil {
+		if _, err := recv.Run(ac, 20); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := send.Run(ac, 0, 20); err != nil {
+		if _, err := send.Run(ac, 20); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"deaduops/internal/asm"
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 )
 
 // Geometry selects which part of the micro-op cache a tiger/zebra pair
@@ -99,8 +98,8 @@ type Routine struct {
 }
 
 // Build assembles spec into a standalone looped routine (loop count in
-// R14, preset per run). The loop tail is placed in the first set past
-// the chain's first set that the chain does not occupy
+// codegen.LoopReg, preset per run). The loop tail is placed in the
+// first set past the chain's first set that the chain does not occupy
 // (codegen.ChainSpec.TailAddr) — outside both a tiger's and its
 // zebra's stripes, and outside an arbitrary probe chain's set list, so
 // the tail's own line never pollutes a probed set.
@@ -116,16 +115,45 @@ func Build(spec *codegen.ChainSpec) (*Routine, error) {
 	return &Routine{Spec: spec, Prog: prog, Entry: prog.Entry}, nil
 }
 
-// Run executes the routine for iters traversals on thread t and
+// Run executes the routine for iters traversals on thread 0 and
 // returns the elapsed cycles — the RDTSC-bracketed timing measurement
 // of the paper, in simulated cycles.
-func (r *Routine) Run(c *cpu.CPU, t int, iters int64) (uint64, error) {
-	c.SetReg(t, isa.R14, iters)
-	res := c.Run(t, r.Entry, 20_000_000)
-	if res.TimedOut {
-		return 0, fmt.Errorf("attack: routine %s timed out", r.Spec.Label)
+func (r *Routine) Run(c *cpu.CPU, iters int64) (uint64, error) {
+	res, err := RunLoop(c, r.Entry, 0, iters)
+	if err != nil {
+		return 0, fmt.Errorf("attack: routine %s: %w", r.Spec.Label, err)
 	}
-	return res.Cycles, nil
+	return res[0].Cycles, nil
+}
+
+// loopMaxCycles bounds one counted-loop run. Every loop the
+// experiments and attacks run finishes far below it; it only decides
+// how long a hung loop spins before RunLoop reports it.
+const loopMaxCycles = 50_000_000
+
+// RunLoop is the one counted-loop measurement: it presets
+// codegen.LoopReg to iters and runs the loop at entry on thread 0
+// until it halts. A nonzero sibling runs on thread 1 for thread 0's
+// whole window (cpu.RunSMT), its own loop count set high enough that
+// it never halts first. Each result's Counters are that run's delta.
+// An iters below 1 is an error, because the loop's count would wrap
+// instead of reaching zero.
+func RunLoop(c *cpu.CPU, entry, sibling uint64, iters int64) ([cpu.NumThreads]cpu.RunResult, error) {
+	var res [cpu.NumThreads]cpu.RunResult
+	if iters < 1 {
+		return res, fmt.Errorf("attack: loop count %d, want at least 1", iters)
+	}
+	c.SetReg(0, codegen.LoopReg, iters)
+	if sibling == 0 {
+		res[0] = c.Run(0, entry, loopMaxCycles)
+	} else {
+		c.SetReg(1, codegen.LoopReg, 1<<40)
+		res = c.RunSMT(entry, sibling, loopMaxCycles)
+	}
+	if res[0].TimedOut {
+		return res, fmt.Errorf("attack: loop at %#x timed out after %d cycles", entry, res[0].Cycles)
+	}
+	return res, nil
 }
 
 // SeparationFloor is the minimum MissMean/HitMean ratio Calibrate
@@ -238,7 +266,7 @@ func KnownRounds(warmup, rounds int, probeIters int64, measure func(hit bool) (u
 // set cannot be reclaimed mid-measurement).
 func MeasureRounds(c *cpu.CPU, receiver *Routine, send SendFunc, primeIters, probeIters int64, rounds int) (Rounds, error) {
 	return KnownRounds(0, rounds, probeIters, func(hit bool) (uint64, error) {
-		if _, err := receiver.Run(c, 0, primeIters); err != nil {
+		if _, err := receiver.Run(c, primeIters); err != nil {
 			return 0, err
 		}
 		if !hit {
@@ -246,7 +274,7 @@ func MeasureRounds(c *cpu.CPU, receiver *Routine, send SendFunc, primeIters, pro
 				return 0, err
 			}
 		}
-		return receiver.Run(c, 0, probeIters)
+		return receiver.Run(c, probeIters)
 	})
 }
 
@@ -316,7 +344,7 @@ func (r Rounds) Threshold() (Threshold, error) {
 // averaging; the per-round spread is kept in the threshold.
 func Calibrate(c *cpu.CPU, receiver, sender *Routine, primeIters, probeIters int64, rounds int) (Threshold, error) {
 	r, err := MeasureRounds(c, receiver, func() error {
-		_, err := sender.Run(c, 0, primeIters)
+		_, err := sender.Run(c, primeIters)
 		return err
 	}, primeIters, probeIters, rounds)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deaduops/internal/asm"
+	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
 )
 
@@ -56,12 +57,12 @@ func TestTigerEvictsTigerTimingSignal(t *testing.T) {
 	c.LoadProgram(merged)
 
 	prime := func() {
-		if _, err := recv.Run(c, 0, 20); err != nil {
+		if _, err := recv.Run(c, 20); err != nil {
 			t.Fatal(err)
 		}
 	}
 	probe := func() uint64 {
-		cy, err := recv.Run(c, 0, 5)
+		cy, err := recv.Run(c, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,13 +73,13 @@ func TestTigerEvictsTigerTimingSignal(t *testing.T) {
 	hit := probe()
 
 	prime()
-	if _, err := send.Run(c, 0, 20); err != nil {
+	if _, err := send.Run(c, 20); err != nil {
 		t.Fatal(err)
 	}
 	miss := probe()
 
 	prime()
-	if _, err := zeb.Run(c, 0, 20); err != nil {
+	if _, err := zeb.Run(c, 20); err != nil {
 		t.Fatal(err)
 	}
 	zebraProbe := probe()
@@ -324,12 +325,12 @@ func TestFastTigerFasterThanLCPTiger(t *testing.T) {
 	// Compare cold traversal costs: the LCP tiger pays predecoder
 	// stalls, the fast tiger does not.
 	c.FlushUopCache()
-	slowCy, err := slow.Run(c, 0, 1)
+	slowCy, err := slow.Run(c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.FlushUopCache()
-	fastCy, err := fast.Run(c, 0, 1)
+	fastCy, err := fast.Run(c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,5 +353,84 @@ func TestBuildRejectsBadSpec(t *testing.T) {
 	g := Geometry{NSets: 0, NWays: 0}
 	if _, err := Build(Tiger(0x40000, g, "bad")); err == nil {
 		t.Error("empty geometry accepted")
+	}
+}
+
+// TestRunLoopRejectsNonPositiveCount: a loop count below 1 would wrap
+// the loop register and never halt, so RunLoop must refuse it without
+// simulating a cycle.
+func TestRunLoopRejectsNonPositiveCount(t *testing.T) {
+	r, err := Build(Tiger(0x40000, DefaultGeometry(), "t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cpu.New(cpu.Intel())
+	c.LoadProgram(r.Prog)
+	for _, iters := range []int64{0, -1} {
+		before := c.Cycle()
+		if _, err := RunLoop(c, r.Entry, 0, iters); err == nil {
+			t.Errorf("RunLoop with %d iterations: no error", iters)
+		}
+		if c.Cycle() != before {
+			t.Errorf("RunLoop with %d iterations ran %d cycles", iters, c.Cycle()-before)
+		}
+	}
+}
+
+// TestRunLoopSibling runs a receiver tiger beside a sender tiger on the
+// competitively shared Zen cache: the sibling must retire work for
+// thread 0's whole window, and thread 0's result must equal the
+// hand-written convention (both loop counts preset, then RunSMT) on an
+// identical core. Without a sibling, RunLoop's cycles must equal
+// Routine.Run's.
+func TestRunLoopSibling(t *testing.T) {
+	g := Geometry{NSets: 16, NWays: 6}
+	recv, err := Build(Tiger(0x40000, g, "recv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send, err := Build(FastTiger(0x100000, g, "send"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := asm.Merge(recv.Prog, send.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := func() *cpu.CPU {
+		c := cpu.New(cpu.AMD())
+		c.LoadProgram(merged)
+		return c
+	}
+	const iters = 5
+
+	res, err := RunLoop(core(), recv.Entry, send.Entry, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[1].Retired == 0 {
+		t.Error("sibling retired nothing during thread 0's window")
+	}
+	if res[1].Cycles != res[0].Cycles {
+		t.Errorf("sibling ran %d of thread 0's %d cycles", res[1].Cycles, res[0].Cycles)
+	}
+
+	c := core()
+	c.SetReg(0, codegen.LoopReg, iters)
+	c.SetReg(1, codegen.LoopReg, 1<<40)
+	if want := c.RunSMT(recv.Entry, send.Entry, 50_000_000)[0]; res[0] != want {
+		t.Errorf("RunLoop thread 0 = %+v, hand-written RunSMT = %+v", res[0], want)
+	}
+
+	single, err := RunLoop(core(), recv.Entry, 0, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles, err := recv.Run(core(), iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single[0].Cycles != cycles {
+		t.Errorf("RunLoop took %d cycles, Routine.Run %d", single[0].Cycles, cycles)
 	}
 }

@@ -38,19 +38,19 @@ func TestCheckpointedProbeEquals(t *testing.T) {
 	c, recv, send := calibrationRig(t)
 	const primeIters, probeIters = 20, 5
 
-	if _, err := recv.Run(c, 0, primeIters); err != nil {
+	if _, err := recv.Run(c, primeIters); err != nil {
 		t.Fatal(err)
 	}
 	var ck cpu.Checkpoint
 	c.Checkpoint(&ck)
-	want, err := recv.Run(c, 0, probeIters)
+	want, err := recv.Run(c, probeIters)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for fork := 0; fork < 3; fork++ {
 		c.Restore(&ck)
-		got, err := recv.Run(c, 0, probeIters)
+		got, err := recv.Run(c, probeIters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestCheckpointedProbeEquals(t *testing.T) {
 		}
 		// Dirty the core before the next fork so the restore has real
 		// state to undo.
-		if _, err := send.Run(c, 0, primeIters); err != nil {
+		if _, err := send.Run(c, primeIters); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -66,7 +66,7 @@ func NewAlignment(c *cpu.CPU, cfg Config) (*Alignment, error) {
 	// Settle branch predictors and the instruction side of the memory
 	// hierarchy before timing anything.
 	for _, r := range []*attack.Routine{aligned, straddle} {
-		if _, err := r.Run(c, 0, cfg.PrimeIters); err != nil {
+		if _, err := r.Run(c, cfg.PrimeIters); err != nil {
 			return nil, err
 		}
 	}
@@ -93,7 +93,7 @@ func (ch *Alignment) time(bit bool) (uint64, error) {
 	if bit {
 		r = ch.straddle
 	}
-	return r.Run(ch.c, 0, ch.cfg.ProbeIters)
+	return r.Run(ch.c, ch.cfg.ProbeIters)
 }
 
 // TransmitBit transmits one bit and decodes it from the elapsed

@@ -132,20 +132,20 @@ func (ch *SameAddressSpace) SendBit(bit bool) error {
 	if bit {
 		r = ch.send
 	}
-	_, err := r.Run(ch.c, 0, ch.cfg.SendIters)
+	_, err := r.Run(ch.c, ch.cfg.SendIters)
 	return err
 }
 
 // TransmitBit runs one full prime → send → probe round and returns the
 // received bit.
 func (ch *SameAddressSpace) TransmitBit(bit bool) (bool, error) {
-	if _, err := ch.recv.Run(ch.c, 0, ch.cfg.PrimeIters); err != nil {
+	if _, err := ch.recv.Run(ch.c, ch.cfg.PrimeIters); err != nil {
 		return false, err
 	}
 	if err := ch.SendBit(bit); err != nil {
 		return false, err
 	}
-	cycles, err := ch.recv.Run(ch.c, 0, ch.cfg.ProbeIters)
+	cycles, err := ch.recv.Run(ch.c, ch.cfg.ProbeIters)
 	if err != nil {
 		return false, err
 	}

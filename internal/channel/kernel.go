@@ -5,6 +5,7 @@ import (
 
 	"deaduops/internal/asm"
 	"deaduops/internal/attack"
+	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
 	"deaduops/internal/isa"
 )
@@ -49,16 +50,13 @@ func NewUserKernel(c *cpu.CPU, cfg Config) (*UserKernel, error) {
 		return nil, err
 	}
 
-	// The spy's syscall loop: R14 syscalls, bit index in R1 (consumed
-	// by the kernel routine).
+	// The spy's syscall loop: one syscall per iteration, bit index in
+	// R1 (consumed by the kernel routine).
 	sb := asm.New(ukSyscallLoop)
 	sb.Label("entry")
 	sb.Label("sloop")
 	sb.Syscall()
-	sb.Subi(isa.R14, 1)
-	sb.Cmpi(isa.R14, 0)
-	sb.Jcc(isa.NE, "sloop")
-	sb.Halt()
+	codegen.LoopTail(sb, "sloop")
 	syscalls, err := sb.Build()
 	if err != nil {
 		return nil, err
@@ -143,15 +141,14 @@ func (ch *UserKernel) WriteSecret(secret []byte) {
 // leakBit primes, triggers SendIters syscalls for the given secret bit
 // index, and returns the probe time.
 func (ch *UserKernel) leakBit(bitIndex int64) (uint64, error) {
-	if _, err := ch.recv.Run(ch.c, 0, ch.cfg.PrimeIters); err != nil {
+	if _, err := ch.recv.Run(ch.c, ch.cfg.PrimeIters); err != nil {
 		return 0, err
 	}
 	ch.c.SetReg(0, isa.R1, bitIndex)
-	ch.c.SetReg(0, isa.R14, ch.cfg.SendIters)
-	if res := ch.c.Run(0, ch.syscallEntry, 20_000_000); res.TimedOut {
-		return 0, fmt.Errorf("channel: syscall loop timed out")
+	if _, err := attack.RunLoop(ch.c, ch.syscallEntry, 0, ch.cfg.SendIters); err != nil {
+		return 0, fmt.Errorf("channel: syscall loop: %w", err)
 	}
-	return ch.recv.Run(ch.c, 0, ch.cfg.ProbeIters)
+	return ch.recv.Run(ch.c, ch.cfg.ProbeIters)
 }
 
 // Threshold exposes the calibrated decision threshold.

@@ -86,11 +86,11 @@ func (ch *MultiSymbol) TransmitSymbol(sym int) (int, error) {
 		return 0, fmt.Errorf("channel: symbol %d out of range", sym)
 	}
 	for _, r := range ch.recv {
-		if _, err := r.Run(ch.c, 0, ch.cfg.PrimeIters); err != nil {
+		if _, err := r.Run(ch.c, ch.cfg.PrimeIters); err != nil {
 			return 0, err
 		}
 	}
-	if _, err := ch.send[sym].Run(ch.c, 0, ch.cfg.SendIters); err != nil {
+	if _, err := ch.send[sym].Run(ch.c, ch.cfg.SendIters); err != nil {
 		return 0, err
 	}
 	// Decode: the group whose probe overshoots its threshold the most.
@@ -100,7 +100,7 @@ func (ch *MultiSymbol) TransmitSymbol(sym int) (int, error) {
 	// 1.0 and wins only if every other group scored below its own cut.
 	best, bestScore := 0, -1.0
 	for s, r := range ch.recv {
-		cycles, err := r.Run(ch.c, 0, ch.cfg.ProbeIters)
+		cycles, err := r.Run(ch.c, ch.cfg.ProbeIters)
 		if err != nil {
 			return 0, err
 		}

@@ -5,8 +5,8 @@ import (
 
 	"deaduops/internal/asm"
 	"deaduops/internal/attack"
+	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 )
 
 // CrossSMT is the §V-B channel across two SMT threads of an AMD
@@ -57,10 +57,7 @@ func NewCrossSMT(c *cpu.CPU, cfg Config) (*CrossSMT, error) {
 	for i := 0; i < 8; i++ {
 		pb.Pause()
 	}
-	pb.Subi(isa.R14, 1)
-	pb.Cmpi(isa.R14, 0)
-	pb.Jcc(isa.NE, "ploop")
-	pb.Halt()
+	codegen.LoopTail(pb, "ploop")
 	pause, err := pb.Build()
 	if err != nil {
 		return nil, err
@@ -106,11 +103,10 @@ func (ch *CrossSMT) round(bit bool) (uint64, error) {
 	if bit {
 		sender = ch.oneEntry
 	}
-	ch.c.SetReg(0, isa.R14, ch.cfg.PrimeIters+ch.cfg.ProbeIters)
-	ch.c.SetReg(1, isa.R14, 1<<40) // Trojan runs for the spy's whole window
-	res := ch.c.RunSMT(ch.recvEntry, sender, 20_000_000)
-	if res[0].TimedOut {
-		return 0, fmt.Errorf("channel: SMT spy window timed out")
+	// The Trojan runs for the spy's whole window.
+	res, err := attack.RunLoop(ch.c, ch.recvEntry, sender, ch.cfg.PrimeIters+ch.cfg.ProbeIters)
+	if err != nil {
+		return 0, fmt.Errorf("channel: SMT spy window: %w", err)
 	}
 	return res[0].Cycles, nil
 }

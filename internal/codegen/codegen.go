@@ -299,12 +299,25 @@ func (s *ChainSpec) EntryLabel() string {
 	return fmt.Sprintf("%s_s0_w0", s.Label)
 }
 
+// LoopReg holds the traversal count of every counted loop this package
+// emits. The caller presets it before each run (attack.RunLoop) —
+// keeping the count out of the code image means warm-up and
+// measurement runs share one image, so the micro-op cache never serves
+// a stale immediate.
+const LoopReg = isa.R14
+
+// LoopTail emits a counted loop's back edge: decrement LoopReg, jump
+// back to label while it is nonzero, then halt.
+func LoopTail(b *asm.Builder, label string) {
+	b.Subi(LoopReg, 1)
+	b.Cmpi(LoopReg, 0)
+	b.Jcc(isa.NE, label)
+	b.Halt()
+}
+
 // LoopProgram wraps the chain in a counted loop: the chain is traversed
-// R14 times (the caller presets R14 before each run — keeping the
-// count out of the code image means warm-up and measurement runs share
-// one image, so the micro-op cache never serves a stale immediate),
-// then the program halts. The loop tail is placed at tailAddr, which
-// must not collide with the chain's regions.
+// LoopReg times, then the program halts. The loop tail is placed at
+// tailAddr, which must not collide with the chain's regions.
 func (s *ChainSpec) LoopProgram(tailAddr uint64) (*asm.Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -321,10 +334,7 @@ func (s *ChainSpec) LoopProgram(tailAddr uint64) (*asm.Program, error) {
 		b.Label("entry")
 		b.Jmp(s.EntryLabel())
 		b.Label("tail")
-		b.Subi(isa.R14, 1)
-		b.Cmpi(isa.R14, 0)
-		b.Jcc(isa.NE, s.EntryLabel())
-		b.Halt()
+		LoopTail(b, s.EntryLabel())
 	}
 	if tailAddr < lowest {
 		// Tail first: header jumps into the chain.
@@ -413,7 +423,7 @@ func SequentialRegions(b *asm.Builder, count, uopsPerRegion int) error {
 
 // SequentialLoop builds the Listing 1 microbenchmark: a loop over
 // `regions` contiguous 32-byte regions of uopsPerRegion µops each,
-// iterated R14 times (preset by the caller before each run).
+// iterated LoopReg times.
 func SequentialLoop(base uint64, regions, uopsPerRegion int) (*asm.Program, error) {
 	b := asm.New(base)
 	b.Align(RegionSize)
@@ -422,9 +432,6 @@ func SequentialLoop(base uint64, regions, uopsPerRegion int) (*asm.Program, erro
 	if err := SequentialRegions(b, regions, uopsPerRegion); err != nil {
 		return nil, err
 	}
-	b.Subi(isa.R14, 1)
-	b.Cmpi(isa.R14, 0)
-	b.Jcc(isa.NE, "loop")
-	b.Halt()
+	LoopTail(b, "loop")
 	return b.Build()
 }

@@ -58,10 +58,10 @@ func TestConflictAttackTripsMonitor(t *testing.T) {
 
 	before := c.Counters(0).Snapshot()
 	for round := 0; round < 10; round++ {
-		if _, err := recv.Run(c, 0, 20); err != nil {
+		if _, err := recv.Run(c, 20); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := send.Run(c, 0, 20); err != nil {
+		if _, err := send.Run(c, 20); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"deaduops/internal/channel"
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 )
 
@@ -136,7 +135,7 @@ func signalAblation(cfg cpu.Config, tiger func(uint64, attack.Geometry, string) 
 		c := cpu.NewWith(cfg, a)
 		c.LoadProgram(merged)
 		rounds, err := attack.MeasureRounds(c, recv, func() error {
-			_, err := send.Run(c, 0, ch.PrimeIters)
+			_, err := send.Run(c, ch.PrimeIters)
 			return err
 		}, ch.PrimeIters, ch.ProbeIters, ch.CalibrationRounds)
 		if err != nil {
@@ -158,10 +157,7 @@ func lsdAblation(lsd int) func(*cpu.Arena) (ablation, error) {
 		b.Label("loop")
 		b.Nop(4)
 		b.Nop(4)
-		b.Subi(isa.R14, 1)
-		b.Cmpi(isa.R14, 0)
-		b.Jcc(isa.NE, "loop")
-		b.Halt()
+		codegen.LoopTail(b, "loop")
 		prog, err := b.Build()
 		if err != nil {
 			return ablation{}, err
@@ -170,25 +166,18 @@ func lsdAblation(lsd int) func(*cpu.Arena) (ablation, error) {
 		cfg.Frontend.LSDCapacity = lsd
 		c := cpu.NewWith(cfg, a)
 		c.LoadProgram(prog)
-		run := func(iters int64) (cpu.RunResult, error) {
-			c.SetReg(0, isa.R14, iters)
-			res := c.Run(0, prog.Entry, 10_000_000)
-			if res.TimedOut {
-				return res, fmt.Errorf("experiments: LSD loop (capacity %d) timed out", lsd)
-			}
-			return res, nil
-		}
-		if _, err := run(100); err != nil { // warm and train
-			return ablation{}, err
+		// Warm and train with 100 traversals, then measure 1000.
+		if _, err := attack.RunLoop(c, prog.Entry, 0, 100); err != nil {
+			return ablation{}, fmt.Errorf("experiments: LSD loop (capacity %d): %w", lsd, err)
 		}
 		before := c.UopCache().Stats().Lookups
-		res, err := run(1000)
+		res, err := attack.RunLoop(c, prog.Entry, 0, 1000)
 		if err != nil {
-			return ablation{}, err
+			return ablation{}, fmt.Errorf("experiments: LSD loop (capacity %d): %w", lsd, err)
 		}
 		return ablation{
 			lookups: c.UopCache().Stats().Lookups - before,
-			dsbUops: res.Counters.Get(perfctr.DSBUops),
+			dsbUops: res[0].Counters.Get(perfctr.DSBUops),
 		}, nil
 	}
 }

@@ -5,8 +5,6 @@ import (
 
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
-	"deaduops/internal/perfctr"
 	"deaduops/internal/profile"
 )
 
@@ -72,20 +70,10 @@ func capacityKnee(cfg cpu.Config, o Options, a *cpu.Arena) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c := cpu.NewWith(cfg, a)
-		c.LoadProgram(prog)
-		c.SetReg(0, isa.R14, int64(o.Warmup))
-		if r := c.Run(0, prog.Entry, maxRunCycle); r.TimedOut {
-			return 0, fmt.Errorf("warmup timed out at %d regions", n)
+		mite, err := steadyMITE(cfg, prog, o, a)
+		if err != nil {
+			return 0, fmt.Errorf("%d regions: %w", n, err)
 		}
-		before := c.Counters(0).Snapshot()
-		c.SetReg(0, isa.R14, int64(o.Iterations))
-		res := c.Run(0, prog.Entry, maxRunCycle)
-		if res.TimedOut {
-			return 0, fmt.Errorf("run timed out at %d regions", n)
-		}
-		mite := float64(c.Counters(0).Snapshot().Delta(before).Get(perfctr.MITEUops)) /
-			float64(o.Iterations)
 		if mite > 10 {
 			return n, nil
 		}

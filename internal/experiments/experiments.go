@@ -187,6 +187,19 @@ func IDs() []string {
 	return ids
 }
 
+// register adds fn under id. The registered runner rejects negative
+// Options counts up front, so no experiment renders a figure from them
+// or spins on a loop count that never reaches zero.
 func register(id string, fn func(Options) (Renderable, error)) {
-	Registry[id] = fn
+	Registry[id] = func(o Options) (Renderable, error) {
+		switch {
+		case o.Iterations < 0:
+			return nil, fmt.Errorf("experiments: negative Iterations %d", o.Iterations)
+		case o.Warmup < 0:
+			return nil, fmt.Errorf("experiments: negative Warmup %d", o.Warmup)
+		case o.Samples < 0:
+			return nil, fmt.Errorf("experiments: negative Samples %d", o.Samples)
+		}
+		return fn(o)
+	}
 }

@@ -551,3 +551,28 @@ func TestFig9TuningShapes(t *testing.T) {
 		t.Errorf("bandwidth-vs-samples not decreasing: %v", bws)
 	}
 }
+
+// TestRejectsOutOfRangeOptions is the regression for options that used
+// to render wrong figures silently or spin on timeouts: each must fail
+// at once with an error naming the offending field.
+func TestRejectsOutOfRangeOptions(t *testing.T) {
+	for _, tc := range []struct {
+		id    string
+		o     Options
+		field string
+	}{
+		{"fig5", Options{Samples: 1}, "Samples"},
+		{"fig5", Options{Samples: -1}, "Samples"},
+		{"fig10", Options{Samples: -2}, "Samples"},
+		{"fig3b", Options{Warmup: -1}, "Warmup"},
+	} {
+		out, err := Registry[tc.id](tc.o)
+		if err == nil {
+			t.Errorf("%s %+v: got output, want an error:\n%s", tc.id, tc.o, out.Render())
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s %+v: error %q does not name %s", tc.id, tc.o, err, tc.field)
+		}
+	}
+}

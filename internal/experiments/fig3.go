@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"fmt"
-
+	"deaduops/internal/asm"
+	"deaduops/internal/attack"
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 )
 
-const (
-	benchBase   = 0x10000 // 1024-aligned code base for microbenchmarks
-	maxRunCycle = 50_000_000
-)
+const benchBase = 0x10000 // 1024-aligned code base for microbenchmarks
 
 func init() {
 	register("fig3a", func(o Options) (Renderable, error) { return Fig3aCacheSize(o) })
@@ -30,7 +26,11 @@ func Fig3aCacheSize(o Options) (*Figure, error) {
 		ns = append(ns, n)
 	}
 	ys, err := sweep(o, len(ns), func(a *cpu.Arena, i int) (float64, error) {
-		return fig3aPoint(ns[i], o, a)
+		prog, err := codegen.SequentialLoop(benchBase, ns[i], 3)
+		if err != nil {
+			return 0, err
+		}
+		return steadyMITE(cpu.Intel(), prog, o, a)
 	})
 	if err != nil {
 		return nil, err
@@ -48,26 +48,6 @@ func Fig3aCacheSize(o Options) (*Figure, error) {
 	}, nil
 }
 
-func fig3aPoint(regions int, o Options, a *cpu.Arena) (float64, error) {
-	prog, err := codegen.SequentialLoop(benchBase, regions, 3)
-	if err != nil {
-		return 0, err
-	}
-	c := cpu.NewWith(cpu.Intel(), a)
-	c.LoadProgram(prog)
-	// Warmup traversals fill the cache to steady state.
-	c.SetReg(0, isa.R14, int64(o.Warmup))
-	if r := c.Run(0, prog.Entry, maxRunCycle); r.TimedOut {
-		return 0, fmt.Errorf("fig3a warmup timed out at %d regions", regions)
-	}
-	c.SetReg(0, isa.R14, int64(o.Iterations))
-	res := c.Run(0, prog.Entry, maxRunCycle)
-	if res.TimedOut {
-		return 0, fmt.Errorf("fig3a run timed out at %d regions", regions)
-	}
-	return float64(res.Counters.Get(perfctr.MITEUops)) / float64(o.Iterations), nil
-}
-
 // Fig3bAssociativity reproduces Fig 3b: jump chains through regions
 // that all map to set 0; legacy-decode µops rise once the chain exceeds
 // the 8 ways of the set.
@@ -81,7 +61,11 @@ func Fig3bAssociativity(o Options) (*Figure, error) {
 			Ways:  i + 1,
 			Label: "assoc",
 		}
-		return chainMITEPerIteration(spec, o, a)
+		prog, err := spec.LoopProgram(tailAddrFor(spec))
+		if err != nil {
+			return 0, err
+		}
+		return steadyMITE(cpu.Intel(), prog, o, a)
 	})
 	if err != nil {
 		return nil, err
@@ -99,31 +83,37 @@ func Fig3bAssociativity(o Options) (*Figure, error) {
 	}, nil
 }
 
-// chainMITEPerIteration measures steady-state legacy-decode µops per
-// traversal of the chain.
-func chainMITEPerIteration(spec *codegen.ChainSpec, o Options, a *cpu.Arena) (float64, error) {
-	prog, err := spec.LoopProgram(tailAddrFor(spec))
-	if err != nil {
-		return 0, err
-	}
-	c := cpu.NewWith(cpu.Intel(), a)
-	c.LoadProgram(prog)
-	c.SetReg(0, isa.R14, int64(o.Warmup))
-	if r := c.Run(0, prog.Entry, maxRunCycle); r.TimedOut {
-		return 0, fmt.Errorf("chain warmup timed out")
-	}
-	c.SetReg(0, isa.R14, int64(o.Iterations))
-	res := c.Run(0, prog.Entry, maxRunCycle)
-	if res.TimedOut {
-		return 0, fmt.Errorf("chain run timed out")
-	}
-	return float64(res.Counters.Get(perfctr.MITEUops)) / float64(o.Iterations), nil
-}
-
 // tailAddrFor picks a loop-tail address clear of the chain's span, in a
 // set far from the chain's sets.
 func tailAddrFor(spec *codegen.ChainSpec) uint64 {
 	span := uint64(spec.Ways+1) * codegen.WayStride
 	tail := spec.Base + span + 16*codegen.RegionSize
 	return tail
+}
+
+// steady runs the counted loop at entry (with sibling on thread 1
+// when nonzero) for o.Warmup traversals to reach steady state, then
+// measures o.Iterations traversals and returns that run's results.
+func steady(c *cpu.CPU, entry, sibling uint64, o Options) ([cpu.NumThreads]cpu.RunResult, error) {
+	if _, err := attack.RunLoop(c, entry, sibling, int64(o.Warmup)); err != nil {
+		return [cpu.NumThreads]cpu.RunResult{}, err
+	}
+	return attack.RunLoop(c, entry, sibling, int64(o.Iterations))
+}
+
+// perIter is counter e of a measured run per traversal.
+func perIter(r cpu.RunResult, e perfctr.Event, o Options) float64 {
+	return float64(r.Counters.Get(e)) / float64(o.Iterations)
+}
+
+// steadyMITE loads prog alone on a fresh core of cfg and returns its
+// steady-state legacy-decode µops per traversal.
+func steadyMITE(cfg cpu.Config, prog *asm.Program, o Options, a *cpu.Arena) (float64, error) {
+	c := cpu.NewWith(cfg, a)
+	c.LoadProgram(prog)
+	res, err := steady(c, prog.Entry, 0, o)
+	if err != nil {
+		return 0, err
+	}
+	return perIter(res[0], perfctr.MITEUops, o), nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 )
 
@@ -51,8 +50,8 @@ func Fig4Placement(o Options) (*Figure, error) {
 	return fig, nil
 }
 
-// fig4Point returns steady-state DSB µops per iteration for a loop of
-// `regions` same-set regions of `uops` µops each.
+// fig4Point returns steady-state DSB µops per iteration, less the loop
+// tail's, for a loop of `regions` same-set regions of `uops` µops each.
 func fig4Point(regions, uops int, o Options, a *cpu.Arena) (float64, error) {
 	spec := &codegen.ChainSpec{
 		Base:         benchBase,
@@ -68,28 +67,14 @@ func fig4Point(regions, uops int, o Options, a *cpu.Arena) (float64, error) {
 	}
 	c := cpu.NewWith(cpu.Intel(), a)
 	c.LoadProgram(prog)
-	c.SetReg(0, isa.R14, int64(o.Warmup))
-	if r := c.Run(0, prog.Entry, maxRunCycle); r.TimedOut {
-		return 0, fmt.Errorf("fig4 warmup timed out (%d regions × %d µops)", regions, uops)
+	res, err := steady(c, prog.Entry, 0, o)
+	if err != nil {
+		return 0, fmt.Errorf("fig4 (%d regions × %d µops): %w", regions, uops, err)
 	}
-	before := c.Counters(0).Snapshot()
-	c.SetReg(0, isa.R14, int64(o.Iterations))
-	res := c.Run(0, prog.Entry, maxRunCycle)
-	if res.TimedOut {
-		return 0, fmt.Errorf("fig4 run timed out (%d regions × %d µops)", regions, uops)
-	}
-	delta := c.Counters(0).Snapshot().Delta(before)
-	// Subtract the loop tail's DSB contribution by measuring only the
-	// chain regions: the tail is small and constant; the paper's
-	// counter similarly includes loop overhead. Report the raw chain
-	// average.
-	perIter := float64(delta.Get(perfctr.DSBUops)) / float64(o.Iterations)
-	// Remove the (cached) loop-tail µops: sub+cmp+jcc fuse to 2 µops
-	// plus the entry jmp on the first iteration only.
-	const tailUops = 2
-	perIter -= tailUops
-	if perIter < 0 {
-		perIter = 0
-	}
-	return perIter, nil
+	return max(perIter(res[0], perfctr.DSBUops, o)-loopTailUops, 0), nil
 }
+
+// loopTailUops is the counted loop tail's share of DSB µops per
+// traversal (sub+cmp+jcc fuse to 2 µops), which Figs 4 and 5 subtract
+// to report the chain regions alone.
+const loopTailUops = 2

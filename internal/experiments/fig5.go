@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"deaduops/internal/attack"
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 )
 
@@ -48,6 +48,9 @@ func Fig5Replacement(o Options) (*Figure, error) {
 // heat-map form matching the paper's figure.
 func Fig5ReplacementGrid(o Options) (*Grid, error) {
 	o = o.withDefaults(0, 0, 6) // samples = interleave rounds
+	if o.Samples < 2 {
+		return nil, fmt.Errorf("experiments: %d Samples, want at least 2: fig5 discards the cold first interleave round", o.Samples)
+	}
 	mainSpec := &codegen.ChainSpec{
 		Base: benchBase, Sets: []int{0}, Ways: 8,
 		NopPerRegion: 5, NopLen: 1, Label: "main",
@@ -83,7 +86,7 @@ func Fig5ReplacementGrid(o Options) (*Grid, error) {
 
 // fig5Cell interleaves the two loops for o.Samples rounds and returns
 // the average µops per main-loop iteration delivered from the micro-op
-// cache over the measured rounds.
+// cache, less the loop tail's, over every round but the cold first.
 func fig5Cell(mainSpec, evictSpec *codegen.ChainSpec, mainIters, evictIters int, o Options, a *cpu.Arena) (float64, error) {
 	// Tails land in set 16, far from the probed set 0.
 	mainTail := mainSpec.Base + 33*codegen.WayStride + 16*codegen.RegionSize
@@ -98,36 +101,22 @@ func fig5Cell(mainSpec, evictSpec *codegen.ChainSpec, mainIters, evictIters int,
 	}
 	c := cpu.NewWith(cpu.Intel(), a)
 	var dsb uint64
-	rounds := o.Samples
-	measured := 0
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < o.Samples; r++ {
 		c.LoadProgram(mainProg)
-		c.SetReg(0, isa.R14, int64(mainIters))
-		before := c.Counters(0).Snapshot()
-		if res := c.Run(0, mainProg.Entry, maxRunCycle); res.TimedOut {
-			return 0, fmt.Errorf("fig5 main loop timed out")
+		res, err := attack.RunLoop(c, mainProg.Entry, 0, int64(mainIters))
+		if err != nil {
+			return 0, fmt.Errorf("fig5 main loop: %w", err)
 		}
 		if r > 0 { // skip the cold first round
-			dsb += c.Counters(0).Snapshot().Delta(before).Get(perfctr.DSBUops)
-			measured++
+			dsb += res[0].Counters.Get(perfctr.DSBUops)
 		}
 		if evictIters > 0 {
 			c.LoadProgram(evictProg)
-			c.SetReg(0, isa.R14, int64(evictIters))
-			if res := c.Run(0, evictProg.Entry, maxRunCycle); res.TimedOut {
-				return 0, fmt.Errorf("fig5 evicting loop timed out")
+			if _, err := attack.RunLoop(c, evictProg.Entry, 0, int64(evictIters)); err != nil {
+				return 0, fmt.Errorf("fig5 evicting loop: %w", err)
 			}
 		}
 	}
-	if measured == 0 {
-		return 0, nil
-	}
-	perIter := float64(dsb) / float64(measured) / float64(mainIters)
-	// Clamp the loop-tail contribution out.
-	const tailUops = 2
-	perIter -= tailUops
-	if perIter < 0 {
-		perIter = 0
-	}
-	return perIter, nil
+	perMain := float64(dsb) / float64(o.Samples-1) / float64(mainIters)
+	return max(perMain-loopTailUops, 0), nil
 }

@@ -55,12 +55,16 @@ func Fig6SMTPartition(o Options, sibling Fig6Sibling) (*Figure, error) {
 	}
 	type fig6Point struct{ smt, t2, st float64 }
 	pts, err := sweep(o, len(regionList), func(a *cpu.Arena, i int) (fig6Point, error) {
-		regions := regionList[i]
-		smt, t2, err := fig6SMTPoint(regions, sibling, o, a)
+		// T1's workload: a loop over 32-byte regions of four 8-byte NOPs.
+		t1, err := codegen.SequentialLoop(benchBase, regionList[i], 4)
 		if err != nil {
 			return fig6Point{}, err
 		}
-		st, err := fig6STPoint(regions, o, a)
+		smt, t2, err := fig6SMTPoint(t1, sibling, o, a)
+		if err != nil {
+			return fig6Point{}, fmt.Errorf("fig6 SMT point (%d regions): %w", regionList[i], err)
+		}
+		st, err := steadyMITE(cpu.Intel(), t1, o, a)
 		if err != nil {
 			return fig6Point{}, err
 		}
@@ -86,12 +90,6 @@ func Fig6SMTPartition(o Options, sibling Fig6Sibling) (*Figure, error) {
 	return fig, nil
 }
 
-// fig6T1Program builds T1's workload: a loop over `regions` 32-byte
-// regions of four 8-byte NOPs each.
-func fig6T1Program(regions int) (*asm.Program, error) {
-	return codegen.SequentialLoop(benchBase, regions, 4)
-}
-
 // fig6T2Program builds the sibling workload at a disjoint code range.
 func fig6T2Program(sibling Fig6Sibling) (*asm.Program, error) {
 	b := asm.New(0x200000)
@@ -108,10 +106,7 @@ func fig6T2Program(sibling Fig6Sibling) (*asm.Program, error) {
 			b.Load(isa.R1, isa.R1, 0)
 		}
 	}
-	b.Subi(isa.R14, 1)
-	b.Cmpi(isa.R14, 0)
-	b.Jcc(isa.NE, "loop")
-	b.Halt()
+	codegen.LoopTail(b, "loop")
 	return b.Build()
 }
 
@@ -136,11 +131,9 @@ func setupChase(c *cpu.CPU) {
 	}
 }
 
-func fig6SMTPoint(regions int, sibling Fig6Sibling, o Options, a *cpu.Arena) (t1MITE, t2MITE float64, err error) {
-	t1, err := fig6T1Program(regions)
-	if err != nil {
-		return 0, 0, err
-	}
+// fig6SMTPoint runs t1 on thread 0 beside the sibling workload and
+// returns both threads' steady-state legacy-decode µops per traversal.
+func fig6SMTPoint(t1 *asm.Program, sibling Fig6Sibling, o Options, a *cpu.Arena) (t1MITE, t2MITE float64, err error) {
 	t2, err := fig6T2Program(sibling)
 	if err != nil {
 		return 0, 0, err
@@ -155,42 +148,9 @@ func fig6SMTPoint(regions int, sibling Fig6Sibling, o Options, a *cpu.Arena) (t1
 		setupChase(c)
 		c.SetReg(1, isa.R1, chaseBase)
 	}
-	run := func(iters int64) ([2]cpu.RunResult, error) {
-		c.SetReg(0, isa.R14, iters)
-		c.SetReg(1, isa.R14, 1<<40) // T2 runs for as long as T1 needs
-		res := c.RunSMT(t1.Entry, t2.Entry, maxRunCycle)
-		if res[0].TimedOut {
-			return res, fmt.Errorf("fig6 SMT point timed out (%d regions)", regions)
-		}
-		return res, nil
-	}
-	if _, err := run(int64(o.Warmup)); err != nil {
-		return 0, 0, err
-	}
-	res, err := run(int64(o.Iterations))
+	res, err := steady(c, t1.Entry, t2.Entry, o)
 	if err != nil {
 		return 0, 0, err
 	}
-	t1MITE = float64(res[0].Counters.Get(perfctr.MITEUops)) / float64(o.Iterations)
-	t2MITE = float64(res[1].Counters.Get(perfctr.MITEUops)) / float64(o.Iterations)
-	return t1MITE, t2MITE, nil
-}
-
-func fig6STPoint(regions int, o Options, a *cpu.Arena) (float64, error) {
-	t1, err := fig6T1Program(regions)
-	if err != nil {
-		return 0, err
-	}
-	c := cpu.NewWith(cpu.Intel(), a)
-	c.LoadProgram(t1)
-	c.SetReg(0, isa.R14, int64(o.Warmup))
-	if r := c.Run(0, t1.Entry, maxRunCycle); r.TimedOut {
-		return 0, fmt.Errorf("fig6 ST warmup timed out")
-	}
-	c.SetReg(0, isa.R14, int64(o.Iterations))
-	res := c.Run(0, t1.Entry, maxRunCycle)
-	if res.TimedOut {
-		return 0, fmt.Errorf("fig6 ST run timed out")
-	}
-	return float64(res.Counters.Get(perfctr.MITEUops)) / float64(o.Iterations), nil
+	return perIter(res[0], perfctr.MITEUops, o), perIter(res[1], perfctr.MITEUops, o), nil
 }

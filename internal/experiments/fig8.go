@@ -85,12 +85,12 @@ func Fig8Striping(o Options) (*OccupancyMap, error) {
 	// Run each routine and read back the occupancy it created.
 	chainSpan := uint64(g.NWays) * codegen.WayStride
 	c.LoadProgram(tiger.Prog)
-	if _, err := tiger.Run(c, 0, int64(o.Iterations)); err != nil {
+	if _, err := tiger.Run(c, int64(o.Iterations)); err != nil {
 		return nil, err
 	}
 	tigerSets := occupancyBySets(c, 0x40000, 0x40000+chainSpan)
 	c.LoadProgram(zebra.Prog)
-	if _, err := zebra.Run(c, 0, int64(o.Iterations)); err != nil {
+	if _, err := zebra.Run(c, int64(o.Iterations)); err != nil {
 		return nil, err
 	}
 	zebraSets := occupancyBySets(c, 0x80000, 0x80000+chainSpan)

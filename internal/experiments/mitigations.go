@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"deaduops/internal/asm"
-
 	"deaduops/internal/channel"
+	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 	"deaduops/internal/transient"
 )
@@ -115,20 +114,14 @@ func benignSyscallCycles(m cpu.Mitigation, a *cpu.Arena) (uint64, error) {
 		return 0, err
 	}
 	c.LoadProgram(prog)
-	// Warm.
-	c.SetReg(0, isa.R14, 50)
-	if res := c.Run(0, entry, maxRunCycle); res.TimedOut {
-		return 0, fmt.Errorf("benign warmup timed out")
+	res, err := steady(c, entry, 0, Options{Warmup: 50, Iterations: 200})
+	if err != nil {
+		return 0, fmt.Errorf("benign workload: %w", err)
 	}
-	c.SetReg(0, isa.R14, 200)
-	res := c.Run(0, entry, maxRunCycle)
-	if res.TimedOut {
-		return 0, fmt.Errorf("benign run timed out")
-	}
-	if res.Counters.Get(perfctr.Instructions) == 0 {
+	if res[0].Counters.Get(perfctr.Instructions) == 0 {
 		return 0, fmt.Errorf("benign run retired nothing")
 	}
-	return res.Cycles, nil
+	return res[0].Cycles, nil
 }
 
 // buildBenignSyscallWorkload assembles: user loop of hot code + one
@@ -141,10 +134,7 @@ func buildBenignSyscallWorkload(kentry uint64) (prog *asm.Program, entry uint64,
 		b.NopRegion(32, 4)
 	}
 	b.Syscall()
-	b.Subi(isa.R14, 1)
-	b.Cmpi(isa.R14, 0)
-	b.Jcc(isa.NE, "uloop")
-	b.Halt()
+	codegen.LoopTail(b, "uloop")
 	user, err := b.Build()
 	if err != nil {
 		return nil, 0, err

@@ -112,7 +112,7 @@ func TestProbeModelMatchesSimulator(t *testing.T) {
 			c.LoadProgram(merged)
 
 			run := func(r *attack.Routine, iters int) uint64 {
-				cy, err := r.Run(c, 0, int64(iters))
+				cy, err := r.Run(c, int64(iters))
 				if err != nil {
 					t.Fatal(err)
 				}

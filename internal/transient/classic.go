@@ -1,8 +1,6 @@
 package transient
 
 import (
-	"fmt"
-
 	"deaduops/internal/asm"
 	"deaduops/internal/cpu"
 	"deaduops/internal/isa"
@@ -86,8 +84,8 @@ func (cl *ClassicSpectre) train(rounds int) error {
 	for i := 0; i < rounds; i++ {
 		cl.c.SetReg(0, isa.R1, int64(i%7))
 		cl.c.SetReg(0, isa.R2, 0)
-		if res := cl.c.Run(0, cl.attackEntry, maxRun); res.TimedOut {
-			return fmt.Errorf("transient: classic training timed out")
+		if _, err := run(cl.c, cl.attackEntry, "classic training"); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -103,8 +101,8 @@ func (cl *ClassicSpectre) LeakByte(byteIndex int) (byte, error) {
 		}
 		cl.c.SetReg(0, isa.R1, idx)
 		cl.c.SetReg(0, isa.R2, 0)
-		if res := cl.c.Run(0, cl.attackEntry, maxRun); res.TimedOut {
-			return 0, fmt.Errorf("transient: classic attack timed out")
+		if _, err := run(cl.c, cl.attackEntry, "classic attack"); err != nil {
+			return 0, err
 		}
 	}
 	// The training calls architecturally touched probe line 0 (the
@@ -116,12 +114,12 @@ func (cl *ClassicSpectre) LeakByte(byteIndex int) (byte, error) {
 	best, bestCycles := 0, uint64(1<<62)
 	for g := 0; g < 256; g++ {
 		cl.c.SetReg(0, isa.R1, int64(g*classicLineStride))
-		res := cl.c.Run(0, cl.probeEntry, maxRun)
-		if res.TimedOut {
-			return 0, fmt.Errorf("transient: classic probe timed out")
+		cycles, err := run(cl.c, cl.probeEntry, "classic probe")
+		if err != nil {
+			return 0, err
 		}
-		if res.Cycles < bestCycles {
-			best, bestCycles = g, res.Cycles
+		if cycles < bestCycles {
+			best, bestCycles = g, cycles
 		}
 	}
 	return byte(best), nil

@@ -1,8 +1,6 @@
 package transient
 
 import (
-	"fmt"
-
 	"deaduops/internal/asm"
 	"deaduops/internal/attack"
 	"deaduops/internal/cpu"
@@ -165,8 +163,8 @@ func (v *NaturalGadget) trainAt(base, rounds int) error {
 		v.c.SetReg(0, isa.R1, int64(base+i%7))
 		v.c.SetReg(0, isa.R2, 0)
 		v.c.SetReg(0, isa.R7, 1)
-		if res := v.c.Run(0, v.attackEntry, maxRun); res.TimedOut {
-			return fmt.Errorf("transient: gadget training timed out")
+		if _, err := run(v.c, v.attackEntry, "gadget training"); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -174,11 +172,7 @@ func (v *NaturalGadget) trainAt(base, rounds int) error {
 
 func (v *NaturalGadget) probe() (uint64, error) {
 	v.c.SetReg(0, isa.R7, 1)
-	res := v.c.Run(0, v.probeEntry, maxRun)
-	if res.TimedOut {
-		return 0, fmt.Errorf("transient: gadget probe timed out")
-	}
-	return res.Cycles, nil
+	return run(v.c, v.probeEntry, "gadget probe")
 }
 
 // leakRaw runs the per-bit protocol against secret byte byteIndex's
@@ -190,12 +184,12 @@ func (v *NaturalGadget) leakRaw(byteIndex int) (uint64, error) {
 	if err := v.trainLarge(4); err != nil {
 		return 0, err
 	}
-	if _, err := v.eraser.Run(v.c, 0, presenceEraseIters); err != nil {
+	if _, err := v.eraser.Run(v.c, presenceEraseIters); err != nil {
 		return 0, err
 	}
 	v.c.SetReg(0, isa.R1, int64(byteIndex))
-	if res := v.c.Run(0, v.touchEntry, maxRun); res.TimedOut {
-		return 0, fmt.Errorf("transient: secret-use timed out")
+	if _, err := run(v.c, v.touchEntry, "secret-use"); err != nil {
+		return 0, err
 	}
 	idx := int64(v.lay.SecretBase-v.lay.ArrayBase) + int64(byteIndex)
 	for r := 0; r < presenceAttackReps; r++ {
@@ -205,8 +199,8 @@ func (v *NaturalGadget) leakRaw(byteIndex int) (uint64, error) {
 		v.c.SetReg(0, isa.R1, idx)
 		v.c.SetReg(0, isa.R2, 0)
 		v.c.SetReg(0, isa.R7, presenceXmitLoops)
-		if res := v.c.Run(0, v.attackEntry, maxRun); res.TimedOut {
-			return 0, fmt.Errorf("transient: gadget attack timed out")
+		if _, err := run(v.c, v.attackEntry, "gadget attack"); err != nil {
+			return 0, err
 		}
 	}
 	return v.probe()

@@ -34,6 +34,16 @@ const (
 	maxRun     = 5_000_000
 )
 
+// run executes one single-shot routine on thread 0 and returns its
+// cycles; what names the routine in the timeout error.
+func run(c *cpu.CPU, entry uint64, what string) (uint64, error) {
+	res := c.Run(0, entry, maxRun)
+	if res.TimedOut {
+		return 0, fmt.Errorf("transient: %s timed out", what)
+	}
+	return res.Cycles, nil
+}
+
 // transientGeometry is small enough that one transient traversal fits
 // inside the speculation window opened by one flushed load.
 func transientGeometry() attack.Geometry { return attack.Geometry{NSets: 2, NWays: 6, FirstSet: 1} }
@@ -197,8 +207,8 @@ func (v *Variant1) train(rounds int) error {
 		v.c.SetReg(0, isa.R2, 0)
 		v.c.SetReg(0, isa.R6, 0)
 		v.c.SetReg(0, isa.R7, 1)
-		if res := v.c.Run(0, v.attackEntry, maxRun); res.TimedOut {
-			return fmt.Errorf("transient: training run timed out")
+		if _, err := run(v.c, v.attackEntry, "training run"); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -209,11 +219,7 @@ func (v *Variant1) train(rounds int) error {
 // the sets.
 func (v *Variant1) probe() (uint64, error) {
 	v.c.SetReg(0, isa.R7, 1)
-	res := v.c.Run(0, v.probeEntry, maxRun)
-	if res.TimedOut {
-		return 0, fmt.Errorf("transient: probe timed out")
-	}
-	return res.Cycles, nil
+	return run(v.c, v.probeEntry, "probe")
 }
 
 // leakBitRaw runs the per-bit protocol and returns the probe time.
@@ -222,15 +228,15 @@ func (v *Variant1) probe() (uint64, error) {
 // bounds) outcome, so two benign calls precede each malicious one —
 // the classic Spectre-v1 cadence.
 func (v *Variant1) leakBitRaw(byteIndex, bit int) (uint64, error) {
-	if _, err := v.eraser.Run(v.c, 0, presenceEraseIters); err != nil {
+	if _, err := v.eraser.Run(v.c, presenceEraseIters); err != nil {
 		return 0, err
 	}
 	// The victim's own activity keeps the secret line cache-resident
 	// (the conventional Spectre assumption; without it the transient
 	// dependent branch cannot resolve inside the window).
 	v.c.SetReg(0, isa.R1, int64(byteIndex))
-	if res := v.c.Run(0, v.touchEntry, maxRun); res.TimedOut {
-		return 0, fmt.Errorf("transient: victim secret-use timed out")
+	if _, err := run(v.c, v.touchEntry, "victim secret-use"); err != nil {
+		return 0, err
 	}
 	idx := int64(v.lay.SecretBase-v.lay.ArrayBase) + int64(byteIndex)
 	for r := 0; r < presenceAttackReps; r++ {
@@ -241,8 +247,8 @@ func (v *Variant1) leakBitRaw(byteIndex, bit int) (uint64, error) {
 		v.c.SetReg(0, isa.R2, 0)
 		v.c.SetReg(0, isa.R6, int64(bit))
 		v.c.SetReg(0, isa.R7, presenceXmitLoops)
-		if res := v.c.Run(0, v.attackEntry, maxRun); res.TimedOut {
-			return 0, fmt.Errorf("transient: attack run timed out")
+		if _, err := run(v.c, v.attackEntry, "attack run"); err != nil {
+			return 0, err
 		}
 	}
 	return v.probe()

@@ -137,8 +137,8 @@ func (v *Variant2) train(rounds int) error {
 	for i := 0; i < rounds; i++ {
 		v.c.SetReg(0, isa.R1, victim.AuthToken)
 		v.c.SetReg(0, isa.R2, 0)
-		if res := v.c.Run(0, v.attackEntry, maxRun); res.TimedOut {
-			return fmt.Errorf("transient: v2 training timed out")
+		if _, err := run(v.c, v.attackEntry, "v2 training"); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -146,11 +146,7 @@ func (v *Variant2) train(rounds int) error {
 
 // probe times one traversal of the secret=1 target chain.
 func (v *Variant2) probe() (uint64, error) {
-	res := v.c.Run(0, v.probeEntry, maxRun)
-	if res.TimedOut {
-		return 0, fmt.Errorf("transient: v2 probe timed out")
-	}
-	return res.Cycles, nil
+	return run(v.c, v.probeEntry, "v2 probe")
 }
 
 // LeakRaw runs the full per-bit protocol for the currently planted
@@ -163,14 +159,14 @@ func (v *Variant2) LeakRaw() (uint64, error) {
 	if err := v.train(v2TrainRounds); err != nil {
 		return 0, err
 	}
-	if res := v.c.Run(0, v.resetEntry, maxRun); res.TimedOut {
-		return 0, fmt.Errorf("transient: v2 reset timed out")
+	if _, err := run(v.c, v.resetEntry, "v2 reset"); err != nil {
+		return 0, err
 	}
 	for r := 0; r < v2AttackReps; r++ {
 		v.c.SetReg(0, isa.R1, 0xBAD) // unauthorized id
 		v.c.SetReg(0, isa.R2, 0)
-		if res := v.c.Run(0, v.attackEntry, maxRun); res.TimedOut {
-			return 0, fmt.Errorf("transient: v2 attack timed out")
+		if _, err := run(v.c, v.attackEntry, "v2 attack"); err != nil {
+			return 0, err
 		}
 	}
 	return v.probe()

@@ -81,7 +81,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	c := cpu.New(cpu.Intel())
 	c.LoadProgram(tiger.Prog)
-	if _, err := tiger.Run(c, 0, 10); err != nil {
+	if _, err := tiger.Run(c, 10); err != nil {
 		b.Fatal(err)
 	}
 	var ms0 runtime.MemStats
@@ -90,7 +90,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	start := time.Now()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		n, err := tiger.Run(c, 0, 100)
+		n, err := tiger.Run(c, 100)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,12 +123,12 @@ func BenchmarkSimulatorThroughputParallel(b *testing.B) {
 		}
 		c := cpu.New(cpu.Intel())
 		c.LoadProgram(tiger.Prog)
-		if _, err := tiger.Run(c, 0, 10); err != nil {
+		if _, err := tiger.Run(c, 10); err != nil {
 			b.Fatal(err)
 		}
 		var local uint64
 		for pb.Next() {
-			n, err := tiger.Run(c, 0, 100)
+			n, err := tiger.Run(c, 100)
 			if err != nil {
 				b.Fatal(err)
 			}
