@@ -1,6 +1,9 @@
 package bpu
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func newBPU() *BPU { return New(DefaultConfig()) }
 
@@ -136,7 +139,17 @@ func TestReset(t *testing.T) {
 	b.UpdateTarget(0x10, 0x99)
 	b.UpdateIndirect(0x20, 0x99)
 	b.PushRSB(0x30)
+	b.PredictDirection(0x10)
+	b.UpdateDirection(0x40, true, true)
 	b.Reset()
+	// The reset predictor must equal a new one in every field: RSB slot
+	// contents and the direction statistics included.
+	var got, want State
+	b.Save(&got)
+	newBPU().Save(&want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reset state differs from a new predictor's:\n got %+v\nwant %+v", got, want)
+	}
 	if b.PredictDirection(0x10) {
 		t.Error("direction survived reset")
 	}
@@ -148,5 +161,59 @@ func TestReset(t *testing.T) {
 	}
 	if _, ok := b.PopRSB(); ok {
 		t.Error("RSB survived reset")
+	}
+}
+
+// TestSaveScalesWithTouchedEntries pins the sparse snapshot: a
+// predictor that trained k branches saves k entries per table, not the
+// tables' full sizes, and the snapshot restores exactly.
+func TestSaveScalesWithTouchedEntries(t *testing.T) {
+	const k = 5
+	b := newBPU()
+	for i := uint64(0); i < k; i++ {
+		pc := 0x1000 + 4*i
+		b.UpdateDirection(pc, true, false)
+		b.UpdateDirection(pc, true, false) // a repeat write adds no entry
+		b.UpdateTarget(pc, pc+0x100)
+		b.UpdateIndirect(pc, pc+0x200)
+		b.PushRSB(pc + 5)
+	}
+	var s State
+	b.Save(&s)
+	for _, tab := range []struct {
+		name string
+		idx  []int32
+		vals int
+	}{
+		{"pht", s.pht.idx, len(s.pht.vals)},
+		{"btb", s.btb.idx, len(s.btb.vals)},
+		{"indirect", s.indirect.idx, len(s.indirect.vals)},
+		{"rsb", s.rsb.idx, len(s.rsb.vals)},
+	} {
+		if len(tab.idx) != k || tab.vals != k {
+			t.Errorf("%s: saved %d indices and %d values after training %d entries, want %d each",
+				tab.name, len(tab.idx), tab.vals, k, k)
+		}
+	}
+
+	c := newBPU()
+	c.UpdateTarget(0x9000, 0x1) // touched here, absent from s: Restore must clear it
+	c.Restore(&s)
+	var got State
+	c.Save(&got)
+	if !reflect.DeepEqual(got, s) {
+		t.Errorf("restored state differs from the snapshot:\n got %+v\nwant %+v", got, s)
+	}
+	if _, ok := c.PredictTarget(0x9000); ok {
+		t.Error("entry touched only after the snapshot survived Restore")
+	}
+	for i := uint64(0); i < k; i++ {
+		pc := 0x1000 + 4*i
+		if !c.PredictDirection(pc) {
+			t.Errorf("pc %#x: trained direction lost in Restore", pc)
+		}
+		if tgt, ok := c.PredictIndirect(pc); !ok || tgt != pc+0x200 {
+			t.Errorf("pc %#x: indirect target %#x, %v after Restore", pc, tgt, ok)
+		}
 	}
 }

@@ -134,15 +134,22 @@ func numPages(size int) int {
 	return (size + (1 << memPageShift) - 1) >> memPageShift
 }
 
-// Arena recycles the dominant allocation a core needs — the guest
-// memory image, 4 MiB at the default configuration — across the
-// sequence of CPUs one sweep worker builds. An arena must never be
-// shared between goroutines: parsweep gives each pool worker its own
-// via its per-worker setup hook, so a 150-point sweep on 8 workers
-// touches 8 images instead of 150. The zero value is ready to use,
-// and a nil *Arena degrades to plain allocation.
+// Arena recycles a core's large, configuration-independent structures
+// across the sequence of CPUs one sweep worker builds: the guest memory
+// image (4 MiB at the default configuration), the cache hierarchy's
+// five levels (the LLC alone is 131k lines) and both threads' branch
+// predictors. Each is reset in O(state the previous core touched) —
+// dirty pages, touched sets, trained predictor entries — instead of
+// being allocated and zeroed again, and is rebuilt only when the
+// requested configuration differs from the recycled one. An arena must
+// never be shared between goroutines: parsweep gives each pool worker
+// its own via its per-worker setup hook, so a 150-point sweep on 8
+// workers builds 8 sets of these structures instead of 150. The zero
+// value is ready to use, and a nil *Arena degrades to plain allocation.
 type Arena struct {
-	m *Memory
+	m    *Memory
+	hier *mem.Hierarchy
+	bps  [NumThreads]*bpu.BPU
 	// cks is the arena's pool of reusable checkpoint buffers: a sweep
 	// worker that snapshots one primed core per point checkpoints into
 	// the same backing arrays every time (see CheckpointBuf).
@@ -186,6 +193,36 @@ func (a *Arena) memory(size int) *Memory {
 	}
 	m.dirty = m.dirty[:0]
 	return m
+}
+
+// hierarchy returns an empty cache hierarchy for cfg, reusing the
+// arena's when its configuration is equal. Reuse resets only the sets
+// the previous core touched and drops its hooks.
+func (a *Arena) hierarchy(cfg mem.HierarchyConfig) *mem.Hierarchy {
+	if a == nil {
+		return mem.NewHierarchy(cfg)
+	}
+	if a.hier == nil || a.hier.Config() != cfg {
+		a.hier = mem.NewHierarchy(cfg)
+	} else {
+		a.hier.Reset()
+	}
+	return a.hier
+}
+
+// predictor returns thread t's untrained branch predictor for cfg,
+// reusing the arena's when its configuration is equal. Reuse resets
+// only the entries the previous core wrote.
+func (a *Arena) predictor(t int, cfg bpu.Config) *bpu.BPU {
+	if a == nil {
+		return bpu.New(cfg)
+	}
+	if a.bps[t] == nil || a.bps[t].Config() != cfg {
+		a.bps[t] = bpu.New(cfg)
+	} else {
+		a.bps[t].Reset()
+	}
+	return a.bps[t]
 }
 
 // memPageShift sizes the dirty-tracking granule (4 KiB pages). The
@@ -328,11 +365,14 @@ type CPU struct {
 // New builds a core.
 func New(cfg Config) *CPU { return NewWith(cfg, nil) }
 
-// NewWith builds a core like New, drawing the guest memory image from
-// arena (which may be nil). The returned CPU owns the arena's buffer
-// until the next NewWith call on the same arena, so at most one CPU
-// per arena may be live at a time — exactly the shape of a sweep
-// worker that builds, measures, and discards one core per point.
+// NewWith builds a core like New, drawing the guest memory image, the
+// cache hierarchy and the branch predictors from arena (which may be
+// nil). The returned CPU owns those structures until the next NewWith
+// call on the same arena, which resets them for the next core, so at
+// most one CPU per arena may be live at a time — exactly the shape of
+// a sweep worker that builds, measures, and discards one core per
+// point. Every hook is installed afresh, so a core built on recycled
+// structures behaves exactly like one built on new ones.
 func NewWith(cfg Config, arena *Arena) *CPU {
 	if cfg.Mitigation == MitigationPrivilegePartition {
 		cfg.UopCache.PrivilegePartition = true
@@ -340,7 +380,7 @@ func NewWith(cfg Config, arena *Arena) *CPU {
 	c := &CPU{
 		cfg:  cfg,
 		uc:   uopcache.New(cfg.UopCache),
-		hier: mem.NewHierarchy(cfg.Hierarchy),
+		hier: arena.hierarchy(cfg.Hierarchy),
 		mem:  arena.memory(cfg.MemSize),
 	}
 	// Inclusion hooks: an L1I eviction invalidates the matching
@@ -353,7 +393,7 @@ func NewWith(cfg Config, arena *Arena) *CPU {
 
 	for t := 0; t < NumThreads; t++ {
 		ctr := &perfctr.Counters{}
-		bp := bpu.New(cfg.BPU)
+		bp := arena.predictor(t, cfg.BPU)
 		fcfg := cfg.Frontend
 		fcfg.KernelEntry = cfg.KernelEntry
 		fe := frontend.New(fcfg, t, c.uc, c.hier, bp, ctr)

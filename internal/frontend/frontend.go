@@ -72,6 +72,11 @@ type FrontEnd struct {
 	hier   *mem.Hierarchy
 	bp     *bpu.BPU
 	ctr    *perfctr.Counters
+	// Scalars from the µop cache and L1I configurations, captured once
+	// so every fetch and DSB cycle reads them without copying a Config.
+	regionSize  uint64
+	streamWidth int
+	l1iLat      int
 
 	pc        uint64
 	active    bool // fetch enabled (false: stalled on fault/halt/serialize)
@@ -117,13 +122,17 @@ type FrontEnd struct {
 func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bpu.BPU, ctr *perfctr.Counters) *FrontEnd {
 	ucfg := uc.Config()
 	return &FrontEnd{
-		cfg:    cfg,
-		costs:  cfg.Costs(ucfg),
-		thread: thread,
-		uc:     uc,
-		hier:   hier,
-		bp:     bp,
-		ctr:    ctr,
+		cfg:         cfg,
+		costs:       cfg.Costs(ucfg),
+		thread:      thread,
+		uc:          uc,
+		hier:        hier,
+		bp:          bp,
+		ctr:         ctr,
+		regionSize:  ucfg.RegionSize(),
+		streamWidth: ucfg.StreamWidth,
+		l1iLat:      hier.Config().L1I.Latency,
+
 		// Pre-size the IDQ and the DSB stream buffer so the steady-state
 		// cycle loop never grows either: the IDQ is hard-capped at
 		// IDQCapacity, and one region streams at most
@@ -265,7 +274,7 @@ func (f *FrontEnd) planFetch(pc uint64) *fetchGroup {
 	g.next = 0
 	g.halt, g.serialize, g.fault = false, false, false
 	region := f.uc.RegionOf(pc)
-	regionEnd := region + f.uc.Config().RegionSize()
+	regionEnd := region + f.regionSize
 	cur := pc
 	for cur < regionEnd {
 		in := f.prog.At(cur)
@@ -491,7 +500,7 @@ func (f *FrontEnd) Restore(s *State) {
 // closing branch resolves against its recorded prediction and the
 // backend redirects fetch.
 func (f *FrontEnd) tickLSD(room int) {
-	n := f.uc.Config().StreamWidth
+	n := f.streamWidth
 	if n > room {
 		n = room
 	}
@@ -564,7 +573,7 @@ func (f *FrontEnd) tickDSB(room int) {
 	if len(f.pendingUops) == 0 {
 		return
 	}
-	n := f.uc.Config().StreamWidth
+	n := f.streamWidth
 	if n > room {
 		n = room
 	}
@@ -673,9 +682,8 @@ func (f *FrontEnd) startFetch() bool {
 	// Instruction-cache access for the group's bytes. A miss costs the
 	// fill latency up front.
 	lat := f.hier.AccessInst(g.entry)
-	l1iLat := f.hier.Config().L1I.Latency
-	if lat > l1iLat {
-		f.stallOther += lat - l1iLat
+	if lat > f.l1iLat {
+		f.stallOther += lat - f.l1iLat
 		f.ctr.Inc(perfctr.L1IMisses)
 	}
 

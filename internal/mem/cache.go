@@ -273,6 +273,14 @@ func (c *Cache) Restore(s *CacheState) {
 	c.stats = s.stats
 }
 
+// Reset empties the level in O(touched sets), leaving it equal to a
+// new one: it is Restore from an empty snapshot, and it also drops the
+// eviction hook.
+func (c *Cache) Reset() {
+	c.Restore(&CacheState{numSets: c.cfg.Sets, ways: c.cfg.Ways})
+	c.onEvict = nil
+}
+
 // Contains probes without touching recency or statistics.
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)

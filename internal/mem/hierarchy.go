@@ -118,6 +118,18 @@ func (h *Hierarchy) Restore(s *HierarchyState) {
 	h.tlb.Restore(&s.tlb)
 }
 
+// Reset empties all five levels in O(touched sets) and drops the
+// eviction and iTLB-flush hooks, leaving the hierarchy equal to a new
+// one built from the same configuration.
+func (h *Hierarchy) Reset() {
+	h.l1i.Reset()
+	h.l1d.Reset()
+	h.l2.Reset()
+	h.llc.Reset()
+	h.tlb.Reset()
+	h.onITLBFlush = nil
+}
+
 // AccessData performs a data access at addr and returns its latency in
 // cycles, filling every missing level on the way.
 func (h *Hierarchy) AccessData(addr uint64) int {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -244,5 +245,35 @@ func TestCacheRowsCappedAtWays(t *testing.T) {
 		if len(row) != cfg.Ways || cap(row) != cfg.Ways {
 			t.Fatalf("row %d: len %d cap %d, want %d/%d", i, len(row), cap(row), cfg.Ways, cfg.Ways)
 		}
+	}
+}
+
+// TestCacheResetEqualsNew pins Reset against construction: a level
+// that filled, evicted and counted, once reset, saves the same
+// snapshot as a new level and fires no eviction hook.
+func TestCacheResetEqualsNew(t *testing.T) {
+	cfg := CacheConfig{Sets: 64, Ways: 2, LineSize: 64, Latency: 3}
+	c := NewCache("t", cfg)
+	evicted := 0
+	c.SetEvictHook(func(uint64) { evicted++ })
+	for a := uint64(0); a < 512*64; a += 64 {
+		c.Access(a)
+	}
+	if evicted == 0 {
+		t.Fatal("set-up filled no set past capacity")
+	}
+	before := evicted
+	c.Reset()
+	var got, want CacheState
+	c.Save(&got)
+	NewCache("t", cfg).Save(&want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reset level saves %+v, a new one %+v", got, want)
+	}
+	for a := uint64(0); a < 512*64; a += 64 {
+		c.Access(a)
+	}
+	if evicted != before {
+		t.Errorf("eviction hook survived Reset: %d calls after it", evicted-before)
 	}
 }

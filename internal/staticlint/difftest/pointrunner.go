@@ -65,9 +65,9 @@ type PointRunner struct {
 }
 
 // NewPointRunner builds a core for v on the harness's profile, drawing
-// guest memory and checkpoint buffers from arena (which may be nil),
-// and takes the pristine checkpoint: program loaded, secret not yet
-// written, nothing run.
+// its recycled structures and checkpoint buffers from arena (which may
+// be nil), and takes the pristine checkpoint: program loaded, secret
+// not yet written, nothing run.
 func (h *Harness) NewPointRunner(v *Victim, a *cpu.Arena) *PointRunner {
 	c := cpu.NewWith(h.cpuCfg, a)
 	c.LoadProgram(v.Prog)

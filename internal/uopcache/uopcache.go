@@ -185,6 +185,9 @@ type Cache struct {
 	smtMode   bool
 	stats     Stats
 	setShift  uint
+	// regionMask clears an address's in-region offset bits; it keeps
+	// the per-fetch RegionOf from copying the whole Config.
+	regionMask uint64
 }
 
 // New builds a micro-op cache. It panics on an invalid configuration.
@@ -193,12 +196,18 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	c := &Cache{
-		cfg:       cfg,
-		sets:      make([][]line, cfg.Sets),
-		victimPtr: make([]int, cfg.Sets),
+		cfg:        cfg,
+		sets:       make([][]line, cfg.Sets),
+		victimPtr:  make([]int, cfg.Sets),
+		regionMask: ^(cfg.RegionSize() - 1),
 	}
+	// Every row is carved from one backing array, so building the cache
+	// costs a constant number of allocations however many sets it has.
+	// The 3-index slices cap each row at Ways.
+	w := cfg.Ways
+	lines := make([]line, cfg.Sets*w)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = lines[i*w : (i+1)*w : (i+1)*w]
 	}
 	for v := cfg.Sets; v > 1; v >>= 1 {
 		c.setShift++
@@ -225,7 +234,7 @@ func (c *Cache) SetSMTMode(on bool) {
 
 // RegionOf returns the region base address containing addr.
 func (c *Cache) RegionOf(addr uint64) uint64 {
-	return addr &^ (c.cfg.RegionSize() - 1)
+	return addr & c.regionMask
 }
 
 // setIndex maps (thread, region) to a physical set. In Intel SMT mode

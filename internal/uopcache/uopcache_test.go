@@ -603,3 +603,31 @@ func TestLookupNeverReturnsPartialTrace(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewAllocsConstantInSets pins that building the cache costs the
+// same number of allocations at 32 sets as at 4096: the rows share one
+// backing array instead of one allocation per set. The slack absorbs
+// the few allocations the runtime makes in the background (more of
+// them under -race); one per set would be 4064.
+func TestNewAllocsConstantInSets(t *testing.T) {
+	const slack = 10
+	allocs := func(sets int) float64 {
+		cfg := Skylake()
+		cfg.Sets = sets
+		return testing.AllocsPerRun(20, func() { New(cfg) })
+	}
+	if small, large := allocs(32), allocs(4096); large > small+slack {
+		t.Errorf("New allocations: %v at 32 sets, %v at 4096 sets; want at most %d more", small, large, slack)
+	}
+}
+
+// TestRowsCappedAtWays pins the 3-index carving of the shared backing
+// array: every row's capacity is exactly Ways.
+func TestRowsCappedAtWays(t *testing.T) {
+	c := New(Zen())
+	for i, row := range c.sets {
+		if len(row) != c.cfg.Ways || cap(row) != c.cfg.Ways {
+			t.Fatalf("row %d: len %d cap %d, want %d/%d", i, len(row), cap(row), c.cfg.Ways, c.cfg.Ways)
+		}
+	}
+}

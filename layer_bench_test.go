@@ -57,16 +57,33 @@ func BenchmarkProbeModel(b *testing.B) {
 }
 
 // BenchmarkCoreConstruction builds the difftest harness's core per
-// iteration, drawing guest memory from one reused arena as a sweep
-// worker does.
+// iteration on one reused arena, as a sweep worker does. profile=default
+// builds the default profile's core every time; profile=all cycles
+// through every registered profile, as difftest-sweep does, so no
+// same-configuration shortcut can flatter it.
 func BenchmarkCoreConstruction(b *testing.B) {
-	cfg := difftest.NewHarness(profile.Default()).CPUConfig()
-	a := new(cpu.Arena)
-	cpu.NewWith(cfg, a) // size the arena's memory image
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cpu.NewWith(cfg, a)
+	var all []cpu.Config
+	for _, p := range profile.All() {
+		all = append(all, difftest.NewHarness(p).CPUConfig())
+	}
+	for _, bc := range []struct {
+		name string
+		cfgs []cpu.Config
+	}{
+		{"profile=default", []cpu.Config{difftest.NewHarness(profile.Default()).CPUConfig()}},
+		{"profile=all", all},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			a := new(cpu.Arena)
+			for _, cfg := range bc.cfgs {
+				cpu.NewWith(cfg, a) // size the arena
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cpu.NewWith(bc.cfgs[i%len(bc.cfgs)], a)
+			}
+		})
 	}
 }
 
