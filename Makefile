@@ -59,7 +59,8 @@ bench-diff:
 	bash bench/run.sh -compare "$$d/base" "$$d/change"
 
 # fuzz runs every native fuzz target for FUZZTIME each: the assembler
-# and legacy-decode invariants, the indirect-target resolution
+# and legacy-decode invariants, the sparse-snapshot table against a
+# dense reference, the indirect-target resolution
 # completeness invariant, and the differential contracts — predicted vs
 # simulator-measured refill deltas (including the resolution-gated
 # indirect shapes), the receiver model's predicted vs attack-measured
@@ -69,6 +70,7 @@ bench-diff:
 fuzz:
 	$(GO) test ./internal/asm -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/decode -fuzz FuzzPlanRegion -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rows -fuzz FuzzTableSaveRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint -fuzz FuzzIndirectResolve -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzPredictedDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzProbeModel -fuzztime $(FUZZTIME)

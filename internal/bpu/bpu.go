@@ -6,6 +6,8 @@
 // predictor by earlier authorized executions.
 package bpu
 
+import "deaduops/internal/rows"
+
 // Config sizes the predictor structures.
 type Config struct {
 	// GshareBits is the log2 size of the pattern history table.
@@ -48,12 +50,14 @@ type btbEntry struct {
 // the model gives each thread its own instance, which is sufficient for
 // the paper's single-thread mistraining attacks.
 type BPU struct {
-	cfg      Config
-	pht      table[uint8] // 2-bit saturating counters
+	cfg Config
+	// The four tables are rows.Tables of one-entry rows, so Save,
+	// Restore and Reset walk only the entries a workload trained.
+	pht      rows.Table[uint8] // 2-bit saturating counters
 	history  uint64
-	btb      table[btbEntry]
-	indirect table[btbEntry]
-	rsb      table[uint64]
+	btb      rows.Table[btbEntry]
+	indirect rows.Table[btbEntry]
+	rsb      rows.Table[uint64]
 	rsbTop   int
 
 	// Stats
@@ -61,73 +65,14 @@ type BPU struct {
 	DirectionMisses  uint64
 }
 
-// table is one predictor array plus the entries ever written to it, in
-// first-write order, with their membership index. Save, Restore and
-// Reset walk only those entries, so a workload that trains a dozen
-// branches snapshots a dozen entries instead of ~140 KB of tables.
-type table[E any] struct {
-	e         []E
-	init      E // every entry's value in a new predictor
-	touched   []int32
-	istouched []bool
-}
-
-func newTable[E any](n int, init E) table[E] {
-	t := table[E]{e: make([]E, n), init: init, istouched: make([]bool, n)}
-	for i := range t.e {
-		t.e[i] = init
-	}
-	return t
-}
-
-// set writes entry i, recording it as touched.
-func (t *table[E]) set(i uint64, v E) {
-	t.e[i] = v
-	if !t.istouched[i] {
-		t.istouched[i] = true
-		t.touched = append(t.touched, int32(i))
-	}
-}
-
-// tableState is a sparse snapshot of one table: its size, and the
-// touched indices with their values.
-type tableState[E any] struct {
-	n    int
-	idx  []int32
-	vals []E
-}
-
-func (t *table[E]) save(s *tableState[E]) {
-	s.n = len(t.e)
-	s.idx = append(s.idx[:0], t.touched...)
-	s.vals = s.vals[:0]
-	for _, i := range t.touched {
-		s.vals = append(s.vals, t.e[i])
-	}
-}
-
-// restore returns every touched entry to its initial value, then
-// writes back the snapshot's entries, whose indices become the touched
-// list.
-func (t *table[E]) restore(s *tableState[E]) {
-	for _, i := range t.touched {
-		t.e[i] = t.init
-		t.istouched[i] = false
-	}
-	t.touched = t.touched[:0]
-	for k, i := range s.idx {
-		t.set(uint64(i), s.vals[k])
-	}
-}
-
 // New builds a predictor.
 func New(cfg Config) *BPU {
 	return &BPU{
 		cfg:      cfg,
-		pht:      newTable[uint8](1<<cfg.GshareBits, 1), // weakly not-taken
-		btb:      newTable[btbEntry](cfg.BTBEntries, btbEntry{}),
-		indirect: newTable[btbEntry](cfg.IndirectEntries, btbEntry{}),
-		rsb:      newTable[uint64](cfg.RSBDepth, 0),
+		pht:      rows.NewFilled[uint8](1<<cfg.GshareBits, 1, 1), // weakly not-taken
+		btb:      rows.New[btbEntry](cfg.BTBEntries, 1),
+		indirect: rows.New[btbEntry](cfg.IndirectEntries, 1),
+		rsb:      rows.New[uint64](cfg.RSBDepth, 1),
 	}
 }
 
@@ -143,7 +88,7 @@ func (b *BPU) phtIndex(pc uint64) uint64 {
 // at pc.
 func (b *BPU) PredictDirection(pc uint64) bool {
 	b.DirectionLookups++
-	return b.pht.e[b.phtIndex(pc)] >= 2
+	return b.pht.All()[b.phtIndex(pc)] >= 2
 }
 
 // UpdateDirection trains the direction predictor with the resolved
@@ -153,13 +98,13 @@ func (b *BPU) UpdateDirection(pc uint64, taken, mispredicted bool) {
 		b.DirectionMisses++
 	}
 	idx := b.phtIndex(pc)
-	c := b.pht.e[idx]
-	if taken && c < 3 {
-		c++
-	} else if !taken && c > 0 {
-		c--
+	b.pht.Mark(int(idx))
+	c := &b.pht.All()[idx]
+	if taken && *c < 3 {
+		*c++
+	} else if !taken && *c > 0 {
+		*c--
 	}
-	b.pht.set(idx, c)
 	b.history = b.history<<1 | boolBit(taken)
 }
 
@@ -172,7 +117,8 @@ func boolBit(v bool) uint64 {
 
 // PredictTarget consults the BTB for the direct branch at pc.
 func (b *BPU) PredictTarget(pc uint64) (uint64, bool) {
-	e := &b.btb.e[pc%uint64(len(b.btb.e))]
+	btb := b.btb.All()
+	e := &btb[pc%uint64(len(btb))]
 	if e.valid && e.pc == pc {
 		return e.target, true
 	}
@@ -181,7 +127,10 @@ func (b *BPU) PredictTarget(pc uint64) (uint64, bool) {
 
 // UpdateTarget trains the BTB.
 func (b *BPU) UpdateTarget(pc, target uint64) {
-	b.btb.set(pc%uint64(len(b.btb.e)), btbEntry{pc: pc, target: target, valid: true})
+	btb := b.btb.All()
+	i := pc % uint64(len(btb))
+	b.btb.Mark(int(i))
+	btb[i] = btbEntry{pc: pc, target: target, valid: true}
 }
 
 // PredictIndirect consults the indirect-target predictor for the
@@ -189,7 +138,8 @@ func (b *BPU) UpdateTarget(pc, target uint64) {
 // cache fill — to the predicted target before the branch executes,
 // which is the footprint the variant-2 attack observes.
 func (b *BPU) PredictIndirect(pc uint64) (uint64, bool) {
-	e := &b.indirect.e[pc%uint64(len(b.indirect.e))]
+	ind := b.indirect.All()
+	e := &ind[pc%uint64(len(ind))]
 	if e.valid && e.pc == pc {
 		return e.target, true
 	}
@@ -198,12 +148,18 @@ func (b *BPU) PredictIndirect(pc uint64) (uint64, bool) {
 
 // UpdateIndirect trains the indirect predictor with the resolved target.
 func (b *BPU) UpdateIndirect(pc, target uint64) {
-	b.indirect.set(pc%uint64(len(b.indirect.e)), btbEntry{pc: pc, target: target, valid: true})
+	ind := b.indirect.All()
+	i := pc % uint64(len(ind))
+	b.indirect.Mark(int(i))
+	ind[i] = btbEntry{pc: pc, target: target, valid: true}
 }
 
 // PushRSB records a return address at a call.
 func (b *BPU) PushRSB(ret uint64) {
-	b.rsb.set(uint64(b.rsbTop%len(b.rsb.e)), ret)
+	rsb := b.rsb.All()
+	i := b.rsbTop % len(rsb)
+	b.rsb.Mark(i)
+	rsb[i] = ret
 	b.rsbTop++
 }
 
@@ -213,7 +169,8 @@ func (b *BPU) PopRSB() (uint64, bool) {
 		return 0, false
 	}
 	b.rsbTop--
-	return b.rsb.e[b.rsbTop%len(b.rsb.e)], true
+	rsb := b.rsb.All()
+	return rsb[b.rsbTop%len(rsb)], true
 }
 
 // State is a sparse snapshot of a predictor's dynamic contents: only
@@ -222,10 +179,10 @@ func (b *BPU) PopRSB() (uint64, bool) {
 // arrays are recycled across Save calls, and a snapshot only restores
 // into a BPU built with the same table sizes.
 type State struct {
-	pht        tableState[uint8]
-	btb        tableState[btbEntry]
-	indirect   tableState[btbEntry]
-	rsb        tableState[uint64]
+	pht        rows.State[uint8]
+	btb        rows.State[btbEntry]
+	indirect   rows.State[btbEntry]
+	rsb        rows.State[uint64]
 	history    uint64
 	rsbTop     int
 	dirLookups uint64
@@ -234,10 +191,10 @@ type State struct {
 
 // Save copies the predictor state into s, reusing s's buffers.
 func (b *BPU) Save(s *State) {
-	b.pht.save(&s.pht)
-	b.btb.save(&s.btb)
-	b.indirect.save(&s.indirect)
-	b.rsb.save(&s.rsb)
+	b.pht.Save(&s.pht)
+	b.btb.Save(&s.btb)
+	b.indirect.Save(&s.indirect)
+	b.rsb.Save(&s.rsb)
 	s.history = b.history
 	s.rsbTop = b.rsbTop
 	s.dirLookups = b.DirectionLookups
@@ -248,27 +205,23 @@ func (b *BPU) Save(s *State) {
 // here or in s). It panics if s was saved from a predictor with
 // different table sizes.
 func (b *BPU) Restore(s *State) {
-	if s.pht.n != len(b.pht.e) || s.btb.n != len(b.btb.e) ||
-		s.indirect.n != len(b.indirect.e) || s.rsb.n != len(b.rsb.e) {
-		panic("bpu: Restore from a checkpoint with different geometry")
-	}
-	b.pht.restore(&s.pht)
-	b.btb.restore(&s.btb)
-	b.indirect.restore(&s.indirect)
-	b.rsb.restore(&s.rsb)
+	b.pht.Restore(&s.pht)
+	b.btb.Restore(&s.btb)
+	b.indirect.Restore(&s.indirect)
+	b.rsb.Restore(&s.rsb)
 	b.history = s.history
 	b.rsbTop = s.rsbTop
 	b.DirectionLookups = s.dirLookups
 	b.DirectionMisses = s.dirMisses
 }
 
-// Reset clears all predictor state, leaving the BPU equal to a new one:
-// it is Restore from an empty snapshot.
+// Reset clears all predictor state in O(entries touched), leaving the
+// BPU equal to a new one.
 func (b *BPU) Reset() {
-	b.Restore(&State{
-		pht:      tableState[uint8]{n: len(b.pht.e)},
-		btb:      tableState[btbEntry]{n: len(b.btb.e)},
-		indirect: tableState[btbEntry]{n: len(b.indirect.e)},
-		rsb:      tableState[uint64]{n: len(b.rsb.e)},
-	})
+	b.pht.Reset()
+	b.btb.Reset()
+	b.indirect.Reset()
+	b.rsb.Reset()
+	b.history, b.rsbTop = 0, 0
+	b.DirectionLookups, b.DirectionMisses = 0, 0
 }

@@ -182,17 +182,15 @@ func TestSaveScalesWithTouchedEntries(t *testing.T) {
 	b.Save(&s)
 	for _, tab := range []struct {
 		name string
-		idx  []int32
-		vals int
+		n    int
 	}{
-		{"pht", s.pht.idx, len(s.pht.vals)},
-		{"btb", s.btb.idx, len(s.btb.vals)},
-		{"indirect", s.indirect.idx, len(s.indirect.vals)},
-		{"rsb", s.rsb.idx, len(s.rsb.vals)},
+		{"pht", s.pht.Len()},
+		{"btb", s.btb.Len()},
+		{"indirect", s.indirect.Len()},
+		{"rsb", s.rsb.Len()},
 	} {
-		if len(tab.idx) != k || tab.vals != k {
-			t.Errorf("%s: saved %d indices and %d values after training %d entries, want %d each",
-				tab.name, len(tab.idx), tab.vals, k, k)
+		if tab.n != k {
+			t.Errorf("%s: saved %d entries after training %d, want %d", tab.name, tab.n, k, k)
 		}
 	}
 
@@ -215,5 +213,33 @@ func TestSaveScalesWithTouchedEntries(t *testing.T) {
 		if tgt, ok := c.PredictIndirect(pc); !ok || tgt != pc+0x200 {
 			t.Errorf("pc %#x: indirect target %#x, %v after Restore", pc, tgt, ok)
 		}
+	}
+}
+
+// TestRestoreRejectsForeignSnapshot pins the geometry check: a
+// snapshot restores only into a predictor whose every table has the
+// snapshot's size.
+func TestRestoreRejectsForeignSnapshot(t *testing.T) {
+	var s State
+	newBPU().Save(&s)
+	for _, tc := range []struct {
+		name   string
+		change func(*Config)
+	}{
+		{"pht", func(c *Config) { c.GshareBits-- }},
+		{"btb", func(c *Config) { c.BTBEntries /= 2 }},
+		{"indirect", func(c *Config) { c.IndirectEntries /= 2 }},
+		{"rsb", func(c *Config) { c.RSBDepth /= 2 }},
+	} {
+		cfg := DefaultConfig()
+		tc.change(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Restore into a predictor with a different table size did not panic", tc.name)
+				}
+			}()
+			New(cfg).Restore(&s)
+		}()
 	}
 }

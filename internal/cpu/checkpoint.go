@@ -11,6 +11,11 @@
 // bit-identical, in every subsequent run, to the core the checkpoint
 // was taken from.
 //
+// The large structures — guest memory, the cache levels, the
+// predictors and the micro-op cache — keep their contents in
+// internal/rows tables, the one place touched state is tracked, so a
+// snapshot and a restore copy only the rows a workload wrote.
+//
 // Restores never rewire hooks. The L1I-inclusion, iTLB-flush, and
 // privilege-switch closures installed by NewWith belong to the live
 // core and keep pointing at its own structures — a checkpoint is pure
@@ -55,10 +60,12 @@ type Checkpoint struct {
 // Valid reports whether ck holds a snapshot.
 func (ck *Checkpoint) Valid() bool { return ck != nil && ck.valid }
 
-// Checkpoint deep-snapshots the core into dst. Call it only between
-// runs (Run and RunSMT are synchronous, so any call site outside them
-// qualifies). The program pointer is captured by reference — code
-// images are immutable once loaded.
+// Checkpoint deep-snapshots the core into dst, copying only the rows
+// of guest memory, caches and predictors the workload touched (see
+// internal/rows). Call it only between runs (Run and RunSMT are
+// synchronous, so any call site outside them qualifies). The program
+// pointer is captured by reference — code images are immutable once
+// loaded.
 func (c *CPU) Checkpoint(dst *Checkpoint) {
 	dst.cycle = c.cycle
 	dst.prog = c.threads[0].fe.Program()
@@ -77,16 +84,14 @@ func (c *CPU) Checkpoint(dst *Checkpoint) {
 // Restore rehydrates the core from ck in O(touched-state): every copy
 // lands in the core's existing structures, so restoring into a warm
 // core allocates nothing. The target must have the same configuration
-// as the checkpointed core (geometry mismatches panic). After Restore
+// as the checkpointed core: a geometry or memory-size mismatch panics
+// in the structure's rows.Table or Memory.Restore. After Restore
 // the core is quiescent — exactly the between-runs position of the
 // original at snapshot time, including its absolute cycle clock, so
 // RDTSC-bearing programs replay identically.
 func (c *CPU) Restore(ck *Checkpoint) {
 	if !ck.Valid() {
 		panic("cpu: Restore from an empty checkpoint")
-	}
-	if ck.mem.size != len(c.mem.data) {
-		panic("cpu: Restore into a core with a different memory size")
 	}
 	c.cycle = ck.cycle
 	c.mem.Restore(&ck.mem)

@@ -18,6 +18,7 @@ import (
 	"deaduops/internal/mem"
 	"deaduops/internal/perfctr"
 	"deaduops/internal/profile"
+	"deaduops/internal/rows"
 	"deaduops/internal/uopcache"
 )
 
@@ -116,36 +117,36 @@ func AMD() Config { return FromProfile(profile.Zen()) }
 // Out-of-image accesses read zero and drop writes (no faults are
 // modelled; transient wild accesses are harmless).
 type Memory struct {
+	// data is the image, a prefix of pages' backing array.
 	data []byte
-	// dirty lists every 4 KiB page ever written, in first-write order;
-	// isDirty is its membership index. Save/Restore copy only these
-	// pages, keeping checkpoint cost proportional to the workload's
-	// data footprint instead of the 4 MiB image.
-	dirty   []int32
-	isDirty []bool
+	// pages holds the image in 4 KiB rows; writes mark their pages, so
+	// Save, Restore and Reset copy only the pages a workload wrote,
+	// keeping checkpoint cost proportional to its data footprint
+	// instead of the 4 MiB image.
+	pages rows.Table[byte]
 }
 
 // NewMemory allocates a guest memory image.
 func NewMemory(size int) *Memory {
-	return &Memory{data: make([]byte, size), isDirty: make([]bool, numPages(size))}
-}
-
-func numPages(size int) int {
-	return (size + (1 << memPageShift) - 1) >> memPageShift
+	const page = 1 << memPageShift
+	m := &Memory{pages: rows.New[byte]((size+page-1)/page, page)}
+	m.data = m.pages.All()[:size]
+	return m
 }
 
 // Arena recycles a core's large, configuration-independent structures
 // across the sequence of CPUs one sweep worker builds: the guest memory
 // image (4 MiB at the default configuration), the cache hierarchy's
 // five levels (the LLC alone is 131k lines) and both threads' branch
-// predictors. Each is reset in O(state the previous core touched) —
-// dirty pages, touched sets, trained predictor entries — instead of
-// being allocated and zeroed again, and is rebuilt only when the
-// requested configuration differs from the recycled one. An arena must
-// never be shared between goroutines: parsweep gives each pool worker
-// its own via its per-worker setup hook, so a 150-point sweep on 8
-// workers builds 8 sets of these structures instead of 150. The zero
-// value is ready to use, and a nil *Arena degrades to plain allocation.
+// predictors. Each keeps its contents in internal/rows tables, so it
+// is reset in O(state the previous core touched) — written pages,
+// filled sets, trained predictor entries — instead of being allocated
+// and zeroed again, and is rebuilt only when the requested
+// configuration differs from the recycled one. An arena must never be
+// shared between goroutines: parsweep gives each pool worker its own
+// via its per-worker setup hook, so a 150-point sweep on 8 workers
+// builds 8 sets of these structures instead of 150. The zero value is
+// ready to use, and a nil *Arena degrades to plain allocation.
 type Arena struct {
 	m    *Memory
 	hier *mem.Hierarchy
@@ -172,27 +173,19 @@ func (a *Arena) CheckpointBuf(i int) *Checkpoint {
 }
 
 // memory returns a zeroed guest image of the requested size, reusing
-// the arena's image when the size matches. Reuse leans on the dirty
-// tracking: only pages the previous core wrote are re-zeroed, so
-// recycling a 4 MiB image costs a few page clears, not a 4 MiB sweep.
+// the arena's image when the size matches. Reuse re-zeroes only the
+// pages the previous core wrote, so recycling a 4 MiB image costs a
+// few page clears, not a 4 MiB sweep.
 func (a *Arena) memory(size int) *Memory {
 	if a == nil {
 		return NewMemory(size)
 	}
 	if a.m == nil || len(a.m.data) != size {
 		a.m = NewMemory(size)
-		return a.m
+	} else {
+		a.m.pages.Reset()
 	}
-	m := a.m
-	for _, p := range m.dirty {
-		buf := m.pageSlice(p)
-		for i := range buf {
-			buf[i] = 0
-		}
-		m.isDirty[p] = false
-	}
-	m.dirty = m.dirty[:0]
-	return m
+	return a.m
 }
 
 // hierarchy returns an empty cache hierarchy for cfg, reusing the
@@ -225,7 +218,7 @@ func (a *Arena) predictor(t int, cfg bpu.Config) *bpu.BPU {
 	return a.bps[t]
 }
 
-// memPageShift sizes the dirty-tracking granule (4 KiB pages). The
+// memPageShift sizes the write-tracking granule (4 KiB pages). The
 // guest image is MemSize bytes (4 MiB by default) but a workload
 // writes a handful of pages; tracking which ones lets Save/Restore
 // copy kilobytes instead of the whole image.
@@ -241,11 +234,8 @@ func (m *Memory) markDirty(addr uint64, n int) {
 	if end >= uint64(len(m.data)) {
 		end = uint64(len(m.data)) - 1
 	}
-	for p := int32(addr >> memPageShift); p <= int32(end>>memPageShift); p++ {
-		if !m.isDirty[p] {
-			m.isDirty[p] = true
-			m.dirty = append(m.dirty, p)
-		}
+	for p := addr >> memPageShift; p <= end>>memPageShift; p++ {
+		m.pages.Mark(int(p))
 	}
 }
 
@@ -275,72 +265,46 @@ func (m *Memory) Write(addr uint64, size int, v int64) {
 	}
 }
 
-// WriteBytes copies b into guest memory at addr.
+// WriteBytes copies b into guest memory at addr. Bytes past the
+// image end are dropped, as in Write.
 func (m *Memory) WriteBytes(addr uint64, b []byte) {
 	m.markDirty(addr, len(b))
-	copy(m.data[addr:], b)
+	if addr < uint64(len(m.data)) {
+		copy(m.data[addr:], b)
+	}
 }
 
-// MemoryState is a sparse snapshot of the guest image: only
-// ever-written pages are stored, so its cost scales with the
-// workload's data footprint, not MemSize. Buffers are recycled across
-// Save calls.
+// MemoryState is a sparse snapshot of the guest image: only written
+// pages are stored, so its cost scales with the workload's data
+// footprint, not MemSize. Buffers are recycled across Save calls.
 type MemoryState struct {
 	size  int
-	pages []int32
-	data  []byte
+	pages rows.State[byte]
 }
 
-// Save copies every dirty page into s, reusing s's buffers.
+// Save copies every written page into s, reusing s's buffers.
 func (m *Memory) Save(s *MemoryState) {
-	const page = 1 << memPageShift
 	s.size = len(m.data)
-	s.pages = append(s.pages[:0], m.dirty...)
-	n := len(m.dirty) * page
-	if cap(s.data) < n {
-		s.data = make([]byte, n)
-	}
-	s.data = s.data[:n]
-	for i, p := range m.dirty {
-		copy(s.data[i*page:(i+1)*page], m.pageSlice(p))
-	}
+	m.pages.Save(&s.pages)
 }
 
-// Restore overwrites the guest image from s: pages dirtied since the
-// snapshot but absent from it are zeroed, snapshot pages are copied
-// back, and the dirty set becomes the snapshot's. O(dirty pages), not
-// O(MemSize).
+// Restore overwrites the guest image from s in O(pages written here
+// or in s), not O(MemSize). It panics if s was saved from an image of
+// a different size.
 func (m *Memory) Restore(s *MemoryState) {
-	const page = 1 << memPageShift
-	for _, p := range m.dirty {
-		buf := m.pageSlice(p)
-		for i := range buf {
-			buf[i] = 0
-		}
-		m.isDirty[p] = false
+	if s.size != len(m.data) {
+		panic("cpu: Restore into a memory of a different size")
 	}
-	m.dirty = m.dirty[:0]
-	for i, p := range s.pages {
-		copy(m.pageSlice(p), s.data[i*page:(i+1)*page])
-		m.isDirty[p] = true
-		m.dirty = append(m.dirty, p)
-	}
+	m.pages.Restore(&s.pages)
 }
 
-// pageSlice returns page p's bytes, clamped at the image end.
-func (m *Memory) pageSlice(p int32) []byte {
-	lo := int(p) << memPageShift
-	hi := lo + 1<<memPageShift
-	if hi > len(m.data) {
-		hi = len(m.data)
-	}
-	return m.data[lo:hi]
-}
-
-// ReadBytes copies n bytes of guest memory at addr.
+// ReadBytes copies n bytes of guest memory at addr. Bytes past the
+// image end read zero, as in Read.
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
-	copy(out, m.data[addr:])
+	if addr < uint64(len(m.data)) {
+		copy(out, m.data[addr:])
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"testing"
 
 	"deaduops/internal/asm"
@@ -310,6 +311,36 @@ func TestGuestMemoryBounds(t *testing.T) {
 	m.Write(60, 8, -1) // straddles the end: partial write allowed
 	if got := m.Read(60, 4); got == 0 {
 		t.Error("partial in-range write lost")
+	}
+}
+
+// TestGuestMemoryBytesBounds pins WriteBytes and ReadBytes to the
+// image bounds Write and Read honour: bytes past the end are dropped
+// on write and read zero, and only in-image pages are marked written.
+func TestGuestMemoryBytesBounds(t *testing.T) {
+	const size = 2 << memPageShift
+	for _, tc := range []struct {
+		name  string
+		addr  uint64
+		want  []byte // ReadBytes(addr, 4) after WriteBytes(addr, {1,2,3,4})
+		pages int
+	}{
+		{"inside", 8, []byte{1, 2, 3, 4}, 1},
+		{"across pages", 1<<memPageShift - 2, []byte{1, 2, 3, 4}, 2},
+		{"straddling the end", size - 2, []byte{1, 2, 0, 0}, 1},
+		{"at the end", size, []byte{0, 0, 0, 0}, 0},
+		{"past the end", 1 << 40, []byte{0, 0, 0, 0}, 0},
+	} {
+		m := NewMemory(size)
+		m.WriteBytes(tc.addr, []byte{1, 2, 3, 4})
+		if got := m.ReadBytes(tc.addr, 4); !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: read back %v, want %v", tc.name, got, tc.want)
+		}
+		var s MemoryState
+		m.Save(&s)
+		if s.pages.Len() != tc.pages {
+			t.Errorf("%s: %d pages marked written, want %d", tc.name, s.pages.Len(), tc.pages)
+		}
 	}
 }
 

@@ -6,7 +6,11 @@
 // must propagate into the micro-op cache via hooks.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"deaduops/internal/rows"
+)
 
 // CacheConfig sizes one cache level.
 type CacheConfig struct {
@@ -53,17 +57,14 @@ type line struct {
 
 // Cache is one set-associative, true-LRU cache level.
 type Cache struct {
-	cfg   CacheConfig
-	sets  [][]line
+	cfg CacheConfig
+	// sets holds one row of Ways lines per set. Fills mark their set,
+	// so Save, Restore and Reset walk only the sets a workload reached:
+	// snapshotting an 8192-set LLC whose workload lives in a dozen sets
+	// copies a dozen rows.
+	sets  rows.Table[line]
 	clock uint64
 	stats CacheStats
-
-	// touched lists every set a fill has ever reached, in first-touch
-	// order; istouched is its membership index. Save/Restore walk only
-	// these sets, so snapshotting an 8192-set LLC whose workload lives
-	// in a dozen sets copies a dozen rows.
-	touched   []int32
-	istouched []bool
 
 	lineShift uint
 	setMask   uint64
@@ -83,20 +84,10 @@ func NewCache(name string, cfg CacheConfig) *Cache {
 	}
 	c := &Cache{
 		cfg:       cfg,
-		sets:      make([][]line, cfg.Sets),
-		istouched: make([]bool, cfg.Sets),
+		sets:      rows.New[line](cfg.Sets, cfg.Ways),
 		lineShift: log2(uint64(cfg.LineSize)),
 		setMask:   uint64(cfg.Sets - 1),
 		tagShift:  log2(uint64(cfg.Sets)),
-	}
-	// Every row is carved from one backing array, so building a level
-	// costs a constant number of allocations however many sets it has.
-	// The 3-index slices cap each row at Ways, so no row can grow into
-	// its neighbour.
-	w := cfg.Ways
-	lines := make([]line, cfg.Sets*w)
-	for i := range c.sets {
-		c.sets[i] = lines[i*w : (i+1)*w : (i+1)*w]
 	}
 	return c
 }
@@ -128,8 +119,9 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.index(addr)
 	c.clock++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.sets.Row(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			l.used = c.clock
 			return true
@@ -144,7 +136,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
 	set, tag := c.index(addr)
 	c.clock++
-	ways := c.sets[set]
+	ways := c.sets.Row(set)
 	victim := 0
 	for i := range ways {
 		l := &ways[i]
@@ -166,13 +158,10 @@ func (c *Cache) Access(addr uint64) bool {
 		c.stats.Evicts++
 		c.notifyEvict(set, v.tag)
 	}
-	*v = line{tag: tag, valid: true, used: c.clock}
 	// Fills are the only way a line becomes valid, so marking here
-	// keeps touched a superset of every set holding state.
-	if !c.istouched[set] {
-		c.istouched[set] = true
-		c.touched = append(c.touched, int32(set))
-	}
+	// marks every set holding state.
+	c.sets.Mark(set)
+	*v = line{tag: tag, valid: true, used: c.clock}
 	return false
 }
 
@@ -188,8 +177,9 @@ func (c *Cache) notifyEvict(set int, tag uint64) {
 // whether a line was removed. The eviction hook fires.
 func (c *Cache) Invalidate(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.sets.Row(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			l.valid = false
 			c.notifyEvict(set, tag)
@@ -201,9 +191,10 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // InvalidateAll empties the cache. Eviction hooks fire for every line.
 func (c *Cache) InvalidateAll() {
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			l := &c.sets[set][i]
+	for set := 0; set < c.cfg.Sets; set++ {
+		ways := c.sets.Row(set)
+		for i := range ways {
+			l := &ways[i]
 			if l.valid {
 				l.valid = false
 				c.notifyEvict(set, l.tag)
@@ -213,79 +204,50 @@ func (c *Cache) InvalidateAll() {
 }
 
 // CacheState is a sparse snapshot of one level's dynamic contents:
-// only ever-touched sets are stored (index list plus their way rows),
-// so snapshot cost scales with the workload's footprint, not the
-// level's capacity. Backing arrays are recycled across Save calls, and
-// a snapshot only restores into a cache built from the same geometry.
-// Eviction hooks belong to the live cache and are untouched by
-// Save/Restore.
+// only sets a fill has reached are stored, so snapshot cost scales
+// with the workload's footprint, not the level's capacity. Backing
+// arrays are recycled across Save calls, and a snapshot only restores
+// into a cache built from the same geometry. Eviction hooks belong to
+// the live cache and are untouched by Save/Restore.
 type CacheState struct {
-	numSets int
-	ways    int
-	sets    []int32
-	lines   []line
-	clock   uint64
-	stats   CacheStats
+	sets  rows.State[line]
+	clock uint64
+	stats CacheStats
 }
 
-// Save deep-copies every touched set's rows into s, reusing s's
+// Save deep-copies every reached set's rows into s, reusing s's
 // buffers.
 func (c *Cache) Save(s *CacheState) {
-	w := c.cfg.Ways
-	s.numSets, s.ways = c.cfg.Sets, w
-	s.sets = append(s.sets[:0], c.touched...)
-	n := len(c.touched) * w
-	if cap(s.lines) < n {
-		s.lines = make([]line, n)
-	}
-	s.lines = s.lines[:n]
-	for i, set := range c.touched {
-		copy(s.lines[i*w:(i+1)*w], c.sets[set])
-	}
+	c.sets.Save(&s.sets)
 	s.clock = c.clock
 	s.stats = c.stats
 }
 
-// Restore overwrites the level's contents from s: sets touched since
-// the snapshot but absent from it are zeroed, snapshot sets are copied
-// back, and the touched list becomes the snapshot's. It panics if s
-// was saved from a level with different geometry. No eviction hooks
-// fire: a restore is state substitution, not cache traffic.
+// Restore overwrites the level's contents from s in O(sets reached
+// here or in s). It panics if s was saved from a level with different
+// geometry. No eviction hooks fire: a restore is state substitution,
+// not cache traffic.
 func (c *Cache) Restore(s *CacheState) {
-	if s.numSets != c.cfg.Sets || s.ways != c.cfg.Ways {
-		panic("mem: Restore from a checkpoint with different geometry")
-	}
-	for _, set := range c.touched {
-		row := c.sets[set]
-		for i := range row {
-			row[i] = line{}
-		}
-		c.istouched[set] = false
-	}
-	c.touched = c.touched[:0]
-	w := c.cfg.Ways
-	for i, set := range s.sets {
-		copy(c.sets[set], s.lines[i*w:(i+1)*w])
-		c.istouched[set] = true
-		c.touched = append(c.touched, set)
-	}
+	c.sets.Restore(&s.sets)
 	c.clock = s.clock
 	c.stats = s.stats
 }
 
-// Reset empties the level in O(touched sets), leaving it equal to a
-// new one: it is Restore from an empty snapshot, and it also drops the
-// eviction hook.
+// Reset empties the level in O(sets reached), leaving it equal to a
+// new one, and drops the eviction hook.
 func (c *Cache) Reset() {
-	c.Restore(&CacheState{numSets: c.cfg.Sets, ways: c.cfg.Ways})
+	c.sets.Reset()
+	c.clock = 0
+	c.stats = CacheStats{}
 	c.onEvict = nil
 }
 
 // Contains probes without touching recency or statistics.
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	ways := c.sets.Row(set)
+	for i := range ways {
+		l := &ways[i]
 		if l.valid && l.tag == tag {
 			return true
 		}

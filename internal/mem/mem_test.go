@@ -232,16 +232,17 @@ func TestNewCacheAllocsConstantInSets(t *testing.T) {
 	}
 }
 
-// TestCacheRowsCappedAtWays pins the 3-index carving of the shared
-// backing array: every row's capacity is exactly Ways, so an append to
-// one row reallocates instead of overwriting the next row.
+// TestCacheRowsCappedAtWays pins the per-set rows of a level: there is
+// one row per set, and every row's length and capacity is exactly Ways,
+// so an append to one row reallocates instead of overwriting the next.
 func TestCacheRowsCappedAtWays(t *testing.T) {
 	cfg := CacheConfig{Sets: 64, Ways: 12, LineSize: 64, Latency: 3}
 	c := NewCache("t", cfg)
-	if len(c.sets) != cfg.Sets {
-		t.Fatalf("%d rows, want %d", len(c.sets), cfg.Sets)
+	if got := len(c.sets.All()); got != cfg.Sets*cfg.Ways {
+		t.Fatalf("%d lines, want %d", got, cfg.Sets*cfg.Ways)
 	}
-	for i, row := range c.sets {
+	for i := 0; i < cfg.Sets; i++ {
+		row := c.sets.Row(i)
 		if len(row) != cfg.Ways || cap(row) != cfg.Ways {
 			t.Fatalf("row %d: len %d cap %d, want %d/%d", i, len(row), cap(row), cfg.Ways, cfg.Ways)
 		}
@@ -275,5 +276,31 @@ func TestCacheResetEqualsNew(t *testing.T) {
 	}
 	if evicted != before {
 		t.Errorf("eviction hook survived Reset: %d calls after it", evicted-before)
+	}
+}
+
+// TestCacheRestoreRejectsForeignSnapshot pins the geometry check: a
+// snapshot restores only into a level with the same sets and ways.
+func TestCacheRestoreRejectsForeignSnapshot(t *testing.T) {
+	base := CacheConfig{Sets: 64, Ways: 8, LineSize: 64, Latency: 3}
+	var s CacheState
+	src := NewCache("t", base)
+	src.Access(0x40)
+	src.Save(&s)
+	for _, tc := range []struct {
+		name string
+		cfg  CacheConfig
+	}{
+		{"sets", CacheConfig{Sets: 128, Ways: 8, LineSize: 64, Latency: 3}},
+		{"ways", CacheConfig{Sets: 64, Ways: 4, LineSize: 64, Latency: 3}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Restore into a level of different geometry did not panic", tc.name)
+				}
+			}()
+			NewCache("t", tc.cfg).Restore(&s)
+		}()
 	}
 }

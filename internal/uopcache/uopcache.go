@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"deaduops/internal/isa"
+	"deaduops/internal/rows"
 )
 
 // SMTPolicy selects how two hardware threads share the structure.
@@ -172,8 +173,10 @@ type line struct {
 
 // Cache is the micro-op cache.
 type Cache struct {
-	cfg  Config
-	sets [][]line
+	cfg Config
+	// sets holds one row of Ways lines per set. Fill marks its set, so
+	// Save, Restore and flushes walk only the sets ever filled.
+	sets rows.Table[line]
 	// domain is each hardware thread's current privilege domain
 	// (0 = user, 1 = kernel), consulted when PrivilegePartition is on.
 	domain [2]int
@@ -197,17 +200,9 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		cfg:        cfg,
-		sets:       make([][]line, cfg.Sets),
+		sets:       rows.New[line](cfg.Sets, cfg.Ways),
 		victimPtr:  make([]int, cfg.Sets),
 		regionMask: ^(cfg.RegionSize() - 1),
-	}
-	// Every row is carved from one backing array, so building the cache
-	// costs a constant number of allocations however many sets it has.
-	// The 3-index slices cap each row at Ways.
-	w := cfg.Ways
-	lines := make([]line, cfg.Sets*w)
-	for i := range c.sets {
-		c.sets[i] = lines[i*w : (i+1)*w : (i+1)*w]
 	}
 	for v := cfg.Sets; v > 1; v >>= 1 {
 		c.setShift++
@@ -229,7 +224,7 @@ func (c *Cache) SetSMTMode(on bool) {
 		return
 	}
 	c.smtMode = on
-	c.flushAllInternal()
+	c.sets.Reset()
 }
 
 // RegionOf returns the region base address containing addr.
@@ -309,7 +304,7 @@ func (c *Cache) lookup(thread int, addr uint64, dst []isa.Uop, copyUops bool) ([
 		c.stats.Misses++
 		return dst, false
 	}
-	set := c.sets[c.setIndex(thread, region)]
+	set := c.sets.Row(c.setIndex(thread, region))
 
 	var found [maxTraceLines]*line
 	var total int = -1
@@ -354,7 +349,7 @@ func (c *Cache) lookup(thread int, addr uint64, dst []isa.Uop, copyUops bool) ([
 func (c *Cache) Present(thread int, addr uint64) bool {
 	region := c.RegionOf(addr)
 	entry := uint8(addr - region)
-	set := c.sets[c.setIndex(thread, region)]
+	set := c.sets.Row(c.setIndex(thread, region))
 	have := 0
 	total := -1
 	for i := range set {
@@ -378,7 +373,7 @@ func (c *Cache) Fill(thread int, t *Trace) {
 		return
 	}
 	setIdx := c.setIndex(thread, t.Region)
-	set := c.sets[setIdx]
+	set := c.sets.Row(setIdx)
 
 	// Drop any stale partial trace for this (thread, region, entry).
 	for i := range set {
@@ -414,6 +409,9 @@ func (c *Cache) Fill(thread int, t *Trace) {
 			c.stats.Evictions++
 			victim = p
 		}
+		// Fills are the only way a line becomes valid, so marking here
+		// marks every set holding state.
+		c.sets.Mark(setIdx)
 		v := &set[victim]
 		*v = line{
 			valid:   true,
@@ -430,48 +428,38 @@ func (c *Cache) Fill(thread int, t *Trace) {
 	}
 }
 
-// State is a deep snapshot of the cache's dynamic contents: every way
-// (validity, tags, hotness), the round-robin victim pointers, the
-// privilege domains, the SMT mode, and the counters. Line micro-op
-// slices are shared by header, not copied: a trace's µops are
-// immutable once installed (Fill stores the freshly built slice,
-// LookupAppend copies out of it), so sharing is safe across any
-// number of restores and costs O(ways), not O(µops). Backing arrays
-// are recycled across Save calls; a snapshot only restores into a
-// cache built from the same geometry.
+// State is a snapshot of the cache's dynamic contents: every filled
+// set's ways (validity, tags, hotness), the round-robin victim
+// pointers, the privilege domains, the SMT mode, and the counters.
+// Its cost scales with the sets a workload filled, not the cache's
+// size. Line micro-op slices are shared by header, not copied: a
+// trace's µops are immutable once installed (Fill stores the freshly
+// built slice, LookupAppend copies out of it), so sharing is safe
+// across any number of restores. Backing arrays are recycled across
+// Save calls; a snapshot only restores into a cache built from the
+// same geometry.
 type State struct {
-	lines     []line
+	sets      rows.State[line]
 	victimPtr []int
 	domain    [2]int
 	smtMode   bool
 	stats     Stats
 }
 
-// Save deep-copies the cache contents into s, reusing s's buffers.
+// Save copies the cache contents into s, reusing s's buffers.
 func (c *Cache) Save(s *State) {
-	total := c.cfg.Sets * c.cfg.Ways
-	if cap(s.lines) < total {
-		s.lines = make([]line, total)
-	}
-	s.lines = s.lines[:total]
-	for i, set := range c.sets {
-		copy(s.lines[i*c.cfg.Ways:], set)
-	}
+	c.sets.Save(&s.sets)
 	s.victimPtr = append(s.victimPtr[:0], c.victimPtr...)
 	s.domain = c.domain
 	s.smtMode = c.smtMode
 	s.stats = c.stats
 }
 
-// Restore overwrites the cache contents from s. It panics if s was
-// saved from a cache with different geometry.
+// Restore overwrites the cache contents from s in O(sets filled here
+// or in s). It panics if s was saved from a cache with different
+// geometry.
 func (c *Cache) Restore(s *State) {
-	if len(s.lines) != c.cfg.Sets*c.cfg.Ways || len(s.victimPtr) != c.cfg.Sets {
-		panic("uopcache: Restore from a checkpoint with different geometry")
-	}
-	for i, set := range c.sets {
-		copy(set, s.lines[i*c.cfg.Ways:(i+1)*c.cfg.Ways])
-	}
+	c.sets.Restore(&s.sets)
 	copy(c.victimPtr, s.victimPtr)
 	c.domain = s.domain
 	c.smtMode = s.smtMode
@@ -484,13 +472,12 @@ func (c *Cache) Restore(s *State) {
 func (c *Cache) InvalidateCodeLine(lineAddr uint64, lineSize uint64) {
 	start := lineAddr &^ (lineSize - 1)
 	end := start + lineSize
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			l := &c.sets[s][i]
-			if l.valid && l.region >= start && l.region < end {
-				l.valid = false
-				c.stats.Invalidations++
-			}
+	lines := c.sets.All()
+	for i := range lines {
+		l := &lines[i]
+		if l.valid && l.region >= start && l.region < end {
+			l.valid = false
+			c.stats.Invalidations++
 		}
 	}
 }
@@ -499,27 +486,18 @@ func (c *Cache) InvalidateCodeLine(lineAddr uint64, lineSize uint64) {
 // entry/exit, privilege-partitioning mitigations).
 func (c *Cache) FlushAll() {
 	c.stats.FlushAll++
-	c.flushAllInternal()
-}
-
-func (c *Cache) flushAllInternal() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = line{}
-		}
-	}
+	c.sets.Reset()
 }
 
 // FlushThread drops all lines owned by one hardware thread (used by the
 // privilege-partitioning mitigation experiments).
 func (c *Cache) FlushThread(thread int) {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			l := &c.sets[s][i]
-			if l.valid && l.thread == thread {
-				l.valid = false
-				c.stats.Invalidations++
-			}
+	lines := c.sets.All()
+	for i := range lines {
+		l := &lines[i]
+		if l.valid && l.thread == thread {
+			l.valid = false
+			c.stats.Invalidations++
 		}
 	}
 }
@@ -541,9 +519,10 @@ type LineInfo struct {
 // Snapshot returns all valid lines.
 func (c *Cache) Snapshot() []LineInfo {
 	var out []LineInfo
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
+	for s := 0; s < c.cfg.Sets; s++ {
+		ways := c.sets.Row(s)
+		for w := range ways {
+			l := &ways[w]
 			if !l.valid {
 				continue
 			}
@@ -560,8 +539,8 @@ func (c *Cache) Snapshot() []LineInfo {
 // OccupiedWays returns how many ways of physical set s are valid.
 func (c *Cache) OccupiedWays(s int) int {
 	n := 0
-	for w := range c.sets[s] {
-		if c.sets[s][w].valid {
+	for _, l := range c.sets.Row(s) {
+		if l.valid {
 			n++
 		}
 	}

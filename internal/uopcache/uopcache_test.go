@@ -1,6 +1,7 @@
 package uopcache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -621,13 +622,89 @@ func TestNewAllocsConstantInSets(t *testing.T) {
 	}
 }
 
-// TestRowsCappedAtWays pins the 3-index carving of the shared backing
-// array: every row's capacity is exactly Ways.
+// TestRowsCappedAtWays pins the per-set rows of the cache: there is
+// one row per set, and every row's length and capacity is exactly Ways.
 func TestRowsCappedAtWays(t *testing.T) {
 	c := New(Zen())
-	for i, row := range c.sets {
+	if got := len(c.sets.All()); got != c.cfg.Sets*c.cfg.Ways {
+		t.Fatalf("%d lines, want %d", got, c.cfg.Sets*c.cfg.Ways)
+	}
+	for i := 0; i < c.cfg.Sets; i++ {
+		row := c.sets.Row(i)
 		if len(row) != c.cfg.Ways || cap(row) != c.cfg.Ways {
 			t.Fatalf("row %d: len %d cap %d, want %d/%d", i, len(row), cap(row), c.cfg.Ways, c.cfg.Ways)
 		}
+	}
+}
+
+// TestRestoreRejectsForeignSnapshot pins the geometry check: a
+// snapshot restores only into a cache with the same sets and ways.
+func TestRestoreRejectsForeignSnapshot(t *testing.T) {
+	var s State
+	New(Zen()).Save(&s)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sets", Zen2()},
+		{"ways", func() Config { c := Zen(); c.Ways = 12; return c }()},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Restore into a cache of different geometry did not panic", tc.name)
+				}
+			}()
+			New(tc.cfg).Restore(&s)
+		}()
+	}
+}
+
+// TestSaveScalesWithFilledSets pins the sparse snapshot: it holds one
+// row per filled set, a set filled after the Save is empty again after
+// the Restore (the static receiver model forks each probe direction
+// from one primed snapshot and relies on this), and hotness, the
+// victim pointers and the counters round-trip.
+func TestSaveScalesWithFilledSets(t *testing.T) {
+	cfg := Skylake()
+	c := New(cfg)
+	// Sets 0..2: set 0 is filled past its ways, so a fill attempt
+	// advances its victim pointer; set 1 is heated by lookups.
+	for w := 0; w <= cfg.Ways; w++ {
+		c.Fill(0, simpleTrace(cfg, uint64(w)*1024, 6))
+	}
+	c.Fill(0, simpleTrace(cfg, 32, 6))
+	c.Lookup(0, 32)
+	c.Lookup(0, 32)
+	c.Fill(0, simpleTrace(cfg, 64, 6))
+	const k = 3
+	var s State
+	c.Save(&s)
+	if s.sets.Len() != k {
+		t.Fatalf("snapshot holds %d sets after filling %d", s.sets.Len(), k)
+	}
+	if c.victimPtr[0] == 0 {
+		t.Fatal("set-up did not advance set 0's victim pointer")
+	}
+	want, wantPtr, wantStats := c.Snapshot(), append([]int(nil), c.victimPtr...), c.Stats()
+
+	for i := 0; i < 4; i++ {
+		c.Fill(0, simpleTrace(cfg, uint64(cfg.Ways+1)*1024, 6))
+	}
+	c.Lookup(0, 32)
+	c.Fill(0, simpleTrace(cfg, 10*32, 6))
+	c.Restore(&s)
+
+	if c.OccupiedWays(10) != 0 || c.Present(0, 10*32) {
+		t.Error("set filled after the Save survived the Restore")
+	}
+	if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored lines differ from the snapshot:\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(c.victimPtr, wantPtr) {
+		t.Errorf("victim pointers %v after Restore, want %v", c.victimPtr, wantPtr)
+	}
+	if c.Stats() != wantStats {
+		t.Errorf("stats %+v after Restore, want %+v", c.Stats(), wantStats)
 	}
 }
