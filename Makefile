@@ -4,10 +4,16 @@ GO ?= go
 # for a real fuzzing session (e.g. make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint serve fuzz check bench-diff
+.PHONY: build fmt test race vet lint serve fuzz bench-module check bench-diff
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any tracked Go file is not gofmt-clean (the CI gofmt
+# step).
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -78,5 +84,11 @@ fuzz:
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzIndirectDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/auditd -fuzz FuzzJobRequest -fuzztime $(FUZZTIME)
 
-check: build vet test race lint
+# bench-module vets and tests the frozen bench/ module, its own Go
+# module that the root ./... patterns do not reach, against the
+# current internal/ APIs.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+check: build fmt vet test race lint bench-module
 	$(MAKE) fuzz FUZZTIME=5s

@@ -36,10 +36,6 @@ type Config struct {
 	// footprint — which kills classic Spectre-v1's disclosure primitive
 	// but, as the paper shows, not the micro-op cache's.
 	InvisibleSpeculation bool
-	// KernelEntry is the SYSCALL target address.
-	KernelEntry uint64
-	// StackTop initializes R15 (the modelled stack pointer).
-	StackTop uint64
 }
 
 // DefaultConfig returns a Skylake-like backend.
@@ -179,7 +175,6 @@ type graveRec struct {
 // New builds a backend for one hardware thread.
 func New(cfg Config, fe *frontend.FrontEnd, bp *bpu.BPU, hier *mem.Hierarchy, gmem Memory, ctr *perfctr.Counters) *Backend {
 	b := &Backend{cfg: cfg, fe: fe, bp: bp, hier: hier, gmem: gmem, ctr: ctr}
-	b.regs[isa.R15] = int64(cfg.StackTop)
 	// Pre-size the ROB, the entry pool, and the dispatch pop buffer so
 	// the steady-state cycle loop never grows any of them.
 	b.rob = make([]*entry, 0, cfg.ROBSize)
@@ -694,7 +689,7 @@ func (b *Backend) issue(e *entry) {
 	case isa.SYSCALL:
 		if u.Index == u.Count-1 {
 			e.taken = true
-			e.target = b.cfg.KernelEntry
+			e.target = isa.KernelEntry
 		}
 	case isa.SYSRET:
 		e.taken = true

@@ -45,7 +45,7 @@ func NewUserKernel(c *cpu.CPU, cfg Config) (*UserKernel, error) {
 		return nil, err
 	}
 
-	kern, err := buildKernelImage(c.Config().KernelEntry, cfg.Geometry)
+	kern, err := buildKernelImage(cfg.Geometry)
 	if err != nil {
 		return nil, err
 	}
@@ -100,11 +100,12 @@ func NewUserKernel(c *cpu.CPU, cfg Config) (*UserKernel, error) {
 	return ch, nil
 }
 
-// buildKernelImage assembles the kernel routine and its internal tiger.
+// buildKernelImage assembles the kernel routine, at isa.KernelEntry,
+// and its internal tiger.
 // The routine reads one bit of the secret array (index in R1) and, if
 // set, calls the internal routine before returning to user mode.
-func buildKernelImage(kentry uint64, g attack.Geometry) (*asm.Program, error) {
-	kb := asm.New(kentry)
+func buildKernelImage(g attack.Geometry) (*asm.Program, error) {
+	kb := asm.New(isa.KernelEntry)
 	kb.Label("kentry")
 	// R2 = secret[R1>>3], R3 = (R2 >> (R1&7)) & 1
 	kb.Mov(isa.R2, isa.R1)

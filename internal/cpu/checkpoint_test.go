@@ -183,8 +183,7 @@ func TestCheckpointRestoreAllocs(t *testing.T) {
 
 // TestRestoreRejectsForeignSnapshot pins the geometry checks: a guest
 // image snapshot restores only into an image of the same size, even
-// one with the same page count, and a core checkpoint only into a core
-// with the same MemSize.
+// one with the same page count.
 func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -199,12 +198,6 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	NewMemory(2 << memPageShift).Save(&ms)
 	mustPanic("memory, same page count", func() { NewMemory(2<<memPageShift - 1).Restore(&ms) })
 	mustPanic("memory, fewer pages", func() { NewMemory(1 << memPageShift).Restore(&ms) })
-
-	var ck Checkpoint
-	New(Intel()).Checkpoint(&ck)
-	cfg := Intel()
-	cfg.MemSize /= 2
-	mustPanic("core, half MemSize", func() { New(cfg).Restore(&ck) })
 }
 
 // TestRunSkipEquivalence is the package-local skip check (the corpus-

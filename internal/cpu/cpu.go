@@ -25,6 +25,17 @@ import (
 // NumThreads is the number of SMT contexts per core.
 const NumThreads = 2
 
+// The guest layout every core shares (the kernel image sits at
+// isa.KernelEntry).
+const (
+	// MemSize is the guest data memory size in bytes.
+	MemSize = 1 << 22
+	// StackTop seeds thread 0's R15; each later thread's stack starts
+	// StackSpacing bytes lower.
+	StackTop     = 1 << 22
+	StackSpacing = 1 << 16
+)
+
 // Mitigation selects a §VIII countermeasure against micro-op cache
 // leakage.
 type Mitigation int
@@ -62,21 +73,8 @@ type Config struct {
 	Frontend  frontend.Config
 	Backend   backend.Config
 	BPU       bpu.Config
-	// MemSize is the guest data memory size in bytes.
-	MemSize int
-	// KernelEntry is the SYSCALL target; guest images place kernel code
-	// there.
-	KernelEntry uint64
-	// StackTop seeds each thread's R15. Thread 1 gets StackTop -
-	// StackSpacing.
-	StackTop     uint64
-	StackSpacing uint64
 	// Mitigation enables a §VIII countermeasure.
 	Mitigation Mitigation
-	// InvisibleSpeculation enables the §VII invisible-speculation
-	// defense model: speculative loads defer their cache fills to
-	// retirement.
-	InvisibleSpeculation bool
 	// DisableCycleSkip turns off the event-driven fast path that
 	// advances the clock in one step over cycles in which every unit is
 	// provably idle (stall countdowns, in-flight memory latency, drain
@@ -89,19 +87,17 @@ type Config struct {
 
 // FromProfile assembles a core configuration for one registered
 // front-end profile: the profile owns the DSB geometry and decode
-// path, the core supplies everything frontend-agnostic (memory
-// hierarchy, backend, BPU, guest memory layout).
+// path, the core supplies everything frontend-agnostic (IDQ, memory
+// hierarchy, backend, BPU).
 func FromProfile(p profile.Profile) Config {
+	fe := frontend.DefaultConfig()
+	fe.Decode = p.Decode
 	return Config{
-		UopCache:     p.UopCache,
-		Frontend:     p.Frontend(),
-		Hierarchy:    mem.DefaultHierarchy(),
-		Backend:      backend.DefaultConfig(),
-		BPU:          bpu.DefaultConfig(),
-		MemSize:      1 << 22,
-		KernelEntry:  0x40_0000,
-		StackTop:     1 << 22,
-		StackSpacing: 1 << 16,
+		UopCache:  p.UopCache,
+		Frontend:  fe,
+		Hierarchy: mem.DefaultHierarchy(),
+		Backend:   backend.DefaultConfig(),
+		BPU:       bpu.DefaultConfig(),
 	}
 }
 
@@ -172,16 +168,15 @@ func (a *Arena) CheckpointBuf(i int) *Checkpoint {
 	return a.cks[i]
 }
 
-// memory returns a zeroed guest image of the requested size, reusing
-// the arena's image when the size matches. Reuse re-zeroes only the
-// pages the previous core wrote, so recycling a 4 MiB image costs a
-// few page clears, not a 4 MiB sweep.
-func (a *Arena) memory(size int) *Memory {
+// memory returns a zeroed guest image, reusing the arena's. Reuse
+// re-zeroes only the pages the previous core wrote, so recycling a
+// 4 MiB image costs a few page clears, not a 4 MiB sweep.
+func (a *Arena) memory() *Memory {
 	if a == nil {
-		return NewMemory(size)
+		return NewMemory(MemSize)
 	}
-	if a.m == nil || len(a.m.data) != size {
-		a.m = NewMemory(size)
+	if a.m == nil {
+		a.m = NewMemory(MemSize)
 	} else {
 		a.m.pages.Reset()
 	}
@@ -219,7 +214,7 @@ func (a *Arena) predictor(t int, cfg bpu.Config) *bpu.BPU {
 }
 
 // memPageShift sizes the write-tracking granule (4 KiB pages). The
-// guest image is MemSize bytes (4 MiB by default) but a workload
+// guest image is MemSize bytes (4 MiB) but a workload
 // writes a handful of pages; tracking which ones lets Save/Restore
 // copy kilobytes instead of the whole image.
 const memPageShift = 12
@@ -338,14 +333,14 @@ func New(cfg Config) *CPU { return NewWith(cfg, nil) }
 // point. Every hook is installed afresh, so a core built on recycled
 // structures behaves exactly like one built on new ones.
 func NewWith(cfg Config, arena *Arena) *CPU {
-	if cfg.Mitigation == MitigationPrivilegePartition {
-		cfg.UopCache.PrivilegePartition = true
-	}
 	c := &CPU{
 		cfg:  cfg,
 		uc:   uopcache.New(cfg.UopCache),
 		hier: arena.hierarchy(cfg.Hierarchy),
-		mem:  arena.memory(cfg.MemSize),
+		mem:  arena.memory(),
+	}
+	if cfg.Mitigation == MitigationPrivilegePartition {
+		c.uc.PartitionByDomain()
 	}
 	// Inclusion hooks: an L1I eviction invalidates the matching
 	// micro-op cache lines; an iTLB flush empties it.
@@ -358,14 +353,9 @@ func NewWith(cfg Config, arena *Arena) *CPU {
 	for t := 0; t < NumThreads; t++ {
 		ctr := &perfctr.Counters{}
 		bp := arena.predictor(t, cfg.BPU)
-		fcfg := cfg.Frontend
-		fcfg.KernelEntry = cfg.KernelEntry
-		fe := frontend.New(fcfg, t, c.uc, c.hier, bp, ctr)
-		bcfg := cfg.Backend
-		bcfg.InvisibleSpeculation = cfg.InvisibleSpeculation
-		bcfg.KernelEntry = cfg.KernelEntry
-		bcfg.StackTop = cfg.StackTop - uint64(t)*cfg.StackSpacing
-		be := backend.New(bcfg, fe, bp, c.hier, c.mem, ctr)
+		fe := frontend.New(cfg.Frontend, t, c.uc, c.hier, bp, ctr)
+		be := backend.New(cfg.Backend, fe, bp, c.hier, c.mem, ctr)
+		be.SetReg(isa.R15, int64(StackTop-t*StackSpacing))
 		switch cfg.Mitigation {
 		case MitigationFlushOnPrivilegeSwitch:
 			be.OnPrivilegeSwitch = func(bool) { c.uc.FlushAll() }

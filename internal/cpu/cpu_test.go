@@ -219,7 +219,7 @@ func TestSyscallSysret(t *testing.T) {
 	user.Syscall()
 	user.Addi(isa.R1, 100)
 	user.Halt()
-	kern := asm.New(cfg.KernelEntry)
+	kern := asm.New(isa.KernelEntry)
 	kern.Label("kentry")
 	kern.Addi(isa.R1, 10)
 	kern.Sysret()
@@ -238,6 +238,129 @@ func TestSyscallSysret(t *testing.T) {
 	}
 	if c.Backend(0).KernelMode() {
 		t.Error("still in kernel mode after sysret")
+	}
+}
+
+// TestGuestLayout pins the fixed guest layout on new and recycled
+// cores: thread 0's stack pointer starts at StackTop, thread 1's
+// StackSpacing lower, and SYSCALL enters the kernel at isa.KernelEntry.
+func TestGuestLayout(t *testing.T) {
+	user := asm.New(0x1000)
+	user.Syscall()
+	user.Halt()
+	kern := asm.New(isa.KernelEntry)
+	kern.Movi(isa.R1, 42)
+	kern.Halt()
+	prog, err := asm.Merge(user.MustBuild(), kern.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arena Arena
+	for _, tc := range []struct {
+		name string
+		mk   func() *CPU
+	}{
+		{"new", func() *CPU { return New(Intel()) }},
+		{"arena, first core", func() *CPU { return NewWith(AMD(), &arena) }},
+		{"arena, recycled core", func() *CPU { return NewWith(Intel(), &arena) }},
+	} {
+		c := tc.mk()
+		if got := c.Reg(0, isa.R15); got != StackTop {
+			t.Errorf("%s: thread 0 R15 = %#x, want StackTop %#x", tc.name, got, StackTop)
+		}
+		if got, want := c.Reg(1, isa.R15), int64(StackTop-StackSpacing); got != want {
+			t.Errorf("%s: thread 1 R15 = %#x, want StackTop-StackSpacing %#x", tc.name, got, want)
+		}
+		c.LoadProgram(prog)
+		if res := c.Run(0, prog.Entry, testMaxCycles); res.TimedOut {
+			t.Fatalf("%s: timed out", tc.name)
+		}
+		if got := c.Reg(0, isa.R1); got != 42 || !c.Backend(0).KernelMode() {
+			t.Errorf("%s: R1 = %d, kernel mode %v after SYSCALL; want the kernel code at %#x to run",
+				tc.name, got, c.Backend(0).KernelMode(), isa.KernelEntry)
+		}
+	}
+}
+
+// TestDeliveryPathMatchesCounters checks each retired µop's Path tag
+// against the delivery counters: on a straight-line program (no
+// squash, so every delivered µop retires) the retired µops per path
+// equal the MITEUops, MSROMUops, DSBUops and LSDUops deltas, cold and
+// warm; on a loop the LSD replays, no path retires more than it
+// delivered.
+func TestDeliveryPathMatchesCounters(t *testing.T) {
+	b := asm.New(0x10000)
+	b.Label("entry")
+	b.NopRegion(32, 4)
+	b.Movi(isa.R1, 1)
+	b.Msrom(6)
+	b.Addi(isa.R1, 2)
+	b.NopRegion(64, 6)
+	b.Halt()
+	prog := b.MustBuild()
+	c := New(Intel())
+	c.LoadProgram(prog)
+
+	var retired [isa.PathLSD + 1]uint64
+	squashes := 0
+	be := c.Backend(0)
+	be.OnRetire = func(_ uint64, u isa.Uop) { retired[u.Path]++ }
+	be.OnSquash = func(uint64, uint64) { squashes++ }
+	counters := [...]perfctr.Event{
+		isa.PathMITE:  perfctr.MITEUops,
+		isa.PathMSROM: perfctr.MSROMUops,
+		isa.PathDSB:   perfctr.DSBUops,
+		isa.PathLSD:   perfctr.LSDUops,
+	}
+	for _, run := range []string{"cold", "warm"} {
+		retired = [len(retired)]uint64{}
+		res := c.Run(0, prog.Entry, testMaxCycles)
+		if res.TimedOut || squashes != 0 {
+			t.Fatalf("%s: timed out %v, %d squashes; the program must run straight through", run, res.TimedOut, squashes)
+		}
+		for p, ev := range counters {
+			if got, want := retired[p], res.Counters.Get(ev); got != want {
+				t.Errorf("%s: %d µops retired with path %v, counter %v = %d", run, got, isa.Path(p), ev, want)
+			}
+		}
+		switch {
+		case run == "cold" && (retired[isa.PathMITE] == 0 || retired[isa.PathMSROM] == 0):
+			t.Errorf("cold run retired %v µops per path; want legacy and microcode delivery", retired)
+		case run == "warm" && retired[isa.PathDSB] == 0:
+			t.Errorf("warm run retired %v µops per path; want µop cache delivery", retired)
+		}
+	}
+
+	// A loop the LSD locks squashes at its exit, so a path may deliver
+	// more µops than retire; still, every retired µop was delivered by
+	// the path it names, and the replayed ones name the LSD.
+	lb := asm.New(0x20000)
+	lb.Label("loop")
+	lb.Nop(4)
+	lb.Addi(isa.R1, 1)
+	lb.Subi(isa.R14, 1)
+	lb.Cmpi(isa.R14, 0)
+	lb.Jcc(isa.NE, "loop")
+	lb.Halt()
+	loop := lb.MustBuild()
+	cfg := Intel()
+	cfg.Frontend.LSDCapacity = 64
+	c = New(cfg)
+	c.LoadProgram(loop)
+	retired = [len(retired)]uint64{}
+	c.Backend(0).OnRetire = func(_ uint64, u isa.Uop) { retired[u.Path]++ }
+	c.SetReg(0, isa.R14, 50)
+	res := c.Run(0, loop.Entry, testMaxCycles)
+	if res.TimedOut {
+		t.Fatal("LSD loop timed out")
+	}
+	for p, ev := range counters {
+		if got, max := retired[p], res.Counters.Get(ev); got > max {
+			t.Errorf("LSD loop: %d µops retired with path %v, but %v = %d delivered", got, isa.Path(p), ev, max)
+		}
+	}
+	if retired[isa.PathLSD] == 0 {
+		t.Errorf("LSD loop retired %v µops per path; want LSD delivery", retired)
 	}
 }
 

@@ -287,7 +287,7 @@ func TestMitigationFlushKillsPersistence(t *testing.T) {
 	user.Nop(5)
 	user.Syscall()
 	user.Halt()
-	kern := asm.New(cfg.KernelEntry)
+	kern := asm.New(isa.KernelEntry)
 	kern.Sysret()
 	prog, err := asm.Merge(user.MustBuild(), kern.MustBuild())
 	if err != nil {

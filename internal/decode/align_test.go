@@ -152,7 +152,7 @@ func TestJccAlignOnlyConditional(t *testing.T) {
 // streamed) cycles do not, so the refill delta grows by exactly the
 // penalty.
 func TestRegionCostSurfacesAlignStalls(t *testing.T) {
-	ct := NewCostTable(Skylake(), uopcache.Skylake())
+	ct := CostTable{Decode: Skylake(), Cache: uopcache.Skylake()}
 	build := func(firstNop int) []*isa.Inst {
 		return insts(func(b *asm.Builder) {
 			b.Nop(firstNop)

@@ -5,11 +5,13 @@ import (
 	"deaduops/internal/uopcache"
 )
 
-// CostTable is the single source of front-end delivery-cost parameters
-// shared between the cycle-level simulator (internal/frontend) and the
-// static leakage quantifier (internal/staticlint). Both sides price a
-// fetch with the same numbers, so the predictor and the model cannot
-// drift apart on constants — the contract the differential harness
+// CostTable is the static leakage quantifier's (internal/staticlint)
+// price list for front-end delivery. Its Decode and Cache halves are
+// the very configurations the simulated core runs (cpu.FromProfile
+// hands the same profile values to the fetch engine), and its drain
+// terms come from the backend's dispatch width plus two calibrated
+// constants, so the analyzer and the simulator price a fetch from one
+// set of numbers — the contract the differential harness
 // (internal/staticlint/difftest) continuously re-checks.
 type CostTable struct {
 	// Decode supplies the legacy-pipeline schedule (predecode window,
@@ -21,7 +23,6 @@ type CostTable struct {
 	// DrainWidth caps sustained micro-op consumption at the backend's
 	// dispatch width: a DSB stream wider than the backend drains only
 	// fills the IDQ, so steady-state warm delivery is drain-bound.
-	// Zero leaves warm delivery capped by the stream width alone.
 	DrainWidth int
 	// DrainLag is the pipeline-depth surcharge a drain-bound run pays:
 	// the retire stream trails dispatch by the machine's fill depth, so
@@ -42,17 +43,6 @@ type CostTable struct {
 	// re-validated by internal/staticlint/difftest.
 	RunOverhead int
 }
-
-// NewCostTable builds the shared table from the two model configs.
-func NewCostTable(d Config, u uopcache.Config) CostTable {
-	return CostTable{Decode: d, Cache: u}
-}
-
-// SwitchPenalty returns the DSB→MITE transition stall in cycles.
-func (t CostTable) SwitchPenalty() int { return t.Cache.SwitchPenalty }
-
-// StreamWidth returns the DSB delivery rate in µops per cycle.
-func (t CostTable) StreamWidth() int { return t.Cache.StreamWidth }
 
 // RegionCost prices one fetch segment — the macro-ops of a single
 // (region, entry) micro-op cache trace.
@@ -124,25 +114,17 @@ func (t CostTable) StreamCycles(uops int) int {
 }
 
 // DrainCycles returns the backend-side lower bound on consuming uops
-// µops (zero when no DrainWidth is configured). Over a multi-segment
-// path the warm front end is bursty but the backend drains steadily,
-// so the path's warm cost is the max of the summed stream cycles and
-// this bound.
+// µops. Over a multi-segment path the warm front end is bursty but the
+// backend drains steadily, so the path's warm cost is the max of the
+// summed stream cycles and this bound.
 func (t CostTable) DrainCycles(uops int) int {
-	if t.DrainWidth <= 0 {
-		return 0
-	}
 	return ceilDiv(uops, t.DrainWidth)
 }
 
 // DrainBound returns the full backend-side lower bound on a warm path
-// of uops µops: the drain cycles plus the pipeline-fill lag (zero when
-// no DrainWidth is configured).
+// of uops µops: the drain cycles plus the pipeline-fill lag.
 func (t CostTable) DrainBound(uops int) int {
-	if t.DrainWidth <= 0 {
-		return 0
-	}
-	return ceilDiv(uops, t.DrainWidth) + t.DrainLag
+	return t.DrainCycles(uops) + t.DrainLag
 }
 
 func ceilDiv(a, b int) int {
@@ -162,8 +144,7 @@ func ceilDiv(a, b int) int {
 // last fetch: a tail no per-segment sum can see. RunRace replays the
 // delivery schedule cycle for cycle against a DrainWidth-wide
 // consumer, so the tail (and any mid-run catch-up during switch
-// bubbles) is priced exactly. With no DrainWidth configured the race
-// degenerates to the plain delivery-cycle count.
+// bubbles) is priced exactly.
 type RunRace struct {
 	t      CostTable
 	queue  int
@@ -179,10 +160,6 @@ func (r *RunRace) step(n int) {
 	r.cycles++
 	r.queue += n
 	d := r.t.DrainWidth
-	if d <= 0 {
-		r.queue = 0
-		return
-	}
 	if d > r.queue {
 		d = r.queue
 	}
@@ -194,7 +171,7 @@ func (r *RunRace) step(n int) {
 // starts on the probe cycle itself.
 func (r *RunRace) Stream(uops int) {
 	for uops > 0 {
-		n := r.t.StreamWidth()
+		n := r.t.Cache.StreamWidth
 		if n > uops {
 			n = uops
 		}

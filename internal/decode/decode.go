@@ -96,7 +96,9 @@ func Expand(in *isa.Inst) []isa.Uop {
 		u.Imm = in.Imm
 		u.Cond = in.Cond
 		u.HasImm = in.HasImm
-		u.FromMSROM = in.Microcoded()
+		if in.Microcoded() {
+			u.Path = isa.PathMSROM
+		}
 		u.BranchPC = in.Addr
 	}
 	if in.Imm64 && n > 0 {

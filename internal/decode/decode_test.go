@@ -187,7 +187,7 @@ func TestMSROMExclusive(t *testing.T) {
 	for _, slot := range plan.Slots {
 		ms, plainOps := 0, 0
 		for _, u := range slot {
-			if u.FromMSROM {
+			if u.Path == isa.PathMSROM {
 				ms++
 			} else {
 				plainOps++

@@ -29,7 +29,7 @@ func InvisibleSpeculation(o Options) (*Table, error) {
 
 	classic := func(invisible bool, a *cpu.Arena) string {
 		cfg := cpu.Intel()
-		cfg.InvisibleSpeculation = invisible
+		cfg.Backend.InvisibleSpeculation = invisible
 		c := cpu.NewWith(cfg, a)
 		cl, err := transient.NewClassicSpectre(c)
 		if err != nil {
@@ -44,7 +44,7 @@ func InvisibleSpeculation(o Options) (*Table, error) {
 	}
 	uop := func(invisible bool, a *cpu.Arena) string {
 		cfg := cpu.Intel()
-		cfg.InvisibleSpeculation = invisible
+		cfg.Backend.InvisibleSpeculation = invisible
 		c := cpu.NewWith(cfg, a)
 		v, err := transient.NewVariant1(c)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"deaduops/internal/channel"
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
+	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 	"deaduops/internal/transient"
 )
@@ -109,7 +110,7 @@ func benignSyscallCycles(m cpu.Mitigation, a *cpu.Arena) (uint64, error) {
 	cfg.Mitigation = m
 	c := cpu.NewWith(cfg, a)
 
-	prog, entry, err := buildBenignSyscallWorkload(cfg.KernelEntry)
+	prog, entry, err := buildBenignSyscallWorkload()
 	if err != nil {
 		return 0, err
 	}
@@ -126,7 +127,7 @@ func benignSyscallCycles(m cpu.Mitigation, a *cpu.Arena) (uint64, error) {
 
 // buildBenignSyscallWorkload assembles: user loop of hot code + one
 // syscall per iteration; kernel routine with a short hot body.
-func buildBenignSyscallWorkload(kentry uint64) (prog *asm.Program, entry uint64, err error) {
+func buildBenignSyscallWorkload() (prog *asm.Program, entry uint64, err error) {
 	b := asm.New(0x10000)
 	b.Label("entry")
 	b.Label("uloop")
@@ -139,7 +140,7 @@ func buildBenignSyscallWorkload(kentry uint64) (prog *asm.Program, entry uint64,
 	if err != nil {
 		return nil, 0, err
 	}
-	kb := asm.New(kentry)
+	kb := asm.New(isa.KernelEntry)
 	for i := 0; i < 4; i++ {
 		kb.NopRegion(32, 4)
 	}

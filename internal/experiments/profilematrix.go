@@ -129,7 +129,7 @@ func profileRow(p profile.Profile, o Options) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		bubble := 1 + h.Config().Costs().SwitchPenalty()
+		bubble := 1 + p.UopCache.SwitchPenalty
 		d := (r.Prediction.TakenCost.WarmSwitchPoints - r.Prediction.FallCost.WarmSwitchPoints) * bubble
 		switchDelta = fmt.Sprintf("%+dc", d)
 	}

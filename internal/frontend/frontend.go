@@ -23,8 +23,6 @@ import (
 type Config struct {
 	IDQCapacity int
 	Decode      decode.Config
-	// KernelEntry is the architectural SYSCALL target.
-	KernelEntry uint64
 	// LSDCapacity enables the loop stream detector when nonzero: loops
 	// of at most this many µops lock into the IDQ and replay without
 	// touching the micro-op cache (§II-C). Zero disables it — the
@@ -37,15 +35,6 @@ type Config struct {
 // erratum SKL150).
 func DefaultConfig() Config {
 	return Config{IDQCapacity: 64, Decode: decode.Skylake()}
-}
-
-// Costs returns the shared front-end delivery cost table for this
-// configuration over u's micro-op cache geometry. The fetch engine
-// charges its DSB→MITE switch penalty through this table, and the
-// static leakage quantifier (internal/staticlint) prices paths with
-// the same table — one source of truth for every cost constant.
-func (c Config) Costs(u uopcache.Config) decode.CostTable {
-	return decode.NewCostTable(c.Decode, u)
 }
 
 // lsdRec is one fetch group retained for loop detection.
@@ -65,7 +54,6 @@ const (
 // FrontEnd is one hardware thread's fetch engine.
 type FrontEnd struct {
 	cfg    Config
-	costs  decode.CostTable
 	thread int
 	prog   *asm.Program
 	uc     *uopcache.Cache
@@ -74,9 +62,10 @@ type FrontEnd struct {
 	ctr    *perfctr.Counters
 	// Scalars from the µop cache and L1I configurations, captured once
 	// so every fetch and DSB cycle reads them without copying a Config.
-	regionSize  uint64
-	streamWidth int
-	l1iLat      int
+	regionSize    uint64
+	streamWidth   int
+	switchPenalty int
+	l1iLat        int
 
 	pc        uint64
 	active    bool // fetch enabled (false: stalled on fault/halt/serialize)
@@ -122,16 +111,16 @@ type FrontEnd struct {
 func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bpu.BPU, ctr *perfctr.Counters) *FrontEnd {
 	ucfg := uc.Config()
 	return &FrontEnd{
-		cfg:         cfg,
-		costs:       cfg.Costs(ucfg),
-		thread:      thread,
-		uc:          uc,
-		hier:        hier,
-		bp:          bp,
-		ctr:         ctr,
-		regionSize:  ucfg.RegionSize(),
-		streamWidth: ucfg.StreamWidth,
-		l1iLat:      hier.Config().L1I.Latency,
+		cfg:           cfg,
+		thread:        thread,
+		uc:            uc,
+		hier:          hier,
+		bp:            bp,
+		ctr:           ctr,
+		regionSize:    ucfg.RegionSize(),
+		streamWidth:   ucfg.StreamWidth,
+		switchPenalty: ucfg.SwitchPenalty,
+		l1iLat:        hier.Config().L1I.Latency,
 
 		// Pre-size the IDQ and the DSB stream buffer so the steady-state
 		// cycle loop never grows either: the IDQ is hard-capped at
@@ -336,9 +325,9 @@ func (f *FrontEnd) planFetch(pc uint64) *fetchGroup {
 			}
 			return g
 		case isa.SYSCALL:
-			g.setPred(in.End(), predOut{taken: true, target: f.cfg.KernelEntry, valid: true})
+			g.setPred(in.End(), predOut{taken: true, target: isa.KernelEntry, valid: true})
 			f.sysRet = append(f.sysRet, in.End())
-			g.next = f.cfg.KernelEntry
+			g.next = isa.KernelEntry
 			return g
 		case isa.SYSRET:
 			t, ok := f.predictSysret()
@@ -505,7 +494,9 @@ func (f *FrontEnd) tickLSD(room int) {
 		n = room
 	}
 	for i := 0; i < n; i++ {
-		f.idq = append(f.idq, f.lsdLoop[f.lsdIdx])
+		u := f.lsdLoop[f.lsdIdx]
+		u.Path = isa.PathLSD
+		f.idq = append(f.idq, u)
 		f.lsdIdx = (f.lsdIdx + 1) % len(f.lsdLoop)
 	}
 	f.ctr.Add(perfctr.LSDUops, uint64(n))
@@ -615,7 +606,7 @@ func (f *FrontEnd) tickMITE(room int) {
 			f.planGroup.annotate(&u)
 			f.idq = append(f.idq, u)
 			f.planDelivered = append(f.planDelivered, u)
-			if u.FromMSROM {
+			if u.Path == isa.PathMSROM {
 				f.ctr.Inc(perfctr.MSROMUops)
 			} else {
 				f.ctr.Inc(perfctr.MITEUops)
@@ -692,6 +683,7 @@ func (f *FrontEnd) startFetch() bool {
 		if covered := f.coverage(uops); covered >= g.groupEnd() {
 			stream := f.truncateToGroup(uops, g)
 			for i := range stream {
+				stream[i].Path = isa.PathDSB
 				g.annotate(&stream[i])
 			}
 			f.lsdRecord(g.entry, stream)
@@ -709,10 +701,9 @@ func (f *FrontEnd) startFetch() bool {
 		// Treat as a miss and rebuild.
 	}
 
-	// DSB miss: the switch penalty from the shared cost table, then
-	// the MITE schedule.
+	// DSB miss: the switch penalty, then the MITE schedule.
 	f.ctr.Inc(perfctr.DSB2MITESwitches)
-	f.stallPen += f.costs.SwitchPenalty()
+	f.stallPen += f.switchPenalty
 	f.plan = decode.PlanRegion(f.cfg.Decode, g.insts)
 	f.planIdx = 0
 	f.planGroup = g

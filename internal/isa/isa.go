@@ -302,6 +302,38 @@ func (in *Inst) String() string {
 	}
 }
 
+// KernelEntry is the architectural SYSCALL target: guest images place
+// kernel code there, and every core's fetch engine and backend redirect
+// to it.
+const KernelEntry uint64 = 0x40_0000
+
+// Path names the front-end path that delivered a micro-op to the IDQ,
+// one per perfctr delivery counter (MITEUops, MSROMUops, DSBUops,
+// LSDUops).
+type Path uint8
+
+// Delivery paths.
+const (
+	// PathMITE is the legacy decoders.
+	PathMITE Path = iota
+	// PathMSROM is the microcode sequencer.
+	PathMSROM
+	// PathDSB is the micro-op cache.
+	PathDSB
+	// PathLSD is the loop stream detector.
+	PathLSD
+)
+
+var pathNames = [...]string{"mite", "msrom", "dsb", "lsd"}
+
+// String implements fmt.Stringer.
+func (p Path) String() string {
+	if int(p) < len(pathNames) {
+		return pathNames[p]
+	}
+	return fmt.Sprintf("path(%d)", uint8(p))
+}
+
 // Uop is a decoded micro-op, the unit buffered in the micro-op cache,
 // the IDQ, and the backend.
 type Uop struct {
@@ -321,8 +353,11 @@ type Uop struct {
 	Slots uint8
 	// Fused marks a macro-fused compare+branch micro-op.
 	Fused bool
-	// FromMSROM marks delivery by the microcode sequencer.
-	FromMSROM bool
+	// Path is the front-end path that delivered the micro-op: decode
+	// sets PathMITE or PathMSROM, and the fetch engine re-marks a
+	// micro-op PathDSB or PathLSD when it streams out of the micro-op
+	// cache or the loop stream detector.
+	Path Path
 
 	// Dst, Src, Imm, Cond mirror the macro-op operands.
 	Dst  Reg

@@ -1,12 +1,14 @@
 // Package profile is the registry of named front-end
-// microarchitecture profiles. A profile bundles everything the rest of
-// the system needs to know about one frontend flavour — DSB geometry
-// and sharing policy (uopcache.Config), decoder widths and alignment
-// penalties (decode.Config), and the IDQ/LSD capacities — so the
-// simulator (internal/cpu), the static analyzer (internal/staticlint),
-// the differential harness (staticlint/difftest), and the experiments
-// registry all derive their constants from one place instead of
-// hard-coding Skylake numbers.
+// microarchitecture profiles. A profile holds the two halves that
+// differ between frontend flavours — DSB geometry, sharing policy,
+// switch penalty and stream width (uopcache.Config), and decoder widths
+// and alignment penalties (decode.Config). The simulator
+// (internal/cpu.FromProfile) and the static analyzer
+// (internal/staticlint.ConfigForProfile) each read those two values
+// directly, so the cycles a core charges and the cycles the analyzer
+// prices come from the same constants; everything frontend-agnostic
+// (IDQ depth, backend widths, memory hierarchy) keeps its single
+// default in its own package.
 //
 // The built-in profiles mirror the paper's targets: Intel
 // Skylake/Coffee Lake and Sunny Cove, AMD Zen and Zen 2, plus a
@@ -23,7 +25,6 @@ import (
 	"strings"
 
 	"deaduops/internal/decode"
-	"deaduops/internal/frontend"
 	"deaduops/internal/uopcache"
 )
 
@@ -38,28 +39,6 @@ type Profile struct {
 	// Decode is the legacy-decode (MITE) configuration: decoder widths,
 	// LCP and Jcc-alignment penalties, predecode window.
 	Decode decode.Config
-	// IDQCapacity is the instruction decode queue depth.
-	IDQCapacity int
-	// LSDCapacity enables the loop stream detector when nonzero.
-	LSDCapacity int
-}
-
-// Frontend returns the fetch-engine configuration this profile implies.
-// KernelEntry is owned by the core assembly (internal/cpu), not the
-// profile.
-func (p Profile) Frontend() frontend.Config {
-	return frontend.Config{
-		IDQCapacity: p.IDQCapacity,
-		Decode:      p.Decode,
-		LSDCapacity: p.LSDCapacity,
-	}
-}
-
-// Costs returns the front-end delivery cost table the profile implies —
-// the same table the fetch engine charges and the static quantifier
-// prices with.
-func (p Profile) Costs() decode.CostTable {
-	return p.Frontend().Costs(p.UopCache)
 }
 
 // HasDSB reports whether the profile has a functioning micro-op cache.
@@ -82,7 +61,6 @@ func Skylake() Profile {
 		Description: "Intel Skylake/Coffee Lake: 32s×8w×6µ DSB, static SMT partition, 1:4 decoders",
 		UopCache:    uopcache.Skylake(),
 		Decode:      decode.Skylake(),
-		IDQCapacity: 64,
 	}
 }
 
@@ -105,7 +83,6 @@ func Zen() Profile {
 		Description: "AMD Zen: 32s×8w×8µ op cache, competitive SMT sharing, 1:2 decoders",
 		UopCache:    uopcache.Zen(),
 		Decode:      decode.Zen(),
-		IDQCapacity: 64,
 	}
 }
 

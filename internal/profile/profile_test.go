@@ -76,18 +76,9 @@ func TestGeometryInvariants(t *testing.T) {
 			t.Errorf("%s: non-positive delivery widths (stream %d, decode %d)",
 				p.Name, u.StreamWidth, p.Decode.DecodeWidth)
 		}
-		if p.IDQCapacity <= 0 {
-			t.Errorf("%s: non-positive IDQ capacity %d", p.Name, p.IDQCapacity)
-		}
 		if p.Decode.JccAlignPenalty < 0 || u.SwitchPenalty < 0 {
 			t.Errorf("%s: negative penalty (align %d, switch %d)",
 				p.Name, p.Decode.JccAlignPenalty, u.SwitchPenalty)
-		}
-		// The cost table must be constructible — Costs panics on an
-		// inconsistent configuration.
-		if ct := p.Costs(); ct.SwitchPenalty() != u.SwitchPenalty {
-			t.Errorf("%s: cost table switch penalty %d != config %d",
-				p.Name, ct.SwitchPenalty(), u.SwitchPenalty)
 		}
 	}
 }

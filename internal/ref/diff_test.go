@@ -13,8 +13,11 @@ import (
 // core from identical initial state and returns both machines.
 func runBoth(t *testing.T, prog *asm.Program, gcfg GenConfig) (*Machine, *cpu.CPU) {
 	t.Helper()
-	ccfg := cpu.Intel()
-	ccfg.KernelEntry = gcfg.KernelEntry
+	// The generator places its kernel routine independently of the
+	// core; both must agree on the SYSCALL target.
+	if gcfg.KernelEntry != isa.KernelEntry {
+		t.Fatalf("generator kernel entry %#x, core SYSCALL target %#x", gcfg.KernelEntry, isa.KernelEntry)
+	}
 
 	// Identical initial memory: a deterministic pattern in the scratch
 	// window.
@@ -23,15 +26,15 @@ func runBoth(t *testing.T, prog *asm.Program, gcfg GenConfig) (*Machine, *cpu.CP
 		pattern[i] = byte(i*37 + 11)
 	}
 
-	refMem := cpu.NewMemory(ccfg.MemSize)
+	refMem := cpu.NewMemory(cpu.MemSize)
 	refMem.WriteBytes(gcfg.ScratchBase, pattern)
 	m := New(prog, refMem, gcfg.KernelEntry)
-	m.Regs[isa.R15] = int64(ccfg.StackTop)
+	m.Regs[isa.R15] = cpu.StackTop
 	if err := m.Run(prog.Entry, 2_000_000); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 
-	c := cpu.New(ccfg)
+	c := cpu.New(cpu.Intel())
 	c.LoadProgram(prog)
 	c.Mem().WriteBytes(gcfg.ScratchBase, pattern)
 	res := c.Run(0, prog.Entry, 50_000_000)

@@ -256,7 +256,6 @@ func configFingerprint(cfg Config, withCheckers bool) cacheKey {
 	w.u64(uint64(u.MaxBranchesPerLine))
 	w.u64(uint64(u.HotnessMax))
 	w.u64(uint64(u.SMT))
-	w.boolean(u.PrivilegePartition)
 	w.u64(uint64(u.SwitchPenalty))
 	w.u64(uint64(u.StreamWidth))
 	w.boolean(u.Disabled)
@@ -271,10 +270,6 @@ func configFingerprint(cfg Config, withCheckers bool) cacheKey {
 	w.boolean(d.MacroFusion)
 	w.u64(uint64(d.JccAlignPenalty))
 	w.u64(uint64(cfg.PathBudget))
-	w.u64(uint64(cfg.DrainWidth))
-	w.u64(uint64(cfg.DrainLag))
-	w.u64(uint64(cfg.RunOverhead))
-	w.u64(uint64(cfg.GadgetWindow))
 	w.u64(uint64(cfg.ProbeIters))
 	w.u64(uint64(cfg.PrimeTraversals))
 	w.u64(uint64(cfg.VictimRuns))

@@ -7,9 +7,10 @@ package staticlint
 // boundary stall the predecoder (the Frontal-attack effect), and paths
 // crossing different numbers of DSB↔MITE switch points pay different
 // transition-bubble totals (the Leaky-Frontends channel). Both
-// checkers price the asymmetry through the same decode.CostTable the
-// simulator charges, so every headline number is differentially
-// validated by internal/staticlint/difftest.
+// checkers price the asymmetry from the profile's decode and µop cache
+// configurations — the values the simulated core is built from — so
+// every headline number is differentially validated by
+// internal/staticlint/difftest.
 
 import (
 	"fmt"
@@ -90,7 +91,7 @@ func (c SwitchPointChecker) Check(a *Analysis) []Finding {
 	if a.Cfg.UopCache.Disabled {
 		return out
 	}
-	bubble := 1 + a.Cfg.Costs().SwitchPenalty()
+	bubble := 1 + a.Cfg.UopCache.SwitchPenalty
 	for _, sb := range a.secretBranches() {
 		if sb.inst.Op != isa.JCC {
 			continue

@@ -122,7 +122,7 @@ func TestSwitchPointCheckerFires(t *testing.T) {
 		t.Errorf("warm switch points taken %d / fall %d, want 1 / 0",
 			hit.TakenCost.WarmSwitchPoints, hit.FallCost.WarmSwitchPoints)
 	}
-	bubble := 1 + cfg.Costs().SwitchPenalty()
+	bubble := 1 + cfg.UopCache.SwitchPenalty
 	if want := 1 * bubble; hit.SwitchDeltaCycles != want {
 		t.Errorf("switch delta %+d, want %+d", hit.SwitchDeltaCycles, want)
 	}

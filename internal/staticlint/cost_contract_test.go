@@ -3,87 +3,33 @@ package staticlint
 import (
 	"testing"
 
-	"deaduops/internal/backend"
-	"deaduops/internal/frontend"
+	"deaduops/internal/cpu"
 	"deaduops/internal/profile"
-	"deaduops/internal/uopcache"
 )
 
-// TestCostTableSharedWithFrontend pins the quantifier's one-source-of-
-// truth contract: the cost table staticlint prices paths with must be
-// the same table the cycle-level fetch engine charges its stalls
-// through, extended only by the backend drain parameters the front end
-// has no use for. If either side grows a constant of its own, the
-// difftest calibration silently rots — this test makes the drift loud.
-func TestCostTableSharedWithFrontend(t *testing.T) {
-	lint := DefaultConfig().Costs()
-	fe := frontend.DefaultConfig().Costs(uopcache.Skylake())
-
-	if lint.Decode != fe.Decode {
-		t.Errorf("decode configs diverge: lint %+v, frontend %+v", lint.Decode, fe.Decode)
-	}
-	if lint.Cache != fe.Cache {
-		t.Errorf("cache configs diverge: lint %+v, frontend %+v", lint.Cache, fe.Cache)
-	}
-	if lint.SwitchPenalty() != fe.SwitchPenalty() {
-		t.Errorf("switch penalty diverges: lint %d, frontend %d",
-			lint.SwitchPenalty(), fe.SwitchPenalty())
-	}
-	if lint.StreamWidth() != fe.StreamWidth() {
-		t.Errorf("stream width diverges: lint %d, frontend %d",
-			lint.StreamWidth(), fe.StreamWidth())
-	}
-
-	// The drain bound is the quantifier's extension: width comes from
-	// the live backend configuration, not a copied literal.
-	if want := backend.DefaultConfig().DispatchWidth; lint.DrainWidth != want {
-		t.Errorf("drain width %d, want backend dispatch width %d", lint.DrainWidth, want)
-	}
-	if lint.DrainLag != DefaultDrainLag {
-		t.Errorf("drain lag %d, want %d", lint.DrainLag, DefaultDrainLag)
-	}
-}
-
-// TestCostTableSharedPerProfile extends the one-source-of-truth
-// contract across the whole profile matrix: for EVERY registered
-// profile, the table ConfigForProfile prices with must equal the table
-// the profile's own fetch engine would charge — so a future geometry
-// edit to one profile cannot silently desync analyzer and simulator.
+// TestCostTableSharedPerProfile pins the analyzer's one-source-of-
+// truth contract across the whole profile matrix: for every registered
+// profile, the table ConfigForProfile prices with is built from the
+// µop cache and decode configurations and the backend dispatch width
+// that cpu.FromProfile hands the simulated core. If either side grows
+// a constant of its own, the difftest calibration silently rots — this
+// test makes the drift loud.
 func TestCostTableSharedPerProfile(t *testing.T) {
 	for _, p := range profile.All() {
-		cfg := ConfigForProfile(p)
-		lint := cfg.Costs()
-		fe := p.Frontend().Costs(p.UopCache)
-
-		if lint.Decode != fe.Decode {
-			t.Errorf("%s: decode configs diverge: lint %+v, frontend %+v", p.Name, lint.Decode, fe.Decode)
+		lint := ConfigForProfile(p).Costs()
+		core := cpu.FromProfile(p)
+		if lint.Cache != core.UopCache {
+			t.Errorf("%s: cache configs diverge: lint %+v, core %+v", p.Name, lint.Cache, core.UopCache)
 		}
-		if lint.Cache != fe.Cache {
-			t.Errorf("%s: cache configs diverge: lint %+v, frontend %+v", p.Name, lint.Cache, fe.Cache)
+		if lint.Decode != core.Frontend.Decode {
+			t.Errorf("%s: decode configs diverge: lint %+v, core %+v", p.Name, lint.Decode, core.Frontend.Decode)
 		}
-		if lint.SwitchPenalty() != fe.SwitchPenalty() {
-			t.Errorf("%s: switch penalty diverges: lint %d, frontend %d",
-				p.Name, lint.SwitchPenalty(), fe.SwitchPenalty())
-		}
-		if lint.StreamWidth() != fe.StreamWidth() {
-			t.Errorf("%s: stream width diverges: lint %d, frontend %d",
-				p.Name, lint.StreamWidth(), fe.StreamWidth())
-		}
-		if want := backend.DefaultConfig().DispatchWidth; lint.DrainWidth != want {
-			t.Errorf("%s: drain width %d, want backend dispatch width %d", p.Name, lint.DrainWidth, want)
+		if lint.DrainWidth != core.Backend.DispatchWidth {
+			t.Errorf("%s: drain width %d, want core dispatch width %d", p.Name, lint.DrainWidth, core.Backend.DispatchWidth)
 		}
 		if lint.DrainLag != DefaultDrainLag || lint.RunOverhead != DefaultRunOverhead {
 			t.Errorf("%s: drain lag %d / run overhead %d, want %d / %d",
 				p.Name, lint.DrainLag, lint.RunOverhead, DefaultDrainLag, DefaultRunOverhead)
-		}
-
-		// The analyzer's config must be built from the same profile
-		// halves the simulator's core assembly consumes.
-		if cfg.UopCache != p.UopCache {
-			t.Errorf("%s: staticlint uopcache config %+v != profile %+v", p.Name, cfg.UopCache, p.UopCache)
-		}
-		if cfg.Decode != p.Decode {
-			t.Errorf("%s: staticlint decode config %+v != profile %+v", p.Name, cfg.Decode, p.Decode)
 		}
 	}
 }
@@ -95,9 +41,7 @@ func TestDefaultConfigIsDefaultProfile(t *testing.T) {
 	def := DefaultConfig()
 	sky := ConfigForProfile(profile.Default())
 	if def.UopCache != sky.UopCache || def.Decode != sky.Decode ||
-		def.PathBudget != sky.PathBudget || def.DrainWidth != sky.DrainWidth ||
-		def.DrainLag != sky.DrainLag || def.RunOverhead != sky.RunOverhead ||
-		def.GadgetWindow != sky.GadgetWindow || def.ProbeIters != sky.ProbeIters ||
+		def.PathBudget != sky.PathBudget || def.ProbeIters != sky.ProbeIters ||
 		def.PrimeTraversals != sky.PrimeTraversals || def.VictimRuns != sky.VictimRuns {
 		t.Errorf("DefaultConfig %+v != ConfigForProfile(default) %+v", def, sky)
 	}

@@ -143,7 +143,7 @@ func TestSwitchCorpus(t *testing.T) {
 // fire at the generated branch with the tail chain's region count
 // priced at the full switch bubble.
 func TestSwitchCheckerOnCorpus(t *testing.T) {
-	bubble := 1 + skylake.Config().Costs().SwitchPenalty()
+	bubble := 1 + skylake.Config().UopCache.SwitchPenalty
 	for seed := uint64(1); seed <= 25; seed++ {
 		v, err := skylake.GenerateShape(seed, ShapeSwitch)
 		if err != nil {

@@ -48,6 +48,10 @@ type GadgetHit struct {
 	CrossFunction bool
 }
 
+// gadgetWindow bounds the transient window of the gadget checkers, in
+// macro-ops past the guard.
+const gadgetWindow = 24
+
 // maxGadgetCallDepth bounds how many nested direct calls the transient
 // window follows: the return stack predictor keeps speculative fetch
 // on call/return rails for shallow nests, but a deep chain exhausts
@@ -118,13 +122,9 @@ func (a *Analysis) scanGuard(guard *isa.Inst) []GadgetHit {
 		}
 	}
 
-	window := a.Cfg.GadgetWindow
-	if window <= 0 {
-		window = 24
-	}
 	var retStack []uint64
 	pc := guard.End()
-	for step := 0; step < window; step++ {
+	for step := 0; step < gadgetWindow; step++ {
 		in := a.Prog.At(pc)
 		if in == nil {
 			break

@@ -1,8 +1,9 @@
 package staticlint
 
 // The leakage quantifier: prices the fetch paths of a secret-dependent
-// branch in probe cycles, using the same cost table the cycle-level
-// front end charges its stalls through (decode.CostTable). For every
+// branch in probe cycles with decode.CostTable, built from the same
+// decode and µop cache configurations the cycle-level core runs
+// (see Config.Costs). For every
 // dsb-footprint-divergence finding the checker attaches a PathCost per
 // direction and a headline predicted probe-cycle delta — the number a
 // prime+probe receiver measuring the divergent sets would observe.
@@ -10,6 +11,7 @@ package staticlint
 // internal/staticlint/difftest.
 
 import (
+	"deaduops/internal/backend"
 	"deaduops/internal/decode"
 	"deaduops/internal/uopcache"
 )
@@ -55,20 +57,25 @@ type PathCost struct {
 	ColdSwitchPoints int `json:"cold_switch_points,omitempty"`
 }
 
-// Costs returns the shared cost table the quantifier prices with —
-// the same constants internal/frontend charges (see frontend.Config.Costs).
+// Costs returns the cost table the quantifier prices with: the
+// profile's decode and µop cache configurations — the very values
+// cpu.FromProfile hands the simulated core — plus the backend drain
+// width (backend.DefaultConfig's dispatch width) and the calibrated
+// DefaultDrainLag and DefaultRunOverhead.
 func (c Config) Costs() decode.CostTable {
-	t := decode.NewCostTable(c.Decode, c.UopCache)
-	t.DrainWidth = c.DrainWidth
-	t.DrainLag = c.DrainLag
-	t.RunOverhead = c.RunOverhead
-	return t
+	return decode.CostTable{
+		Decode:      c.Decode,
+		Cache:       c.UopCache,
+		DrainWidth:  backend.DefaultConfig().DispatchWidth,
+		DrainLag:    DefaultDrainLag,
+		RunOverhead: DefaultRunOverhead,
+	}
 }
 
 // CostRanges prices an explicit set of fetch ranges as a path embedded
 // in a longer run: the ranges are segmented exactly as the fetch
 // engine segments them (uopcache.SegmentRanges), each segment is
-// priced by the shared cost table, and the warm cost is bounded below
+// priced by the cost table, and the warm cost is bounded below
 // by the backend drain rate across the whole path.
 func (a *Analysis) CostRanges(ranges []uopcache.Range) PathCost {
 	return a.costRanges(ranges, false)

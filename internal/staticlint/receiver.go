@@ -207,7 +207,7 @@ func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*P
 	// probe → prime → victim runs → timed probe, the attack.Calibrate
 	// round order) against the real replacement state machine in
 	// internal/uopcache, and prices each observed probe miss with the
-	// segment's refill delta from the shared cost table. The prefix up
+	// segment's refill delta from the cost table. The prefix up
 	// to the victim runs does not depend on the direction, so it is
 	// replayed once and each direction forks from a snapshot of it.
 	cache := uopcache.New(cfg.UopCache)

@@ -40,7 +40,6 @@ import (
 	"strings"
 
 	"deaduops/internal/asm"
-	"deaduops/internal/backend"
 	"deaduops/internal/decode"
 	"deaduops/internal/profile"
 	"deaduops/internal/uopcache"
@@ -57,22 +56,6 @@ type Config struct {
 	// PathBudget bounds how many macro-ops a successor-path walk
 	// follows when computing footprints, amplifiers, and costs.
 	PathBudget int
-	// DrainWidth is the backend dispatch width bounding sustained warm
-	// delivery in the leakage quantifier (see Config.Costs). Zero
-	// leaves warm delivery capped by the DSB stream width alone.
-	DrainWidth int
-	// DrainLag is the pipeline-fill depth a drain-bound warm run pays
-	// on top of the drain cycles (see decode.CostTable.DrainLag).
-	DrainLag int
-	// RunOverhead is the constant start/stop cost of one complete run
-	// on the modelled core (see decode.CostTable.RunOverhead). It
-	// cancels out of refill deltas; whole-run pricing (RunCost) adds
-	// it so absolute warm/cold predictions match the simulator's run
-	// cycle counts.
-	RunOverhead int
-	// GadgetWindow bounds the transient window of the gadget checkers,
-	// in macro-ops past the guard (the legacy scanner used 24).
-	GadgetWindow int
 	// ProbeIters is the receiver model's probe traversal count — the
 	// attack.Calibrate protocol's "samples" knob the predicted probe
 	// histograms are stated in. Zero disables the receiver model.
@@ -116,17 +99,14 @@ func DefaultConfig() Config {
 // ConfigForProfile returns the analysis configuration for one
 // registered front-end profile: the profile supplies the micro-op
 // cache geometry and decode semantics, the analyzer supplies its own
-// path budgets and the backend-derived drain/overhead calibration
-// (which the differential harness validates per profile).
+// path budget and receiver protocol; the backend-derived drain and
+// overhead calibration is the same for every profile (see
+// Config.Costs).
 func ConfigForProfile(p profile.Profile) Config {
 	return Config{
 		UopCache:        p.UopCache,
 		Decode:          p.Decode,
 		PathBudget:      48,
-		DrainWidth:      backend.DefaultConfig().DispatchWidth,
-		DrainLag:        DefaultDrainLag,
-		RunOverhead:     DefaultRunOverhead,
-		GadgetWindow:    24,
 		ProbeIters:      DefaultProbeIters,
 		PrimeTraversals: DefaultPrimeTraversals,
 		VictimRuns:      DefaultVictimRuns,

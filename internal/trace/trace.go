@@ -1,6 +1,7 @@
 // Package trace renders a per-cycle view of a run: retired macro-ops
-// annotated with their delivery source (micro-op cache vs legacy
-// decode), squash events, and periodic counter summaries. It is a
+// annotated with the front-end path that delivered them (micro-op
+// cache, legacy decoders, microcode sequencer or loop stream detector)
+// and squash events. It is a
 // debugging aid for attack development — the micro-op cache's
 // hit/miss rhythm is directly visible in the source column.
 package trace
@@ -11,14 +12,12 @@ import (
 
 	"deaduops/internal/cpu"
 	"deaduops/internal/isa"
-	"deaduops/internal/perfctr"
 )
 
 // Tracer attaches to a CPU's thread-0 backend and writes a text log.
 type Tracer struct {
-	w    io.Writer
-	c    *cpu.CPU
-	last perfctr.Snapshot
+	w io.Writer
+	c *cpu.CPU
 
 	// Retired counts macro-ops seen; Squashes counts flushes.
 	Retired  uint64
@@ -28,7 +27,7 @@ type Tracer struct {
 // Attach installs the tracer on thread 0. Call Detach when done; only
 // one tracer may be attached at a time.
 func Attach(c *cpu.CPU, w io.Writer) *Tracer {
-	t := &Tracer{w: w, c: c, last: c.Counters(0).Snapshot()}
+	t := &Tracer{w: w, c: c}
 	be := c.Backend(0)
 	be.OnRetire = t.onRetire
 	be.OnSquash = t.onSquash
@@ -51,19 +50,10 @@ func (t *Tracer) onRetire(cycle uint64, u isa.Uop) {
 	if u.Fused {
 		t.Retired++
 	}
-	now := t.c.Counters(0).Snapshot()
-	d := now.Delta(t.last)
-	t.last = now
-	src := "dsb "
-	if d.Get(perfctr.MITEUops) > 0 {
-		src = "mite"
-	} else if d.Get(perfctr.LSDUops) > 0 {
-		src = "lsd "
-	}
-	fmt.Fprintf(t.w, "%8d  %s  %#8x  %v\n", cycle, src, u.MacroAddr, u.Op)
+	fmt.Fprintf(t.w, "%8d  %-5v  %#8x  %v\n", cycle, u.Path, u.MacroAddr, u.Op)
 }
 
 func (t *Tracer) onSquash(cycle uint64, target uint64) {
 	t.Squashes++
-	fmt.Fprintf(t.w, "%8d  ----  squash → %#x\n", cycle, target)
+	fmt.Fprintf(t.w, "%8d  -----  squash → %#x\n", cycle, target)
 }

@@ -35,18 +35,18 @@ func TestTracerLogsRetirementAndSource(t *testing.T) {
 	if tr.Retired != 3 {
 		t.Errorf("retired %d macro-ops, want 3", tr.Retired)
 	}
-	// The cold run decodes through the legacy pipeline.
-	if !strings.Contains(out, "mite") {
-		t.Errorf("no MITE-sourced retirement in cold trace:\n%s", out)
+	// The cold run decodes every macro-op through the legacy pipeline.
+	if strings.Count(out, " mite ") != 3 {
+		t.Errorf("cold trace does not label all 3 macro-ops mite:\n%s", out)
 	}
 
-	// Warm re-run streams from the micro-op cache.
+	// The warm re-run streams every macro-op from the micro-op cache.
 	buf.Reset()
 	if res := c.Run(0, prog.Entry, 100000); res.TimedOut {
 		t.Fatal("timed out")
 	}
-	if !strings.Contains(buf.String(), "dsb") {
-		t.Errorf("no DSB-sourced retirement in warm trace:\n%s", buf.String())
+	if strings.Count(buf.String(), " dsb ") != 3 {
+		t.Errorf("warm trace does not label all 3 macro-ops dsb:\n%s", buf.String())
 	}
 }
 

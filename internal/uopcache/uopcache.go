@@ -58,10 +58,6 @@ type Config struct {
 	HotnessMax int
 	// SMT selects the sharing policy when two threads are active.
 	SMT SMTPolicy
-	// PrivilegePartition statically partitions the cache between user
-	// and kernel domains (a §VIII candidate mitigation): each domain
-	// sees half the sets, so kernel execution cannot evict user lines.
-	PrivilegePartition bool
 	// SwitchPenalty is the DSB→MITE switch cost in cycles (1 on
 	// Skylake).
 	SwitchPenalty int
@@ -177,9 +173,11 @@ type Cache struct {
 	// sets holds one row of Ways lines per set. Fill marks its set, so
 	// Save, Restore and flushes walk only the sets ever filled.
 	sets rows.Table[line]
-	// domain is each hardware thread's current privilege domain
-	// (0 = user, 1 = kernel), consulted when PrivilegePartition is on.
-	domain [2]int
+	// byDomain statically partitions the sets between the user and
+	// kernel domains (PartitionByDomain); domain is each hardware
+	// thread's current privilege domain (0 = user, 1 = kernel).
+	byDomain bool
+	domain   [2]int
 	// victimPtr is each set's round-robin replacement pointer: fill
 	// pressure rotates across ways, wearing every resident down
 	// uniformly, so a loop that out-accesses a resident loop displaces
@@ -240,7 +238,7 @@ func (c *Cache) RegionOf(addr uint64) uint64 {
 func (c *Cache) setIndex(thread int, region uint64) int {
 	idx := int(region>>c.cfg.IndexLoBit) & (c.cfg.Sets - 1)
 	half := c.cfg.Sets / 2
-	if c.cfg.PrivilegePartition {
+	if c.byDomain {
 		return (c.domain[thread&1]&1)*half + idx%half
 	}
 	if c.smtMode && c.cfg.SMT == PartitionStatic {
@@ -248,6 +246,12 @@ func (c *Cache) setIndex(thread int, region uint64) int {
 	}
 	return idx
 }
+
+// PartitionByDomain statically partitions the cache between the user
+// and kernel privilege domains (the §VIII privilege-partition
+// mitigation): from now on each domain sees half the sets, selected by
+// the thread's SetDomain, so kernel execution cannot evict user lines.
+func (c *Cache) PartitionByDomain() { c.byDomain = true }
 
 // SetDomain records thread's current privilege domain (0 = user,
 // 1 = kernel) for the privilege-partition mitigation.
@@ -257,7 +261,7 @@ func (c *Cache) SetDomain(thread, domain int) {
 
 // VisibleSets returns how many sets one thread can reach right now.
 func (c *Cache) VisibleSets(thread int) int {
-	if c.cfg.PrivilegePartition || (c.smtMode && c.cfg.SMT == PartitionStatic) {
+	if c.byDomain || (c.smtMode && c.cfg.SMT == PartitionStatic) {
 		return c.cfg.Sets / 2
 	}
 	return c.cfg.Sets

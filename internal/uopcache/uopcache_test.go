@@ -380,6 +380,77 @@ func TestIntelSMTPartitioning(t *testing.T) {
 	}
 }
 
+// TestPrivilegePartition checks the §VIII privilege-partition state:
+// each domain sees half the sets, user and kernel fills of one region
+// land in disjoint halves, and kernel fills never evict user lines.
+func TestPrivilegePartition(t *testing.T) {
+	c := New(Skylake())
+	c.PartitionByDomain()
+	cfg := c.Config()
+	half := cfg.Sets / 2
+	for _, d := range []int{0, 1} {
+		c.SetDomain(0, d)
+		c.SetDomain(1, d)
+		if c.VisibleSets(0) != half || c.VisibleSets(1) != half {
+			t.Errorf("domain %d: visible sets %d/%d, want %d", d, c.VisibleSets(0), c.VisibleSets(1), half)
+		}
+	}
+
+	// regionFor returns the k-th region whose set index is idx.
+	regionFor := func(idx, k int) uint64 {
+		return uint64(idx+k*cfg.Sets) * cfg.RegionSize()
+	}
+	// The user domain fills every way of every set it can reach.
+	c.SetDomain(0, 0)
+	var user []uint64
+	for idx := 0; idx < half; idx++ {
+		for k := 0; k < cfg.Ways; k++ {
+			r := regionFor(idx, k)
+			c.Fill(0, simpleTrace(cfg, r, 6))
+			user = append(user, r)
+		}
+	}
+	for _, li := range c.Snapshot() {
+		if li.Set >= half {
+			t.Fatalf("user line for %#x in set %d, outside the user half", li.Region, li.Set)
+		}
+	}
+
+	// Kernel fills of the same regions land in the other half.
+	c.SetDomain(0, 1)
+	for _, r := range user {
+		c.Fill(0, simpleTrace(cfg, r, 6))
+	}
+	sets := map[uint64][]int{}
+	for _, li := range c.Snapshot() {
+		sets[li.Region] = append(sets[li.Region], li.Set)
+	}
+	for _, r := range user {
+		if got := sets[r]; len(got) != 2 || (got[0] < half) == (got[1] < half) {
+			t.Errorf("user and kernel fills of %#x in sets %v, want one per half", r, got)
+		}
+	}
+
+	// Kernel fills hammering every set index with twice as many more
+	// regions displace every line the kernel can reach, and none of the
+	// user's.
+	evictions := c.Stats().Evictions
+	for idx := 0; idx < cfg.Sets; idx++ {
+		for k := cfg.Ways; k < 3*cfg.Ways; k++ {
+			c.Fill(0, simpleTrace(cfg, regionFor(idx, k), 6))
+		}
+	}
+	if c.Stats().Evictions == evictions {
+		t.Fatal("kernel fills evicted nothing; the test exerts no pressure")
+	}
+	c.SetDomain(0, 0)
+	for _, r := range user {
+		if !c.Present(0, r) {
+			t.Errorf("kernel fills evicted user region %#x", r)
+		}
+	}
+}
+
 func TestAMDCompetitiveSharing(t *testing.T) {
 	c := New(Zen())
 	c.SetSMTMode(true)
