@@ -3,12 +3,45 @@ package staticlint
 import (
 	"testing"
 
+	"deaduops/internal/backend"
 	"deaduops/internal/cpu"
+	"deaduops/internal/frontend"
 	"deaduops/internal/profile"
+	"deaduops/internal/uopcache"
 )
 
-// TestCostTableSharedPerProfile pins the analyzer's one-source-of-
-// truth contract across the whole profile matrix: for every registered
+// TestCostTableSharedWithFrontend pins the quantifier's one-source-of-
+// truth contract on the default machine: the cost table staticlint
+// prices paths with must hold the very decode and µop cache
+// configurations the Skylake fetch engine runs (frontend.DefaultConfig
+// and uopcache.Skylake), extended only by the backend drain parameters
+// the front end has no use for. If either side grows a constant of its
+// own, the difftest calibration silently rots — this test makes the
+// drift loud.
+func TestCostTableSharedWithFrontend(t *testing.T) {
+	lint := DefaultConfig().Costs()
+	fe := frontend.DefaultConfig()
+	uc := uopcache.Skylake()
+
+	if lint.Decode != fe.Decode {
+		t.Errorf("decode configs diverge: lint %+v, frontend %+v", lint.Decode, fe.Decode)
+	}
+	if lint.Cache != uc {
+		t.Errorf("cache configs diverge: lint %+v, frontend %+v", lint.Cache, uc)
+	}
+
+	// The drain bound is the quantifier's extension: width comes from
+	// the live backend configuration, not a copied literal.
+	if want := backend.DefaultConfig().DispatchWidth; lint.DrainWidth != want {
+		t.Errorf("drain width %d, want backend dispatch width %d", lint.DrainWidth, want)
+	}
+	if lint.DrainLag != DefaultDrainLag {
+		t.Errorf("drain lag %d, want %d", lint.DrainLag, DefaultDrainLag)
+	}
+}
+
+// TestCostTableSharedPerProfile extends the one-source-of-truth
+// contract across the whole profile matrix: for every registered
 // profile, the table ConfigForProfile prices with is built from the
 // µop cache and decode configurations and the backend dispatch width
 // that cpu.FromProfile hands the simulated core. If either side grows
