@@ -4,7 +4,7 @@ GO ?= go
 # for a real fuzzing session (e.g. make fuzz FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: build fmt test race vet lint serve fuzz bench-module check bench-diff
+.PHONY: build fmt test race vet lint serve fuzz bench-module testfiles check bench-diff
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,12 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+# testfiles fails when any package under ./... has no test files, so
+# every package, command included, keeps a test or a checked Example.
+testfiles:
+	@out=$$($(GO) list -f '{{if and (not .TestGoFiles) (not .XTestGoFiles)}}{{.ImportPath}}{{end}}' ./...); \
+	test -z "$$out" || { echo "packages without tests:"; echo "$$out"; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -90,5 +96,5 @@ fuzz:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build fmt vet test race lint bench-module
+check: build fmt vet testfiles test race lint bench-module
 	$(MAKE) fuzz FUZZTIME=5s

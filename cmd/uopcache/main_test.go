@@ -1,0 +1,68 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"deaduops/internal/experiments"
+)
+
+func TestListPrintsIDs(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-list"}, &out, &errb); code != 0 {
+		t.Fatalf("uopcache -list exited %d: %s", code, errb.String())
+	}
+	if want := strings.Join(experiments.IDs(), "\n") + "\n"; out.String() != want {
+		t.Errorf("-list printed\n%s\nwant\n%s", out.String(), want)
+	}
+}
+
+func TestBadArgsExit(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{nil, 2},
+		{[]string{"-exp", "fig99"}, 2},
+		{[]string{"-exp", "fig5", "-samples", "1"}, 1},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != tc.code {
+			t.Errorf("uopcache %q exited %d, want %d (stderr %q)", tc.args, code, tc.code, errb.String())
+		}
+		if errb.Len() == 0 {
+			t.Errorf("uopcache %q wrote nothing to stderr", tc.args)
+		}
+	}
+}
+
+// TestGoldenExperiments checks the CLI prints an experiment's golden
+// rendering plus one newline.
+func TestGoldenExperiments(t *testing.T) {
+	for _, id := range []string{"fig4", "fig8"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-exp", id}, &out, &errb); code != 0 {
+			t.Fatalf("uopcache -exp %s exited %d: %s", id, code, errb.String())
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", id+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want)+"\n" {
+			t.Errorf("uopcache -exp %s differs from its golden:\n%s", id, out.String())
+		}
+	}
+}
+
+func TestCSVHeader(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-exp", "fig4", "-csv"}, &out, &errb); code != 0 {
+		t.Fatalf("uopcache -exp fig4 -csv exited %d: %s", code, errb.String())
+	}
+	if !strings.HasPrefix(out.String(), "series,x,y") {
+		t.Errorf("CSV output starts %.40q, want series,x,y", out.String())
+	}
+}

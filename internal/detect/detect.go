@@ -3,7 +3,7 @@
 // their micro-op cache behaviour. The paper observes that sudden jumps
 // in micro-op cache misses can reveal an attack, while cautioning that
 // such monitors are prone to misclassification and mimicry; the
-// Evaluate function exposes the raw feature vector so those limits can
+// Extract function exposes the raw feature vector so those limits can
 // be studied.
 package detect
 
@@ -17,7 +17,7 @@ import (
 // performance-counter delta.
 type Features struct {
 	// DSBMissPenaltyPerUop is the micro-op cache miss penalty in
-	// cycles, normalized per retired µop — the paper's primary signal.
+	// cycles, normalized per delivered µop — the paper's primary signal.
 	DSBMissPenaltyPerUop float64
 	// MITEFraction is the share of µops delivered by the legacy decode
 	// pipeline. Steady-state benign hot code runs near zero; conflict
@@ -27,9 +27,12 @@ type Features struct {
 	SwitchesPerKUop float64
 }
 
-// Extract computes the feature vector from a counter delta.
+// Extract computes the feature vector from a counter delta. The
+// denominator counts every delivered µop: DSB, MITE, MSROM and the
+// loop stream detector's replays.
 func Extract(d perfctr.Snapshot) Features {
-	uops := float64(d.Get(perfctr.DSBUops) + d.Get(perfctr.MITEUops) + d.Get(perfctr.MSROMUops))
+	uops := float64(d.Get(perfctr.DSBUops) + d.Get(perfctr.MITEUops) +
+		d.Get(perfctr.MSROMUops) + d.Get(perfctr.LSDUops))
 	if uops == 0 {
 		return Features{}
 	}
@@ -40,64 +43,36 @@ func Extract(d perfctr.Snapshot) Features {
 	}
 }
 
-// Thresholds define the monitor's decision boundary. Defaults are
-// calibrated so steady-state benign loops (which run almost entirely
-// out of the micro-op cache) score clean while conflict-attack phases
-// (which force continual DSB misses) trip at least two detectors.
-type Thresholds struct {
-	MissPenaltyPerUop float64
-	MITEFraction      float64
-	SwitchesPerKUop   float64
-}
-
-// DefaultThresholds returns the calibrated boundary.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		MissPenaltyPerUop: 0.5,
-		MITEFraction:      0.25,
-		SwitchesPerKUop:   50,
-	}
-}
-
-// Monitor scores counter deltas against thresholds.
-type Monitor struct {
-	th Thresholds
-}
-
-// NewMonitor builds a monitor; zero-valued thresholds fall back to
-// defaults.
-func NewMonitor(th Thresholds) *Monitor {
-	def := DefaultThresholds()
-	if th.MissPenaltyPerUop == 0 {
-		th.MissPenaltyPerUop = def.MissPenaltyPerUop
-	}
-	if th.MITEFraction == 0 {
-		th.MITEFraction = def.MITEFraction
-	}
-	if th.SwitchesPerKUop == 0 {
-		th.SwitchesPerKUop = def.SwitchesPerKUop
-	}
-	return &Monitor{th: th}
-}
+// The monitor's decision boundary: a feature strictly above its bound
+// trips that detector. The bounds are calibrated so steady-state benign
+// loops (which run almost entirely out of the micro-op cache) score
+// clean while conflict-attack phases (which force continual DSB misses)
+// trip at least two detectors.
+const (
+	MissPenaltyPerUopBound = 0.5
+	MITEFractionBound      = 0.25
+	SwitchesPerKUopBound   = 50
+)
 
 // Score returns how many detectors the features trip (0-3).
-func (m *Monitor) Score(f Features) int {
+func Score(f Features) int {
 	n := 0
-	if f.DSBMissPenaltyPerUop > m.th.MissPenaltyPerUop {
+	if f.DSBMissPenaltyPerUop > MissPenaltyPerUopBound {
 		n++
 	}
-	if f.MITEFraction > m.th.MITEFraction {
+	if f.MITEFraction > MITEFractionBound {
 		n++
 	}
-	if f.SwitchesPerKUop > m.th.SwitchesPerKUop {
+	if f.SwitchesPerKUop > SwitchesPerKUopBound {
 		n++
 	}
 	return n
 }
 
-// Suspicious reports whether the run trips a majority of detectors.
-func (m *Monitor) Suspicious(d perfctr.Snapshot) bool {
-	return m.Score(Extract(d)) >= 2
+// Suspicious reports whether a counter delta trips a majority of
+// detectors.
+func Suspicious(d perfctr.Snapshot) bool {
+	return Score(Extract(d)) >= 2
 }
 
 // String renders the feature vector.
