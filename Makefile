@@ -73,7 +73,8 @@ bench-diff:
 # fuzz runs every native fuzz target for FUZZTIME each: the assembler
 # and legacy-decode invariants, the sparse-snapshot table against a
 # dense reference, the indirect-target resolution
-# completeness invariant, and the differential contracts — predicted vs
+# completeness invariant, the receiver model against its literal full
+# replay, and the differential contracts — predicted vs
 # simulator-measured refill deltas (including the resolution-gated
 # indirect shapes), the receiver model's predicted vs attack-measured
 # probe cycles, and the jump-alignment stall asymmetry on
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/decode -fuzz FuzzPlanRegion -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rows -fuzz FuzzTableSaveRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint -fuzz FuzzIndirectResolve -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/staticlint -fuzz FuzzProbeModelReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzPredictedDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzProbeModel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzAlignmentDelta -fuzztime $(FUZZTIME)

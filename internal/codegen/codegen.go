@@ -52,7 +52,8 @@ type ChainSpec struct {
 	// Base is the address of set 0, way 0; it must be WayStride-aligned
 	// so set indices are honest.
 	Base uint64
-	// Sets lists the target set indices (0..31).
+	// Sets lists the target set indices, each in 0..NumSets-1 (0..31
+	// when NumSets is unset).
 	Sets []int
 	// Ways is the number of regions per set.
 	Ways int

@@ -87,6 +87,14 @@ func (c RegionCost) RefillDelta() int { return c.ColdCycles - c.WarmCycles }
 // executes slot by slot on a miss — so the cold cost is the modelled
 // miss cost, not an approximation of it.
 func (t CostTable) Region(region uint64, entry uint8, insts []*isa.Inst) RegionCost {
+	c, _ := t.RegionTrace(region, entry, insts)
+	return c
+}
+
+// RegionTrace is Region also returning the trace a MITE refill of the
+// segment installs — the uopcache.BuildTrace of the same plan — so a
+// caller that needs both plans the segment once.
+func (t CostTable) RegionTrace(region uint64, entry uint8, insts []*isa.Inst) (RegionCost, *uopcache.Trace) {
 	plan := PlanRegion(t.Decode, insts)
 	tr := uopcache.BuildTrace(t.Cache, region, entry, plan.Macros)
 	c := RegionCost{
@@ -104,7 +112,7 @@ func (t CostTable) Region(region uint64, entry uint8, insts []*isa.Inst) RegionC
 	} else {
 		c.WarmCycles = c.ColdCycles
 	}
-	return c
+	return c, tr
 }
 
 // StreamCycles returns the cycles the DSB needs to deliver uops µops

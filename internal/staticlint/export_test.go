@@ -1,20 +1,62 @@
 package staticlint
 
-import "deaduops/internal/uopcache"
+import (
+	"deaduops/internal/decode"
+	"deaduops/internal/uopcache"
+)
 
-// ProbeModelFullReplay is the receiver model without the forked
-// prefix: every direction replays the whole protocol (prime → hit
-// probe → prime → victim runs → timed probe) on a cache of its own.
-// ProbeModel must return exactly this histogram.
+// ProbeModelFullReplay is the receiver model replayed literally, the
+// reference ProbeModel is held to: every segment is priced on its own
+// with the cost table's Region and uopcache.BuildTrace, and every
+// direction replays the whole protocol (prime → hit probe → prime →
+// victim runs → timed probe) on a cache of its own, every traversal and
+// victim run included. ProbeModel — forked prefix, fixed-point cut-off,
+// per-shape pricing — must return exactly this histogram.
 func ProbeModelFullReplay(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
-	h, rp, err := probeSetup(cfg, div)
+	ct := cfg.Costs()
+	plan := decode.Macros(cfg.Decode)
+	h, rp, err := probeSetup(cfg, div, func(sg uopcache.Segment) (decode.RegionCost, *uopcache.Trace) {
+		return ct.Region(sg.Region, sg.Entry, sg.Insts),
+			uopcache.BuildTrace(cfg.UopCache, sg.Region, sg.Entry, plan(sg.Insts))
+	})
 	if err != nil {
 		return nil, err
 	}
+	recv := func(cache *uopcache.Cache, n int) (misses, extra int) {
+		touch := func(s probeSeg) {
+			if !cache.Hit(0, s.addr) {
+				misses++
+				extra += s.delta
+				cache.Fill(0, s.trace)
+			}
+		}
+		for _, s := range rp.head {
+			touch(s)
+		}
+		for i := 0; i < n; i++ {
+			for _, s := range rp.trav {
+				touch(s)
+			}
+		}
+		for _, s := range rp.halt {
+			touch(s)
+		}
+		return misses, extra
+	}
 	bin := func(fp uopcache.FootprintResult) ProbeBin {
 		cache := uopcache.New(cfg.UopCache)
-		rp.prefix(cache)
-		misses, extra := rp.victimProbe(cache, fp)
+		recv(cache, cfg.PrimeTraversals)
+		recv(cache, cfg.ProbeIters)
+		recv(cache, cfg.PrimeTraversals)
+		victim := victimSegs(fp)
+		for r := 0; r < cfg.VictimRuns; r++ {
+			for _, s := range victim {
+				if !cache.Hit(0, s.addr) {
+					cache.Fill(0, s.trace)
+				}
+			}
+		}
+		misses, extra := recv(cache, cfg.ProbeIters)
 		return h.missBin(fp, misses, extra)
 	}
 	h.setDirections(bin(taken), bin(fall))

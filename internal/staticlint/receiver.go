@@ -19,11 +19,13 @@ package staticlint
 // simulator — by internal/staticlint/difftest.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
 	"deaduops/internal/codegen"
 	"deaduops/internal/decode"
+	"deaduops/internal/isa"
 	"deaduops/internal/uopcache"
 )
 
@@ -192,7 +194,7 @@ func round2(x float64) float64 { return math.Round(x*100) / 100 }
 // The validation harness's victims keep their shared prefixes clear of
 // the divergent sets, so there the predictions are exact.
 func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
-	h, rp, err := probeSetup(cfg, div)
+	h, rp, err := probeSetup(cfg, div, shapePricer(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -231,10 +233,83 @@ type probeReplay struct {
 	head, trav, halt []probeSeg
 }
 
-// probeSetup lays out the receiver routine over div, prices its hit
-// state, and returns the histogram with every direction-independent
-// field filled, plus the protocol replay the miss states need.
-func probeSetup(cfg Config, div []int) (*ProbeHistogram, *probeReplay, error) {
+// segPricer prices one fetch segment of the receiver routine: its cost
+// and the trace a MITE refill of it installs.
+type segPricer func(sg uopcache.Segment) (decode.RegionCost, *uopcache.Trace)
+
+// shapePricer returns the pricer ProbeModel lays its receiver out with:
+// each distinct segment shape is planned once per call. All Ways×|div|
+// regions of the receiver chain hold the same instructions at the same
+// in-region offsets, so their costs and their traces' line structures
+// come out identical and only the region address differs. The memo is
+// keyed on segment content (shapeKey), not on that layout, so a
+// segment that differs — the loop tail, the bookends — is priced on
+// its own. A reused trace is rebased to the segment's region but keeps
+// the first region's µops; the replay reads only its line structure.
+func shapePricer(cfg Config) segPricer {
+	ct := cfg.Costs()
+	type priced struct {
+		cost  decode.RegionCost
+		trace *uopcache.Trace
+	}
+	shapes := make(map[string]priced)
+	var key []byte
+	return func(sg uopcache.Segment) (decode.RegionCost, *uopcache.Trace) {
+		key = shapeKey(key[:0], cfg.Decode, sg)
+		p, ok := shapes[string(key)]
+		if !ok {
+			p.cost, p.trace = ct.RegionTrace(sg.Region, sg.Entry, sg.Insts)
+			shapes[string(key)] = p
+			return p.cost, p.trace
+		}
+		t := *p.trace
+		t.Region = sg.Region
+		return p.cost, &t
+	}
+}
+
+// shapeKey appends sg's content key to dst: everything decode.PlanRegion
+// and uopcache.BuildTrace read of a segment besides its region address.
+// That is the entry offset, the region's phase in the predecode window
+// (which, with an instruction's in-region offset, decides whether a
+// conditional jump straddles a window), and, per instruction, its op,
+// operands (a direct branch's target excepted), length, in-region
+// offset and µop count.
+func shapeKey(dst []byte, dc decode.Config, sg uopcache.Segment) []byte {
+	phase := sg.Region
+	if dc.PredecodeWindow > 0 {
+		phase %= uint64(dc.PredecodeWindow)
+	}
+	dst = append(dst, sg.Entry)
+	dst = binary.AppendUvarint(dst, phase)
+	for _, in := range sg.Insts {
+		var flags byte
+		if in.HasImm {
+			flags |= 1
+		}
+		if in.Imm64 {
+			flags |= 2
+		}
+		if in.LCP {
+			flags |= 4
+		}
+		dst = append(dst, byte(in.Op), byte(in.Dst), byte(in.Src), byte(in.Cond), flags, in.Len)
+		switch in.Op {
+		case isa.JMP, isa.JCC, isa.CALL:
+		default:
+			dst = binary.AppendVarint(dst, in.Imm)
+		}
+		dst = binary.AppendUvarint(dst, in.Addr-sg.Region)
+		dst = binary.AppendUvarint(dst, uint64(in.Uops()))
+	}
+	return dst
+}
+
+// probeSetup lays out the receiver routine over div, prices its
+// segments with price and its hit state, and returns the histogram with
+// every direction-independent field filled, plus the protocol replay
+// the miss states need.
+func probeSetup(cfg Config, div []int, price segPricer) (*ProbeHistogram, *probeReplay, error) {
 	if cfg.ProbeIters <= 0 || cfg.PrimeTraversals <= 0 || cfg.VictimRuns <= 0 || len(div) == 0 {
 		return nil, nil, fmt.Errorf("staticlint: receiver model disabled (probeIters %d, primeTraversals %d, victimRuns %d, %d probed sets)",
 			cfg.ProbeIters, cfg.PrimeTraversals, cfg.VictimRuns, len(div))
@@ -273,10 +348,9 @@ func probeSetup(cfg Config, div []int) (*ProbeHistogram, *probeReplay, error) {
 	// adds to a timed run. SegmentRanges dedupes (region, entry) traces,
 	// so each per-traversal segment is priced once and multiplied by
 	// the iteration count rather than fed repeated ranges.
-	plan := decode.Macros(cfg.Decode)
 	build := func(ranges []uopcache.Range) (segs []probeSeg, warm, uops int, err error) {
 		for _, sg := range uopcache.SegmentRanges(cfg.UopCache, prog, ranges) {
-			rc := ct.Region(sg.Region, sg.Entry, sg.Insts)
+			rc, tr := price(sg)
 			if !rc.Cacheable {
 				return nil, 0, 0, fmt.Errorf("staticlint: probe region %#x uncacheable (%s)", sg.Region, rc.Reason)
 			}
@@ -284,7 +358,7 @@ func probeSetup(cfg Config, div []int) (*ProbeHistogram, *probeReplay, error) {
 			uops += rc.Uops
 			segs = append(segs, probeSeg{
 				addr:  sg.Region + uint64(sg.Entry),
-				trace: uopcache.BuildTrace(cfg.UopCache, sg.Region, sg.Entry, plan(sg.Insts)),
+				trace: tr,
 				delta: rc.RefillDelta(),
 			})
 		}
@@ -349,6 +423,7 @@ func probeSetup(cfg Config, div []int) (*ProbeHistogram, *probeReplay, error) {
 // recv runs the receiver routine once with n probe traversals, refilling
 // every segment that misses as MITE would, and returns the missed
 // segment count and the refill cycles they add. Hit tests copy no µops.
+// Traversals past the fixed point (runsLeft) are skipped.
 func (rp *probeReplay) recv(cache *uopcache.Cache, n int) (misses, extra int) {
 	touch := func(s probeSeg) {
 		if cache.Hit(0, s.addr) {
@@ -361,15 +436,32 @@ func (rp *probeReplay) recv(cache *uopcache.Cache, n int) (misses, extra int) {
 	for _, s := range rp.head {
 		touch(s)
 	}
-	for i := 0; i < n; i++ {
+	for left := n; left > 0; {
+		before := misses
 		for _, s := range rp.trav {
 			touch(s)
 		}
+		left = rp.runsLeft(left-1, misses > before)
 	}
 	for _, s := range rp.halt {
 		touch(s)
 	}
 	return misses, extra
+}
+
+// runsLeft returns how many of the left remaining runs of a replay loop
+// (probe traversals or victim runs) can still change the cache, given
+// whether the run just replayed missed. A run that misses nothing fills
+// nothing, so every later run hits the same lines and only raises
+// their hotness, which saturates after HotnessMax hits: from then on
+// the runs change nothing the histogram reads, and at most HotnessMax
+// more need replaying. This cuts the default prime → hit probe → prime
+// prefix from 325 traversals to 24.
+func (rp *probeReplay) runsLeft(left int, missed bool) int {
+	if !missed {
+		return min(left, rp.cfg.UopCache.HotnessMax)
+	}
+	return left
 }
 
 // prefix replays the direction-independent start of the protocol on a
@@ -382,12 +474,28 @@ func (rp *probeReplay) prefix(cache *uopcache.Cache) {
 
 // victimProbe replays the rest of the protocol from the primed state:
 // the victim's runs over its predicted footprint fp, then the timed
-// probe, whose misses and refill cycles it returns.
+// probe, whose misses and refill cycles it returns. Like recv it skips
+// the victim runs past the fixed point.
 func (rp *probeReplay) victimProbe(cache *uopcache.Cache, fp uopcache.FootprintResult) (misses, extra int) {
-	// The victim's fetch stream over its predicted footprint: each run
-	// touches every cacheable region once, in path order, with the
-	// trace's real line count (the synthetic trace carries no µops —
-	// only the line structure the replacement policy sees).
+	victim := victimSegs(fp)
+	for left := rp.cfg.VictimRuns; left > 0; {
+		missed := false
+		for _, s := range victim {
+			if !cache.Hit(0, s.addr) {
+				missed = true
+				cache.Fill(0, s.trace)
+			}
+		}
+		left = rp.runsLeft(left-1, missed)
+	}
+	return rp.recv(cache, rp.cfg.ProbeIters)
+}
+
+// victimSegs is the victim's fetch stream over its predicted footprint
+// fp: each run touches every cacheable region once, in path order, with
+// the trace's real line count (the synthetic trace carries no µops —
+// only the line structure the replacement policy sees).
+func victimSegs(fp uopcache.FootprintResult) []probeSeg {
 	var victim []probeSeg
 	for _, rf := range fp.Regions {
 		if !rf.Cacheable || rf.Ways <= 0 {
@@ -403,14 +511,7 @@ func (rp *probeReplay) victimProbe(cache *uopcache.Cache, fp uopcache.FootprintR
 			},
 		})
 	}
-	for r := 0; r < rp.cfg.VictimRuns; r++ {
-		for _, s := range victim {
-			if !cache.Hit(0, s.addr) {
-				cache.Fill(0, s.trace)
-			}
-		}
-	}
-	return rp.recv(cache, rp.cfg.ProbeIters)
+	return victim
 }
 
 // missBin prices one direction's timed probe from its replayed misses.

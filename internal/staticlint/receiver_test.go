@@ -9,6 +9,7 @@ import (
 	"deaduops/internal/attack"
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
+	"deaduops/internal/profile"
 	"deaduops/internal/uopcache"
 )
 
@@ -277,6 +278,9 @@ func TestProbeModelForkEqualsFullReplay(t *testing.T) {
 	fixtures := append([]probeFixture{
 		{"separation-loud", []int{4, 12}, []int{4, 12}, 3},
 		{"calibrate-quiet", []int{4, 12}, []int{20}, 1},
+		// The receiver's loop tail sits in set 5, the first set after
+		// the probed one: this victim evicts it before the timed probe.
+		{"loop-tail-set", []int{4}, []int{5}, 8},
 	}, simFixtures...)
 	empty := uopcache.FootprintResult{Sets: map[int]int{}}
 	cfg := DefaultConfig()
@@ -307,10 +311,13 @@ func TestProbeModelForkEqualsFullReplay(t *testing.T) {
 
 // TestProbeModelAllocsIndependentOfTraversals pins that the protocol
 // replay allocates nothing per traversal: ProbeModel allocates the same
-// at 160 priming traversals and victim runs as at 16. The slack absorbs
-// the few allocations the runtime makes in the background (more of
-// them under -race); one allocation per added traversal would exceed
-// it by two orders of magnitude.
+// at 160 priming traversals and victim runs as at 1. The low end is 1
+// because the fixed-point cut-off replays only a few dozen of the 160,
+// so from 16 up the replayed counts barely differ; from 1 they still
+// differ by hundreds of segment touches. The slack absorbs the few
+// allocations the runtime makes in the background (more of them under
+// -race); one allocation per touch would exceed it by an order of
+// magnitude.
 func TestProbeModelAllocsIndependentOfTraversals(t *testing.T) {
 	const slack = 10
 	empty := uopcache.FootprintResult{Sets: map[int]int{}}
@@ -325,7 +332,68 @@ func TestProbeModelAllocsIndependentOfTraversals(t *testing.T) {
 			}
 		})
 	}
-	if few, many := allocs(16), allocs(160); many > few+slack {
-		t.Errorf("ProbeModel allocations: %v at 16 traversals, %v at 160; want at most %d more", few, many, slack)
+	if few, many := allocs(1), allocs(160); many > few+slack {
+		t.Errorf("ProbeModel allocations: %v at 1 traversal, %v at 160; want at most %d more", few, many, slack)
 	}
+}
+
+// FuzzProbeModelReplay holds ProbeModel — forked prefix, fixed-point
+// cut-off, per-shape pricing — to ProbeModelFullReplay, the protocol
+// replayed literally, on random receivers and victims: any registered
+// profile, probed and victim sets drawn from 64-bit masks (taken modulo
+// the profile's set count), 1..Ways victim regions of
+// 1..MaxLinesPerRegion lines per victim set, and priming traversals and
+// victim runs from 1 to 400. The two must return identical histograms,
+// or identical errors.
+func FuzzProbeModelReplay(f *testing.F) {
+	all := profile.All()
+	f.Fuzz(func(t *testing.T, prof uint8, probeMask, takenMask, fallMask uint64, shape uint8, prime, runs uint16) {
+		p := all[int(prof)%len(all)]
+		cfg := ConfigForProfile(p)
+		cfg.PrimeTraversals = 1 + int(prime)%400
+		cfg.VictimRuns = 1 + int(runs)%400
+		sets := func(mask uint64) []int {
+			var out []int
+			seen := map[int]bool{}
+			for b := 0; b < 64; b++ {
+				if s := b % cfg.UopCache.Sets; mask&(1<<b) != 0 && !seen[s] {
+					seen[s] = true
+					out = append(out, s)
+				}
+			}
+			return out
+		}
+		ways := 1 + int(shape&0xf)%cfg.UopCache.Ways
+		lines := 1 + int(shape>>4)%cfg.UopCache.MaxLinesPerRegion
+		footprint := func(mask uint64) uopcache.FootprintResult {
+			fp := uopcache.FootprintResult{Sets: map[int]int{}}
+			vs := sets(mask)
+			if len(vs) == 0 {
+				return fp
+			}
+			vspec := codegen.ProbeChain(0x100000, vs, ways, "vic")
+			vspec.NumSets = cfg.UopCache.Sets
+			for _, s := range vs {
+				for w := 0; w < ways; w++ {
+					fp.Regions = append(fp.Regions, uopcache.RegionFootprint{
+						Region: vspec.RegionAddr(s, w), Set: s, Ways: lines, Cacheable: true,
+					})
+				}
+				fp.Sets[s] = ways * lines
+			}
+			return fp
+		}
+		taken, fall, div := footprint(takenMask), footprint(fallMask), sets(probeMask)
+		got, gotErr := ProbeModel(cfg, taken, fall, div)
+		want, wantErr := ProbeModelFullReplay(cfg, taken, fall, div)
+		if gotErr != nil || wantErr != nil {
+			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("%s: ProbeModel error %v, full replay error %v", p.Name, gotErr, wantErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ProbeModel\n%+v\nfull replay\n%+v", p.Name, got, want)
+		}
+	})
 }
