@@ -66,12 +66,12 @@ func NewAlignment(c *cpu.CPU, cfg Config) (*Alignment, error) {
 	// Settle branch predictors and the instruction side of the memory
 	// hierarchy before timing anything.
 	for _, r := range []*attack.Routine{aligned, straddle} {
-		if _, err := r.Run(c, cfg.PrimeIters); err != nil {
+		if _, err := r.Run(c, PrimeIters); err != nil {
 			return nil, err
 		}
 	}
 	// The aligned chain is the hit side, the straddling one the miss.
-	r, err := attack.KnownRounds(0, cfg.CalibrationRounds, cfg.ProbeIters,
+	r, err := attack.KnownRounds(0, CalibrationRounds, cfg.ProbeIters,
 		func(hit bool) (uint64, error) { return ch.time(!hit) })
 	if err != nil {
 		return nil, err

@@ -18,35 +18,33 @@ import (
 // figures, matching the paper's i7-8700T testbed clock.
 const ClockGHz = 2.7
 
-// Config tunes a covert channel.
-type Config struct {
-	Geometry attack.Geometry
+// The protocol counts every channel shares.
+const (
 	// PrimeIters is the receiver's priming traversal count: enough to
 	// reclaim its sets from a hot opponent under the hotness
 	// replacement policy.
-	PrimeIters int64
+	PrimeIters = 20
+	// SendIters is the sender's traversal count per one-bit; it must
+	// out-access the receiver's priming for the hotness policy to
+	// yield.
+	SendIters = 20
+	// CalibrationRounds averages the threshold measurement.
+	CalibrationRounds = 8
+)
+
+// Config tunes a covert channel.
+type Config struct {
+	Geometry attack.Geometry
 	// ProbeIters is the number of chain traversals per timed probe —
 	// the paper's "samples" knob. Few, so a lost set stays lost for
 	// the duration of the measurement.
 	ProbeIters int64
-	// SendIters is the sender's traversal count per one-bit; it must
-	// out-access the receiver's priming for the hotness policy to
-	// yield.
-	SendIters int64
-	// CalibrationRounds averages the threshold measurement.
-	CalibrationRounds int
 }
 
 // DefaultConfig mirrors the paper's best-bandwidth operating point
 // (8 sets × 6 ways, 5 samples).
 func DefaultConfig() Config {
-	return Config{
-		Geometry:          attack.DefaultGeometry(),
-		PrimeIters:        20,
-		ProbeIters:        5,
-		SendIters:         20,
-		CalibrationRounds: 8,
-	}
+	return Config{Geometry: attack.DefaultGeometry(), ProbeIters: 5}
 }
 
 // Result summarizes a transmission (one Table I row).
@@ -116,7 +114,7 @@ func NewSameAddressSpace(c *cpu.CPU, cfg Config) (*SameAddressSpace, error) {
 	}
 	c.LoadProgram(merged)
 	ch := &SameAddressSpace{cfg: cfg, c: c, recv: recv, send: send, zeb: zeb}
-	ch.th, err = attack.Calibrate(c, recv, send, cfg.PrimeIters, cfg.ProbeIters, cfg.CalibrationRounds)
+	ch.th, err = attack.Calibrate(c, recv, send, PrimeIters, cfg.ProbeIters, CalibrationRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -132,14 +130,14 @@ func (ch *SameAddressSpace) SendBit(bit bool) error {
 	if bit {
 		r = ch.send
 	}
-	_, err := r.Run(ch.c, ch.cfg.SendIters)
+	_, err := r.Run(ch.c, SendIters)
 	return err
 }
 
 // TransmitBit runs one full prime → send → probe round and returns the
 // received bit.
 func (ch *SameAddressSpace) TransmitBit(bit bool) (bool, error) {
-	if _, err := ch.recv.Run(ch.c, ch.cfg.PrimeIters); err != nil {
+	if _, err := ch.recv.Run(ch.c, PrimeIters); err != nil {
 		return false, err
 	}
 	if err := ch.SendBit(bit); err != nil {

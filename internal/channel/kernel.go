@@ -78,7 +78,7 @@ func NewUserKernel(c *cpu.CPU, cfg Config) (*UserKernel, error) {
 
 	// Calibrate with known secret bits: a clear bit leaves the spy's
 	// tiger intact (hit), a set one makes the kernel evict it (miss).
-	r, err := attack.KnownRounds(0, cfg.CalibrationRounds, cfg.ProbeIters,
+	r, err := attack.KnownRounds(0, CalibrationRounds, cfg.ProbeIters,
 		func(hit bool) (uint64, error) {
 			secret := byte(0xFF)
 			if hit {
@@ -142,11 +142,11 @@ func (ch *UserKernel) WriteSecret(secret []byte) {
 // leakBit primes, triggers SendIters syscalls for the given secret bit
 // index, and returns the probe time.
 func (ch *UserKernel) leakBit(bitIndex int64) (uint64, error) {
-	if _, err := ch.recv.Run(ch.c, ch.cfg.PrimeIters); err != nil {
+	if _, err := ch.recv.Run(ch.c, PrimeIters); err != nil {
 		return 0, err
 	}
 	ch.c.SetReg(0, isa.R1, bitIndex)
-	if _, err := attack.RunLoop(ch.c, ch.syscallEntry, 0, ch.cfg.SendIters); err != nil {
+	if _, err := attack.RunLoop(ch.c, ch.syscallEntry, 0, SendIters); err != nil {
 		return 0, fmt.Errorf("channel: syscall loop: %w", err)
 	}
 	return ch.recv.Run(ch.c, ch.cfg.ProbeIters)

@@ -61,7 +61,7 @@ func NewMultiSymbol(c *cpu.CPU, cfg Config, bits int) (*MultiSymbol, error) {
 	// Calibrate each group independently.
 	for s := 0; s < nsym; s++ {
 		th, err := attack.Calibrate(c, ch.recv[s], ch.send[s],
-			cfg.PrimeIters, cfg.ProbeIters, cfg.CalibrationRounds)
+			PrimeIters, cfg.ProbeIters, CalibrationRounds)
 		if err != nil {
 			return nil, fmt.Errorf("channel: group %d: %w", s, err)
 		}
@@ -86,11 +86,11 @@ func (ch *MultiSymbol) TransmitSymbol(sym int) (int, error) {
 		return 0, fmt.Errorf("channel: symbol %d out of range", sym)
 	}
 	for _, r := range ch.recv {
-		if _, err := r.Run(ch.c, ch.cfg.PrimeIters); err != nil {
+		if _, err := r.Run(ch.c, PrimeIters); err != nil {
 			return 0, err
 		}
 	}
-	if _, err := ch.send[sym].Run(ch.c, ch.cfg.SendIters); err != nil {
+	if _, err := ch.send[sym].Run(ch.c, SendIters); err != nil {
 		return 0, err
 	}
 	// Decode: the group whose probe overshoots its threshold the most.

@@ -81,7 +81,7 @@ func NewCrossSMT(c *cpu.CPU, cfg Config) (*CrossSMT, error) {
 	// miss window the evicting tiger. Two warm-up pairs absorb the cold
 	// compulsory misses the first SMT windows pay, which would poison
 	// the threshold.
-	r, err := attack.KnownRounds(2, cfg.CalibrationRounds, cfg.ProbeIters,
+	r, err := attack.KnownRounds(2, CalibrationRounds, cfg.ProbeIters,
 		func(hit bool) (uint64, error) { return ch.round(!hit) })
 	if err != nil {
 		return nil, err
@@ -104,7 +104,7 @@ func (ch *CrossSMT) round(bit bool) (uint64, error) {
 		sender = ch.oneEntry
 	}
 	// The Trojan runs for the spy's whole window.
-	res, err := attack.RunLoop(ch.c, ch.recvEntry, sender, ch.cfg.PrimeIters+ch.cfg.ProbeIters)
+	res, err := attack.RunLoop(ch.c, ch.recvEntry, sender, PrimeIters+ch.cfg.ProbeIters)
 	if err != nil {
 		return 0, fmt.Errorf("channel: SMT spy window: %w", err)
 	}

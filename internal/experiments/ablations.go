@@ -135,9 +135,9 @@ func signalAblation(cfg cpu.Config, tiger func(uint64, attack.Geometry, string) 
 		c := cpu.NewWith(cfg, a)
 		c.LoadProgram(merged)
 		rounds, err := attack.MeasureRounds(c, recv, func() error {
-			_, err := send.Run(c, ch.PrimeIters)
+			_, err := send.Run(c, channel.PrimeIters)
 			return err
-		}, ch.PrimeIters, ch.ProbeIters, ch.CalibrationRounds)
+		}, channel.PrimeIters, ch.ProbeIters, channel.CalibrationRounds)
 		if err != nil {
 			return ablation{}, err
 		}

@@ -448,9 +448,3 @@ func LintCached(prog *asm.Program, spec Spec, cfg Config, c *Cache) (*Report, bo
 	cp := *r
 	return &cp, false
 }
-
-// AnalyzeCached is Analyze with per-function summary reuse from c (nil
-// degrades to Analyze).
-func AnalyzeCached(prog *asm.Program, spec Spec, cfg Config, c *Cache) *Analysis {
-	return analyzeWith(prog, spec, cfg, c)
-}

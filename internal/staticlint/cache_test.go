@@ -101,14 +101,14 @@ func TestCacheInvalidationSCCDependents(t *testing.T) {
 	cfg := DefaultConfig()
 
 	// Cold: five singleton functions, five summary misses.
-	AnalyzeCached(chainProg(1), Spec{}, cfg, c)
+	analyzeWith(chainProg(1), Spec{}, cfg, c)
 	s := c.Stats()
 	if s.FuncMisses != 5 || s.FuncHits != 0 {
 		t.Fatalf("cold stats %+v, want 5 misses / 0 hits", s)
 	}
 
 	// Unchanged re-analysis: every summary served from cache.
-	AnalyzeCached(chainProg(1), Spec{}, cfg, c)
+	analyzeWith(chainProg(1), Spec{}, cfg, c)
 	s2 := c.Stats()
 	if d := s2.FuncHits - s.FuncHits; d != 5 {
 		t.Fatalf("unchanged re-analysis hit %d summaries, want 5", d)
@@ -119,7 +119,7 @@ func TestCacheInvalidationSCCDependents(t *testing.T) {
 
 	// Edit fc: exactly fc and its SCC dependents (fb, fa, entry)
 	// recompute; the independent fd is served from cache.
-	AnalyzeCached(chainProg(7), Spec{}, cfg, c)
+	analyzeWith(chainProg(7), Spec{}, cfg, c)
 	s3 := c.Stats()
 	if d := s3.FuncMisses - s2.FuncMisses; d != 4 {
 		t.Errorf("edited callee invalidated %d summaries, want 4 (fc, fb, fa, entry)", d)
@@ -180,7 +180,7 @@ func TestCacheResolvedSetInvalidatesCaller(t *testing.T) {
 
 	c := NewCache()
 	cfg := DefaultConfig()
-	a1 := AnalyzeCached(v1, Spec{}, cfg, c)
+	a1 := analyzeWith(v1, Spec{}, cfg, c)
 	if got := a1.resolved[v1.MustLabel("T")]; len(got) != 2 {
 		t.Fatalf("v1 dispatch site resolved to %v, want {ha, hb}", got)
 	}
@@ -189,7 +189,7 @@ func TestCacheResolvedSetInvalidatesCaller(t *testing.T) {
 		t.Fatalf("cold stats %+v, want 6 misses (entry, F, H, ha, hb, hc)", s1)
 	}
 
-	a2 := AnalyzeCached(v2, Spec{}, cfg, c)
+	a2 := analyzeWith(v2, Spec{}, cfg, c)
 	if got := a2.resolved[v2.MustLabel("T")]; len(got) != 2 {
 		t.Fatalf("v2 dispatch site resolved to %v, want {ha, hc}", got)
 	}

@@ -10,17 +10,22 @@ import (
 )
 
 // secretBranch is a control transfer whose outcome depends on secret
-// taint, with the taint that reaches it.
+// taint, with the taint that reaches it. A conditional branch also
+// carries its taken and fall-through walks and their prices, which
+// every branch checker reads rather than re-deriving.
 type secretBranch struct {
-	inst  *isa.Inst
-	taint taintSet
-	conf  Confidence
+	inst                *isa.Inst
+	taint               taintSet
+	conf                Confidence
+	taken, fall         pathInfo
+	takenCost, fallCost PathCost
 }
 
-// secretBranches enumerates every conditional or indirect control
-// transfer whose predicate (flags) or target register carries secret
-// taint at the fixpoint.
-func (a *Analysis) secretBranches() []secretBranch {
+// findSecretBranches enumerates, in address order, every conditional
+// or indirect control transfer whose predicate (flags) or target
+// register carries secret taint at the fixpoint, and walks and prices
+// both successor paths of each conditional one.
+func (a *Analysis) findSecretBranches() []secretBranch {
 	var out []secretBranch
 	for bi, b := range a.CFG.Blocks {
 		if !a.reached[bi] {
@@ -47,7 +52,38 @@ func (a *Analysis) secretBranches() []secretBranch {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].inst.Addr < out[j].inst.Addr })
+	for i := range out {
+		sb := &out[i]
+		if sb.inst.Op != isa.JCC {
+			continue
+		}
+		sb.taken = a.walkPath(uint64(sb.inst.Imm), a.Cfg.PathBudget)
+		sb.fall = a.walkPath(sb.inst.End(), a.Cfg.PathBudget)
+		sb.takenCost = a.CostRanges(sb.taken.Ranges)
+		sb.fallCost = a.CostRanges(sb.fall.Ranges)
+	}
 	return out
+}
+
+// costs returns fresh copies of the branch's two path prices, so no
+// two findings share one.
+func (sb *secretBranch) costs() (taken, fall *PathCost) {
+	t, f := sb.takenCost, sb.fallCost
+	return &t, &f
+}
+
+// finding starts checker's finding at sb: its address, confidence,
+// secret sources and call chain.
+func (a *Analysis) finding(checker string, sev Severity, sb secretBranch, msg string) Finding {
+	return Finding{
+		Checker:   checker,
+		Severity:  sev,
+		Conf:      sb.conf,
+		Addr:      sb.inst.Addr,
+		Message:   msg,
+		Sources:   a.sourceStrings(sb.taint),
+		CallChain: a.callChainTo(sb.inst.Addr),
+	}
 }
 
 // sourceStrings renders the sources of set for a finding.
@@ -70,22 +106,15 @@ func (SecretBranchChecker) Name() string { return "secret-dependent-branch" }
 // Check implements Checker.
 func (c SecretBranchChecker) Check(a *Analysis) []Finding {
 	var out []Finding
-	for _, sb := range a.secretBranches() {
+	for _, sb := range a.branches {
 		kind := "conditional branch"
 		if sb.inst.Op == isa.JMPI {
 			kind = "indirect jump"
 		} else if sb.inst.Op == isa.CALLI {
 			kind = "indirect call"
 		}
-		out = append(out, Finding{
-			Checker:   c.Name(),
-			Severity:  SevError,
-			Conf:      sb.conf,
-			Addr:      sb.inst.Addr,
-			Message:   fmt.Sprintf("%s %v depends on secret data (constant-time violation)", kind, sb.inst),
-			Sources:   a.sourceStrings(sb.taint),
-			CallChain: a.callChainTo(sb.inst.Addr),
-		})
+		out = append(out, a.finding(c.Name(), SevError, sb,
+			fmt.Sprintf("%s %v depends on secret data (constant-time violation)", kind, sb.inst)))
 	}
 	return out
 }
@@ -237,25 +266,21 @@ func (c FootprintDivergenceChecker) Check(a *Analysis) []Finding {
 		return nil
 	}
 	var out []Finding
-	for _, sb := range a.secretBranches() {
+	for _, sb := range a.branches {
 		if sb.inst.Op != isa.JCC {
 			continue
 		}
-		takenPath := a.walkPath(uint64(sb.inst.Imm), a.Cfg.PathBudget)
-		fallPath := a.walkPath(sb.inst.End(), a.Cfg.PathBudget)
-		taken := a.footprintOf(takenPath)
-		fall := a.footprintOf(fallPath)
+		taken := a.footprintOf(sb.taken)
+		fall := a.footprintOf(sb.fall)
 		if taken.Equal(&fall) {
 			continue
 		}
 		div := divergentSets(taken, fall)
 
-		// Quantify: price both successor paths with the shared cost
-		// table. The signed headline delta is the difference between
+		// Quantify: the signed headline delta is the difference between
 		// the directions' refill penalties — what a receiver probing
 		// the divergent sets observes as the victim-side asymmetry.
-		takenCost := a.CostRanges(takenPath.Ranges)
-		fallCost := a.CostRanges(fallPath.Ranges)
+		takenCost, fallCost := sb.costs()
 		delta := takenCost.RefillDelta - fallCost.RefillDelta
 
 		msg := fmt.Sprintf(
@@ -277,22 +302,14 @@ func (c FootprintDivergenceChecker) Check(a *Analysis) []Finding {
 			msg += fmt.Sprintf("; attacker probe separation %.2f× (floor %.2f×)",
 				probe.SeparationMargin, probe.SeparationFloor)
 		}
-		out = append(out, Finding{
-			Checker:          c.Name(),
-			Severity:         SevError,
-			Conf:             sb.conf,
-			Addr:             sb.inst.Addr,
-			Message:          msg,
-			Sources:          a.sourceStrings(sb.taint),
-			CallChain:        a.callChainTo(sb.inst.Addr),
-			TakenFootprint:   occupancyList(taken),
-			FallFootprint:    occupancyList(fall),
-			DivergentSets:    div,
-			TakenCost:        &takenCost,
-			FallCost:         &fallCost,
-			ProbeDeltaCycles: delta,
-			Probe:            probe,
-		})
+		f := a.finding(c.Name(), SevError, sb, msg)
+		f.TakenFootprint = occupancyList(taken)
+		f.FallFootprint = occupancyList(fall)
+		f.DivergentSets = div
+		f.TakenCost, f.FallCost = takenCost, fallCost
+		f.ProbeDeltaCycles = delta
+		f.Probe = probe
+		out = append(out, f)
 	}
 	return out
 }
@@ -311,21 +328,20 @@ func (MITEAmplifierChecker) Name() string { return "mite-amplifier" }
 // Check implements Checker.
 func (c MITEAmplifierChecker) Check(a *Analysis) []Finding {
 	var out []Finding
-	for _, sb := range a.secretBranches() {
+	for _, sb := range a.branches {
 		if sb.inst.Op != isa.JCC {
 			continue
 		}
 		for _, dir := range []struct {
-			name  string
-			start uint64
+			name string
+			path pathInfo
 		}{
-			{"taken", uint64(sb.inst.Imm)},
-			{"fallthrough", sb.inst.End()},
+			{"taken", sb.taken},
+			{"fallthrough", sb.fall},
 		} {
-			p := a.walkPath(dir.start, a.Cfg.PathBudget)
 			lcp, msrom := 0, 0
 			var first *isa.Inst
-			for _, in := range p.Insts {
+			for _, in := range dir.path.Insts {
 				if in.LCP || in.Microcoded() {
 					if first == nil {
 						first = in
@@ -341,17 +357,9 @@ func (c MITEAmplifierChecker) Check(a *Analysis) []Finding {
 			if lcp+msrom == 0 {
 				continue
 			}
-			out = append(out, Finding{
-				Checker:  c.Name(),
-				Severity: SevWarning,
-				Conf:     sb.conf,
-				Addr:     sb.inst.Addr,
-				Message: fmt.Sprintf(
-					"%s path of secret-dependent branch %v carries %d LCP and %d MSROM instruction(s) (first at %#x): decode-latency amplifiers widen the measurable delta",
-					dir.name, sb.inst, lcp, msrom, first.Addr),
-				Sources:   a.sourceStrings(sb.taint),
-				CallChain: a.callChainTo(sb.inst.Addr),
-			})
+			out = append(out, a.finding(c.Name(), SevWarning, sb, fmt.Sprintf(
+				"%s path of secret-dependent branch %v carries %d LCP and %d MSROM instruction(s) (first at %#x): decode-latency amplifiers widen the measurable delta",
+				dir.name, sb.inst, lcp, msrom, first.Addr)))
 		}
 	}
 	return out

@@ -37,34 +37,21 @@ func (c JumpAlignmentChecker) Check(a *Analysis) []Finding {
 	if a.Cfg.Decode.JccAlignPenalty <= 0 {
 		return out // the modelled frontend has no alignment effect
 	}
-	for _, sb := range a.secretBranches() {
+	for _, sb := range a.branches {
 		if sb.inst.Op != isa.JCC {
 			continue
 		}
-		takenPath := a.walkPath(uint64(sb.inst.Imm), a.Cfg.PathBudget)
-		fallPath := a.walkPath(sb.inst.End(), a.Cfg.PathBudget)
-		takenCost := a.CostRanges(takenPath.Ranges)
-		fallCost := a.CostRanges(fallPath.Ranges)
-		delta := takenCost.AlignStallCycles - fallCost.AlignStallCycles
+		delta := sb.takenCost.AlignStallCycles - sb.fallCost.AlignStallCycles
 		if delta == 0 {
 			continue
 		}
-		msg := fmt.Sprintf(
+		f := a.finding(c.Name(), SevWarning, sb, fmt.Sprintf(
 			"secret-dependent branch %v: successor paths place conditional jumps at divergent predecode-window alignments (taken straddles %d boundary(ies), fallthrough %d); predicted align delta %+dc of MITE-only stall",
-			sb.inst, takenCost.AlignJccs, fallCost.AlignJccs, delta)
-		out = append(out, Finding{
-			Checker:          c.Name(),
-			Severity:         SevWarning,
-			Conf:             sb.conf,
-			Addr:             sb.inst.Addr,
-			Message:          msg,
-			Sources:          a.sourceStrings(sb.taint),
-			CallChain:        a.callChainTo(sb.inst.Addr),
-			TakenCost:        &takenCost,
-			FallCost:         &fallCost,
-			ProbeDeltaCycles: takenCost.RefillDelta - fallCost.RefillDelta,
-			AlignDeltaCycles: delta,
-		})
+			sb.inst, sb.takenCost.AlignJccs, sb.fallCost.AlignJccs, delta))
+		f.TakenCost, f.FallCost = sb.costs()
+		f.ProbeDeltaCycles = sb.takenCost.RefillDelta - sb.fallCost.RefillDelta
+		f.AlignDeltaCycles = delta
+		out = append(out, f)
 	}
 	return out
 }
@@ -92,35 +79,22 @@ func (c SwitchPointChecker) Check(a *Analysis) []Finding {
 		return out
 	}
 	bubble := 1 + a.Cfg.UopCache.SwitchPenalty
-	for _, sb := range a.secretBranches() {
+	for _, sb := range a.branches {
 		if sb.inst.Op != isa.JCC {
 			continue
 		}
-		takenPath := a.walkPath(uint64(sb.inst.Imm), a.Cfg.PathBudget)
-		fallPath := a.walkPath(sb.inst.End(), a.Cfg.PathBudget)
-		takenCost := a.CostRanges(takenPath.Ranges)
-		fallCost := a.CostRanges(fallPath.Ranges)
-		diff := takenCost.WarmSwitchPoints - fallCost.WarmSwitchPoints
+		diff := sb.takenCost.WarmSwitchPoints - sb.fallCost.WarmSwitchPoints
 		if diff == 0 {
 			continue
 		}
 		delta := diff * bubble
-		msg := fmt.Sprintf(
+		f := a.finding(c.Name(), SevWarning, sb, fmt.Sprintf(
 			"secret-dependent branch %v: successor paths cross divergent DSB→MITE switch-point counts on a warm traversal (taken %d, fallthrough %d); predicted switch delta %+dc at %dc per switch bubble",
-			sb.inst, takenCost.WarmSwitchPoints, fallCost.WarmSwitchPoints, delta, bubble)
-		out = append(out, Finding{
-			Checker:           c.Name(),
-			Severity:          SevWarning,
-			Conf:              sb.conf,
-			Addr:              sb.inst.Addr,
-			Message:           msg,
-			Sources:           a.sourceStrings(sb.taint),
-			CallChain:         a.callChainTo(sb.inst.Addr),
-			TakenCost:         &takenCost,
-			FallCost:          &fallCost,
-			ProbeDeltaCycles:  takenCost.RefillDelta - fallCost.RefillDelta,
-			SwitchDeltaCycles: delta,
-		})
+			sb.inst, sb.takenCost.WarmSwitchPoints, sb.fallCost.WarmSwitchPoints, delta, bubble))
+		f.TakenCost, f.FallCost = sb.costs()
+		f.ProbeDeltaCycles = sb.takenCost.RefillDelta - sb.fallCost.RefillDelta
+		f.SwitchDeltaCycles = delta
+		out = append(out, f)
 	}
 	return out
 }

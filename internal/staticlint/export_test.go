@@ -1,6 +1,7 @@
 package staticlint
 
 import (
+	"deaduops/internal/asm"
 	"deaduops/internal/decode"
 	"deaduops/internal/uopcache"
 )
@@ -71,4 +72,10 @@ func BranchFootprints(a *Analysis, addr uint64) (taken, fall uopcache.FootprintR
 	taken = a.footprintOf(a.walkPath(uint64(in.Imm), a.Cfg.PathBudget))
 	fall = a.footprintOf(a.walkPath(in.End(), a.Cfg.PathBudget))
 	return taken, fall, divergentSets(taken, fall)
+}
+
+// ScanGadgets returns the transient-window gadget scan the gadget
+// checkers report from, for prog analyzed with no secrets.
+func ScanGadgets(prog *asm.Program, cfg Config) []GadgetHit {
+	return Analyze(prog, Spec{}, cfg).gadgets
 }

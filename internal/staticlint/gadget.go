@@ -58,21 +58,23 @@ const gadgetWindow = 24
 // the window anyway.
 const maxGadgetCallDepth = 4
 
-// ScanGadgets runs the transient-window gadget analysis over every
-// conditional branch of prog, treating each as a potentially bypassed
-// guard. Unlike the legacy linear scanner, the walk runs the dataflow
-// engine's transfer function, so taint dies on overwrite (MOVI, MOV
-// from a clean register, xor/sub zeroing idioms, RDTSC) and flows
-// through resolved memory cells; direct calls and their returns are
-// followed, so a gadget whose load and transmit halves live in
-// different functions is still counted — and attributed to both.
-func ScanGadgets(prog *asm.Program, cfg Config) []GadgetHit {
-	a := &Analysis{Prog: prog, CFG: BuildCFG(prog), Spec: Spec{}, Cfg: cfg}
-	a.buildFuncs()
+// scanGadgets runs the transient-window gadget analysis over every
+// conditional branch of the program, treating each as a potentially
+// bypassed guard. The walk runs the dataflow engine's transfer
+// function, so taint dies on overwrite (MOVI, MOV from a clean
+// register, xor/sub zeroing idioms, RDTSC) and flows through resolved
+// memory cells; direct calls and their returns are followed, so a
+// gadget whose load and transmit halves live in different functions is
+// still counted — and attributed to both. scanGuard mints its own load
+// sources, so the scan runs on a scratch analysis that shares this
+// one's CFG and function partition but has no secret spec and a source
+// table of its own.
+func (a *Analysis) scanGadgets() []GadgetHit {
+	s := &Analysis{Prog: a.Prog, CFG: a.CFG, Cfg: a.Cfg, funcs: a.funcs, funcOf: a.funcOf}
 	var out []GadgetHit
-	for _, in := range prog.Insts {
+	for _, in := range a.Prog.Insts {
 		if in.Op == isa.JCC {
-			out = append(out, a.scanGuard(in)...)
+			out = append(out, s.scanGuard(in)...)
 		}
 	}
 	return out
@@ -194,7 +196,7 @@ func (c SpectreV1Checker) Check(a *Analysis) []Finding {
 
 func gadgetFindings(a *Analysis, kind GadgetKind, name string, sev Severity) []Finding {
 	var out []Finding
-	for _, h := range ScanGadgets(a.Prog, a.Cfg) {
+	for _, h := range a.gadgets {
 		if h.Kind != kind {
 			continue
 		}

@@ -169,9 +169,3 @@ func (a *Analysis) costRanges(ranges []uopcache.Range, wholeRun bool) PathCost {
 func (a *Analysis) FetchRanges(start, stop uint64) []uopcache.Range {
 	return a.walkPathStop(start, stop, a.Cfg.PathBudget).Ranges
 }
-
-// PathCost prices the straight-line fetch path from start (see
-// FetchRanges for the walk and stop semantics).
-func (a *Analysis) PathCost(start, stop uint64) PathCost {
-	return a.CostRanges(a.FetchRanges(start, stop))
-}

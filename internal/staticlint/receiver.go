@@ -46,12 +46,12 @@ const (
 	// the probe chain's set placement is explicit.
 	ReceiverBase = 0x40000
 
-	// DefaultProbeIters mirrors the covert channel's operating point
-	// (channel.DefaultConfig, the paper's 5 samples): few traversals,
-	// so a probed set lost to the victim cannot be reclaimed
-	// mid-measurement — each evicted line stays evicted for every
-	// probe traversal, which is what makes the miss cost scale with
-	// ProbeIters × evicted lines.
+	// DefaultProbeIters mirrors the covert channel's default probe
+	// count (channel.DefaultConfig().ProbeIters, the paper's 5
+	// samples): few traversals, so a probed set lost to the victim
+	// cannot be reclaimed mid-measurement — each evicted line stays
+	// evicted for every probe traversal, which is what makes the miss
+	// cost scale with ProbeIters × evicted lines.
 	DefaultProbeIters = 5
 
 	// DefaultPrimeTraversals is the priming count the model's protocol
@@ -59,9 +59,9 @@ const (
 	// up to Ways × HotnessMax failed-fill decrements spread round-robin
 	// across the set (the worst case is a single hot victim line:
 	// ~8 × 8 = 64 traversals on the Skylake model); 160 covers it with
-	// margin. The covert channel gets away with 20 because its sender
-	// re-evicts wholesale every bit; a victim's footprint must be worn
-	// down line by line.
+	// margin. The covert channel gets away with 20 (channel.PrimeIters)
+	// because its sender re-evicts wholesale every bit; a victim's
+	// footprint must be worn down line by line.
 	DefaultPrimeTraversals = 160
 
 	// DefaultVictimRuns is how many times the modelled protocol lets

@@ -106,24 +106,11 @@ func vsFold(op isa.Op, x, y vset) vset {
 	out := make([]uint64, 0, len(x.vals)*len(y.vals))
 	for _, a := range x.vals {
 		for _, b := range y.vals {
-			switch op {
-			case isa.ADD:
-				out = append(out, a+b)
-			case isa.SUB:
-				out = append(out, a-b)
-			case isa.AND:
-				out = append(out, a&b)
-			case isa.OR:
-				out = append(out, a|b)
-			case isa.XOR:
-				out = append(out, a^b)
-			case isa.SHL:
-				out = append(out, a<<(b&63))
-			case isa.SHR:
-				out = append(out, a>>(b&63))
-			default:
+			v, ok := evalALU(op, a, b)
+			if !ok {
 				return vsTop
 			}
+			out = append(out, v)
 		}
 	}
 	return vsOf(out)

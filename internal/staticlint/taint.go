@@ -177,6 +177,11 @@ type Analysis struct {
 	in      []*State // fixpoint in-state per block
 	reached []bool
 
+	// Facts every checker reads, derived once by run: the secret
+	// branches in address order, and the transient-window gadgets.
+	branches []secretBranch
+	gadgets  []GadgetHit
+
 	// Interprocedural layer (callgraph.go / summary.go): the function
 	// partition, per-function taint summaries, and the placeholder
 	// sources summaries are expressed over.
@@ -229,7 +234,7 @@ func (a *Analysis) SecretTaint(set taintSet) (def, may taintSet) {
 }
 
 // Analyze builds the CFG and runs the forward taint dataflow to a
-// fixpoint.
+// fixpoint, then derives the facts the checkers share (see run).
 func Analyze(prog *asm.Program, spec Spec, cfg Config) *Analysis {
 	return analyzeWith(prog, spec, cfg, nil)
 }
@@ -276,6 +281,10 @@ func (a *Analysis) entryState() *State {
 // site) instead of the old flow-through over-approximation. The
 // EdgeCall edge still carries the (post-push) caller state into the
 // callee body, so callee-internal findings see real calling contexts.
+// Last it derives, once per analysis, what the checkers read: the
+// secret branches with their successor walks and prices, and the
+// transient-window gadget scan over the same CFG and function
+// partition.
 func (a *Analysis) run() {
 	n := len(a.CFG.Blocks)
 	a.in = make([]*State, n)
@@ -307,6 +316,8 @@ func (a *Analysis) run() {
 	// no summary to poison here); the partial in-states are still the
 	// best available facts, so keep them rather than reporting nothing.
 	a.in, a.reached, _ = a.flow(seeds, nil, true)
+	a.branches = a.findSecretBranches()
+	a.gadgets = a.scanGadgets()
 }
 
 // join merges two states at a control-flow merge point: taint unions,
@@ -462,27 +473,36 @@ func (a *Analysis) step(st *State, in *isa.Inst, hook loadHook) {
 	}
 }
 
+// evalALU evaluates a binary ALU op on two concrete operands — the one
+// fold both the constant lattice (step) and the value-set analysis
+// (vsFold) use. Shift counts are masked to 6 bits and SHR is logical,
+// as on the modelled machine; ok is false for any other op.
+func evalALU(op isa.Op, x, y uint64) (v uint64, ok bool) {
+	switch op {
+	case isa.ADD:
+		return x + y, true
+	case isa.SUB:
+		return x - y, true
+	case isa.AND:
+		return x & y, true
+	case isa.OR:
+		return x | y, true
+	case isa.XOR:
+		return x ^ y, true
+	case isa.SHL:
+		return x << (y & 63), true
+	case isa.SHR:
+		return x >> (y & 63), true
+	default:
+		return 0, false
+	}
+}
+
 // foldConst evaluates an ALU op over the constant lattice.
 func foldConst(op isa.Op, x, y constVal) constVal {
 	if !x.known || !y.known {
 		return constVal{}
 	}
-	switch op {
-	case isa.ADD:
-		return constVal{known: true, v: x.v + y.v}
-	case isa.SUB:
-		return constVal{known: true, v: x.v - y.v}
-	case isa.AND:
-		return constVal{known: true, v: x.v & y.v}
-	case isa.OR:
-		return constVal{known: true, v: x.v | y.v}
-	case isa.XOR:
-		return constVal{known: true, v: x.v ^ y.v}
-	case isa.SHL:
-		return constVal{known: true, v: x.v << (uint64(y.v) & 63)}
-	case isa.SHR:
-		return constVal{known: true, v: int64(uint64(x.v) >> (uint64(y.v) & 63))}
-	default:
-		return constVal{}
-	}
+	v, ok := evalALU(op, uint64(x.v), uint64(y.v))
+	return constVal{known: ok, v: int64(v)}
 }

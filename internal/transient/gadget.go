@@ -25,11 +25,6 @@ type NaturalGadget struct {
 	touchEntry  uint64
 }
 
-// newNaturalGadgetForDebug builds without calibrating (tests).
-func newNaturalGadgetForDebug(c *cpu.CPU) (*NaturalGadget, error) {
-	return buildNaturalGadget(c)
-}
-
 // NewNaturalGadget assembles the victim with its two tag handlers —
 // the large-tag handler is a chain through the probed sets, standing
 // in for a distinctive hot kernel path — and calibrates the probe.
