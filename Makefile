@@ -32,9 +32,12 @@ vet:
 
 # lint runs the static front-end leakage analyzer over the victim
 # corpus and the codegen-emitted attack probes, asserting the canonical
-# expectations (exit 1 on mismatch).
+# expectations (exit 1 on mismatch), under the default profile and the
+# two non-default ones CI also checks.
 lint:
 	$(GO) run ./cmd/uoplint -selftest
+	$(GO) run ./cmd/uoplint -selftest -profile zen
+	$(GO) run ./cmd/uoplint -selftest -profile mite-only
 
 # serve boots the long-lived leakage-audit daemon: the same analysis as
 # `make lint` behind HTTP/JSON with an incremental per-function summary

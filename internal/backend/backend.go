@@ -20,15 +20,23 @@ type Memory interface {
 	Write(addr uint64, size int, v int64)
 }
 
-// Config parameterizes the backend.
+// The Skylake-like pipeline widths, in µops per cycle unless noted.
+const (
+	// ROBSize is the reorder buffer's capacity in µops.
+	ROBSize = 224
+	// DispatchWidth is how many µops are renamed and allocated per cycle.
+	DispatchWidth = 4
+	// RetireWidth is how many µops retire per cycle.
+	RetireWidth = 4
+	// ExecPorts is how many µops issue to execution per cycle.
+	ExecPorts = 8
+	// MispredictPenalty is the fixed redirect bubble in cycles on a
+	// squash, on top of the natural refetch latency.
+	MispredictPenalty = 5
+)
+
+// Config selects the backend's speculation model.
 type Config struct {
-	ROBSize       int
-	DispatchWidth int // µops renamed/allocated per cycle
-	RetireWidth   int // µops retired per cycle
-	ExecPorts     int // µops issued to execution per cycle
-	// MispredictPenalty is the fixed redirect bubble on a squash, on
-	// top of the natural refetch latency.
-	MispredictPenalty int
 	// InvisibleSpeculation models the §VII invisible-speculation
 	// defenses (InvisiSpec, SafeSpec, …): speculative loads read their
 	// value without updating the cache hierarchy; the fill happens only
@@ -36,17 +44,6 @@ type Config struct {
 	// footprint — which kills classic Spectre-v1's disclosure primitive
 	// but, as the paper shows, not the micro-op cache's.
 	InvisibleSpeculation bool
-}
-
-// DefaultConfig returns a Skylake-like backend.
-func DefaultConfig() Config {
-	return Config{
-		ROBSize:           224,
-		DispatchWidth:     4,
-		RetireWidth:       4,
-		ExecPorts:         8,
-		MispredictPenalty: 5,
-	}
 }
 
 // entry is one in-flight micro-op.
@@ -177,10 +174,10 @@ func New(cfg Config, fe *frontend.FrontEnd, bp *bpu.BPU, hier *mem.Hierarchy, gm
 	b := &Backend{cfg: cfg, fe: fe, bp: bp, hier: hier, gmem: gmem, ctr: ctr}
 	// Pre-size the ROB, the entry pool, and the dispatch pop buffer so
 	// the steady-state cycle loop never grows any of them.
-	b.rob = make([]*entry, 0, cfg.ROBSize)
-	b.free = make([]*entry, 0, cfg.ROBSize)
-	b.grave = make([]graveRec, 0, cfg.ROBSize)
-	b.popBuf = make([]isa.Uop, cfg.DispatchWidth)
+	b.rob = make([]*entry, 0, ROBSize)
+	b.free = make([]*entry, 0, ROBSize)
+	b.grave = make([]graveRec, 0, ROBSize)
+	b.popBuf = make([]isa.Uop, DispatchWidth)
 	return b
 }
 
@@ -321,7 +318,7 @@ func (b *Backend) SkipBound(cycle uint64) uint64 {
 	if b.rob[0].done {
 		return 0 // retire (or branch resolution) acts on the head
 	}
-	if b.fe.IDQLen() > 0 && len(b.rob) < b.cfg.ROBSize {
+	if b.fe.IDQLen() > 0 && len(b.rob) < ROBSize {
 		return 0 // dispatch has both micro-ops and ROB room
 	}
 	bound := unbounded
@@ -387,8 +384,8 @@ func (b *Backend) lfenceBlockIndex() int {
 
 // dispatch renames micro-ops from the IDQ into the ROB.
 func (b *Backend) dispatch() {
-	room := b.cfg.ROBSize - len(b.rob)
-	n := b.cfg.DispatchWidth
+	room := ROBSize - len(b.rob)
+	n := DispatchWidth
 	if n > room {
 		n = room
 	}
@@ -525,7 +522,7 @@ func depVal(d *entry, captured int64) int64 {
 // ones.
 func (b *Backend) execute() {
 	lfIdx := b.lfenceBlockIndex()
-	ports := b.cfg.ExecPorts
+	ports := ExecPorts
 issueLoop:
 	for i, e := range b.rob {
 		if e.done {
@@ -767,7 +764,7 @@ func (b *Backend) resolveBranches() {
 				b.OnSquash(b.cycle, actualNext)
 			}
 			b.fe.Redirect(actualNext)
-			b.fe.AddStall(b.cfg.MispredictPenalty)
+			b.fe.AddStall(MispredictPenalty)
 			return
 		}
 	}
@@ -798,7 +795,7 @@ func (b *Backend) squashAfter(i int) {
 // parked in the graveyard until the watermark frees them.
 func (b *Backend) retire() {
 	n := 0
-	for n < b.cfg.RetireWidth && n < len(b.rob) {
+	for n < RetireWidth && n < len(b.rob) {
 		e := b.rob[n]
 		if !e.done {
 			break

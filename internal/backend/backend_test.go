@@ -143,9 +143,8 @@ func TestDepHelpers(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigSane(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.ROBSize < cfg.DispatchWidth || cfg.RetireWidth == 0 || cfg.ExecPorts == 0 {
-		t.Errorf("config %+v", cfg)
+func TestPipelineConstantsSane(t *testing.T) {
+	if ROBSize < DispatchWidth || RetireWidth == 0 || ExecPorts == 0 {
+		t.Errorf("ROB %d, dispatch %d, retire %d, ports %d", ROBSize, DispatchWidth, RetireWidth, ExecPorts)
 	}
 }

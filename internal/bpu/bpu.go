@@ -1,43 +1,31 @@
-// Package bpu models the branch prediction unit: a gshare direction
-// predictor, a branch target buffer, an indirect-target predictor, and a
-// return stack buffer. The transient-execution attacks depend on real
+// Package bpu models the branch prediction unit: a bimodal direction
+// predictor, a branch target buffer, an indirect-target predictor, and
+// a return stack buffer. The transient-execution attacks depend on real
 // predictor state: Spectre-v1 setup mistrains the direction predictor,
 // and the variant-2 attack exploits a secret encoded in the indirect
 // predictor by earlier authorized executions.
+//
+// The direction predictor is a table of 2-bit counters indexed by the
+// branch PC alone, with no global history, so in-place mistraining
+// (calling the victim through the attack's own code path with benign
+// arguments) reliably aliases the attacked branch, as the paper's
+// Spectre-style setups assume. The BTB and the indirect predictor are
+// direct-mapped and tagged with the full PC.
 package bpu
 
 import "deaduops/internal/rows"
 
-// Config sizes the predictor structures.
-type Config struct {
-	// GshareBits is the log2 size of the pattern history table.
-	GshareBits uint
-	// BTBEntries and IndirectEntries size the target predictors
-	// (direct-mapped, power of two).
-	BTBEntries      int
-	IndirectEntries int
+// The table sizes of a modest Skylake-class predictor.
+const (
+	// PHTBits is the log2 size of the direction predictor's pattern
+	// history table.
+	PHTBits = 14
+	// BTBEntries and IndirectEntries size the target predictors.
+	BTBEntries      = 4096
+	IndirectEntries = 1024
 	// RSBDepth is the return stack depth.
-	RSBDepth int
-	// HistoryBits is the global-history length folded into the gshare
-	// index.
-	HistoryBits uint
-}
-
-// DefaultConfig mirrors a modest Skylake-class predictor. HistoryBits
-// is zero — a bimodal, PC-indexed direction predictor — so that
-// in-place mistraining (calling the victim through the attack's own
-// code path with benign arguments) reliably aliases the attacked
-// branch, as the paper's Spectre-style setups assume. Set HistoryBits
-// nonzero for a gshare predictor.
-func DefaultConfig() Config {
-	return Config{
-		GshareBits:      14,
-		BTBEntries:      4096,
-		IndirectEntries: 1024,
-		RSBDepth:        16,
-		HistoryBits:     0,
-	}
-}
+	RSBDepth = 16
+)
 
 type btbEntry struct {
 	pc     uint64
@@ -50,11 +38,9 @@ type btbEntry struct {
 // the model gives each thread its own instance, which is sufficient for
 // the paper's single-thread mistraining attacks.
 type BPU struct {
-	cfg Config
 	// The four tables are rows.Tables of one-entry rows, so Save,
 	// Restore and Reset walk only the entries a workload trained.
 	pht      rows.Table[uint8] // 2-bit saturating counters
-	history  uint64
 	btb      rows.Table[btbEntry]
 	indirect rows.Table[btbEntry]
 	rsb      rows.Table[uint64]
@@ -66,38 +52,31 @@ type BPU struct {
 }
 
 // New builds a predictor.
-func New(cfg Config) *BPU {
+func New() *BPU {
 	return &BPU{
-		cfg:      cfg,
-		pht:      rows.NewFilled[uint8](1<<cfg.GshareBits, 1, 1), // weakly not-taken
-		btb:      rows.New[btbEntry](cfg.BTBEntries, 1),
-		indirect: rows.New[btbEntry](cfg.IndirectEntries, 1),
-		rsb:      rows.New[uint64](cfg.RSBDepth, 1),
+		pht:      rows.NewFilled[uint8](1<<PHTBits, 1, 1), // weakly not-taken
+		btb:      rows.New[btbEntry](BTBEntries, 1),
+		indirect: rows.New[btbEntry](IndirectEntries, 1),
+		rsb:      rows.New[uint64](RSBDepth, 1),
 	}
 }
 
-// Config returns the predictor configuration.
-func (b *BPU) Config() Config { return b.cfg }
-
-func (b *BPU) phtIndex(pc uint64) uint64 {
-	h := b.history & ((1 << b.cfg.HistoryBits) - 1)
-	return (pc ^ h) & ((1 << b.cfg.GshareBits) - 1)
-}
+func phtIndex(pc uint64) uint64 { return pc & (1<<PHTBits - 1) }
 
 // PredictDirection predicts taken/not-taken for the conditional branch
 // at pc.
 func (b *BPU) PredictDirection(pc uint64) bool {
 	b.DirectionLookups++
-	return b.pht.All()[b.phtIndex(pc)] >= 2
+	return b.pht.All()[phtIndex(pc)] >= 2
 }
 
 // UpdateDirection trains the direction predictor with the resolved
-// outcome and advances global history.
+// outcome.
 func (b *BPU) UpdateDirection(pc uint64, taken, mispredicted bool) {
 	if mispredicted {
 		b.DirectionMisses++
 	}
-	idx := b.phtIndex(pc)
+	idx := phtIndex(pc)
 	b.pht.Mark(int(idx))
 	c := &b.pht.All()[idx]
 	if taken && *c < 3 {
@@ -105,14 +84,6 @@ func (b *BPU) UpdateDirection(pc uint64, taken, mispredicted bool) {
 	} else if !taken && *c > 0 {
 		*c--
 	}
-	b.history = b.history<<1 | boolBit(taken)
-}
-
-func boolBit(v bool) uint64 {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // PredictTarget consults the BTB for the direct branch at pc.
@@ -176,14 +147,12 @@ func (b *BPU) PopRSB() (uint64, bool) {
 // State is a sparse snapshot of a predictor's dynamic contents: only
 // the table entries ever written are stored, so its cost scales with
 // the branches a workload trained, not with the table sizes. Backing
-// arrays are recycled across Save calls, and a snapshot only restores
-// into a BPU built with the same table sizes.
+// arrays are recycled across Save calls.
 type State struct {
 	pht        rows.State[uint8]
 	btb        rows.State[btbEntry]
 	indirect   rows.State[btbEntry]
 	rsb        rows.State[uint64]
-	history    uint64
 	rsbTop     int
 	dirLookups uint64
 	dirMisses  uint64
@@ -195,21 +164,18 @@ func (b *BPU) Save(s *State) {
 	b.btb.Save(&s.btb)
 	b.indirect.Save(&s.indirect)
 	b.rsb.Save(&s.rsb)
-	s.history = b.history
 	s.rsbTop = b.rsbTop
 	s.dirLookups = b.DirectionLookups
 	s.dirMisses = b.DirectionMisses
 }
 
 // Restore overwrites the predictor state from s in O(entries touched
-// here or in s). It panics if s was saved from a predictor with
-// different table sizes.
+// here or in s).
 func (b *BPU) Restore(s *State) {
 	b.pht.Restore(&s.pht)
 	b.btb.Restore(&s.btb)
 	b.indirect.Restore(&s.indirect)
 	b.rsb.Restore(&s.rsb)
-	b.history = s.history
 	b.rsbTop = s.rsbTop
 	b.DirectionLookups = s.dirLookups
 	b.DirectionMisses = s.dirMisses
@@ -222,6 +188,6 @@ func (b *BPU) Reset() {
 	b.btb.Reset()
 	b.indirect.Reset()
 	b.rsb.Reset()
-	b.history, b.rsbTop = 0, 0
+	b.rsbTop = 0
 	b.DirectionLookups, b.DirectionMisses = 0, 0
 }

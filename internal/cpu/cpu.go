@@ -68,11 +68,9 @@ func (m Mitigation) String() string {
 
 // Config assembles a core configuration.
 type Config struct {
-	UopCache  uopcache.Config
-	Hierarchy mem.HierarchyConfig
-	Frontend  frontend.Config
-	Backend   backend.Config
-	BPU       bpu.Config
+	UopCache uopcache.Config
+	Frontend frontend.Config
+	Backend  backend.Config
 	// Mitigation enables a §VIII countermeasure.
 	Mitigation Mitigation
 	// DisableCycleSkip turns off the event-driven fast path that
@@ -87,18 +85,11 @@ type Config struct {
 
 // FromProfile assembles a core configuration for one registered
 // front-end profile: the profile owns the DSB geometry and decode
-// path, the core supplies everything frontend-agnostic (IDQ, memory
-// hierarchy, backend, BPU).
+// path. Everything behind the front end (IDQ, memory hierarchy,
+// backend widths, BPU) is one fixed machine whose sizes are constants
+// of those packages.
 func FromProfile(p profile.Profile) Config {
-	fe := frontend.DefaultConfig()
-	fe.Decode = p.Decode
-	return Config{
-		UopCache:  p.UopCache,
-		Frontend:  fe,
-		Hierarchy: mem.DefaultHierarchy(),
-		Backend:   backend.DefaultConfig(),
-		BPU:       bpu.DefaultConfig(),
-	}
+	return Config{UopCache: p.UopCache, Frontend: frontend.Config{Decode: p.Decode}}
 }
 
 // Intel returns the default Skylake/Coffee Lake-like configuration the
@@ -137,8 +128,8 @@ func NewMemory(size int) *Memory {
 // predictors. Each keeps its contents in internal/rows tables, so it
 // is reset in O(state the previous core touched) — written pages,
 // filled sets, trained predictor entries — instead of being allocated
-// and zeroed again, and is rebuilt only when the requested
-// configuration differs from the recycled one. An arena must never be
+// and zeroed again. None of them depends on the core's configuration,
+// so an arena always recycles them. An arena must never be
 // shared between goroutines: parsweep gives each pool worker its own
 // via its per-worker setup hook, so a 150-point sweep on 8 workers
 // builds 8 sets of these structures instead of 150. The zero value is
@@ -183,30 +174,29 @@ func (a *Arena) memory() *Memory {
 	return a.m
 }
 
-// hierarchy returns an empty cache hierarchy for cfg, reusing the
-// arena's when its configuration is equal. Reuse resets only the sets
-// the previous core touched and drops its hooks.
-func (a *Arena) hierarchy(cfg mem.HierarchyConfig) *mem.Hierarchy {
+// hierarchy returns an empty cache hierarchy, reusing the arena's.
+// Reuse resets only the sets the previous core touched and drops its
+// hooks.
+func (a *Arena) hierarchy() *mem.Hierarchy {
 	if a == nil {
-		return mem.NewHierarchy(cfg)
+		return mem.NewHierarchy()
 	}
-	if a.hier == nil || a.hier.Config() != cfg {
-		a.hier = mem.NewHierarchy(cfg)
+	if a.hier == nil {
+		a.hier = mem.NewHierarchy()
 	} else {
 		a.hier.Reset()
 	}
 	return a.hier
 }
 
-// predictor returns thread t's untrained branch predictor for cfg,
-// reusing the arena's when its configuration is equal. Reuse resets
-// only the entries the previous core wrote.
-func (a *Arena) predictor(t int, cfg bpu.Config) *bpu.BPU {
+// predictor returns thread t's untrained branch predictor, reusing
+// the arena's. Reuse resets only the entries the previous core wrote.
+func (a *Arena) predictor(t int) *bpu.BPU {
 	if a == nil {
-		return bpu.New(cfg)
+		return bpu.New()
 	}
-	if a.bps[t] == nil || a.bps[t].Config() != cfg {
-		a.bps[t] = bpu.New(cfg)
+	if a.bps[t] == nil {
+		a.bps[t] = bpu.New()
 	} else {
 		a.bps[t].Reset()
 	}
@@ -336,7 +326,7 @@ func NewWith(cfg Config, arena *Arena) *CPU {
 	c := &CPU{
 		cfg:  cfg,
 		uc:   uopcache.New(cfg.UopCache),
-		hier: arena.hierarchy(cfg.Hierarchy),
+		hier: arena.hierarchy(),
 		mem:  arena.memory(),
 	}
 	if cfg.Mitigation == MitigationPrivilegePartition {
@@ -344,15 +334,14 @@ func NewWith(cfg Config, arena *Arena) *CPU {
 	}
 	// Inclusion hooks: an L1I eviction invalidates the matching
 	// micro-op cache lines; an iTLB flush empties it.
-	lineSize := uint64(cfg.Hierarchy.L1I.LineSize)
 	c.hier.L1I().SetEvictHook(func(lineAddr uint64) {
-		c.uc.InvalidateCodeLine(lineAddr, lineSize)
+		c.uc.InvalidateCodeLine(lineAddr, mem.LineSize)
 	})
 	c.hier.SetITLBFlushHook(func() { c.uc.FlushAll() })
 
 	for t := 0; t < NumThreads; t++ {
 		ctr := &perfctr.Counters{}
-		bp := arena.predictor(t, cfg.BPU)
+		bp := arena.predictor(t)
 		fe := frontend.New(cfg.Frontend, t, c.uc, c.hier, bp, ctr)
 		be := backend.New(cfg.Backend, fe, bp, c.hier, c.mem, ctr)
 		be.SetReg(isa.R15, int64(StackTop-t*StackSpacing))

@@ -19,22 +19,18 @@ import (
 	"deaduops/internal/uopcache"
 )
 
+// IDQCapacity is the instruction decode queue's capacity in µops.
+const IDQCapacity = 64
+
 // Config parameterizes the fetch engine.
 type Config struct {
-	IDQCapacity int
-	Decode      decode.Config
+	Decode decode.Config
 	// LSDCapacity enables the loop stream detector when nonzero: loops
 	// of at most this many µops lock into the IDQ and replay without
 	// touching the micro-op cache (§II-C). Zero disables it — the
 	// modelled Skylake ships with the LSD fused off (erratum SKL150),
 	// which is why the paper never needed to defeat it.
 	LSDCapacity int
-}
-
-// DefaultConfig returns a Skylake-like front end (LSD disabled, per
-// erratum SKL150).
-func DefaultConfig() Config {
-	return Config{IDQCapacity: 64, Decode: decode.Skylake()}
 }
 
 // lsdRec is one fetch group retained for loop detection.
@@ -60,12 +56,11 @@ type FrontEnd struct {
 	hier   *mem.Hierarchy
 	bp     *bpu.BPU
 	ctr    *perfctr.Counters
-	// Scalars from the µop cache and L1I configurations, captured once
-	// so every fetch and DSB cycle reads them without copying a Config.
+	// Scalars from the µop cache configuration, captured once so every
+	// fetch and DSB cycle reads them without copying a Config.
 	regionSize    uint64
 	streamWidth   int
 	switchPenalty int
-	l1iLat        int
 
 	pc        uint64
 	active    bool // fetch enabled (false: stalled on fault/halt/serialize)
@@ -120,13 +115,12 @@ func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bp
 		regionSize:    ucfg.RegionSize(),
 		streamWidth:   ucfg.StreamWidth,
 		switchPenalty: ucfg.SwitchPenalty,
-		l1iLat:        hier.Config().L1I.Latency,
 
 		// Pre-size the IDQ and the DSB stream buffer so the steady-state
 		// cycle loop never grows either: the IDQ is hard-capped at
 		// IDQCapacity, and one region streams at most
 		// MaxLinesPerRegion × SlotsPerLine micro-ops.
-		idq:       make([]isa.Uop, 0, cfg.IDQCapacity),
+		idq:       make([]isa.Uop, 0, IDQCapacity),
 		streamBuf: make([]isa.Uop, 0, ucfg.MaxLinesPerRegion*ucfg.SlotsPerLine),
 	}
 }
@@ -396,7 +390,7 @@ func (f *FrontEnd) Tick() {
 		f.ctr.Inc(perfctr.DSBMissPenaltyCycles)
 		return
 	}
-	room := f.cfg.IDQCapacity - len(f.idq)
+	room := IDQCapacity - len(f.idq)
 	if room <= 0 {
 		return
 	}
@@ -429,7 +423,7 @@ func (f *FrontEnd) SkipBound() uint64 {
 	if n := f.stallOther + f.stallPen; n > 0 {
 		return uint64(n)
 	}
-	if f.cfg.IDQCapacity-len(f.idq) <= 0 {
+	if IDQCapacity-len(f.idq) <= 0 {
 		return ^uint64(0)
 	}
 	return 0
@@ -673,8 +667,8 @@ func (f *FrontEnd) startFetch() bool {
 	// Instruction-cache access for the group's bytes. A miss costs the
 	// fill latency up front.
 	lat := f.hier.AccessInst(g.entry)
-	if lat > f.l1iLat {
-		f.stallOther += lat - f.l1iLat
+	if lat > mem.L1Latency {
+		f.stallOther += lat - mem.L1Latency
 		f.ctr.Inc(perfctr.L1IMisses)
 	}
 

@@ -5,6 +5,7 @@ import (
 
 	"deaduops/internal/asm"
 	"deaduops/internal/bpu"
+	"deaduops/internal/decode"
 	"deaduops/internal/isa"
 	"deaduops/internal/mem"
 	"deaduops/internal/perfctr"
@@ -16,10 +17,10 @@ import (
 // rather than DRAM fill latency.
 func harness(p *asm.Program) (*FrontEnd, *uopcache.Cache, *perfctr.Counters) {
 	uc := uopcache.New(uopcache.Skylake())
-	hier := mem.NewHierarchy(mem.DefaultHierarchy())
-	bp := bpu.New(bpu.DefaultConfig())
+	hier := mem.NewHierarchy()
+	bp := bpu.New()
 	ctr := &perfctr.Counters{}
-	fe := New(DefaultConfig(), 0, uc, hier, bp, ctr)
+	fe := New(Config{Decode: decode.Skylake()}, 0, uc, hier, bp, ctr)
 	fe.SetProgram(p)
 	for _, in := range p.Insts {
 		hier.AccessInst(in.Addr)
@@ -114,11 +115,11 @@ func TestIDQBackpressure(t *testing.T) {
 	fe.Redirect(p.Entry)
 	for i := 0; i < 200; i++ {
 		fe.Tick()
-		if fe.IDQLen() > DefaultConfig().IDQCapacity {
+		if fe.IDQLen() > IDQCapacity {
 			t.Fatalf("IDQ overflowed: %d", fe.IDQLen())
 		}
 	}
-	if fe.IDQLen() != DefaultConfig().IDQCapacity {
+	if fe.IDQLen() != IDQCapacity {
 		t.Errorf("IDQ not full under backpressure: %d", fe.IDQLen())
 	}
 }
@@ -251,11 +252,10 @@ func TestPopPartial(t *testing.T) {
 // don't have).
 func lsdHarness(p *asm.Program, capacity int) (*FrontEnd, *uopcache.Cache, *perfctr.Counters) {
 	uc := uopcache.New(uopcache.Skylake())
-	hier := mem.NewHierarchy(mem.DefaultHierarchy())
-	bp := bpu.New(bpu.DefaultConfig())
+	hier := mem.NewHierarchy()
+	bp := bpu.New()
 	ctr := &perfctr.Counters{}
-	cfg := DefaultConfig()
-	cfg.LSDCapacity = capacity
+	cfg := Config{Decode: decode.Skylake(), LSDCapacity: capacity}
 	fe := New(cfg, 0, uc, hier, bp, ctr)
 	fe.SetProgram(p)
 	for _, in := range p.Insts {

@@ -17,7 +17,6 @@ type CacheConfig struct {
 	Sets     int // number of sets (power of two)
 	Ways     int // associativity
 	LineSize int // bytes per line (power of two)
-	Latency  int // hit latency in cycles
 }
 
 // Lines returns the total line capacity.

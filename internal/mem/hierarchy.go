@@ -1,29 +1,24 @@
 package mem
 
-// HierarchyConfig sizes the full cache hierarchy. DefaultHierarchy
-// mirrors the paper's Coffee Lake testbed (i7-8700T): 32 KiB 8-way L1I
-// and L1D, 256 KiB 4-way L2, 12 MiB 16-way shared LLC.
-type HierarchyConfig struct {
-	L1I, L1D, L2, LLC CacheConfig
-	MemLatency        int // DRAM access latency in cycles
-	ITLBEntries       int
-	ITLBWays          int
-	PageSize          int
-}
-
-// DefaultHierarchy returns the Coffee Lake-like configuration.
-func DefaultHierarchy() HierarchyConfig {
-	return HierarchyConfig{
-		L1I:         CacheConfig{Sets: 64, Ways: 8, LineSize: 64, Latency: 4},
-		L1D:         CacheConfig{Sets: 64, Ways: 8, LineSize: 64, Latency: 4},
-		L2:          CacheConfig{Sets: 1024, Ways: 4, LineSize: 64, Latency: 14},
-		LLC:         CacheConfig{Sets: 8192, Ways: 16, LineSize: 64, Latency: 44},
-		MemLatency:  200,
-		ITLBEntries: 128,
-		ITLBWays:    8,
-		PageSize:    4096,
-	}
-}
+// The hierarchy's geometry and latencies mirror the paper's Coffee
+// Lake testbed (i7-8700T): 32 KiB 8-way L1I and L1D, 256 KiB 4-way
+// L2, and a 16-way shared LLC (8 MiB here: the model needs a
+// power-of-two set count, where the i7-8700T has 12 MiB). Latencies
+// are in cycles.
+const (
+	// LineSize is every level's line size in bytes.
+	LineSize = 64
+	// L1Sets, L1Ways and L1Latency size the L1I and the L1D alike.
+	L1Sets, L1Ways, L1Latency    = 64, 8, 4
+	L2Sets, L2Ways, L2Latency    = 1024, 4, 14
+	LLCSets, LLCWays, LLCLatency = 8192, 16, 44
+	// MemLatency is the DRAM access latency.
+	MemLatency = 200
+	// ITLBEntries, ITLBWays and PageSize size the iTLB.
+	ITLBEntries, ITLBWays, PageSize = 128, 8, 4096
+	// pageWalkLatency is what an iTLB miss adds to a fetch.
+	pageWalkLatency = 20
+)
 
 // HierarchyStats aggregates the counters Table II reads.
 type HierarchyStats struct {
@@ -37,7 +32,6 @@ type HierarchyStats struct {
 
 // Hierarchy is the three-level cache model plus iTLB.
 type Hierarchy struct {
-	cfg HierarchyConfig
 	l1i *Cache
 	l1d *Cache
 	l2  *Cache
@@ -50,23 +44,16 @@ type Hierarchy struct {
 }
 
 // NewHierarchy builds the hierarchy.
-func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
-	pageSets := cfg.ITLBEntries / cfg.ITLBWays
+func NewHierarchy() *Hierarchy {
+	l1 := CacheConfig{Sets: L1Sets, Ways: L1Ways, LineSize: LineSize}
 	return &Hierarchy{
-		cfg: cfg,
-		l1i: NewCache("L1I", cfg.L1I),
-		l1d: NewCache("L1D", cfg.L1D),
-		l2:  NewCache("L2", cfg.L2),
-		llc: NewCache("LLC", cfg.LLC),
-		tlb: NewCache("iTLB", CacheConfig{
-			Sets: pageSets, Ways: cfg.ITLBWays,
-			LineSize: cfg.PageSize, Latency: 1,
-		}),
+		l1i: NewCache("L1I", l1),
+		l1d: NewCache("L1D", l1),
+		l2:  NewCache("L2", CacheConfig{Sets: L2Sets, Ways: L2Ways, LineSize: LineSize}),
+		llc: NewCache("LLC", CacheConfig{Sets: LLCSets, Ways: LLCWays, LineSize: LineSize}),
+		tlb: NewCache("iTLB", CacheConfig{Sets: ITLBEntries / ITLBWays, Ways: ITLBWays, LineSize: PageSize}),
 	}
 }
-
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 
 // L1I returns the instruction cache (for hooking inclusion).
 func (h *Hierarchy) L1I() *Cache { return h.l1i }
@@ -120,7 +107,7 @@ func (h *Hierarchy) Restore(s *HierarchyState) {
 
 // Reset empties all five levels in O(touched sets) and drops the
 // eviction and iTLB-flush hooks, leaving the hierarchy equal to a new
-// one built from the same configuration.
+// one.
 func (h *Hierarchy) Reset() {
 	h.l1i.Reset()
 	h.l1d.Reset()
@@ -134,15 +121,15 @@ func (h *Hierarchy) Reset() {
 // cycles, filling every missing level on the way.
 func (h *Hierarchy) AccessData(addr uint64) int {
 	if h.l1d.Access(addr) {
-		return h.cfg.L1D.Latency
+		return L1Latency
 	}
 	if h.l2.Access(addr) {
-		return h.cfg.L2.Latency
+		return L2Latency
 	}
 	if h.llc.Access(addr) {
-		return h.cfg.LLC.Latency
+		return LLCLatency
 	}
-	return h.cfg.MemLatency
+	return MemLatency
 }
 
 // AccessInst performs an instruction-fetch access at addr (iTLB + L1I +
@@ -150,18 +137,18 @@ func (h *Hierarchy) AccessData(addr uint64) int {
 func (h *Hierarchy) AccessInst(addr uint64) int {
 	lat := 0
 	if !h.tlb.Access(addr) {
-		lat += 20 // page-walk cost
+		lat += pageWalkLatency
 	}
 	if h.l1i.Access(addr) {
-		return lat + h.cfg.L1I.Latency
+		return lat + L1Latency
 	}
 	if h.l2.Access(addr) {
-		return lat + h.cfg.L2.Latency
+		return lat + L2Latency
 	}
 	if h.llc.Access(addr) {
-		return lat + h.cfg.LLC.Latency
+		return lat + LLCLatency
 	}
-	return lat + h.cfg.MemLatency
+	return lat + MemLatency
 }
 
 // PeekDataLatency returns the latency a data access at addr would see
@@ -170,13 +157,13 @@ func (h *Hierarchy) AccessInst(addr uint64) int {
 func (h *Hierarchy) PeekDataLatency(addr uint64) int {
 	switch {
 	case h.l1d.Contains(addr):
-		return h.cfg.L1D.Latency
+		return L1Latency
 	case h.l2.Contains(addr):
-		return h.cfg.L2.Latency
+		return L2Latency
 	case h.llc.Contains(addr):
-		return h.cfg.LLC.Latency
+		return LLCLatency
 	default:
-		return h.cfg.MemLatency
+		return MemLatency
 	}
 }
 

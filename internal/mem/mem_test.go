@@ -7,7 +7,7 @@ import (
 )
 
 func smallCache() *Cache {
-	return NewCache("t", CacheConfig{Sets: 4, Ways: 2, LineSize: 64, Latency: 3})
+	return NewCache("t", CacheConfig{Sets: 4, Ways: 2, LineSize: 64})
 }
 
 func TestCacheHitMiss(t *testing.T) {
@@ -101,7 +101,7 @@ func TestCacheLookupDoesNotFill(t *testing.T) {
 func TestEvictHookAddressRoundtrip(t *testing.T) {
 	// The hook must report the line-aligned address of the evicted
 	// line, for any address.
-	c := NewCache("t", CacheConfig{Sets: 8, Ways: 1, LineSize: 32, Latency: 1})
+	c := NewCache("t", CacheConfig{Sets: 8, Ways: 1, LineSize: 32})
 	f := func(addr uint32) bool {
 		a := uint64(addr)
 		var got uint64
@@ -136,18 +136,17 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestHierarchyLatencies(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchy())
-	cfg := h.Config()
-	if lat := h.AccessData(0x1000); lat != cfg.MemLatency {
-		t.Errorf("cold access latency %d, want DRAM %d", lat, cfg.MemLatency)
+	h := NewHierarchy()
+	if lat := h.AccessData(0x1000); lat != MemLatency {
+		t.Errorf("cold access latency %d, want DRAM %d", lat, MemLatency)
 	}
-	if lat := h.AccessData(0x1000); lat != cfg.L1D.Latency {
-		t.Errorf("warm access latency %d, want L1 %d", lat, cfg.L1D.Latency)
+	if lat := h.AccessData(0x1000); lat != L1Latency {
+		t.Errorf("warm access latency %d, want L1 %d", lat, L1Latency)
 	}
 }
 
 func TestHierarchyDataCachedLevels(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchy())
+	h := NewHierarchy()
 	if lvl := h.DataCached(0x2000); lvl != 0 {
 		t.Errorf("cold level %d", lvl)
 	}
@@ -163,7 +162,7 @@ func TestHierarchyDataCachedLevels(t *testing.T) {
 }
 
 func TestHierarchyFlush(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchy())
+	h := NewHierarchy()
 	h.AccessData(0x3000)
 	h.Flush(0x3000)
 	if lvl := h.DataCached(0x3000); lvl != 0 {
@@ -172,7 +171,7 @@ func TestHierarchyFlush(t *testing.T) {
 }
 
 func TestHierarchyInstPathAndITLB(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchy())
+	h := NewHierarchy()
 	cold := h.AccessInst(0x4000)
 	warm := h.AccessInst(0x4000)
 	if warm >= cold {
@@ -188,13 +187,13 @@ func TestHierarchyInstPathAndITLB(t *testing.T) {
 		t.Error("iTLB flush hook not fired")
 	}
 	// Next fetch pays the page walk again.
-	if lat := h.AccessInst(0x4000); lat <= h.Config().L1I.Latency {
+	if lat := h.AccessInst(0x4000); lat <= L1Latency {
 		t.Errorf("post-flush fetch latency %d too low (no page walk)", lat)
 	}
 }
 
 func TestHierarchyStats(t *testing.T) {
-	h := NewHierarchy(DefaultHierarchy())
+	h := NewHierarchy()
 	h.AccessData(0x5000)
 	h.AccessData(0x5000)
 	st := h.Stats()
@@ -224,7 +223,7 @@ func TestCacheConfigHelpers(t *testing.T) {
 func TestNewCacheAllocsConstantInSets(t *testing.T) {
 	const slack = 10
 	allocs := func(sets int) float64 {
-		cfg := CacheConfig{Sets: sets, Ways: 16, LineSize: 64, Latency: 40}
+		cfg := CacheConfig{Sets: sets, Ways: 16, LineSize: 64}
 		return testing.AllocsPerRun(20, func() { NewCache("t", cfg) })
 	}
 	if small, large := allocs(64), allocs(8192); large > small+slack {
@@ -236,7 +235,7 @@ func TestNewCacheAllocsConstantInSets(t *testing.T) {
 // one row per set, and every row's length and capacity is exactly Ways,
 // so an append to one row reallocates instead of overwriting the next.
 func TestCacheRowsCappedAtWays(t *testing.T) {
-	cfg := CacheConfig{Sets: 64, Ways: 12, LineSize: 64, Latency: 3}
+	cfg := CacheConfig{Sets: 64, Ways: 12, LineSize: 64}
 	c := NewCache("t", cfg)
 	if got := len(c.sets.All()); got != cfg.Sets*cfg.Ways {
 		t.Fatalf("%d lines, want %d", got, cfg.Sets*cfg.Ways)
@@ -253,7 +252,7 @@ func TestCacheRowsCappedAtWays(t *testing.T) {
 // that filled, evicted and counted, once reset, saves the same
 // snapshot as a new level and fires no eviction hook.
 func TestCacheResetEqualsNew(t *testing.T) {
-	cfg := CacheConfig{Sets: 64, Ways: 2, LineSize: 64, Latency: 3}
+	cfg := CacheConfig{Sets: 64, Ways: 2, LineSize: 64}
 	c := NewCache("t", cfg)
 	evicted := 0
 	c.SetEvictHook(func(uint64) { evicted++ })
@@ -282,7 +281,7 @@ func TestCacheResetEqualsNew(t *testing.T) {
 // TestCacheRestoreRejectsForeignSnapshot pins the geometry check: a
 // snapshot restores only into a level with the same sets and ways.
 func TestCacheRestoreRejectsForeignSnapshot(t *testing.T) {
-	base := CacheConfig{Sets: 64, Ways: 8, LineSize: 64, Latency: 3}
+	base := CacheConfig{Sets: 64, Ways: 8, LineSize: 64}
 	var s CacheState
 	src := NewCache("t", base)
 	src.Access(0x40)
@@ -291,8 +290,8 @@ func TestCacheRestoreRejectsForeignSnapshot(t *testing.T) {
 		name string
 		cfg  CacheConfig
 	}{
-		{"sets", CacheConfig{Sets: 128, Ways: 8, LineSize: 64, Latency: 3}},
-		{"ways", CacheConfig{Sets: 64, Ways: 4, LineSize: 64, Latency: 3}},
+		{"sets", CacheConfig{Sets: 128, Ways: 8, LineSize: 64}},
+		{"ways", CacheConfig{Sets: 64, Ways: 4, LineSize: 64}},
 	} {
 		func() {
 			defer func() {

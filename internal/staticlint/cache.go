@@ -270,9 +270,9 @@ func configFingerprint(cfg Config, withCheckers bool) cacheKey {
 	w.boolean(d.MacroFusion)
 	w.u64(uint64(d.JccAlignPenalty))
 	w.u64(uint64(cfg.PathBudget))
-	w.u64(uint64(cfg.ProbeIters))
-	w.u64(uint64(cfg.PrimeTraversals))
-	w.u64(uint64(cfg.VictimRuns))
+	w.u64(DefaultProbeIters)
+	w.u64(DefaultPrimeTraversals)
+	w.u64(DefaultVictimRuns)
 	if withCheckers {
 		if cfg.Checkers == nil {
 			w.str("checkers:all")

@@ -295,8 +295,8 @@ func (c FootprintDivergenceChecker) Check(a *Analysis) []Finding {
 
 		// Receiver model: predict the prime/probe timing histogram an
 		// attacker measuring the divergent sets would collect. A model
-		// failure (e.g. disabled by config) degrades the finding, not
-		// the run.
+		// failure (e.g. no free set for the receiver's loop tail)
+		// degrades the finding, not the run.
 		probe, perr := ProbeModel(a.Cfg, taken, fall, div)
 		if perr == nil {
 			msg += fmt.Sprintf("; attacker probe separation %.2f× (floor %.2f×)",

@@ -5,7 +5,7 @@ import (
 
 	"deaduops/internal/backend"
 	"deaduops/internal/cpu"
-	"deaduops/internal/frontend"
+	"deaduops/internal/decode"
 	"deaduops/internal/profile"
 	"deaduops/internal/uopcache"
 )
@@ -13,27 +13,26 @@ import (
 // TestCostTableSharedWithFrontend pins the quantifier's one-source-of-
 // truth contract on the default machine: the cost table staticlint
 // prices paths with must hold the very decode and µop cache
-// configurations the Skylake fetch engine runs (frontend.DefaultConfig
-// and uopcache.Skylake), extended only by the backend drain parameters
-// the front end has no use for. If either side grows a constant of its
-// own, the difftest calibration silently rots — this test makes the
-// drift loud.
+// configurations the Skylake fetch engine runs (decode.Skylake and
+// uopcache.Skylake), extended
+// only by the backend drain parameters the front end has no use for.
+// If either side grows a constant of its own, the difftest calibration
+// silently rots — this test makes the drift loud.
 func TestCostTableSharedWithFrontend(t *testing.T) {
 	lint := DefaultConfig().Costs()
-	fe := frontend.DefaultConfig()
-	uc := uopcache.Skylake()
+	dc, uc := decode.Skylake(), uopcache.Skylake()
 
-	if lint.Decode != fe.Decode {
-		t.Errorf("decode configs diverge: lint %+v, frontend %+v", lint.Decode, fe.Decode)
+	if lint.Decode != dc {
+		t.Errorf("decode configs diverge: lint %+v, frontend %+v", lint.Decode, dc)
 	}
 	if lint.Cache != uc {
 		t.Errorf("cache configs diverge: lint %+v, frontend %+v", lint.Cache, uc)
 	}
 
 	// The drain bound is the quantifier's extension: width comes from
-	// the live backend configuration, not a copied literal.
-	if want := backend.DefaultConfig().DispatchWidth; lint.DrainWidth != want {
-		t.Errorf("drain width %d, want backend dispatch width %d", lint.DrainWidth, want)
+	// the backend's own constant, not a copied literal.
+	if lint.DrainWidth != backend.DispatchWidth {
+		t.Errorf("drain width %d, want backend dispatch width %d", lint.DrainWidth, backend.DispatchWidth)
 	}
 	if lint.DrainLag != DefaultDrainLag {
 		t.Errorf("drain lag %d, want %d", lint.DrainLag, DefaultDrainLag)
@@ -57,8 +56,8 @@ func TestCostTableSharedPerProfile(t *testing.T) {
 		if lint.Decode != core.Frontend.Decode {
 			t.Errorf("%s: decode configs diverge: lint %+v, core %+v", p.Name, lint.Decode, core.Frontend.Decode)
 		}
-		if lint.DrainWidth != core.Backend.DispatchWidth {
-			t.Errorf("%s: drain width %d, want core dispatch width %d", p.Name, lint.DrainWidth, core.Backend.DispatchWidth)
+		if lint.DrainWidth != backend.DispatchWidth {
+			t.Errorf("%s: drain width %d, want backend dispatch width %d", p.Name, lint.DrainWidth, backend.DispatchWidth)
 		}
 		if lint.DrainLag != DefaultDrainLag || lint.RunOverhead != DefaultRunOverhead {
 			t.Errorf("%s: drain lag %d / run overhead %d, want %d / %d",
@@ -74,8 +73,7 @@ func TestDefaultConfigIsDefaultProfile(t *testing.T) {
 	def := DefaultConfig()
 	sky := ConfigForProfile(profile.Default())
 	if def.UopCache != sky.UopCache || def.Decode != sky.Decode ||
-		def.PathBudget != sky.PathBudget || def.ProbeIters != sky.ProbeIters ||
-		def.PrimeTraversals != sky.PrimeTraversals || def.VictimRuns != sky.VictimRuns {
+		def.PathBudget != sky.PathBudget {
 		t.Errorf("DefaultConfig %+v != ConfigForProfile(default) %+v", def, sky)
 	}
 	if profile.Default().Name != "skylake" {

@@ -92,13 +92,13 @@ func (h *Harness) RunProbeWith(seed uint64, arena *cpu.Arena) (ProbeResult, erro
 			}
 		}
 		r, err := attack.MeasureRounds(c, recv, func() error {
-			for i := 0; i < cfg.VictimRuns; i++ {
+			for i := 0; i < staticlint.DefaultVictimRuns; i++ {
 				if err := victim("send"); err != nil {
 					return err
 				}
 			}
 			return nil
-		}, int64(cfg.PrimeTraversals), int64(cfg.ProbeIters), 1)
+		}, staticlint.DefaultPrimeTraversals, staticlint.DefaultProbeIters, 1)
 		if err != nil {
 			return 0, 0, fmt.Errorf("difftest seed %d: %w", seed, err)
 		}

@@ -6,17 +6,24 @@ import (
 	"deaduops/internal/uopcache"
 )
 
+// ProbeModelWith is ProbeModel under a protocol of prime priming
+// traversals and victimRuns victim runs instead of the defaults.
+func ProbeModelWith(cfg Config, prime, victimRuns int, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
+	return probeModel(cfg, protocol{prime: prime, victimRuns: victimRuns}, taken, fall, div)
+}
+
 // ProbeModelFullReplay is the receiver model replayed literally, the
-// reference ProbeModel is held to: every segment is priced on its own
-// with the cost table's Region and uopcache.BuildTrace, and every
+// reference ProbeModelWith is held to: every segment is priced on its
+// own with the cost table's Region and uopcache.BuildTrace, and every
 // direction replays the whole protocol (prime → hit probe → prime →
 // victim runs → timed probe) on a cache of its own, every traversal and
-// victim run included. ProbeModel — forked prefix, fixed-point cut-off,
-// per-shape pricing — must return exactly this histogram.
-func ProbeModelFullReplay(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
+// victim run included. ProbeModelWith — forked prefix, fixed-point
+// cut-off, per-shape pricing — must return exactly this histogram for
+// the same prime and victimRuns.
+func ProbeModelFullReplay(cfg Config, prime, victimRuns int, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
 	ct := cfg.Costs()
 	plan := decode.Macros(cfg.Decode)
-	h, rp, err := probeSetup(cfg, div, func(sg uopcache.Segment) (decode.RegionCost, *uopcache.Trace) {
+	h, rp, err := probeSetup(cfg, protocol{prime: prime, victimRuns: victimRuns}, div, func(sg uopcache.Segment) (decode.RegionCost, *uopcache.Trace) {
 		return ct.Region(sg.Region, sg.Entry, sg.Insts),
 			uopcache.BuildTrace(cfg.UopCache, sg.Region, sg.Entry, plan(sg.Insts))
 	})
@@ -46,18 +53,18 @@ func ProbeModelFullReplay(cfg Config, taken, fall uopcache.FootprintResult, div 
 	}
 	bin := func(fp uopcache.FootprintResult) ProbeBin {
 		cache := uopcache.New(cfg.UopCache)
-		recv(cache, cfg.PrimeTraversals)
-		recv(cache, cfg.ProbeIters)
-		recv(cache, cfg.PrimeTraversals)
+		recv(cache, prime)
+		recv(cache, DefaultProbeIters)
+		recv(cache, prime)
 		victim := victimSegs(fp)
-		for r := 0; r < cfg.VictimRuns; r++ {
+		for r := 0; r < victimRuns; r++ {
 			for _, s := range victim {
 				if !cache.Hit(0, s.addr) {
 					cache.Fill(0, s.trace)
 				}
 			}
 		}
-		misses, extra := recv(cache, cfg.ProbeIters)
+		misses, extra := recv(cache, DefaultProbeIters)
 		return h.missBin(fp, misses, extra)
 	}
 	h.setDirections(bin(taken), bin(fall))

@@ -39,7 +39,8 @@ func TestProbeModelForkOnDifftestSeeds(t *testing.T) {
 					t.Fatalf("seed %d: no probe histogram at branch %#x", seed, v.Branch)
 				}
 				taken, fall, div := staticlint.BranchFootprints(a, v.Branch)
-				want, err := staticlint.ProbeModelFullReplay(cfg, taken, fall, div)
+				want, err := staticlint.ProbeModelFullReplay(cfg,
+					staticlint.DefaultPrimeTraversals, staticlint.DefaultVictimRuns, taken, fall, div)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

@@ -60,13 +60,13 @@ type PathCost struct {
 // Costs returns the cost table the quantifier prices with: the
 // profile's decode and µop cache configurations — the very values
 // cpu.FromProfile hands the simulated core — plus the backend drain
-// width (backend.DefaultConfig's dispatch width) and the calibrated
+// width (backend.DispatchWidth) and the calibrated
 // DefaultDrainLag and DefaultRunOverhead.
 func (c Config) Costs() decode.CostTable {
 	return decode.CostTable{
 		Decode:      c.Decode,
 		Cache:       c.UopCache,
-		DrainWidth:  backend.DefaultConfig().DispatchWidth,
+		DrainWidth:  backend.DispatchWidth,
 		DrainLag:    DefaultDrainLag,
 		RunOverhead: DefaultRunOverhead,
 	}

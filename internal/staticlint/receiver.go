@@ -20,6 +20,7 @@ package staticlint
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -194,7 +195,17 @@ func round2(x float64) float64 { return math.Round(x*100) / 100 }
 // The validation harness's victims keep their shared prefixes clear of
 // the divergent sets, so there the predictions are exact.
 func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
-	h, rp, err := probeSetup(cfg, div, shapePricer(cfg))
+	return probeModel(cfg, protocol{prime: DefaultPrimeTraversals, victimRuns: DefaultVictimRuns}, taken, fall, div)
+}
+
+// protocol is the modelled measurement protocol's priming traversal
+// and victim run counts. ProbeModel always runs the defaults; the tests
+// reach other counts through probeModel.
+type protocol struct{ prime, victimRuns int }
+
+// probeModel is ProbeModel under protocol proto.
+func probeModel(cfg Config, proto protocol, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
+	h, rp, err := probeSetup(cfg, proto, div, shapePricer(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -230,6 +241,7 @@ func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*P
 // the final HALT.
 type probeReplay struct {
 	cfg              Config
+	proto            protocol
 	head, trav, halt []probeSeg
 }
 
@@ -307,12 +319,11 @@ func shapeKey(dst []byte, dc decode.Config, sg uopcache.Segment) []byte {
 
 // probeSetup lays out the receiver routine over div, prices its
 // segments with price and its hit state, and returns the histogram with
-// every direction-independent field filled, plus the protocol replay
-// the miss states need.
-func probeSetup(cfg Config, div []int, price segPricer) (*ProbeHistogram, *probeReplay, error) {
-	if cfg.ProbeIters <= 0 || cfg.PrimeTraversals <= 0 || cfg.VictimRuns <= 0 || len(div) == 0 {
-		return nil, nil, fmt.Errorf("staticlint: receiver model disabled (probeIters %d, primeTraversals %d, victimRuns %d, %d probed sets)",
-			cfg.ProbeIters, cfg.PrimeTraversals, cfg.VictimRuns, len(div))
+// every direction-independent field filled, plus the replay of protocol
+// proto the miss states need.
+func probeSetup(cfg Config, proto protocol, div []int, price segPricer) (*ProbeHistogram, *probeReplay, error) {
+	if len(div) == 0 {
+		return nil, nil, errors.New("staticlint: receiver model has no probed sets")
 	}
 	spec := ReceiverSpec(cfg, div)
 	tailAddr, err := spec.TailAddr()
@@ -324,7 +335,7 @@ func probeSetup(cfg Config, div []int, price segPricer) (*ProbeHistogram, *probe
 		return nil, nil, fmt.Errorf("staticlint: receiver routine: %w", err)
 	}
 	ct := cfg.Costs()
-	iters := cfg.ProbeIters
+	const iters = DefaultProbeIters
 
 	// One probe traversal's fetch ranges, in traversal order: every
 	// region of the chain, then the loop tail (SUB/CMP/JCC back to the
@@ -364,7 +375,7 @@ func probeSetup(cfg Config, div []int, price segPricer) (*ProbeHistogram, *probe
 		}
 		return segs, warm, uops, nil
 	}
-	rp := &probeReplay{cfg: cfg}
+	rp := &probeReplay{cfg: cfg, proto: proto}
 	travSegs, travWarm, travUops, err := build(trav)
 	if err != nil {
 		return nil, nil, err
@@ -407,8 +418,8 @@ func probeSetup(cfg Config, div []int, price segPricer) (*ProbeHistogram, *probe
 
 	h := &ProbeHistogram{
 		ProbeIters:        iters,
-		PrimeTraversals:   cfg.PrimeTraversals,
-		VictimRuns:        cfg.VictimRuns,
+		PrimeTraversals:   proto.prime,
+		VictimRuns:        proto.victimRuns,
 		ProbedSets:        append([]int(nil), div...),
 		ReceiverWays:      spec.Ways,
 		ReceiverRegions:   spec.Regions(),
@@ -467,9 +478,9 @@ func (rp *probeReplay) runsLeft(left int, missed bool) int {
 // prefix replays the direction-independent start of the protocol on a
 // fresh cache: prime, hit probe, prime.
 func (rp *probeReplay) prefix(cache *uopcache.Cache) {
-	rp.recv(cache, rp.cfg.PrimeTraversals)
-	rp.recv(cache, rp.cfg.ProbeIters)
-	rp.recv(cache, rp.cfg.PrimeTraversals)
+	rp.recv(cache, rp.proto.prime)
+	rp.recv(cache, DefaultProbeIters)
+	rp.recv(cache, rp.proto.prime)
 }
 
 // victimProbe replays the rest of the protocol from the primed state:
@@ -478,7 +489,7 @@ func (rp *probeReplay) prefix(cache *uopcache.Cache) {
 // the victim runs past the fixed point.
 func (rp *probeReplay) victimProbe(cache *uopcache.Cache, fp uopcache.FootprintResult) (misses, extra int) {
 	victim := victimSegs(fp)
-	for left := rp.cfg.VictimRuns; left > 0; {
+	for left := rp.proto.victimRuns; left > 0; {
 		missed := false
 		for _, s := range victim {
 			if !cache.Hit(0, s.addr) {
@@ -488,7 +499,7 @@ func (rp *probeReplay) victimProbe(cache *uopcache.Cache, fp uopcache.FootprintR
 		}
 		left = rp.runsLeft(left-1, missed)
 	}
-	return rp.recv(cache, rp.cfg.ProbeIters)
+	return rp.recv(cache, DefaultProbeIters)
 }
 
 // victimSegs is the victim's fetch stream over its predicted footprint

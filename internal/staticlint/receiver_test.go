@@ -32,11 +32,6 @@ func TestReceiverSpecFullOccupancy(t *testing.T) {
 
 func TestProbeModelDisabled(t *testing.T) {
 	fp := uopcache.FootprintResult{Sets: map[int]int{}}
-	cfg := DefaultConfig()
-	cfg.ProbeIters = 0
-	if _, err := ProbeModel(cfg, fp, fp, []int{1}); err == nil {
-		t.Error("zero probeIters accepted")
-	}
 	if _, err := ProbeModel(DefaultConfig(), fp, fp, nil); err == nil {
 		t.Error("empty probed-set list accepted")
 	}
@@ -119,11 +114,11 @@ func TestProbeModelMatchesSimulator(t *testing.T) {
 				}
 				return cy
 			}
-			run(recv, cfg.PrimeTraversals)
-			measuredHit := run(recv, cfg.ProbeIters)
-			run(recv, cfg.PrimeTraversals)
-			run(vic, cfg.VictimRuns)
-			measuredMiss := run(recv, cfg.ProbeIters)
+			run(recv, DefaultPrimeTraversals)
+			measuredHit := run(recv, DefaultProbeIters)
+			run(recv, DefaultPrimeTraversals)
+			run(vic, DefaultVictimRuns)
+			measuredMiss := run(recv, DefaultProbeIters)
 
 			empty := uopcache.FootprintResult{Sets: map[int]int{}}
 			h, err := ProbeModel(cfg, chainVictimFootprint(vspec), empty, x.probe)
@@ -162,9 +157,9 @@ func TestProbeModelCascade(t *testing.T) {
 	if h.Taken.EvictedLines != 1 {
 		t.Fatalf("static eviction count %d, want 1", h.Taken.EvictedLines)
 	}
-	if h.Taken.ProbeMisses <= cfg.ProbeIters {
+	if h.Taken.ProbeMisses <= DefaultProbeIters {
 		t.Errorf("probe misses %d not above %d (one per traversal): cascade not modelled",
-			h.Taken.ProbeMisses, cfg.ProbeIters)
+			h.Taken.ProbeMisses, DefaultProbeIters)
 	}
 }
 
@@ -237,7 +232,7 @@ func TestProbeMarginAgreesWithCalibrate(t *testing.T) {
 		c := cpu.New(cpu.Intel())
 		c.LoadProgram(merged)
 		_, err = attack.Calibrate(c, recv, vic,
-			int64(cfg.PrimeTraversals), int64(cfg.ProbeIters), 3)
+			DefaultPrimeTraversals, DefaultProbeIters, 3)
 		return err
 	}
 
@@ -298,7 +293,7 @@ func TestProbeModelForkEqualsFullReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ProbeModelFullReplay(cfg, dir.taken, dir.fall, x.probe)
+			want, err := ProbeModelFullReplay(cfg, DefaultPrimeTraversals, DefaultVictimRuns, dir.taken, dir.fall, x.probe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,11 +318,10 @@ func TestProbeModelAllocsIndependentOfTraversals(t *testing.T) {
 	empty := uopcache.FootprintResult{Sets: map[int]int{}}
 	vic := chainVictimFootprint(codegen.ProbeChain(0x100000, []int{14, 30}, 3, "vic"))
 	probe := []int{6, 14, 22, 30}
+	cfg := DefaultConfig()
 	allocs := func(n int) float64 {
-		cfg := DefaultConfig()
-		cfg.PrimeTraversals, cfg.VictimRuns = n, n
 		return testing.AllocsPerRun(20, func() {
-			if _, err := ProbeModel(cfg, vic, empty, probe); err != nil {
+			if _, err := ProbeModelWith(cfg, n, n, vic, empty, probe); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -337,7 +331,7 @@ func TestProbeModelAllocsIndependentOfTraversals(t *testing.T) {
 	}
 }
 
-// FuzzProbeModelReplay holds ProbeModel — forked prefix, fixed-point
+// FuzzProbeModelReplay holds ProbeModelWith — forked prefix, fixed-point
 // cut-off, per-shape pricing — to ProbeModelFullReplay, the protocol
 // replayed literally, on random receivers and victims: any registered
 // profile, probed and victim sets drawn from 64-bit masks (taken modulo
@@ -350,8 +344,7 @@ func FuzzProbeModelReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prof uint8, probeMask, takenMask, fallMask uint64, shape uint8, prime, runs uint16) {
 		p := all[int(prof)%len(all)]
 		cfg := ConfigForProfile(p)
-		cfg.PrimeTraversals = 1 + int(prime)%400
-		cfg.VictimRuns = 1 + int(runs)%400
+		primeN, runsN := 1+int(prime)%400, 1+int(runs)%400
 		sets := func(mask uint64) []int {
 			var out []int
 			seen := map[int]bool{}
@@ -384,8 +377,8 @@ func FuzzProbeModelReplay(f *testing.F) {
 			return fp
 		}
 		taken, fall, div := footprint(takenMask), footprint(fallMask), sets(probeMask)
-		got, gotErr := ProbeModel(cfg, taken, fall, div)
-		want, wantErr := ProbeModelFullReplay(cfg, taken, fall, div)
+		got, gotErr := ProbeModelWith(cfg, primeN, runsN, taken, fall, div)
+		want, wantErr := ProbeModelFullReplay(cfg, primeN, runsN, taken, fall, div)
 		if gotErr != nil || wantErr != nil {
 			if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 				t.Fatalf("%s: ProbeModel error %v, full replay error %v", p.Name, gotErr, wantErr)

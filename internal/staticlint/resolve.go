@@ -87,15 +87,35 @@ func (v vset) equal(o vset) bool {
 	return true
 }
 
-// vsJoin unions two value sets, saturating to TOP past the size bound.
+// vsJoin unions two value sets. It saturates to TOP when the two sides
+// together hold more than maxVSetSize values, counting shared values
+// twice, and when both are empty. A vset's values are never mutated
+// once built, so the join returns a side itself where the union equals
+// it and otherwise merges the two sorted sets in one pass.
 func vsJoin(x, y vset) vset {
-	if x.top || y.top {
+	n := len(x.vals) + len(y.vals)
+	switch {
+	case x.top || y.top || n == 0 || n > maxVSetSize:
 		return vsTop
+	case len(y.vals) == 0 || x.equal(y):
+		return x
+	case len(x.vals) == 0:
+		return y
 	}
-	merged := make([]uint64, 0, len(x.vals)+len(y.vals))
-	merged = append(merged, x.vals...)
-	merged = append(merged, y.vals...)
-	return vsOf(merged)
+	out := make([]uint64, 0, n)
+	i, j := 0, 0
+	for i < len(x.vals) && j < len(y.vals) {
+		a, b := x.vals[i], y.vals[j]
+		if a <= b {
+			i++
+		}
+		if b <= a {
+			j++
+		}
+		out = append(out, min(a, b))
+	}
+	out = append(out, x.vals[i:]...)
+	return vset{vals: append(out, y.vals[j:]...)}
 }
 
 // vsFold applies a binary ALU op pointwise over two bounded sets.

@@ -1,6 +1,8 @@
 package staticlint
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"deaduops/internal/asm"
@@ -242,6 +244,63 @@ func buildTableProg(mask int64, constIdx bool, idx uint8) (*asm.Program, []uint6
 		b.Ret()
 	}
 	return b.MustBuild(), stubs
+}
+
+// TestVSJoinMatchesAppendSort holds the linear merge in vsJoin to the
+// join it replaced, which appended both sides and sorted and deduped
+// them through vsOf: on random sorted sets, TOP and empty sets
+// included, the two must agree, and the join must leave its inputs as
+// they were.
+func TestVSJoinMatchesAppendSort(t *testing.T) {
+	ref := func(x, y vset) vset {
+		if x.top || y.top {
+			return vsTop
+		}
+		return vsOf(append(append([]uint64(nil), x.vals...), y.vals...))
+	}
+	rng := rand.New(rand.NewSource(1))
+	randSet := func() vset {
+		if rng.Intn(16) == 0 {
+			return vsTop
+		}
+		var vals []uint64
+		for _, v := range rng.Perm(24)[:rng.Intn(maxVSetSize+1)] {
+			vals = append(vals, uint64(v))
+		}
+		if len(vals) == 0 {
+			return vset{}
+		}
+		return vsOf(vals)
+	}
+	for i := 0; i < 20000; i++ {
+		x, y := randSet(), randSet()
+		if rng.Intn(8) == 0 {
+			y = vset{top: x.top, vals: append([]uint64(nil), x.vals...)}
+		}
+		xv, yv := append([]uint64(nil), x.vals...), append([]uint64(nil), y.vals...)
+		got, want := vsJoin(x, y), ref(x, y)
+		if !got.equal(want) {
+			t.Fatalf("vsJoin(%v, %v) = %v, append+vsOf gives %v", x, y, got, want)
+		}
+		if !reflect.DeepEqual(x.vals, xv) || !reflect.DeepEqual(y.vals, yv) {
+			t.Fatalf("vsJoin mutated its inputs: %v, %v (were %v, %v)", x.vals, y.vals, xv, yv)
+		}
+	}
+}
+
+// TestVSJoinEqualSetsAllocFree pins the join's fast path: joining two
+// equal sets, the common case at a loop header or a merge of paths
+// that agree, returns a side itself and allocates nothing.
+func TestVSJoinEqualSetsAllocFree(t *testing.T) {
+	x := vset{vals: []uint64{0x1000, 0x1040, 0x1080}}
+	y := vset{vals: []uint64{0x1000, 0x1040, 0x1080}}
+	var got vset
+	if n := testing.AllocsPerRun(100, func() { got = vsJoin(x, y) }); n != 0 {
+		t.Errorf("joining equal sets allocates %v times, want 0", n)
+	}
+	if !got.equal(x) {
+		t.Errorf("vsJoin(x, x) = %v, want %v", got, x)
+	}
 }
 
 // FuzzIndirectResolve drives random table sizes and index expressions

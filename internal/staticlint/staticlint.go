@@ -56,19 +56,6 @@ type Config struct {
 	// PathBudget bounds how many macro-ops a successor-path walk
 	// follows when computing footprints, amplifiers, and costs.
 	PathBudget int
-	// ProbeIters is the receiver model's probe traversal count — the
-	// attack.Calibrate protocol's "samples" knob the predicted probe
-	// histograms are stated in. Zero disables the receiver model.
-	ProbeIters int
-	// PrimeTraversals is the receiver model's priming traversal count,
-	// recorded in the histograms so the measurement protocol they
-	// predict is explicit: enough traversals to reclaim every probed
-	// set from a hot victim under the hotness replacement policy.
-	PrimeTraversals int
-	// VictimRuns is how many times the modelled protocol lets the
-	// victim execute between prime and probe — enough for the victim's
-	// footprint to wear down the primed receiver and install.
-	VictimRuns int
 	// Checkers selects which checkers run; nil means all.
 	Checkers []Checker
 }
@@ -99,18 +86,12 @@ func DefaultConfig() Config {
 // ConfigForProfile returns the analysis configuration for one
 // registered front-end profile: the profile supplies the micro-op
 // cache geometry and decode semantics, the analyzer supplies its own
-// path budget and receiver protocol; the backend-derived drain and
-// overhead calibration is the same for every profile (see
+// path budget; the receiver protocol (DefaultProbeIters,
+// DefaultPrimeTraversals, DefaultVictimRuns) and the backend-derived
+// drain and overhead calibration are the same for every profile (see
 // Config.Costs).
 func ConfigForProfile(p profile.Profile) Config {
-	return Config{
-		UopCache:        p.UopCache,
-		Decode:          p.Decode,
-		PathBudget:      48,
-		ProbeIters:      DefaultProbeIters,
-		PrimeTraversals: DefaultPrimeTraversals,
-		VictimRuns:      DefaultVictimRuns,
-	}
+	return Config{UopCache: p.UopCache, Decode: p.Decode, PathBudget: 48}
 }
 
 // Checker inspects an analyzed program and contributes findings.

@@ -131,8 +131,8 @@ func (v *Variant2) WriteSecret(bit int) {
 // current secret in the indirect branch predictor and training the
 // authorization check toward the authorized path. Training goes through
 // the same code path as the attack (the classic in-place mistraining of
-// Spectre-v1), so the gshare history context of the authorization
-// branch matches between training and attack.
+// Spectre-v1), so training and attack hit the same PC-indexed direction
+// counter of the authorization branch.
 func (v *Variant2) train(rounds int) error {
 	for i := 0; i < rounds; i++ {
 		v.c.SetReg(0, isa.R1, victim.AuthToken)
