@@ -74,7 +74,8 @@ bench-diff:
 	bash bench/run.sh -compare "$$d/base" "$$d/change"
 
 # fuzz runs every native fuzz target for FUZZTIME each: the assembler
-# and legacy-decode invariants, the sparse-snapshot table against a
+# and legacy-decode invariants, the core's decode memo against fresh
+# decodes of generated programs, the sparse-snapshot table against a
 # dense reference, the indirect-target resolution
 # completeness invariant, the receiver model against its literal full
 # replay, and the differential contracts — predicted vs
@@ -86,6 +87,7 @@ bench-diff:
 fuzz:
 	$(GO) test ./internal/asm -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/decode -fuzz FuzzPlanRegion -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cpu -fuzz FuzzDecodeMemo -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rows -fuzz FuzzTableSaveRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint -fuzz FuzzIndirectResolve -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint -fuzz FuzzProbeModelReplay -fuzztime $(FUZZTIME)

@@ -14,8 +14,10 @@ import (
 // Program is an assembled SX86 code image. Instructions are addressed;
 // fetch looks them up by the address of their first byte.
 type Program struct {
-	Insts  []*isa.Inst
-	byAddr map[uint64]*isa.Inst
+	Insts []*isa.Inst
+	// segs indexes the image densely: one table per contiguous run of
+	// code, sorted by base address (see index).
+	segs   []segment
 	labels map[string]uint64
 
 	// Entry is the address of the first instruction emitted after the
@@ -23,9 +25,79 @@ type Program struct {
 	Entry uint64
 }
 
+// segment is one contiguous run of code: at[a-base] is the
+// instruction whose first byte is a, or nil for a byte inside an
+// instruction or a short unmapped gap.
+type segment struct {
+	base uint64
+	at   []*isa.Inst
+}
+
+// maxSegmentGap is the widest unmapped gap one segment spans. A wider
+// gap (an Org jump between a chain's ways, a separately placed kernel
+// image) starts a new segment, so a table costs at most this many
+// empty slots per gap, while regions a few sets apart (a chain striped
+// across sets) stay in one table and fetch searches few segments.
+const maxSegmentGap = 256
+
 // At returns the instruction whose first byte is at addr, or nil.
 func (p *Program) At(addr uint64) *isa.Inst {
-	return p.byAddr[addr]
+	if run := p.From(addr); len(run) > 0 {
+		return run[0]
+	}
+	return nil
+}
+
+// From returns the dense index from addr to the end of its contiguous
+// run of code: From(addr)[i] is At(addr+i), nil where no instruction
+// starts. It is empty when addr is outside every run. A caller walking
+// consecutive instructions searches once instead of once per
+// instruction; the slice is the program's own and must not be written.
+func (p *Program) From(addr uint64) []*isa.Inst {
+	// The last segment based at or below addr is the only one that can
+	// hold it.
+	lo, hi := 0, len(p.segs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.segs[m].base <= addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == 0 {
+		return nil
+	}
+	s := &p.segs[lo-1]
+	if off := addr - s.base; off < uint64(len(s.at)) {
+		return s.at[off:]
+	}
+	return nil
+}
+
+// index builds the dense segment tables over insts, which must be
+// sorted by address. When two instructions share an address it
+// returns that pair instead.
+func index(insts []*isa.Inst) (segs []segment, prev, clash *isa.Inst) {
+	for i := 0; i < len(insts); {
+		// Extend the segment while the next instruction starts within
+		// maxSegmentGap of the furthest end so far.
+		base, end := insts[i].Addr, insts[i].End()
+		j := i + 1
+		for ; j < len(insts) && insts[j].Addr <= end+maxSegmentGap; j++ {
+			end = max(end, insts[j].End())
+		}
+		s := segment{base: base, at: make([]*isa.Inst, end-base)}
+		for _, in := range insts[i:j] {
+			if prev := s.at[in.Addr-base]; prev != nil {
+				return nil, prev, in
+			}
+			s.at[in.Addr-base] = in
+		}
+		segs = append(segs, s)
+		i = j
+	}
+	return segs, nil, nil
 }
 
 // Label returns the address bound to name.
@@ -442,17 +514,12 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		f.inst.Imm = int64(addr)
 	}
-	p := &Program{
-		Insts:  b.insts,
-		byAddr: make(map[uint64]*isa.Inst, len(b.insts)),
-		labels: b.labels,
+	// Emission order is address order: the PC only moves forward.
+	segs, prev, clash := index(b.insts)
+	if clash != nil {
+		return nil, fmt.Errorf("asm: address 0x%x hosts both %v and %v", clash.Addr, prev, clash)
 	}
-	for _, in := range b.insts {
-		if prev, clash := p.byAddr[in.Addr]; clash {
-			return nil, fmt.Errorf("asm: address 0x%x hosts both %v and %v", in.Addr, prev, in)
-		}
-		p.byAddr[in.Addr] = in
-	}
+	p := &Program{Insts: b.insts, segs: segs, labels: b.labels}
 	if len(b.insts) > 0 {
 		p.Entry = b.insts[0].Addr
 	}
@@ -475,18 +542,9 @@ func (b *Builder) MustBuild() *Program {
 // Merge combines programs with disjoint address ranges into one image
 // (e.g. user code and kernel code). Entry is taken from the first.
 func Merge(progs ...*Program) (*Program, error) {
-	out := &Program{
-		byAddr: make(map[uint64]*isa.Inst),
-		labels: make(map[string]uint64),
-	}
+	out := &Program{labels: make(map[string]uint64)}
 	for pi, p := range progs {
-		for _, in := range p.Insts {
-			if prev, clash := out.byAddr[in.Addr]; clash {
-				return nil, fmt.Errorf("asm: merge collision at 0x%x (%v vs %v)", in.Addr, prev, in)
-			}
-			out.byAddr[in.Addr] = in
-			out.Insts = append(out.Insts, in)
-		}
+		out.Insts = append(out.Insts, p.Insts...)
 		for name, addr := range p.labels {
 			// On a label-name collision the earliest program wins;
 			// callers address later programs through their own
@@ -499,6 +557,11 @@ func Merge(progs ...*Program) (*Program, error) {
 			out.Entry = p.Entry
 		}
 	}
-	sort.Slice(out.Insts, func(i, j int) bool { return out.Insts[i].Addr < out.Insts[j].Addr })
+	sort.SliceStable(out.Insts, func(i, j int) bool { return out.Insts[i].Addr < out.Insts[j].Addr })
+	segs, prev, clash := index(out.Insts)
+	if clash != nil {
+		return nil, fmt.Errorf("asm: merge collision at 0x%x (%v vs %v)", clash.Addr, prev, clash)
+	}
+	out.segs = segs
 	return out, nil
 }

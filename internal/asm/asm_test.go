@@ -307,3 +307,49 @@ func TestMsromEmitter(t *testing.T) {
 		t.Error("msrom with 2 µops accepted (belongs to the complex decoder)")
 	}
 }
+
+// TestAtOnlyInstructionStarts holds the dense index to the map it
+// replaced: across Build and Merge images with short gaps (one
+// segment), long gaps (separate segments) and interleaved programs,
+// At returns the instruction starting at each byte and nil for every
+// byte inside an instruction, in a gap, or outside the image, and
+// From(a)[i] agrees with At(a+i).
+func TestAtOnlyInstructionStarts(t *testing.T) {
+	b := New(0x1000)
+	b.Nop(3).Movi64(isa.R1, 7).Nop(15)
+	b.Org(b.PC() + 40) // short gap: stays in the segment
+	b.Nop(1).Cmpi(isa.R1, 2)
+	b.Org(0x1000 + 3*maxSegmentGap) // long gap: a new segment
+	b.Halt()
+	user := b.MustBuild()
+	if len(user.segs) != 2 {
+		t.Fatalf("Build made %d segments, want 2", len(user.segs))
+	}
+	mid := New(0x1100).Nop(7).Halt().MustBuild() // inside user's long gap
+	kern := New(isa.KernelEntry).Nop(2).Sysret().MustBuild()
+	merged, err := Merge(user, kern, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Program{user, mid, kern, merged} {
+		starts := map[uint64]*isa.Inst{}
+		for _, in := range p.Insts {
+			starts[in.Addr] = in
+		}
+		check := func(lo, hi uint64) {
+			for a := lo; a < hi; a++ {
+				if got, want := p.At(a), starts[a]; got != want {
+					t.Fatalf("At(%#x) = %v, want %v", a, got, want)
+				}
+				run := p.From(a)
+				for i := 0; i < len(run) && i < 48; i++ {
+					if got, want := run[i], starts[a+uint64(i)]; got != want {
+						t.Fatalf("From(%#x)[%d] = %v, want %v", a, i, got, want)
+					}
+				}
+			}
+		}
+		check(0xf00, 0x1000+4*maxSegmentGap)
+		check(isa.KernelEntry-64, isa.KernelEntry+64)
+	}
+}

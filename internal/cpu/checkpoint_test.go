@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"deaduops/internal/asm"
+	"deaduops/internal/codegen"
 	"deaduops/internal/isa"
 	"deaduops/internal/perfctr"
 )
@@ -242,5 +243,43 @@ func TestRunSkipEquivalence(t *testing.T) {
 	}
 	if got := coldOff.Counters.Get(perfctr.SkippedCycles); got != 0 {
 		t.Errorf("disabled fast path reported %d skipped cycles", got)
+	}
+}
+
+// TestRestoreResetsDecodeMemoOnProgramChange pins when Restore empties
+// the core's decode memo: restoring a checkpoint taken under another
+// code image must drop the current image's decodes, and restoring one
+// taken under the loaded image must keep them, so repeated restores of
+// one program (the difftest pattern) never decode a fetch group twice.
+func TestRestoreResetsDecodeMemoOnProgramChange(t *testing.T) {
+	// The images sit at disjoint addresses: the µop cache keeps lines
+	// across LoadProgram, so b at a's addresses would stream a's µops.
+	a, b := checkpointProg(), primeProbeLoop(t)
+	c := New(Intel())
+	c.LoadProgram(a)
+	c.Run(0, a.Entry, testMaxCycles)
+	var ckA Checkpoint
+	c.Checkpoint(&ckA)
+
+	c.LoadProgram(b)
+	if m := c.DecodeMemo(); m.Len() != 0 || m.Program() != b {
+		t.Fatalf("after LoadProgram of another image: memo holds %d groups of %p, want 0 of %p", m.Len(), m.Program(), b)
+	}
+	c.SetReg(0, codegen.LoopReg, 2)
+	c.Run(0, b.Entry, testMaxCycles)
+	var ckB Checkpoint
+	c.Checkpoint(&ckB)
+	n := c.DecodeMemo().Len()
+	if n == 0 {
+		t.Fatal("run memoized no fetch group")
+	}
+
+	c.Restore(&ckB)
+	if got := c.DecodeMemo().Len(); got != n {
+		t.Errorf("Restore under the same program: memo holds %d groups, want the %d it had", got, n)
+	}
+	c.Restore(&ckA)
+	if m := c.DecodeMemo(); m.Len() != 0 || m.Program() != a {
+		t.Errorf("Restore under another program: memo holds %d groups of %p, want 0 of %p", m.Len(), m.Program(), a)
 	}
 }

@@ -307,6 +307,7 @@ type CPU struct {
 	uc      *uopcache.Cache
 	hier    *mem.Hierarchy
 	mem     *Memory
+	memo    *frontend.Memo
 	threads [NumThreads]*thread
 	cycle   uint64
 }
@@ -339,10 +340,13 @@ func NewWith(cfg Config, arena *Arena) *CPU {
 	})
 	c.hier.SetITLBFlushHook(func() { c.uc.FlushAll() })
 
+	// One decode memo per core: both threads decode the same code
+	// image through the same decoders.
+	c.memo = frontend.NewMemo(cfg.Frontend.Decode, cfg.UopCache)
 	for t := 0; t < NumThreads; t++ {
 		ctr := &perfctr.Counters{}
 		bp := arena.predictor(t)
-		fe := frontend.New(cfg.Frontend, t, c.uc, c.hier, bp, ctr)
+		fe := frontend.New(cfg.Frontend, t, c.uc, c.hier, bp, ctr, c.memo)
 		be := backend.New(cfg.Backend, fe, bp, c.hier, c.mem, ctr)
 		be.SetReg(isa.R15, int64(StackTop-t*StackSpacing))
 		switch cfg.Mitigation {
@@ -369,6 +373,9 @@ func (c *CPU) Config() Config { return c.cfg }
 // UopCache exposes the micro-op cache for inspection and experiments.
 func (c *CPU) UopCache() *uopcache.Cache { return c.uc }
 
+// DecodeMemo exposes the core's decode memo for inspection.
+func (c *CPU) DecodeMemo() *frontend.Memo { return c.memo }
+
 // Hierarchy exposes the cache hierarchy.
 func (c *CPU) Hierarchy() *mem.Hierarchy { return c.hier }
 
@@ -388,6 +395,7 @@ func (c *CPU) Backend(t int) *backend.Backend { return c.threads[t].be }
 func (c *CPU) Cycle() uint64 { return c.cycle }
 
 // LoadProgram installs the code image on both threads' fetch engines.
+// Loading a different image empties the core's decode memo.
 func (c *CPU) LoadProgram(p *asm.Program) {
 	for _, t := range c.threads {
 		t.fe.SetProgram(p)

@@ -1,0 +1,151 @@
+package cpu_test
+
+import (
+	"reflect"
+	"testing"
+
+	"deaduops/internal/asm"
+	"deaduops/internal/channel"
+	"deaduops/internal/cpu"
+	"deaduops/internal/decode"
+	"deaduops/internal/frontend"
+	"deaduops/internal/isa"
+	"deaduops/internal/profile"
+	"deaduops/internal/ref"
+	"deaduops/internal/uopcache"
+	"deaduops/internal/victim"
+)
+
+// memoGroup names one memoized fetch group: entry address and
+// instruction count.
+type memoGroup struct {
+	entry uint64
+	n     int
+}
+
+// checkMemo holds every entry of c's decode memo to a fresh
+// PlanRegion+BuildTrace of the same fetch group — the entry's
+// instruction count of consecutive instructions from its entry
+// address — and, for the groups in before, to the very plan and trace
+// recorded there: a memoized decode is built once and never replaced.
+// Together the two show the memoized plans and traces are still what
+// they were when built. It returns the memo's current mapping.
+func checkMemo(t testing.TB, c *cpu.CPU, before map[memoGroup]frontend.Decoded) map[memoGroup]frontend.Decoded {
+	t.Helper()
+	cfg := c.Config()
+	m := c.DecodeMemo()
+	prog := m.Program()
+	now := map[memoGroup]frontend.Decoded{}
+	m.Each(func(entry uint64, n int, d frontend.Decoded) {
+		g := memoGroup{entry, n}
+		now[g] = d
+		if old, ok := before[g]; ok && old != d {
+			t.Errorf("group %#x+%d: memoized decode replaced", entry, n)
+		}
+		insts := make([]*isa.Inst, 0, n)
+		for pc := entry; len(insts) < n; {
+			in := prog.At(pc)
+			if in == nil {
+				t.Errorf("group %#x+%d: no instruction at %#x", entry, n, pc)
+				return
+			}
+			insts = append(insts, in)
+			pc = in.End()
+		}
+		plan := decode.PlanRegion(cfg.Frontend.Decode, insts)
+		region := entry &^ (cfg.UopCache.RegionSize() - 1)
+		trace := uopcache.BuildTrace(cfg.UopCache, region, uint8(entry-region), plan.Macros)
+		if !reflect.DeepEqual(d.Plan, plan) {
+			t.Errorf("group %#x+%d: memoized plan differs from a fresh PlanRegion", entry, n)
+		}
+		if !reflect.DeepEqual(d.Trace, trace) {
+			t.Errorf("group %#x+%d: memoized trace differs from a fresh BuildTrace", entry, n)
+		}
+	})
+	return now
+}
+
+// runTwice runs prog from its entry on c, checks the memo, runs it
+// again warm and checks that the second run kept the first run's
+// decodes.
+func runTwice(t testing.TB, c *cpu.CPU, prog *asm.Program) {
+	t.Helper()
+	c.LoadProgram(prog)
+	c.Run(0, prog.Entry, 200_000)
+	first := checkMemo(t, c, nil)
+	c.Run(0, prog.Entry, 200_000)
+	checkMemo(t, c, first)
+}
+
+// TestDecodeMemoMatchesFresh drives every registered profile's core
+// through the covert channels and the simulated corpus (the victim
+// fixtures and generated reference programs), then holds each core's
+// decode memo to fresh decodes of the same fetch groups. A channel
+// that does not calibrate under a profile (no µop cache, or a
+// partition the receiver cannot see) still leaves its calibration
+// runs' decodes to check.
+func TestDecodeMemoMatchesFresh(t *testing.T) {
+	payload := []byte{0xa5}
+	for _, p := range profile.All() {
+		t.Run(p.Name, func(t *testing.T) {
+			cfg := cpu.FromProfile(p)
+
+			c := cpu.New(cfg)
+			st, err := channel.NewSameAddressSpace(c, channel.DefaultConfig())
+			if err == nil {
+				_, _, err = st.Transmit(payload)
+			}
+			if err != nil {
+				t.Logf("same-address-space channel: %v", err)
+			}
+			before := checkMemo(t, c, nil)
+			if len(before) == 0 {
+				t.Fatal("channel runs memoized no fetch group")
+			}
+			if err == nil {
+				st.Transmit(payload)
+				checkMemo(t, c, before)
+			}
+
+			c = cpu.New(cfg)
+			smt, err := channel.NewCrossSMT(c, channel.DefaultConfig())
+			if err == nil {
+				_, _, err = smt.Transmit(payload)
+			}
+			if err != nil {
+				t.Logf("cross-SMT channel: %v", err)
+			}
+			checkMemo(t, c, nil)
+
+			c = cpu.New(cfg)
+			for _, fx := range victim.Fixtures(victim.DefaultLayout()) {
+				runTwice(t, c, fx.Prog)
+			}
+			for seed := uint64(1); seed <= 10; seed++ {
+				prog, err := ref.Generate(seed, ref.DefaultGenConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				runTwice(t, c, prog)
+			}
+		})
+	}
+}
+
+// FuzzDecodeMemo runs a generated reference program on a core of a
+// fuzzed profile and holds the decode memo to fresh decodes of every
+// fetch group it saw.
+func FuzzDecodeMemo(f *testing.F) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	profiles := profile.All()
+	f.Fuzz(func(t *testing.T, seed uint64, pi uint8) {
+		prog, err := ref.Generate(seed, ref.DefaultGenConfig())
+		if err != nil {
+			t.Skip(err)
+		}
+		c := cpu.New(cpu.FromProfile(profiles[int(pi)%len(profiles)]))
+		runTwice(t, c, prog)
+	})
+}

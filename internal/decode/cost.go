@@ -87,14 +87,15 @@ func (c RegionCost) RefillDelta() int { return c.ColdCycles - c.WarmCycles }
 // executes slot by slot on a miss — so the cold cost is the modelled
 // miss cost, not an approximation of it.
 func (t CostTable) Region(region uint64, entry uint8, insts []*isa.Inst) RegionCost {
-	c, _ := t.RegionTrace(region, entry, insts)
+	c, _, _ := t.RegionDecode(region, entry, insts)
 	return c
 }
 
-// RegionTrace is Region also returning the trace a MITE refill of the
-// segment installs — the uopcache.BuildTrace of the same plan — so a
-// caller that needs both plans the segment once.
-func (t CostTable) RegionTrace(region uint64, entry uint8, insts []*isa.Inst) (RegionCost, *uopcache.Trace) {
+// RegionDecode is Region also returning what a MITE refill of the
+// segment builds — the PlanRegion schedule it prices and the trace it
+// installs, the uopcache.BuildTrace of the same plan — so a caller
+// that needs either plans the segment once.
+func (t CostTable) RegionDecode(region uint64, entry uint8, insts []*isa.Inst) (RegionCost, *RegionPlan, *uopcache.Trace) {
 	plan := PlanRegion(t.Decode, insts)
 	tr := uopcache.BuildTrace(t.Cache, region, entry, plan.Macros)
 	c := RegionCost{
@@ -112,7 +113,7 @@ func (t CostTable) RegionTrace(region uint64, entry uint8, insts []*isa.Inst) (R
 	} else {
 		c.WarmCycles = c.ColdCycles
 	}
-	return c, tr
+	return c, plan, tr
 }
 
 // StreamCycles returns the cycles the DSB needs to deliver uops µops

@@ -56,6 +56,7 @@ type FrontEnd struct {
 	hier   *mem.Hierarchy
 	bp     *bpu.BPU
 	ctr    *perfctr.Counters
+	memo   *Memo
 	// Scalars from the µop cache configuration, captured once so every
 	// fetch and DSB cycle reads them without copying a Config.
 	regionSize    uint64
@@ -75,10 +76,11 @@ type FrontEnd struct {
 	// pending delivery state
 	pendingUops   []isa.Uop          // DSB stream awaiting IDQ slots
 	pendingGroup  *fetchGroup        // fetch-control applied once the stream drains
-	plan          *decode.RegionPlan // MITE schedule in progress
+	plan          *decode.RegionPlan // MITE schedule in progress (read-only, memoized)
+	planTrace     *uopcache.Trace    // the plan's fill (read-only, memoized)
 	planIdx       int
 	planGroup     *fetchGroup // group being decoded by MITE (for fill)
-	planDelivered []isa.Uop   // µops delivered so far from the plan (LSD recording)
+	planDelivered []isa.Uop   // µops delivered so far from the plan (LSD recording only)
 	sysRet        []uint64    // syscall return-address stack (architectural)
 
 	// LSD (loop stream detector) state: recently delivered groups and,
@@ -102,9 +104,14 @@ type FrontEnd struct {
 	streamBuf []isa.Uop
 }
 
-// New builds a fetch engine for one hardware thread.
-func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bpu.BPU, ctr *perfctr.Counters) *FrontEnd {
+// New builds a fetch engine for one hardware thread. memo is the
+// core's decode memo, shared with the sibling thread's engine; it must
+// have been built for cfg.Decode and uc's configuration.
+func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bpu.BPU, ctr *perfctr.Counters, memo *Memo) *FrontEnd {
 	ucfg := uc.Config()
+	if memo.dec != cfg.Decode || memo.uc != ucfg {
+		panic("frontend: decode memo built for another configuration")
+	}
 	return &FrontEnd{
 		cfg:           cfg,
 		thread:        thread,
@@ -112,6 +119,7 @@ func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bp
 		hier:          hier,
 		bp:            bp,
 		ctr:           ctr,
+		memo:          memo,
 		regionSize:    ucfg.RegionSize(),
 		streamWidth:   ucfg.StreamWidth,
 		switchPenalty: ucfg.SwitchPenalty,
@@ -125,8 +133,12 @@ func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bp
 	}
 }
 
-// SetProgram installs the code image.
-func (f *FrontEnd) SetProgram(p *asm.Program) { f.prog = p }
+// SetProgram installs the code image, emptying the decode memo if it
+// held another image's groups.
+func (f *FrontEnd) SetProgram(p *asm.Program) {
+	f.prog = p
+	f.memo.bind(p)
+}
 
 // Program returns the installed code image (checkpointing).
 func (f *FrontEnd) Program() *asm.Program { return f.prog }
@@ -143,6 +155,7 @@ func (f *FrontEnd) Redirect(pc uint64) {
 	f.pendingUops = nil
 	f.pendingGroup = nil
 	f.plan = nil
+	f.planTrace = nil
 	f.planIdx = 0
 	f.planGroup = nil
 	f.lsdLog = f.lsdLog[:0]
@@ -168,6 +181,7 @@ func (f *FrontEnd) SerializeDone(resume uint64) {
 	f.pendingUops = nil
 	f.pendingGroup = nil
 	f.plan = nil
+	f.planTrace = nil
 	f.planGroup = nil
 	f.m = modeDSB
 }
@@ -258,9 +272,15 @@ func (f *FrontEnd) planFetch(pc uint64) *fetchGroup {
 	g.halt, g.serialize, g.fault = false, false, false
 	region := f.uc.RegionOf(pc)
 	regionEnd := region + f.regionSize
+	run := f.prog.From(pc)
 	cur := pc
 	for cur < regionEnd {
-		in := f.prog.At(cur)
+		var in *isa.Inst
+		if off := cur - pc; off < uint64(len(run)) {
+			in = run[off]
+		} else {
+			in = f.prog.At(cur)
+		}
 		if in == nil {
 			if len(g.insts) == 0 {
 				g.fault = true
@@ -599,7 +619,9 @@ func (f *FrontEnd) tickMITE(room int) {
 			u := slot[i]
 			f.planGroup.annotate(&u)
 			f.idq = append(f.idq, u)
-			f.planDelivered = append(f.planDelivered, u)
+			if f.cfg.LSDCapacity > 0 {
+				f.planDelivered = append(f.planDelivered, u)
+			}
 			if u.Path == isa.PathMSROM {
 				f.ctr.Inc(perfctr.MSROMUops)
 			} else {
@@ -613,17 +635,15 @@ func (f *FrontEnd) tickMITE(room int) {
 	// Plan complete: fill the micro-op cache with the decoded trace
 	// and finish the group.
 	g := f.planGroup
-	region := f.uc.RegionOf(g.entry)
-	entry := uint8(g.entry - region)
-	t := uopcache.BuildTrace(f.uc.Config(), region, entry, f.plan.Macros)
-	f.uc.Fill(f.thread, t)
+	f.uc.Fill(f.thread, f.planTrace)
 	f.ctr.Add(perfctr.LCPStallCycles, uint64(f.plan.LCPStalls))
 	f.ctr.Add(perfctr.JccAlignStallCycles, uint64(f.plan.AlignStalls))
 	f.lsdRecord(g.entry, f.planDelivered)
 	f.plan = nil
+	f.planTrace = nil
 	f.planIdx = 0
 	f.planGroup = nil
-	f.planDelivered = nil
+	f.planDelivered = f.planDelivered[:0]
 	f.finishGroup(g)
 	// Return to the DSB path; the next fetch probes the cache again.
 	f.m = modeDSB
@@ -698,7 +718,8 @@ func (f *FrontEnd) startFetch() bool {
 	// DSB miss: the switch penalty, then the MITE schedule.
 	f.ctr.Inc(perfctr.DSB2MITESwitches)
 	f.stallPen += f.switchPenalty
-	f.plan = decode.PlanRegion(f.cfg.Decode, g.insts)
+	d := f.memo.decode(f.prog, g.entry, g.insts)
+	f.plan, f.planTrace = d.Plan, d.Trace
 	f.planIdx = 0
 	f.planGroup = g
 	f.m = modeMITE

@@ -20,7 +20,7 @@ func harness(p *asm.Program) (*FrontEnd, *uopcache.Cache, *perfctr.Counters) {
 	hier := mem.NewHierarchy()
 	bp := bpu.New()
 	ctr := &perfctr.Counters{}
-	fe := New(Config{Decode: decode.Skylake()}, 0, uc, hier, bp, ctr)
+	fe := New(Config{Decode: decode.Skylake()}, 0, uc, hier, bp, ctr, NewMemo(decode.Skylake(), uc.Config()))
 	fe.SetProgram(p)
 	for _, in := range p.Insts {
 		hier.AccessInst(in.Addr)
@@ -256,7 +256,7 @@ func lsdHarness(p *asm.Program, capacity int) (*FrontEnd, *uopcache.Cache, *perf
 	bp := bpu.New()
 	ctr := &perfctr.Counters{}
 	cfg := Config{Decode: decode.Skylake(), LSDCapacity: capacity}
-	fe := New(cfg, 0, uc, hier, bp, ctr)
+	fe := New(cfg, 0, uc, hier, bp, ctr, NewMemo(cfg.Decode, uc.Config()))
 	fe.SetProgram(p)
 	for _, in := range p.Insts {
 		hier.AccessInst(in.Addr)

@@ -109,7 +109,7 @@ func (a *Analysis) costRanges(ranges []uopcache.Range, wholeRun bool) PathCost {
 	cacheableUops := 0
 	warmRace, coldRace := ct.NewRunRace(), ct.NewRunRace()
 	for _, seg := range uopcache.SegmentRanges(a.Cfg.UopCache, a.Prog, ranges) {
-		rc := ct.Region(seg.Region, seg.Entry, seg.Insts)
+		rc, plan, _ := ct.RegionDecode(seg.Region, seg.Entry, seg.Insts)
 		pc.Uops += rc.Uops
 		pc.LCPStallCycles += rc.LCPStallCycles
 		pc.MSROMUops += rc.MSROMUops
@@ -130,7 +130,6 @@ func (a *Analysis) costRanges(ranges []uopcache.Range, wholeRun bool) PathCost {
 			}
 			continue
 		}
-		plan := decode.PlanRegion(a.Cfg.Decode, seg.Insts)
 		coldRace.MITE(plan)
 		if rc.Cacheable {
 			warmRace.Stream(rc.Uops)

@@ -270,7 +270,7 @@ func shapePricer(cfg Config) segPricer {
 		key = shapeKey(key[:0], cfg.Decode, sg)
 		p, ok := shapes[string(key)]
 		if !ok {
-			p.cost, p.trace = ct.RegionTrace(sg.Region, sg.Entry, sg.Insts)
+			p.cost, _, p.trace = ct.RegionDecode(sg.Region, sg.Entry, sg.Insts)
 			shapes[string(key)] = p
 			return p.cost, p.trace
 		}

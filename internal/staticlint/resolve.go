@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"deaduops/internal/isa"
@@ -62,7 +63,7 @@ func vsOf(vals []uint64) vset {
 	if len(vals) == 0 || len(vals) > maxVSetSize {
 		return vsTop
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.Sort(vals)
 	out := vals[:1]
 	for _, v := range vals[1:] {
 		if v != out[len(out)-1] {
@@ -87,20 +88,32 @@ func (v vset) equal(o vset) bool {
 	return true
 }
 
-// vsJoin unions two value sets. It saturates to TOP when the two sides
-// together hold more than maxVSetSize values, counting shared values
-// twice, and when both are empty. A vset's values are never mutated
-// once built, so the join returns a side itself where the union equals
-// it and otherwise merges the two sorted sets in one pass.
+// vsJoin unions two value sets. When one side contains the other it
+// returns that side, so a set joined with itself (or with a subset) is
+// that set. Otherwise it saturates to TOP when the two sides together
+// hold more than maxVSetSize values: a set still growing at a loop
+// header widens to TOP after about maxVSetSize/2 iterations instead of
+// maxVSetSize, which halves the fixpoint's rounds for induction
+// variables. Two empty sides join to TOP. A vset's values are never
+// mutated once built, so the join returns a side itself without
+// allocating where it can, and otherwise merges the two sorted sets.
 func vsJoin(x, y vset) vset {
-	n := len(x.vals) + len(y.vals)
 	switch {
-	case x.top || y.top || n == 0 || n > maxVSetSize:
+	case x.top || y.top || len(x.vals)+len(y.vals) == 0:
 		return vsTop
 	case len(y.vals) == 0 || x.equal(y):
 		return x
 	case len(x.vals) == 0:
 		return y
+	}
+	n := unionLen(x.vals, y.vals)
+	switch {
+	case n == len(x.vals):
+		return x // y ⊆ x
+	case n == len(y.vals):
+		return y // x ⊆ y
+	case len(x.vals)+len(y.vals) > maxVSetSize:
+		return vsTop
 	}
 	out := make([]uint64, 0, n)
 	i, j := 0, 0
@@ -118,9 +131,27 @@ func vsJoin(x, y vset) vset {
 	return vset{vals: append(out, y.vals[j:]...)}
 }
 
-// vsFold applies a binary ALU op pointwise over two bounded sets.
+// unionLen returns the size of the union of the sorted sets x and y.
+func unionLen(x, y []uint64) int {
+	n, i, j := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		a, b := x[i], y[j]
+		if a <= b {
+			i++
+		}
+		if b <= a {
+			j++
+		}
+		n++
+	}
+	return n + len(x) - i + len(y) - j
+}
+
+// vsFold applies a binary ALU op pointwise over two bounded sets. Like
+// vsOf, it saturates when the products number more than maxVSetSize
+// before dedup, so it checks that before computing any.
 func vsFold(op isa.Op, x, y vset) vset {
-	if x.top || y.top || len(x.vals)*len(y.vals) > maxVSetSize*maxVSetSize {
+	if x.top || y.top || len(x.vals)*len(y.vals) > maxVSetSize {
 		return vsTop
 	}
 	out := make([]uint64, 0, len(x.vals)*len(y.vals))

@@ -3,6 +3,7 @@ package staticlint
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"deaduops/internal/asm"
@@ -246,32 +247,50 @@ func buildTableProg(mask int64, constIdx bool, idx uint8) (*asm.Program, []uint6
 	return b.MustBuild(), stubs
 }
 
-// TestVSJoinMatchesAppendSort holds the linear merge in vsJoin to the
-// join it replaced, which appended both sides and sorted and deduped
-// them through vsOf: on random sorted sets, TOP and empty sets
-// included, the two must agree, and the join must leave its inputs as
-// they were.
+// randVSet draws a random join operand: TOP one time in 16, else a
+// sorted set of up to maxVSetSize values from 0..23 (possibly empty).
+func randVSet(rng *rand.Rand) vset {
+	if rng.Intn(16) == 0 {
+		return vsTop
+	}
+	var vals []uint64
+	for _, v := range rng.Perm(24)[:rng.Intn(maxVSetSize+1)] {
+		vals = append(vals, uint64(v))
+	}
+	if len(vals) == 0 {
+		return vset{}
+	}
+	return vsOf(vals)
+}
+
+// TestVSJoinMatchesAppendSort holds the linear merge in vsJoin to a
+// literal reference: append both sides and drop duplicates; when that
+// union is one of the sides, it is the join; otherwise the join is TOP
+// once the sides together hold more than maxVSetSize values, and the
+// union sorted through vsOf below that. On random sorted sets, TOP and
+// empty sets included, the two must agree, and the join must leave its
+// inputs as they were.
 func TestVSJoinMatchesAppendSort(t *testing.T) {
 	ref := func(x, y vset) vset {
 		if x.top || y.top {
 			return vsTop
 		}
-		return vsOf(append(append([]uint64(nil), x.vals...), y.vals...))
-	}
-	rng := rand.New(rand.NewSource(1))
-	randSet := func() vset {
-		if rng.Intn(16) == 0 {
+		seen := map[uint64]bool{}
+		var union []uint64
+		for _, v := range append(append([]uint64(nil), x.vals...), y.vals...) {
+			if !seen[v] {
+				seen[v] = true
+				union = append(union, v)
+			}
+		}
+		contains := len(union) == max(len(x.vals), len(y.vals))
+		if !contains && len(x.vals)+len(y.vals) > maxVSetSize {
 			return vsTop
 		}
-		var vals []uint64
-		for _, v := range rng.Perm(24)[:rng.Intn(maxVSetSize+1)] {
-			vals = append(vals, uint64(v))
-		}
-		if len(vals) == 0 {
-			return vset{}
-		}
-		return vsOf(vals)
+		return vsOf(union)
 	}
+	rng := rand.New(rand.NewSource(1))
+	randSet := func() vset { return randVSet(rng) }
 	for i := 0; i < 20000; i++ {
 		x, y := randSet(), randSet()
 		if rng.Intn(8) == 0 {
@@ -284,6 +303,48 @@ func TestVSJoinMatchesAppendSort(t *testing.T) {
 		}
 		if !reflect.DeepEqual(x.vals, xv) || !reflect.DeepEqual(y.vals, yv) {
 			t.Fatalf("vsJoin mutated its inputs: %v, %v (were %v, %v)", x.vals, y.vals, xv, yv)
+		}
+	}
+}
+
+// vsLeq reports x ⊑ y in the value-set lattice: y is TOP, or both are
+// sets and every value of x is in y.
+func vsLeq(x, y vset) bool {
+	if y.top {
+		return true
+	}
+	if x.top {
+		return false
+	}
+	for _, v := range x.vals {
+		if _, ok := slices.BinarySearch(y.vals, v); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// TestVSJoinLatticeLaws holds vsJoin to the laws the fixed-point
+// iteration relies on: it is idempotent (x ⊔ x = x, for every x but
+// the empty set, which is only the unwritten initial state and joins
+// to TOP), commutative, and an upper bound (x ⊑ x ⊔ y). Sets of nine
+// or more values exercise the saturation bound: their self-join stays
+// a set.
+func TestVSJoinLatticeLaws(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 20000; i++ {
+		x, y := randVSet(rng), randVSet(rng)
+		if x.top || len(x.vals) > 0 {
+			if got := vsJoin(x, x); !got.equal(x) {
+				t.Fatalf("vsJoin(%v, %v) = %v, not idempotent", x, x, got)
+			}
+		}
+		xy, yx := vsJoin(x, y), vsJoin(y, x)
+		if !xy.equal(yx) {
+			t.Fatalf("vsJoin(%v, %v) = %v but vsJoin(%v, %v) = %v", x, y, xy, y, x, yx)
+		}
+		if !vsLeq(x, xy) || !vsLeq(y, xy) {
+			t.Fatalf("vsJoin(%v, %v) = %v is not an upper bound of both", x, y, xy)
 		}
 	}
 }

@@ -437,11 +437,13 @@ func (a *Analysis) step(st *State, in *isa.Inst, hook loadHook) {
 		st.Regs[d] = a.loadTaint(st, in, 1, hook)
 		st.Const[d] = constVal{}
 	case isa.STORE, isa.STOREB:
-		// Dst holds the stored value, Src the base register.
+		// Dst holds the stored value, Src the base register. An
+		// unresolved store may write any cell, and which cell it writes
+		// depends on the base, so a later load sees both taints.
 		if c := st.Const[s]; c.known {
 			st.Mem[uint64(c.v+in.Imm)] = st.Regs[d] // strong update
 		} else {
-			st.UnknownStore |= st.Regs[d]
+			st.UnknownStore |= st.Regs[d] | st.Regs[s]
 		}
 	case isa.RDTSC:
 		// Overwrites Dst with the cycle counter: kill.

@@ -5,6 +5,7 @@ import (
 
 	"deaduops/internal/asm"
 	"deaduops/internal/isa"
+	"deaduops/internal/ref"
 )
 
 // branchFindings lints p with the secret-branch checker only.
@@ -122,6 +123,41 @@ func TestSecretThroughMemorySpill(t *testing.T) {
 	fs := branchFindings(t, b.MustBuild(), Spec{SecretRegs: []isa.Reg{isa.R5}})
 	if len(fs) != 1 {
 		t.Fatalf("findings = %v, want 1 (taint through memory)", fs)
+	}
+}
+
+func TestSecretStoreAddressTaintsUnresolvedLoads(t *testing.T) {
+	// A clean value stored through a secret-derived, unresolved address:
+	// which cell changed depends on the secret, so a later load from an
+	// unresolved address — which may read that cell — is tainted.
+	b := asm.New(0x1000)
+	b.Mov(isa.R2, isa.R5)
+	b.Andi(isa.R2, 0xF8)
+	b.Movi(isa.R4, 1)
+	b.Store(isa.R2, 0x5000, isa.R4) // store [secret + 0x5000] = 1
+	b.Load(isa.R3, isa.R7, 0)       // R7 unresolved: may read that cell
+	b.Cmpi(isa.R3, 0)
+	b.Jcc(isa.NE, "out")
+	b.Label("out")
+	b.Halt()
+	fs := branchFindings(t, b.MustBuild(), Spec{SecretRegs: []isa.Reg{isa.R5}})
+	if len(fs) != 1 {
+		t.Fatalf("findings = %v, want 1 (taint through the store address)", fs)
+	}
+}
+
+// TestGeneratedStoreAddressLeakFlagged pins a false negative found by
+// comparing the linter against the simulator: in ref.Generate seed 98
+// with R0/R1 secret, a store at a secret-derived address decides what
+// a later load reads, and a branch tests that value, so the program's
+// front-end behaviour varies with the secret. The linter must flag it.
+func TestGeneratedStoreAddressLeakFlagged(t *testing.T) {
+	p, err := ref.Generate(98, ref.DefaultGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := Lint(p, Spec{SecretRegs: []isa.Reg{isa.R0, isa.R1}}, DefaultConfig()).Findings; len(fs) == 0 {
+		t.Error("seed 98 with R0/R1 secret: no front-end finding")
 	}
 }
 
