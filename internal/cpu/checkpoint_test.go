@@ -252,8 +252,8 @@ func TestRunSkipEquivalence(t *testing.T) {
 // taken under the loaded image must keep them, so repeated restores of
 // one program (the difftest pattern) never decode a fetch group twice.
 func TestRestoreResetsDecodeMemoOnProgramChange(t *testing.T) {
-	// The images sit at disjoint addresses: the µop cache keeps lines
-	// across LoadProgram, so b at a's addresses would stream a's µops.
+	// The images sit at disjoint addresses, so loading b keeps a's
+	// µop-cache lines and only the decode memo changes.
 	a, b := checkpointProg(), primeProbeLoop(t)
 	c := New(Intel())
 	c.LoadProgram(a)

@@ -395,8 +395,26 @@ func (c *CPU) Backend(t int) *backend.Backend { return c.threads[t].be }
 func (c *CPU) Cycle() uint64 { return c.cycle }
 
 // LoadProgram installs the code image on both threads' fetch engines.
-// Loading a different image empties the core's decode memo.
+// Loading a different image empties the core's decode memo and counts
+// as a code write: every code line the old image maps code into and
+// the new image maps a differing instruction into loses its micro-op
+// cache lines, which would otherwise stream the old code. Lines at
+// addresses the old image does not map stay resident (the Fig 5 and
+// Fig 8 loops alternate images and rely on it).
 func (c *CPU) LoadProgram(p *asm.Program) {
+	if old := c.threads[0].fe.Program(); old != nil && old != p {
+		lines := make(map[uint64]bool) // the old image's lines not yet invalidated
+		for _, in := range old.Insts {
+			lines[in.Addr&^(mem.LineSize-1)] = true
+		}
+		for _, in := range p.Insts {
+			line := in.Addr &^ (mem.LineSize - 1)
+			if was := old.At(in.Addr); lines[line] && (was == nil || *was != *in) {
+				c.uc.InvalidateCodeLine(line, mem.LineSize)
+				delete(lines, line)
+			}
+		}
+	}
 	for _, t := range c.threads {
 		t.fe.SetProgram(p)
 	}

@@ -10,6 +10,7 @@ import (
 	"deaduops/internal/decode"
 	"deaduops/internal/frontend"
 	"deaduops/internal/isa"
+	"deaduops/internal/perfctr"
 	"deaduops/internal/profile"
 	"deaduops/internal/ref"
 	"deaduops/internal/uopcache"
@@ -148,4 +149,86 @@ func FuzzDecodeMemo(f *testing.F) {
 		c := cpu.New(cpu.FromProfile(profiles[int(pi)%len(profiles)]))
 		runTwice(t, c, prog)
 	})
+}
+
+// TestLoadProgramDropsStaleTraces loads a loop at 0x1000, runs it until
+// its traces are resident, then loads a different loop at the same
+// addresses. The swap is a code write: the new loop must decode through
+// MITE instead of streaming the old image's µops, and must end in the
+// state internal/ref computes for it. The exit routine at 0x1400 is
+// identical in both images and the routine at 0x1800 only the old image
+// maps, so both keep their lines.
+func TestLoadProgramDropsStaleTraces(t *testing.T) {
+	loop := func(step int64, spare bool) *asm.Program {
+		b := asm.New(0x1000)
+		b.Label("entry")
+		b.Movi(isa.R1, 0)
+		b.Movi(isa.R2, 20)
+		b.Label("loop")
+		b.Addi(isa.R1, step)
+		b.Subi(isa.R2, 1)
+		b.Cmpi(isa.R2, 0)
+		b.Jcc(isa.NE, "loop")
+		b.Jmp("exit")
+		b.Org(0x1400)
+		b.Label("exit")
+		b.Movi(isa.R3, 7)
+		b.Halt()
+		if spare {
+			b.Org(0x1800)
+			b.Label("spare")
+			b.Movi(isa.R4, 9)
+			b.Halt()
+		}
+		return b.MustBuild()
+	}
+	resident := func(c *cpu.CPU, lo uint64) int {
+		n := 0
+		for _, l := range c.UopCache().Snapshot() {
+			if l.Region >= lo && l.Region < lo+0x40 {
+				n++
+			}
+		}
+		return n
+	}
+	old, next := loop(1, true), loop(3, false)
+	c := cpu.New(cpu.Intel())
+	c.LoadProgram(old)
+	for i := 0; i < 3; i++ {
+		c.Run(0, old.Entry, 200_000)
+		c.Run(0, old.MustLabel("spare"), 200_000)
+	}
+	for _, lo := range []uint64{0x1000, 0x1400, 0x1800} {
+		if resident(c, lo) == 0 {
+			t.Fatalf("no line of the old image's code at %#x resident after three runs", lo)
+		}
+	}
+
+	c.LoadProgram(next)
+	if n := resident(c, 0x1000); n != 0 {
+		t.Errorf("%d lines of the replaced loop survive the image swap", n)
+	}
+	if resident(c, 0x1400) == 0 || resident(c, 0x1800) == 0 {
+		t.Error("the unchanged exit routine or the old image's spare routine lost its lines")
+	}
+	// The reference starts from the registers the old image's runs left.
+	m := ref.New(next, cpu.NewMemory(cpu.MemSize), isa.KernelEntry)
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		m.Regs[r] = c.Reg(0, r)
+	}
+	res := c.Run(0, next.Entry, 200_000)
+	if res.TimedOut {
+		t.Fatal("run timed out")
+	}
+	if res.Counters.Get(perfctr.MITEUops) == 0 {
+		t.Error("the new loop decoded nothing through MITE")
+	}
+	if err := m.Run(next.Entry, 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if want, got := m.Regs[r], c.Reg(0, r); got != want {
+			t.Errorf("%v = %d, reference %d", r, got, want)
+		}
+	}
 }

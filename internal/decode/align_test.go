@@ -162,8 +162,8 @@ func TestRegionCostSurfacesAlignStalls(t *testing.T) {
 			b.Halt()
 		})
 	}
-	straddle := ct.Region(0x1000, 0, build(9)) // jcc at 15-16
-	aligned := ct.Region(0x1000, 0, build(8))  // jcc at 14-15
+	straddle, _, _ := ct.RegionDecode(0x1000, 0, build(9)) // jcc at 15-16
+	aligned, _, _ := ct.RegionDecode(0x1000, 0, build(8))  // jcc at 14-15
 	if straddle.AlignStallCycles != ct.Decode.JccAlignPenalty || straddle.AlignJccs != 1 {
 		t.Errorf("straddle cost: align stalls %d / jccs %d, want %d / 1",
 			straddle.AlignStallCycles, straddle.AlignJccs, ct.Decode.JccAlignPenalty)

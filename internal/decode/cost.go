@@ -82,19 +82,12 @@ type RegionCost struct {
 // segment's trace evicted: the quantity a prime+probe receiver times.
 func (c RegionCost) RefillDelta() int { return c.ColdCycles - c.WarmCycles }
 
-// Region prices the fetch segment insts entered at region+entry. The
-// schedule comes from PlanRegion — the very object the simulator
-// executes slot by slot on a miss — so the cold cost is the modelled
-// miss cost, not an approximation of it.
-func (t CostTable) Region(region uint64, entry uint8, insts []*isa.Inst) RegionCost {
-	c, _, _ := t.RegionDecode(region, entry, insts)
-	return c
-}
-
-// RegionDecode is Region also returning what a MITE refill of the
-// segment builds — the PlanRegion schedule it prices and the trace it
-// installs, the uopcache.BuildTrace of the same plan — so a caller
-// that needs either plans the segment once.
+// RegionDecode prices the fetch segment insts entered at region+entry
+// and returns what a MITE refill of it builds: the PlanRegion schedule
+// it prices — the very object the simulator executes slot by slot on a
+// miss, so the cold cost is the modelled miss cost, not an
+// approximation of it — and the trace it installs, the
+// uopcache.BuildTrace of the same plan.
 func (t CostTable) RegionDecode(region uint64, entry uint8, insts []*isa.Inst) (RegionCost, *RegionPlan, *uopcache.Trace) {
 	plan := PlanRegion(t.Decode, insts)
 	tr := uopcache.BuildTrace(t.Cache, region, entry, plan.Macros)

@@ -179,16 +179,6 @@ func JccStraddles(cfg Config, in *isa.Inst) bool {
 	return in.Addr/w != (in.End()-1)/w
 }
 
-// Macros returns a uopcache.PlanFunc that decodes one region fetch
-// into its trace-builder macro-op groups (macro-fusion applied) under
-// cfg — the adapter the static footprint analysis (uopcache.Footprint)
-// uses to share this package's decode semantics with the simulator.
-func Macros(cfg Config) uopcache.PlanFunc {
-	return func(insts []*isa.Inst) []uopcache.MacroUops {
-		return PlanRegion(cfg, insts).Macros
-	}
-}
-
 // PlanRegion produces the legacy-decode schedule for insts, the
 // in-order macro-ops of one region fetch (ending at the region's last
 // instruction or its first unconditional jump).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"deaduops/internal/decode"
 	"deaduops/internal/isa"
 	"deaduops/internal/uopcache"
 )
@@ -211,17 +210,36 @@ func (a *Analysis) walkPathStop(start, stop uint64, budget int) pathInfo {
 	return p
 }
 
-// footprintOf computes the micro-op cache footprint of one path.
-func (a *Analysis) footprintOf(p pathInfo) uopcache.FootprintResult {
-	return uopcache.FootprintRanges(a.Cfg.UopCache, a.Prog, p.Ranges, decode.Macros(a.Cfg.Decode))
+// footprintOf folds the decoded segments of ranges, segmented as the
+// fetch engine segments them, into their micro-op cache footprint:
+// each cacheable (region, entry) trace charges its lines to the
+// region's set, counted once even if the ranges revisit it.
+func (a *Analysis) footprintOf(ranges []uopcache.Range) uopcache.FootprintResult {
+	uc := a.Cfg.UopCache
+	res := uopcache.FootprintResult{Sets: make(map[int]int)}
+	for _, sg := range uopcache.SegmentRanges(uc, a.Prog, ranges) {
+		t := a.decode(sg).trace
+		rf := uopcache.RegionFootprint{Region: sg.Region, Entry: sg.Entry,
+			Set: uc.SetIndexOf(sg.Region), Cacheable: t.Cacheable, Reason: t.Reason}
+		if t.Cacheable {
+			rf.Ways, rf.Uops = len(t.Lines), t.TotalUops
+			res.Sets[rf.Set] += rf.Ways
+		} else {
+			res.Uncacheable++
+		}
+		res.Regions = append(res.Regions, rf)
+	}
+	return res
 }
 
-// occupancyList converts a footprint's set map to a sorted slice.
+// occupancyList converts a footprint's set map to a slice sorted by
+// set.
 func occupancyList(f uopcache.FootprintResult) []SetOccupancy {
 	var out []SetOccupancy
-	for _, s := range f.SetList() {
-		out = append(out, SetOccupancy{Set: s, Ways: f.Sets[s]})
+	for s, w := range f.Sets {
+		out = append(out, SetOccupancy{Set: s, Ways: w})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Set < out[j].Set })
 	return out
 }
 
@@ -270,12 +288,12 @@ func (c FootprintDivergenceChecker) Check(a *Analysis) []Finding {
 		if sb.inst.Op != isa.JCC {
 			continue
 		}
-		taken := a.footprintOf(sb.taken)
-		fall := a.footprintOf(sb.fall)
-		if taken.Equal(&fall) {
+		taken := a.footprintOf(sb.taken.Ranges)
+		fall := a.footprintOf(sb.fall.Ranges)
+		div := divergentSets(taken, fall)
+		if len(div) == 0 && taken.Uncacheable == fall.Uncacheable {
 			continue
 		}
-		div := divergentSets(taken, fall)
 
 		// Quantify: the signed headline delta is the difference between
 		// the directions' refill penalties — what a receiver probing
@@ -297,7 +315,7 @@ func (c FootprintDivergenceChecker) Check(a *Analysis) []Finding {
 		// attacker measuring the divergent sets would collect. A model
 		// failure (e.g. no free set for the receiver's loop tail)
 		// degrades the finding, not the run.
-		probe, perr := ProbeModel(a.Cfg, taken, fall, div)
+		probe, perr := probeModel(a.Cfg, defaultProtocol, a.decode, taken, fall, div)
 		if perr == nil {
 			msg += fmt.Sprintf("; attacker probe separation %.2f× (floor %.2f×)",
 				probe.SeparationMargin, probe.SeparationFloor)

@@ -2,30 +2,28 @@ package staticlint
 
 import (
 	"deaduops/internal/asm"
-	"deaduops/internal/decode"
 	"deaduops/internal/uopcache"
 )
 
 // ProbeModelWith is ProbeModel under a protocol of prime priming
 // traversals and victimRuns victim runs instead of the defaults.
 func ProbeModelWith(cfg Config, prime, victimRuns int, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
-	return probeModel(cfg, protocol{prime: prime, victimRuns: victimRuns}, taken, fall, div)
+	return probeModel(cfg, protocol{prime: prime, victimRuns: victimRuns}, newSegMemo(cfg).decode, taken, fall, div)
 }
 
 // ProbeModelFullReplay is the receiver model replayed literally, the
-// reference ProbeModelWith is held to: every segment is priced on its
-// own with the cost table's Region and uopcache.BuildTrace, and every
+// reference ProbeModelWith is held to: every segment is planned on its
+// own with the cost table's RegionDecode, and every
 // direction replays the whole protocol (prime → hit probe → prime →
 // victim runs → timed probe) on a cache of its own, every traversal and
 // victim run included. ProbeModelWith — forked prefix, fixed-point
-// cut-off, per-shape pricing — must return exactly this histogram for
+// cut-off, segment memo — must return exactly this histogram for
 // the same prime and victimRuns.
 func ProbeModelFullReplay(cfg Config, prime, victimRuns int, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
 	ct := cfg.Costs()
-	plan := decode.Macros(cfg.Decode)
-	h, rp, err := probeSetup(cfg, protocol{prime: prime, victimRuns: victimRuns}, div, func(sg uopcache.Segment) (decode.RegionCost, *uopcache.Trace) {
-		return ct.Region(sg.Region, sg.Entry, sg.Insts),
-			uopcache.BuildTrace(cfg.UopCache, sg.Region, sg.Entry, plan(sg.Insts))
+	h, rp, err := probeSetup(cfg, protocol{prime: prime, victimRuns: victimRuns}, div, func(sg uopcache.Segment) (d decodedSeg) {
+		d.cost, d.plan, d.trace = ct.RegionDecode(sg.Region, sg.Entry, sg.Insts)
+		return d
 	})
 	if err != nil {
 		return nil, err
@@ -76,9 +74,24 @@ func ProbeModelFullReplay(cfg Config, prime, victimRuns int, taken, fall uopcach
 // conditional branch at addr.
 func BranchFootprints(a *Analysis, addr uint64) (taken, fall uopcache.FootprintResult, div []int) {
 	in := a.Prog.At(addr)
-	taken = a.footprintOf(a.walkPath(uint64(in.Imm), a.Cfg.PathBudget))
-	fall = a.footprintOf(a.walkPath(in.End(), a.Cfg.PathBudget))
+	taken = a.footprintOf(a.walkPath(uint64(in.Imm), a.Cfg.PathBudget).Ranges)
+	fall = a.footprintOf(a.walkPath(in.End(), a.Cfg.PathBudget).Ranges)
 	return taken, fall, divergentSets(taken, fall)
+}
+
+// Footprint returns the analyzer's micro-op cache footprint of ranges
+// of prog under cfg: the fold over the ranges' decoded segments the
+// footprint-divergence checker compares.
+func Footprint(cfg Config, prog *asm.Program, ranges ...uopcache.Range) uopcache.FootprintResult {
+	return (&Analysis{Prog: prog, Cfg: cfg}).footprintOf(ranges)
+}
+
+// PlanFresh makes every analysis plan each fetch segment on its own
+// instead of through its segment memo until the returned func restores
+// the memo.
+func PlanFresh() (restore func()) {
+	planFresh = true
+	return func() { planFresh = false }
 }
 
 // ScanGadgets returns the transient-window gadget scan the gadget

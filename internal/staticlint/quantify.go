@@ -11,8 +11,11 @@ package staticlint
 // internal/staticlint/difftest.
 
 import (
+	"encoding/binary"
+
 	"deaduops/internal/backend"
 	"deaduops/internal/decode"
+	"deaduops/internal/isa"
 	"deaduops/internal/uopcache"
 )
 
@@ -109,7 +112,8 @@ func (a *Analysis) costRanges(ranges []uopcache.Range, wholeRun bool) PathCost {
 	cacheableUops := 0
 	warmRace, coldRace := ct.NewRunRace(), ct.NewRunRace()
 	for _, seg := range uopcache.SegmentRanges(a.Cfg.UopCache, a.Prog, ranges) {
-		rc, plan, _ := ct.RegionDecode(seg.Region, seg.Entry, seg.Insts)
+		d := a.decode(seg)
+		rc, plan := d.cost, d.plan
 		pc.Uops += rc.Uops
 		pc.LCPStallCycles += rc.LCPStallCycles
 		pc.MSROMUops += rc.MSROMUops
@@ -157,6 +161,104 @@ func (a *Analysis) costRanges(ranges []uopcache.Range, wholeRun bool) PathCost {
 	}
 	pc.RefillDelta = pc.ColdCycles - pc.WarmCycles
 	return pc
+}
+
+// decodedSeg is one decoded fetch segment: what
+// decode.CostTable.RegionDecode returns for it — its cost, the
+// PlanRegion schedule that cost prices, and the BuildTrace trace a
+// MITE refill of it installs.
+type decodedSeg struct {
+	cost  decode.RegionCost
+	plan  *decode.RegionPlan
+	trace *uopcache.Trace
+}
+
+// segMemo is an analysis's one decode path: every footprint
+// (footprintOf), path cost (costRanges) and receiver layout
+// (probeSetup) decodes its segments through it, and each distinct
+// segment content is planned once. It is keyed on content (shapeKey),
+// not on address, so the Ways×|div| regions of a receiver chain share
+// one decode, and so does code that recurs in a program at the same
+// in-region offsets and predecode-window phase. A shared decode
+// therefore carries the trace of the first segment with that content:
+// its counts, line structure and slot widths hold for every segment
+// with the key, its region address and µops do not. Footprints and
+// costs read only the former; the receiver, which fills a cache with
+// the trace, rebases it onto its own region. The key leaves out the
+// decode and cache configuration, so a memo serves one Config — one
+// Analysis, or one ProbeModel call.
+type segMemo struct {
+	ct   decode.CostTable
+	segs map[string]decodedSeg
+	key  []byte
+}
+
+func newSegMemo(cfg Config) *segMemo {
+	return &segMemo{ct: cfg.Costs(), segs: make(map[string]decodedSeg)}
+}
+
+// planFresh makes every memo plan each segment on its own, as if every
+// lookup missed: the reference TestSegmentMemoMatchesFresh holds the
+// memo to. Only tests set it.
+var planFresh bool
+
+// decode returns sg's decoded segment, planning it on first sight of
+// its content.
+func (m *segMemo) decode(sg uopcache.Segment) decodedSeg {
+	m.key = shapeKey(m.key[:0], m.ct.Decode, sg)
+	d, ok := m.segs[string(m.key)]
+	if !ok || planFresh {
+		d.cost, d.plan, d.trace = m.ct.RegionDecode(sg.Region, sg.Entry, sg.Insts)
+		m.segs[string(m.key)] = d
+	}
+	return d
+}
+
+// decode decodes sg through the analysis's segment memo, creating the
+// memo on first use.
+func (a *Analysis) decode(sg uopcache.Segment) decodedSeg {
+	if a.segs == nil {
+		a.segs = newSegMemo(a.Cfg)
+	}
+	return a.segs.decode(sg)
+}
+
+// shapeKey appends sg's content key to dst: everything decode.PlanRegion
+// and uopcache.BuildTrace read of a segment besides its region address.
+// That is the entry offset, the region's phase in the predecode window
+// (which, with an instruction's in-region offset, decides whether a
+// conditional jump straddles a window and pays the alignment stall:
+// Wilde et al., "On Abnormal Execution Timing of Conditional Jump
+// Instructions"), and, per instruction, its op, operands (a direct
+// branch's target excepted), length, in-region offset and µop count.
+func shapeKey(dst []byte, dc decode.Config, sg uopcache.Segment) []byte {
+	phase := sg.Region
+	if dc.PredecodeWindow > 0 {
+		phase %= uint64(dc.PredecodeWindow)
+	}
+	dst = append(dst, sg.Entry)
+	dst = binary.AppendUvarint(dst, phase)
+	for _, in := range sg.Insts {
+		var flags byte
+		if in.HasImm {
+			flags |= 1
+		}
+		if in.Imm64 {
+			flags |= 2
+		}
+		if in.LCP {
+			flags |= 4
+		}
+		dst = append(dst, byte(in.Op), byte(in.Dst), byte(in.Src), byte(in.Cond), flags, in.Len)
+		switch in.Op {
+		case isa.JMP, isa.JCC, isa.CALL:
+		default:
+			dst = binary.AppendVarint(dst, in.Imm)
+		}
+		dst = binary.AppendUvarint(dst, in.Addr-sg.Region)
+		dst = binary.AppendUvarint(dst, uint64(in.Uops()))
+	}
+	return dst
 }
 
 // FetchRanges returns the address ranges of the straight-line fetch

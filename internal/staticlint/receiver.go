@@ -19,14 +19,11 @@ package staticlint
 // simulator — by internal/staticlint/difftest.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
 	"deaduops/internal/codegen"
-	"deaduops/internal/decode"
-	"deaduops/internal/isa"
 	"deaduops/internal/uopcache"
 )
 
@@ -195,17 +192,21 @@ func round2(x float64) float64 { return math.Round(x*100) / 100 }
 // The validation harness's victims keep their shared prefixes clear of
 // the divergent sets, so there the predictions are exact.
 func ProbeModel(cfg Config, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
-	return probeModel(cfg, protocol{prime: DefaultPrimeTraversals, victimRuns: DefaultVictimRuns}, taken, fall, div)
+	return probeModel(cfg, defaultProtocol, newSegMemo(cfg).decode, taken, fall, div)
 }
 
 // protocol is the modelled measurement protocol's priming traversal
-// and victim run counts. ProbeModel always runs the defaults; the tests
-// reach other counts through probeModel.
+// and victim run counts. ProbeModel and the checker always run
+// defaultProtocol; the tests reach other counts through probeModel.
 type protocol struct{ prime, victimRuns int }
 
-// probeModel is ProbeModel under protocol proto.
-func probeModel(cfg Config, proto protocol, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
-	h, rp, err := probeSetup(cfg, proto, div, shapePricer(cfg))
+var defaultProtocol = protocol{prime: DefaultPrimeTraversals, victimRuns: DefaultVictimRuns}
+
+// probeModel is ProbeModel under protocol proto, decoding the receiver
+// routine's segments with dec: the footprint-divergence checker passes
+// its analysis's segment memo, ProbeModel a fresh one.
+func probeModel(cfg Config, proto protocol, dec func(uopcache.Segment) decodedSeg, taken, fall uopcache.FootprintResult, div []int) (*ProbeHistogram, error) {
+	h, rp, err := probeSetup(cfg, proto, div, dec)
 	if err != nil {
 		return nil, err
 	}
@@ -245,83 +246,11 @@ type probeReplay struct {
 	head, trav, halt []probeSeg
 }
 
-// segPricer prices one fetch segment of the receiver routine: its cost
-// and the trace a MITE refill of it installs.
-type segPricer func(sg uopcache.Segment) (decode.RegionCost, *uopcache.Trace)
-
-// shapePricer returns the pricer ProbeModel lays its receiver out with:
-// each distinct segment shape is planned once per call. All Ways×|div|
-// regions of the receiver chain hold the same instructions at the same
-// in-region offsets, so their costs and their traces' line structures
-// come out identical and only the region address differs. The memo is
-// keyed on segment content (shapeKey), not on that layout, so a
-// segment that differs — the loop tail, the bookends — is priced on
-// its own. A reused trace is rebased to the segment's region but keeps
-// the first region's µops; the replay reads only its line structure.
-func shapePricer(cfg Config) segPricer {
-	ct := cfg.Costs()
-	type priced struct {
-		cost  decode.RegionCost
-		trace *uopcache.Trace
-	}
-	shapes := make(map[string]priced)
-	var key []byte
-	return func(sg uopcache.Segment) (decode.RegionCost, *uopcache.Trace) {
-		key = shapeKey(key[:0], cfg.Decode, sg)
-		p, ok := shapes[string(key)]
-		if !ok {
-			p.cost, _, p.trace = ct.RegionDecode(sg.Region, sg.Entry, sg.Insts)
-			shapes[string(key)] = p
-			return p.cost, p.trace
-		}
-		t := *p.trace
-		t.Region = sg.Region
-		return p.cost, &t
-	}
-}
-
-// shapeKey appends sg's content key to dst: everything decode.PlanRegion
-// and uopcache.BuildTrace read of a segment besides its region address.
-// That is the entry offset, the region's phase in the predecode window
-// (which, with an instruction's in-region offset, decides whether a
-// conditional jump straddles a window), and, per instruction, its op,
-// operands (a direct branch's target excepted), length, in-region
-// offset and µop count.
-func shapeKey(dst []byte, dc decode.Config, sg uopcache.Segment) []byte {
-	phase := sg.Region
-	if dc.PredecodeWindow > 0 {
-		phase %= uint64(dc.PredecodeWindow)
-	}
-	dst = append(dst, sg.Entry)
-	dst = binary.AppendUvarint(dst, phase)
-	for _, in := range sg.Insts {
-		var flags byte
-		if in.HasImm {
-			flags |= 1
-		}
-		if in.Imm64 {
-			flags |= 2
-		}
-		if in.LCP {
-			flags |= 4
-		}
-		dst = append(dst, byte(in.Op), byte(in.Dst), byte(in.Src), byte(in.Cond), flags, in.Len)
-		switch in.Op {
-		case isa.JMP, isa.JCC, isa.CALL:
-		default:
-			dst = binary.AppendVarint(dst, in.Imm)
-		}
-		dst = binary.AppendUvarint(dst, in.Addr-sg.Region)
-		dst = binary.AppendUvarint(dst, uint64(in.Uops()))
-	}
-	return dst
-}
-
 // probeSetup lays out the receiver routine over div, prices its
-// segments with price and its hit state, and returns the histogram with
-// every direction-independent field filled, plus the replay of protocol
-// proto the miss states need.
-func probeSetup(cfg Config, proto protocol, div []int, price segPricer) (*ProbeHistogram, *probeReplay, error) {
+// segments as dec decodes them and its hit state, and returns the
+// histogram with every direction-independent field filled, plus the
+// replay of protocol proto the miss states need.
+func probeSetup(cfg Config, proto protocol, div []int, dec func(uopcache.Segment) decodedSeg) (*ProbeHistogram, *probeReplay, error) {
 	if len(div) == 0 {
 		return nil, nil, errors.New("staticlint: receiver model has no probed sets")
 	}
@@ -358,10 +287,20 @@ func probeSetup(cfg Config, proto protocol, div []int, price segPricer) (*ProbeH
 	// refill, and the cold-minus-warm cost a DSB miss of the segment
 	// adds to a timed run. SegmentRanges dedupes (region, entry) traces,
 	// so each per-traversal segment is priced once and multiplied by
-	// the iteration count rather than fed repeated ranges.
+	// the iteration count rather than fed repeated ranges. All
+	// Ways×|div| chain regions hold the same instructions at the same
+	// in-region offsets, so a content-keyed dec decodes them once; a
+	// trace decoded for another region is rebased onto this one, and
+	// keeps that region's µops, which the replay never reads.
 	build := func(ranges []uopcache.Range) (segs []probeSeg, warm, uops int, err error) {
 		for _, sg := range uopcache.SegmentRanges(cfg.UopCache, prog, ranges) {
-			rc, tr := price(sg)
+			d := dec(sg)
+			rc, tr := d.cost, d.trace
+			if tr.Region != sg.Region {
+				rebased := *tr
+				rebased.Region = sg.Region
+				tr = &rebased
+			}
 			if !rc.Cacheable {
 				return nil, 0, 0, fmt.Errorf("staticlint: probe region %#x uncacheable (%s)", sg.Region, rc.Reason)
 			}

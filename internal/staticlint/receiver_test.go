@@ -332,7 +332,7 @@ func TestProbeModelAllocsIndependentOfTraversals(t *testing.T) {
 }
 
 // FuzzProbeModelReplay holds ProbeModelWith — forked prefix, fixed-point
-// cut-off, per-shape pricing — to ProbeModelFullReplay, the protocol
+// cut-off, segment memo — to ProbeModelFullReplay, the protocol
 // replayed literally, on random receivers and victims: any registered
 // profile, probed and victim sets drawn from 64-bit masks (taken modulo
 // the profile's set count), 1..Ways victim regions of

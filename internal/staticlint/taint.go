@@ -206,6 +206,10 @@ type Analysis struct {
 	// keyed by content hash (cache.go) so re-analysis after an edit
 	// recomputes only changed functions and their SCC dependents.
 	cache *Cache
+
+	// segs decodes every fetch segment the analysis prices or places,
+	// each distinct content once (quantify.go); nil until first use.
+	segs *segMemo
 }
 
 // Sources returns the taint source table (indexed by bit position,

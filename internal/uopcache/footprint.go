@@ -1,18 +1,9 @@
 package uopcache
 
 import (
-	"fmt"
-	"sort"
-
 	"deaduops/internal/asm"
 	"deaduops/internal/isa"
 )
-
-// PlanFunc decodes the in-order macro-ops of one region fetch into the
-// trace-builder groups (macro-fusion applied). The decode package's
-// Macros constructor is the canonical implementation; taking it as a
-// parameter keeps this package below decode in the import graph.
-type PlanFunc func(insts []*isa.Inst) []MacroUops
 
 // SetIndexOf returns the physical set index addr maps to in
 // single-thread, unpartitioned operation (bits IndexLoBit and up of the
@@ -46,45 +37,6 @@ type FootprintResult struct {
 	Uncacheable int
 }
 
-// TotalWays sums way occupancy across sets.
-func (f *FootprintResult) TotalWays() int {
-	n := 0
-	for _, w := range f.Sets {
-		n += w
-	}
-	return n
-}
-
-// SetList returns the occupied set indices in ascending order.
-func (f *FootprintResult) SetList() []int {
-	out := make([]int, 0, len(f.Sets))
-	for s := range f.Sets {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Equal reports whether two footprints occupy identical sets with
-// identical way counts and agree on uncacheable regions.
-func (f *FootprintResult) Equal(g *FootprintResult) bool {
-	if len(f.Sets) != len(g.Sets) || f.Uncacheable != g.Uncacheable {
-		return false
-	}
-	for s, w := range f.Sets {
-		if g.Sets[s] != w {
-			return false
-		}
-	}
-	return true
-}
-
-// String summarizes the footprint.
-func (f *FootprintResult) String() string {
-	return fmt.Sprintf("footprint{%d regions, %d sets, %d ways, %d uncacheable}",
-		len(f.Regions), len(f.Sets), f.TotalWays(), f.Uncacheable)
-}
-
 // Range is a half-open address interval [Start, End).
 type Range struct {
 	Start, End uint64
@@ -103,10 +55,10 @@ type Segment struct {
 // SegmentRanges splits ranges into fetch segments the way the fetch
 // engine does: a new segment begins at every region boundary, after
 // every unconditional jump, and after every unmapped gap. A (region,
-// entry) segment is returned once even if the ranges revisit it. Both
-// the static footprint analysis (FootprintRanges) and the static cost
-// model (decode.CostTable) consume this segmentation, which is what
-// keeps their region granularity identical to the simulator's.
+// entry) segment is returned once even if the ranges revisit it. The
+// static analyzer (internal/staticlint) decodes every footprint and
+// path cost from this segmentation, which is what keeps their region
+// granularity identical to the simulator's.
 func SegmentRanges(cfg Config, prog *asm.Program, ranges []Range) []Segment {
 	var out []Segment
 	regionSize := cfg.RegionSize()
@@ -157,42 +109,6 @@ func SegmentRanges(cfg Config, prog *asm.Program, ranges []Range) []Segment {
 		}
 	}
 	return out
-}
-
-// Footprint computes the set/way occupancy of the instruction range
-// [start, end) of prog under cfg's placement rules, as if fetch entered
-// at start and streamed sequentially. The range is segmented with
-// SegmentRanges and each segment's trace is built with BuildTrace and
-// charged to the region's set. plan supplies the decoded macro-op
-// groups (use decode.Macros for the modelled pipeline).
-func Footprint(cfg Config, prog *asm.Program, start, end uint64, plan PlanFunc) FootprintResult {
-	return FootprintRanges(cfg, prog, []Range{{start, end}}, plan)
-}
-
-// FootprintRanges is Footprint over several disjoint ranges (the fetch
-// segments of one control-flow path), merging the per-set occupancy.
-// A (region, entry) trace is counted once even if ranges revisit it.
-func FootprintRanges(cfg Config, prog *asm.Program, ranges []Range, plan PlanFunc) FootprintResult {
-	res := FootprintResult{Sets: make(map[int]int)}
-	for _, seg := range SegmentRanges(cfg, prog, ranges) {
-		t := BuildTrace(cfg, seg.Region, seg.Entry, plan(seg.Insts))
-		rf := RegionFootprint{
-			Region:    seg.Region,
-			Entry:     seg.Entry,
-			Set:       cfg.SetIndexOf(seg.Region),
-			Cacheable: t.Cacheable,
-			Reason:    t.Reason,
-		}
-		if t.Cacheable {
-			rf.Ways = len(t.Lines)
-			rf.Uops = t.TotalUops
-			res.Sets[rf.Set] += rf.Ways
-		} else {
-			res.Uncacheable++
-		}
-		res.Regions = append(res.Regions, rf)
-	}
-	return res
 }
 
 // nextMapped returns the address of the first mapped instruction in

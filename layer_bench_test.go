@@ -2,13 +2,13 @@
 // analyzer on a fixed input and reports a domain metric next to Go's
 // timing. SimulatorThroughput and its Parallel form time the cycle
 // loop on a µop-cache-resident tiger; RSCodec times the Reed-Solomon
-// codec behind Table I's corrected bandwidth. ProbeModel and
-// CoreConstruction time the two costs a difftest point pays outside
-// the cycle loop: the receiver model's protocol replay
-// (staticlint.ProbeModel, run by Harness.Predict) and building the
-// core a point measures on (cpu.NewWith). Both report allocations;
-// neither should grow with the protocol's traversal counts or the
-// cache hierarchy's set counts.
+// codec behind Table I's corrected bandwidth. Predict, ProbeModel and
+// CoreConstruction time what a difftest point pays outside the cycle
+// loop: the analyzer's whole prediction (Harness.Predict), the
+// receiver model's protocol replay within it (staticlint.ProbeModel),
+// and building the core a point measures on (cpu.NewWith). All three
+// report allocations; the last two should not grow with the
+// protocol's traversal counts or the cache hierarchy's set counts.
 //
 //	go test -run '^$' -bench . -benchmem .
 package deaduops_test
@@ -51,6 +51,29 @@ func BenchmarkProbeModel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := staticlint.ProbeModel(cfg, taken, fall, probe); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPredict runs the analyzer half of a difftest point per
+// iteration: Harness.Predict — lint, footprints, receiver model and
+// both whole-run path costs — over a fixed set of Skylake victims,
+// seeds 1–16, taken in turn.
+func BenchmarkPredict(b *testing.B) {
+	h := difftest.NewHarness(profile.Default())
+	var victims []*difftest.Victim
+	for seed := uint64(1); seed <= 16; seed++ {
+		v, err := h.Generate(seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		victims = append(victims, v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.Predict(victims[i%len(victims)]); err != nil {
 			b.Fatal(err)
 		}
 	}
