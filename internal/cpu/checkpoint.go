@@ -3,8 +3,8 @@
 // contexts' architectural state (registers, flags, privilege mode,
 // syscall return stacks), predictor state, the micro-op cache with
 // per-line hotness, all five cache-hierarchy levels including the
-// iTLB, performance counters, the global cycle clock, and the guest
-// memory image. Everything that does NOT persist (in-flight ROB
+// iTLB, performance counters, the global cycle clock, the guest
+// memory image, and which image last put code in each code line. Everything that does NOT persist (in-flight ROB
 // entries, pending fetch state, the IDQ) is deliberately absent:
 // Run's entry sequence (Backend.Reset → FrontEnd.Redirect) discards
 // it before the first tick, so a core restored from a checkpoint is
@@ -51,6 +51,7 @@ type Checkpoint struct {
 	valid   bool
 	cycle   uint64
 	prog    *asm.Program
+	owner   map[uint64]*asm.Program
 	mem     MemoryState
 	uc      uopcache.State
 	hier    mem.HierarchyState
@@ -65,10 +66,12 @@ func (ck *Checkpoint) Valid() bool { return ck != nil && ck.valid }
 // internal/rows). Call it only between runs (Run and RunSMT are
 // synchronous, so any call site outside them qualifies). The program
 // pointer is captured by reference — code images are immutable once
-// loaded.
+// loaded — and so is the table of which image last put code in each
+// code line, which LoadProgram replaces instead of writing.
 func (c *CPU) Checkpoint(dst *Checkpoint) {
 	dst.cycle = c.cycle
 	dst.prog = c.threads[0].fe.Program()
+	dst.owner = c.codeOwner
 	c.mem.Save(&dst.mem)
 	c.uc.Save(&dst.uc)
 	c.hier.Save(&dst.hier)
@@ -94,6 +97,7 @@ func (c *CPU) Restore(ck *Checkpoint) {
 		panic("cpu: Restore from an empty checkpoint")
 	}
 	c.cycle = ck.cycle
+	c.codeOwner = ck.owner
 	c.mem.Restore(&ck.mem)
 	c.uc.Restore(&ck.uc)
 	c.hier.Restore(&ck.hier)

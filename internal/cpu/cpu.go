@@ -9,6 +9,7 @@ package cpu
 
 import (
 	"fmt"
+	"maps"
 
 	"deaduops/internal/asm"
 	"deaduops/internal/backend"
@@ -310,6 +311,10 @@ type CPU struct {
 	memo    *frontend.Memo
 	threads [NumThreads]*thread
 	cycle   uint64
+	// codeOwner maps each code line to the image that last put code in
+	// it (LoadProgram). It is replaced, never written, so checkpoints
+	// share it.
+	codeOwner map[uint64]*asm.Program
 }
 
 // New builds a core.
@@ -396,28 +401,49 @@ func (c *CPU) Cycle() uint64 { return c.cycle }
 
 // LoadProgram installs the code image on both threads' fetch engines.
 // Loading a different image empties the core's decode memo and counts
-// as a code write: every code line the old image maps code into and
-// the new image maps a differing instruction into loses its micro-op
-// cache lines, which would otherwise stream the old code. Lines at
-// addresses the old image does not map stay resident (the Fig 5 and
-// Fig 8 loops alternate images and rely on it).
+// as a code write: each code line the new image maps code into is
+// compared with the image that last put code there, and loses its
+// micro-op cache lines when the two differ in it, as those lines would
+// otherwise stream the older code. Lines the new image maps no code
+// into stay resident (the Fig 5 and Fig 8 loops alternate images at
+// disjoint addresses and rely on it).
 func (c *CPU) LoadProgram(p *asm.Program) {
-	if old := c.threads[0].fe.Program(); old != nil && old != p {
-		lines := make(map[uint64]bool) // the old image's lines not yet invalidated
-		for _, in := range old.Insts {
-			lines[in.Addr&^(mem.LineSize-1)] = true
+	owner, cloned := c.codeOwner, false
+	for _, in := range p.Insts {
+		line := in.Addr &^ (mem.LineSize - 1)
+		prev := owner[line]
+		if prev == p {
+			continue
 		}
-		for _, in := range p.Insts {
-			line := in.Addr &^ (mem.LineSize - 1)
-			if was := old.At(in.Addr); lines[line] && (was == nil || *was != *in) {
-				c.uc.InvalidateCodeLine(line, mem.LineSize)
-				delete(lines, line)
+		if !cloned {
+			// Checkpoints share the table, so it is replaced, never
+			// written in place.
+			owner, cloned = maps.Clone(owner), true
+			if owner == nil {
+				owner = make(map[uint64]*asm.Program)
 			}
 		}
+		owner[line] = p
+		if prev != nil && !sameLine(prev, p, line) {
+			c.uc.InvalidateCodeLine(line, mem.LineSize)
+		}
 	}
+	c.codeOwner = owner
 	for _, t := range c.threads {
 		t.fe.SetProgram(p)
 	}
+}
+
+// sameLine reports whether images a and b map the same instructions
+// into the code line at line.
+func sameLine(a, b *asm.Program, line uint64) bool {
+	for addr := line; addr < line+mem.LineSize; addr++ {
+		x, y := a.At(addr), b.At(addr)
+		if x != y && (x == nil || y == nil || *x != *y) {
+			return false
+		}
+	}
+	return true
 }
 
 // SetReg sets an architectural register of thread t before a run.

@@ -231,4 +231,76 @@ func TestLoadProgramDropsStaleTraces(t *testing.T) {
 			t.Errorf("%v = %d, reference %d", r, got, want)
 		}
 	}
+
+	// A→B→A': A at 0x1000 runs warm, B at disjoint addresses is loaded
+	// and run, then A', which differs from A at 0x1000. A' must be
+	// compared with A, the image that last put code in those lines, not
+	// with B, the image loaded just before it: otherwise A's lines
+	// survive and A' streams A's µops. The checkpoint variant takes the
+	// snapshot while B is loaded and restores it into a fresh core, so
+	// the line→image table must travel with the micro-op cache it
+	// describes.
+	plain := func(step int64) *asm.Program {
+		b := asm.New(0x1000)
+		b.Movi(isa.R1, 0)
+		b.Movi(isa.R2, 20)
+		b.Label("loop")
+		b.Addi(isa.R1, step)
+		b.Subi(isa.R2, 1)
+		b.Cmpi(isa.R2, 0)
+		b.Jcc(isa.NE, "loop")
+		b.Halt()
+		return b.MustBuild()
+	}
+	other := func() *asm.Program {
+		b := asm.New(0x5000)
+		b.Movi(isa.R2, 5)
+		b.Label("loop")
+		b.Subi(isa.R2, 1)
+		b.Cmpi(isa.R2, 0)
+		b.Jcc(isa.NE, "loop")
+		b.Halt()
+		return b.MustBuild()
+	}
+	a, b, a2 := plain(1), other(), plain(3)
+	// warmAB runs A until its traces are resident, then loads and runs
+	// B, which leaves A's lines in place.
+	warmAB := func() *cpu.CPU {
+		c := cpu.New(cpu.Intel())
+		c.LoadProgram(a)
+		for i := 0; i < 3; i++ {
+			c.Run(0, a.Entry, 200_000)
+		}
+		c.LoadProgram(b)
+		c.Run(0, b.Entry, 200_000)
+		return c
+	}
+	// runA2 loads A' and holds its run to internal/ref.
+	runA2 := func(t *testing.T, c *cpu.CPU) {
+		t.Helper()
+		c.LoadProgram(a2)
+		m := ref.New(a2, cpu.NewMemory(cpu.MemSize), isa.KernelEntry)
+		for r := isa.Reg(0); r < isa.NumRegs; r++ {
+			m.Regs[r] = c.Reg(0, r)
+		}
+		if res := c.Run(0, a2.Entry, 200_000); res.TimedOut {
+			t.Fatal("run timed out")
+		}
+		if err := m.Run(a2.Entry, 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		for r := isa.Reg(0); r < isa.NumRegs; r++ {
+			if want, got := m.Regs[r], c.Reg(0, r); got != want {
+				t.Errorf("%v = %d, reference %d", r, got, want)
+			}
+		}
+	}
+	t.Run("last-writer", func(t *testing.T) { runA2(t, warmAB()) })
+	t.Run("last-writer-checkpoint", func(t *testing.T) {
+		var ck cpu.Checkpoint
+		warmAB().Checkpoint(&ck)
+		c := cpu.New(cpu.Intel())
+		c.Restore(&ck)
+		runA2(t, c)
+	})
 }
