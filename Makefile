@@ -32,11 +32,12 @@ vet:
 
 # lint runs the static front-end leakage analyzer over the victim
 # corpus and the codegen-emitted attack probes, asserting the canonical
-# expectations (exit 1 on mismatch), under the default profile and the
-# two non-default ones CI also checks.
+# expectations (exit 1 on mismatch), under every profile, as CI does.
 lint:
 	$(GO) run ./cmd/uoplint -selftest
+	$(GO) run ./cmd/uoplint -selftest -profile sunnycove
 	$(GO) run ./cmd/uoplint -selftest -profile zen
+	$(GO) run ./cmd/uoplint -selftest -profile zen2
 	$(GO) run ./cmd/uoplint -selftest -profile mite-only
 
 # serve boots the long-lived leakage-audit daemon: the same analysis as

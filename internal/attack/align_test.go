@@ -28,7 +28,7 @@ func TestAlignmentPairMatched(t *testing.T) {
 		t.Errorf("body bytes differ: straddle %d, aligned %d",
 			s.BodyBytes(), a.BodyBytes())
 	}
-	if cap := uopcache.Skylake().MaxLinesPerRegion * uopcache.Skylake().SlotsPerLine; s.UopsPerRegion() <= cap {
+	if cap := uopcache.MaxLinesPerRegion * uopcache.Skylake().SlotsPerLine; s.UopsPerRegion() <= cap {
 		t.Errorf("chains are cacheable (%d µops ≤ %d): the stall would vanish on warm traversals",
 			s.UopsPerRegion(), cap)
 	}

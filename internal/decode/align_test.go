@@ -125,7 +125,8 @@ func TestJccAlignFusedPairStillCharged(t *testing.T) {
 }
 
 // TestJccAlignOnlyConditional: unconditional jumps (and a zeroed
-// penalty, the Zen default) never stall, whatever their alignment.
+// penalty, as the AMD profiles set) never stall, whatever their
+// alignment.
 func TestJccAlignOnlyConditional(t *testing.T) {
 	cfg := Skylake()
 	jmp := PlanRegion(cfg, insts(func(b *asm.Builder) {
@@ -137,11 +138,9 @@ func TestJccAlignOnlyConditional(t *testing.T) {
 	if jmp.AlignStalls != 0 || jmp.AlignJccs != 0 {
 		t.Errorf("unconditional jump charged align stalls %d", jmp.AlignStalls)
 	}
-	zen := Zen()
-	if zen.JccAlignPenalty != 0 {
-		t.Fatalf("Zen models a jcc align penalty (%d); AMD's aligned fetch does not exhibit it", zen.JccAlignPenalty)
-	}
-	plan := PlanRegion(zen, jccAt(15))
+	zero := Skylake()
+	zero.JccAlignPenalty = 0
+	plan := PlanRegion(zero, jccAt(15))
 	if plan.AlignStalls != 0 {
 		t.Errorf("zero-penalty config charged %d align stalls", plan.AlignStalls)
 	}

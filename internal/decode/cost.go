@@ -14,10 +14,10 @@ import (
 // set of numbers — the contract the differential harness
 // (internal/staticlint/difftest) continuously re-checks.
 type CostTable struct {
-	// Decode supplies the legacy-pipeline schedule (predecode window,
-	// LCP penalty, decoder widths, MSROM rate, macro-fusion).
+	// Decode supplies the legacy-pipeline schedule's per-part widths
+	// and alignment penalty.
 	Decode Config
-	// Cache supplies the placement rules, the DSB stream width, and the
+	// Cache supplies the line width a hit streams per cycle and the
 	// DSB→MITE switch penalty.
 	Cache uopcache.Config
 	// DrainWidth caps sustained micro-op consumption at the backend's
@@ -56,7 +56,7 @@ type RegionCost struct {
 	// stalls appear as empty slots).
 	ColdCycles int
 	// WarmCycles is the front-end cost of streaming the segment's trace
-	// out of the micro-op cache (uops at the DSB stream width). For an
+	// out of the micro-op cache (one line's slots per cycle). For an
 	// uncacheable segment it equals ColdCycles: MITE delivers it on
 	// every traversal.
 	WarmCycles int
@@ -112,7 +112,7 @@ func (t CostTable) RegionDecode(region uint64, entry uint8, insts []*isa.Inst) (
 // StreamCycles returns the cycles the DSB needs to deliver uops µops
 // of one trace (delivery starts the same cycle the lookup hits).
 func (t CostTable) StreamCycles(uops int) int {
-	return ceilDiv(uops, t.Cache.StreamWidth)
+	return ceilDiv(uops, t.Cache.SlotsPerLine)
 }
 
 // DrainCycles returns the backend-side lower bound on consuming uops
@@ -169,11 +169,11 @@ func (r *RunRace) step(n int) {
 }
 
 // Stream delivers one resident trace of uops micro-ops out of the
-// micro-op cache at the stream width. A hit costs no bubble: delivery
-// starts on the probe cycle itself.
+// micro-op cache, one line's slots per cycle. A hit costs no bubble:
+// delivery starts on the probe cycle itself.
 func (r *RunRace) Stream(uops int) {
 	for uops > 0 {
-		n := r.t.Cache.StreamWidth
+		n := r.t.Cache.SlotsPerLine
 		if n > uops {
 			n = uops
 		}

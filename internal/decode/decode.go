@@ -3,7 +3,10 @@
 // the 1:1 and 1:4 decoders, and the microcode sequencer (MSROM). It
 // both expands macro-ops into executable micro-ops and produces the
 // per-cycle delivery schedule whose variable latency is the timing
-// signal the micro-op cache channel modulates.
+// signal the micro-op cache channel modulates. The decoder counts,
+// MSROM rate, LCP stall and predecode window every modelled part shares
+// are package constants; Config holds only what the parts
+// (internal/profile) vary.
 package decode
 
 import (
@@ -11,28 +14,33 @@ import (
 	"deaduops/internal/uopcache"
 )
 
-// Config parameterizes the decode pipeline.
-type Config struct {
+// The legacy-pipeline facts every modelled part shares.
+const (
 	// SimpleDecoders is the number of 1:1 decoders; one further
-	// complex decoder handles macro-ops of up to ComplexUopMax
-	// micro-ops. Skylake is 4 simple + 1 complex.
-	SimpleDecoders int
-	ComplexUopMax  int
+	// complex decoder handles macro-ops of up to Config.ComplexUopMax
+	// micro-ops.
+	SimpleDecoders = 4
+	// MSROMWidth is the microcode sequencer's delivery rate per cycle;
+	// while the MSROM streams, the decoders are blocked.
+	MSROMWidth = 4
+	// LCPPenalty is the predecoder stall per length-changing prefix
+	// (3-6 cycles on Skylake; we model the documented minimum).
+	LCPPenalty = 3
+	// PredecodeWindow is the fetch-buffer width in bytes.
+	PredecodeWindow = 16
+)
+
+// Config parameterizes the decode pipeline. Compare+branch pairs
+// always macro-fuse.
+type Config struct {
+	// ComplexUopMax is the widest macro-op the complex decoder handles
+	// (1:4 on Skylake).
+	ComplexUopMax int
 	// DecodeWidth caps micro-ops delivered per cycle from the
 	// decoders (5 on Skylake).
 	DecodeWidth int
-	// MSROMWidth is the microcode sequencer's delivery rate (4/cycle);
-	// while the MSROM streams, the decoders are blocked.
-	MSROMWidth int
-	// LCPPenalty is the predecoder stall per length-changing prefix
-	// (3-6 cycles on Skylake; we model the documented minimum).
-	LCPPenalty int
-	// PredecodeWindow is the fetch-buffer width in bytes (16).
-	PredecodeWindow int
 	// PredecodeWidth caps macro-ops extracted per cycle (6).
 	PredecodeWidth int
-	// MacroFusion enables compare+branch fusion.
-	MacroFusion bool
 	// JccAlignPenalty is the predecoder stall charged when a
 	// conditional jump's bytes straddle a PredecodeWindow boundary: the
 	// branch's last byte lands in the next fetch buffer, so the
@@ -48,33 +56,14 @@ type Config struct {
 	JccAlignPenalty int
 }
 
-// Skylake returns the Skylake decode configuration.
+// Skylake returns the Skylake decode configuration — the default
+// machine's; the other parts are defined in internal/profile.
 func Skylake() Config {
 	return Config{
-		SimpleDecoders:  4,
 		ComplexUopMax:   4,
 		DecodeWidth:     5,
-		MSROMWidth:      4,
-		LCPPenalty:      3,
-		PredecodeWindow: 16,
 		PredecodeWidth:  6,
-		MacroFusion:     true,
 		JccAlignPenalty: 2,
-	}
-}
-
-// Zen returns an AMD Zen-like decode configuration: four 1:2 decoders,
-// microcode for anything wider than two micro-ops.
-func Zen() Config {
-	return Config{
-		SimpleDecoders:  4,
-		ComplexUopMax:   2,
-		DecodeWidth:     8,
-		MSROMWidth:      4,
-		LCPPenalty:      3,
-		PredecodeWindow: 16,
-		PredecodeWidth:  4,
-		MacroFusion:     true,
 	}
 }
 
@@ -172,11 +161,10 @@ func (p *RegionPlan) Cycles() int { return len(p.Slots) }
 // exactly on a boundary does not (its bytes sit wholly inside the new
 // window).
 func JccStraddles(cfg Config, in *isa.Inst) bool {
-	if in.Op != isa.JCC || cfg.JccAlignPenalty <= 0 || cfg.PredecodeWindow <= 0 {
+	if in.Op != isa.JCC || cfg.JccAlignPenalty <= 0 {
 		return false
 	}
-	w := uint64(cfg.PredecodeWindow)
-	return in.Addr/w != (in.End()-1)/w
+	return in.Addr/PredecodeWindow != (in.End()-1)/PredecodeWindow
 }
 
 // PlanRegion produces the legacy-decode schedule for insts, the
@@ -198,14 +186,14 @@ func PlanRegion(cfg Config, insts []*isa.Inst) *RegionPlan {
 	for _, in := range insts {
 		bytes += int(in.Len)
 		if in.LCP {
-			p.LCPStalls += cfg.LCPPenalty
+			p.LCPStalls += LCPPenalty
 		}
 		if JccStraddles(cfg, in) {
 			p.AlignJccs++
 			p.AlignStalls += cfg.JccAlignPenalty
 		}
 	}
-	preCycles := (bytes+cfg.PredecodeWindow-1)/cfg.PredecodeWindow + p.LCPStalls + p.AlignStalls
+	preCycles := (bytes+PredecodeWindow-1)/PredecodeWindow + p.LCPStalls + p.AlignStalls
 	// Pre-size the schedule: at most one decode slot per macro-op on
 	// top of the predecode stalls.
 	p.Slots = make([][]isa.Uop, 0, preCycles+len(insts))
@@ -222,7 +210,7 @@ func PlanRegion(cfg Config, insts []*isa.Inst) *RegionPlan {
 	macros := make([]macro, 0, len(insts))
 	for i := 0; i < len(insts); i++ {
 		in := insts[i]
-		if cfg.MacroFusion && i+1 < len(insts) && fusible(in, insts[i+1]) {
+		if i+1 < len(insts) && fusible(in, insts[i+1]) {
 			cu := Expand(in)
 			ju := Expand(insts[i+1])
 			macros = append(macros, macro{
@@ -254,8 +242,8 @@ func PlanRegion(cfg Config, insts []*isa.Inst) *RegionPlan {
 		m := &macros[mi]
 		if m.inst.Microcoded() {
 			flush()
-			for off := 0; off < len(m.uops); off += cfg.MSROMWidth {
-				end := off + cfg.MSROMWidth
+			for off := 0; off < len(m.uops); off += MSROMWidth {
+				end := off + MSROMWidth
 				if end > len(m.uops) {
 					end = len(m.uops)
 				}
@@ -268,7 +256,7 @@ func PlanRegion(cfg Config, insts []*isa.Inst) *RegionPlan {
 		}
 		complexOp := len(m.uops) > 1
 		if complexOp && usedComplex ||
-			curMacros >= cfg.SimpleDecoders+1 ||
+			curMacros >= SimpleDecoders+1 ||
 			len(cur)+len(m.uops) > cfg.DecodeWidth {
 			flush()
 		}

@@ -99,21 +99,6 @@ func TestNoFusionAcrossGap(t *testing.T) {
 	}
 }
 
-func TestFusionDisabled(t *testing.T) {
-	cfg := Skylake()
-	cfg.MacroFusion = false
-	list := insts(func(b *asm.Builder) {
-		b.Cmpi(isa.R1, 5)
-		b.Jcc(isa.EQ, "x")
-		b.Label("x")
-		b.Halt()
-	})
-	plan := PlanRegion(cfg, list)
-	if plan.TotalUops() != 3 {
-		t.Errorf("µops %d without fusion, want 3", plan.TotalUops())
-	}
-}
-
 func TestDecodeWidthLimit(t *testing.T) {
 	cfg := Skylake()
 	list := insts(func(b *asm.Builder) {
@@ -164,8 +149,8 @@ func TestLCPStalls(t *testing.T) {
 	cfg := Skylake()
 	plain := PlanRegion(cfg, insts(func(b *asm.Builder) { b.Nop(14); b.Nop(14) }))
 	lcp := PlanRegion(cfg, insts(func(b *asm.Builder) { b.NopLCP(14); b.NopLCP(14) }))
-	if lcp.LCPStalls != 2*cfg.LCPPenalty {
-		t.Errorf("LCP stalls %d, want %d", lcp.LCPStalls, 2*cfg.LCPPenalty)
+	if lcp.LCPStalls != 2*LCPPenalty {
+		t.Errorf("LCP stalls %d, want %d", lcp.LCPStalls, 2*LCPPenalty)
 	}
 	if lcp.Cycles() <= plain.Cycles() {
 		t.Errorf("LCP plan (%d cycles) not slower than plain (%d)", lcp.Cycles(), plain.Cycles())
@@ -196,8 +181,8 @@ func TestMSROMExclusive(t *testing.T) {
 		if ms > 0 && plainOps > 0 {
 			t.Error("MSROM µops share a cycle with decoder µops")
 		}
-		if ms > cfg.MSROMWidth {
-			t.Errorf("MSROM slot of %d exceeds width %d", ms, cfg.MSROMWidth)
+		if ms > MSROMWidth {
+			t.Errorf("MSROM slot of %d exceeds width %d", ms, MSROMWidth)
 		}
 	}
 }
@@ -244,22 +229,5 @@ func TestEmptyPlan(t *testing.T) {
 	plan := PlanRegion(Skylake(), nil)
 	if plan.TotalUops() != 0 || plan.Cycles() != 0 {
 		t.Errorf("empty plan %+v", plan)
-	}
-}
-
-func TestZenConfig(t *testing.T) {
-	cfg := Zen()
-	// Zen's 1:2 decoders relegate 3+-µop instructions to microcode in
-	// the real part; our model keeps them on the complex decoder but
-	// the width limits still hold.
-	plan := PlanRegion(cfg, insts(func(b *asm.Builder) {
-		for i := 0; i < 8; i++ {
-			b.Nop(1)
-		}
-	}))
-	for _, slot := range plan.Slots {
-		if len(slot) > cfg.DecodeWidth {
-			t.Errorf("Zen slot %d exceeds width %d", len(slot), cfg.DecodeWidth)
-		}
 	}
 }

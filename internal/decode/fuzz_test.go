@@ -1,10 +1,12 @@
-package decode
+package decode_test
 
 import (
 	"reflect"
 	"testing"
 
+	"deaduops/internal/decode"
 	"deaduops/internal/isa"
+	"deaduops/internal/profile"
 	"deaduops/internal/uopcache"
 )
 
@@ -69,16 +71,16 @@ func FuzzPlanRegion(f *testing.F) {
 	f.Add([]byte{0x03, 0x09, 0x03, 0x09, 0x03, 0x09}) // 64-bit immediates
 	f.Fuzz(func(t *testing.T, data []byte) {
 		insts := fuzzInsts(data)
-		for _, cfg := range []Config{Skylake(), Zen()} {
-			plan := PlanRegion(cfg, insts)
-			if again := PlanRegion(cfg, insts); !reflect.DeepEqual(plan, again) {
+		for _, cfg := range []decode.Config{decode.Skylake(), profile.Zen().Decode} {
+			plan := decode.PlanRegion(cfg, insts)
+			if again := decode.PlanRegion(cfg, insts); !reflect.DeepEqual(plan, again) {
 				t.Fatalf("PlanRegion not deterministic for %d insts", len(insts))
 			}
 			slotUops := 0
 			for _, s := range plan.Slots {
-				if len(s) > cfg.DecodeWidth && len(s) > cfg.MSROMWidth {
+				if len(s) > cfg.DecodeWidth && len(s) > decode.MSROMWidth {
 					t.Fatalf("slot delivers %d µops, widths are %d/%d",
-						len(s), cfg.DecodeWidth, cfg.MSROMWidth)
+						len(s), cfg.DecodeWidth, decode.MSROMWidth)
 				}
 				slotUops += len(s)
 			}
@@ -95,8 +97,8 @@ func FuzzPlanRegion(f *testing.F) {
 			uc := uopcache.Skylake()
 			tr := uopcache.BuildTrace(uc, 0x1000, 0, plan.Macros)
 			if tr.Cacheable {
-				if len(tr.Lines) > uc.MaxLinesPerRegion {
-					t.Fatalf("cacheable trace uses %d lines, cap %d", len(tr.Lines), uc.MaxLinesPerRegion)
+				if len(tr.Lines) > uopcache.MaxLinesPerRegion {
+					t.Fatalf("cacheable trace uses %d lines, cap %d", len(tr.Lines), uopcache.MaxLinesPerRegion)
 				}
 				for _, l := range tr.Lines {
 					if l.Slots > uc.SlotsPerLine {

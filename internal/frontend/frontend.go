@@ -58,7 +58,8 @@ type FrontEnd struct {
 	ctr    *perfctr.Counters
 	memo   *Memo
 	// Scalars from the µop cache configuration, captured once so every
-	// fetch and DSB cycle reads them without copying a Config.
+	// fetch and DSB cycle reads them without copying a Config. A hit
+	// streams one line's slots per cycle.
 	regionSize    uint64
 	streamWidth   int
 	switchPenalty int
@@ -121,7 +122,7 @@ func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bp
 		ctr:           ctr,
 		memo:          memo,
 		regionSize:    ucfg.RegionSize(),
-		streamWidth:   ucfg.StreamWidth,
+		streamWidth:   ucfg.SlotsPerLine,
 		switchPenalty: ucfg.SwitchPenalty,
 
 		// Pre-size the IDQ and the DSB stream buffer so the steady-state
@@ -129,7 +130,7 @@ func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bp
 		// IDQCapacity, and one region streams at most
 		// MaxLinesPerRegion × SlotsPerLine micro-ops.
 		idq:       make([]isa.Uop, 0, IDQCapacity),
-		streamBuf: make([]isa.Uop, 0, ucfg.MaxLinesPerRegion*ucfg.SlotsPerLine),
+		streamBuf: make([]isa.Uop, 0, uopcache.MaxLinesPerRegion*ucfg.SlotsPerLine),
 	}
 }
 

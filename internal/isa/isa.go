@@ -210,7 +210,7 @@ type Inst struct {
 	// slots in a micro-op cache line.
 	Imm64 bool
 	// LCP marks a length-changing prefix: predecode of this macro-op
-	// stalls the predecoder for ConfigLCPPenalty cycles.
+	// stalls the predecoder for decode.LCPPenalty cycles.
 	LCP bool
 
 	// Addr is the virtual address of the first byte; Len the encoded

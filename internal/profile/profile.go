@@ -1,14 +1,16 @@
 // Package profile is the registry of named front-end
-// microarchitecture profiles. A profile holds the two halves that
-// differ between frontend flavours — DSB geometry, sharing policy,
-// switch penalty and stream width (uopcache.Config), and decoder widths
-// and alignment penalties (decode.Config). The simulator
-// (internal/cpu.FromProfile) and the static analyzer
-// (internal/staticlint.ConfigForProfile) each read those two values
-// directly, so the cycles a core charges and the cycles the analyzer
-// prices come from the same constants; everything frontend-agnostic
-// (IDQ depth, backend widths, memory hierarchy) keeps its single
-// default in its own package.
+// microarchitecture profiles, and the one place the five modelled
+// machines are defined. A profile holds the two halves that differ
+// between frontend flavours — DSB geometry, sharing policy and switch
+// penalty (uopcache.Config), and decoder widths and alignment penalty
+// (decode.Config); what every part shares (the placement rules, region
+// size, decoder counts, LCP stall, predecode window) is a constant of
+// those packages. The simulator (internal/cpu.FromProfile) and the
+// static analyzer (internal/staticlint.ConfigForProfile) each read the
+// two values directly, so the cycles a core charges and the cycles the
+// analyzer prices come from the same constants; everything
+// frontend-agnostic (IDQ depth, backend widths, memory hierarchy) keeps
+// its single default in its own package.
 //
 // The built-in profiles mirror the paper's targets: Intel
 // Skylake/Coffee Lake and Sunny Cove, AMD Zen and Zen 2, plus a
@@ -21,7 +23,6 @@ package profile
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"deaduops/internal/decode"
@@ -36,8 +37,8 @@ type Profile struct {
 	Description string
 	// UopCache is the DSB geometry, sharing policy, and switch penalty.
 	UopCache uopcache.Config
-	// Decode is the legacy-decode (MITE) configuration: decoder widths,
-	// LCP and Jcc-alignment penalties, predecode window.
+	// Decode is the legacy-decode (MITE) configuration: decoder widths
+	// and the Jcc-alignment penalty.
 	Decode decode.Config
 }
 
@@ -49,7 +50,7 @@ func (p Profile) HasDSB() bool { return !p.UopCache.Disabled }
 // UopCapLine returns the largest cacheable region in µops
 // (MaxLinesPerRegion × SlotsPerLine — 18 on Skylake).
 func (p Profile) UopCapLine() int {
-	return p.UopCache.MaxLinesPerRegion * p.UopCache.SlotsPerLine
+	return uopcache.MaxLinesPerRegion * p.UopCache.SlotsPerLine
 }
 
 // Skylake is the Intel Skylake/Coffee Lake profile the paper
@@ -70,28 +71,32 @@ func SunnyCove() Profile {
 	p := Skylake()
 	p.Name = "sunnycove"
 	p.Description = "Intel Sunny Cove: 32s×12w×6µ DSB (1.5× Skylake), otherwise Skylake frontend"
-	p.UopCache = uopcache.SunnyCove()
+	p.UopCache.Ways = 12
 	return p
 }
 
 // Zen is the AMD Zen-like profile: 2K-µop op cache competitively
-// shared between SMT threads, 8-wide op-cache delivery, no
-// Jcc-alignment penalty.
+// shared between SMT threads, 8-wide op-cache delivery, four 1:2
+// decoders (microcode for anything wider), no Jcc-alignment penalty.
 func Zen() Profile {
 	return Profile{
 		Name:        "zen",
 		Description: "AMD Zen: 32s×8w×8µ op cache, competitive SMT sharing, 1:2 decoders",
-		UopCache:    uopcache.Zen(),
-		Decode:      decode.Zen(),
+		UopCache: uopcache.Config{
+			Sets: 32, Ways: 8, SlotsPerLine: 8, HotnessMax: 8,
+			SMT: uopcache.ShareCompetitive, SwitchPenalty: 1,
+		},
+		Decode: decode.Config{ComplexUopMax: 2, DecodeWidth: 8, PredecodeWidth: 4},
 	}
 }
 
-// Zen2 is the AMD Zen-2-like profile: the 4K-µop op cache (64 sets).
+// Zen2 is the AMD Zen-2-like profile: the paper notes Zen-2 op caches
+// hold as many as 4K µops (64 sets here, index bits 5-10).
 func Zen2() Profile {
 	p := Zen()
 	p.Name = "zen2"
 	p.Description = "AMD Zen 2: 64s×8w×8µ op cache (4K µops), competitive SMT sharing"
-	p.UopCache = uopcache.Zen2()
+	p.UopCache.Sets = 64
 	return p
 }
 
@@ -107,56 +112,37 @@ func MITEOnly() Profile {
 	return p
 }
 
-// registry maps name → constructor. Constructors (not values) keep
-// registered profiles immutable: every Get returns a fresh copy.
-var registry = map[string]func() Profile{}
+// profiles lists every profile's constructor in name order, the order
+// Names and All return. Constructors, not values, keep the profiles
+// immutable: every Get returns a fresh copy.
+var profiles = []func() Profile{MITEOnly, Skylake, SunnyCove, Zen, Zen2}
 
-// Register adds a named profile constructor. It panics on a duplicate
-// or empty name — registration is init-time wiring, not runtime input.
-func Register(name string, fn func() Profile) {
-	if name == "" || fn == nil {
-		panic("profile: empty registration")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("profile: duplicate registration %q", name))
-	}
-	registry[name] = fn
-}
-
-func init() {
-	for _, fn := range []func() Profile{Skylake, SunnyCove, Zen, Zen2, MITEOnly} {
-		Register(fn().Name, fn)
-	}
-}
-
-// Get returns the named profile. The error lists the registered names,
+// Get returns the named profile. The error lists the profile names,
 // so a CLI can surface it directly.
 func Get(name string) (Profile, error) {
-	fn, ok := registry[name]
-	if !ok {
-		return Profile{}, fmt.Errorf("profile: unknown profile %q (have %s)",
-			name, strings.Join(Names(), ", "))
+	for _, fn := range profiles {
+		if p := fn(); p.Name == name {
+			return p, nil
+		}
 	}
-	return fn(), nil
+	return Profile{}, fmt.Errorf("profile: unknown profile %q (have %s)",
+		name, strings.Join(Names(), ", "))
 }
 
-// Names returns the registered profile names, sorted.
+// Names returns the profile names, sorted.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+	names := make([]string, len(profiles))
+	for i, fn := range profiles {
+		names[i] = fn().Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// All returns every registered profile in name order.
+// All returns every profile in name order.
 func All() []Profile {
-	names := Names()
-	out := make([]Profile, 0, len(names))
-	for _, n := range names {
-		p, _ := Get(n)
-		out = append(out, p)
+	out := make([]Profile, len(profiles))
+	for i, fn := range profiles {
+		out[i] = fn()
 	}
 	return out
 }
@@ -171,8 +157,8 @@ func Default() Profile { return Skylake() }
 // per-profile test suites run under.
 const MatrixEnv = "DEADUOPS_PROFILE"
 
-// Matrix returns the profiles selected by MatrixEnv — all registered
-// profiles when it is unset or empty. An unknown name is an error, so
+// Matrix returns the profiles selected by MatrixEnv — all profiles
+// when it is unset or empty. An unknown name is an error, so
 // a typo in a CI matrix axis fails loudly instead of silently testing
 // nothing.
 func Matrix() ([]Profile, error) {

@@ -1,9 +1,11 @@
 package profile
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"deaduops/internal/decode"
 	"deaduops/internal/isa"
 	"deaduops/internal/uopcache"
 )
@@ -43,6 +45,22 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProfileOrder pins the literal profile order: the benchmark
+// module and FuzzProbeModelReplay pick profiles by position in All().
+func TestProfileOrder(t *testing.T) {
+	want := []string{"mite-only", "skylake", "sunnycove", "zen", "zen2"}
+	var got []string
+	for _, p := range All() {
+		got = append(got, p.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("All() = %v, want %v", got, want)
+	}
+	if names := Names(); !slices.Equal(names, want) {
+		t.Errorf("Names() = %v, want %v", names, want)
+	}
+}
+
 // TestGetReturnsFreshCopy guards against registry aliasing: mutating a
 // returned profile must not corrupt the registered one.
 func TestGetReturnsFreshCopy(t *testing.T) {
@@ -66,15 +84,14 @@ func TestGeometryInvariants(t *testing.T) {
 		if u.Ways <= 0 || u.SlotsPerLine <= 0 {
 			t.Errorf("%s: non-positive geometry %d ways × %d slots", p.Name, u.Ways, u.SlotsPerLine)
 		}
-		if u.MaxLinesPerRegion <= 0 || u.MaxLinesPerRegion > u.Ways {
-			t.Errorf("%s: MaxLinesPerRegion %d outside 1..%d ways", p.Name, u.MaxLinesPerRegion, u.Ways)
+		if uopcache.MaxLinesPerRegion > u.Ways {
+			t.Errorf("%s: MaxLinesPerRegion %d exceeds %d ways", p.Name, uopcache.MaxLinesPerRegion, u.Ways)
 		}
 		if cap := p.UopCapLine(); cap < u.SlotsPerLine || cap > u.Ways*u.SlotsPerLine {
 			t.Errorf("%s: region µop cap %d outside one line .. full set", p.Name, cap)
 		}
-		if u.StreamWidth <= 0 || p.Decode.DecodeWidth <= 0 {
-			t.Errorf("%s: non-positive delivery widths (stream %d, decode %d)",
-				p.Name, u.StreamWidth, p.Decode.DecodeWidth)
+		if p.Decode.DecodeWidth <= 0 {
+			t.Errorf("%s: non-positive decode width %d", p.Name, p.Decode.DecodeWidth)
 		}
 		if p.Decode.JccAlignPenalty < 0 || u.SwitchPenalty < 0 {
 			t.Errorf("%s: negative penalty (align %d, switch %d)",
@@ -122,6 +139,26 @@ func TestKnownGeometries(t *testing.T) {
 		if p.HasDSB() != c.hasDSB {
 			t.Errorf("%s: HasDSB %v, want %v", c.name, p.HasDSB(), c.hasDSB)
 		}
+		// The rules every part shares (§II-B, §III; the Frontal
+		// attack's 16-byte window): 32-byte regions of at most 3 lines,
+		// at most 2 branches per line, one line streamed per hit cycle.
+		if got := u.RegionSize(); got != 32 {
+			t.Errorf("%s: region size %d, want 32", c.name, got)
+		}
+		if got := p.UopCapLine(); got != 3*c.slots {
+			t.Errorf("%s: region µop cap %d, want 3 lines of %d", c.name, got, c.slots)
+		}
+		ct := decode.CostTable{Decode: p.Decode, Cache: u}
+		if one, two := ct.StreamCycles(c.slots), ct.StreamCycles(c.slots+1); one != 1 || two != 2 {
+			t.Errorf("%s: one line streams in %d cycles, one µop more in %d; want 1 and 2", c.name, one, two)
+		}
+	}
+	if uopcache.MaxLinesPerRegion != 3 || uopcache.MaxBranchesPerLine != 2 {
+		t.Errorf("placement rules: %d lines per region, %d branches per line; want 3 and 2",
+			uopcache.MaxLinesPerRegion, uopcache.MaxBranchesPerLine)
+	}
+	if decode.PredecodeWindow != 16 {
+		t.Errorf("predecode window %d bytes, want 16", decode.PredecodeWindow)
 	}
 }
 
@@ -198,23 +235,5 @@ func TestMatrixEnvFilter(t *testing.T) {
 	t.Setenv(MatrixEnv, "skylake,notreal")
 	if _, err := Matrix(); err == nil {
 		t.Error("unknown profile name in matrix env accepted")
-	}
-}
-
-// TestRegisterRejectsDuplicates pins the panic contract.
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	for _, bad := range []func(){
-		func() { Register("skylake", Skylake) },
-		func() { Register("", Skylake) },
-		func() { Register("x", nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("bad registration did not panic")
-				}
-			}()
-			bad()
-		}()
 	}
 }

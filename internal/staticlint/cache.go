@@ -8,7 +8,9 @@ import (
 	"sync"
 
 	"deaduops/internal/asm"
+	"deaduops/internal/decode"
 	"deaduops/internal/isa"
+	"deaduops/internal/uopcache"
 )
 
 // Incremental analysis cache: the audit service's load-bearing
@@ -242,7 +244,9 @@ func hashInst(w *hasher, in *isa.Inst) {
 }
 
 // configFingerprint hashes every Config field that can influence an
-// analysis result. The checker selection participates only in report
+// analysis result. The front-end constants every part shares hash in
+// the positions their former Config fields held, so keys issued before
+// they became constants stay valid. The checker selection participates only in report
 // keys (withCheckers): summaries are checker-independent, so a server
 // answering differently-scoped requests still shares one summary pool.
 func configFingerprint(cfg Config, withCheckers bool) cacheKey {
@@ -251,23 +255,23 @@ func configFingerprint(cfg Config, withCheckers bool) cacheKey {
 	w.u64(uint64(u.Sets))
 	w.u64(uint64(u.Ways))
 	w.u64(uint64(u.SlotsPerLine))
-	w.u64(uint64(u.MaxLinesPerRegion))
-	w.u64(uint64(u.IndexLoBit))
-	w.u64(uint64(u.MaxBranchesPerLine))
+	w.u64(uopcache.MaxLinesPerRegion)
+	w.u64(uopcache.IndexLoBit)
+	w.u64(uopcache.MaxBranchesPerLine)
 	w.u64(uint64(u.HotnessMax))
 	w.u64(uint64(u.SMT))
 	w.u64(uint64(u.SwitchPenalty))
-	w.u64(uint64(u.StreamWidth))
+	w.u64(uint64(u.SlotsPerLine)) // the DSB stream width
 	w.boolean(u.Disabled)
 	d := cfg.Decode
-	w.u64(uint64(d.SimpleDecoders))
+	w.u64(decode.SimpleDecoders)
 	w.u64(uint64(d.ComplexUopMax))
 	w.u64(uint64(d.DecodeWidth))
-	w.u64(uint64(d.MSROMWidth))
-	w.u64(uint64(d.LCPPenalty))
-	w.u64(uint64(d.PredecodeWindow))
+	w.u64(decode.MSROMWidth)
+	w.u64(decode.LCPPenalty)
+	w.u64(decode.PredecodeWindow)
 	w.u64(uint64(d.PredecodeWidth))
-	w.boolean(d.MacroFusion)
+	w.boolean(true) // macro-fusion
 	w.u64(uint64(d.JccAlignPenalty))
 	w.u64(uint64(cfg.PathBudget))
 	w.u64(DefaultProbeIters)

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"deaduops/internal/asm"
-	"deaduops/internal/decode"
 	"deaduops/internal/isa"
+	"deaduops/internal/profile"
 )
 
 // alignVictim builds a secret branch whose taken path holds a
@@ -70,7 +70,7 @@ func TestJumpAlignmentCheckerDisabledWithoutPenalty(t *testing.T) {
 	p := alignVictim()
 	spec := Spec{SecretRegs: []isa.Reg{isa.R5}}
 	cfg := DefaultConfig()
-	cfg.Decode = decode.Zen() // no alignment effect on the modelled part
+	cfg.Decode = profile.Zen().Decode // no alignment effect on the modelled part
 	r := Lint(p, spec, cfg)
 	if n := len(r.ByChecker("secret-dependent-jump-alignment")); n != 0 {
 		t.Fatalf("alignment findings on a zero-penalty frontend: %v", r.Findings)

@@ -205,7 +205,7 @@ var planFresh bool
 // decode returns sg's decoded segment, planning it on first sight of
 // its content.
 func (m *segMemo) decode(sg uopcache.Segment) decodedSeg {
-	m.key = shapeKey(m.key[:0], m.ct.Decode, sg)
+	m.key = shapeKey(m.key[:0], sg)
 	d, ok := m.segs[string(m.key)]
 	if !ok || planFresh {
 		d.cost, d.plan, d.trace = m.ct.RegionDecode(sg.Region, sg.Entry, sg.Insts)
@@ -231,11 +231,8 @@ func (a *Analysis) decode(sg uopcache.Segment) decodedSeg {
 // Wilde et al., "On Abnormal Execution Timing of Conditional Jump
 // Instructions"), and, per instruction, its op, operands (a direct
 // branch's target excepted), length, in-region offset and µop count.
-func shapeKey(dst []byte, dc decode.Config, sg uopcache.Segment) []byte {
-	phase := sg.Region
-	if dc.PredecodeWindow > 0 {
-		phase %= uint64(dc.PredecodeWindow)
-	}
+func shapeKey(dst []byte, sg uopcache.Segment) []byte {
+	phase := sg.Region % decode.PredecodeWindow
 	dst = append(dst, sg.Entry)
 	dst = binary.AppendUvarint(dst, phase)
 	for _, in := range sg.Insts {

@@ -357,7 +357,7 @@ func FuzzProbeModelReplay(f *testing.F) {
 			return out
 		}
 		ways := 1 + int(shape&0xf)%cfg.UopCache.Ways
-		lines := 1 + int(shape>>4)%cfg.UopCache.MaxLinesPerRegion
+		lines := 1 + int(shape>>4)%uopcache.MaxLinesPerRegion
 		footprint := func(mask uint64) uopcache.FootprintResult {
 			fp := uopcache.FootprintResult{Sets: map[int]int{}}
 			vs := sets(mask)

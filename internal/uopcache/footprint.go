@@ -9,7 +9,7 @@ import (
 // single-thread, unpartitioned operation (bits IndexLoBit and up of the
 // region base address).
 func (c Config) SetIndexOf(addr uint64) int {
-	return int(addr>>c.IndexLoBit) & (c.Sets - 1)
+	return int(addr>>IndexLoBit) & (c.Sets - 1)
 }
 
 // RegionFootprint is the predicted occupancy of one (region, entry)

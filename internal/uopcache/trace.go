@@ -111,7 +111,7 @@ func BuildTrace(cfg Config, region uint64, entry uint8, macros []MacroUops) *Tra
 			return t
 		}
 		if cur.Slots+slots > cfg.SlotsPerLine ||
-			cur.Branches+branches > cfg.MaxBranchesPerLine ||
+			cur.Branches+branches > MaxBranchesPerLine ||
 			cur.MSROM {
 			closeLine()
 		}
@@ -127,7 +127,7 @@ func BuildTrace(cfg Config, region uint64, entry uint8, macros []MacroUops) *Tra
 	}
 	closeLine()
 
-	if len(t.Lines) > cfg.MaxLinesPerRegion {
+	if len(t.Lines) > MaxLinesPerRegion {
 		t.Cacheable = false
 		t.Reason = "too-many-lines"
 		t.Lines = nil

@@ -1,9 +1,11 @@
 // Package uopcache models the micro-op cache (Intel's DSB, AMD's op
 // cache) characterized in §II-III of the paper: a streaming,
-// set-associative cache of decoded micro-ops indexed by bits 5-9 of the
+// set-associative cache of decoded micro-ops indexed from bit 5 of the
 // macro-op virtual address, governed by the placement rules the paper
 // documents and the hotness-based replacement and SMT
-// partitioning/sharing policies it reverse-engineers.
+// partitioning/sharing policies it reverse-engineers. The placement
+// rules are package constants, shared by every modelled part; Config
+// holds only what the parts (internal/profile) or the ablations vary.
 package uopcache
 
 import (
@@ -38,20 +40,26 @@ func (p SMTPolicy) String() string {
 	}
 }
 
-// Config sizes and parameterizes the micro-op cache.
+// The placement rules every modelled part shares (§II-B, §III): the
+// geometry the paper's attacks stand on, not settings.
+const (
+	// IndexLoBit is the lowest address bit of the set index: regions
+	// are 1<<IndexLoBit = 32 bytes.
+	IndexLoBit = 5
+	// MaxLinesPerRegion caps how many ways one 32-byte code region may
+	// occupy (3 lines, 18 µops on Skylake: the largest cacheable
+	// region).
+	MaxLinesPerRegion = 3
+	// MaxBranchesPerLine caps branch micro-ops per line.
+	MaxBranchesPerLine = 2
+)
+
+// Config sizes and parameterizes the micro-op cache. A hit streams one
+// line, SlotsPerLine micro-ops, per cycle.
 type Config struct {
 	Sets         int // number of sets (power of two)
 	Ways         int // lines per set
 	SlotsPerLine int // micro-op slots per line (6 on Skylake)
-	// MaxLinesPerRegion caps how many ways one 32-byte code region may
-	// occupy (3 on Skylake; an 18-µop region is the largest cacheable).
-	// It may not exceed maxTraceLines.
-	MaxLinesPerRegion int
-	// IndexLoBit is the lowest address bit of the set index; regions
-	// are 1<<IndexLoBit bytes (bit 5 → 32-byte regions).
-	IndexLoBit uint
-	// MaxBranchesPerLine caps branch micro-ops per line (2 on Skylake).
-	MaxBranchesPerLine int
 	// HotnessMax saturates the per-line hotness counter. A small cap
 	// (a few bits, as a real implementation would afford) bounds how
 	// long a once-hot line can resist eviction pressure.
@@ -61,9 +69,6 @@ type Config struct {
 	// SwitchPenalty is the DSB→MITE switch cost in cycles (1 on
 	// Skylake).
 	SwitchPenalty int
-	// StreamWidth is the per-cycle µop delivery bandwidth on a hit
-	// (6 on Skylake).
-	StreamWidth int
 	// Disabled turns the structure into a pure MITE-only control: every
 	// lookup misses, every fill is rejected as uncacheable, and traces
 	// built against this configuration report dsb-disabled. Geometry
@@ -74,51 +79,17 @@ type Config struct {
 
 // Skylake returns the Intel Skylake/Coffee Lake configuration the paper
 // characterizes: 32 sets × 8 ways × 6 µops = 1536 µops, statically
-// partitioned under SMT.
+// partitioned under SMT — the default machine. The other parts are
+// defined in internal/profile.
 func Skylake() Config {
 	return Config{
-		Sets: 32, Ways: 8, SlotsPerLine: 6,
-		MaxLinesPerRegion: 3, IndexLoBit: 5,
-		MaxBranchesPerLine: 2, HotnessMax: 8,
-		SMT: PartitionStatic, SwitchPenalty: 1, StreamWidth: 6,
+		Sets: 32, Ways: 8, SlotsPerLine: 6, HotnessMax: 8,
+		SMT: PartitionStatic, SwitchPenalty: 1,
 	}
 }
-
-// SunnyCove returns the Intel Sunny Cove-like configuration: the paper
-// notes the micro-op cache grew 1.5× over Skylake (2304 µops, modelled
-// as 12 ways).
-func SunnyCove() Config {
-	c := Skylake()
-	c.Ways = 12
-	return c
-}
-
-// Zen returns an AMD Zen-like configuration: 2K µops, competitively
-// shared between SMT threads.
-func Zen() Config {
-	return Config{
-		Sets: 32, Ways: 8, SlotsPerLine: 8,
-		MaxLinesPerRegion: 3, IndexLoBit: 5,
-		MaxBranchesPerLine: 2, HotnessMax: 8,
-		SMT: ShareCompetitive, SwitchPenalty: 1, StreamWidth: 8,
-	}
-}
-
-// Zen2 returns an AMD Zen-2-like configuration: the paper notes Zen-2
-// op caches hold as many as 4K µops (64 sets here, index bits 5-10).
-func Zen2() Config {
-	c := Zen()
-	c.Sets = 64
-	return c
-}
-
-// maxTraceLines bounds a trace's line count: a hit gathers the trace's
-// lines into a fixed array of this size, so a longer trace could never
-// hit.
-const maxTraceLines = 8
 
 // RegionSize returns the code-region granularity in bytes.
-func (c Config) RegionSize() uint64 { return 1 << c.IndexLoBit }
+func (c Config) RegionSize() uint64 { return 1 << IndexLoBit }
 
 // Capacity returns the total micro-op slot capacity.
 func (c Config) Capacity() int { return c.Sets * c.Ways * c.SlotsPerLine }
@@ -127,14 +98,8 @@ func (c Config) validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("uopcache: sets %d not a positive power of two", c.Sets)
 	}
-	if c.Ways <= 0 || c.SlotsPerLine <= 0 || c.MaxLinesPerRegion <= 0 {
+	if c.Ways <= 0 || c.SlotsPerLine <= 0 {
 		return fmt.Errorf("uopcache: non-positive geometry %+v", c)
-	}
-	if c.MaxLinesPerRegion > c.Ways {
-		return fmt.Errorf("uopcache: MaxLinesPerRegion %d exceeds ways %d", c.MaxLinesPerRegion, c.Ways)
-	}
-	if c.MaxLinesPerRegion > maxTraceLines {
-		return fmt.Errorf("uopcache: MaxLinesPerRegion %d exceeds the %d-line trace limit", c.MaxLinesPerRegion, maxTraceLines)
 	}
 	return nil
 }
@@ -236,7 +201,7 @@ func (c *Cache) RegionOf(addr uint64) uint64 {
 // privilege-partition mitigation enabled, the current privilege domain
 // selects the bank instead.
 func (c *Cache) setIndex(thread int, region uint64) int {
-	idx := int(region>>c.cfg.IndexLoBit) & (c.cfg.Sets - 1)
+	idx := int(region>>IndexLoBit) & (c.cfg.Sets - 1)
 	half := c.cfg.Sets / 2
 	if c.byDomain {
 		return (c.domain[thread&1]&1)*half + idx%half
@@ -310,7 +275,7 @@ func (c *Cache) lookup(thread int, addr uint64, dst []isa.Uop, copyUops bool) ([
 	}
 	set := c.sets.Row(c.setIndex(thread, region))
 
-	var found [maxTraceLines]*line
+	var found [MaxLinesPerRegion]*line
 	var total int = -1
 	n := 0
 	for i := range set {

@@ -45,12 +45,8 @@ func simpleTrace(cfg Config, region uint64, n int) *Trace {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{Sets: 3, Ways: 8, SlotsPerLine: 6, MaxLinesPerRegion: 3},
-		{Sets: 32, Ways: 0, SlotsPerLine: 6, MaxLinesPerRegion: 3},
-		{Sets: 32, Ways: 8, SlotsPerLine: 6, MaxLinesPerRegion: 9},
-		// More lines per region than a hit can gather: such a trace
-		// would always miss, so the geometry is rejected outright.
-		{Sets: 32, Ways: 12, SlotsPerLine: 6, MaxLinesPerRegion: maxTraceLines + 1},
+		{Sets: 3, Ways: 8, SlotsPerLine: 6},
+		{Sets: 32, Ways: 0, SlotsPerLine: 6},
 	}
 	for _, cfg := range bad {
 		func() {
@@ -72,13 +68,14 @@ func TestConfigGeometry(t *testing.T) {
 	if cfg.RegionSize() != 32 {
 		t.Errorf("region size %d", cfg.RegionSize())
 	}
-	zen := Zen()
-	if zen.Capacity() != 2048 {
-		t.Errorf("Zen capacity %d, want 2048", zen.Capacity())
-	}
-	if zen.SMT != ShareCompetitive {
-		t.Error("Zen must share competitively")
-	}
+}
+
+// competitive is Skylake's geometry under AMD's competitive SMT
+// sharing.
+func competitive() Config {
+	c := Skylake()
+	c.SMT = ShareCompetitive
+	return c
 }
 
 func TestTraceSingleLine(t *testing.T) {
@@ -342,7 +339,7 @@ func TestFlushAll(t *testing.T) {
 }
 
 func TestFlushThread(t *testing.T) {
-	c := New(Zen()) // competitive sharing: both threads in one set space
+	c := New(competitive()) // both threads in one set space
 	c.Fill(0, simpleTrace(c.Config(), 0x1000, 6))
 	c.Fill(1, simpleTrace(c.Config(), 0x2000, 6))
 	c.FlushThread(0)
@@ -452,7 +449,7 @@ func TestPrivilegePartition(t *testing.T) {
 }
 
 func TestAMDCompetitiveSharing(t *testing.T) {
-	c := New(Zen())
+	c := New(competitive())
 	c.SetSMTMode(true)
 	if c.VisibleSets(0) != 32 {
 		t.Errorf("competitive sharing visible sets %d", c.VisibleSets(0))
@@ -480,20 +477,17 @@ func TestStreamedUopsCounter(t *testing.T) {
 }
 
 // TestLongestTraceHits fills a trace of the longest legal line count
-// into a set wide enough to hold it, and requires it to hit.
+// and requires it to hit.
 func TestLongestTraceHits(t *testing.T) {
-	cfg := Skylake()
-	cfg.Ways = 12
-	cfg.MaxLinesPerRegion = maxTraceLines
-	c := New(cfg)
-	tr := &Trace{Region: 0x1000, Lines: make([]LineUops, maxTraceLines), Cacheable: true}
+	c := New(Skylake())
+	tr := &Trace{Region: 0x1000, Lines: make([]LineUops, MaxLinesPerRegion), Cacheable: true}
 	for i := range tr.Lines {
 		tr.Lines[i] = LineUops{Uops: []isa.Uop{{Op: isa.NOP, Slots: 1}}, Slots: 1}
 	}
 	c.Fill(0, tr)
 	uops, ok := c.Lookup(0, 0x1000)
-	if !ok || len(uops) != maxTraceLines {
-		t.Errorf("%d-line trace: hit %v with %d µops", maxTraceLines, ok, len(uops))
+	if !ok || len(uops) != MaxLinesPerRegion {
+		t.Errorf("%d-line trace: hit %v with %d µops", MaxLinesPerRegion, ok, len(uops))
 	}
 }
 
@@ -617,14 +611,14 @@ func TestTraceBuilderInvariants(t *testing.T) {
 		if !tr.Cacheable {
 			return true // rejection is always safe
 		}
-		if len(tr.Lines) > cfg.MaxLinesPerRegion {
+		if len(tr.Lines) > MaxLinesPerRegion {
 			return false
 		}
 		for _, l := range tr.Lines {
 			if !l.MSROM && l.Slots > cfg.SlotsPerLine {
 				return false
 			}
-			if l.Branches > cfg.MaxBranchesPerLine {
+			if l.Branches > MaxBranchesPerLine {
 				return false
 			}
 			// Micro-ops of one macro-op must be contiguous in one line.
@@ -696,7 +690,7 @@ func TestNewAllocsConstantInSets(t *testing.T) {
 // TestRowsCappedAtWays pins the per-set rows of the cache: there is
 // one row per set, and every row's length and capacity is exactly Ways.
 func TestRowsCappedAtWays(t *testing.T) {
-	c := New(Zen())
+	c := New(Skylake())
 	if got := len(c.sets.All()); got != c.cfg.Sets*c.cfg.Ways {
 		t.Fatalf("%d lines, want %d", got, c.cfg.Sets*c.cfg.Ways)
 	}
@@ -712,13 +706,13 @@ func TestRowsCappedAtWays(t *testing.T) {
 // snapshot restores only into a cache with the same sets and ways.
 func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	var s State
-	New(Zen()).Save(&s)
+	New(Skylake()).Save(&s)
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"sets", Zen2()},
-		{"ways", func() Config { c := Zen(); c.Ways = 12; return c }()},
+		{"sets", func() Config { c := Skylake(); c.Sets = 64; return c }()},
+		{"ways", func() Config { c := Skylake(); c.Ways = 12; return c }()},
 	} {
 		func() {
 			defer func() {
