@@ -98,7 +98,8 @@ func FromProfile(p profile.Profile) Config {
 func Intel() Config { return FromProfile(profile.Skylake()) }
 
 // AMD returns an AMD Zen-like configuration: competitively shared
-// micro-op cache and 1:2 decoders.
+// micro-op cache and 8-wide decode (the decoders themselves stay
+// Skylake's; see profile.Zen).
 func AMD() Config { return FromProfile(profile.Zen()) }
 
 // Memory is the guest data memory: a flat little-endian byte image.

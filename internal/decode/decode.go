@@ -17,8 +17,10 @@ import (
 // The legacy-pipeline facts every modelled part shares.
 const (
 	// SimpleDecoders is the number of 1:1 decoders; one further
-	// complex decoder handles macro-ops of up to Config.ComplexUopMax
-	// micro-ops.
+	// complex decoder handles every multi-µop macro-op short of the
+	// MSROM. Every part shares this Skylake-style arrangement: Zen's
+	// four 1:2 decoders are a documented deviation, not modelled (see
+	// DESIGN.md's AMD Zen row).
 	SimpleDecoders = 4
 	// MSROMWidth is the microcode sequencer's delivery rate per cycle;
 	// while the MSROM streams, the decoders are blocked.
@@ -33,14 +35,9 @@ const (
 // Config parameterizes the decode pipeline. Compare+branch pairs
 // always macro-fuse.
 type Config struct {
-	// ComplexUopMax is the widest macro-op the complex decoder handles
-	// (1:4 on Skylake).
-	ComplexUopMax int
 	// DecodeWidth caps micro-ops delivered per cycle from the
 	// decoders (5 on Skylake).
 	DecodeWidth int
-	// PredecodeWidth caps macro-ops extracted per cycle (6).
-	PredecodeWidth int
 	// JccAlignPenalty is the predecoder stall charged when a
 	// conditional jump's bytes straddle a PredecodeWindow boundary: the
 	// branch's last byte lands in the next fetch buffer, so the
@@ -60,9 +57,7 @@ type Config struct {
 // machine's; the other parts are defined in internal/profile.
 func Skylake() Config {
 	return Config{
-		ComplexUopMax:   4,
 		DecodeWidth:     5,
-		PredecodeWidth:  6,
 		JccAlignPenalty: 2,
 	}
 }

@@ -76,17 +76,20 @@ func SunnyCove() Profile {
 }
 
 // Zen is the AMD Zen-like profile: 2K-µop op cache competitively
-// shared between SMT threads, 8-wide op-cache delivery, four 1:2
-// decoders (microcode for anything wider), no Jcc-alignment penalty.
+// shared between SMT threads, 8-wide op-cache delivery and decode, no
+// Jcc-alignment penalty. The decoders themselves stay the shared
+// four-simple-plus-one-complex arrangement (decode.SimpleDecoders):
+// Zen's four 1:2 decoders, which send anything wider to microcode, are
+// a documented deviation, not modelled.
 func Zen() Profile {
 	return Profile{
 		Name:        "zen",
-		Description: "AMD Zen: 32s×8w×8µ op cache, competitive SMT sharing, 1:2 decoders",
+		Description: "AMD Zen: 32s×8w×8µ op cache, competitive SMT sharing, 8-wide decode",
 		UopCache: uopcache.Config{
 			Sets: 32, Ways: 8, SlotsPerLine: 8, HotnessMax: 8,
 			SMT: uopcache.ShareCompetitive, SwitchPenalty: 1,
 		},
-		Decode: decode.Config{ComplexUopMax: 2, DecodeWidth: 8, PredecodeWidth: 4},
+		Decode: decode.Config{DecodeWidth: 8},
 	}
 }
 

@@ -246,9 +246,12 @@ func hashInst(w *hasher, in *isa.Inst) {
 // configFingerprint hashes every Config field that can influence an
 // analysis result. The front-end constants every part shares hash in
 // the positions their former Config fields held, so keys issued before
-// they became constants stay valid. The checker selection participates only in report
-// keys (withCheckers): summaries are checker-independent, so a server
-// answering differently-scoped requests still shares one summary pool.
+// they became constants stay valid; the two deleted decode fields
+// nothing read (complex-decoder width, predecode width) hash Skylake's
+// former values, so only keys issued under the Zen profiles moved. The
+// checker selection participates only in report keys (withCheckers):
+// summaries are checker-independent, so a server answering
+// differently-scoped requests still shares one summary pool.
 func configFingerprint(cfg Config, withCheckers bool) cacheKey {
 	w := newHasher("deaduops-config-v1")
 	u := cfg.UopCache
@@ -265,12 +268,12 @@ func configFingerprint(cfg Config, withCheckers bool) cacheKey {
 	w.boolean(u.Disabled)
 	d := cfg.Decode
 	w.u64(decode.SimpleDecoders)
-	w.u64(uint64(d.ComplexUopMax))
+	w.u64(4) // former ComplexUopMax
 	w.u64(uint64(d.DecodeWidth))
 	w.u64(decode.MSROMWidth)
 	w.u64(decode.LCPPenalty)
 	w.u64(decode.PredecodeWindow)
-	w.u64(uint64(d.PredecodeWidth))
+	w.u64(6)        // former PredecodeWidth
 	w.boolean(true) // macro-fusion
 	w.u64(uint64(d.JccAlignPenalty))
 	w.u64(uint64(cfg.PathBudget))

@@ -6,15 +6,19 @@ package difftest
 // profile) and the checkpoint-based PointRunner
 // (TestPointRunnerMatchesMeasure proves it reproduces a fresh core's
 // train-warm-flush-cold sequence exactly, including on repeat
-// measurements served from trained checkpoints).
+// measurements served from trained checkpoints; TestProbeMatchesFreshCore
+// proves the same for the probe protocol RunProbeWith runs on it).
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"deaduops/internal/attack"
 	"deaduops/internal/cpu"
 	"deaduops/internal/parsweep"
 	"deaduops/internal/perfctr"
+	"deaduops/internal/staticlint"
 )
 
 // measureSequence replays PointRunner.Measure's run sequence on a
@@ -166,6 +170,95 @@ func TestPointRunnerMatchesMeasure(t *testing.T) {
 						}
 					}
 					return zero, nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// probeFreshCore is the probe protocol on a fresh core per direction,
+// the reference RunProbeWith's PointRunner must reproduce: a new core,
+// the merged victim+receiver image loaded, the secret written,
+// trainRuns training runs, then one attack.MeasureRounds round with
+// the victim's runs as the sender activity.
+func probeFreshCore(h *Harness, seed uint64, a *cpu.Arena) (ProbeResult, error) {
+	g, err := h.newProbeRig(seed)
+	if err != nil {
+		return ProbeResult{}, err
+	}
+	victim := func(c *cpu.CPU) error {
+		if res := c.Run(0, g.v.Entry, maxCycles); res.TimedOut {
+			return fmt.Errorf("seed %d: victim run timed out", seed)
+		}
+		return nil
+	}
+	var hit, miss [2]int
+	for d, secret := range []int64{1, 0} {
+		c := cpu.NewWith(h.CPUConfig(), a)
+		c.LoadProgram(g.merged.Prog)
+		c.Mem().Write(SecretAddr, 1, secret)
+		for i := 0; i < trainRuns; i++ {
+			if err := victim(c); err != nil {
+				return ProbeResult{}, err
+			}
+		}
+		r, err := attack.MeasureRounds(c, g.recv, func() error {
+			for i := 0; i < staticlint.DefaultVictimRuns; i++ {
+				if err := victim(c); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, staticlint.DefaultPrimeTraversals, staticlint.DefaultProbeIters, 1)
+		if err != nil {
+			return ProbeResult{}, err
+		}
+		hit[d], miss[d] = int(r.Hit[0]), int(r.Miss[0])
+	}
+	return ProbeResult{
+		Seed:         seed,
+		Pred:         g.hist,
+		MeasHitTaken: hit[0],
+		MeasHitFall:  hit[1],
+		MeasTaken:    miss[0],
+		MeasFall:     miss[1],
+		Victim:       g.v,
+	}, nil
+}
+
+// TestProbeMatchesFreshCore holds RunProbeWith, which trains each
+// direction on one checkpointed PointRunner, to the fresh-core probe
+// protocol field by field over the full corpus under every profile
+// with a DSB: every measured probe, the prediction and the victim must
+// be identical.
+func TestProbeMatchesFreshCore(t *testing.T) {
+	for _, p := range matrixProfiles(t) {
+		if !p.HasDSB() {
+			continue
+		}
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			h := NewHarness(p)
+			_, err := parsweep.MapArena(parsweep.Options{}, corpusSize,
+				func() *cpu.Arena { return new(cpu.Arena) },
+				func(a *cpu.Arena, i int) (struct{}, error) {
+					seed := uint64(i + 1)
+					// The fresh cores run before the runner is built: NewWith
+					// hands the arena's memory image to each new core.
+					want, err := probeFreshCore(h, seed, a)
+					if err != nil {
+						return struct{}{}, err
+					}
+					got, err := h.RunProbeWith(seed, a)
+					if err != nil {
+						return struct{}{}, err
+					}
+					if !reflect.DeepEqual(got, want) {
+						return struct{}{}, fmt.Errorf("seed %d: RunProbeWith %+v, fresh core %+v", seed, got, want)
+					}
+					return struct{}{}, nil
 				})
 			if err != nil {
 				t.Fatal(err)

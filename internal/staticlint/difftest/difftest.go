@@ -236,12 +236,11 @@ type Victim struct {
 	// TakenUnc and FallUnc are the per-direction uncacheable tail
 	// chains (ShapeUncacheable both, ShapeSwitch TakenUnc only).
 	TakenUnc, FallUnc *codegen.ChainSpec
-	// Helper and RetSite are the indirect shapes' callee entry and (for
-	// ShapeIndirect) the return-site address the call resumes at, zero
-	// otherwise. The single-target shapes walk straight through their
-	// resolved calls; Predict stitches ShapeIndirectTable's fetch path
-	// across its two-target dispatch via Helper.
-	Helper, RetSite uint64
+	// Helper is the indirect shapes' callee entry, zero otherwise. The
+	// single-target shapes walk straight through their resolved calls;
+	// Predict stitches ShapeIndirectTable's fetch path across its
+	// two-target dispatch via Helper.
+	Helper uint64
 }
 
 // Spec declares the generated victims' secret byte. The spill slot is
@@ -298,18 +297,14 @@ func pickSets(r *rng, n, lo, hi, first int) []int {
 // evict the hot resident lines of the set's other regions mid-fill)
 // and the warm run would be MITE-contaminated.
 func (h *Harness) chainShape(r *rng, base uint64, lo, hi, first int, label string) codegen.ChainSpec {
-	s := codegen.ChainSpec{Base: base, Label: label, NumSets: h.numSets}
+	s := codegen.ChainSpec{Base: base, Label: label, NumSets: h.Profile.UopCache.Sets}
 	var lines int // DSB lines one region's trace occupies
-	switch r.intn(3) {
-	case 0: // plain NOPs
+	switch flavour := r.intn(3); flavour {
+	case 0, 1: // plain NOPs, or LCP NOPs: predecoder stall per macro-op
 		s.NopPerRegion = r.intn(14) // 0..13, ≤14 µops/region (3 lines)
 		s.NopLen = nopLen(r, s.NopPerRegion, codegen.RegionSize-2)
-		lines = ceilDiv(s.NopPerRegion+1, h.slotsPerLine)
-	case 1: // LCP NOPs: predecoder stall per macro-op
-		s.NopPerRegion = r.intn(14)
-		s.NopLen = nopLen(r, s.NopPerRegion, codegen.RegionSize-2)
-		s.LCP = s.NopPerRegion > 0
-		lines = ceilDiv(s.NopPerRegion+1, h.slotsPerLine)
+		s.LCP = flavour == 1 && s.NopPerRegion > 0
+		lines = ceilDiv(s.NopPerRegion+1, h.Profile.UopCache.SlotsPerLine)
 	case 2: // MSROM macro-op: whole-line trace, sequencer-fed decode
 		s.NopPerRegion = r.intn(7) // 0..6 keeps the region ≤ 3 lines
 		s.NopLen = nopLen(r, s.NopPerRegion, codegen.RegionSize-2-3)
@@ -319,8 +314,17 @@ func (h *Harness) chainShape(r *rng, base uint64, lo, hi, first int, label strin
 			lines++ // leading NOP line
 		}
 	}
+	h.placeChain(r, &s, lines, lo, hi, first)
+	return s
+}
+
+// placeChain draws the set and way counts of a chain whose regions
+// each occupy lines DSB lines, then its sets from [lo, hi] (the first
+// fixed to first when first >= 0): one to three sets, and one to three
+// ways capped so a set's regions fit its ways.
+func (h *Harness) placeChain(r *rng, s *codegen.ChainSpec, lines, lo, hi, first int) {
 	nSets := 1 + r.intn(3)
-	maxWays := h.cacheWays / lines
+	maxWays := h.Profile.UopCache.Ways / lines
 	if maxWays > 3 {
 		maxWays = 3
 	}
@@ -335,7 +339,6 @@ func (h *Harness) chainShape(r *rng, base uint64, lo, hi, first int, label strin
 	}
 	s.Sets = pickSets(r, nSets, lo, hi, first)
 	s.Ways = ways
-	return s
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -374,32 +377,23 @@ func nopLen(r *rng, count, budget int) int {
 	return 1 + r.intn(max)
 }
 
-// uncChainShape draws one of ShapeUncacheable's tail chains: one way
-// of one or two sets, each region packed with more single-byte NOPs
-// than MaxLinesPerRegion lines can hold — the placement rules reject
-// the trace, so the region is MITE-delivered on every fetch and never
-// appears in the cache footprint.
-func (h *Harness) uncChainShape(r *rng, base uint64, lo, hi int, label string) codegen.ChainSpec {
-	s := codegen.ChainSpec{Base: base, Label: label, NumSets: h.numSets}
+// uncChainShape draws an uncacheable tail chain of minSets to
+// minSets+spanSets-1 sets, one way each, every region packed with more
+// single-byte NOPs than MaxLinesPerRegion lines can hold — the
+// placement rules reject the trace, so the region is MITE-delivered on
+// every fetch and never appears in the cache footprint.
+// ShapeUncacheable draws one or two sets per direction; ShapeSwitch's
+// taken-direction tail draws two to four, so a warm traversal of the
+// taken direction pays that many DSB→MITE switch bubbles more than the
+// fall-through — the switch-point-count asymmetry under test.
+func (h *Harness) uncChainShape(r *rng, base uint64, lo, hi, minSets, spanSets int, label string) codegen.ChainSpec {
+	s := codegen.ChainSpec{Base: base, Label: label, NumSets: h.Profile.UopCache.Sets}
 	// One µop past the profile's cacheability cap up to the 30-NOP
 	// region budget (20..30 against Skylake's 18-µop limit — the
 	// historical 19 + intn(11) draw).
 	s.NopPerRegion = h.uncLo + r.intn(h.uncSpan)
 	s.NopLen = 1
-	s.Sets = pickSets(r, 1+r.intn(2), lo, hi, -1)
-	s.Ways = 1
-	return s
-}
-
-// switchTailShape draws ShapeSwitch's taken-direction tail: 2-4
-// uncacheable regions (one way each), so a warm traversal of the taken
-// direction pays that many DSB→MITE switch bubbles more than the
-// fall-through — the switch-point-count asymmetry under test.
-func (h *Harness) switchTailShape(r *rng, base uint64, lo, hi int, label string) codegen.ChainSpec {
-	s := codegen.ChainSpec{Base: base, Label: label, NumSets: h.numSets}
-	s.NopPerRegion = h.uncLo + r.intn(h.uncSpan)
-	s.NopLen = 1
-	s.Sets = pickSets(r, 2+r.intn(3), lo, hi, -1)
+	s.Sets = pickSets(r, minSets+r.intn(spanSets), lo, hi, -1)
 	s.Ways = 1
 	return s
 }
@@ -414,7 +408,7 @@ func (h *Harness) switchTailShape(r *rng, base uint64, lo, hi int, label string)
 // NOP count varies region µops — so the corpus covers µop-matched and
 // µop-skewed direction pairs alike.
 func (h *Harness) alignChainShape(r *rng, base uint64, lo, hi, first int, label string, straddle bool) codegen.ChainSpec {
-	s := codegen.ChainSpec{Base: base, Label: label, NumSets: h.numSets}
+	s := codegen.ChainSpec{Base: base, Label: label, NumSets: h.Profile.UopCache.Sets}
 	if straddle {
 		s.JccOffset = 15
 	} else {
@@ -430,22 +424,7 @@ func (h *Harness) alignChainShape(r *rng, base uint64, lo, hi, first int, label 
 	s.NopLen = divs[r.intn(len(divs))]
 	s.NopPerRegion = pad / s.NopLen
 	s.JccTailNops = r.intn(4)
-	lines := ceilDiv(s.UopsPerRegion(), h.slotsPerLine)
-	nSets := 1 + r.intn(3)
-	maxWays := h.cacheWays / lines
-	if maxWays > 3 {
-		maxWays = 3
-	}
-	ways := 1 + r.intn(maxWays)
-	if nSets*ways < 2 {
-		if maxWays >= 2 {
-			ways = 2
-		} else {
-			nSets = 2
-		}
-	}
-	s.Sets = pickSets(r, nSets, lo, hi, first)
-	s.Ways = ways
+	h.placeChain(r, &s, ceilDiv(s.UopsPerRegion(), h.Profile.UopCache.SlotsPerLine), lo, hi, first)
 	return s
 }
 
@@ -454,7 +433,7 @@ func (h *Harness) alignChainShape(r *rng, base uint64, lo, hi, first int, label 
 // pool), one way, plain short NOPs — a tail both directions fetch, so
 // only the per-direction prefix of the footprint diverges.
 func (h *Harness) suffixShape(r *rng) codegen.ChainSpec {
-	s := codegen.ChainSpec{Base: suffixBase, Label: "suffix", NumSets: h.numSets}
+	s := codegen.ChainSpec{Base: suffixBase, Label: "suffix", NumSets: h.Profile.UopCache.Sets}
 	s.Sets = []int{30}
 	if r.intn(2) == 1 {
 		s.Sets = []int{30, 31}
@@ -503,23 +482,34 @@ func (h *Harness) generate(seed uint64, shape Shape, rp *rng) (*Victim, error) {
 	b.Label("entry")
 	var branch uint64
 	switch shape {
-	case ShapeLeaf, ShapeNested, ShapeSharedSuffix, ShapeUncacheable, ShapeSwitch:
-		// Fall chain: lives in the entry chain's low half; its first
-		// region is the one the branch cascade falls through into (set 1
-		// after the entry region, set 2 when the nested region follows).
-		// Taken chain: high half, disjoint set pool so the footprints
-		// always diverge; the shared-suffix shape reserves sets 30/31
-		// for the common tail.
-		fallLo, fallFirst := 2, 1
-		if shape == ShapeNested {
-			fallLo, fallFirst = 3, 2
+	case ShapeLeaf, ShapeNested, ShapeSharedSuffix, ShapeUncacheable, ShapeSwitch, ShapeAlign:
+		if shape == ShapeAlign {
+			// One direction's chain straddles the predecode-window
+			// boundary with every region's conditional jump while the
+			// other's stays aligned. Which direction straddles is drawn
+			// per seed, so the corpus exercises both signs of the
+			// alignment delta.
+			straddleTaken := r.intn(2) == 1
+			v.Fall = h.alignChainShape(&r, entryBase, 2, 15, 1, "fall", !straddleTaken)
+			v.Taken = h.alignChainShape(&r, takenBase, 16, 31, -1, "taken", straddleTaken)
+		} else {
+			// Fall chain: lives in the entry chain's low half; its first
+			// region is the one the branch cascade falls through into
+			// (set 1 after the entry region, set 2 when the nested region
+			// follows). Taken chain: high half, disjoint set pool so the
+			// footprints always diverge; the shared-suffix shape reserves
+			// sets 30/31 for the common tail.
+			fallLo, fallFirst := 2, 1
+			if shape == ShapeNested {
+				fallLo, fallFirst = 3, 2
+			}
+			takenHi := 31
+			if shape == ShapeSharedSuffix {
+				takenHi = 29
+			}
+			v.Fall = h.chainShape(&r, entryBase, fallLo, 15, fallFirst, "fall")
+			v.Taken = h.chainShape(&r, takenBase, 16, takenHi, -1, "taken")
 		}
-		takenHi := 31
-		if shape == ShapeSharedSuffix {
-			takenHi = 29
-		}
-		v.Fall = h.chainShape(&r, entryBase, fallLo, 15, fallFirst, "fall")
-		v.Taken = h.chainShape(&r, takenBase, 16, takenHi, -1, "taken")
 		b.Xor(isa.R1, isa.R1)                      // 3 bytes; zeroing idiom the const-prop resolves
 		b.Loadb(isa.R2, isa.R1, int64(SecretAddr)) // 4 bytes; the secret read
 		b.Cmpi(isa.R2, 0)                          // 4 bytes
@@ -591,22 +581,6 @@ func (h *Harness) generate(seed uint64, shape Shape, rp *rng) (*Victim, error) {
 		}
 		branch = b.PC()
 		b.Jcc(isa.NE, v.Taken.EntryLabel()) // 2 bytes; ends at a region boundary
-	case ShapeAlign:
-		// The leaf entry, but one direction's chain straddles the
-		// predecode-window boundary with every region's conditional jump
-		// while the other's stays aligned. Which direction straddles is
-		// drawn per seed, so the corpus exercises both signs of the
-		// alignment delta.
-		straddleTaken := r.intn(2) == 1
-		v.Fall = h.alignChainShape(&r, entryBase, 2, 15, 1, "fall", !straddleTaken)
-		v.Taken = h.alignChainShape(&r, takenBase, 16, 31, -1, "taken", straddleTaken)
-		b.Xor(isa.R1, isa.R1)                      // 3 bytes
-		b.Loadb(isa.R2, isa.R1, int64(SecretAddr)) // 4 bytes
-		b.Cmpi(isa.R2, 0)                          // 4 bytes
-		b.Nop(15)                                  // pad so the branch ends the region
-		b.Nop(4)
-		branch = b.PC()
-		b.Jcc(isa.NE, v.Taken.EntryLabel()) // 2 bytes; ends exactly at entryBase+32
 	case ShapeIndirect:
 		// The entry region ends with an indirect call through a
 		// register holding a MOVI constant; the secret branch sits in
@@ -622,7 +596,6 @@ func (h *Harness) generate(seed uint64, shape Shape, rp *rng) (*Victim, error) {
 		b.Nop(15)
 		b.Nop(2)
 		b.Calli(isa.R3) // 3 bytes; ends exactly at entryBase+32
-		v.RetSite = b.PC()
 		v.Helper = helperBase
 		b.Cmpi(isa.R2, 0) // 4 bytes; the secret survives the call in R2
 		b.Nop(13)
@@ -711,8 +684,8 @@ func (h *Harness) generate(seed uint64, shape Shape, rp *rng) (*Victim, error) {
 	if shape == ShapeUncacheable {
 		// Each direction's cacheable chain drains into its own
 		// uncacheable tail before the shared exit.
-		fu := h.uncChainShape(&r, uncFallBase, 2, 15, "fallunc")
-		tu := h.uncChainShape(&r, uncTakenBase, 16, 31, "takenunc")
+		fu := h.uncChainShape(&r, uncFallBase, 2, 15, 1, 2, "fallunc")
+		tu := h.uncChainShape(&r, uncTakenBase, 16, 31, 1, 2, "takenunc")
 		v.FallUnc, v.TakenUnc = &fu, &tu
 		fallExit, takenExit = fu.EntryLabel(), tu.EntryLabel()
 	}
@@ -720,7 +693,7 @@ func (h *Harness) generate(seed uint64, shape Shape, rp *rng) (*Victim, error) {
 		// Only the taken direction drains into an uncacheable tail: its
 		// warm traversal pays one DSB→MITE switch per tail region, the
 		// fall-through pays none.
-		tu := h.switchTailShape(&r, uncTakenBase, 16, 31, "takenunc")
+		tu := h.uncChainShape(&r, uncTakenBase, 16, 31, 2, 3, "takenunc")
 		v.TakenUnc = &tu
 		takenExit = tu.EntryLabel()
 	}
@@ -978,39 +951,47 @@ func (r Result) Validate() error {
 		}
 		return nil
 	}
-	check := func(dir string, pred, meas int) error {
-		if meas <= 0 {
-			return fmt.Errorf("seed %d %s: measured delta %d not positive (flush had no cost?)", r.Seed, dir, meas)
+	for _, c := range []struct {
+		dir        string
+		pred, meas int
+	}{
+		{"taken", r.PredTaken, r.MeasTaken},
+		{"fallthrough", r.PredFall, r.MeasFall},
+	} {
+		if c.meas <= 0 {
+			return fmt.Errorf("seed %d %s: measured delta %d not positive (flush had no cost?)", r.Seed, c.dir, c.meas)
 		}
-		if pred <= 0 {
-			return fmt.Errorf("seed %d %s: predicted delta %d has wrong sign (measured %d)", r.Seed, dir, pred, meas)
+		if c.pred <= 0 {
+			return fmt.Errorf("seed %d %s: predicted delta %d has wrong sign (measured %d)", r.Seed, c.dir, c.pred, c.meas)
 		}
-		diff := pred - meas
-		if diff < 0 {
-			diff = -diff
+		if err := checkTolerance(r.Seed, r.Victim, c.dir, "", c.pred, c.meas); err != nil {
+			return err
 		}
-		if float64(diff) > Tolerance*float64(meas) {
-			return fmt.Errorf("seed %d %s: predicted %d vs measured %d (%.1f%% off, tolerance %.0f%%)\nvictim: %s",
-				r.Seed, dir, pred, meas, 100*float64(diff)/float64(meas), 100*Tolerance, r.Describe())
-		}
-		return nil
 	}
-	if err := check("taken", r.PredTaken, r.MeasTaken); err != nil {
-		return err
+	return checkSign(r.Seed, r.Victim, "delta", r.PredTaken-r.PredFall, r.MeasTaken-r.MeasFall)
+}
+
+// checkTolerance holds a prediction to within Tolerance of the positive
+// measurement meas; what names the quantity, and unit follows the
+// measured value in the error.
+func checkTolerance(seed uint64, v *Victim, what, unit string, pred, meas int) error {
+	diff := abs(pred - meas)
+	if float64(diff) > Tolerance*float64(meas) {
+		return fmt.Errorf("seed %d %s: predicted %d vs measured %d%s (%.1f%% off, tolerance %.0f%%)\nvictim: %s",
+			seed, what, pred, meas, unit, 100*float64(diff)/float64(meas), 100*Tolerance, describeVictim(v))
 	}
-	if err := check("fallthrough", r.PredFall, r.MeasFall); err != nil {
-		return err
-	}
-	// Cross-direction sign: when the predictor claims a clear
-	// asymmetry between the directions, the model must agree on which
-	// direction is more expensive to refill. Below SignFloor on either
-	// side the asymmetry is within the model's rounding and carries no
-	// sign to agree on.
-	predDiff := r.PredTaken - r.PredFall
-	measDiff := r.MeasTaken - r.MeasFall
+	return nil
+}
+
+// checkSign is the cross-direction check: when prediction and
+// measurement both show a clear asymmetry between the directions
+// (taken minus fallthrough), they must agree on which direction costs
+// more. Below SignFloor on either side the asymmetry is within the
+// model's rounding and carries no sign to agree on.
+func checkSign(seed uint64, v *Victim, noun string, predDiff, measDiff int) error {
 	if abs(predDiff) >= SignFloor && abs(measDiff) >= SignFloor && (predDiff > 0) != (measDiff > 0) {
-		return fmt.Errorf("seed %d: predicted probe delta %+d disagrees in sign with measured %+d\nvictim: %s",
-			r.Seed, predDiff, measDiff, r.Describe())
+		return fmt.Errorf("seed %d: predicted probe %s %+d disagrees in sign with measured %+d\nvictim: %s",
+			seed, noun, predDiff, measDiff, describeVictim(v))
 	}
 	return nil
 }
@@ -1024,8 +1005,9 @@ func abs(x int) int {
 
 // Describe renders the victim's shape for failure messages and fixture
 // minimization.
-func (r Result) Describe() string {
-	v := r.Victim
+func (r Result) Describe() string { return describeVictim(r.Victim) }
+
+func describeVictim(v *Victim) string {
 	if v == nil {
 		return "<nil>"
 	}

@@ -228,7 +228,7 @@ func TestGenerateShapeDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", shape, seed, err)
 			}
-			if v1.Branch != v2.Branch || v1.Helper != v2.Helper || v1.RetSite != v2.RetSite ||
+			if v1.Branch != v2.Branch || v1.Helper != v2.Helper ||
 				!reflect.DeepEqual(v1.Taken, v2.Taken) ||
 				!reflect.DeepEqual(v1.Fall, v2.Fall) ||
 				!reflect.DeepEqual(v1.TakenUnc, v2.TakenUnc) {

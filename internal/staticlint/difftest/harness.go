@@ -25,11 +25,6 @@ type Harness struct {
 	cfg    staticlint.Config
 	cpuCfg cpu.Config
 
-	// Generator geometry, derived once from the profile so the drawing
-	// code cannot drift from the analysis configuration.
-	cacheWays    int
-	slotsPerLine int
-	numSets      int
 	// uncLo/uncSpan shape the uncacheable tail regions: single-byte NOP
 	// counts drawn from [uncLo, uncLo+uncSpan). uncLo is one µop past
 	// the profile's cacheability cap (MaxLinesPerRegion×SlotsPerLine),
@@ -45,13 +40,10 @@ func NewHarness(p profile.Profile) *Harness {
 	cfg := staticlint.ConfigForProfile(p)
 	cfg.PathBudget = 512
 	h := &Harness{
-		Profile:      p,
-		cfg:          cfg,
-		cpuCfg:       cpu.FromProfile(p),
-		cacheWays:    p.UopCache.Ways,
-		slotsPerLine: p.UopCache.SlotsPerLine,
-		numSets:      p.UopCache.Sets,
-		uncLo:        p.UopCapLine() + 1,
+		Profile: p,
+		cfg:     cfg,
+		cpuCfg:  cpu.FromProfile(p),
+		uncLo:   p.UopCapLine() + 1,
 	}
 	// A region body is NopPerRegion single-byte NOPs plus the 2-byte
 	// chain jump, capped at codegen.RegionSize (32) bytes → at most 30

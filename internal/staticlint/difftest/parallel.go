@@ -17,33 +17,31 @@ import (
 // across workers pool goroutines (0 selects GOMAXPROCS), one reusable
 // simulator arena per worker. Results are seed-ordered.
 func (h *Harness) RunMany(seeds []uint64, workers int) ([]Result, error) {
-	return parsweep.MapArena(parsweep.Options{Workers: workers}, len(seeds),
-		func() *cpu.Arena { return new(cpu.Arena) },
-		func(a *cpu.Arena, i int) (Result, error) {
-			return h.RunWith(seeds[i], a)
-		})
+	return mapSeeds(seeds, workers, h.RunWith)
 }
 
 // RunShapeMany runs every seed through the victim-side harness with
 // the victim shape pinned (RunShapeWith) across workers pool
 // goroutines, one arena per worker. Results are seed-ordered.
 func (h *Harness) RunShapeMany(seeds []uint64, workers int, shape Shape) ([]Result, error) {
-	return parsweep.MapArena(parsweep.Options{Workers: workers}, len(seeds),
-		func() *cpu.Arena { return new(cpu.Arena) },
-		func(a *cpu.Arena, i int) (Result, error) {
-			return h.RunShapeWith(seeds[i], shape, a)
-		})
+	return mapSeeds(seeds, workers, func(seed uint64, a *cpu.Arena) (Result, error) {
+		return h.RunShapeWith(seed, shape, a)
+	})
 }
 
 // RunProbeMany runs every seed through the attacker-side harness
 // (RunProbeWith) across workers pool goroutines, one arena per worker.
 // Results are seed-ordered.
 func (h *Harness) RunProbeMany(seeds []uint64, workers int) ([]ProbeResult, error) {
+	return mapSeeds(seeds, workers, h.RunProbeWith)
+}
+
+// mapSeeds runs run over every seed across workers pool goroutines,
+// one arena per worker, returning the results seed-ordered.
+func mapSeeds[T any](seeds []uint64, workers int, run func(uint64, *cpu.Arena) (T, error)) ([]T, error) {
 	return parsweep.MapArena(parsweep.Options{Workers: workers}, len(seeds),
 		func() *cpu.Arena { return new(cpu.Arena) },
-		func(a *cpu.Arena, i int) (ProbeResult, error) {
-			return h.RunProbeWith(seeds[i], a)
-		})
+		func(a *cpu.Arena, i int) (T, error) { return run(seeds[i], a) })
 }
 
 // SeedRange returns the contiguous seed list [lo, hi] — the corpus

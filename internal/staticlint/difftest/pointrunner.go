@@ -1,13 +1,16 @@
 package difftest
 
-// pointrunner.go is the harness's one simulator measurement. It
-// measures one victim repeatedly without re-paying core construction
-// or predictor training on every call: a PointRunner builds the core
-// once, snapshots it immediately after program load (the pristine
-// checkpoint), and snapshots it again after each direction's training
-// runs settle the predictors and fill the micro-op cache (the
-// per-direction trained checkpoints). Repeat measurements restore the
-// trained checkpoint and pay only the two timed runs.
+// pointrunner.go is the harness's one simulator measurement: the only
+// code in this package that builds and trains a simulator core. A
+// PointRunner builds the core once, snapshots it immediately after
+// program load (the pristine checkpoint), and snapshots it again after
+// each direction's training runs settle the predictors and fill the
+// micro-op cache (the per-direction trained checkpoints). Both
+// protocols start from a trained core: Measure adds the victim-side
+// warm-flush-cold refill runs, and RunProbeWith (receiver.go) runs the
+// attacker's prime+probe rounds on a runner whose image merges the
+// victim with the receiver chain. Repeat measurements restore the
+// trained checkpoint and pay only the timed runs.
 //
 // Equivalence is exact, not approximate: restoring the pristine
 // checkpoint reproduces a fresh core bit for bit (cycle clock zero,
@@ -15,7 +18,8 @@ package difftest
 // Measure per direction replays a fresh core's train-warm-flush-cold
 // sequence exactly, and every later Measure replays the first one's
 // timed tail from the identical trained state.
-// TestPointRunnerMatchesMeasure pins this across the corpus.
+// TestPointRunnerMatchesMeasure pins this across the corpus, and
+// TestProbeMatchesFreshCore pins the probe protocol the same way.
 
 import (
 	"fmt"
@@ -86,25 +90,35 @@ func (r *PointRunner) nextCheckpointBuf() *cpu.Checkpoint {
 	return ck
 }
 
-// Measure returns the point for one secret direction. The first call
-// per direction restores the pristine checkpoint, writes the secret,
-// runs the training prefix, and checkpoints the trained core; repeat
-// calls restore the trained checkpoint and pay only the warm and cold
-// timed runs.
-func (r *PointRunner) Measure(secret int64) (Point, error) {
+// train brings the core to secret's trained state: it restores the
+// trained checkpoint if one exists, and otherwise restores the pristine
+// checkpoint, writes the secret, runs the trainRuns training runs that
+// settle the predictors and fill the micro-op cache, and checkpoints
+// the trained core.
+func (r *PointRunner) train(secret int64) error {
 	if ck := r.trained[secret]; ck != nil {
 		r.c.Restore(ck)
-	} else {
-		r.c.Restore(r.pristine)
-		r.c.Mem().Write(SecretAddr, 1, secret)
-		for i := 0; i < trainRuns; i++ {
-			if res := r.c.Run(0, r.v.Entry, maxCycles); res.TimedOut {
-				return Point{}, fmt.Errorf("difftest seed %d: train run timed out", r.v.Seed)
-			}
+		return nil
+	}
+	r.c.Restore(r.pristine)
+	r.c.Mem().Write(SecretAddr, 1, secret)
+	for i := 0; i < trainRuns; i++ {
+		if res := r.c.Run(0, r.v.Entry, maxCycles); res.TimedOut {
+			return fmt.Errorf("difftest seed %d: train run timed out", r.v.Seed)
 		}
-		ck = r.nextCheckpointBuf()
-		r.c.Checkpoint(ck)
-		r.trained[secret] = ck
+	}
+	ck := r.nextCheckpointBuf()
+	r.c.Checkpoint(ck)
+	r.trained[secret] = ck
+	return nil
+}
+
+// Measure returns the point for one secret direction: train, then the
+// warm and cold timed runs around a micro-op cache flush. Only the
+// first call per direction pays the training runs.
+func (r *PointRunner) Measure(secret int64) (Point, error) {
+	if err := r.train(secret); err != nil {
+		return Point{}, err
 	}
 	warm := r.c.Run(0, r.v.Entry, maxCycles)
 	if warm.TimedOut {

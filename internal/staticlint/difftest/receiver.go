@@ -6,7 +6,9 @@ package difftest
 // (staticlint.ProbeModel) the same way: for each generated victim it
 // builds the real probe chain over the finding's divergent sets with
 // internal/attack, runs the actual prime → probe → prime → victim →
-// probe protocol on the cycle-level simulator, and holds the model's
+// probe protocol on the cycle-level simulator — on the same
+// PointRunner core and training sequence the refill measurement uses —
+// and holds the model's
 // predicted hit and per-direction probe cycles to the same sign and
 // ±Tolerance contract the refill deltas answer to. The receiver model
 // is exact against a clean machine (see staticlint's receiver tests);
@@ -43,85 +45,83 @@ type ProbeResult struct {
 // model's histogram off its divergence finding, and measures the
 // predicted protocol for real: the receiver chain from
 // staticlint.ReceiverSpec is merged into the victim's address space,
-// and each secret direction gets a fresh core (drawing guest memory
-// from arena, which may be nil), training runs to settle the branch
-// predictors, then one attack.MeasureRounds round with the victim's
-// runs as the sender activity. The prime+probe protocol has no meaning
-// without a DSB to contend in, so a no-DSB harness refuses outright —
-// the matrix tests assert that refusal rather than skipping silently.
+// and one PointRunner over the merged image (drawing guest memory and
+// checkpoint buffers from arena, which may be nil) trains each secret
+// direction from the pristine checkpoint exactly as Measure does, then
+// runs one attack.MeasureRounds round with the victim's runs as the
+// sender activity. The prime+probe protocol has no meaning without a
+// DSB to contend in, so a no-DSB harness refuses outright — the matrix
+// tests assert that refusal rather than skipping silently.
 func (h *Harness) RunProbeWith(seed uint64, arena *cpu.Arena) (ProbeResult, error) {
-	if !h.Profile.HasDSB() {
-		return ProbeResult{}, fmt.Errorf("difftest seed %d: profile %s has no DSB to probe", seed, h.Profile.Name)
-	}
-	v, err := h.Generate(seed)
+	g, err := h.newProbeRig(seed)
 	if err != nil {
 		return ProbeResult{}, err
 	}
-	p, err := h.Predict(v)
-	if err != nil {
-		return ProbeResult{}, err
-	}
-	hist := p.Finding.Probe
-	if hist == nil {
-		return ProbeResult{}, fmt.Errorf("difftest seed %d: finding carries no probe histogram", seed)
-	}
-	cfg := h.Config()
-	recv, err := attack.Build(staticlint.ReceiverSpec(cfg, p.Finding.DivergentSets))
-	if err != nil {
-		return ProbeResult{}, fmt.Errorf("difftest seed %d: %w", seed, err)
-	}
-	merged, err := asm.Merge(v.Prog, recv.Prog)
-	if err != nil {
-		return ProbeResult{}, fmt.Errorf("difftest seed %d: merging receiver: %w", seed, err)
-	}
-
-	measure := func(secret int64) (hit, miss int, err error) {
-		c := cpu.NewWith(h.cpuCfg, arena)
-		c.LoadProgram(merged)
-		c.Mem().Write(SecretAddr, 1, secret)
-		victim := func(tag string) error {
-			res := c.Run(0, v.Entry, maxCycles)
-			if res.TimedOut {
-				return fmt.Errorf("difftest seed %d: %s victim run timed out", seed, tag)
-			}
-			return nil
+	r := h.NewPointRunner(g.merged, arena)
+	var hit, miss [2]int
+	for d, secret := range []int64{1, 0} {
+		if err := r.train(secret); err != nil {
+			return ProbeResult{}, err
 		}
-		for i := 0; i < trainRuns; i++ {
-			if err := victim("train"); err != nil {
-				return 0, 0, err
-			}
-		}
-		r, err := attack.MeasureRounds(c, recv, func() error {
+		rounds, err := attack.MeasureRounds(r.c, g.recv, func() error {
 			for i := 0; i < staticlint.DefaultVictimRuns; i++ {
-				if err := victim("send"); err != nil {
-					return err
+				if res := r.c.Run(0, g.v.Entry, maxCycles); res.TimedOut {
+					return fmt.Errorf("difftest seed %d: send victim run timed out", seed)
 				}
 			}
 			return nil
 		}, staticlint.DefaultPrimeTraversals, staticlint.DefaultProbeIters, 1)
 		if err != nil {
-			return 0, 0, fmt.Errorf("difftest seed %d: %w", seed, err)
+			return ProbeResult{}, fmt.Errorf("difftest seed %d: %w", seed, err)
 		}
-		return int(r.Hit[0]), int(r.Miss[0]), nil
-	}
-
-	ht, mt, err := measure(1)
-	if err != nil {
-		return ProbeResult{}, err
-	}
-	hf, mf, err := measure(0)
-	if err != nil {
-		return ProbeResult{}, err
+		hit[d], miss[d] = int(rounds.Hit[0]), int(rounds.Miss[0])
 	}
 	return ProbeResult{
 		Seed:         seed,
-		Pred:         hist,
-		MeasHitTaken: ht,
-		MeasHitFall:  hf,
-		MeasTaken:    mt,
-		MeasFall:     mf,
-		Victim:       v,
+		Pred:         g.hist,
+		MeasHitTaken: hit[0],
+		MeasHitFall:  hit[1],
+		MeasTaken:    miss[0],
+		MeasFall:     miss[1],
+		Victim:       g.v,
 	}, nil
+}
+
+// probeRig is everything the probe protocol runs on for one seed: the
+// victim, the receiver model's histogram off its divergence finding,
+// and the receiver chain.
+type probeRig struct {
+	v *Victim
+	// merged is a copy of v whose image also holds the receiver chain.
+	merged *Victim
+	hist   *staticlint.ProbeHistogram
+	recv   *attack.Routine
+}
+
+func (h *Harness) newProbeRig(seed uint64) (probeRig, error) {
+	if !h.Profile.HasDSB() {
+		return probeRig{}, fmt.Errorf("difftest seed %d: profile %s has no DSB to probe", seed, h.Profile.Name)
+	}
+	v, err := h.Generate(seed)
+	if err != nil {
+		return probeRig{}, err
+	}
+	p, err := h.Predict(v)
+	if err != nil {
+		return probeRig{}, err
+	}
+	if p.Finding.Probe == nil {
+		return probeRig{}, fmt.Errorf("difftest seed %d: finding carries no probe histogram", seed)
+	}
+	recv, err := attack.Build(staticlint.ReceiverSpec(h.cfg, p.Finding.DivergentSets))
+	if err != nil {
+		return probeRig{}, fmt.Errorf("difftest seed %d: %w", seed, err)
+	}
+	merged := *v
+	if merged.Prog, err = asm.Merge(v.Prog, recv.Prog); err != nil {
+		return probeRig{}, fmt.Errorf("difftest seed %d: merging receiver: %w", seed, err)
+	}
+	return probeRig{v: v, merged: &merged, hist: p.Finding.Probe, recv: recv}, nil
 }
 
 // Validate applies the acceptance contract to one probe result: the
@@ -131,42 +131,25 @@ func (h *Harness) RunProbeWith(seed uint64, arena *cpu.Arena) (ProbeResult, erro
 // agreeing in sign whenever either side claims at least SignFloor
 // cycles of it.
 func (r ProbeResult) Validate() error {
-	check := func(tag string, pred, meas int) error {
-		if meas <= 0 {
-			return fmt.Errorf("seed %d %s probe: measured %d cycles not positive", r.Seed, tag, meas)
+	for _, c := range []struct {
+		tag        string
+		pred, meas int
+	}{
+		{"hit (taken run)", r.Pred.HitCycles, r.MeasHitTaken},
+		{"hit (fallthrough run)", r.Pred.HitCycles, r.MeasHitFall},
+		{"taken", r.Pred.Taken.Cycles, r.MeasTaken},
+		{"fallthrough", r.Pred.Fall.Cycles, r.MeasFall},
+	} {
+		if c.meas <= 0 {
+			return fmt.Errorf("seed %d %s probe: measured %d cycles not positive", r.Seed, c.tag, c.meas)
 		}
-		diff := pred - meas
-		if diff < 0 {
-			diff = -diff
+		if err := checkTolerance(r.Seed, r.Victim, c.tag+" probe", " cycles", c.pred, c.meas); err != nil {
+			return err
 		}
-		if float64(diff) > Tolerance*float64(meas) {
-			return fmt.Errorf("seed %d %s probe: predicted %d vs measured %d cycles (%.1f%% off, tolerance %.0f%%)\nvictim: %s",
-				r.Seed, tag, pred, meas, 100*float64(diff)/float64(meas), 100*Tolerance, r.Describe())
-		}
-		return nil
 	}
-	if err := check("hit (taken run)", r.Pred.HitCycles, r.MeasHitTaken); err != nil {
-		return err
-	}
-	if err := check("hit (fallthrough run)", r.Pred.HitCycles, r.MeasHitFall); err != nil {
-		return err
-	}
-	if err := check("taken", r.Pred.Taken.Cycles, r.MeasTaken); err != nil {
-		return err
-	}
-	if err := check("fallthrough", r.Pred.Fall.Cycles, r.MeasFall); err != nil {
-		return err
-	}
-	predDiff := r.Pred.Taken.Cycles - r.Pred.Fall.Cycles
-	measDiff := r.MeasTaken - r.MeasFall
-	if abs(predDiff) >= SignFloor && abs(measDiff) >= SignFloor && (predDiff > 0) != (measDiff > 0) {
-		return fmt.Errorf("seed %d: predicted probe asymmetry %+d disagrees in sign with measured %+d\nvictim: %s",
-			r.Seed, predDiff, measDiff, r.Describe())
-	}
-	return nil
+	return checkSign(r.Seed, r.Victim, "asymmetry",
+		r.Pred.Taken.Cycles-r.Pred.Fall.Cycles, r.MeasTaken-r.MeasFall)
 }
 
 // Describe renders the victim's shape for failure messages.
-func (r ProbeResult) Describe() string {
-	return Result{Victim: r.Victim}.Describe()
-}
+func (r ProbeResult) Describe() string { return describeVictim(r.Victim) }

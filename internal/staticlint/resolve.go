@@ -59,8 +59,10 @@ var vsTop = vset{top: true}
 
 func vsConst(v uint64) vset { return vset{vals: []uint64{v}} }
 
+// vsOf sorts and dedupes vals in place, saturating to TOP when no
+// value or more than maxVSetSize distinct values remain.
 func vsOf(vals []uint64) vset {
-	if len(vals) == 0 || len(vals) > maxVSetSize {
+	if len(vals) == 0 {
 		return vsTop
 	}
 	slices.Sort(vals)
@@ -147,11 +149,13 @@ func unionLen(x, y []uint64) int {
 	return n + len(x) - i + len(y) - j
 }
 
-// vsFold applies a binary ALU op pointwise over two bounded sets. Like
-// vsOf, it saturates when the products number more than maxVSetSize
-// before dedup, so it checks that before computing any.
+// vsFold applies a binary ALU op pointwise over two bounded sets,
+// saturating to TOP when more than maxVSetSize distinct results
+// remain. Two bounded sets give at most maxVSetSize² products, so the
+// products are computed and deduped before the size check: a fold
+// like {0..8} AND {1, 3} = {0, 1, 2, 3} stays bounded.
 func vsFold(op isa.Op, x, y vset) vset {
-	if x.top || y.top || len(x.vals)*len(y.vals) > maxVSetSize {
+	if x.top || y.top || len(x.vals)*len(y.vals) > maxVSetSize*maxVSetSize {
 		return vsTop
 	}
 	out := make([]uint64, 0, len(x.vals)*len(y.vals))

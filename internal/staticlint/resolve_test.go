@@ -130,6 +130,26 @@ func TestWideMaskSaturatesToTop(t *testing.T) {
 	}
 }
 
+// TestVSFoldSaturatesOnDistinctResults pins that a fold saturates on
+// the number of distinct results, not of raw products: {0..8} AND
+// {1, 3} has 18 products but only the four results {0, 1, 2, 3}, so a
+// masked index whose mask register holds two values keeps its bound.
+// A fold whose distinct results do exceed maxVSetSize is still TOP.
+func TestVSFoldSaturatesOnDistinctResults(t *testing.T) {
+	got := vsFold(isa.AND, vsOf([]uint64{0, 1, 2, 3, 4, 5, 6, 7, 8}), vsOf([]uint64{1, 3}))
+	if want := vsOf([]uint64{0, 1, 2, 3}); !got.equal(want) {
+		t.Errorf("{0..8} AND {1, 3} = %+v, want %+v", got, want)
+	}
+	var lo, hi []uint64
+	for v := uint64(0); v < 5; v++ {
+		lo = append(lo, v)
+		hi = append(hi, 8*v)
+	}
+	if got := vsFold(isa.ADD, vsOf(lo), vsOf(hi)); !got.top {
+		t.Errorf("{0..4} + {0, 8, .., 32} = %+v, want TOP (25 distinct sums)", got)
+	}
+}
+
 func TestWideMaskDispatchDegradesToHavoc(t *testing.T) {
 	// End-to-end form of the same bug: a dispatch index "bounded" by a
 	// 63-bit mask must leave the site unresolved (havoc), and the
