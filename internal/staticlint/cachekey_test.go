@@ -16,8 +16,10 @@ var updateKeys = flag.Bool("update", false, "rewrite testdata/cachekeys.golden")
 
 // TestCacheKeysGolden pins the cache keys a long-lived uoplintd pool
 // hands out: configFingerprint of every profile's analyzer config, with
-// and without the checker selection, and reportKey of every victim
-// fixture under its secret spec and every profile. A refactor of the
+// and without the checker selection, reportKey of every victim fixture
+// under its secret spec and every profile, and the summary keys sccKeys
+// gives each function of each fixture, one line per function in
+// bottom-up SCC order. A refactor of the
 // configurations must leave these bytes alone; a deliberate keying
 // change regenerates the golden with -update.
 func TestCacheKeysGolden(t *testing.T) {
@@ -31,6 +33,18 @@ func TestCacheKeysGolden(t *testing.T) {
 		}
 		for _, fx := range victim.Fixtures(lay) {
 			fmt.Fprintf(&b, "report %s %s %x\n", p.Name, fx.Name, reportKey(fx.Prog, spec, cfg))
+		}
+		specFP, cfgFP := specFingerprint(spec), configFingerprint(cfg, false)
+		for _, fx := range victim.Fixtures(lay) {
+			a := Analyze(fx.Prog, spec, cfg)
+			funcKey := make([]cacheKey, len(a.funcs))
+			i := 0
+			for _, scc := range a.callSCCs() {
+				for _, k := range a.sccKeys(scc, specFP, cfgFP, funcKey) {
+					fmt.Fprintf(&b, "scc %s %s %d %x\n", p.Name, fx.Name, i, k)
+					i++
+				}
+			}
 		}
 	}
 	path := filepath.Join("testdata", "cachekeys.golden")
