@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"deaduops/internal/profile"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -680,4 +684,24 @@ func TestWorkersDeterministic(t *testing.T) {
 	if !bytes.Equal(seq, par) {
 		t.Fatal("parallel report diverges from sequential report")
 	}
+}
+
+// TestGoldenRandomCorpusDigests pins the full JSON report of the
+// corpus plus 200 random programs under every registered profile, as
+// one SHA-256 digest per profile (the reports themselves run to tens of
+// kilobytes each). The random population exercises the value-set
+// resolution pass, the summary cache and the shared random-program
+// prefix on inputs no hand-written fixture covers, so a change to any
+// of them that is meant to be behaviour-preserving must leave every
+// digest alone.
+func TestGoldenRandomCorpusDigests(t *testing.T) {
+	var b strings.Builder
+	for _, name := range profile.Names() {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-json", "-random", "200", "-profile", name}, &out, &errb); code != 0 {
+			t.Fatalf("-random 200 -profile %s exited %d: %s", name, code, errb.String())
+		}
+		fmt.Fprintf(&b, "%s %x\n", name, sha256.Sum256(out.Bytes()))
+	}
+	goldenCompare(t, "random200.sha256", []byte(b.String()))
 }
