@@ -3,7 +3,6 @@ package staticlint
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 	"sort"
 	"sync"
 
@@ -37,6 +36,17 @@ import (
 //     serves every untouched program from this layer without running
 //     anything; the edited program misses here, then reuses every
 //     unchanged function's summary from the layer above.
+//
+// Key material is encoded into one pooled byte buffer and hashed with
+// one SHA-256 call per key; an instruction takes 23 fixed-width bytes
+// (hashInst). A report-layer hit therefore costs one pass over the
+// instructions and nothing else: no CFG, no resolution, no function
+// keys. The report key deliberately does not compose the function keys,
+// since deriving those needs the CFG and the value-set pass a hit must
+// skip. Keys are content-addressed, never memoized per *asm.Program, so
+// a program edited in place re-keys. Keys live only in process memory;
+// a change of encoding bumps the domain tags ("deaduops-report-v2",
+// "deaduops-func-v2") and TestCacheKeysGolden's golden moves with it.
 //
 // Both layers are safe for concurrent use: entries are immutable once
 // stored (summaries are never mutated after computeSummaries builds
@@ -183,24 +193,26 @@ func (c *Cache) putReport(k cacheKey, r *Report) {
 	}
 }
 
-// hasher accumulates canonical key material. Every variable-length
+// hasher accumulates canonical key material in one byte buffer and
+// hashes it with a single SHA-256 call in sum. Every variable-length
 // field is length-prefixed and every composite is domain-tagged, so no
-// two distinct inputs serialize to the same byte stream.
+// two distinct inputs serialize to the same byte stream. Buffers are
+// pooled: sum returns the hasher to the pool, so a hasher is dead once
+// summed.
 type hasher struct {
-	h   hash.Hash
-	buf [8]byte
+	buf []byte
 }
 
+var hasherPool = sync.Pool{New: func() any { return new(hasher) }}
+
 func newHasher(domain string) *hasher {
-	w := &hasher{h: sha256.New()}
+	w := hasherPool.Get().(*hasher)
+	w.buf = w.buf[:0]
 	w.str(domain)
 	return w
 }
 
-func (w *hasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
-}
+func (w *hasher) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
 func (w *hasher) i64(v int64) { w.u64(uint64(v)) }
 
@@ -214,33 +226,50 @@ func (w *hasher) boolean(b bool) {
 
 func (w *hasher) str(s string) {
 	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
+	w.buf = append(w.buf, s...)
 }
 
-func (w *hasher) key(k cacheKey) { w.h.Write(k[:]) }
+func (w *hasher) key(k cacheKey) { w.buf = append(w.buf, k[:]...) }
 
 func (w *hasher) sum() cacheKey {
-	var k cacheKey
-	w.h.Sum(k[:0])
+	k := cacheKey(sha256.Sum256(w.buf))
+	hasherPool.Put(w)
 	return k
 }
+
+// instKeyLen is the width of hashInst's canonical instruction form.
+const instKeyLen = 23
+
+// Flag bits of hashInst's flags byte.
+const (
+	instHasImm = 1 << iota
+	instImm64
+	instLCP
+)
 
 // hashInst writes one instruction's full canonical content: operation,
 // operands, immediates, prefix/length encoding facts, and the address —
 // everything the decoder, the placement rules, and the dataflow engine
-// can observe.
+// can observe. The form is fixed-width (instKeyLen bytes: Op, Dst, Src
+// and Cond; a flags byte holding HasImm, Imm64 and LCP; Len and
+// UopCount; then Imm and Addr little-endian), and every field is
+// written at its full width, so it is injective without length
+// prefixes.
 func hashInst(w *hasher, in *isa.Inst) {
-	w.u64(uint64(in.Op))
-	w.u64(uint64(in.Dst))
-	w.u64(uint64(in.Src))
-	w.i64(in.Imm)
-	w.u64(uint64(in.Cond))
-	w.boolean(in.HasImm)
-	w.boolean(in.Imm64)
-	w.boolean(in.LCP)
-	w.u64(in.Addr)
-	w.u64(uint64(in.Len))
-	w.u64(uint64(in.UopCount))
+	var flags byte
+	if in.HasImm {
+		flags |= instHasImm
+	}
+	if in.Imm64 {
+		flags |= instImm64
+	}
+	if in.LCP {
+		flags |= instLCP
+	}
+	w.buf = append(w.buf, byte(in.Op), byte(in.Dst), byte(in.Src), byte(in.Cond),
+		flags, in.Len, in.UopCount)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(in.Imm))
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, in.Addr)
 }
 
 // configFingerprint hashes every Config field that can influence an
@@ -326,7 +355,7 @@ func specFingerprint(spec Spec) cacheKey {
 // entry point, secrets, and the complete config including checker
 // selection.
 func reportKey(prog *asm.Program, spec Spec, cfg Config) cacheKey {
-	w := newHasher("deaduops-report-v1")
+	w := newHasher("deaduops-report-v2")
 	w.u64(prog.Entry)
 	w.u64(uint64(len(prog.Insts)))
 	for _, in := range prog.Insts {
@@ -349,7 +378,7 @@ func reportKey(prog *asm.Program, spec Spec, cfg Config) cacheKey {
 // untouched: resolution re-runs on the edited program, the site's
 // proven set changes, and the key changes with it.
 func (a *Analysis) funcBodyHash(f *Func) cacheKey {
-	w := newHasher("deaduops-func-v1")
+	w := newHasher("deaduops-func-v2")
 	w.u64(f.Entry)
 	w.boolean(f.hasIndirectJump)
 	w.u64(uint64(len(f.Blocks)))

@@ -1,13 +1,17 @@
 package staticlint
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"deaduops/internal/isa"
 	"deaduops/internal/profile"
 	"deaduops/internal/victim"
 )
@@ -59,5 +63,47 @@ func TestCacheKeysGolden(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("cache keys changed; a summary or report cached under the old keys would be orphaned\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestHashInstRoundTrip holds hashInst's fixed-width form to being
+// injective: every random instruction encodes to exactly instKeyLen
+// bytes, and decoding those bytes gives the instruction back. The
+// one-byte fields must stay one byte wide in isa.Inst, or the encoding
+// would truncate them.
+func TestHashInstRoundTrip(t *testing.T) {
+	typ := reflect.TypeOf(isa.Inst{})
+	for _, name := range []string{"Op", "Dst", "Src", "Cond", "Len", "UopCount"} {
+		if f, _ := typ.FieldByName(name); f.Type.Size() != 1 {
+			t.Fatalf("isa.Inst.%s is %d bytes wide; hashInst writes it as one byte", name, f.Type.Size())
+		}
+	}
+	if n := typ.NumField(); n != 11 {
+		t.Fatalf("isa.Inst has %d fields; hashInst encodes 11", n)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 10000; i++ {
+		in := isa.Inst{
+			Op: isa.Op(rng.Intn(256)), Dst: isa.Reg(rng.Intn(256)), Src: isa.Reg(rng.Intn(256)),
+			Imm: int64(rng.Uint64()), Cond: isa.Cond(rng.Intn(256)),
+			HasImm: rng.Intn(2) == 0, Imm64: rng.Intn(2) == 0, LCP: rng.Intn(2) == 0,
+			Addr: rng.Uint64(), Len: uint8(rng.Intn(256)), UopCount: uint8(rng.Intn(256)),
+		}
+		w := &hasher{}
+		hashInst(w, &in)
+		b := w.buf
+		if len(b) != instKeyLen {
+			t.Fatalf("hashInst wrote %d bytes, want %d", len(b), instKeyLen)
+		}
+		got := isa.Inst{
+			Op: isa.Op(b[0]), Dst: isa.Reg(b[1]), Src: isa.Reg(b[2]), Cond: isa.Cond(b[3]),
+			HasImm: b[4]&instHasImm != 0, Imm64: b[4]&instImm64 != 0, LCP: b[4]&instLCP != 0,
+			Len: b[5], UopCount: b[6],
+			Imm:  int64(binary.LittleEndian.Uint64(b[7:])),
+			Addr: binary.LittleEndian.Uint64(b[15:]),
+		}
+		if b[4]&^(instHasImm|instImm64|instLCP) != 0 || got != in {
+			t.Fatalf("hashInst(%+v) = %x decodes to %+v", in, b, got)
+		}
 	}
 }
