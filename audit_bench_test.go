@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"deaduops/internal/asm"
+	"deaduops/internal/auditd"
 	"deaduops/internal/isa"
-	"deaduops/internal/ref"
 	"deaduops/internal/staticlint"
 )
 
@@ -26,14 +26,13 @@ var (
 func auditCorpusProgs(b *testing.B) []*asm.Program {
 	b.Helper()
 	auditCorpusOnce.Do(func() {
-		genCfg := ref.DefaultGenConfig()
-		auditCorpus = make([]*asm.Program, auditCorpusSize)
-		for i := range auditCorpus {
-			p, err := ref.Generate(uint64(i+1), genCfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			auditCorpus[i] = p
+		randoms, err := auditd.RandomPrograms(auditCorpusSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		auditCorpus = make([]*asm.Program, len(randoms))
+		for i, p := range randoms {
+			auditCorpus[i] = p.Prog
 		}
 	})
 	return auditCorpus

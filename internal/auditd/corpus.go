@@ -9,6 +9,7 @@ package auditd
 
 import (
 	"fmt"
+	"sync"
 
 	"deaduops/internal/asm"
 	"deaduops/internal/attack"
@@ -78,19 +79,61 @@ func Corpus(l victim.Layout) ([]Program, error) {
 	return out, nil
 }
 
-// RandomPrograms generates n reference programs under the default
+// maxRetainedRandom caps the random programs the process keeps for
+// reuse. A generated program is about 12.6 KB live, so the cap bounds
+// the retained prefix near 13 MB however large a population a request
+// names; seeds past it are generated per call and die with the job.
+const maxRetainedRandom = 1024
+
+// randomPrefix holds random-1..random-k, generated once per process and
+// grown on demand up to maxRetainedRandom. Its elements are never
+// written after they are appended, and callers receive it capped at
+// their length, so they share it read-only.
+var randomPrefix struct {
+	mu    sync.Mutex
+	progs []Program
+}
+
+// RandomPrograms returns n reference programs under the default
 // generator config, named random-1..random-n exactly as the CLI's
 // -random flag does. Random programs carry no declared secrets; only
-// the transient gadget checkers can fire on them.
+// the transient gadget checkers can fire on them. The first
+// maxRetainedRandom programs are generated once per process and shared
+// by every call: the returned slice and its programs are read-only, and
+// appending to it copies rather than writing into the shared prefix.
 func RandomPrograms(n int) ([]Program, error) {
-	genCfg := ref.DefaultGenConfig()
-	out := make([]Program, 0, n)
-	for seed := 1; seed <= n; seed++ {
-		p, err := ref.Generate(uint64(seed), genCfg)
+	keep := min(n, maxRetainedRandom)
+	randomPrefix.mu.Lock()
+	for len(randomPrefix.progs) < keep {
+		p, err := randomProgram(len(randomPrefix.progs) + 1)
 		if err != nil {
-			return nil, fmt.Errorf("auditd: generating random-%d: %w", seed, err)
+			randomPrefix.mu.Unlock()
+			return nil, err
 		}
-		out = append(out, Program{Name: fmt.Sprintf("random-%d", seed), Prog: p})
+		randomPrefix.progs = append(randomPrefix.progs, p)
+	}
+	prefix := randomPrefix.progs[:keep:keep]
+	randomPrefix.mu.Unlock()
+	if n <= keep {
+		return prefix, nil
+	}
+	out := make([]Program, n)
+	copy(out, prefix)
+	for seed := keep + 1; seed <= n; seed++ {
+		p, err := randomProgram(seed)
+		if err != nil {
+			return nil, err
+		}
+		out[seed-1] = p
 	}
 	return out, nil
+}
+
+// randomProgram generates the reference program named random-<seed>.
+func randomProgram(seed int) (Program, error) {
+	p, err := ref.Generate(uint64(seed), ref.DefaultGenConfig())
+	if err != nil {
+		return Program{}, fmt.Errorf("auditd: generating random-%d: %w", seed, err)
+	}
+	return Program{Name: fmt.Sprintf("random-%d", seed), Prog: p}, nil
 }

@@ -9,11 +9,13 @@ import (
 	"deaduops/internal/staticlint"
 )
 
-// maxRandom caps a request's random-program count. Every audit
-// allocates in proportion to it, and an out-of-memory fault is fatal
-// to the process rather than a panic the per-job containment can
-// catch, so the count is bounded when the request is planned — for
-// the service and the CLI alike.
+// maxRandom caps a request's random-program count. The first
+// maxRetainedRandom programs come from the per-process prefix
+// (corpus.go), so an audit generates, and holds for its lifetime,
+// programs in proportion to the count beyond it, plus one report per
+// program. An out-of-memory fault is fatal to the process rather than
+// a panic the per-job containment can catch, so the count is bounded
+// when the request is planned — for the service and the CLI alike.
 const maxRandom = 10_000
 
 // Plan is a validated audit request: everything a run needs, resolved
