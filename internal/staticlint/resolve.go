@@ -1,8 +1,10 @@
 package staticlint
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -199,21 +201,25 @@ func vsMask(x vset, mask uint64) vset {
 	return vsOf(out)
 }
 
+// vsaCell is one tracked memory cell: the 8-byte value stored at addr.
+type vsaCell struct {
+	addr uint64
+	val  vset
+}
+
 // vsaState is the abstract machine state at one program point.
 type vsaState struct {
 	regs [isa.NumRegs]vset
-	// mem holds only cells with a bounded tracked value; an absent cell
-	// reads as TOP (initial memory is unknown).
-	mem    map[uint64]vset
+	// mem holds only cells with a bounded tracked value, sorted by
+	// address with no duplicates; an absent cell reads as TOP (initial
+	// memory is unknown). An empty environment is nil.
+	mem    []vsaCell
 	memTop bool
 }
 
 func (s *vsaState) clone() *vsaState {
 	c := *s
-	c.mem = make(map[uint64]vset, len(s.mem))
-	for k, v := range s.mem {
-		c.mem[k] = v
-	}
+	c.mem = slices.Clone(s.mem)
 	return &c
 }
 
@@ -226,9 +232,8 @@ func (s *vsaState) equal(o *vsaState) bool {
 			return false
 		}
 	}
-	for k, v := range s.mem {
-		ov, ok := o.mem[k]
-		if !ok || !v.equal(ov) {
+	for i, c := range s.mem {
+		if oc := o.mem[i]; c.addr != oc.addr || !c.val.equal(oc.val) {
 			return false
 		}
 	}
@@ -237,30 +242,83 @@ func (s *vsaState) equal(o *vsaState) bool {
 
 // vsaJoin merges two states at a control-flow merge: registers join
 // pointwise; a memory cell survives only when tracked on both paths
-// (absent means TOP), and memory poisoning is sticky.
+// (absent means TOP), and memory poisoning is sticky. Both memory
+// environments are sorted, so their intersection is one linear merge.
 func vsaJoin(x, y *vsaState) *vsaState {
-	out := &vsaState{mem: make(map[uint64]vset), memTop: x.memTop || y.memTop}
+	out := &vsaState{memTop: x.memTop || y.memTop}
 	for r := range out.regs {
 		out.regs[r] = vsJoin(x.regs[r], y.regs[r])
 	}
-	if !out.memTop {
-		for k, v := range x.mem {
-			if yv, ok := y.mem[k]; ok {
-				if j := vsJoin(v, yv); !j.top {
-					out.mem[k] = j
+	if out.memTop {
+		return out
+	}
+	for i, j := 0, 0; i < len(x.mem) && j < len(y.mem); {
+		switch xc, yc := x.mem[i], y.mem[j]; {
+		case xc.addr < yc.addr:
+			i++
+		case xc.addr > yc.addr:
+			j++
+		default:
+			if v := vsJoin(xc.val, yc.val); !v.top {
+				if out.mem == nil {
+					out.mem = make([]vsaCell, 0, min(len(x.mem)-i, len(y.mem)-j))
 				}
+				out.mem = append(out.mem, vsaCell{addr: xc.addr, val: v})
 			}
+			i++
+			j++
 		}
 	}
 	return out
 }
 
-// vsaPoisonMem drops every tracked cell: an unbounded-address store (or
-// a call's return-address push at an unknown stack pointer) may have
+// poisonMem drops every tracked cell: an unbounded-address store (or a
+// call's return-address push at an unknown stack pointer) may have
 // overwritten any of them.
 func (s *vsaState) poisonMem() {
 	s.memTop = true
-	s.mem = make(map[uint64]vset)
+	s.mem = nil
+}
+
+// find returns the index of the first cell at or above addr, and
+// whether that cell is at addr.
+func (s *vsaState) find(addr uint64) (int, bool) {
+	return slices.BinarySearchFunc(s.mem, addr, func(c vsaCell, a uint64) int { return cmp.Compare(c.addr, a) })
+}
+
+// lookup returns the tracked value at addr.
+func (s *vsaState) lookup(addr uint64) (vset, bool) {
+	if i, ok := s.find(addr); ok {
+		return s.mem[i].val, true
+	}
+	return vset{}, false
+}
+
+// set tracks val at addr, or forgets addr when val is TOP.
+func (s *vsaState) set(addr uint64, val vset) {
+	i, ok := s.find(addr)
+	switch {
+	case ok && val.top:
+		s.mem = slices.Delete(s.mem, i, i+1)
+	case ok:
+		s.mem[i].val = val
+	case !val.top:
+		s.mem = slices.Insert(s.mem, i, vsaCell{addr: addr, val: val})
+	}
+}
+
+// killRange forgets every cell with lo <= addr <= hi except the one at
+// spare, when keepSpare is set.
+func (s *vsaState) killRange(lo, hi, spare uint64, keepSpare bool) {
+	i, _ := s.find(lo)
+	out, j := i, i
+	for ; j < len(s.mem) && s.mem[j].addr <= hi; j++ {
+		if keepSpare && s.mem[j].addr == spare {
+			s.mem[out] = s.mem[j]
+			out++
+		}
+	}
+	s.mem = slices.Delete(s.mem, out, j)
 }
 
 // vsaAddrs resolves base+imm over a bounded base set; ok is false when
@@ -336,7 +394,7 @@ func (a *Analysis) vsaLoad(st *vsaState, in *isa.Inst) vset {
 	}
 	out := vset{}
 	for _, addr := range addrs {
-		cell, tracked := st.mem[addr]
+		cell, tracked := st.lookup(addr)
 		if !tracked {
 			return vsTop
 		}
@@ -370,11 +428,15 @@ func (a *Analysis) vsaStore(st *vsaState, base vset, imm int64, val vset, width 
 		return
 	}
 	for _, addr := range addrs {
-		for c := addr - 7; c != addr+width; c++ {
-			if width == 8 && c == addr {
-				continue
-			}
-			delete(st.mem, c)
+		// The overlapping cells sit at addr-7 .. addr+width-1, a range
+		// that wraps around the address space when addr is within 7 of
+		// either end.
+		lo, hi := addr-7, addr+width-1
+		if lo <= hi {
+			st.killRange(lo, hi, addr, width == 8)
+		} else {
+			st.killRange(lo, math.MaxUint64, addr, width == 8)
+			st.killRange(0, hi, addr, width == 8)
 		}
 	}
 	if width < 8 {
@@ -383,22 +445,14 @@ func (a *Analysis) vsaStore(st *vsaState, base vset, imm int64, val vset, width 
 		return
 	}
 	if len(addrs) == 1 {
-		if val.top {
-			delete(st.mem, addrs[0])
-		} else {
-			st.mem[addrs[0]] = val
-		}
+		st.set(addrs[0], val)
 	} else {
 		// Weak update: the store hit exactly one of addrs. A cell at one
 		// of them that survived the invalidation loop (no *other* written
 		// address overlaps it) is either unchanged or holds val.
 		for _, addr := range addrs {
-			if cell, tracked := st.mem[addr]; tracked {
-				if j := vsJoin(cell, val); !j.top {
-					st.mem[addr] = j
-				} else {
-					delete(st.mem, addr)
-				}
+			if cell, tracked := st.lookup(addr); tracked {
+				st.set(addr, vsJoin(cell, val))
 			}
 		}
 	}
@@ -410,7 +464,7 @@ func (a *Analysis) vsaStore(st *vsaState, base vset, imm int64, val vset, width 
 // vsaEntry is the state at a program entry: everything unknown except
 // the spec's declared ABI constants.
 func (a *Analysis) vsaEntry() *vsaState {
-	st := &vsaState{mem: make(map[uint64]vset)}
+	st := &vsaState{}
 	for r := range st.regs {
 		st.regs[r] = vsTop
 	}
@@ -428,7 +482,7 @@ func vsaSucc(b *Block, e Edge, out *vsaState) *vsaState {
 	if e.Kind == EdgeFallThrough {
 		switch b.Last().Op {
 		case isa.CALL, isa.CALLI, isa.SYSCALL:
-			post := &vsaState{mem: make(map[uint64]vset), memTop: true}
+			post := &vsaState{memTop: true}
 			for r := range post.regs {
 				post.regs[r] = vsTop
 			}
