@@ -223,53 +223,52 @@ func (s *vsaState) clone() *vsaState {
 	return &c
 }
 
-func (s *vsaState) equal(o *vsaState) bool {
-	if s.memTop != o.memTop || len(s.mem) != len(o.mem) {
-		return false
-	}
-	for r := range s.regs {
-		if !s.regs[r].equal(o.regs[r]) {
-			return false
+// vsaJoin merges src into dst in place at a control-flow merge and
+// reports whether dst changed: registers join pointwise; a memory cell
+// survives only when tracked on both paths (absent means TOP), and
+// memory poisoning is sticky. Both memory environments are sorted, so
+// their intersection is one linear merge, compacted within dst's own
+// slice: a join allocates only where a register's value set grows.
+func vsaJoin(dst, src *vsaState) bool {
+	changed := false
+	for r := range dst.regs {
+		if j := vsJoin(dst.regs[r], src.regs[r]); !j.equal(dst.regs[r]) {
+			dst.regs[r] = j
+			changed = true
 		}
 	}
-	for i, c := range s.mem {
-		if oc := o.mem[i]; c.addr != oc.addr || !c.val.equal(oc.val) {
-			return false
-		}
+	if dst.memTop {
+		return changed
 	}
-	return true
-}
-
-// vsaJoin merges two states at a control-flow merge: registers join
-// pointwise; a memory cell survives only when tracked on both paths
-// (absent means TOP), and memory poisoning is sticky. Both memory
-// environments are sorted, so their intersection is one linear merge.
-func vsaJoin(x, y *vsaState) *vsaState {
-	out := &vsaState{memTop: x.memTop || y.memTop}
-	for r := range out.regs {
-		out.regs[r] = vsJoin(x.regs[r], y.regs[r])
+	if src.memTop {
+		dst.poisonMem()
+		return true
 	}
-	if out.memTop {
-		return out
-	}
-	for i, j := 0, 0; i < len(x.mem) && j < len(y.mem); {
-		switch xc, yc := x.mem[i], y.mem[j]; {
-		case xc.addr < yc.addr:
+	out := dst.mem[:0]
+	for i, j := 0, 0; i < len(dst.mem) && j < len(src.mem); {
+		switch dc, sc := dst.mem[i], src.mem[j]; {
+		case dc.addr < sc.addr:
 			i++
-		case xc.addr > yc.addr:
+		case dc.addr > sc.addr:
 			j++
 		default:
-			if v := vsJoin(xc.val, yc.val); !v.top {
-				if out.mem == nil {
-					out.mem = make([]vsaCell, 0, min(len(x.mem)-i, len(y.mem)-j))
-				}
-				out.mem = append(out.mem, vsaCell{addr: xc.addr, val: v})
+			if v := vsJoin(dc.val, sc.val); !v.top {
+				changed = changed || !v.equal(dc.val)
+				out = append(out, vsaCell{addr: dc.addr, val: v})
 			}
 			i++
 			j++
 		}
 	}
-	return out
+	if len(out) == len(dst.mem) {
+		return changed
+	}
+	clear(dst.mem[len(out):])
+	dst.mem = out
+	if len(out) == 0 {
+		dst.mem = nil
+	}
+	return true
 }
 
 // poisonMem drops every tracked cell: an unbounded-address store (or a
@@ -536,9 +535,7 @@ func (a *Analysis) resolveIndirect() {
 				work = append(work, e.To)
 				continue
 			}
-			j := vsaJoin(in[e.To], s)
-			if !j.equal(in[e.To]) {
-				in[e.To] = j
+			if vsaJoin(in[e.To], s) {
 				work = append(work, e.To)
 			}
 		}

@@ -61,6 +61,25 @@ func randVSAState(rng *rand.Rand) *vsaState {
 	return st
 }
 
+// equal reports whether two states are the same abstract state: the
+// reference vsaJoin's change report is checked against.
+func (s *vsaState) equal(o *vsaState) bool {
+	if s.memTop != o.memTop || len(s.mem) != len(o.mem) {
+		return false
+	}
+	for r := range s.regs {
+		if !s.regs[r].equal(o.regs[r]) {
+			return false
+		}
+	}
+	for i, c := range s.mem {
+		if oc := o.mem[i]; c.addr != oc.addr || !c.val.equal(oc.val) {
+			return false
+		}
+	}
+	return true
+}
+
 // memMap is the map form of an environment.
 func memMap(st *vsaState) map[uint64]vset {
 	m := make(map[uint64]vset, len(st.mem))
@@ -70,8 +89,8 @@ func memMap(st *vsaState) map[uint64]vset {
 	return m
 }
 
-// mapStateEqual is vsaState.equal written over maps: the reference
-// the slice comparison must agree with.
+// mapStateEqual is equal written over maps: the reference the slice
+// comparison must agree with.
 func mapStateEqual(x, y *vsaState) bool {
 	if x.memTop != y.memTop || !regsEqual(x, y) {
 		return false
@@ -114,12 +133,29 @@ func checkSorted(t *testing.T, what string, st *vsaState) {
 	}
 }
 
+// joined returns x ⊔ y, joining into a clone of x, and checks that the
+// in-place join reported a change exactly when the result differs from
+// x, and that it left y alone.
+func joined(t *testing.T, x, y *vsaState) *vsaState {
+	t.Helper()
+	before := y.clone()
+	out := x.clone()
+	if changed := vsaJoin(out, y); changed != !out.equal(x) {
+		t.Fatalf("vsaJoin reported changed=%v, but the result equals x: %v\nx   = %+v\nout = %+v", changed, out.equal(x), x, out)
+	}
+	if !mapStateEqual(y, before) {
+		t.Fatalf("vsaJoin modified its source:\nwas %+v\nnow %+v", before, y)
+	}
+	return out
+}
+
 // TestVSAJoinLatticeLaws holds vsaJoin over memory environments to the
 // laws the fixed-point iteration relies on: it is idempotent and
 // commutative, its environment keeps exactly the cells tracked on both
 // sides whose joined value stays bounded (a cell on one side only reads
-// as TOP on the other), and vsaState.equal agrees with a map-based
-// comparison on joined, cloned, perturbed and unrelated states.
+// as TOP on the other), it reports a change exactly when the joined
+// state differs, and vsaState.equal agrees with a map-based comparison
+// on joined, cloned, perturbed and unrelated states.
 func TestVSAJoinLatticeLaws(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 5000; i++ {
@@ -135,10 +171,10 @@ func TestVSAJoinLatticeLaws(t *testing.T) {
 				}
 			}
 		}
-		if xx := vsaJoin(x, x); !xx.equal(x) {
-			t.Fatalf("vsaJoin(x, x) != x:\nx  = %+v\nxx = %+v", x, xx)
+		if xx := joined(t, x, x); !xx.equal(x) {
+			t.Fatalf("x ⊔ x != x:\nx  = %+v\nxx = %+v", x, xx)
 		}
-		xy, yx := vsaJoin(x, y), vsaJoin(y, x)
+		xy, yx := joined(t, x, y), joined(t, y, x)
 		checkSorted(t, "vsaJoin(x, y)", xy)
 		if !xy.equal(yx) {
 			t.Fatalf("vsaJoin not commutative:\nxy = %+v\nyx = %+v", xy, yx)
@@ -173,20 +209,35 @@ func TestVSAJoinLatticeLaws(t *testing.T) {
 	}
 }
 
-// TestVSAEmptyEnvironmentAllocFree pins that an empty environment is
-// nil: cloning a state without tracked cells, or joining two of them,
-// allocates nothing for memory.
-func TestVSAEmptyEnvironmentAllocFree(t *testing.T) {
+// TestVSAJoinAllocFree pins the allocation profile of the fixpoint's
+// state handling: cloning a state with an empty environment allocates
+// the state alone (the environment stays nil), and a join that changes
+// no register's value set allocates nothing, whether it leaves the
+// environment as it was, shrinks it, or empties it to nil.
+func TestVSAJoinAllocFree(t *testing.T) {
 	st := &vsaState{}
 	for r := range st.regs {
 		st.regs[r] = vsTop
 	}
-	var c, j *vsaState
+	var c *vsaState
 	if n := testing.AllocsPerRun(100, func() { c = st.clone() }); n != 1 || c.mem != nil {
 		t.Errorf("cloning an empty-memory state allocates %v times (want 1, the state), memory %v (want nil)", n, c.mem)
 	}
-	if n := testing.AllocsPerRun(100, func() { j = vsaJoin(st, c) }); n != 1 || j.mem != nil {
-		t.Errorf("joining empty environments allocates %v times (want 1, the state), memory %v (want nil)", n, j.mem)
+	cells := []vsaCell{{0x100, vsConst(1)}, {0x108, vsConst(2)}, {0x110, vsConst(3)}}
+	src := &vsaState{regs: st.regs, mem: cells[1:2]}
+	dst := &vsaState{regs: st.regs}
+	buf := make([]vsaCell, len(cells))
+	if n := testing.AllocsPerRun(100, func() {
+		copy(buf, cells)
+		dst.mem = buf
+		vsaJoin(dst, src) // keeps 0x108 only
+		vsaJoin(dst, src) // unchanged
+		vsaJoin(dst, st)  // empties the environment
+	}); n != 0 {
+		t.Errorf("joins that change no register allocate %v times, want 0", n)
+	}
+	if dst.mem != nil {
+		t.Errorf("joining with an empty environment left %v, want nil", dst.mem)
 	}
 }
 
