@@ -284,6 +284,14 @@ func TestBackpressure429(t *testing.T) {
 	}
 
 	close(release)
+	// The queue drains once the freed worker takes the filler job.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.pool.QueueDepth() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the queue did not drain after the worker was released")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	id, code := submitJob(t, ts, `{"fixture":"bounds-check"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("post-drain submit: status %d, want 202", code)
