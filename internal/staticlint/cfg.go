@@ -105,6 +105,16 @@ func (g *CFG) Entries() []int {
 	return out
 }
 
+// roots returns the blocks a whole-program flow starts from: the
+// entries, or block 0 when the program is fully cyclic, so the
+// analysis still covers it.
+func (g *CFG) roots() []int {
+	if e := g.Entries(); len(e) > 0 {
+		return e
+	}
+	return []int{0}
+}
+
 // terminatesBlock reports whether in ends a basic block.
 func terminatesBlock(in *isa.Inst) bool {
 	return in.IsBranch() || in.Op == isa.HALT

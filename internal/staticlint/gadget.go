@@ -100,7 +100,7 @@ func (a *Analysis) funcEntryOf(addr uint64) uint64 {
 // mirroring the census semantics.
 func (a *Analysis) scanGuard(guard *isa.Inst) []GadgetHit {
 	var out []GadgetHit
-	st := &State{Mem: make(map[uint64]taintSet)}
+	st := &State{}
 	a.sources = nil
 	hook := func(in *isa.Inst) taintSet {
 		return a.addSource(Source{Kind: SrcLoad, Addr: in.Addr})

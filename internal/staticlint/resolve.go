@@ -1,7 +1,6 @@
 package staticlint
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -201,34 +200,33 @@ func vsMask(x vset, mask uint64) vset {
 	return vsOf(out)
 }
 
-// vsaCell is one tracked memory cell: the 8-byte value stored at addr.
-type vsaCell struct {
-	addr uint64
-	val  vset
-}
-
 // vsaState is the abstract machine state at one program point.
 type vsaState struct {
 	regs [isa.NumRegs]vset
-	// mem holds only cells with a bounded tracked value, sorted by
-	// address with no duplicates; an absent cell reads as TOP (initial
-	// memory is unknown). An empty environment is nil.
-	mem    []vsaCell
+	// mem holds only cells with a bounded tracked value; an absent cell
+	// reads as TOP (initial memory is unknown).
+	mem    cellEnv[vset]
 	memTop bool
 }
 
-func (s *vsaState) clone() *vsaState {
-	c := *s
-	c.mem = slices.Clone(s.mem)
-	return &c
+func (s *vsaState) clone() *vsaState { return s.copyTo(nil) }
+
+// copyTo copies s into dst, reusing dst's cell buffer, and returns dst;
+// a nil dst is allocated.
+func (s *vsaState) copyTo(dst *vsaState) *vsaState {
+	if dst == nil {
+		dst = new(vsaState)
+	}
+	buf := dst.mem
+	*dst = *s
+	dst.mem = append(buf[:0], s.mem...)
+	return dst
 }
 
 // vsaJoin merges src into dst in place at a control-flow merge and
-// reports whether dst changed: registers join pointwise; a memory cell
-// survives only when tracked on both paths (absent means TOP), and
-// memory poisoning is sticky. Both memory environments are sorted, so
-// their intersection is one linear merge, compacted within dst's own
-// slice: a join allocates only where a register's value set grows.
+// reports whether dst changed: registers join pointwise, memory cells
+// under vsaCells, and memory poisoning is sticky. A join allocates
+// only where a register's value set grows.
 func vsaJoin(dst, src *vsaState) bool {
 	changed := false
 	for r := range dst.regs {
@@ -237,39 +235,27 @@ func vsaJoin(dst, src *vsaState) bool {
 			changed = true
 		}
 	}
-	if dst.memTop {
+	switch {
+	case dst.memTop:
 		return changed
-	}
-	if src.memTop {
+	case src.memTop:
 		dst.poisonMem()
 		return true
 	}
-	out := dst.mem[:0]
-	for i, j := 0, 0; i < len(dst.mem) && j < len(src.mem); {
-		switch dc, sc := dst.mem[i], src.mem[j]; {
-		case dc.addr < sc.addr:
-			i++
-		case dc.addr > sc.addr:
-			j++
-		default:
-			if v := vsJoin(dc.val, sc.val); !v.top {
-				changed = changed || !v.equal(dc.val)
-				out = append(out, vsaCell{addr: dc.addr, val: v})
-			}
-			i++
-			j++
-		}
-	}
-	if len(out) == len(dst.mem) {
-		return changed
-	}
-	clear(dst.mem[len(out):])
-	dst.mem = out
-	if len(out) == 0 {
-		dst.mem = nil
-	}
-	return true
+	return joinCells(&dst.mem, src.mem, vsaCells{}) || changed
 }
+
+// vsaCells is the value-set cell join: a cell survives only when
+// tracked on both paths (absent means TOP) and its joined set stays
+// bounded.
+type vsaCells struct{}
+
+func (vsaCells) both(d, s vset) (vset, bool) {
+	v := vsJoin(d, s)
+	return v, !v.top
+}
+func (vsaCells) alone(uint64, vset) (vset, bool) { return vset{}, false }
+func (vsaCells) equal(x, y vset) bool            { return x.equal(y) }
 
 // poisonMem drops every tracked cell: an unbounded-address store (or a
 // call's return-address push at an unknown stack pointer) may have
@@ -277,47 +263,6 @@ func vsaJoin(dst, src *vsaState) bool {
 func (s *vsaState) poisonMem() {
 	s.memTop = true
 	s.mem = nil
-}
-
-// find returns the index of the first cell at or above addr, and
-// whether that cell is at addr.
-func (s *vsaState) find(addr uint64) (int, bool) {
-	return slices.BinarySearchFunc(s.mem, addr, func(c vsaCell, a uint64) int { return cmp.Compare(c.addr, a) })
-}
-
-// lookup returns the tracked value at addr.
-func (s *vsaState) lookup(addr uint64) (vset, bool) {
-	if i, ok := s.find(addr); ok {
-		return s.mem[i].val, true
-	}
-	return vset{}, false
-}
-
-// set tracks val at addr, or forgets addr when val is TOP.
-func (s *vsaState) set(addr uint64, val vset) {
-	i, ok := s.find(addr)
-	switch {
-	case ok && val.top:
-		s.mem = slices.Delete(s.mem, i, i+1)
-	case ok:
-		s.mem[i].val = val
-	case !val.top:
-		s.mem = slices.Insert(s.mem, i, vsaCell{addr: addr, val: val})
-	}
-}
-
-// killRange forgets every cell with lo <= addr <= hi except the one at
-// spare, when keepSpare is set.
-func (s *vsaState) killRange(lo, hi, spare uint64, keepSpare bool) {
-	i, _ := s.find(lo)
-	out, j := i, i
-	for ; j < len(s.mem) && s.mem[j].addr <= hi; j++ {
-		if keepSpare && s.mem[j].addr == spare {
-			s.mem[out] = s.mem[j]
-			out++
-		}
-	}
-	s.mem = slices.Delete(s.mem, out, j)
 }
 
 // vsaAddrs resolves base+imm over a bounded base set; ok is false when
@@ -370,7 +315,7 @@ func (a *Analysis) vsaStep(st *vsaState, in *isa.Inst) {
 	case isa.CALL, isa.CALLI, isa.SYSCALL:
 		// The return-address push writes through the (untracked) stack
 		// pointer: conservatively, any tracked cell may be gone. The
-		// fall-through's register havoc is applied at the edge (vsaSucc);
+		// fall-through's register havoc is applied at the edge (vsaFlow.edge);
 		// the EdgeCall side keeps the caller registers so call-site
 		// argument values flow into callee bodies.
 		st.poisonMem()
@@ -393,7 +338,7 @@ func (a *Analysis) vsaLoad(st *vsaState, in *isa.Inst) vset {
 	}
 	out := vset{}
 	for _, addr := range addrs {
-		cell, tracked := st.lookup(addr)
+		cell, tracked := st.mem.lookup(addr)
 		if !tracked {
 			return vsTop
 		}
@@ -426,32 +371,37 @@ func (a *Analysis) vsaStore(st *vsaState, base vset, imm int64, val vset, width 
 		st.poisonMem()
 		return
 	}
+	// A full-width store completely overwrites the cell at its address;
+	// a partial store, or one of TOP, leaves nothing there to track.
+	keep := width == 8 && !val.top
 	for _, addr := range addrs {
 		// The overlapping cells sit at addr-7 .. addr+width-1, a range
 		// that wraps around the address space when addr is within 7 of
 		// either end.
 		lo, hi := addr-7, addr+width-1
 		if lo <= hi {
-			st.killRange(lo, hi, addr, width == 8)
+			st.mem.killRange(lo, hi, addr, keep)
 		} else {
-			st.killRange(lo, math.MaxUint64, addr, width == 8)
-			st.killRange(0, hi, addr, width == 8)
+			st.mem.killRange(lo, math.MaxUint64, addr, keep)
+			st.mem.killRange(0, hi, addr, keep)
 		}
 	}
-	if width < 8 {
-		// A partial store leaves no fully-overwritten cell to track; the
-		// loop above already killed everything it touched.
-		return
-	}
-	if len(addrs) == 1 {
-		st.set(addrs[0], val)
-	} else {
+	switch {
+	case !keep:
+		// The loop above already killed everything the store touched.
+	case len(addrs) == 1:
+		st.mem.set(addrs[0], val)
+	default:
 		// Weak update: the store hit exactly one of addrs. A cell at one
 		// of them that survived the invalidation loop (no *other* written
 		// address overlaps it) is either unchanged or holds val.
 		for _, addr := range addrs {
-			if cell, tracked := st.lookup(addr); tracked {
-				st.set(addr, vsJoin(cell, val))
+			if cell, tracked := st.mem.lookup(addr); tracked {
+				if j := vsJoin(cell, val); j.top {
+					st.mem.killRange(addr, addr, 0, false) // forget addr
+				} else {
+					st.mem.set(addr, j)
+				}
 			}
 		}
 	}
@@ -473,23 +423,36 @@ func (a *Analysis) vsaEntry() *vsaState {
 	return st
 }
 
-// vsaSucc computes the state along one CFG edge from a stepped block
-// exit state. The fall-through of a call re-enters with all registers
-// TOP (the callee may have clobbered anything); memory poisoning from
-// the call's own push is already in out.
-func vsaSucc(b *Block, e Edge, out *vsaState) *vsaState {
+// vsaFlow is the value-set dataflow the worklist driver runs.
+type vsaFlow struct{ a *Analysis }
+
+func (f vsaFlow) copy(dst, src *vsaState) *vsaState { return src.copyTo(dst) }
+func (f vsaFlow) step(st *vsaState, in *isa.Inst)   { f.a.vsaStep(st, in) }
+func (f vsaFlow) join(dst, src *vsaState) bool      { return vsaJoin(dst, src) }
+
+// edge carries the exit state along every edge but a call's
+// fall-through, which re-enters with all registers TOP (the callee may
+// have clobbered anything); memory poisoning from the call's own push
+// is already in out.
+func (f vsaFlow) edge(b *Block, e Edge, out *vsaState) (*vsaState, bool) {
 	if e.Kind == EdgeFallThrough {
 		switch b.Last().Op {
 		case isa.CALL, isa.CALLI, isa.SYSCALL:
-			post := &vsaState{memTop: true}
-			for r := range post.regs {
-				post.regs[r] = vsTop
-			}
-			return post
+			return vsaHavoc, true
 		}
 	}
-	return out
+	return out, true
 }
+
+// vsaHavoc is the state after a call returns: every register TOP and
+// memory poisoned. The driver only reads it.
+var vsaHavoc = func() *vsaState {
+	st := &vsaState{memTop: true}
+	for r := range st.regs {
+		st.regs[r] = vsTop
+	}
+	return st
+}()
 
 // resolveIndirect runs the VSA fixpoint and populates a.resolved with
 // every CALLI/JMPI whose target set passed the completeness gate. A
@@ -498,48 +461,10 @@ func vsaSucc(b *Block, e Edge, out *vsaState) *vsaState {
 func (a *Analysis) resolveIndirect() {
 	a.resolved = map[uint64][]uint64{}
 	g := a.CFG
-	n := len(g.Blocks)
-	if n == 0 {
+	if len(g.Blocks) == 0 {
 		return
 	}
-	in := make([]*vsaState, n)
-	var work []int
-	for _, e := range g.Entries() {
-		in[e] = a.vsaEntry()
-		work = append(work, e)
-	}
-	if len(work) == 0 {
-		in[0] = a.vsaEntry()
-		work = append(work, 0)
-	}
-	capped := false
-	for steps, capSteps := 0, flowStepCap(n); len(work) > 0; steps++ {
-		if steps >= capSteps {
-			capped = true
-			break
-		}
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		blk := g.Blocks[b]
-		out := in[b].clone()
-		for _, inst := range blk.Insts {
-			a.vsaStep(out, inst)
-		}
-		for _, e := range blk.Succs {
-			if e.To < 0 {
-				continue
-			}
-			s := vsaSucc(blk, e, out)
-			if in[e.To] == nil {
-				in[e.To] = s.clone()
-				work = append(work, e.To)
-				continue
-			}
-			if vsaJoin(in[e.To], s) {
-				work = append(work, e.To)
-			}
-		}
-	}
+	in, _, capped := fixpoint(g, vsaFlow{a}, g.roots(), a.vsaEntry)
 	if capped {
 		return
 	}

@@ -1,7 +1,7 @@
 package staticlint
 
 import (
-	"sort"
+	"slices"
 
 	"deaduops/internal/isa"
 )
@@ -100,7 +100,7 @@ func (a *Analysis) allocParams() {
 // unresolved-store channel theirs, and the stack pointer is pinned to
 // the symbolic base so stack spills resolve.
 func (a *Analysis) paramState() *State {
-	st := &State{Mem: make(map[uint64]taintSet)}
+	st := &State{}
 	for r := 0; r < isa.NumRegs; r++ {
 		st.Regs[r] = a.paramReg[r]
 	}
@@ -207,7 +207,7 @@ func (a *Analysis) computeSummaries() {
 // Summarize's transfer is monotone in the summary map, so iterating up
 // from empty converges to the least fixpoint.
 func (a *Analysis) bottomSummary(fi int) *summary {
-	st := &State{Mem: make(map[uint64]taintSet)}
+	st := &State{}
 	st.Const[15] = constVal{known: true, v: int64(summaryStackBase) + 8}
 	return &summary{out: st, writes: a.funcWrites[fi]}
 }
@@ -223,7 +223,7 @@ func (a *Analysis) summarize(fi int) *summary {
 		// follow; nothing sound can be said about the exit state.
 		return &havocSummary
 	}
-	in, reached, capped := a.flow(map[int]*State{f.EntryBlock: a.paramState()}, f.blockSet, false)
+	in, reached, capped := fixpoint(a.CFG, taintFlow{a: a, restrict: f.blockSet}, []int{f.EntryBlock}, a.paramState)
 	if capped {
 		// A truncated fixpoint under-approximates the transfer and would
 		// be applied at every call site, amplifying the gap; honor the
@@ -246,7 +246,7 @@ func (a *Analysis) summarize(fi int) *summary {
 		if exit == nil {
 			exit = st
 		} else {
-			exit = a.join(exit, st)
+			a.joinInto(exit, st)
 		}
 	}
 	if exit == nil {
@@ -259,16 +259,18 @@ func (a *Analysis) summarize(fi int) *summary {
 	// SCCs from converging: every iteration would rebase the previous
 	// level's frame one slot deeper, growing the cell set forever.
 	if sp := exit.Const[15]; sp.known {
-		for k := range exit.Mem {
-			if inSummaryStack(k) && k < uint64(sp.v) {
-				delete(exit.Mem, k)
-			}
+		lo := summaryStackBase - summaryStackWindow
+		if hi := min(uint64(sp.v), summaryStackBase+summaryStackWindow); hi > lo {
+			exit.Mem.killRange(lo, hi-1, 0, false)
 		}
 	}
 	return &summary{out: exit, writes: a.funcWrites[fi]}
 }
 
-// joinSummary merges two summary estimates (SCC iteration).
+// joinSummary merges two summary estimates (SCC iteration). It joins
+// into a copy of x's state: a summary's out is never written once
+// built, since cached summaries are shared across analyses and
+// goroutines.
 func (a *Analysis) joinSummary(x, y *summary) *summary {
 	if x == nil {
 		return y
@@ -283,7 +285,8 @@ func (a *Analysis) joinSummary(x, y *summary) *summary {
 	case y.out == nil:
 		out.out = x.out
 	default:
-		out.out = a.join(x.out, y.out)
+		out.out = x.out.clone()
+		a.joinInto(out.out, y.out)
 	}
 	return out
 }
@@ -357,67 +360,27 @@ func directWrites(in *isa.Inst) uint32 {
 	return 0
 }
 
-// flowStepCap bounds the worklist steps for an n-block flow. The
-// lattice is finite (taint grows, constants only decay, tracked cells
-// are bounded by resolved store sites), so the fixpoint terminates; the
-// cap guards against transfer-function bugs. A var so tests can force
-// exhaustion.
-var flowStepCap = func(n int) int { return 1000*n + 1000 }
+// taintFlow is the taint dataflow the worklist driver runs: restrict
+// (when non-nil) confines propagation to one function's body, and
+// followCalls selects whether EdgeCall successors are entered (the
+// whole-program pass descends into callees to analyze their bodies in
+// real calling contexts; summary computation replaces calls with their
+// summaries instead).
+type taintFlow struct {
+	a           *Analysis
+	restrict    map[int]bool
+	followCalls bool
+}
 
-// flow is the shared worklist fixpoint: seeds are the initial in-states
-// per block, restrict (when non-nil) confines propagation to one
-// function's body, and followCalls selects whether EdgeCall successors
-// are entered (the whole-program pass descends into callees to analyze
-// their bodies in real calling contexts; summary computation replaces
-// calls with their summaries instead). The third result reports whether
-// the safety cap cut the fixpoint short — the in-states are then an
-// under-approximation and callers must degrade, not trust them.
-func (a *Analysis) flow(seeds map[int]*State, restrict map[int]bool, followCalls bool) ([]*State, []bool, bool) {
-	n := len(a.CFG.Blocks)
-	in := make([]*State, n)
-	reached := make([]bool, n)
-	var work []int
-	for bi := range seeds {
-		work = append(work, bi)
+func (f taintFlow) copy(dst, src *State) *State  { return src.copyTo(dst) }
+func (f taintFlow) step(st *State, in *isa.Inst) { f.a.step(st, in, nil) }
+func (f taintFlow) join(dst, src *State) bool    { return f.a.joinInto(dst, src) }
+func (f taintFlow) edge(b *Block, e Edge, out *State) (*State, bool) {
+	if f.restrict != nil && !f.restrict[e.To] {
+		return nil, false
 	}
-	sort.Ints(work)
-	for _, bi := range work {
-		in[bi] = seeds[bi]
-		reached[bi] = true
-	}
-	for steps, capSteps := 0, flowStepCap(n); len(work) > 0 && steps < capSteps; steps++ {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		blk := a.CFG.Blocks[b]
-		out := in[b].clone()
-		for _, inst := range blk.Insts {
-			a.step(out, inst, nil)
-		}
-		for _, e := range blk.Succs {
-			if e.To < 0 {
-				continue
-			}
-			if restrict != nil && !restrict[e.To] {
-				continue
-			}
-			s := a.succState(blk, e, out, followCalls)
-			if s == nil {
-				continue
-			}
-			if !reached[e.To] {
-				in[e.To] = s.clone()
-				reached[e.To] = true
-				work = append(work, e.To)
-				continue
-			}
-			j := a.join(in[e.To], s)
-			if !j.equal(in[e.To]) {
-				in[e.To] = j
-				work = append(work, e.To)
-			}
-		}
-	}
-	return in, reached, len(work) > 0
+	s := f.a.succState(b, e, out, f.followCalls)
+	return s, s != nil
 }
 
 // succState computes the state flowing along one CFG edge from a block
@@ -455,7 +418,7 @@ func (a *Analysis) succState(b *Block, e Edge, out *State, followCalls bool) *St
 					if post == nil {
 						post = s
 					} else {
-						post = a.join(post, s)
+						a.joinInto(post, s)
 					}
 				}
 				return post // nil when every target is noReturn
@@ -526,24 +489,24 @@ func (a *Analysis) applySummary(pre *State, sum *summary) *State {
 	// paramMem component is already the caller's own channel, so only
 	// the genuinely new taint is added.
 	post.UnknownStore = pre.UnknownStore | subst(out.UnknownStore&^a.paramMem)
-	for k, v := range out.Mem {
-		addr := k
-		if inSummaryStack(k) {
+	for _, c := range out.Mem {
+		addr := c.addr
+		if inSummaryStack(addr) {
 			if !spc.known {
 				// Stack cell at an unknown caller offset: weaken into the
 				// unresolved-store channel.
-				post.UnknownStore |= subst(v)
+				post.UnknownStore |= subst(c.val)
 				continue
 			}
-			addr = uint64(spc.v + int64(k) - int64(summaryStackBase))
+			addr = uint64(spc.v + int64(addr) - int64(summaryStackBase))
 		}
-		if _, ok := post.Mem[addr]; ok {
-			post.Mem[addr] |= subst(v)
-		} else {
-			// Mirror join's one-sided-cell semantics: a cell first tracked
-			// here still carries whatever secret range it overlays.
-			post.Mem[addr] = subst(v) | a.rangeSeed(addr, 8)
+		// Mirror join's one-sided-cell semantics: a cell first tracked
+		// here still carries whatever secret range it overlays.
+		v, ok := post.Mem.lookup(addr)
+		if !ok {
+			v = a.rangeSeed(addr, 8)
 		}
+		post.Mem.set(addr, v|subst(c.val))
 	}
 	return post
 }
@@ -562,14 +525,14 @@ func (a *Analysis) havocState(pre *State) *State {
 	for i := range a.Spec.SecretRanges {
 		all |= a.rangeMay[i]
 	}
-	post := &State{Mem: make(map[uint64]taintSet, len(pre.Mem))}
+	post := &State{Mem: slices.Clone(pre.Mem)}
 	for r := 0; r < isa.NumRegs; r++ {
 		post.Regs[r] = all
 	}
 	post.Flags = all
 	post.UnknownStore = pre.UnknownStore | all
-	for k := range pre.Mem {
-		post.Mem[k] = pre.Mem[k] | all
+	for i := range post.Mem {
+		post.Mem[i].val |= all
 	}
 	return post
 }

@@ -2,6 +2,7 @@ package staticlint
 
 import (
 	"fmt"
+	"slices"
 
 	"deaduops/internal/asm"
 	"deaduops/internal/isa"
@@ -116,44 +117,42 @@ type State struct {
 	// Flags is the taint of the architectural flags (set by CMP/TEST).
 	Flags taintSet
 	// Mem taints individually resolved memory cells (strong updates).
-	Mem map[uint64]taintSet
+	// A cell holding 0 is not an absent one: it is a known-clean value
+	// (a kill), where an absent cell reads as its secret-range seed.
+	Mem cellEnv[taintSet]
 	// UnknownStore accumulates taint written through unresolved
 	// addresses; every unresolved load may observe it (weak channel).
 	UnknownStore taintSet
 }
 
 // clone returns an independent copy of s.
-func (s *State) clone() *State {
-	c := *s
-	c.Mem = make(map[uint64]taintSet, len(s.Mem))
-	for k, v := range s.Mem {
-		c.Mem[k] = v
+func (s *State) clone() *State { return s.copyTo(nil) }
+
+// copyTo copies s into dst, reusing dst's cell buffer, and returns dst;
+// a nil dst is allocated.
+func (s *State) copyTo(dst *State) *State {
+	if dst == nil {
+		dst = new(State)
 	}
-	return &c
+	buf := dst.Mem
+	*dst = *s
+	dst.Mem = append(buf[:0], s.Mem...)
+	return dst
 }
 
 // memUnion returns the union of all individually tracked cell taints.
 func (s *State) memUnion() taintSet {
 	var u taintSet
-	for _, v := range s.Mem {
-		u |= v
+	for _, c := range s.Mem {
+		u |= c.val
 	}
 	return u
 }
 
 // equal reports whether two states carry identical facts.
 func (s *State) equal(o *State) bool {
-	if s.Regs != o.Regs || s.Const != o.Const ||
-		s.Flags != o.Flags || s.UnknownStore != o.UnknownStore ||
-		len(s.Mem) != len(o.Mem) {
-		return false
-	}
-	for k, v := range s.Mem {
-		if o.Mem[k] != v {
-			return false
-		}
-	}
-	return true
+	return s.Regs == o.Regs && s.Const == o.Const && s.Flags == o.Flags &&
+		s.UnknownStore == o.UnknownStore && slices.Equal(s.Mem, o.Mem)
 }
 
 // Analysis is the result of running the dataflow engine over a
@@ -269,7 +268,7 @@ func analyzeWith(prog *asm.Program, spec Spec, cfg Config, cache *Cache) *Analys
 
 // entryState builds the seed state applied at every entry block.
 func (a *Analysis) entryState() *State {
-	st := &State{Mem: make(map[uint64]taintSet)}
+	st := &State{}
 	for i, r := range a.Spec.SecretRegs {
 		st.Regs[r&0x0F] |= bitFor(i)
 	}
@@ -307,51 +306,43 @@ func (a *Analysis) run() {
 	a.buildFuncs()
 	a.allocParams()
 	a.computeSummaries()
-	seeds := make(map[int]*State)
-	for _, e := range a.CFG.Entries() {
-		seeds[e] = a.entryState()
-	}
-	if len(seeds) == 0 {
-		// Fully cyclic program: seed block 0 so the analysis still
-		// covers it.
-		seeds[0] = a.entryState()
-	}
 	// A capped whole-program fixpoint can only miss findings (there is
 	// no summary to poison here); the partial in-states are still the
 	// best available facts, so keep them rather than reporting nothing.
-	a.in, a.reached, _ = a.flow(seeds, nil, true)
+	a.in, a.reached, _ = fixpoint(a.CFG, taintFlow{a: a, followCalls: true}, a.CFG.roots(), a.entryState)
 	a.branches = a.findSecretBranches()
 	a.gadgets = a.scanGadgets()
 }
 
-// join merges two states at a control-flow merge point: taint unions,
-// constants meet (disagreement decays to not-a-constant), and tracked
-// memory cells union — a cell tracked on only one path unions with the
-// secret-range seed it would otherwise read as.
-func (a *Analysis) join(x, y *State) *State {
-	out := x.clone()
-	for r := 0; r < isa.NumRegs; r++ {
-		out.Regs[r] |= y.Regs[r]
-		if !x.Const[r].known || !y.Const[r].known || x.Const[r].v != y.Const[r].v {
-			out.Const[r] = constVal{}
+// joinInto merges src into dst in place at a control-flow merge point
+// and reports whether dst changed: taint unions, constants meet
+// (disagreement decays to not-a-constant), and tracked memory cells
+// union under taintCells. src is left as it was.
+func (a *Analysis) joinInto(dst, src *State) bool {
+	old := *dst
+	for r := range dst.Regs {
+		dst.Regs[r] |= src.Regs[r]
+		if dst.Const[r] != src.Const[r] {
+			dst.Const[r] = constVal{}
 		}
 	}
-	out.Flags |= y.Flags
-	out.UnknownStore |= y.UnknownStore
-	for k, v := range y.Mem {
-		if xv, ok := out.Mem[k]; ok {
-			out.Mem[k] = xv | v
-		} else {
-			out.Mem[k] = v | a.rangeSeed(k, 8)
-		}
-	}
-	for k := range x.Mem {
-		if _, ok := y.Mem[k]; !ok {
-			out.Mem[k] |= a.rangeSeed(k, 8)
-		}
-	}
-	return out
+	dst.Flags |= src.Flags
+	dst.UnknownStore |= src.UnknownStore
+	changed := dst.Regs != old.Regs || dst.Const != old.Const ||
+		dst.Flags != old.Flags || dst.UnknownStore != old.UnknownStore
+	return joinCells(&dst.Mem, src.Mem, taintCells{a}) || changed
 }
+
+// taintCells is the taint engine's cell join: cells union, and a cell
+// tracked on only one path unions with the secret-range seed it would
+// read as on the other. Every cell is kept, zero-taint ones included.
+type taintCells struct{ a *Analysis }
+
+func (taintCells) both(d, s taintSet) (taintSet, bool) { return d | s, true }
+func (p taintCells) alone(addr uint64, v taintSet) (taintSet, bool) {
+	return v | p.a.rangeSeed(addr, 8), true
+}
+func (taintCells) equal(x, y taintSet) bool { return x == y }
 
 // rangeSeed returns the definite-secret bits of ranges overlapping the
 // access [addr, addr+size).
@@ -377,7 +368,7 @@ func (a *Analysis) loadTaint(st *State, in *isa.Inst, size int, hook loadHook) t
 	}
 	if c := st.Const[in.Src&0x0F]; c.known {
 		addr := uint64(c.v + in.Imm)
-		if mv, ok := st.Mem[addr]; ok {
+		if mv, ok := st.Mem.lookup(addr); ok {
 			t |= mv
 		} else {
 			t |= a.rangeSeed(addr, size)
@@ -445,7 +436,7 @@ func (a *Analysis) step(st *State, in *isa.Inst, hook loadHook) {
 		// unresolved store may write any cell, and which cell it writes
 		// depends on the base, so a later load sees both taints.
 		if c := st.Const[s]; c.known {
-			st.Mem[uint64(c.v+in.Imm)] = st.Regs[d] // strong update
+			st.Mem.set(uint64(c.v+in.Imm), st.Regs[d]) // strong update
 		} else {
 			st.UnknownStore |= st.Regs[d] | st.Regs[s]
 		}
@@ -462,7 +453,7 @@ func (a *Analysis) step(st *State, in *isa.Inst, hook loadHook) {
 		if c := st.Const[15]; c.known {
 			sp := c.v - 8
 			st.Const[15] = constVal{known: true, v: sp}
-			st.Mem[uint64(sp)] = 0
+			st.Mem.set(uint64(sp), 0)
 		}
 	case isa.RET:
 		// Pop: the return target comes from the stack slot (the CFG has

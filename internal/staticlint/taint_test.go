@@ -1,7 +1,6 @@
 package staticlint
 
 import (
-	"math/rand"
 	"testing"
 
 	"deaduops/internal/asm"
@@ -267,85 +266,5 @@ func TestFixpointTerminatesOnLoop(t *testing.T) {
 	// may-secret but never reaches flags.
 	if len(fs) != 0 {
 		t.Fatalf("loop produced findings %v", fs)
-	}
-}
-
-// TestStateJoinLatticeLaws holds Analysis.join to the laws the worklist
-// fixpoint relies on, over random states: it is idempotent
-// (x ⊔ x = x), commutative, an upper bound of both sides, and monotone
-// (x ⊑ x' implies x ⊔ y ⊑ x' ⊔ y), and it leaves its inputs as they
-// were. The order reads a memory cell a state does not track as its
-// secret-range seed, the taint a load from it observes; a constant is
-// below only itself and the unknown value.
-func TestStateJoinLatticeLaws(t *testing.T) {
-	b := asm.New(0x1000)
-	b.Halt()
-	spec := Spec{
-		SecretRegs:   []isa.Reg{isa.R0},
-		SecretRanges: []MemRange{{Start: 0x100, End: 0x110}, {Start: 0x200, End: 0x208}},
-	}
-	a := Analyze(b.MustBuild(), spec, DefaultConfig())
-	// Cells inside, straddling and outside the secret ranges.
-	cells := []uint64{0xf8, 0x100, 0x108, 0x10c, 0x200, 0x300}
-	rng := rand.New(rand.NewSource(4))
-	taint := func() taintSet { return taintSet(rng.Intn(32)) }
-	randState := func() *State {
-		st := &State{Flags: taint(), UnknownStore: taint(), Mem: map[uint64]taintSet{}}
-		for r := range st.Regs {
-			st.Regs[r] = taint()
-			if rng.Intn(3) == 0 {
-				st.Const[r] = constVal{known: true, v: int64(rng.Intn(3))}
-			}
-		}
-		for _, k := range cells {
-			if rng.Intn(2) == 0 {
-				st.Mem[k] = taint()
-			}
-		}
-		return st
-	}
-	cell := func(s *State, k uint64) taintSet {
-		if v, ok := s.Mem[k]; ok {
-			return v
-		}
-		return a.rangeSeed(k, 8)
-	}
-	within := func(x, y taintSet) bool { return x&^y == 0 }
-	leq := func(x, y *State) bool {
-		for r := range x.Regs {
-			if !within(x.Regs[r], y.Regs[r]) || y.Const[r].known && y.Const[r] != x.Const[r] {
-				return false
-			}
-		}
-		if !within(x.Flags, y.Flags) || !within(x.UnknownStore, y.UnknownStore) {
-			return false
-		}
-		for _, k := range cells {
-			if !within(cell(x, k), cell(y, k)) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < 5000; i++ {
-		x, y, z := randState(), randState(), randState()
-		xc, yc := x.clone(), y.clone()
-		if got := a.join(x, x); !got.equal(x) {
-			t.Fatalf("join(x, x) = %+v, want x = %+v", got, x)
-		}
-		xy, yx := a.join(x, y), a.join(y, x)
-		if !x.equal(xc) || !y.equal(yc) {
-			t.Fatal("join modified its inputs")
-		}
-		if !xy.equal(yx) {
-			t.Fatalf("join(x, y) = %+v but join(y, x) = %+v", xy, yx)
-		}
-		if !leq(x, xy) || !leq(y, xy) {
-			t.Fatalf("join(x, y) = %+v is not an upper bound of x = %+v and y = %+v", xy, x, y)
-		}
-		xz := a.join(x, z) // x ⊑ xz by the upper-bound law
-		if !leq(xy, a.join(xz, y)) {
-			t.Fatalf("join is not monotone: x = %+v, x' = %+v, y = %+v", x, xz, y)
-		}
 	}
 }
