@@ -6,7 +6,9 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"deaduops/internal/isa"
 )
@@ -17,8 +19,10 @@ type Program struct {
 	Insts []*isa.Inst
 	// segs indexes the image densely: one table per contiguous run of
 	// code, sorted by base address (see index).
-	segs   []segment
-	labels map[string]uint64
+	segs []segment
+	// labels is every binding, sorted by name: built once by Build or
+	// Merge, and returned as is by Labels.
+	labels []LabelBinding
 
 	// Entry is the address of the first instruction emitted after the
 	// builder's origin (or the label named "entry" if defined).
@@ -102,13 +106,16 @@ func index(insts []*isa.Inst) (segs []segment, prev, clash *isa.Inst) {
 
 // Label returns the address bound to name.
 func (p *Program) Label(name string) (uint64, bool) {
-	a, ok := p.labels[name]
-	return a, ok
+	i, ok := slices.BinarySearchFunc(p.labels, name, func(l LabelBinding, n string) int { return strings.Compare(l.Name, n) })
+	if !ok {
+		return 0, false
+	}
+	return p.labels[i].Addr, true
 }
 
 // MustLabel returns the address bound to name, panicking if undefined.
 func (p *Program) MustLabel(name string) uint64 {
-	a, ok := p.labels[name]
+	a, ok := p.Label(name)
 	if !ok {
 		panic(fmt.Sprintf("asm: undefined label %q", name))
 	}
@@ -119,13 +126,12 @@ func (p *Program) MustLabel(name string) uint64 {
 // labels share the address the lexicographically first is returned, so
 // callers rendering addresses symbolically stay deterministic.
 func (p *Program) LabelAt(addr uint64) string {
-	best := ""
-	for name, a := range p.labels {
-		if a == addr && (best == "" || name < best) {
-			best = name
+	for _, l := range p.labels {
+		if l.Addr == addr {
+			return l.Name
 		}
 	}
-	return best
+	return ""
 }
 
 // Size returns the number of instructions in the program.
@@ -140,15 +146,12 @@ type LabelBinding struct {
 // Labels returns every label binding sorted by name — the canonical
 // enumeration callers hashing or rendering a whole program need (labels
 // reach findings through LabelAt, so two programs differing only in a
-// label are distinct program content).
-func (p *Program) Labels() []LabelBinding {
-	out := make([]LabelBinding, 0, len(p.labels))
-	for name, addr := range p.labels {
-		out = append(out, LabelBinding{Name: name, Addr: addr})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// label are distinct program content). The slice is the program's own,
+// sorted once when it was built or merged: callers must not write it.
+func (p *Program) Labels() []LabelBinding { return p.labels }
+
+// byName orders label bindings by name.
+func byName(x, y LabelBinding) int { return strings.Compare(x.Name, y.Name) }
 
 // fixup records a pending branch-target resolution.
 type fixup struct {
@@ -519,7 +522,11 @@ func (b *Builder) Build() (*Program, error) {
 	if clash != nil {
 		return nil, fmt.Errorf("asm: address 0x%x hosts both %v and %v", clash.Addr, prev, clash)
 	}
-	p := &Program{Insts: b.insts, segs: segs, labels: b.labels}
+	p := &Program{Insts: b.insts, segs: segs, labels: make([]LabelBinding, 0, len(b.labels))}
+	for name, addr := range b.labels {
+		p.labels = append(p.labels, LabelBinding{Name: name, Addr: addr})
+	}
+	slices.SortFunc(p.labels, byName)
 	if len(b.insts) > 0 {
 		p.Entry = b.insts[0].Addr
 	}
@@ -542,21 +549,20 @@ func (b *Builder) MustBuild() *Program {
 // Merge combines programs with disjoint address ranges into one image
 // (e.g. user code and kernel code). Entry is taken from the first.
 func Merge(progs ...*Program) (*Program, error) {
-	out := &Program{labels: make(map[string]uint64)}
+	out := &Program{}
 	for pi, p := range progs {
 		out.Insts = append(out.Insts, p.Insts...)
-		for name, addr := range p.labels {
-			// On a label-name collision the earliest program wins;
-			// callers address later programs through their own
-			// Program values (captured before the merge).
-			if _, clash := out.labels[name]; !clash {
-				out.labels[name] = addr
-			}
-		}
+		out.labels = append(out.labels, p.labels...)
 		if pi == 0 {
 			out.Entry = p.Entry
 		}
 	}
+	// On a label-name collision the earliest program wins: the stable
+	// sort keeps its binding first among those of the name. Callers
+	// address later programs through their own Program values (captured
+	// before the merge).
+	slices.SortStableFunc(out.labels, byName)
+	out.labels = slices.CompactFunc(out.labels, func(x, y LabelBinding) bool { return x.Name == y.Name })
 	sort.SliceStable(out.Insts, func(i, j int) bool { return out.Insts[i].Addr < out.Insts[j].Addr })
 	segs, prev, clash := index(out.Insts)
 	if clash != nil {

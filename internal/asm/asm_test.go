@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -255,6 +256,51 @@ func TestMergeLabelCollisionFirstWins(t *testing.T) {
 	}
 	if got := m.MustLabel("entry"); got != 0x1000 {
 		t.Errorf("entry = %#x, want first program's", got)
+	}
+	if got, want := m.Labels(), []LabelBinding{{"entry", 0x1000}}; !slices.Equal(got, want) {
+		t.Errorf("Labels() = %v, want %v", got, want)
+	}
+}
+
+// TestLabelsSortedAllocFree: Labels returns the bindings sorted by name
+// without allocating, on a built and on a merged program, and Label,
+// LabelAt and Merge's earliest-program-wins rule read the same
+// bindings.
+func TestLabelsSortedAllocFree(t *testing.T) {
+	a := New(0x1000)
+	a.Label("zeta").Label("alpha").Nop(1).Label("mid").Label("shared").Halt()
+	b := New(0x2000)
+	b.Label("shared").Label("beta").Halt()
+	pa, pb := a.MustBuild(), b.MustBuild()
+	m, err := Merge(pa, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		p    *Program
+		want []LabelBinding
+	}{
+		{"built", pa, []LabelBinding{{"alpha", 0x1000}, {"mid", 0x1001}, {"shared", 0x1001}, {"zeta", 0x1000}}},
+		{"merged", m, []LabelBinding{{"alpha", 0x1000}, {"beta", 0x2000}, {"mid", 0x1001}, {"shared", 0x1001}, {"zeta", 0x1000}}},
+	} {
+		if got := tc.p.Labels(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Labels() = %v, want %v", tc.name, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = tc.p.Labels() }); n != 0 {
+			t.Errorf("%s: Labels() allocates %v times, want 0", tc.name, n)
+		}
+		for _, l := range tc.want {
+			if got, ok := tc.p.Label(l.Name); !ok || got != l.Addr {
+				t.Errorf("%s: Label(%q) = %#x, %v, want %#x", tc.name, l.Name, got, ok, l.Addr)
+			}
+		}
+		if _, ok := tc.p.Label("absent"); ok {
+			t.Errorf("%s: Label(\"absent\") is bound", tc.name)
+		}
+		if got := tc.p.LabelAt(0x1001); got != "mid" {
+			t.Errorf("%s: LabelAt(0x1001) = %q, want the first name, mid", tc.name, got)
+		}
 	}
 }
 

@@ -395,11 +395,10 @@ func (a *Analysis) funcBodyHash(f *Func) cacheKey {
 				w.str("indirect:havoc")
 				continue
 			}
-			sorted := append([]uint64(nil), ts...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+			// completeTargets leaves ts sorted.
 			w.str("indirect:resolved")
-			w.u64(uint64(len(sorted)))
-			for _, t := range sorted {
+			w.u64(uint64(len(ts)))
+			for _, t := range ts {
 				w.u64(t)
 			}
 		}

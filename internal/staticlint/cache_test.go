@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -326,7 +327,35 @@ func TestLintCachedConcurrent(t *testing.T) {
 		}
 	}
 
+	// Cached summaries are shared by every analysis that reuses them, so
+	// none may write one. The cache is filled with each fixture's
+	// summaries before any analysis has applied them; two audits of each
+	// fixture, under all checkers and under one, miss the report layer
+	// and are served every summary from the cache. Every cached out must
+	// stay as it was, through those audits and the concurrent rounds
+	// below.
 	c := NewCache()
+	cfg := ConfigForProfile(profs[0])
+	for _, fx := range fixtures {
+		a := Analyze(fx.Prog, spec, cfg)
+		a.cache = c
+		a.computeSummaries()
+	}
+	before := summarySnapshot(c)
+	scoped := cfg
+	scoped.Checkers = []Checker{SecretBranchChecker{}}
+	misses := c.Stats().FuncMisses
+	for _, audit := range []Config{cfg, scoped} {
+		for _, fx := range fixtures {
+			if _, hit := LintCached(fx.Prog, spec, audit, c); hit {
+				t.Fatalf("%s: audit under %d checkers hit the report layer", fx.Name, len(audit.Checkers))
+			}
+		}
+		checkSummariesUnchanged(t, c, before)
+	}
+	if s := c.Stats(); s.FuncMisses != misses || s.FuncHits == 0 {
+		t.Fatalf("the audits recomputed summaries instead of reusing them: %+v", s)
+	}
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -361,6 +390,34 @@ func TestLintCachedConcurrent(t *testing.T) {
 	s := c.Stats()
 	if s.FuncHits == 0 || s.ReportHits == 0 {
 		t.Errorf("concurrent run produced no cache hits: %+v", s)
+	}
+	checkSummariesUnchanged(t, c, before)
+}
+
+// summarySnapshot deep-copies every summary in c.
+func summarySnapshot(c *Cache) map[cacheKey]summary {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[cacheKey]summary, len(c.sums))
+	for k, s := range c.sums {
+		cp := *s
+		if s.out != nil {
+			cp.out = s.out.clone()
+		}
+		out[k] = cp
+	}
+	return out
+}
+
+// checkSummariesUnchanged fails unless every summary in before is still
+// cached and deep-equal to its snapshot.
+func checkSummariesUnchanged(t *testing.T, c *Cache, before map[cacheKey]summary) {
+	t.Helper()
+	now := summarySnapshot(c)
+	for k, s := range before {
+		if got, ok := now[k]; !ok || !reflect.DeepEqual(got, s) {
+			t.Fatalf("cached summary %x changed after reuse:\nwas %+v\nnow %+v", k[:4], s.out, got.out)
+		}
 	}
 }
 

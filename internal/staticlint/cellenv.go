@@ -7,10 +7,8 @@ import (
 	"deaduops/internal/isa"
 )
 
-// The memory environment and the worklist driver both dataflows share:
-// the value-set analysis (resolve.go) tracks a bounded value set per
-// cell, the taint engine (taint.go, summary.go) a taint set. Each
-// supplies only its per-cell join policy and its transfer functions.
+// The memory environment and the worklist driver both dataflows share,
+// the value-set analysis (resolve.go) and the taint engine (taint.go).
 
 // cell is one tracked memory cell: the 8-byte value at addr.
 type cell[V any] struct {
@@ -76,31 +74,12 @@ type cellJoin[V any] interface {
 
 // joinCells merges src into *e in place under the policy p and reports
 // whether *e changed. Both environments are sorted, so the join is one
-// linear merge walk. It compacts within *e's own slice, where it
-// never writes ahead of where it reads, unless p keeps a cell only src
-// tracks: then, and only then, it allocates the grown environment.
+// linear merge walk. It compacts within *e's own slice, where it never
+// writes ahead of where it reads, until p keeps a cell only src
+// tracks: the walk then goes on in a new slice.
 func joinCells[V any, P cellJoin[V]](e *cellEnv[V], src cellEnv[V], p P) bool {
 	dst := *e
-	grow := 0
-	for i, j := 0, 0; j < len(src); {
-		switch {
-		case i < len(dst) && dst[i].addr < src[j].addr:
-			i++
-		case i < len(dst) && dst[i].addr == src[j].addr:
-			i++
-			j++
-		default:
-			if _, keep := p.alone(src[j].addr, src[j].val); keep {
-				grow++
-			}
-			j++
-		}
-	}
-	out := dst[:0]
-	if grow > 0 {
-		out = make(cellEnv[V], 0, len(dst)+grow)
-	}
-	changed := grow > 0
+	out, inPlace, changed := dst[:0], true, false
 	for i, j := 0, 0; i < len(dst) || j < len(src); {
 		var c cell[V]
 		keep := false
@@ -112,7 +91,10 @@ func joinCells[V any, P cellJoin[V]](e *cellEnv[V], src cellEnv[V], p P) bool {
 			i++
 		case i == len(dst) || src[j].addr < dst[i].addr:
 			c.addr = src[j].addr
-			c.val, keep = p.alone(c.addr, src[j].val)
+			if c.val, keep = p.alone(c.addr, src[j].val); keep && inPlace {
+				out, inPlace = append(make(cellEnv[V], 0, len(dst)+len(src)), out...), false
+			}
+			changed = changed || keep
 			j++
 		default:
 			c.addr = dst[i].addr
@@ -125,7 +107,7 @@ func joinCells[V any, P cellJoin[V]](e *cellEnv[V], src cellEnv[V], p P) bool {
 			out = append(out, c)
 		}
 	}
-	if grow == 0 {
+	if inPlace {
 		clear(dst[len(out):])
 	}
 	if len(out) == 0 {
@@ -135,16 +117,15 @@ func joinCells[V any, P cellJoin[V]](e *cellEnv[V], src cellEnv[V], p P) bool {
 	return changed
 }
 
-// dataflow is one forward analysis the worklist driver runs over
-// states of type S: how to copy a state (into dst's storage, or into a
-// new state when dst is the zero S), the in-place transfer function of
-// one instruction, the state an edge carries out of a block's exit
-// state (false prunes the edge), and the in-place join that reports
+// dataflow is one forward analysis over states of pointer type S: a
+// copy into dst's storage (a new state when dst is nil), the in-place
+// transfer function, the state an edge carries out of a block's exit
+// state (nil prunes the edge), and the in-place join, which reports
 // whether dst changed.
-type dataflow[S any] interface {
+type dataflow[S comparable] interface {
 	copy(dst, src S) S
 	step(st S, in *isa.Inst)
-	edge(b *Block, e Edge, out S) (S, bool)
+	edge(b *Block, e Edge, out S) S
 	join(dst, src S) bool
 }
 
@@ -156,16 +137,19 @@ type dataflow[S any] interface {
 var flowStepCap = func(n int) int { return 1000*n + 1000 }
 
 // fixpoint is the worklist driver both dataflows run on. Each seed
-// block (ascending) starts from its own entry() state, and blocks are
-// popped last in, first out; a block reached for the first time takes
-// a copy of the edge state, afterwards edge states join in place. The
-// third result reports whether the flowStepCap cut the fixpoint short:
-// the in-states are then an under-approximation and callers must
-// degrade, not trust them.
-func fixpoint[S any, F dataflow[S]](g *CFG, f F, seeds []int, entry func() S) (in []S, reached []bool, capped bool) {
+// block (ascending; block 0 of a fully cyclic program) starts from its
+// own entry() state, and blocks pop last in, first out. A block reached
+// for the first time takes a copy of the edge state; later edge states
+// join into it in place. The third result reports whether flowStepCap
+// cut the fixpoint short: the in-states are then an under-approximation
+// and callers must degrade, not trust them.
+func fixpoint[S comparable, F dataflow[S]](g *CFG, f F, seeds []int, entry func() S) (in []S, reached []bool, capped bool) {
 	n := len(g.Blocks)
 	in = make([]S, n)
 	reached = make([]bool, n)
+	if len(seeds) == 0 {
+		seeds = []int{0}
+	}
 	work := slices.Clone(seeds)
 	var none, out S // out: one exit-state buffer reused for every block
 	for _, b := range seeds {
@@ -184,9 +168,8 @@ func fixpoint[S any, F dataflow[S]](g *CFG, f F, seeds []int, entry func() S) (i
 			if e.To < 0 {
 				continue
 			}
-			s, ok := f.edge(blk, e, out)
-			switch {
-			case !ok:
+			switch s := f.edge(blk, e, out); {
+			case s == none:
 			case !reached[e.To]:
 				in[e.To] = f.copy(none, s)
 				reached[e.To] = true

@@ -525,6 +525,13 @@ func mapJoin(a *Analysis, x, y *State) *State {
 
 func anyTaint(taintSet) bool { return true }
 
+// equal reports whether two states carry identical facts: the
+// reference joinInto's change report is checked against.
+func (s *State) equal(o *State) bool {
+	return s.Regs == o.Regs && s.Const == o.Const && s.Flags == o.Flags &&
+		s.UnknownStore == o.UnknownStore && slices.Equal(s.Mem, o.Mem)
+}
+
 // TestStateJoinLatticeLaws holds Analysis.joinInto to the laws the
 // worklist fixpoint relies on, over random states: it is idempotent
 // (x ⊔ x = x), commutative, an upper bound of both sides, and monotone

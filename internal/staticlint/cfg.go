@@ -105,16 +105,6 @@ func (g *CFG) Entries() []int {
 	return out
 }
 
-// roots returns the blocks a whole-program flow starts from: the
-// entries, or block 0 when the program is fully cyclic, so the
-// analysis still covers it.
-func (g *CFG) roots() []int {
-	if e := g.Entries(); len(e) > 0 {
-		return e
-	}
-	return []int{0}
-}
-
 // terminatesBlock reports whether in ends a basic block.
 func terminatesBlock(in *isa.Inst) bool {
 	return in.IsBranch() || in.Op == isa.HALT
@@ -206,7 +196,7 @@ func BuildCFG(p *asm.Program) *CFG {
 			// fall-through. The call edge carries the caller's state
 			// into the callee body; the fall-through edge does NOT pass
 			// the raw pre-call state — the dataflow engine applies the
-			// callee's taint summary across it (see succState).
+			// callee's taint summary across it (see taintFlow.edge).
 			addEdge(uint64(last.Imm), EdgeCall)
 			if fallthroughOK() {
 				addEdge(last.End(), EdgeFallThrough)

@@ -67,29 +67,14 @@ func vsOf(vals []uint64) vset {
 		return vsTop
 	}
 	slices.Sort(vals)
-	out := vals[:1]
-	for _, v := range vals[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
+	out := slices.Compact(vals)
 	if len(out) > maxVSetSize {
 		return vsTop
 	}
 	return vset{vals: out}
 }
 
-func (v vset) equal(o vset) bool {
-	if v.top != o.top || len(v.vals) != len(o.vals) {
-		return false
-	}
-	for i := range v.vals {
-		if v.vals[i] != o.vals[i] {
-			return false
-		}
-	}
-	return true
-}
+func (v vset) equal(o vset) bool { return v.top == o.top && slices.Equal(v.vals, o.vals) }
 
 // vsJoin unions two value sets. When one side contains the other it
 // returns that side, so a set joined with itself (or with a subset) is
@@ -211,8 +196,7 @@ type vsaState struct {
 
 func (s *vsaState) clone() *vsaState { return s.copyTo(nil) }
 
-// copyTo copies s into dst, reusing dst's cell buffer, and returns dst;
-// a nil dst is allocated.
+// copyTo is State.copyTo for value-set states.
 func (s *vsaState) copyTo(dst *vsaState) *vsaState {
 	if dst == nil {
 		dst = new(vsaState)
@@ -245,9 +229,8 @@ func vsaJoin(dst, src *vsaState) bool {
 	return joinCells(&dst.mem, src.mem, vsaCells{}) || changed
 }
 
-// vsaCells is the value-set cell join: a cell survives only when
-// tracked on both paths (absent means TOP) and its joined set stays
-// bounded.
+// vsaCells is the value-set cell join: a cell survives only when tracked
+// on both paths (absent means TOP) and its joined set stays bounded.
 type vsaCells struct{}
 
 func (vsaCells) both(d, s vset) (vset, bool) {
@@ -413,10 +396,7 @@ func (a *Analysis) vsaStore(st *vsaState, base vset, imm int64, val vset, width 
 // vsaEntry is the state at a program entry: everything unknown except
 // the spec's declared ABI constants.
 func (a *Analysis) vsaEntry() *vsaState {
-	st := &vsaState{}
-	for r := range st.regs {
-		st.regs[r] = vsTop
-	}
+	st := &vsaState{regs: vsaHavoc.regs}
 	for r, v := range a.Spec.EntryConsts {
 		st.regs[r&0x0F] = vsConst(uint64(v))
 	}
@@ -434,14 +414,11 @@ func (f vsaFlow) join(dst, src *vsaState) bool      { return vsaJoin(dst, src) }
 // fall-through, which re-enters with all registers TOP (the callee may
 // have clobbered anything); memory poisoning from the call's own push
 // is already in out.
-func (f vsaFlow) edge(b *Block, e Edge, out *vsaState) (*vsaState, bool) {
-	if e.Kind == EdgeFallThrough {
-		switch b.Last().Op {
-		case isa.CALL, isa.CALLI, isa.SYSCALL:
-			return vsaHavoc, true
-		}
+func (f vsaFlow) edge(b *Block, e Edge, out *vsaState) *vsaState {
+	if op := b.Last().Op; e.Kind == EdgeFallThrough && (op == isa.CALL || op == isa.CALLI || op == isa.SYSCALL) {
+		return vsaHavoc
 	}
-	return out, true
+	return out
 }
 
 // vsaHavoc is the state after a call returns: every register TOP and
@@ -457,14 +434,12 @@ var vsaHavoc = func() *vsaState {
 // resolveIndirect runs the VSA fixpoint and populates a.resolved with
 // every CALLI/JMPI whose target set passed the completeness gate. A
 // capped fixpoint resolves nothing: partial VSA states could miss a
-// reaching value, so the degrade-to-havoc contract takes over wholesale.
+// reaching value, so the degrade-to-havoc contract takes over
+// wholesale. run calls it only on a non-empty CFG.
 func (a *Analysis) resolveIndirect() {
 	a.resolved = map[uint64][]uint64{}
 	g := a.CFG
-	if len(g.Blocks) == 0 {
-		return
-	}
-	in, _, capped := fixpoint(g, vsaFlow{a}, g.roots(), a.vsaEntry)
+	in, _, capped := fixpoint(g, vsaFlow{a}, g.Entries(), a.vsaEntry)
 	if capped {
 		return
 	}
@@ -497,9 +472,7 @@ func (a *Analysis) completeTargets(v vset) []uint64 {
 			return nil
 		}
 	}
-	out := make([]uint64, len(v.vals))
-	copy(out, v.vals)
-	return out
+	return slices.Clone(v.vals)
 }
 
 // rewriteIndirectEdges replaces each resolved site's EdgeIndirect
@@ -536,15 +509,8 @@ func (a *Analysis) rewriteIndirectEdges() {
 		b.Succs = succs
 	}
 	for to := range changed {
-		preds := g.Blocks[to].Preds
-		sort.Ints(preds)
-		dedup := preds[:0]
-		for i, p := range preds {
-			if i == 0 || p != dedup[len(dedup)-1] {
-				dedup = append(dedup, p)
-			}
-		}
-		g.Blocks[to].Preds = dedup
+		slices.Sort(g.Blocks[to].Preds)
+		g.Blocks[to].Preds = slices.Compact(g.Blocks[to].Preds)
 	}
 }
 

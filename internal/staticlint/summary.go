@@ -175,8 +175,7 @@ func (a *Analysis) computeSummaries() {
 				converged = true
 				for _, fi := range scc {
 					f := a.funcs[fi]
-					s := a.joinSummary(a.summaries[f.Entry], a.summarize(fi))
-					if !summaryEqual(s, a.summaries[f.Entry]) {
+					if s, changed := a.joinSummary(a.summaries[f.Entry], a.summarize(fi)); changed {
 						a.summaries[f.Entry] = s
 						converged = false
 					}
@@ -267,40 +266,26 @@ func (a *Analysis) summarize(fi int) *summary {
 	return &summary{out: exit, writes: a.funcWrites[fi]}
 }
 
-// joinSummary merges two summary estimates (SCC iteration). It joins
-// into a copy of x's state: a summary's out is never written once
-// built, since cached summaries are shared across analyses and
-// goroutines.
-func (a *Analysis) joinSummary(x, y *summary) *summary {
-	if x == nil {
-		return y
-	}
+// joinSummary merges two summary estimates (SCC iteration) and reports
+// whether the result differs from x. It joins into a copy of x.out: a
+// built summary is never written, as cached ones are shared.
+func (a *Analysis) joinSummary(x, y *summary) (*summary, bool) {
 	if x.havoc || y.havoc {
-		return &havocSummary
+		return &havocSummary, !x.havoc
 	}
 	out := &summary{writes: x.writes | y.writes, noReturn: x.noReturn && y.noReturn}
+	changed := out.writes != x.writes || out.noReturn != x.noReturn
 	switch {
 	case x.out == nil:
 		out.out = y.out
+		changed = changed || y.out != nil
 	case y.out == nil:
 		out.out = x.out
 	default:
 		out.out = x.out.clone()
-		a.joinInto(out.out, y.out)
+		changed = a.joinInto(out.out, y.out) || changed
 	}
-	return out
-}
-
-// summaryEqual reports whether two summary estimates carry the same
-// facts (SCC convergence test).
-func summaryEqual(x, y *summary) bool {
-	if x.havoc != y.havoc || x.noReturn != y.noReturn || x.writes != y.writes {
-		return false
-	}
-	if (x.out == nil) != (y.out == nil) {
-		return false
-	}
-	return x.out == nil || x.out.equal(y.out)
+	return out, changed
 }
 
 // computeWrites derives each function's syntactic register-clobber
@@ -360,12 +345,10 @@ func directWrites(in *isa.Inst) uint32 {
 	return 0
 }
 
-// taintFlow is the taint dataflow the worklist driver runs: restrict
-// (when non-nil) confines propagation to one function's body, and
-// followCalls selects whether EdgeCall successors are entered (the
-// whole-program pass descends into callees to analyze their bodies in
-// real calling contexts; summary computation replaces calls with their
-// summaries instead).
+// taintFlow is the taint dataflow: restrict (when non-nil) confines
+// propagation to one function's body, and followCalls enters EdgeCall
+// successors (the whole-program pass analyzes callee bodies in real
+// calling contexts; summary computation applies summaries instead).
 type taintFlow struct {
 	a           *Analysis
 	restrict    map[int]bool
@@ -375,59 +358,51 @@ type taintFlow struct {
 func (f taintFlow) copy(dst, src *State) *State  { return src.copyTo(dst) }
 func (f taintFlow) step(st *State, in *isa.Inst) { f.a.step(st, in, nil) }
 func (f taintFlow) join(dst, src *State) bool    { return f.a.joinInto(dst, src) }
-func (f taintFlow) edge(b *Block, e Edge, out *State) (*State, bool) {
-	if f.restrict != nil && !f.restrict[e.To] {
-		return nil, false
-	}
-	s := f.a.succState(b, e, out, f.followCalls)
-	return s, s != nil
-}
 
-// succState computes the state flowing along one CFG edge from a block
+// edge computes the state flowing along one CFG edge from a block
 // whose instructions have already been stepped (out is the block exit
 // state, call push included). The interesting case is the fall-through
 // after a call: it receives the callee's summarized effect, not the
 // raw pre-call state — a nil return prunes the edge (noReturn callee).
-func (a *Analysis) succState(b *Block, e Edge, out *State, followCalls bool) *State {
-	switch e.Kind {
-	case EdgeCall:
-		if !followCalls {
+func (f taintFlow) edge(b *Block, e Edge, out *State) *State {
+	a := f.a
+	switch {
+	case f.restrict != nil && !f.restrict[e.To], e.Kind == EdgeCall && !f.followCalls:
+		return nil
+	case e.Kind != EdgeFallThrough:
+		return out
+	}
+	switch last := b.Last(); last.Op {
+	case isa.CALL:
+		sum := a.summaryOf(uint64(last.Imm))
+		if sum.noReturn {
 			return nil
 		}
-		return out
-	case EdgeFallThrough:
-		switch last := b.Last(); last.Op {
-		case isa.CALL:
-			sum := a.summaryOf(uint64(last.Imm))
-			if sum.noReturn {
-				return nil
-			}
-			return a.applySummary(out, sum)
-		case isa.CALLI:
-			// A resolved indirect call applies the join of every target's
-			// summary at the return site — any callee in the complete set
-			// may have run. An unresolved site keeps the havoc contract.
-			if ts := a.resolved[last.Addr]; len(ts) > 0 {
-				var post *State
-				for _, t := range ts {
-					sum := a.summaryOf(t)
-					if sum.noReturn {
-						continue
-					}
-					s := a.applySummary(out, sum)
-					if post == nil {
-						post = s
-					} else {
-						a.joinInto(post, s)
-					}
+		return a.applySummary(out, sum)
+	case isa.CALLI:
+		// A resolved indirect call applies the join of every target's
+		// summary at the return site — any callee in the complete set
+		// may have run. An unresolved site keeps the havoc contract.
+		if ts := a.resolved[last.Addr]; len(ts) > 0 {
+			var post *State
+			for _, t := range ts {
+				sum := a.summaryOf(t)
+				if sum.noReturn {
+					continue
 				}
-				return post // nil when every target is noReturn
+				s := a.applySummary(out, sum)
+				if post == nil {
+					post = s
+				} else {
+					a.joinInto(post, s)
+				}
 			}
-			return a.havocState(out)
-		case isa.SYSCALL:
-			// Kernel crossing: the callee is never statically known.
-			return a.havocState(out)
+			return post // nil when every target is noReturn
 		}
+		return a.havocState(out)
+	case isa.SYSCALL:
+		// Kernel crossing: the callee is never statically known.
+		return a.havocState(out)
 	}
 	return out
 }

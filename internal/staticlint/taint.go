@@ -2,7 +2,6 @@ package staticlint
 
 import (
 	"fmt"
-	"slices"
 
 	"deaduops/internal/asm"
 	"deaduops/internal/isa"
@@ -149,12 +148,6 @@ func (s *State) memUnion() taintSet {
 	return u
 }
 
-// equal reports whether two states carry identical facts.
-func (s *State) equal(o *State) bool {
-	return s.Regs == o.Regs && s.Const == o.Const && s.Flags == o.Flags &&
-		s.UnknownStore == o.UnknownStore && slices.Equal(s.Mem, o.Mem)
-}
-
 // Analysis is the result of running the dataflow engine over a
 // program: the CFG, the source table, and the per-block fixpoint
 // states checkers consume.
@@ -289,10 +282,7 @@ func (a *Analysis) entryState() *State {
 // transient-window gadget scan over the same CFG and function
 // partition.
 func (a *Analysis) run() {
-	n := len(a.CFG.Blocks)
-	a.in = make([]*State, n)
-	a.reached = make([]bool, n)
-	if n == 0 {
+	if len(a.CFG.Blocks) == 0 {
 		a.resolved = map[uint64][]uint64{}
 		return
 	}
@@ -309,7 +299,7 @@ func (a *Analysis) run() {
 	// A capped whole-program fixpoint can only miss findings (there is
 	// no summary to poison here); the partial in-states are still the
 	// best available facts, so keep them rather than reporting nothing.
-	a.in, a.reached, _ = fixpoint(a.CFG, taintFlow{a: a, followCalls: true}, a.CFG.roots(), a.entryState)
+	a.in, a.reached, _ = fixpoint(a.CFG, taintFlow{a: a, followCalls: true}, a.CFG.Entries(), a.entryState)
 	a.branches = a.findSecretBranches()
 	a.gadgets = a.scanGadgets()
 }
@@ -466,7 +456,7 @@ func (a *Analysis) step(st *State, in *isa.Inst, hook loadHook) {
 		// Kernel entry: the return address goes to the machine's
 		// syscall stack, not the guest stack — no register effect here;
 		// the unknown kernel effect is applied at the fall-through edge
-		// (succState havoc).
+		// (taintFlow.edge havoc).
 	}
 }
 
