@@ -101,8 +101,8 @@ func (s Source) String() string {
 	}
 }
 
-// constVal is the constant-propagation lattice for one register:
-// either a known 64-bit constant or not-a-constant.
+// constVal is the constant-propagation lattice for one register: a
+// known 64-bit constant, or not-a-constant, which is the zero constVal.
 type constVal struct {
 	known bool
 	v     int64
