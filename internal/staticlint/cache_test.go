@@ -394,6 +394,40 @@ func TestLintCachedConcurrent(t *testing.T) {
 	checkSummariesUnchanged(t, c, before)
 }
 
+// TestCachedSummaryNeverWritten: a summary cached before any caller
+// applied it stays deep-equal through audits that apply it. The callee
+// f sits at the same address in two programs; in the first nothing
+// calls it, so its summary is stored unapplied, and the second
+// program's audits are served that summary and apply it at their call.
+func TestCachedSummaryNeverWritten(t *testing.T) {
+	prog := func(call bool) *asm.Program {
+		b := asm.New(0x1000)
+		b.Movi(isa.R15, 0x8000)
+		if call {
+			b.Store(isa.R15, -16, isa.R1).Call("f").Load(isa.R3, isa.R15, -16)
+		}
+		b.Halt()
+		b.Org(0x1100)
+		b.Label("f").Store(isa.R15, 8, isa.R2).Load(isa.R4, isa.R15, 16).Xor(isa.R5, isa.R5).Ret()
+		return b.MustBuild()
+	}
+	spec := Spec{SecretRegs: []isa.Reg{isa.R1}}
+	cfg := DefaultConfig()
+	c := NewCache()
+	LintCached(prog(false), spec, cfg, c)
+	before := summarySnapshot(c)
+	hits := c.Stats().FuncHits
+	scoped := cfg
+	scoped.Checkers = []Checker{SecretBranchChecker{}}
+	for _, audit := range []Config{cfg, scoped} {
+		LintCached(prog(true), spec, audit, c)
+		checkSummariesUnchanged(t, c, before)
+	}
+	if c.Stats().FuncHits == hits {
+		t.Fatal("the calling program reused no cached summary")
+	}
+}
+
 // summarySnapshot deep-copies every summary in c.
 func summarySnapshot(c *Cache) map[cacheKey]summary {
 	c.mu.Lock()
