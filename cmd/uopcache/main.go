@@ -4,8 +4,12 @@
 // Usage:
 //
 //	uopcache -list
-//	uopcache -exp fig3a [-iters 200] [-warmup 50] [-samples 8] [-csv]
+//	uopcache -exp fig3a [-workers 8] [-csv]
 //	uopcache -exp all
+//
+// Each experiment has one configuration, the one its golden output
+// under internal/experiments/testdata pins; -workers changes only the
+// wall time.
 package main
 
 import (
@@ -27,10 +31,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		exp     = fs.String("exp", "", "experiment id (see -list), or \"all\"")
 		list    = fs.Bool("list", false, "list experiment ids")
-		iters   = fs.Int("iters", 0, "measurement loop iterations (0 = default)")
-		warmup  = fs.Int("warmup", 0, "warm-up iterations (0 = default)")
-		samples = fs.Int("samples", 0, "per-point samples / rounds (0 = default)")
-		seed    = fs.Uint64("seed", 0, "payload PRNG seed (0 = default)")
 		workers = fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 		csv     = fs.Bool("csv", false, "CSV output where supported")
 	)
@@ -49,13 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	opts := experiments.Options{
-		Iterations: *iters,
-		Warmup:     *warmup,
-		Samples:    *samples,
-		Seed:       *seed,
-		Workers:    *workers,
-	}
+	opts := experiments.Options{Workers: *workers}
 
 	ids := []string{*exp}
 	if *exp == "all" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestBadArgsExit(t *testing.T) {
 	}{
 		{nil, 2},
 		{[]string{"-exp", "fig99"}, 2},
-		{[]string{"-exp", "fig5", "-samples", "1"}, 1},
+		{[]string{"-iters", "60", "-exp", "fig3a"}, 2},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != tc.code {
@@ -64,5 +65,33 @@ func TestCSVHeader(t *testing.T) {
 	}
 	if !strings.HasPrefix(out.String(), "series,x,y") {
 		t.Errorf("CSV output starts %.40q, want series,x,y", out.String())
+	}
+}
+
+// docCommand matches a quoted uopcache invocation up to the end of its
+// shell command: a closing backtick, pipe, redirect, comment or ";".
+var docCommand = regexp.MustCompile("go run \\./cmd/uopcache([^`|>#;\n]*)")
+
+// TestDocCommandsParse checks every uopcache command the docs quote
+// still parses: each one, with its id placeholder filled in and -list
+// appended so nothing runs, must exit 0. A doc that names a removed
+// flag fails here.
+func TestDocCommandsParse(t *testing.T) {
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		text, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmds := docCommand.FindAllStringSubmatch(string(text), -1)
+		if len(cmds) == 0 {
+			t.Errorf("%s quotes no uopcache command", doc)
+		}
+		for _, m := range cmds {
+			args := strings.Fields(strings.NewReplacer("$id", "fig3a", "<id>", "fig3a").Replace(m[1]))
+			var out, errb bytes.Buffer
+			if code := run(append(args, "-list"), &out, &errb); code != 0 {
+				t.Errorf("%s: uopcache %q exited %d: %s", doc, args, code, errb.String())
+			}
+		}
 	}
 }

@@ -202,8 +202,15 @@ func (b *Backend) newEntry(u isa.Uop) *entry {
 // entry. Register and memory contents persist (the attacks depend on
 // persistent microarchitectural and memory state between runs).
 func (b *Backend) Reset(pc uint64) {
-	// Recycle every in-flight and parked entry: nothing outside the
-	// backend holds entry pointers, so a reset drains both pools.
+	b.drain()
+	b.halted = false
+	b.fe.Redirect(pc)
+}
+
+// drain recycles every in-flight and parked entry and forgets their
+// producers: nothing outside the backend holds entry pointers, so
+// Reset and Restore return both pools to the free list.
+func (b *Backend) drain() {
 	b.free = append(b.free, b.rob...)
 	for i := range b.grave {
 		b.free = append(b.free, b.grave[i].e)
@@ -212,8 +219,6 @@ func (b *Backend) Reset(pc uint64) {
 	b.rob = b.rob[:0]
 	b.regProd = [isa.NumRegs]*entry{}
 	b.flagProd = nil
-	b.halted = false
-	b.fe.Redirect(pc)
 }
 
 // Halted reports whether the thread has retired a HALT.
@@ -262,14 +267,7 @@ func (b *Backend) Save(s *State) {
 // in-flight and parked entries back to the pool (exactly as Reset
 // does) so the backend sits in the quiescent between-runs position.
 func (b *Backend) Restore(s *State) {
-	b.free = append(b.free, b.rob...)
-	for i := range b.grave {
-		b.free = append(b.free, b.grave[i].e)
-	}
-	b.grave = b.grave[:0]
-	b.rob = b.rob[:0]
-	b.regProd = [isa.NumRegs]*entry{}
-	b.flagProd = nil
+	b.drain()
 	b.regs = s.Regs
 	b.flags = s.Flags
 	b.kernelMode = s.KernelMode

@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	register("ablations", func(o Options) (Renderable, error) { return Ablations(o) })
+	Registry["ablations"] = func(o Options) (Renderable, error) { return Ablations(o) }
 }
 
 // ablation is one row of the ablation table. Signal rows (hotness cap,

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("alignchannel", func(o Options) (Renderable, error) { return AlignChannel(o) })
+	Registry["alignchannel"] = func(o Options) (Renderable, error) { return AlignChannel(o) }
 }
 
 // alignChannelSeeds are the pinned-shape alignment victims the table

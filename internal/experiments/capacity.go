@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	register("capacity", func(o Options) (Renderable, error) { return CapacityAcrossGenerations(o) })
+	Registry["capacity"] = func(o Options) (Renderable, error) { return CapacityAcrossGenerations(o) }
 }
 
 // CapacityAcrossGenerations extends Fig 3a across the microarchitecture
@@ -18,7 +18,6 @@ func init() {
 // (384), Zen's 256, and Zen-2's 512 (4K µops). An attacker calibrating
 // the channel on a new part would run exactly this sweep.
 func CapacityAcrossGenerations(o Options) (*Table, error) {
-	o = o.withDefaults(30, 10, 1)
 	t := &Table{
 		ID:    "capacity",
 		Title: "Micro-op cache capacity knee across generations",
@@ -39,7 +38,7 @@ func CapacityAcrossGenerations(o Options) (*Table, error) {
 	rows, err := sweep(o, len(configs), func(a *cpu.Arena, i int) ([]string, error) {
 		c := configs[i]
 		uc := c.cfg.UopCache
-		knee, err := capacityKnee(c.cfg, o, a)
+		knee, err := capacityKnee(c.cfg, a)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
@@ -57,10 +56,17 @@ func CapacityAcrossGenerations(o Options) (*Table, error) {
 	return t, nil
 }
 
+// capacityWarmup and capacityIters are the warm-up and measured
+// traversals of every loop the capacity sweep runs.
+const (
+	capacityWarmup = 10
+	capacityIters  = 30
+)
+
 // capacityKnee runs the Listing 1 sweep on the given configuration and
 // returns the first loop size whose steady-state legacy-decode traffic
 // exceeds the near-zero baseline.
-func capacityKnee(cfg cpu.Config, o Options, a *cpu.Arena) (int, error) {
+func capacityKnee(cfg cpu.Config, a *cpu.Arena) (int, error) {
 	lines := cfg.UopCache.Sets * cfg.UopCache.Ways
 	// Sweep around the expected knee in single-line steps of 8 regions.
 	// The scan early-exits at the knee, so it stays sequential within
@@ -70,7 +76,7 @@ func capacityKnee(cfg cpu.Config, o Options, a *cpu.Arena) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		mite, err := steadyMITE(cfg, prog, o, a)
+		mite, err := steadyMITE(cfg, prog, capacityWarmup, capacityIters, a)
 		if err != nil {
 			return 0, fmt.Errorf("%d regions: %w", n, err)
 		}

@@ -3,35 +3,23 @@ package experiments
 import "testing"
 
 // TestSweepDeterminism is the parallel-sweep gate: an experiment run
-// sequentially (Workers: 1) and across a worker pool must render
-// byte-identically. Each sweep point builds its own simulated core and
-// the pool assembles results in input order, so worker count can only
-// change wall-clock time, never output. Fig 5 covers the Grid path
-// (the largest sweep, 2-D eviction heat map) and Table I covers the
-// Table path (four channels, one core each). Run under -race in CI,
-// this also shakes out any shared state between sweep points.
+// sequentially (Workers: 1) must render byte-identically to its
+// golden, which TestGoldenOutputs checks against a run across the
+// default worker pool. Each sweep point builds its own simulated core
+// and the pool assembles results in input order, so worker count can
+// only change wall-clock time, never output. Fig 5 covers the Grid
+// path (the largest sweep, 2-D eviction heat map) and Table I covers
+// the Table path (four channels, one core each). Under -race in CI,
+// the pooled golden runs also shake out any shared state between
+// sweep points.
 func TestSweepDeterminism(t *testing.T) {
 	for _, id := range []string{"fig5", "table1"} {
-		fn, ok := Registry[id]
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		seq, err := fn(Options{Workers: 1})
+		seq, err := Registry[id](Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", id, err)
 		}
-		par, err := fn(Options{Workers: 4})
-		if err != nil {
-			t.Fatalf("%s parallel: %v", id, err)
-		}
-		if seq.Render() != par.Render() {
-			t.Errorf("%s: parallel rendering differs from sequential:\nsequential:\n%s\nparallel:\n%s",
-				id, seq.Render(), par.Render())
-		}
-		sc, seqHasCSV := seq.(interface{ CSV() string })
-		pc, parHasCSV := par.(interface{ CSV() string })
-		if seqHasCSV && parHasCSV && sc.CSV() != pc.CSV() {
-			t.Errorf("%s: parallel CSV differs from sequential", id)
+		if got, want := seq.Render(), readGolden(t, id); got != want {
+			t.Errorf("%s: sequential rendering differs from the golden:\n%s", id, got)
 		}
 	}
 }

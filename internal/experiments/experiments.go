@@ -125,17 +125,10 @@ func (t *Table) Render() string {
 	return sb.String()
 }
 
-// Options tunes experiment cost. Zero values select defaults sized for
-// tests; the CLI raises them for smoother curves.
+// Options tunes how an experiment runs, never what it outputs. Each
+// experiment has one configuration (its loop counts and payload seed
+// are constants beside it), the one its golden pins.
 type Options struct {
-	// Iterations is the per-measurement loop count.
-	Iterations int
-	// Warmup is the number of priming traversals before measuring.
-	Warmup int
-	// Samples is the per-point repeat count (averaged).
-	Samples int
-	// Seed feeds the deterministic PRNG used by workloads and payloads.
-	Seed uint64
 	// Workers bounds the sweep worker pool. Zero selects GOMAXPROCS;
 	// 1 forces sequential execution. Results are identical at every
 	// worker count — each sweep point builds its own core and the pool
@@ -155,21 +148,9 @@ func sweep[T any](o Options, n int, fn func(a *cpu.Arena, i int) (T, error)) ([]
 		func() *cpu.Arena { return new(cpu.Arena) }, fn)
 }
 
-func (o Options) withDefaults(iter, warm, samples int) Options {
-	if o.Iterations == 0 {
-		o.Iterations = iter
-	}
-	if o.Warmup == 0 {
-		o.Warmup = warm
-	}
-	if o.Samples == 0 {
-		o.Samples = samples
-	}
-	if o.Seed == 0 {
-		o.Seed = 0x5eed
-	}
-	return o
-}
+// payloadSeed feeds the deterministic PRNG behind every experiment's
+// secret payload (testPayload).
+const payloadSeed = 0x5eed
 
 // Renderable is anything an experiment can produce.
 type Renderable interface{ Render() string }
@@ -185,21 +166,4 @@ func IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// register adds fn under id. The registered runner rejects negative
-// Options counts up front, so no experiment renders a figure from them
-// or spins on a loop count that never reaches zero.
-func register(id string, fn func(Options) (Renderable, error)) {
-	Registry[id] = func(o Options) (Renderable, error) {
-		switch {
-		case o.Iterations < 0:
-			return nil, fmt.Errorf("experiments: negative Iterations %d", o.Iterations)
-		case o.Warmup < 0:
-			return nil, fmt.Errorf("experiments: negative Warmup %d", o.Warmup)
-		case o.Samples < 0:
-			return nil, fmt.Errorf("experiments: negative Samples %d", o.Samples)
-		}
-		return fn(o)
-	}
 }

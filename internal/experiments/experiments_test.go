@@ -8,14 +8,8 @@ import (
 	"deaduops/internal/profile"
 )
 
-// fast options keep the suite quick; the CLI uses larger values.
-var fast = Options{Iterations: 20, Warmup: 8, Samples: 4}
-
 func TestFig3aCapacityKnee(t *testing.T) {
-	f, err := Fig3aCacheSize(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := defaultRun(t, "fig3a").(*Figure)
 	y := f.Series[0].Y
 	x := f.Series[0].X
 	at := func(region float64) float64 {
@@ -39,10 +33,7 @@ func TestFig3aCapacityKnee(t *testing.T) {
 }
 
 func TestFig3bAssociativityKnee(t *testing.T) {
-	f, err := Fig3bAssociativity(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := defaultRun(t, "fig3b").(*Figure)
 	y := f.Series[0].Y
 	// Ways 1..8 fit; 9+ overflow the set.
 	for i := 0; i < 8; i++ {
@@ -59,10 +50,7 @@ func TestFig3bAssociativityKnee(t *testing.T) {
 }
 
 func TestFig4PlacementPlateaus(t *testing.T) {
-	f, err := Fig4Placement(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := defaultRun(t, "fig4").(*Figure)
 	series := map[string]Series{}
 	for _, s := range f.Series {
 		series[s.Label] = s
@@ -96,12 +84,11 @@ func TestFig4PlacementPlateaus(t *testing.T) {
 }
 
 func TestFig5ReplacementDiagonal(t *testing.T) {
-	g, err := Fig5ReplacementGrid(Options{Samples: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The registered runner flattens the grid into one series per
+	// main-loop count.
+	f := defaultRun(t, "fig5").(*Figure)
 	cell := func(main, evict int) float64 {
-		return g.Cell[main-1][evict]
+		return f.Series[main-1].Y[evict]
 	}
 	// No evictor: full streaming (48 µops + tail).
 	if v := cell(6, 0); v < 40 {
@@ -121,10 +108,7 @@ func TestFig5ReplacementDiagonal(t *testing.T) {
 }
 
 func TestFig6PartitionHalvesCapacity(t *testing.T) {
-	f, err := Fig6SMTPartition(Options{Iterations: 15, Warmup: 6}, Fig6Pause)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := defaultRun(t, "fig6a").(*Figure)
 	var smt, st Series
 	for _, s := range f.Series {
 		switch s.Label {
@@ -154,10 +138,7 @@ func TestFig6PartitionHalvesCapacity(t *testing.T) {
 }
 
 func TestFig7aNoCrossThreadContention(t *testing.T) {
-	f, err := Fig7aSetProbe(Options{Iterations: 12, Warmup: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := defaultRun(t, "fig7a").(*Figure)
 	for i, y := range f.Series[0].Y {
 		// Streaming 48 µops/iteration: any real contention would show
 		// hundreds of MITE µops per iteration.
@@ -168,10 +149,7 @@ func TestFig7aNoCrossThreadContention(t *testing.T) {
 }
 
 func TestFig7bSixteenSetsPerThread(t *testing.T) {
-	f, err := Fig7bSetCount(Options{Iterations: 12, Warmup: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := defaultRun(t, "fig7b").(*Figure)
 	var smt, st Series
 	for _, s := range f.Series {
 		if s.Label == "SMT" {
@@ -190,10 +168,7 @@ func TestFig7bSixteenSetsPerThread(t *testing.T) {
 }
 
 func TestFig8MutualExclusion(t *testing.T) {
-	m, err := Fig8Striping(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := defaultRun(t, "fig8").(*OccupancyMap)
 	if len(m.Overlap) != 0 {
 		t.Errorf("tiger and zebra overlap in sets %v", m.Overlap)
 	}
@@ -209,10 +184,7 @@ func TestFig8MutualExclusion(t *testing.T) {
 }
 
 func TestFig10FenceMatrix(t *testing.T) {
-	f, err := Fig10Fences(Options{Samples: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := defaultRun(t, "fig10").(*Figure)
 	for _, s := range f.Series {
 		mean := 0.0
 		for _, y := range s.Y {
@@ -228,10 +200,7 @@ func TestFig10FenceMatrix(t *testing.T) {
 }
 
 func TestTable1AllChannelsWork(t *testing.T) {
-	tab, err := Table1Channels(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := defaultRun(t, "table1").(*Table)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("got %d rows, want 4", len(tab.Rows))
 	}
@@ -243,10 +212,7 @@ func TestTable1AllChannelsWork(t *testing.T) {
 }
 
 func TestTable2Contrast(t *testing.T) {
-	tab, err := Table2SpectreTrace(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := defaultRun(t, "table2").(*Table)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(tab.Rows))
 	}
@@ -320,10 +286,7 @@ func TestAblationsClaims(t *testing.T) {
 // direction per victim carrying the straddling jccs whose stall the
 // channel transmits through.
 func TestAlignChannelTable(t *testing.T) {
-	tab, err := AlignChannel(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := defaultRun(t, "alignchannel").(*Table)
 	if want := 2 * len(alignChannelSeeds); len(tab.Rows) != want {
 		t.Fatalf("got %d rows, want %d", len(tab.Rows), want)
 	}
@@ -343,10 +306,7 @@ func TestAlignChannelTable(t *testing.T) {
 // zero-penalty AMD decoders showing no alignment channel while their
 // refill, switch, and covert-channel columns carry real signal.
 func TestProfileMatrixTable(t *testing.T) {
-	tab, err := ProfileMatrix(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := defaultRun(t, "profilematrix").(*Table)
 	if want := len(profile.All()); len(tab.Rows) != want {
 		t.Fatalf("got %d rows, want %d (one per profile)", len(tab.Rows), want)
 	}
@@ -437,10 +397,7 @@ func TestPayloadDeterministic(t *testing.T) {
 }
 
 func TestMitigationMatrix(t *testing.T) {
-	tab, err := MitigationMatrix(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := defaultRun(t, "mitigations").(*Table)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -463,10 +420,7 @@ func TestMitigationMatrix(t *testing.T) {
 }
 
 func TestCapacityKneesTrackGenerations(t *testing.T) {
-	tab, err := CapacityAcrossGenerations(Options{Iterations: 20, Warmup: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := defaultRun(t, "capacity").(*Table)
 	want := map[string]int{
 		"Intel Skylake/Coffee Lake": 256,
 		"Intel Sunny Cove":          384,
@@ -488,10 +442,7 @@ func TestCapacityKneesTrackGenerations(t *testing.T) {
 }
 
 func TestInvisibleSpeculationPenetrated(t *testing.T) {
-	tab, err := InvisibleSpeculation(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := defaultRun(t, "invisispec").(*Table)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -510,13 +461,7 @@ func TestInvisibleSpeculationPenetrated(t *testing.T) {
 }
 
 func TestFig9TuningShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig9 sweeps 15 channel configurations")
-	}
-	f, err := Fig9Tuning(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := defaultRun(t, "fig9").(*Figure)
 	series := map[string]Series{}
 	for _, s := range f.Series {
 		series[s.Label] = s
@@ -549,30 +494,5 @@ func TestFig9TuningShapes(t *testing.T) {
 	bws := series["bandwidth-vs-samples"].Y
 	if bws[len(bws)-1] >= bws[0] {
 		t.Errorf("bandwidth-vs-samples not decreasing: %v", bws)
-	}
-}
-
-// TestRejectsOutOfRangeOptions is the regression for options that used
-// to render wrong figures silently or spin on timeouts: each must fail
-// at once with an error naming the offending field.
-func TestRejectsOutOfRangeOptions(t *testing.T) {
-	for _, tc := range []struct {
-		id    string
-		o     Options
-		field string
-	}{
-		{"fig5", Options{Samples: 1}, "Samples"},
-		{"fig5", Options{Samples: -1}, "Samples"},
-		{"fig10", Options{Samples: -2}, "Samples"},
-		{"fig3b", Options{Warmup: -1}, "Warmup"},
-	} {
-		out, err := Registry[tc.id](tc.o)
-		if err == nil {
-			t.Errorf("%s %+v: got output, want an error:\n%s", tc.id, tc.o, out.Render())
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%s %+v: error %q does not name %s", tc.id, tc.o, err, tc.field)
-		}
 	}
 }

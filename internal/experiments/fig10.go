@@ -7,8 +7,12 @@ import (
 )
 
 func init() {
-	register("fig10", func(o Options) (Renderable, error) { return Fig10Fences(o) })
+	Registry["fig10"] = func(o Options) (Renderable, error) { return Fig10Fences(o) }
 }
+
+// fig10Trials is how many measured trials each Fig 10 fence runs after
+// its warm-up pass.
+const fig10Trials = 8
 
 // Fig10Fences reproduces Fig 10: the variant-2 micro-op cache timing
 // signal under three victims — no fence, LFENCE, and CPUID between the
@@ -17,7 +21,6 @@ func init() {
 // transmitter's footprint is left by fetch, not execution; only the
 // fetch-serializing CPUID closes it.
 func Fig10Fences(o Options) (*Figure, error) {
-	o = o.withDefaults(0, 0, 8)
 	fig := &Figure{
 		ID:    "fig10",
 		Title: "Micro-op cache timing signal with CPUID, LFENCE, and no fencing",
@@ -38,7 +41,7 @@ func Fig10Fences(o Options) (*Figure, error) {
 		if _, _, err := v.SignalStrength(1); err != nil {
 			return Series{}, err
 		}
-		for trial := 0; trial < o.Samples; trial++ {
+		for trial := 0; trial < fig10Trials; trial++ {
 			one, zero, err := v.SignalStrength(1)
 			if err != nil {
 				return Series{}, err

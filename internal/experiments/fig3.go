@@ -10,9 +10,16 @@ import (
 
 const benchBase = 0x10000 // 1024-aligned code base for microbenchmarks
 
+// fig3Warmup and fig3Iters are the warm-up and measured traversals of
+// every Fig 3 and Fig 4 point.
+const (
+	fig3Warmup = 10
+	fig3Iters  = 40
+)
+
 func init() {
-	register("fig3a", func(o Options) (Renderable, error) { return Fig3aCacheSize(o) })
-	register("fig3b", func(o Options) (Renderable, error) { return Fig3bAssociativity(o) })
+	Registry["fig3a"] = func(o Options) (Renderable, error) { return Fig3aCacheSize(o) }
+	Registry["fig3b"] = func(o Options) (Renderable, error) { return Fig3bAssociativity(o) }
 }
 
 // Fig3aCacheSize reproduces Fig 3a: loops of progressively more 32-byte
@@ -20,7 +27,6 @@ func init() {
 // delivered by the legacy decode pipeline jumps once the loop exceeds
 // the 256-line capacity of the micro-op cache.
 func Fig3aCacheSize(o Options) (*Figure, error) {
-	o = o.withDefaults(40, 10, 1)
 	var ns []int
 	for n := 8; n <= 384; n += 8 {
 		ns = append(ns, n)
@@ -30,7 +36,7 @@ func Fig3aCacheSize(o Options) (*Figure, error) {
 		if err != nil {
 			return 0, err
 		}
-		return steadyMITE(cpu.Intel(), prog, o, a)
+		return steadyMITE(cpu.Intel(), prog, fig3Warmup, fig3Iters, a)
 	})
 	if err != nil {
 		return nil, err
@@ -52,7 +58,6 @@ func Fig3aCacheSize(o Options) (*Figure, error) {
 // that all map to set 0; legacy-decode µops rise once the chain exceeds
 // the 8 ways of the set.
 func Fig3bAssociativity(o Options) (*Figure, error) {
-	o = o.withDefaults(40, 10, 1)
 	const maxWays = 15
 	ys, err := sweep(o, maxWays, func(a *cpu.Arena, i int) (float64, error) {
 		spec := &codegen.ChainSpec{
@@ -65,7 +70,7 @@ func Fig3bAssociativity(o Options) (*Figure, error) {
 		if err != nil {
 			return 0, err
 		}
-		return steadyMITE(cpu.Intel(), prog, o, a)
+		return steadyMITE(cpu.Intel(), prog, fig3Warmup, fig3Iters, a)
 	})
 	if err != nil {
 		return nil, err
@@ -92,28 +97,28 @@ func tailAddrFor(spec *codegen.ChainSpec) uint64 {
 }
 
 // steady runs the counted loop at entry (with sibling on thread 1
-// when nonzero) for o.Warmup traversals to reach steady state, then
-// measures o.Iterations traversals and returns that run's results.
-func steady(c *cpu.CPU, entry, sibling uint64, o Options) ([cpu.NumThreads]cpu.RunResult, error) {
-	if _, err := attack.RunLoop(c, entry, sibling, int64(o.Warmup)); err != nil {
+// when nonzero) for warmup traversals to reach steady state, then
+// measures iters traversals and returns that run's results.
+func steady(c *cpu.CPU, entry, sibling uint64, warmup, iters int) ([cpu.NumThreads]cpu.RunResult, error) {
+	if _, err := attack.RunLoop(c, entry, sibling, int64(warmup)); err != nil {
 		return [cpu.NumThreads]cpu.RunResult{}, err
 	}
-	return attack.RunLoop(c, entry, sibling, int64(o.Iterations))
+	return attack.RunLoop(c, entry, sibling, int64(iters))
 }
 
-// perIter is counter e of a measured run per traversal.
-func perIter(r cpu.RunResult, e perfctr.Event, o Options) float64 {
-	return float64(r.Counters.Get(e)) / float64(o.Iterations)
+// perIter is counter e of a run of iters traversals, per traversal.
+func perIter(r cpu.RunResult, e perfctr.Event, iters int) float64 {
+	return float64(r.Counters.Get(e)) / float64(iters)
 }
 
 // steadyMITE loads prog alone on a fresh core of cfg and returns its
 // steady-state legacy-decode µops per traversal.
-func steadyMITE(cfg cpu.Config, prog *asm.Program, o Options, a *cpu.Arena) (float64, error) {
+func steadyMITE(cfg cpu.Config, prog *asm.Program, warmup, iters int, a *cpu.Arena) (float64, error) {
 	c := cpu.NewWith(cfg, a)
 	c.LoadProgram(prog)
-	res, err := steady(c, prog.Entry, 0, o)
+	res, err := steady(c, prog.Entry, 0, warmup, iters)
 	if err != nil {
 		return 0, err
 	}
-	return perIter(res[0], perfctr.MITEUops, o), nil
+	return perIter(res[0], perfctr.MITEUops, iters), nil
 }

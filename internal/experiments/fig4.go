@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	register("fig4", func(o Options) (Renderable, error) { return Fig4Placement(o) })
+	Registry["fig4"] = func(o Options) (Renderable, error) { return Fig4Placement(o) }
 }
 
 // Fig4Placement reproduces Fig 4: loops of 2, 4, and 8 same-set regions
@@ -18,7 +18,6 @@ func init() {
 // a region may hold at most 18 µops (3 lines), and the set's 8 ways
 // bound the product regions × lines.
 func Fig4Placement(o Options) (*Figure, error) {
-	o = o.withDefaults(40, 10, 1)
 	fig := &Figure{
 		ID:    "fig4",
 		Title: "Micro-op cache placement rules",
@@ -30,7 +29,7 @@ func Fig4Placement(o Options) (*Figure, error) {
 	// Flatten the 3×24 grid into one point list so the pool can chew
 	// through every cell concurrently, then fold back into series.
 	vals, err := sweep(o, len(regionCounts)*maxUops, func(a *cpu.Arena, i int) (float64, error) {
-		return fig4Point(regionCounts[i/maxUops], i%maxUops+1, o, a)
+		return fig4Point(regionCounts[i/maxUops], i%maxUops+1, a)
 	})
 	if err != nil {
 		return nil, err
@@ -52,7 +51,7 @@ func Fig4Placement(o Options) (*Figure, error) {
 
 // fig4Point returns steady-state DSB µops per iteration, less the loop
 // tail's, for a loop of `regions` same-set regions of `uops` µops each.
-func fig4Point(regions, uops int, o Options, a *cpu.Arena) (float64, error) {
+func fig4Point(regions, uops int, a *cpu.Arena) (float64, error) {
 	spec := &codegen.ChainSpec{
 		Base:         benchBase,
 		Sets:         []int{0},
@@ -67,11 +66,11 @@ func fig4Point(regions, uops int, o Options, a *cpu.Arena) (float64, error) {
 	}
 	c := cpu.NewWith(cpu.Intel(), a)
 	c.LoadProgram(prog)
-	res, err := steady(c, prog.Entry, 0, o)
+	res, err := steady(c, prog.Entry, 0, fig3Warmup, fig3Iters)
 	if err != nil {
 		return 0, fmt.Errorf("fig4 (%d regions × %d µops): %w", regions, uops, err)
 	}
-	return max(perIter(res[0], perfctr.DSBUops, o)-loopTailUops, 0), nil
+	return max(perIter(res[0], perfctr.DSBUops, fig3Iters)-loopTailUops, 0), nil
 }
 
 // loopTailUops is the counted loop tail's share of DSB µops per

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("fig5", func(o Options) (Renderable, error) { return Fig5Replacement(o) })
+	Registry["fig5"] = func(o Options) (Renderable, error) { return Fig5Replacement(o) }
 }
 
 // Fig5Replacement reproduces Fig 5: a main loop and an evicting loop,
@@ -47,10 +47,6 @@ func Fig5Replacement(o Options) (*Figure, error) {
 // Fig5ReplacementGrid runs the replacement experiment and returns the
 // heat-map form matching the paper's figure.
 func Fig5ReplacementGrid(o Options) (*Grid, error) {
-	o = o.withDefaults(0, 0, 6) // samples = interleave rounds
-	if o.Samples < 2 {
-		return nil, fmt.Errorf("experiments: %d Samples, want at least 2: fig5 discards the cold first interleave round", o.Samples)
-	}
 	mainSpec := &codegen.ChainSpec{
 		Base: benchBase, Sets: []int{0}, Ways: 8,
 		NopPerRegion: 5, NopLen: 1, Label: "main",
@@ -73,7 +69,7 @@ func Fig5ReplacementGrid(o Options) (*Grid, error) {
 	}
 	nx := len(g.XVals)
 	cells, err := sweep(o, len(g.YVals)*nx, func(a *cpu.Arena, i int) (float64, error) {
-		return fig5Cell(mainSpec, evictSpec, g.YVals[i/nx], g.XVals[i%nx], o, a)
+		return fig5Cell(mainSpec, evictSpec, g.YVals[i/nx], g.XVals[i%nx], a)
 	})
 	if err != nil {
 		return nil, err
@@ -84,10 +80,14 @@ func Fig5ReplacementGrid(o Options) (*Grid, error) {
 	return g, nil
 }
 
-// fig5Cell interleaves the two loops for o.Samples rounds and returns
+// fig5Rounds is how many times each Fig 5 cell interleaves the two
+// loops; the cold first round is discarded.
+const fig5Rounds = 6
+
+// fig5Cell interleaves the two loops for fig5Rounds rounds and returns
 // the average µops per main-loop iteration delivered from the micro-op
 // cache, less the loop tail's, over every round but the cold first.
-func fig5Cell(mainSpec, evictSpec *codegen.ChainSpec, mainIters, evictIters int, o Options, a *cpu.Arena) (float64, error) {
+func fig5Cell(mainSpec, evictSpec *codegen.ChainSpec, mainIters, evictIters int, a *cpu.Arena) (float64, error) {
 	// Tails land in set 16, far from the probed set 0.
 	mainTail := mainSpec.Base + 33*codegen.WayStride + 16*codegen.RegionSize
 	evictTail := evictSpec.Base + 33*codegen.WayStride + 16*codegen.RegionSize
@@ -101,7 +101,7 @@ func fig5Cell(mainSpec, evictSpec *codegen.ChainSpec, mainIters, evictIters int,
 	}
 	c := cpu.NewWith(cpu.Intel(), a)
 	var dsb uint64
-	for r := 0; r < o.Samples; r++ {
+	for r := 0; r < fig5Rounds; r++ {
 		c.LoadProgram(mainProg)
 		res, err := attack.RunLoop(c, mainProg.Entry, 0, int64(mainIters))
 		if err != nil {
@@ -117,6 +117,6 @@ func fig5Cell(mainSpec, evictSpec *codegen.ChainSpec, mainIters, evictIters int,
 			}
 		}
 	}
-	perMain := float64(dsb) / float64(o.Samples-1) / float64(mainIters)
+	perMain := float64(dsb) / float64(fig5Rounds-1) / float64(mainIters)
 	return max(perMain-loopTailUops, 0), nil
 }

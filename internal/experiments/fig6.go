@@ -11,8 +11,8 @@ import (
 )
 
 func init() {
-	register("fig6a", func(o Options) (Renderable, error) { return Fig6SMTPartition(o, Fig6Pause) })
-	register("fig6b", func(o Options) (Renderable, error) { return Fig6SMTPartition(o, Fig6PointerChase) })
+	Registry["fig6a"] = func(o Options) (Renderable, error) { return Fig6SMTPartition(o, Fig6Pause) }
+	Registry["fig6b"] = func(o Options) (Renderable, error) { return Fig6SMTPartition(o, Fig6PointerChase) }
 }
 
 // Fig6Sibling selects the co-runner workload of Fig 6.
@@ -36,13 +36,19 @@ func (s Fig6Sibling) String() string {
 	return "pointer-chasing"
 }
 
+// fig6Warmup and fig6Iters are the warm-up and measured traversals of
+// every Fig 6 and Fig 7 point.
+const (
+	fig6Warmup = 10
+	fig6Iters  = 30
+)
+
 // Fig6SMTPartition reproduces Fig 6: thread T1 runs growing NOP loops
 // while sibling thread T2 runs a slow workload. On the Intel
 // configuration the micro-op cache is statically partitioned: T1's
 // legacy-decode µops take off at half the single-thread capacity no
 // matter what T2 executes.
 func Fig6SMTPartition(o Options, sibling Fig6Sibling) (*Figure, error) {
-	o = o.withDefaults(30, 10, 1)
 	fig := &Figure{
 		ID:    "fig6" + map[Fig6Sibling]string{Fig6Pause: "a", Fig6PointerChase: "b"}[sibling],
 		Title: fmt.Sprintf("Micro-op cache usage of SMT siblings (T2 executes %s)", sibling),
@@ -60,11 +66,11 @@ func Fig6SMTPartition(o Options, sibling Fig6Sibling) (*Figure, error) {
 		if err != nil {
 			return fig6Point{}, err
 		}
-		smt, t2, err := fig6SMTPoint(t1, sibling, o, a)
+		smt, t2, err := fig6SMTPoint(t1, sibling, a)
 		if err != nil {
 			return fig6Point{}, fmt.Errorf("fig6 SMT point (%d regions): %w", regionList[i], err)
 		}
-		st, err := steadyMITE(cpu.Intel(), t1, o, a)
+		st, err := steadyMITE(cpu.Intel(), t1, fig6Warmup, fig6Iters, a)
 		if err != nil {
 			return fig6Point{}, err
 		}
@@ -133,7 +139,7 @@ func setupChase(c *cpu.CPU) {
 
 // fig6SMTPoint runs t1 on thread 0 beside the sibling workload and
 // returns both threads' steady-state legacy-decode µops per traversal.
-func fig6SMTPoint(t1 *asm.Program, sibling Fig6Sibling, o Options, a *cpu.Arena) (t1MITE, t2MITE float64, err error) {
+func fig6SMTPoint(t1 *asm.Program, sibling Fig6Sibling, a *cpu.Arena) (t1MITE, t2MITE float64, err error) {
 	t2, err := fig6T2Program(sibling)
 	if err != nil {
 		return 0, 0, err
@@ -148,9 +154,9 @@ func fig6SMTPoint(t1 *asm.Program, sibling Fig6Sibling, o Options, a *cpu.Arena)
 		setupChase(c)
 		c.SetReg(1, isa.R1, chaseBase)
 	}
-	res, err := steady(c, t1.Entry, t2.Entry, o)
+	res, err := steady(c, t1.Entry, t2.Entry, fig6Warmup, fig6Iters)
 	if err != nil {
 		return 0, 0, err
 	}
-	return perIter(res[0], perfctr.MITEUops, o), perIter(res[1], perfctr.MITEUops, o), nil
+	return perIter(res[0], perfctr.MITEUops, fig6Iters), perIter(res[1], perfctr.MITEUops, fig6Iters), nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 func init() {
-	register("fig7a", func(o Options) (Renderable, error) { return Fig7aSetProbe(o) })
-	register("fig7b", func(o Options) (Renderable, error) { return Fig7bSetCount(o) })
+	Registry["fig7a"] = func(o Options) (Renderable, error) { return Fig7aSetProbe(o) }
+	Registry["fig7b"] = func(o Options) (Renderable, error) { return Fig7bSetCount(o) }
 }
 
 // fig7Chain builds an 8-way chain loop in the given sets at base.
@@ -33,7 +33,6 @@ func fig7Chain(base uint64, sets []int, label string) (*asm.Program, *codegen.Ch
 // static partitioning the threads never contend: T1's legacy-decode
 // µops stay near zero for every set probed.
 func Fig7aSetProbe(o Options) (*Figure, error) {
-	o = o.withDefaults(30, 10, 1)
 	const numSets = 32
 	ys, err := sweep(o, numSets, func(a *cpu.Arena, set int) (float64, error) {
 		t1, _, err := fig7Chain(benchBase, []int{set}, "t1")
@@ -50,11 +49,11 @@ func Fig7aSetProbe(o Options) (*Figure, error) {
 		}
 		c := cpu.NewWith(cpu.Intel(), a)
 		c.LoadProgram(merged)
-		res, err := steady(c, t1.Entry, t2.Entry, o)
+		res, err := steady(c, t1.Entry, t2.Entry, fig6Warmup, fig6Iters)
 		if err != nil {
 			return 0, fmt.Errorf("fig7a at set %d: %w", set, err)
 		}
-		return perIter(res[0], perfctr.MITEUops, o), nil
+		return perIter(res[0], perfctr.MITEUops, fig6Iters), nil
 	})
 	if err != nil {
 		return nil, err
@@ -77,7 +76,6 @@ func Fig7aSetProbe(o Options) (*Figure, error) {
 // such regions (the whole cache); in SMT mode exactly 16 — the
 // partition is organized as 16 8-way sets per thread.
 func Fig7bSetCount(o Options) (*Figure, error) {
-	o = o.withDefaults(30, 10, 1)
 	const maxRegions = 36
 	type fig7bPoint struct{ st, smt float64 }
 	pts, err := sweep(o, maxRegions, func(a *cpu.Arena, i int) (fig7bPoint, error) {
@@ -94,7 +92,7 @@ func Fig7bSetCount(o Options) (*Figure, error) {
 		if err != nil {
 			return fig7bPoint{}, err
 		}
-		st, err := steadyMITE(cpu.Intel(), t1, o, a)
+		st, err := steadyMITE(cpu.Intel(), t1, fig6Warmup, fig6Iters, a)
 		if err != nil {
 			return fig7bPoint{}, fmt.Errorf("fig7b ST at %d: %w", n, err)
 		}
@@ -109,11 +107,11 @@ func Fig7bSetCount(o Options) (*Figure, error) {
 		}
 		c := cpu.NewWith(cpu.Intel(), a)
 		c.LoadProgram(merged)
-		smt, err := steady(c, t1.Entry, t2.Entry, o)
+		smt, err := steady(c, t1.Entry, t2.Entry, fig6Warmup, fig6Iters)
 		if err != nil {
 			return fig7bPoint{}, fmt.Errorf("fig7b SMT at %d: %w", n, err)
 		}
-		return fig7bPoint{st: st, smt: perIter(smt[0], perfctr.MITEUops, o)}, nil
+		return fig7bPoint{st: st, smt: perIter(smt[0], perfctr.MITEUops, fig6Iters)}, nil
 	})
 	if err != nil {
 		return nil, err

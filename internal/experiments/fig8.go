@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	register("fig8", func(o Options) (Renderable, error) { return Fig8Striping(o) })
+	Registry["fig8"] = func(o Options) (Renderable, error) { return Fig8Striping(o) }
 }
 
 // OccupancyMap renders which micro-op cache sets each routine occupies
@@ -50,12 +50,15 @@ func (m *OccupancyMap) Render() string {
 	return sb.String()
 }
 
+// fig8Iters is how many traversals each Fig 8 routine runs before its
+// occupancy is read back.
+const fig8Iters = 10
+
 // Fig8Striping reproduces Fig 8: a tiger and a zebra generated by the
 // §IV framework occupy interleaved, mutually exclusive sets of the
 // micro-op cache, each filling its configured ways and leaving the rest
 // free.
 func Fig8Striping(o Options) (*OccupancyMap, error) {
-	o = o.withDefaults(10, 0, 1)
 	g := attack.Geometry{NSets: 8, NWays: 4} // the figure's 4-way striping
 	c := cpu.New(cpu.Intel())
 
@@ -85,12 +88,12 @@ func Fig8Striping(o Options) (*OccupancyMap, error) {
 	// Run each routine and read back the occupancy it created.
 	chainSpan := uint64(g.NWays) * codegen.WayStride
 	c.LoadProgram(tiger.Prog)
-	if _, err := tiger.Run(c, int64(o.Iterations)); err != nil {
+	if _, err := tiger.Run(c, fig8Iters); err != nil {
 		return nil, err
 	}
 	tigerSets := occupancyBySets(c, 0x40000, 0x40000+chainSpan)
 	c.LoadProgram(zebra.Prog)
-	if _, err := zebra.Run(c, int64(o.Iterations)); err != nil {
+	if _, err := zebra.Run(c, fig8Iters); err != nil {
 		return nil, err
 	}
 	zebraSets := occupancyBySets(c, 0x80000, 0x80000+chainSpan)

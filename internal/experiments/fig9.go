@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	register("fig9", func(o Options) (Renderable, error) { return Fig9Tuning(o) })
+	Registry["fig9"] = func(o Options) (Renderable, error) { return Fig9Tuning(o) }
 }
 
 // Fig9Tuning reproduces Fig 9: the same-address-space channel's error
@@ -15,8 +15,7 @@ func init() {
 // probe sample count vary, one parameter at a time around the paper's
 // operating point (8 sets, 6 ways, 5 samples).
 func Fig9Tuning(o Options) (*Figure, error) {
-	o = o.withDefaults(0, 0, 0)
-	payload := testPayload(32, o.Seed)
+	payload := testPayload(32, payloadSeed)
 
 	fig := &Figure{
 		ID:    "fig9",

@@ -9,31 +9,54 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestGoldenOutputs pins every registered experiment's rendering at
-// the default Options byte for byte, so a refactor of any measurement
-// path has to reproduce each figure and table exactly. Regenerate with
+// runs memoizes defaultRun: the tests of this package run sequentially,
+// so one map serves the whole process.
+var runs = map[string]Renderable{}
+
+// defaultRun returns experiment id's result at the default Options,
+// running it at most once per test process, so the golden test and the
+// claims tests check one and the same run.
+func defaultRun(t *testing.T, id string) Renderable {
+	t.Helper()
+	if r, ok := runs[id]; ok {
+		return r
+	}
+	r, err := Registry[id](Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	runs[id] = r
+	return r
+}
+
+// readGolden returns the pinned rendering of experiment id.
+func readGolden(t *testing.T, id string) string {
+	t.Helper()
+	want, err := os.ReadFile(goldenPath(id))
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	return string(want)
+}
+
+func goldenPath(id string) string { return filepath.Join("testdata", id+".golden") }
+
+// TestGoldenOutputs pins every registered experiment's rendering byte
+// for byte, so a refactor of any measurement path has to reproduce
+// each figure and table exactly. Regenerate with
 // go test ./internal/experiments -run TestGoldenOutputs -update.
 func TestGoldenOutputs(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			out, err := Registry[id](Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := out.Render()
-			path := filepath.Join("testdata", id+".golden")
+			got := defaultRun(t, id).Render()
 			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				if err := os.WriteFile(goldenPath(id), []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+			if want := readGolden(t, id); got != want {
+				t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", goldenPath(id), got, want)
 			}
 		})
 	}

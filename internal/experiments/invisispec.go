@@ -6,7 +6,7 @@ import (
 )
 
 func init() {
-	register("invisispec", func(o Options) (Renderable, error) { return InvisibleSpeculation(o) })
+	Registry["invisispec"] = func(o Options) (Renderable, error) { return InvisibleSpeculation(o) }
 }
 
 // InvisibleSpeculation evaluates the §VII claim that
@@ -16,8 +16,7 @@ func init() {
 // attack loses its disclosure primitive entirely, while variant-1 —
 // whose footprint is created by the front end at fetch — keeps leaking.
 func InvisibleSpeculation(o Options) (*Table, error) {
-	o = o.withDefaults(0, 0, 0)
-	secret := testPayload(4, o.Seed)
+	secret := testPayload(4, payloadSeed)
 
 	t := &Table{
 		ID:    "invisispec",

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("leakpredict", func(o Options) (Renderable, error) { return LeakPredict(o) })
+	Registry["leakpredict"] = func(o Options) (Renderable, error) { return LeakPredict(o) }
 }
 
 // leakpredictSeeds are the victims the table reports — the canonical

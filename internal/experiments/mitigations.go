@@ -13,7 +13,7 @@ import (
 )
 
 func init() {
-	register("mitigations", func(o Options) (Renderable, error) { return MitigationMatrix(o) })
+	Registry["mitigations"] = func(o Options) (Renderable, error) { return MitigationMatrix(o) }
 }
 
 // MitigationMatrix evaluates the §VIII candidate defenses: for each
@@ -21,8 +21,7 @@ func init() {
 // calibrates, the channel's residual bandwidth, and the mitigation's
 // performance cost on a benign syscall-heavy workload.
 func MitigationMatrix(o Options) (*Table, error) {
-	o = o.withDefaults(0, 0, 0)
-	payload := testPayload(8, o.Seed)
+	payload := testPayload(8, payloadSeed)
 
 	t := &Table{
 		ID:    "mitigations",
@@ -115,7 +114,8 @@ func benignSyscallCycles(m cpu.Mitigation, a *cpu.Arena) (uint64, error) {
 		return 0, err
 	}
 	c.LoadProgram(prog)
-	res, err := steady(c, entry, 0, Options{Warmup: 50, Iterations: 200})
+	const warmup, iters = 50, 200
+	res, err := steady(c, entry, 0, warmup, iters)
 	if err != nil {
 		return 0, fmt.Errorf("benign workload: %w", err)
 	}

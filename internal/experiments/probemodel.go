@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("probemodel", func(o Options) (Renderable, error) { return ProbeModel(o) })
+	Registry["probemodel"] = func(o Options) (Renderable, error) { return ProbeModel(o) }
 }
 
 // probemodelSeeds are the victims the table reports — the canonical

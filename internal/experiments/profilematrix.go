@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("profilematrix", func(o Options) (Renderable, error) { return ProfileMatrix(o) })
+	Registry["profilematrix"] = func(o Options) (Renderable, error) { return ProfileMatrix(o) }
 }
 
 // profileMatrixSeeds are the differential victims each profile's row

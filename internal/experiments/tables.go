@@ -10,8 +10,8 @@ import (
 )
 
 func init() {
-	register("table1", func(o Options) (Renderable, error) { return Table1Channels(o) })
-	register("table2", func(o Options) (Renderable, error) { return Table2SpectreTrace(o) })
+	Registry["table1"] = func(o Options) (Renderable, error) { return Table1Channels(o) }
+	Registry["table2"] = func(o Options) (Renderable, error) { return Table2SpectreTrace(o) }
 }
 
 // rsParity is the Reed-Solomon redundancy used for the corrected
@@ -21,8 +21,7 @@ const rsParity = 42 // 42/213 ≈ 19.7% overhead
 // Table1Channels reproduces Table I: bit error rate, raw bandwidth, and
 // Reed-Solomon-corrected bandwidth for the four channel modes.
 func Table1Channels(o Options) (*Table, error) {
-	o = o.withDefaults(0, 0, 0)
-	payload := testPayload(48, o.Seed)
+	payload := testPayload(48, payloadSeed)
 
 	codec, err := ecc.NewCodec(rsParity)
 	if err != nil {
@@ -137,8 +136,7 @@ func bitErrors(a, b []byte) int {
 // (flush+reload over the LLC) and the µop-cache variant leaking the
 // same secret, traced with performance counters.
 func Table2SpectreTrace(o Options) (*Table, error) {
-	o = o.withDefaults(0, 0, 0)
-	secret := testPayload(8, o.Seed)
+	secret := testPayload(8, payloadSeed)
 
 	t := &Table{
 		ID:    "table2",

@@ -39,14 +39,6 @@ type lsdRec struct {
 	uops  []isa.Uop
 }
 
-// mode is the active µop delivery path.
-type mode int
-
-const (
-	modeDSB mode = iota
-	modeMITE
-)
-
 // FrontEnd is one hardware thread's fetch engine.
 type FrontEnd struct {
 	cfg    Config
@@ -72,7 +64,6 @@ type FrontEnd struct {
 	// misprediction redirect bubble).
 	stallPen   int
 	stallOther int
-	m          mode
 
 	// pending delivery state
 	pendingUops   []isa.Uop          // DSB stream awaiting IDQ slots
@@ -152,7 +143,6 @@ func (f *FrontEnd) Redirect(pc uint64) {
 	f.serialize = false
 	f.stallPen = 0
 	f.stallOther = 0
-	f.m = modeDSB
 	f.pendingUops = nil
 	f.pendingGroup = nil
 	f.plan = nil
@@ -184,12 +174,11 @@ func (f *FrontEnd) SerializeDone(resume uint64) {
 	f.plan = nil
 	f.planTrace = nil
 	f.planGroup = nil
-	f.m = modeDSB
 }
 
 // InMITE reports whether the legacy decode pipeline is active (used to
 // arbitrate the shared decoders between SMT threads).
-func (f *FrontEnd) InMITE() bool { return f.m == modeMITE && f.plan != nil }
+func (f *FrontEnd) InMITE() bool { return f.plan != nil }
 
 // IDQLen returns the number of micro-ops buffered for the backend.
 func (f *FrontEnd) IDQLen() int { return len(f.idq) }
@@ -420,11 +409,12 @@ func (f *FrontEnd) Tick() {
 		f.tickLSD(room)
 		return
 	}
-	switch f.m {
-	case modeDSB:
-		f.tickDSB(room)
-	case modeMITE:
+	// A MITE plan, once started, delivers until it completes; between
+	// plans every fetch probes the µop cache first.
+	if f.plan != nil {
 		f.tickMITE(room)
+	} else {
+		f.tickDSB(room)
 	}
 }
 
@@ -599,12 +589,6 @@ func (f *FrontEnd) tickDSB(room int) {
 
 // tickMITE advances the legacy-decode schedule by one cycle.
 func (f *FrontEnd) tickMITE(room int) {
-	if f.plan == nil && !f.startFetch() {
-		return
-	}
-	if f.plan == nil {
-		return
-	}
 	if f.planIdx < len(f.plan.Slots) {
 		slot := f.plan.Slots[f.planIdx]
 		if len(slot) > room {
@@ -646,8 +630,6 @@ func (f *FrontEnd) tickMITE(room int) {
 	f.planGroup = nil
 	f.planDelivered = f.planDelivered[:0]
 	f.finishGroup(g)
-	// Return to the DSB path; the next fetch probes the cache again.
-	f.m = modeDSB
 }
 
 // finishGroup applies the group's post-delivery fetch control.
@@ -704,7 +686,6 @@ func (f *FrontEnd) startFetch() bool {
 			f.lsdRecord(g.entry, stream)
 			f.pendingUops = stream
 			f.pendingGroup = g
-			f.m = modeDSB
 			if len(stream) == 0 {
 				f.pendingGroup = nil
 				f.finishGroup(g)
@@ -723,7 +704,6 @@ func (f *FrontEnd) startFetch() bool {
 	f.plan, f.planTrace = d.Plan, d.Trace
 	f.planIdx = 0
 	f.planGroup = g
-	f.m = modeMITE
 	return true
 }
 
