@@ -35,6 +35,25 @@ const (
 	MispredictPenalty = 5
 )
 
+// ringSize is how many entry slots a Ring holds. The entry with
+// sequence number s lives in slot s%ringSize, so a slot is rewritten
+// ringSize dispatches after its last write. A consumer references only
+// producers that were in the ROB when it dispatched, so it sits fewer
+// than ROBSize sequence numbers after each of them; and when slot s is
+// rewritten, the ROB's head is past s+ringSize-ROBSize. Every consumer
+// of the old entry has therefore left the ROB whenever
+// ringSize >= 2*ROBSize-1.
+const ringSize = 512
+
+// The ring invariant above, checked at compile time: a negative
+// constant does not convert to uint.
+const _ = uint(ringSize - (2*ROBSize - 1))
+
+// Ring is the fixed home of one backend's in-flight entries. A
+// recycled ring needs no reset: dispatch writes each slot before
+// anything reads it.
+type Ring [ringSize]entry
+
 // Config selects the backend's speculation model.
 type Config struct {
 	// InvisibleSpeculation models the §VII invisible-speculation
@@ -49,10 +68,6 @@ type Config struct {
 // entry is one in-flight micro-op.
 type entry struct {
 	uop isa.Uop
-	// seq is the entry's allocation number, monotonically increasing in
-	// dispatch order. The entry pool uses it to decide when a retired
-	// producer can no longer be referenced by any in-flight consumer.
-	seq uint64
 
 	// dataflow sources; nil when the operand comes from the
 	// architectural register file at dispatch time.
@@ -121,24 +136,14 @@ type Backend struct {
 	gmem Memory
 	ctr  *perfctr.Counters
 
-	rob      []*entry
-	regProd  [isa.NumRegs]*entry
-	flagProd *entry
-
-	// Entry pool. Dataflow references only ever point from younger
-	// entries to older ones (captureSources reads regProd/flagProd/the
-	// previous ROB slot), and consumers read retired producers lazily
-	// (depVal at issue time), so a retired entry must outlive every
-	// entry dispatched before it retired. The graveyard parks retired
-	// entries stamped with the allocation watermark at retirement
-	// (freeAt); once the oldest live entry's seq reaches that watermark
-	// no referencer can remain and the entry moves to the free list.
-	// Squashed entries skip the graveyard: their only possible
-	// referencers are younger entries squashed with them.
-	seq    uint64     // next allocation number
-	free   []*entry   // recycled entries ready for reuse
-	grave  []graveRec // retired entries awaiting their watermark
-	popBuf []isa.Uop  // reusable IDQ pop buffer (DispatchWidth)
+	// The ROB is the sequence range [head, tail) of slots. Consumers
+	// read retired producers lazily (depVal at issue time), which the
+	// ring's size keeps safe (see ringSize).
+	slots      *Ring
+	head, tail uint64
+	regProd    [isa.NumRegs]*entry
+	flagProd   *entry
+	popBuf     []isa.Uop // reusable IDQ pop buffer (DispatchWidth)
 
 	regs  [isa.NumRegs]int64
 	flags isa.Flags
@@ -162,41 +167,15 @@ type Backend struct {
 	retired uint64
 }
 
-// graveRec parks one retired entry until the allocation watermark
-// guarantees no in-flight consumer can still reference it.
-type graveRec struct {
-	e      *entry
-	freeAt uint64
+// New builds a backend for one hardware thread whose in-flight
+// entries live in slots.
+func New(cfg Config, slots *Ring, fe *frontend.FrontEnd, bp *bpu.BPU, hier *mem.Hierarchy, gmem Memory, ctr *perfctr.Counters) *Backend {
+	return &Backend{cfg: cfg, slots: slots, fe: fe, bp: bp, hier: hier, gmem: gmem, ctr: ctr,
+		popBuf: make([]isa.Uop, DispatchWidth)}
 }
 
-// New builds a backend for one hardware thread.
-func New(cfg Config, fe *frontend.FrontEnd, bp *bpu.BPU, hier *mem.Hierarchy, gmem Memory, ctr *perfctr.Counters) *Backend {
-	b := &Backend{cfg: cfg, fe: fe, bp: bp, hier: hier, gmem: gmem, ctr: ctr}
-	// Pre-size the ROB, the entry pool, and the dispatch pop buffer so
-	// the steady-state cycle loop never grows any of them.
-	b.rob = make([]*entry, 0, ROBSize)
-	b.free = make([]*entry, 0, ROBSize)
-	b.grave = make([]graveRec, 0, ROBSize)
-	b.popBuf = make([]isa.Uop, DispatchWidth)
-	return b
-}
-
-// newEntry takes an entry from the free list (or allocates one) and
-// stamps it with the next sequence number.
-func (b *Backend) newEntry(u isa.Uop) *entry {
-	var e *entry
-	if n := len(b.free); n > 0 {
-		e = b.free[n-1]
-		b.free = b.free[:n-1]
-		*e = entry{}
-	} else {
-		e = new(entry)
-	}
-	e.uop = u
-	e.seq = b.seq
-	b.seq++
-	return e
-}
+// at returns the slot of the entry with sequence number s.
+func (b *Backend) at(s uint64) *entry { return &b.slots[s%ringSize] }
 
 // Reset prepares the backend to run from a clean architectural state at
 // entry. Register and memory contents persist (the attacks depend on
@@ -207,16 +186,9 @@ func (b *Backend) Reset(pc uint64) {
 	b.fe.Redirect(pc)
 }
 
-// drain recycles every in-flight and parked entry and forgets their
-// producers: nothing outside the backend holds entry pointers, so
-// Reset and Restore return both pools to the free list.
+// drain empties the ROB and forgets every in-flight producer.
 func (b *Backend) drain() {
-	b.free = append(b.free, b.rob...)
-	for i := range b.grave {
-		b.free = append(b.free, b.grave[i].e)
-	}
-	b.grave = b.grave[:0]
-	b.rob = b.rob[:0]
+	b.head = b.tail
 	b.regProd = [isa.NumRegs]*entry{}
 	b.flagProd = nil
 }
@@ -238,15 +210,14 @@ func (b *Backend) KernelMode() bool { return b.kernelMode }
 
 // State is the backend state that persists between runs: architectural
 // registers and flags, privilege mode, the syscall return stack, the
-// retired-macro-op count, and the entry-pool sequence watermark.
-// In-flight ROB contents are deliberately absent — checkpoints are
-// taken between runs, where Reset discards them anyway.
+// retired-macro-op count and the halted flag. In-flight ROB contents
+// are deliberately absent — checkpoints are taken between runs, where
+// Reset discards them anyway.
 type State struct {
 	Regs       [isa.NumRegs]int64
 	Flags      isa.Flags
 	KernelMode bool
 	SysRet     []uint64
-	Seq        uint64
 	Retired    uint64
 	Halted     bool
 }
@@ -258,21 +229,19 @@ func (b *Backend) Save(s *State) {
 	s.Flags = b.flags
 	s.KernelMode = b.kernelMode
 	s.SysRet = append(s.SysRet[:0], b.sysRet...)
-	s.Seq = b.seq
 	s.Retired = b.retired
 	s.Halted = b.halted
 }
 
 // Restore rehydrates the persistent backend state from s, draining any
-// in-flight and parked entries back to the pool (exactly as Reset
-// does) so the backend sits in the quiescent between-runs position.
+// in-flight entries (exactly as Reset does) so the backend sits in the
+// quiescent between-runs position.
 func (b *Backend) Restore(s *State) {
 	b.drain()
 	b.regs = s.Regs
 	b.flags = s.Flags
 	b.kernelMode = s.KernelMode
 	b.sysRet = append(b.sysRet[:0], s.SysRet...)
-	b.seq = s.Seq
 	b.retired = s.Retired
 	b.halted = s.Halted
 }
@@ -307,22 +276,23 @@ func (b *Backend) SkipBound(cycle uint64) uint64 {
 	if b.halted {
 		return unbounded
 	}
-	if len(b.rob) == 0 {
+	if b.head == b.tail {
 		if b.fe.IDQLen() > 0 {
 			return 0 // dispatch would rename into the empty ROB
 		}
 		return unbounded
 	}
-	if b.rob[0].done {
+	if b.at(b.head).done {
 		return 0 // retire (or branch resolution) acts on the head
 	}
-	if b.fe.IDQLen() > 0 && len(b.rob) < ROBSize {
+	if b.fe.IDQLen() > 0 && b.tail-b.head < ROBSize {
 		return 0 // dispatch has both micro-ops and ROB room
 	}
 	bound := unbounded
-	lfIdx := b.lfenceBlockIndex()
+	lf := b.lfenceBlock()
 	fenced := false // a ready serializing micro-op blocks all younger issue
-	for i, e := range b.rob {
+	for s := b.head; s < b.tail; s++ {
+		e := b.at(s)
 		if e.done {
 			if e.uop.IsBranch() && !e.resolved {
 				return 0 // resolveBranches acts
@@ -344,7 +314,7 @@ func (b *Backend) SkipBound(cycle uint64) uint64 {
 		if fenced {
 			continue
 		}
-		if lfIdx >= 0 && i > lfIdx {
+		if s > lf {
 			continue // behind an in-flight LFENCE
 		}
 		if !depReady(e.src1) || !depReady(e.src2) ||
@@ -353,7 +323,7 @@ func (b *Backend) SkipBound(cycle uint64) uint64 {
 		}
 		switch e.uop.Op {
 		case isa.LFENCE, isa.SYSRET, isa.ITLBFLUSH:
-			if i > 0 {
+			if s > b.head {
 				// Serializing: waits to reach the ROB head, which takes a
 				// retirement; execute's issue loop breaks here, so every
 				// younger micro-op is blocked with it.
@@ -361,7 +331,7 @@ func (b *Backend) SkipBound(cycle uint64) uint64 {
 				continue
 			}
 		}
-		if isLoad(&e.uop) && b.olderStorePending(i) {
+		if isLoad(&e.uop) && b.olderStorePending(s) {
 			continue // stores drain only at retire
 		}
 		return 0 // ready to issue next Tick
@@ -369,38 +339,37 @@ func (b *Backend) SkipBound(cycle uint64) uint64 {
 	return bound
 }
 
-// lfenceBlockIndex returns the ROB index of the oldest unretired LFENCE
-// (micro-ops younger than it may not issue), or -1.
-func (b *Backend) lfenceBlockIndex() int {
-	for i, e := range b.rob {
-		if e.uop.Op == isa.LFENCE && !e.done {
-			return i
+// lfenceBlock returns the sequence number of the oldest unretired
+// LFENCE (micro-ops younger than it may not issue), or tail if none.
+func (b *Backend) lfenceBlock() uint64 {
+	for s := b.head; s < b.tail; s++ {
+		if e := b.at(s); e.uop.Op == isa.LFENCE && !e.done {
+			return s
 		}
 	}
-	return -1
+	return b.tail
 }
 
 // dispatch renames micro-ops from the IDQ into the ROB.
 func (b *Backend) dispatch() {
-	room := ROBSize - len(b.rob)
-	n := DispatchWidth
-	if n > room {
-		n = room
-	}
+	n := min(DispatchWidth, ROBSize-int(b.tail-b.head))
 	if n <= 0 {
 		return
 	}
 	got := b.fe.PopInto(b.popBuf[:n])
 	for _, u := range b.popBuf[:got] {
-		e := b.newEntry(u)
+		e := b.at(b.tail)
+		*e = entry{}
+		e.uop = u
 		b.captureSources(e)
-		if prev := len(b.rob) - 1; prev >= 0 && u.Index > 0 &&
-			b.rob[prev].uop.MacroAddr == u.MacroAddr {
-			// Intra-macro-op chaining (e.g. RET's branch consumes the
-			// popped return address).
-			e.chain = b.rob[prev]
+		if b.tail > b.head && u.Index > 0 {
+			if prev := b.at(b.tail - 1); prev.uop.MacroAddr == u.MacroAddr {
+				// Intra-macro-op chaining (e.g. RET's branch consumes
+				// the popped return address).
+				e.chain = prev
+			}
 		}
-		b.rob = append(b.rob, e)
+		b.tail++
 		if r, ok := e.writesReg(); ok {
 			b.regProd[r] = e
 		}
@@ -496,11 +465,11 @@ func isStore(u *isa.Uop) bool {
 	return false
 }
 
-// olderStorePending reports whether any ROB entry older than index i is
-// an unretired store.
-func (b *Backend) olderStorePending(i int) bool {
-	for j := 0; j < i; j++ {
-		if isStore(&b.rob[j].uop) {
+// olderStorePending reports whether any ROB entry older than sequence
+// number s is an unretired store.
+func (b *Backend) olderStorePending(s uint64) bool {
+	for o := b.head; o < s; o++ {
+		if isStore(&b.at(o).uop) {
 			return true
 		}
 	}
@@ -519,10 +488,11 @@ func depVal(d *entry, captured int64) int64 {
 // execute issues ready micro-ops to execution and completes in-flight
 // ones.
 func (b *Backend) execute() {
-	lfIdx := b.lfenceBlockIndex()
+	lf := b.lfenceBlock()
 	ports := ExecPorts
 issueLoop:
-	for i, e := range b.rob {
+	for s := b.head; s < b.tail; s++ {
+		e := b.at(s)
 		if e.done {
 			continue
 		}
@@ -535,7 +505,7 @@ issueLoop:
 		if ports == 0 {
 			break
 		}
-		if lfIdx >= 0 && i > lfIdx {
+		if s > lf {
 			// LFENCE: younger micro-ops are not dispatched to
 			// execution until it completes. (They were still fetched
 			// and decoded — the variant-2 channel.)
@@ -550,11 +520,11 @@ issueLoop:
 			// Serializing: execute only once all older micro-ops have
 			// drained (SYSRET must observe the SYSCALL-pushed return
 			// address, which lands at retirement).
-			if i > 0 {
+			if s > b.head {
 				break issueLoop
 			}
 		}
-		if isLoad(&e.uop) && b.olderStorePending(i) {
+		if isLoad(&e.uop) && b.olderStorePending(s) {
 			// Stores commit memory at retire; a younger load must wait
 			// for older stores to drain (conservative memory ordering
 			// in place of store-to-load forwarding).
@@ -727,7 +697,8 @@ func aluOp(op isa.Op, a, bv int64) (int64, isa.Flags) {
 // resolveBranches checks completed branch micro-ops oldest-first and
 // squashes on the first misprediction found.
 func (b *Backend) resolveBranches() {
-	for i, e := range b.rob {
+	for s := b.head; s < b.tail; s++ {
+		e := b.at(s)
 		if !e.done || e.resolved || !e.uop.IsBranch() {
 			continue
 		}
@@ -755,7 +726,7 @@ func (b *Backend) resolveBranches() {
 			b.bp.UpdateIndirect(u.BranchPC, e.target)
 		}
 		if misp {
-			b.squashAfter(i)
+			b.squashAfter(s)
 			b.ctr.Inc(perfctr.BranchMispredicts)
 			b.ctr.Inc(perfctr.Squashes)
 			if b.OnSquash != nil {
@@ -768,17 +739,17 @@ func (b *Backend) resolveBranches() {
 	}
 }
 
-// squashAfter drops every ROB entry younger than index i and rebuilds
-// the rename state from the survivors. Cache and micro-op cache side
-// effects of squashed micro-ops are — deliberately — not undone.
-func (b *Backend) squashAfter(i int) {
-	// Squashed entries can only be referenced by younger entries — which
-	// are squashed with them — so they recycle immediately.
-	b.free = append(b.free, b.rob[i+1:]...)
-	b.rob = b.rob[:i+1]
+// squashAfter drops every ROB entry younger than sequence number s and
+// rebuilds the rename state from the survivors. Squashed slots are
+// reused at once: only younger entries, squashed with them, referenced
+// them. Cache and micro-op cache side effects of squashed micro-ops
+// are — deliberately — not undone.
+func (b *Backend) squashAfter(s uint64) {
+	b.tail = s + 1
 	b.regProd = [isa.NumRegs]*entry{}
 	b.flagProd = nil
-	for _, e := range b.rob {
+	for o := b.head; o < b.tail; o++ {
+		e := b.at(o)
 		if r, ok := e.writesReg(); ok {
 			b.regProd[r] = e
 		}
@@ -788,13 +759,10 @@ func (b *Backend) squashAfter(i int) {
 	}
 }
 
-// retire commits completed micro-ops in order. Retired entries are
-// compacted out of the ROB in one pass (preserving its capacity) and
-// parked in the graveyard until the watermark frees them.
+// retire commits completed micro-ops in order.
 func (b *Backend) retire() {
-	n := 0
-	for n < RetireWidth && n < len(b.rob) {
-		e := b.rob[n]
+	for n := 0; n < RetireWidth && b.head < b.tail; n++ {
+		e := b.at(b.head)
 		if !e.done {
 			break
 		}
@@ -803,7 +771,7 @@ func (b *Backend) retire() {
 		}
 		b.commit(e)
 		b.clearProducer(e)
-		n++
+		b.head++
 		if b.OnRetire != nil {
 			b.OnRetire(b.cycle, e.uop)
 		}
@@ -822,41 +790,14 @@ func (b *Backend) retire() {
 			break
 		}
 	}
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		b.grave = append(b.grave, graveRec{e: b.rob[i], freeAt: b.seq})
-	}
-	b.rob = b.rob[:copy(b.rob, b.rob[n:])]
-	b.reclaim()
-}
-
-// reclaim moves graveyard entries past their watermark to the free
-// list: once the oldest live entry was dispatched at or after an
-// entry's retirement watermark, no remaining consumer can hold a
-// reference to it.
-func (b *Backend) reclaim() {
-	watermark := b.seq
-	if len(b.rob) > 0 {
-		watermark = b.rob[0].seq
-	}
-	k := 0
-	for k < len(b.grave) && b.grave[k].freeAt <= watermark {
-		b.free = append(b.free, b.grave[k].e)
-		k++
-	}
-	if k > 0 {
-		b.grave = b.grave[:copy(b.grave, b.grave[k:])]
-	}
 }
 
 // clearProducer removes rename-table references to a retired entry.
+// Only e's own destination can name it: dispatch and squashAfter
+// record an entry only under the register it writes.
 func (b *Backend) clearProducer(e *entry) {
-	for r := range b.regProd {
-		if b.regProd[r] == e {
-			b.regProd[r] = nil
-		}
+	if r, ok := e.writesReg(); ok && b.regProd[r] == e {
+		b.regProd[r] = nil
 	}
 	if b.flagProd == e {
 		b.flagProd = nil

@@ -11,31 +11,40 @@ import (
 
 // TestSteadyStateRunAllocs pins the steady-state cycle loop to zero
 // heap allocations. After warmup the predictors are trained and every
-// pooled buffer — the IDQ, the DSB stream buffer, the reusable fetch
-// group, the ROB entry pool with its graveyard, and the dispatch pop
-// buffer — has grown to capacity, so a whole Run (including the final
-// mispredicted loop exit and its squash) must not touch the heap. Two
-// loops cover both delivery paths: a hot loop whose trace the µop
-// cache holds, and a tiger/zebra prime→probe loop whose 16 same-set
-// regions contend for 8 ways, so every round refills through MITE and
-// decodes from the core's decode memo. Sweep throughput depends on
-// this invariant; a regression here silently multiplies GC pressure
-// across every parallel worker.
+// reusable buffer — the IDQ, the DSB stream buffer, the reusable fetch
+// group and the dispatch pop buffer — has grown to capacity, and the
+// ROB's entries live in a fixed ring, so a whole Run (including the
+// final mispredicted loop exit and its squash) must not touch the
+// heap. Two loops cover both delivery paths: a hot loop whose trace
+// the µop cache holds, and a tiger/zebra prime→probe loop whose 16
+// same-set regions contend for 8 ways, so every round refills through
+// MITE and decodes from the core's decode memo. A third case runs the
+// hot loop on both AMD threads at once, through RunSMT's shared
+// decoders and both threads' rings; every SMT run starts with the µop
+// cache emptied by the mode change, so it refills through MITE. Sweep
+// throughput depends on this invariant; a regression here silently
+// multiplies GC pressure across every parallel worker.
 func TestSteadyStateRunAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
+		cfg      Config
 		prog     *asm.Program
+		smt      bool
 		wantMITE bool
 	}{
-		{"dsb-loop", hotLoop(), false},
-		{"prime-probe", primeProbeLoop(t), true},
+		{"dsb-loop", Intel(), hotLoop(), false, false},
+		{"prime-probe", Intel(), primeProbeLoop(t), false, true},
+		{"amd-smt", AMD(), hotLoop(), true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(Intel())
+			c := New(tc.cfg)
 			c.LoadProgram(tc.prog)
 			run := func() RunResult {
 				c.SetReg(0, codegen.LoopReg, 4)
-				return c.Run(0, tc.prog.Entry, testMaxCycles)
+				if !tc.smt {
+					return c.Run(0, tc.prog.Entry, testMaxCycles)
+				}
+				return c.RunSMT(tc.prog.Entry, tc.prog.Entry, testMaxCycles)[0]
 			}
 			for i := 0; i < 5; i++ {
 				if res := run(); res.TimedOut {

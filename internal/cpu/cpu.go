@@ -126,20 +126,23 @@ func NewMemory(size int) *Memory {
 // Arena recycles a core's large, configuration-independent structures
 // across the sequence of CPUs one sweep worker builds: the guest memory
 // image (4 MiB at the default configuration), the cache hierarchy's
-// five levels (the LLC alone is 131k lines) and both threads' branch
-// predictors. Each keeps its contents in internal/rows tables, so it
-// is reset in O(state the previous core touched) — written pages,
-// filled sets, trained predictor entries — instead of being allocated
-// and zeroed again. None of them depends on the core's configuration,
-// so an arena always recycles them. An arena must never be
-// shared between goroutines: parsweep gives each pool worker its own
-// via its per-worker setup hook, so a 150-point sweep on 8 workers
-// builds 8 sets of these structures instead of 150. The zero value is
-// ready to use, and a nil *Arena degrades to plain allocation.
+// five levels (the LLC alone is 131k lines), both threads' branch
+// predictors and both threads' reorder-buffer entry rings. The first
+// three keep their contents in internal/rows tables, so each is reset
+// in O(state the previous core touched) — written pages, filled sets,
+// trained predictor entries — instead of being allocated and zeroed
+// again; a ring needs no reset at all. None of them depends on the
+// core's configuration, so an arena always recycles them. An arena
+// must never be shared between goroutines: parsweep gives each pool
+// worker its own via its per-worker setup hook, so a 150-point sweep
+// on 8 workers builds 8 sets of these structures instead of 150. The
+// zero value is ready to use, and a nil *Arena degrades to plain
+// allocation.
 type Arena struct {
-	m    *Memory
-	hier *mem.Hierarchy
-	bps  [NumThreads]*bpu.BPU
+	m     *Memory
+	hier  *mem.Hierarchy
+	bps   [NumThreads]*bpu.BPU
+	rings [NumThreads]*backend.Ring
 	// cks is the arena's pool of reusable checkpoint buffers: a sweep
 	// worker that snapshots one primed core per point checkpoints into
 	// the same backing arrays every time (see CheckpointBuf).
@@ -203,6 +206,18 @@ func (a *Arena) predictor(t int) *bpu.BPU {
 		a.bps[t].Reset()
 	}
 	return a.bps[t]
+}
+
+// ring returns thread t's reorder-buffer entry ring, reusing the
+// arena's as it stands (a ring needs no reset).
+func (a *Arena) ring(t int) *backend.Ring {
+	if a == nil {
+		return new(backend.Ring)
+	}
+	if a.rings[t] == nil {
+		a.rings[t] = new(backend.Ring)
+	}
+	return a.rings[t]
 }
 
 // memPageShift sizes the write-tracking granule (4 KiB pages). The
@@ -322,12 +337,12 @@ type CPU struct {
 func New(cfg Config) *CPU { return NewWith(cfg, nil) }
 
 // NewWith builds a core like New, drawing the guest memory image, the
-// cache hierarchy and the branch predictors from arena (which may be
-// nil). The returned CPU owns those structures until the next NewWith
-// call on the same arena, which resets them for the next core, so at
-// most one CPU per arena may be live at a time — exactly the shape of
-// a sweep worker that builds, measures, and discards one core per
-// point. Every hook is installed afresh, so a core built on recycled
+// cache hierarchy, the branch predictors and the reorder-buffer entry
+// rings from arena (which may be nil). The returned CPU owns those
+// structures until the next NewWith call on the same arena, which
+// resets them for the next core, so at most one CPU per arena may be
+// live at a time — exactly the shape of a sweep worker that builds,
+// measures, and discards one core per point. Every hook is installed afresh, so a core built on recycled
 // structures behaves exactly like one built on new ones.
 func NewWith(cfg Config, arena *Arena) *CPU {
 	c := &CPU{
@@ -353,7 +368,7 @@ func NewWith(cfg Config, arena *Arena) *CPU {
 		ctr := &perfctr.Counters{}
 		bp := arena.predictor(t)
 		fe := frontend.New(cfg.Frontend, t, c.uc, c.hier, bp, ctr, c.memo)
-		be := backend.New(cfg.Backend, fe, bp, c.hier, c.mem, ctr)
+		be := backend.New(cfg.Backend, arena.ring(t), fe, bp, c.hier, c.mem, ctr)
 		be.SetReg(isa.R15, int64(StackTop-t*StackSpacing))
 		switch cfg.Mitigation {
 		case MitigationFlushOnPrivilegeSwitch:

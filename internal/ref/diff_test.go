@@ -104,6 +104,76 @@ func TestDifferentialLargePrograms(t *testing.T) {
 	}
 }
 
+// TestLateConsumerReadsLiveProducer holds the backend's entry ring to
+// its invariant: a consumer's producer keeps its slot until the
+// consumer leaves the ROB. The consumer C (LOAD R3,[R1]) reads R1 from
+// the producer P (MOVI R1), 43 instructions earlier. C may not
+// issue before the older store drains, and the store waits on two
+// chained DRAM loads, while P retires behind the first one. The ROB
+// head then stalls at the second load, and the NOPs behind C refill
+// the ROB. So P's slot stays live for a whole ROB's worth of
+// dispatches past the head. The second run, on warm code with both
+// data lines flushed, dispatches fast enough to fill the ROB. A ring
+// too small for the ROB hands P's slot to a younger NOP before C
+// issues, and C loads from the NOP's result instead of R1.
+func TestLateConsumerReadsLiveProducer(t *testing.T) {
+	const (
+		ptrAddr   = 0x20000 // holds valAddr: the first DRAM load
+		valAddr   = 0x21000 // loaded through the first load's result
+		storeAddr = 0x22000
+		dataAddr  = 0x23000 // C's load: holds want
+		want      = 0x1234
+	)
+	b := asm.New(0x10000)
+	b.Movi(isa.R4, ptrAddr)
+	b.Movi(isa.R7, storeAddr)
+	b.Load(isa.R5, isa.R4, 0) // first DRAM load
+	b.Movi(isa.R1, dataAddr)  // P
+	for i := 0; i < 40; i++ {
+		b.Nop(1)
+	}
+	b.Load(isa.R6, isa.R5, 0) // second DRAM load, through the first
+	b.Store(isa.R7, 0, isa.R6)
+	b.Load(isa.R3, isa.R1, 0) // C
+	for i := 0; i < 300; i++ {
+		b.Nop(1)
+	}
+	b.Halt()
+	prog := b.MustBuild()
+
+	initMem := func(m *cpu.Memory) {
+		m.Write(ptrAddr, 8, valAddr)
+		m.Write(valAddr, 8, 0x55)
+		m.Write(dataAddr, 8, want)
+	}
+	refMem := cpu.NewMemory(cpu.MemSize)
+	initMem(refMem)
+	m := New(prog, refMem, isa.KernelEntry)
+	m.Regs[isa.R15] = cpu.StackTop
+	if err := m.Run(prog.Entry, 10_000); err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	if m.Regs[isa.R3] != want {
+		t.Fatalf("reference R3 = %#x, want %#x", m.Regs[isa.R3], want)
+	}
+
+	c := cpu.New(cpu.Intel())
+	c.LoadProgram(prog)
+	initMem(c.Mem())
+	for run := 0; run < 2; run++ {
+		c.Hierarchy().Flush(ptrAddr)
+		c.Hierarchy().Flush(valAddr)
+		if res := c.Run(0, prog.Entry, 1_000_000); res.TimedOut {
+			t.Fatalf("run %d timed out", run)
+		}
+		for r := isa.Reg(0); r < isa.NumRegs; r++ {
+			if ref, pipe := m.Regs[r], c.Reg(0, r); ref != pipe {
+				t.Errorf("run %d: %v: ref %#x, pipeline %#x", run, r, ref, pipe)
+			}
+		}
+	}
+}
+
 // TestReferenceBasics sanity-checks the interpreter itself on a
 // hand-written program.
 func TestReferenceBasics(t *testing.T) {

@@ -458,19 +458,6 @@ func (c *Cache) FlushAll() {
 	c.sets.Reset()
 }
 
-// FlushThread drops all lines owned by one hardware thread (used by the
-// privilege-partitioning mitigation experiments).
-func (c *Cache) FlushThread(thread int) {
-	lines := c.sets.All()
-	for i := range lines {
-		l := &lines[i]
-		if l.valid && l.thread == thread {
-			l.valid = false
-			c.stats.Invalidations++
-		}
-	}
-}
-
 // LineInfo describes one valid line for occupancy inspection (Fig 8 and
 // the structural tests).
 type LineInfo struct {

@@ -338,19 +338,6 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
-func TestFlushThread(t *testing.T) {
-	c := New(competitive()) // both threads in one set space
-	c.Fill(0, simpleTrace(c.Config(), 0x1000, 6))
-	c.Fill(1, simpleTrace(c.Config(), 0x2000, 6))
-	c.FlushThread(0)
-	if _, hit := c.Lookup(0, 0x1000); hit {
-		t.Error("thread-0 line survived FlushThread(0)")
-	}
-	if _, hit := c.Lookup(1, 0x2000); !hit {
-		t.Error("thread-1 line wrongly flushed")
-	}
-}
-
 func TestIntelSMTPartitioning(t *testing.T) {
 	c := New(Skylake())
 	if c.VisibleSets(0) != 32 {
