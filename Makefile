@@ -79,7 +79,8 @@ bench-diff:
 # decodes of generated programs, the sparse-snapshot table against a
 # dense reference, the indirect-target resolution
 # completeness invariant, the receiver model against its literal full
-# replay, and the differential contracts — predicted vs
+# replay, the CFG builder against its address-keyed reference on
+# generated programs, and the differential contracts — predicted vs
 # simulator-measured refill deltas (including the resolution-gated
 # indirect shapes), the receiver model's predicted vs attack-measured
 # probe cycles, and the jump-alignment stall asymmetry on
@@ -92,6 +93,7 @@ fuzz:
 	$(GO) test ./internal/rows -fuzz FuzzTableSaveRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint -fuzz FuzzIndirectResolve -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint -fuzz FuzzProbeModelReplay -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/staticlint -fuzz FuzzBuildCFG -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzPredictedDelta -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzProbeModel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/staticlint/difftest -fuzz FuzzAlignmentDelta -fuzztime $(FUZZTIME)

@@ -183,19 +183,10 @@ func (f *FrontEnd) InMITE() bool { return f.plan != nil }
 // IDQLen returns the number of micro-ops buffered for the backend.
 func (f *FrontEnd) IDQLen() int { return len(f.idq) }
 
-// Pop removes up to n micro-ops from the IDQ for rename/dispatch.
-func (f *FrontEnd) Pop(n int) []isa.Uop {
-	if n > len(f.idq) {
-		n = len(f.idq)
-	}
-	out := make([]isa.Uop, n)
-	f.PopInto(out)
-	return out
-}
-
-// PopInto removes up to len(dst) micro-ops from the IDQ into dst and
-// returns how many were copied — the allocation-free form of Pop the
-// backend's dispatch stage uses every cycle.
+// PopInto removes up to len(dst) micro-ops from the IDQ into dst for
+// rename/dispatch and returns how many were copied. The backend's
+// dispatch stage passes the same buffer every cycle, so it allocates
+// nothing.
 func (f *FrontEnd) PopInto(dst []isa.Uop) int {
 	n := len(dst)
 	if n > len(f.idq) {

@@ -33,9 +33,10 @@ func harness(p *asm.Program) (*FrontEnd, *uopcache.Cache, *perfctr.Counters) {
 // slice.
 func drain(fe *FrontEnd, cycles int) []isa.Uop {
 	var out []isa.Uop
+	buf := make([]isa.Uop, 64)
 	for i := 0; i < cycles; i++ {
 		fe.Tick()
-		out = append(out, fe.Pop(64)...)
+		out = append(out, buf[:fe.PopInto(buf)]...)
 	}
 	return out
 }
@@ -196,12 +197,7 @@ func TestAddStallDelaysDelivery(t *testing.T) {
 	fe, _, _ := harness(p)
 	fe.Redirect(p.Entry)
 	fe.AddStall(10)
-	count := 0
-	for i := 0; i < 10; i++ {
-		fe.Tick()
-		count += len(fe.Pop(64))
-	}
-	if count != 0 {
+	if count := len(drain(fe, 10)); count != 0 {
 		t.Errorf("%d µops delivered during stall", count)
 	}
 	if uops := drain(fe, 30); len(uops) != 2 {
@@ -237,9 +233,9 @@ func TestPopPartial(t *testing.T) {
 	for i := 0; i < 20 && fe.IDQLen() < 4; i++ {
 		fe.Tick()
 	}
-	got := fe.Pop(2)
-	if len(got) != 2 {
-		t.Fatalf("Pop(2) returned %d", len(got))
+	got := make([]isa.Uop, 2)
+	if n := fe.PopInto(got); n != 2 {
+		t.Fatalf("PopInto of 2 copied %d", n)
 	}
 	if got[0].MacroAddr != 0x1000 || got[1].MacroAddr != 0x1001 {
 		t.Error("pop order wrong")
@@ -289,19 +285,13 @@ func TestLSDLocksLoop(t *testing.T) {
 	fe.Redirect(p.Entry)
 	// Train the loop branch taken first so fetch keeps looping, then
 	// let the LSD observe a repeat. Drive ticks and drain.
-	for i := 0; i < 200; i++ {
-		fe.Tick()
-		fe.Pop(64)
-	}
+	drain(fe, 200)
 	if ctr.Get(perfctr.LSDUops) == 0 {
 		t.Fatal("LSD never locked the loop")
 	}
 	// Once locked, µop cache lookups stop growing.
 	lookups := uc.Stats().Lookups
-	for i := 0; i < 100; i++ {
-		fe.Tick()
-		fe.Pop(64)
-	}
+	drain(fe, 100)
 	if got := uc.Stats().Lookups; got != lookups {
 		t.Errorf("µop cache still probed during LSD replay (+%d lookups)", got-lookups)
 	}
@@ -311,10 +301,7 @@ func TestLSDDisabledByDefault(t *testing.T) {
 	p := loopProg()
 	fe, _, ctr := harness(p)
 	fe.Redirect(p.Entry)
-	for i := 0; i < 200; i++ {
-		fe.Tick()
-		fe.Pop(64)
-	}
+	drain(fe, 200)
 	if ctr.Get(perfctr.LSDUops) != 0 {
 		t.Error("LSD active on the default (SKL150) configuration")
 	}
@@ -324,10 +311,7 @@ func TestLSDRedirectUnlocks(t *testing.T) {
 	p := loopProg()
 	fe, _, ctr := lsdHarness(p, 64)
 	fe.Redirect(p.Entry)
-	for i := 0; i < 200; i++ {
-		fe.Tick()
-		fe.Pop(64)
-	}
+	drain(fe, 200)
 	if ctr.Get(perfctr.LSDUops) == 0 {
 		t.Fatal("LSD never locked")
 	}
@@ -335,8 +319,7 @@ func TestLSDRedirectUnlocks(t *testing.T) {
 	// must unlock the LSD and resume normal fetch.
 	fe.Redirect(p.MustLabel("loop"))
 	before := ctr.Get(perfctr.LSDUops)
-	fe.Tick()
-	fe.Pop(64)
+	drain(fe, 1)
 	// First post-redirect group refetches normally (the log was
 	// cleared), so LSD µops must not continue immediately.
 	if got := ctr.Get(perfctr.LSDUops); got != before {
@@ -348,10 +331,7 @@ func TestLSDCapacityRespected(t *testing.T) {
 	p := loopProg()                // 5 µops per iteration (fused cmp+jcc)
 	fe, _, ctr := lsdHarness(p, 2) // too small for the loop
 	fe.Redirect(p.Entry)
-	for i := 0; i < 200; i++ {
-		fe.Tick()
-		fe.Pop(64)
-	}
+	drain(fe, 200)
 	if ctr.Get(perfctr.LSDUops) != 0 {
 		t.Error("LSD locked a loop larger than its capacity")
 	}

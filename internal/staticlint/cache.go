@@ -388,9 +388,9 @@ func (a *Analysis) funcBodyHash(f *Func) cacheKey {
 		for _, in := range blk.Insts {
 			hashInst(w, in)
 		}
-		switch last := blk.Last(); last.Op {
+		switch blk.Last().Op {
 		case isa.CALLI, isa.JMPI:
-			ts := a.resolved[last.Addr]
+			ts := a.resolved[bi]
 			if len(ts) == 0 {
 				w.str("indirect:havoc")
 				continue
@@ -435,7 +435,7 @@ func (a *Analysis) sccKeys(scc []int, specFP, cfgFP cacheKey, funcKey []cacheKey
 			w.str("call:known")
 			w.u64(uint64(len(tgts)))
 			for _, t := range tgts {
-				j, ok := a.funcIndex[t]
+				j, ok := a.funcAt(t)
 				if !ok {
 					w.str("extern")
 					w.u64(t)

@@ -182,7 +182,7 @@ func TestCacheResolvedSetInvalidatesCaller(t *testing.T) {
 	c := NewCache()
 	cfg := DefaultConfig()
 	a1 := analyzeWith(v1, Spec{}, cfg, c)
-	if got := a1.resolved[v1.MustLabel("T")]; len(got) != 2 {
+	if got := a1.resolved[a1.CFG.BlockOf(v1.MustLabel("T")).Index]; len(got) != 2 {
 		t.Fatalf("v1 dispatch site resolved to %v, want {ha, hb}", got)
 	}
 	s1 := c.Stats()
@@ -191,7 +191,7 @@ func TestCacheResolvedSetInvalidatesCaller(t *testing.T) {
 	}
 
 	a2 := analyzeWith(v2, Spec{}, cfg, c)
-	if got := a2.resolved[v2.MustLabel("T")]; len(got) != 2 {
+	if got := a2.resolved[a2.CFG.BlockOf(v2.MustLabel("T")).Index]; len(got) != 2 {
 		t.Fatalf("v2 dispatch site resolved to %v, want {ha, hc}", got)
 	}
 	s2 := c.Stats()

@@ -1,6 +1,8 @@
 package staticlint
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"deaduops/internal/isa"
@@ -20,7 +22,6 @@ import (
 // whose callee set is statically unknown.
 type callSite struct {
 	addr     uint64 // address of the call instruction
-	block    int    // CFG block the call terminates
 	target   uint64 // direct CALL target (meaningless when indirect)
 	indirect bool
 	// targets is the complete resolved target set of an indirect call
@@ -43,8 +44,7 @@ type Func struct {
 	Entry      uint64
 	EntryBlock int
 	// Blocks lists the member CFG block indices, ascending.
-	Blocks   []int
-	blockSet map[int]bool
+	Blocks []int
 	// Calls are the call sites inside the function, in address order.
 	Calls []callSite
 	// hasIndirectJump: a JMPI inside the body means control can leave
@@ -60,51 +60,44 @@ type callerRef struct {
 
 // buildFuncs partitions the CFG into functions. Entries are the blocks
 // with no predecessors (program entries and unreferenced routines)
-// plus every direct CALL target; bodies are collected by traversing
-// fallthrough/taken edges only, so a callee reached solely by CALL is
-// its own function even when it falls adjacent in the image.
+// plus every call-edge target: each direct CALL target and, once
+// rewriteIndirectEdges has run, each resolved CALLI target (the
+// completeness gate guarantees its block exists). Bodies are collected
+// by traversing fallthrough/taken edges only, so a callee reached
+// solely by CALL is its own function even when it falls adjacent in
+// the image. Functions come out in entry-address order.
 func (a *Analysis) buildFuncs() {
 	g := a.CFG
 	if len(g.Blocks) == 0 {
 		return
 	}
-	entrySet := map[int]bool{}
+	entry := make([]bool, len(g.Blocks))
 	for _, b := range g.Blocks {
 		if len(b.Preds) == 0 {
-			entrySet[b.Index] = true
+			entry[b.Index] = true
 		}
-		switch last := b.Last(); last.Op {
-		case isa.CALL:
-			if t := g.BlockAt(uint64(last.Imm)); t != nil {
-				entrySet[t.Index] = true
-			}
-		case isa.CALLI:
-			// Every resolved indirect-call target is a function entry,
-			// exactly like a direct CALL target (the completeness gate
-			// guarantees the block exists).
-			for _, t := range a.resolved[last.Addr] {
-				entrySet[g.byStart[t]] = true
+		for _, e := range b.Succs {
+			if e.Kind == EdgeCall && e.To >= 0 {
+				entry[e.To] = true
 			}
 		}
 	}
-	if len(entrySet) == 0 {
+	if !slices.Contains(entry, true) {
 		// Fully cyclic program: treat block 0 as the lone entry, as the
 		// dataflow seeding does.
-		entrySet[0] = true
+		entry[0] = true
 	}
-	entries := make([]int, 0, len(entrySet))
-	for e := range entrySet {
-		entries = append(entries, e)
-	}
-	sort.Ints(entries)
 
-	a.funcIndex = make(map[uint64]int, len(entries))
-	for _, e := range entries {
-		f := &Func{
-			Entry:      g.Blocks[e].Start(),
-			EntryBlock: e,
-			blockSet:   map[int]bool{e: true},
+	// seen[bi] == len(a.funcs)+1 marks block bi as a member of the
+	// function being collected; one slice serves every function.
+	seen := make([]int, len(g.Blocks))
+	for e, isEntry := range entry {
+		if !isEntry {
+			continue
 		}
+		f := &Func{Entry: g.Blocks[e].Start(), EntryBlock: e}
+		mark := len(a.funcs) + 1
+		seen[e] = mark
 		work := []int{e}
 		for len(work) > 0 {
 			bi := work[len(work)-1]
@@ -113,16 +106,16 @@ func (a *Analysis) buildFuncs() {
 			blk := g.Blocks[bi]
 			switch last := blk.Last(); last.Op {
 			case isa.CALL:
-				f.Calls = append(f.Calls, callSite{addr: last.Addr, block: bi, target: uint64(last.Imm)})
+				f.Calls = append(f.Calls, callSite{addr: last.Addr, target: uint64(last.Imm)})
 			case isa.CALLI:
-				f.Calls = append(f.Calls, callSite{addr: last.Addr, block: bi, indirect: true, targets: a.resolved[last.Addr]})
+				f.Calls = append(f.Calls, callSite{addr: last.Addr, indirect: true, targets: a.resolved[bi]})
 			case isa.SYSCALL:
-				f.Calls = append(f.Calls, callSite{addr: last.Addr, block: bi, indirect: true})
+				f.Calls = append(f.Calls, callSite{addr: last.Addr, indirect: true})
 			case isa.JMPI:
 				// A resolved JMPI has real EdgeTaken successors the body
 				// traversal follows; only an unresolved one means control
 				// can leave invisibly.
-				if len(a.resolved[last.Addr]) == 0 {
+				if len(a.resolved[bi]) == 0 {
 					f.hasIndirectJump = true
 				}
 			}
@@ -130,15 +123,14 @@ func (a *Analysis) buildFuncs() {
 				if e2.To < 0 || e2.Kind == EdgeCall {
 					continue
 				}
-				if !f.blockSet[e2.To] {
-					f.blockSet[e2.To] = true
+				if seen[e2.To] != mark {
+					seen[e2.To] = mark
 					work = append(work, e2.To)
 				}
 			}
 		}
 		sort.Ints(f.Blocks)
 		sort.Slice(f.Calls, func(i, j int) bool { return f.Calls[i].addr < f.Calls[j].addr })
-		a.funcIndex[f.Entry] = len(a.funcs)
 		a.funcs = append(a.funcs, f)
 	}
 
@@ -151,7 +143,7 @@ func (a *Analysis) buildFuncs() {
 		a.funcOf[i] = -1
 	}
 	for fi, f := range a.funcs {
-		for bi := range f.blockSet {
+		for _, bi := range f.Blocks {
 			cur := a.funcOf[bi]
 			if cur < 0 || betterOwner(g.Blocks[bi].Start(), f, a.funcs[cur]) {
 				a.funcOf[bi] = fi
@@ -166,7 +158,7 @@ func (a *Analysis) buildFuncs() {
 	for fi, f := range a.funcs {
 		for _, cs := range f.Calls {
 			for _, t := range cs.callees() {
-				if j, ok := a.funcIndex[t]; ok {
+				if j, ok := a.funcAt(t); ok {
 					a.callers[j] = append(a.callers[j], callerRef{caller: fi, site: cs.addr})
 				}
 			}
@@ -180,6 +172,12 @@ func (a *Analysis) buildFuncs() {
 			return refs[i].caller < refs[j].caller
 		})
 	}
+}
+
+// funcAt returns the index of the function entered at addr: a.funcs is
+// in entry-address order.
+func (a *Analysis) funcAt(addr uint64) (int, bool) {
+	return slices.BinarySearchFunc(a.funcs, addr, func(f *Func, t uint64) int { return cmp.Compare(f.Entry, t) })
 }
 
 // betterOwner reports whether cand is a better owner than cur for a
@@ -206,7 +204,7 @@ func (a *Analysis) callSCCs() [][]int {
 	for fi, f := range a.funcs {
 		for _, cs := range f.Calls {
 			for _, t := range cs.callees() {
-				if j, ok := a.funcIndex[t]; ok {
+				if j, ok := a.funcAt(t); ok {
 					adj[fi] = append(adj[fi], j)
 				}
 			}
@@ -300,8 +298,9 @@ func (a *Analysis) callChainTo(addr uint64) []CallFrame {
 		site   uint64
 		callee int
 	}
-	down := map[int]downEdge{}
-	visited := map[int]bool{target: true}
+	down := make([]downEdge, len(a.funcs))
+	visited := make([]bool, len(a.funcs))
+	visited[target] = true
 	queue := []int{target}
 	root := -1
 	for len(queue) > 0 {

@@ -147,7 +147,7 @@ func fixpoint[S comparable, F dataflow[S]](g *CFG, f F, seeds []int, entry func(
 	n := len(g.Blocks)
 	in = make([]S, n)
 	reached = make([]bool, n)
-	if len(seeds) == 0 {
+	if len(seeds) == 0 && n > 0 {
 		seeds = []int{0}
 	}
 	work := slices.Clone(seeds)

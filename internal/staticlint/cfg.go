@@ -1,7 +1,8 @@
 package staticlint
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"deaduops/internal/asm"
 	"deaduops/internal/isa"
@@ -40,14 +41,17 @@ func (k EdgeKind) String() string {
 }
 
 // Edge is one directed CFG edge. To is the successor block index, or
-// -1 when the target is statically unknown.
+// -1 when no block starts at the target: an indirect transfer whose
+// target is statically unknown, or a direct JMP, JCC or CALL to an
+// address where no instruction starts (such a target splits no block).
 type Edge struct {
 	To   int
 	Kind EdgeKind
 }
 
 // Block is one basic block: a maximal straight-line instruction
-// sequence entered only at its head.
+// sequence entered only at its head. Insts is a capped subslice of the
+// program's Insts, so appending to it never writes the program.
 type Block struct {
 	Index int
 	Insts []*isa.Inst
@@ -65,30 +69,42 @@ func (b *Block) End() uint64 { return b.Insts[len(b.Insts)-1].End() }
 // is a control transfer).
 func (b *Block) Last() *isa.Inst { return b.Insts[len(b.Insts)-1] }
 
-// CFG is the control-flow graph of an assembled program.
+// CFG is the control-flow graph of an assembled program. Blocks are
+// contiguous runs of Prog.Insts in address order, so a block's index is
+// its name in every per-analysis table, and an address becomes a block
+// only here, at the API edge.
 type CFG struct {
 	Prog   *asm.Program
 	Blocks []*Block
-	// byStart maps block start address → block index.
-	byStart map[uint64]int
-	// blockOf maps every instruction address → its block index.
-	blockOf map[uint64]int
 }
+
+// instAddr and blockStart compare instructions and blocks with an address
+// for binary search.
+func instAddr(in *isa.Inst, addr uint64) int { return cmp.Compare(in.Addr, addr) }
+func blockStart(b *Block, addr uint64) int   { return cmp.Compare(b.Start(), addr) }
 
 // BlockAt returns the block starting at addr, or nil.
 func (g *CFG) BlockAt(addr uint64) *Block {
-	if i, ok := g.byStart[addr]; ok {
+	if i, ok := slices.BinarySearchFunc(g.Blocks, addr, blockStart); ok {
 		return g.Blocks[i]
 	}
 	return nil
 }
 
-// BlockOf returns the block containing the instruction at addr, or nil.
+// BlockOf returns the block containing the instruction at addr, or nil
+// when no instruction starts at addr.
 func (g *CFG) BlockOf(addr uint64) *Block {
-	if i, ok := g.blockOf[addr]; ok {
-		return g.Blocks[i]
+	i, ok := slices.BinarySearchFunc(g.Blocks, addr, blockStart)
+	if !ok {
+		i-- // the last block starting below addr is the only candidate
 	}
-	return nil
+	if i < 0 {
+		return nil
+	}
+	if _, ok := slices.BinarySearchFunc(g.Blocks[i].Insts, addr, instAddr); !ok {
+		return nil
+	}
+	return g.Blocks[i]
 }
 
 // Entries returns the indices of blocks with no predecessors — the
@@ -115,68 +131,45 @@ func terminatesBlock(in *isa.Inst) bool {
 // (the assembler guarantees Insts is sorted); an address gap (asm.Org)
 // also ends a block, with no fallthrough edge across it.
 func BuildCFG(p *asm.Program) *CFG {
-	g := &CFG{
-		Prog:    p,
-		byStart: make(map[uint64]int),
-		blockOf: make(map[uint64]int),
-	}
-	if len(p.Insts) == 0 {
-		return g
-	}
+	g := &CFG{Prog: p}
+	insts := p.Insts
 
-	// Pass 1: leaders. The first instruction, every direct branch/call
-	// target, every instruction after a terminator, and every
-	// instruction after an address gap.
-	leader := map[uint64]bool{p.Insts[0].Addr: true}
-	for i, in := range p.Insts {
+	// Pass 1: leaders besides the first instruction. Every direct
+	// branch/call target, every instruction after a terminator, and
+	// every instruction after an address gap.
+	leader := make([]bool, len(insts))
+	for i, in := range insts {
 		switch in.Op {
 		case isa.JMP, isa.JCC, isa.CALL:
-			if p.At(uint64(in.Imm)) != nil {
-				leader[uint64(in.Imm)] = true
+			if j, ok := slices.BinarySearchFunc(insts, uint64(in.Imm), instAddr); ok {
+				leader[j] = true
 			}
 		}
-		if terminatesBlock(in) && i+1 < len(p.Insts) {
-			leader[p.Insts[i+1].Addr] = true
-		}
-		if i+1 < len(p.Insts) && p.Insts[i+1].Addr != in.End() {
-			leader[p.Insts[i+1].Addr] = true
+		if j := i + 1; j < len(insts) && (terminatesBlock(in) || insts[j].Addr != in.End()) {
+			leader[j] = true
 		}
 	}
 
-	// Pass 2: slice into blocks.
-	var cur *Block
-	flush := func() {
-		if cur != nil && len(cur.Insts) > 0 {
-			cur.Index = len(g.Blocks)
-			g.byStart[cur.Start()] = cur.Index
-			for _, in := range cur.Insts {
-				g.blockOf[in.Addr] = cur.Index
-			}
-			g.Blocks = append(g.Blocks, cur)
+	// Pass 2: slice into blocks, each a capped run of insts from one
+	// leader to the next (the first instruction always leads).
+	for i := 0; i < len(insts); {
+		j := i + 1
+		for j < len(insts) && !leader[j] {
+			j++
 		}
-		cur = nil
+		g.Blocks = append(g.Blocks, &Block{Index: len(g.Blocks), Insts: insts[i:j:j]})
+		i = j
 	}
-	for _, in := range p.Insts {
-		if leader[in.Addr] {
-			flush()
-			cur = &Block{}
-		}
-		if cur == nil { // defensive: start a block anyway
-			cur = &Block{}
-		}
-		cur.Insts = append(cur.Insts, in)
-	}
-	flush()
 
 	// Pass 3: edges.
 	for _, b := range g.Blocks {
 		last := b.Last()
 		addEdge := func(to uint64, kind EdgeKind) {
-			if i, ok := g.byStart[to]; ok {
-				b.Succs = append(b.Succs, Edge{To: i, Kind: kind})
-			} else {
-				b.Succs = append(b.Succs, Edge{To: -1, Kind: kind})
+			e := Edge{To: -1, Kind: kind}
+			if t := g.BlockAt(to); t != nil {
+				e.To = t.Index
 			}
+			b.Succs = append(b.Succs, e)
 		}
 		fallthroughOK := func() bool {
 			// A fallthrough edge exists only when the next address is
@@ -216,15 +209,14 @@ func BuildCFG(p *asm.Program) *CFG {
 			}
 		}
 	}
+	// Blocks are visited in index order, so every Preds list comes out
+	// ascending.
 	for _, b := range g.Blocks {
 		for _, e := range b.Succs {
 			if e.To >= 0 {
 				g.Blocks[e.To].Preds = append(g.Blocks[e.To].Preds, b.Index)
 			}
 		}
-	}
-	for _, b := range g.Blocks {
-		sort.Ints(b.Preds)
 	}
 	return g
 }

@@ -1,6 +1,7 @@
 package staticlint
 
 import (
+	"reflect"
 	"testing"
 
 	"deaduops/internal/asm"
@@ -98,6 +99,39 @@ func TestCFGIndirectAndGaps(t *testing.T) {
 	if len(entries) != 2 {
 		t.Errorf("entries = %v, want both blocks", entries)
 	}
+
+	// A direct JCC, CALL or JMP to an address where no instruction
+	// starts (inside the 5-byte MOVI, or in the Org gap) keeps its own
+	// edge kind with To -1, and splits no block there. A gap after a
+	// non-branch (the second MOVI) still ends its block, with no
+	// fallthrough across it.
+	b = asm.New(0x2000)
+	b.Movi(isa.R1, 1)
+	b.Raw(isa.Inst{Op: isa.JCC, Cond: isa.EQ, Imm: 0x2001}, 2)
+	b.Raw(isa.Inst{Op: isa.CALL, Imm: 0x3000}, 5)
+	b.Raw(isa.Inst{Op: isa.JMP, Imm: 0x2003}, 5)
+	b.Movi(isa.R2, 2)
+	b.Org(0x4000)
+	b.Halt()
+	g = BuildCFG(b.MustBuild())
+	want := [][]Edge{
+		{{To: -1, Kind: EdgeTaken}, {To: 1, Kind: EdgeFallThrough}},
+		{{To: -1, Kind: EdgeCall}, {To: 2, Kind: EdgeFallThrough}},
+		{{To: -1, Kind: EdgeTaken}},
+		nil,
+		nil,
+	}
+	if len(g.Blocks) != len(want) {
+		t.Fatalf("got %d blocks, want %d", len(g.Blocks), len(want))
+	}
+	if n := len(g.Blocks[0].Insts); n != 2 {
+		t.Errorf("MOVI block holds %d instructions; a target inside the MOVI must not split it", n)
+	}
+	for i, w := range want {
+		if !reflect.DeepEqual(g.Blocks[i].Succs, w) {
+			t.Errorf("block %d succs = %v, want %v", i, g.Blocks[i].Succs, w)
+		}
+	}
 }
 
 func TestCFGBlockOf(t *testing.T) {
@@ -105,6 +139,7 @@ func TestCFGBlockOf(t *testing.T) {
 	b.Movi(isa.R1, 1)
 	b.Movi(isa.R2, 2)
 	b.Jcc(isa.EQ, "end")
+	b.Org(0x1100)
 	b.Label("end")
 	b.Halt()
 	p := b.MustBuild()
@@ -123,5 +158,19 @@ func TestCFGBlockOf(t *testing.T) {
 		if !found {
 			t.Errorf("block %d does not contain %#x", blk.Index, in.Addr)
 		}
+	}
+	// No instruction starts at these: inside the first MOVI, in the Org
+	// gap, before the first instruction, and past the last.
+	for _, addr := range []uint64{0x1001, 0x1010, 0x0fff, p.Insts[len(p.Insts)-1].End()} {
+		if blk := g.BlockAt(addr); blk != nil {
+			t.Errorf("BlockAt(%#x) = block %d, want nil", addr, blk.Index)
+		}
+		if blk := g.BlockOf(addr); blk != nil {
+			t.Errorf("BlockOf(%#x) = block %d, want nil", addr, blk.Index)
+		}
+	}
+	// The second MOVI is inside block 0, not the start of a block.
+	if blk := g.BlockAt(0x1005); blk != nil {
+		t.Errorf("BlockAt(0x1005) = block %d, want nil", blk.Index)
 	}
 }

@@ -188,7 +188,8 @@ func (a *Analysis) walkPathStop(start, stop uint64, budget int) pathInfo {
 			// predictor converges on the one target after training). A
 			// multi-target or unresolved site still ends the walk: the
 			// straight-line path model has no single successor to follow.
-			if ts := a.resolved[in.Addr]; len(ts) == 1 {
+			// A CALLI/JMPI always ends its block.
+			if ts := a.resolved[a.CFG.BlockOf(in.Addr).Index]; len(ts) == 1 {
 				closeRange(in.End())
 				if in.Op == isa.CALLI {
 					retStack = append(retStack, in.End())

@@ -1,7 +1,10 @@
 package staticlint
 
 import (
+	"sort"
+
 	"deaduops/internal/asm"
+	"deaduops/internal/isa"
 	"deaduops/internal/uopcache"
 )
 
@@ -98,4 +101,120 @@ func PlanFresh() (restore func()) {
 // checkers report from, for prog analyzed with no secrets.
 func ScanGadgets(prog *asm.Program, cfg Config) []GadgetHit {
 	return Analyze(prog, Spec{}, cfg).gadgets
+}
+
+// ReferenceCFG is the address-keyed control-flow graph BuildCFG is held
+// to: blocks found through maps from block start and from every
+// instruction address to the block index.
+type ReferenceCFG struct {
+	Blocks  []*Block
+	byStart map[uint64]int
+	blockOf map[uint64]int
+}
+
+// BlockAt returns the block starting at addr, or nil.
+func (g *ReferenceCFG) BlockAt(addr uint64) *Block {
+	if i, ok := g.byStart[addr]; ok {
+		return g.Blocks[i]
+	}
+	return nil
+}
+
+// BlockOf returns the block containing the instruction at addr, or nil.
+func (g *ReferenceCFG) BlockOf(addr uint64) *Block {
+	if i, ok := g.blockOf[addr]; ok {
+		return g.Blocks[i]
+	}
+	return nil
+}
+
+// BuildCFGReference builds the CFG literally by address: leaders in a
+// map keyed by address, blocks grown one instruction at a time, edges
+// and lookups through the address maps, predecessors sorted at the end.
+// BuildCFG — leader marks over the instruction slice, blocks as capped
+// subslices, binary search — must build the same blocks and answer
+// BlockAt and BlockOf the same way.
+func BuildCFGReference(p *asm.Program) *ReferenceCFG {
+	g := &ReferenceCFG{byStart: map[uint64]int{}, blockOf: map[uint64]int{}}
+	if len(p.Insts) == 0 {
+		return g
+	}
+	leader := map[uint64]bool{p.Insts[0].Addr: true}
+	for i, in := range p.Insts {
+		switch in.Op {
+		case isa.JMP, isa.JCC, isa.CALL:
+			if p.At(uint64(in.Imm)) != nil {
+				leader[uint64(in.Imm)] = true
+			}
+		}
+		if i+1 < len(p.Insts) && (terminatesBlock(in) || p.Insts[i+1].Addr != in.End()) {
+			leader[p.Insts[i+1].Addr] = true
+		}
+	}
+	var cur *Block
+	flush := func() {
+		if cur != nil {
+			cur.Index = len(g.Blocks)
+			g.byStart[cur.Start()] = cur.Index
+			for _, in := range cur.Insts {
+				g.blockOf[in.Addr] = cur.Index
+			}
+			g.Blocks = append(g.Blocks, cur)
+		}
+	}
+	for _, in := range p.Insts {
+		if leader[in.Addr] {
+			flush()
+			cur = &Block{}
+		}
+		cur.Insts = append(cur.Insts, in)
+	}
+	flush()
+	for _, b := range g.Blocks {
+		last := b.Last()
+		addEdge := func(to uint64, kind EdgeKind) {
+			if i, ok := g.byStart[to]; ok {
+				b.Succs = append(b.Succs, Edge{To: i, Kind: kind})
+			} else {
+				b.Succs = append(b.Succs, Edge{To: -1, Kind: kind})
+			}
+		}
+		fallthroughOK := p.At(last.End()) != nil
+		switch last.Op {
+		case isa.JMP:
+			addEdge(uint64(last.Imm), EdgeTaken)
+		case isa.JCC, isa.CALL:
+			kind := EdgeTaken
+			if last.Op == isa.CALL {
+				kind = EdgeCall
+			}
+			addEdge(uint64(last.Imm), kind)
+			if fallthroughOK {
+				addEdge(last.End(), EdgeFallThrough)
+			}
+		case isa.CALLI, isa.SYSCALL:
+			b.Succs = append(b.Succs, Edge{To: -1, Kind: EdgeIndirect})
+			if fallthroughOK {
+				addEdge(last.End(), EdgeFallThrough)
+			}
+		case isa.JMPI:
+			b.Succs = append(b.Succs, Edge{To: -1, Kind: EdgeIndirect})
+		case isa.RET, isa.SYSRET, isa.HALT:
+		default:
+			if fallthroughOK {
+				addEdge(last.End(), EdgeFallThrough)
+			}
+		}
+	}
+	for _, b := range g.Blocks {
+		for _, e := range b.Succs {
+			if e.To >= 0 {
+				g.Blocks[e.To].Preds = append(g.Blocks[e.To].Preds, b.Index)
+			}
+		}
+	}
+	for _, b := range g.Blocks {
+		sort.Ints(b.Preds)
+	}
+	return g
 }

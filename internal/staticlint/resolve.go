@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"deaduops/internal/isa"
 )
@@ -431,14 +430,14 @@ var vsaHavoc = func() *vsaState {
 	return st
 }()
 
-// resolveIndirect runs the VSA fixpoint and populates a.resolved with
-// every CALLI/JMPI whose target set passed the completeness gate. A
-// capped fixpoint resolves nothing: partial VSA states could miss a
-// reaching value, so the degrade-to-havoc contract takes over
-// wholesale. run calls it only on a non-empty CFG.
+// resolveIndirect runs the VSA fixpoint and sets a.resolved[b] for
+// every block b ending in a CALLI/JMPI whose target set passed the
+// completeness gate. A capped fixpoint resolves nothing: partial VSA
+// states could miss a reaching value, so the degrade-to-havoc contract
+// takes over wholesale.
 func (a *Analysis) resolveIndirect() {
-	a.resolved = map[uint64][]uint64{}
 	g := a.CFG
+	a.resolved = make([][]uint64, len(g.Blocks))
 	in, _, capped := fixpoint(g, vsaFlow{a}, g.Entries(), a.vsaEntry)
 	if capped {
 		return
@@ -453,7 +452,7 @@ func (a *Analysis) resolveIndirect() {
 			a.vsaStep(st, inst)
 		}
 		if ts := a.completeTargets(st.regs[last.Dst&0x0F]); ts != nil {
-			a.resolved[last.Addr] = ts
+			a.resolved[b.Index] = ts
 		}
 	}
 }
@@ -484,13 +483,12 @@ func (a *Analysis) rewriteIndirectEdges() {
 	g := a.CFG
 	changed := map[int]bool{}
 	for _, b := range g.Blocks {
-		last := b.Last()
-		ts := a.resolved[last.Addr]
+		ts := a.resolved[b.Index]
 		if len(ts) == 0 {
 			continue
 		}
 		kind := EdgeTaken
-		if last.Op == isa.CALLI {
+		if b.Last().Op == isa.CALLI {
 			kind = EdgeCall
 		}
 		succs := make([]Edge, 0, len(b.Succs)-1+len(ts))
@@ -501,7 +499,7 @@ func (a *Analysis) rewriteIndirectEdges() {
 			succs = append(succs, e)
 		}
 		for _, t := range ts {
-			to := g.byStart[t]
+			to := g.BlockAt(t).Index
 			succs = append(succs, Edge{To: to, Kind: kind})
 			g.Blocks[to].Preds = append(g.Blocks[to].Preds, b.Index)
 			changed[to] = true
@@ -556,18 +554,18 @@ type Precision struct {
 // ResolvedTargets lists the resolved indirect sites, ascending by
 // address, for reports.
 func (a *Analysis) ResolvedTargets() []ResolvedSite {
-	if len(a.resolved) == 0 {
-		return nil
-	}
-	out := make([]ResolvedSite, 0, len(a.resolved))
-	for addr, ts := range a.resolved {
+	var out []ResolvedSite
+	for bi, ts := range a.resolved {
+		if len(ts) == 0 {
+			continue
+		}
+		last := a.CFG.Blocks[bi].Last()
 		kind := "jmpi"
-		if in := a.Prog.At(addr); in != nil && in.Op == isa.CALLI {
+		if last.Op == isa.CALLI {
 			kind = "calli"
 		}
-		out = append(out, ResolvedSite{Addr: addr, Kind: kind, Targets: ts})
+		out = append(out, ResolvedSite{Addr: last.Addr, Kind: kind, Targets: ts})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
@@ -579,7 +577,7 @@ func (a *Analysis) PrecisionMetrics() *Precision {
 	for _, b := range a.CFG.Blocks {
 		if op := b.Last().Op; op == isa.CALLI || op == isa.JMPI {
 			p.IndirectSites++
-			if len(a.resolved[b.Last().Addr]) > 0 {
+			if len(a.resolved[b.Index]) > 0 {
 				p.ResolvedSites++
 			}
 		}

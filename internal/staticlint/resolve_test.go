@@ -96,9 +96,9 @@ func TestFlowCapDegradesResolvedSitesToHavoc(t *testing.T) {
 	if p := a.PrecisionMetrics(); p == nil || p.HavocSites != p.IndirectSites || p.HavocRate != 1 {
 		t.Fatalf("precision = %+v, want every indirect site havocked", p)
 	}
-	for entry, s := range a.summaries {
+	for fi, s := range a.summaries {
 		if !s.havoc {
-			t.Errorf("summary of %#x survived a capped fixpoint: %+v", entry, s)
+			t.Errorf("summary of %#x survived a capped fixpoint: %+v", a.funcs[fi].Entry, s)
 		}
 	}
 }

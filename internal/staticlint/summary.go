@@ -114,8 +114,8 @@ func (a *Analysis) paramState() *State {
 // havoc for targets outside the computed set (unmapped addresses,
 // mid-function calls the partitioner did not see).
 func (a *Analysis) summaryOf(target uint64) *summary {
-	if s, ok := a.summaries[target]; ok {
-		return s
+	if fi, ok := a.funcAt(target); ok {
+		return a.summaries[fi]
 	}
 	return &havocSummary
 }
@@ -128,10 +128,10 @@ func (a *Analysis) summaryOf(target uint64) *summary {
 // not suffice (the lattice is finite, so this indicates pathological
 // growth, not nontermination).
 func (a *Analysis) computeSummaries() {
-	a.summaries = make(map[uint64]*summary, len(a.funcs))
+	a.summaries = make([]*summary, len(a.funcs))
 	if !a.paramsOK {
-		for _, f := range a.funcs {
-			a.summaries[f.Entry] = &havocSummary
+		for fi := range a.summaries {
+			a.summaries[fi] = &havocSummary
 		}
 		return
 	}
@@ -158,39 +158,37 @@ func (a *Analysis) computeSummaries() {
 			keys = a.sccKeys(scc, specFP, cfgFP, funcKey)
 			if sums, ok := a.cache.getSummaries(keys); ok {
 				for i, fi := range scc {
-					a.summaries[a.funcs[fi].Entry] = sums[i]
+					a.summaries[fi] = sums[i]
 				}
 				continue
 			}
 		}
 		if len(scc) == 1 && !a.selfCalls(scc[0]) {
-			f := a.funcs[scc[0]]
-			a.summaries[f.Entry] = a.summarize(scc[0])
+			a.summaries[scc[0]] = a.summarize(scc[0])
 		} else {
 			for _, fi := range scc {
-				a.summaries[a.funcs[fi].Entry] = a.bottomSummary(fi)
+				a.summaries[fi] = a.bottomSummary(fi)
 			}
 			converged := false
 			for iter := 0; iter < maxSummaryIters && !converged; iter++ {
 				converged = true
 				for _, fi := range scc {
-					f := a.funcs[fi]
-					if s, changed := a.joinSummary(a.summaries[f.Entry], a.summarize(fi)); changed {
-						a.summaries[f.Entry] = s
+					if s, changed := a.joinSummary(a.summaries[fi], a.summarize(fi)); changed {
+						a.summaries[fi] = s
 						converged = false
 					}
 				}
 			}
 			if !converged {
 				for _, fi := range scc {
-					a.summaries[a.funcs[fi].Entry] = &havocSummary
+					a.summaries[fi] = &havocSummary
 				}
 			}
 		}
 		if a.cache != nil {
 			sums := make([]*summary, len(scc))
 			for i, fi := range scc {
-				sums[i] = a.summaries[a.funcs[fi].Entry]
+				sums[i] = a.summaries[fi]
 			}
 			a.cache.putSummaries(keys, sums)
 		}
@@ -222,7 +220,7 @@ func (a *Analysis) summarize(fi int) *summary {
 		// follow; nothing sound can be said about the exit state.
 		return &havocSummary
 	}
-	in, reached, capped := fixpoint(a.CFG, taintFlow{a: a, restrict: f.blockSet}, []int{f.EntryBlock}, a.paramState)
+	in, reached, capped := fixpoint(a.CFG, taintFlow{a: a, restrict: f.Blocks}, []int{f.EntryBlock}, a.paramState)
 	if capped {
 		// A truncated fixpoint under-approximates the transfer and would
 		// be applied at every call site, amplifying the gap; honor the
@@ -315,7 +313,7 @@ func (a *Analysis) computeWrites() []uint32 {
 					// escapes the function partition.
 					add = 0
 					for _, t := range tgts {
-						if j, ok := a.funcIndex[t]; ok {
+						if j, ok := a.funcAt(t); ok {
 							add |= w[j]
 						} else {
 							add = allRegs
@@ -346,12 +344,13 @@ func directWrites(in *isa.Inst) uint32 {
 }
 
 // taintFlow is the taint dataflow: restrict (when non-nil) confines
-// propagation to one function's body, and followCalls enters EdgeCall
+// propagation to one function's body, the ascending block indices of
+// Func.Blocks, and followCalls enters EdgeCall
 // successors (the whole-program pass analyzes callee bodies in real
 // calling contexts; summary computation applies summaries instead).
 type taintFlow struct {
 	a           *Analysis
-	restrict    map[int]bool
+	restrict    []int
 	followCalls bool
 }
 
@@ -366,8 +365,8 @@ func (f taintFlow) join(dst, src *State) bool    { return f.a.joinInto(dst, src)
 // raw pre-call state — a nil return prunes the edge (noReturn callee).
 func (f taintFlow) edge(b *Block, e Edge, out *State) *State {
 	a := f.a
-	switch {
-	case f.restrict != nil && !f.restrict[e.To], e.Kind == EdgeCall && !f.followCalls:
+	switch _, member := slices.BinarySearch(f.restrict, e.To); {
+	case f.restrict != nil && !member, e.Kind == EdgeCall && !f.followCalls:
 		return nil
 	case e.Kind != EdgeFallThrough:
 		return out
@@ -383,7 +382,7 @@ func (f taintFlow) edge(b *Block, e Edge, out *State) *State {
 		// A resolved indirect call applies the join of every target's
 		// summary at the return site — any callee in the complete set
 		// may have run. An unresolved site keeps the havoc contract.
-		if ts := a.resolved[last.Addr]; len(ts) > 0 {
+		if ts := a.resolved[b.Index]; len(ts) > 0 {
 			var post *State
 			for _, t := range ts {
 				sum := a.summaryOf(t)

@@ -403,9 +403,9 @@ func TestFlowCapDegradesSummariesToHavoc(t *testing.T) {
 	if len(a.summaries) == 0 {
 		t.Fatal("no summaries computed")
 	}
-	for entry, s := range a.summaries {
+	for fi, s := range a.summaries {
 		if !s.havoc {
-			t.Errorf("summary of %#x survived a capped fixpoint: %+v", entry, s)
+			t.Errorf("summary of %#x survived a capped fixpoint: %+v", a.funcs[fi].Entry, s)
 		}
 	}
 }

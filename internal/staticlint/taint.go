@@ -177,16 +177,15 @@ type Analysis struct {
 	// Interprocedural layer (callgraph.go / summary.go): the function
 	// partition, per-function taint summaries, and the placeholder
 	// sources summaries are expressed over.
-	funcs     []*Func
-	funcIndex map[uint64]int // function entry address → funcs index
-	funcOf    []int          // block index → owning funcs index (-1: none)
-	// resolved maps each CALLI/JMPI address the value-set analysis
-	// proved a complete target set for to that set (resolve.go); sites
-	// absent here keep the degrade-to-havoc contract.
-	resolved   map[uint64][]uint64
+	funcs  []*Func // in entry-address order (funcAt)
+	funcOf []int   // block index → owning funcs index (-1: none)
+	// resolved holds, per block ending in a CALLI/JMPI, the complete
+	// target set the value-set analysis proved for it (resolve.go);
+	// sites with none keep the degrade-to-havoc contract.
+	resolved   [][]uint64
 	callers    [][]callerRef
 	funcWrites []uint32
-	summaries  map[uint64]*summary
+	summaries  []*summary // per function
 	paramReg   [isa.NumRegs]taintSet
 	paramFlags taintSet
 	paramMem   taintSet
@@ -282,10 +281,6 @@ func (a *Analysis) entryState() *State {
 // transient-window gadget scan over the same CFG and function
 // partition.
 func (a *Analysis) run() {
-	if len(a.CFG.Blocks) == 0 {
-		a.resolved = map[uint64][]uint64{}
-		return
-	}
 	// Indirect-target resolution runs first, on the raw CFG: resolved
 	// CALLI/JMPI sites get concrete edges before functions are
 	// partitioned, so everything downstream — entry detection, call

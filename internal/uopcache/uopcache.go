@@ -239,17 +239,12 @@ func (c *Cache) matches(l *line, thread int, region uint64, entry uint8) bool {
 	return l.valid && l.region == region && l.entry == entry && l.thread == thread
 }
 
-// Lookup streams the trace for the code at addr for the given hardware
-// thread. On a hit it returns the trace's micro-ops in order and bumps
-// line hotness. On a miss it returns nil.
-func (c *Cache) Lookup(thread int, addr uint64) ([]isa.Uop, bool) {
-	return c.LookupAppend(thread, addr, nil)
-}
-
-// LookupAppend is Lookup appending the streamed micro-ops to dst
-// instead of allocating, so a caller owning a reusable buffer (the
-// fetch engine's stream buffer) can stay allocation-free on every DSB
-// hit. On a miss dst is returned unchanged.
+// LookupAppend streams the trace for the code at addr for the given
+// hardware thread. On a hit it appends the trace's micro-ops to dst in
+// order, bumps line hotness and reports true, so a caller owning a
+// reusable buffer (the fetch engine's stream buffer) stays
+// allocation-free on every DSB hit. On a miss dst is returned
+// unchanged.
 func (c *Cache) LookupAppend(thread int, addr uint64, dst []isa.Uop) ([]isa.Uop, bool) {
 	return c.lookup(thread, addr, dst, true)
 }

@@ -215,11 +215,11 @@ func TestTraceEmpty(t *testing.T) {
 func TestLookupFillRoundtrip(t *testing.T) {
 	c := New(Skylake())
 	tr := simpleTrace(c.Config(), 0x1000, 6)
-	if _, hit := c.Lookup(0, 0x1000); hit {
+	if _, hit := c.LookupAppend(0, 0x1000, nil); hit {
 		t.Error("cold lookup hit")
 	}
 	c.Fill(0, tr)
-	uops, hit := c.Lookup(0, 0x1000)
+	uops, hit := c.LookupAppend(0, 0x1000, nil)
 	if !hit || len(uops) != 6 {
 		t.Fatalf("warm lookup: hit=%v n=%d", hit, len(uops))
 	}
@@ -233,10 +233,10 @@ func TestLookupKeyedByEntryOffset(t *testing.T) {
 	c := New(Skylake())
 	tr := BuildTrace(c.Config(), 0x1000, 8, []MacroUops{mkMacro(0x1008, 4, 3)})
 	c.Fill(0, tr)
-	if _, hit := c.Lookup(0, 0x1008); !hit {
+	if _, hit := c.LookupAppend(0, 0x1008, nil); !hit {
 		t.Error("matching entry offset missed")
 	}
-	if _, hit := c.Lookup(0, 0x1000); hit {
+	if _, hit := c.LookupAppend(0, 0x1000, nil); hit {
 		t.Error("different entry offset hit")
 	}
 }
@@ -262,12 +262,12 @@ func TestHotnessProtectsResidents(t *testing.T) {
 		region := uint64(w) * 1024
 		c.Fill(0, simpleTrace(cfg, region, 6))
 		for i := 0; i < 8; i++ {
-			c.Lookup(0, region) // heat to the cap
+			c.LookupAppend(0, region, nil) // heat to the cap
 		}
 	}
 	// A single fill attempt must fail against hot residents.
 	c.Fill(0, simpleTrace(cfg, 8*1024, 6))
-	if _, hit := c.Lookup(0, 8*1024); hit {
+	if _, hit := c.LookupAppend(0, 8*1024, nil); hit {
 		t.Error("cold challenger displaced a hot resident immediately")
 	}
 	if c.Stats().FillFailures == 0 {
@@ -278,7 +278,7 @@ func TestHotnessProtectsResidents(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Fill(0, simpleTrace(cfg, 8*1024, 6))
 	}
-	if _, hit := c.Lookup(0, 8*1024); !hit {
+	if _, hit := c.LookupAppend(0, 8*1024, nil); !hit {
 		t.Error("persistent challenger never displaced a resident")
 	}
 }
@@ -292,7 +292,7 @@ func TestMultiLineTraceAllOrNothing(t *testing.T) {
 	}
 	tr := BuildTrace(cfg, 0x1000, 0, macros) // 2 lines
 	c.Fill(0, tr)
-	if uops, hit := c.Lookup(0, 0x1000); !hit || len(uops) != 12 {
+	if uops, hit := c.LookupAppend(0, 0x1000, nil); !hit || len(uops) != 12 {
 		t.Fatalf("multi-line lookup: %v %d", hit, len(uops))
 	}
 	// Invalidate one line of the trace: the whole trace must miss.
@@ -302,7 +302,7 @@ func TestMultiLineTraceAllOrNothing(t *testing.T) {
 			break
 		}
 	}
-	if _, hit := c.Lookup(0, 0x1000); hit {
+	if _, hit := c.LookupAppend(0, 0x1000, nil); hit {
 		t.Error("partial trace hit")
 	}
 }
@@ -315,13 +315,13 @@ func TestInvalidateCodeLine(t *testing.T) {
 	c.Fill(0, simpleTrace(cfg, 0x1020, 3))
 	c.Fill(0, simpleTrace(cfg, 0x1040, 3))
 	c.InvalidateCodeLine(0x1000, 64)
-	if _, hit := c.Lookup(0, 0x1000); hit {
+	if _, hit := c.LookupAppend(0, 0x1000, nil); hit {
 		t.Error("region 0x1000 survived icache-line invalidation")
 	}
-	if _, hit := c.Lookup(0, 0x1020); hit {
+	if _, hit := c.LookupAppend(0, 0x1020, nil); hit {
 		t.Error("region 0x1020 survived icache-line invalidation")
 	}
-	if _, hit := c.Lookup(0, 0x1040); !hit {
+	if _, hit := c.LookupAppend(0, 0x1040, nil); !hit {
 		t.Error("region 0x1040 wrongly invalidated")
 	}
 }
@@ -448,7 +448,7 @@ func TestAMDCompetitiveSharing(t *testing.T) {
 		t.Error("AMD SMT threads must compete for the same physical set")
 	}
 	// Lookups are thread-tagged even when capacity is shared.
-	if _, hit := c.Lookup(0, 0x1000); !hit {
+	if _, hit := c.LookupAppend(0, 0x1000, nil); !hit {
 		t.Error("thread-0 lookup missed its own line")
 	}
 }
@@ -456,8 +456,8 @@ func TestAMDCompetitiveSharing(t *testing.T) {
 func TestStreamedUopsCounter(t *testing.T) {
 	c := New(Skylake())
 	c.Fill(0, simpleTrace(c.Config(), 0x1000, 5))
-	c.Lookup(0, 0x1000)
-	c.Lookup(0, 0x1000)
+	c.LookupAppend(0, 0x1000, nil)
+	c.LookupAppend(0, 0x1000, nil)
 	if got := c.Stats().StreamedUops; got != 10 {
 		t.Errorf("streamed µops %d, want 10", got)
 	}
@@ -472,7 +472,7 @@ func TestLongestTraceHits(t *testing.T) {
 		tr.Lines[i] = LineUops{Uops: []isa.Uop{{Op: isa.NOP, Slots: 1}}, Slots: 1}
 	}
 	c.Fill(0, tr)
-	uops, ok := c.Lookup(0, 0x1000)
+	uops, ok := c.LookupAppend(0, 0x1000, nil)
 	if !ok || len(uops) != MaxLinesPerRegion {
 		t.Errorf("%d-line trace: hit %v with %d µops", MaxLinesPerRegion, ok, len(uops))
 	}
@@ -646,7 +646,7 @@ func TestLookupNeverReturnsPartialTrace(t *testing.T) {
 			region := uint64(v&0x1F) * 1024 // same set 0 bank
 			c.Fill(0, simpleTrace(cfg, region+0x40000, 1+int(v%6)))
 		}
-		uops, hit := c.Lookup(0, 0x1000)
+		uops, hit := c.LookupAppend(0, 0x1000, nil)
 		if !hit {
 			return true // a miss is always acceptable
 		}
@@ -726,8 +726,8 @@ func TestSaveScalesWithFilledSets(t *testing.T) {
 		c.Fill(0, simpleTrace(cfg, uint64(w)*1024, 6))
 	}
 	c.Fill(0, simpleTrace(cfg, 32, 6))
-	c.Lookup(0, 32)
-	c.Lookup(0, 32)
+	c.LookupAppend(0, 32, nil)
+	c.LookupAppend(0, 32, nil)
 	c.Fill(0, simpleTrace(cfg, 64, 6))
 	const k = 3
 	var s State
@@ -743,7 +743,7 @@ func TestSaveScalesWithFilledSets(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Fill(0, simpleTrace(cfg, uint64(cfg.Ways+1)*1024, 6))
 	}
-	c.Lookup(0, 32)
+	c.LookupAppend(0, 32, nil)
 	c.Fill(0, simpleTrace(cfg, 10*32, 6))
 	c.Restore(&s)
 
