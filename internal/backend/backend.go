@@ -143,7 +143,6 @@ type Backend struct {
 	head, tail uint64
 	regProd    [isa.NumRegs]*entry
 	flagProd   *entry
-	popBuf     []isa.Uop // reusable IDQ pop buffer (DispatchWidth)
 
 	regs  [isa.NumRegs]int64
 	flags isa.Flags
@@ -170,8 +169,7 @@ type Backend struct {
 // New builds a backend for one hardware thread whose in-flight
 // entries live in slots.
 func New(cfg Config, slots *Ring, fe *frontend.FrontEnd, bp *bpu.BPU, hier *mem.Hierarchy, gmem Memory, ctr *perfctr.Counters) *Backend {
-	return &Backend{cfg: cfg, slots: slots, fe: fe, bp: bp, hier: hier, gmem: gmem, ctr: ctr,
-		popBuf: make([]isa.Uop, DispatchWidth)}
+	return &Backend{cfg: cfg, slots: slots, fe: fe, bp: bp, hier: hier, gmem: gmem, ctr: ctr}
 }
 
 // at returns the slot of the entry with sequence number s.
@@ -356,14 +354,17 @@ func (b *Backend) dispatch() {
 	if n <= 0 {
 		return
 	}
-	got := b.fe.PopInto(b.popBuf[:n])
-	for _, u := range b.popBuf[:got] {
+	for range n {
+		u := b.fe.Pop()
+		if u == nil {
+			return
+		}
 		e := b.at(b.tail)
 		*e = entry{}
-		e.uop = u
+		e.uop = *u
 		b.captureSources(e)
-		if b.tail > b.head && u.Index > 0 {
-			if prev := b.at(b.tail - 1); prev.uop.MacroAddr == u.MacroAddr {
+		if b.tail > b.head && e.uop.Index > 0 {
+			if prev := b.at(b.tail - 1); prev.uop.MacroAddr == e.uop.MacroAddr {
 				// Intra-macro-op chaining (e.g. RET's branch consumes
 				// the popped return address).
 				e.chain = prev
@@ -716,12 +717,7 @@ func (b *Backend) resolveBranches() {
 		misp := actualNext != predNext
 		switch u.Op {
 		case isa.JCC:
-			b.bp.UpdateDirection(u.BranchPC, e.taken, misp)
-			if e.taken {
-				b.bp.UpdateTarget(u.BranchPC, e.target)
-			}
-		case isa.JMP, isa.CALL:
-			b.bp.UpdateTarget(u.BranchPC, e.target)
+			b.bp.UpdateDirection(u.BranchPC, e.taken)
 		case isa.JMPI, isa.CALLI:
 			b.bp.UpdateIndirect(u.BranchPC, e.target)
 		}

@@ -1,6 +1,7 @@
 // Package bpu models the branch prediction unit: a bimodal direction
-// predictor, a branch target buffer, an indirect-target predictor, and
-// a return stack buffer. The transient-execution attacks depend on real
+// predictor, an indirect-target predictor, and a return stack buffer.
+// There is no BTB: the fetch engine takes a direct branch's target
+// from the decoded instruction. The transient-execution attacks depend on real
 // predictor state: Spectre-v1 setup mistrains the direction predictor,
 // and the variant-2 attack exploits a secret encoded in the indirect
 // predictor by earlier authorized executions.
@@ -9,8 +10,8 @@
 // branch PC alone, with no global history, so in-place mistraining
 // (calling the victim through the attack's own code path with benign
 // arguments) reliably aliases the attacked branch, as the paper's
-// Spectre-style setups assume. The BTB and the indirect predictor are
-// direct-mapped and tagged with the full PC.
+// Spectre-style setups assume. The indirect predictor is direct-mapped
+// and tagged with the full PC.
 package bpu
 
 import "deaduops/internal/rows"
@@ -20,14 +21,13 @@ const (
 	// PHTBits is the log2 size of the direction predictor's pattern
 	// history table.
 	PHTBits = 14
-	// BTBEntries and IndirectEntries size the target predictors.
-	BTBEntries      = 4096
+	// IndirectEntries sizes the indirect-target predictor.
 	IndirectEntries = 1024
 	// RSBDepth is the return stack depth.
 	RSBDepth = 16
 )
 
-type btbEntry struct {
+type targetEntry struct {
 	pc     uint64
 	target uint64
 	valid  bool
@@ -38,25 +38,19 @@ type btbEntry struct {
 // the model gives each thread its own instance, which is sufficient for
 // the paper's single-thread mistraining attacks.
 type BPU struct {
-	// The four tables are rows.Tables of one-entry rows, so Save,
+	// The three tables are rows.Tables of one-entry rows, so Save,
 	// Restore and Reset walk only the entries a workload trained.
 	pht      rows.Table[uint8] // 2-bit saturating counters
-	btb      rows.Table[btbEntry]
-	indirect rows.Table[btbEntry]
+	indirect rows.Table[targetEntry]
 	rsb      rows.Table[uint64]
 	rsbTop   int
-
-	// Stats
-	DirectionLookups uint64
-	DirectionMisses  uint64
 }
 
 // New builds a predictor.
 func New() *BPU {
 	return &BPU{
 		pht:      rows.NewFilled[uint8](1<<PHTBits, 1, 1), // weakly not-taken
-		btb:      rows.New[btbEntry](BTBEntries, 1),
-		indirect: rows.New[btbEntry](IndirectEntries, 1),
+		indirect: rows.New[targetEntry](IndirectEntries, 1),
 		rsb:      rows.New[uint64](RSBDepth, 1),
 	}
 }
@@ -66,16 +60,12 @@ func phtIndex(pc uint64) uint64 { return pc & (1<<PHTBits - 1) }
 // PredictDirection predicts taken/not-taken for the conditional branch
 // at pc.
 func (b *BPU) PredictDirection(pc uint64) bool {
-	b.DirectionLookups++
 	return b.pht.All()[phtIndex(pc)] >= 2
 }
 
 // UpdateDirection trains the direction predictor with the resolved
 // outcome.
-func (b *BPU) UpdateDirection(pc uint64, taken, mispredicted bool) {
-	if mispredicted {
-		b.DirectionMisses++
-	}
+func (b *BPU) UpdateDirection(pc uint64, taken bool) {
 	idx := phtIndex(pc)
 	b.pht.Mark(int(idx))
 	c := &b.pht.All()[idx]
@@ -84,24 +74,6 @@ func (b *BPU) UpdateDirection(pc uint64, taken, mispredicted bool) {
 	} else if !taken && *c > 0 {
 		*c--
 	}
-}
-
-// PredictTarget consults the BTB for the direct branch at pc.
-func (b *BPU) PredictTarget(pc uint64) (uint64, bool) {
-	btb := b.btb.All()
-	e := &btb[pc%uint64(len(btb))]
-	if e.valid && e.pc == pc {
-		return e.target, true
-	}
-	return 0, false
-}
-
-// UpdateTarget trains the BTB.
-func (b *BPU) UpdateTarget(pc, target uint64) {
-	btb := b.btb.All()
-	i := pc % uint64(len(btb))
-	b.btb.Mark(int(i))
-	btb[i] = btbEntry{pc: pc, target: target, valid: true}
 }
 
 // PredictIndirect consults the indirect-target predictor for the
@@ -122,7 +94,7 @@ func (b *BPU) UpdateIndirect(pc, target uint64) {
 	ind := b.indirect.All()
 	i := pc % uint64(len(ind))
 	b.indirect.Mark(int(i))
-	ind[i] = btbEntry{pc: pc, target: target, valid: true}
+	ind[i] = targetEntry{pc: pc, target: target, valid: true}
 }
 
 // PushRSB records a return address at a call.
@@ -149,45 +121,34 @@ func (b *BPU) PopRSB() (uint64, bool) {
 // the branches a workload trained, not with the table sizes. Backing
 // arrays are recycled across Save calls.
 type State struct {
-	pht        rows.State[uint8]
-	btb        rows.State[btbEntry]
-	indirect   rows.State[btbEntry]
-	rsb        rows.State[uint64]
-	rsbTop     int
-	dirLookups uint64
-	dirMisses  uint64
+	pht      rows.State[uint8]
+	indirect rows.State[targetEntry]
+	rsb      rows.State[uint64]
+	rsbTop   int
 }
 
 // Save copies the predictor state into s, reusing s's buffers.
 func (b *BPU) Save(s *State) {
 	b.pht.Save(&s.pht)
-	b.btb.Save(&s.btb)
 	b.indirect.Save(&s.indirect)
 	b.rsb.Save(&s.rsb)
 	s.rsbTop = b.rsbTop
-	s.dirLookups = b.DirectionLookups
-	s.dirMisses = b.DirectionMisses
 }
 
 // Restore overwrites the predictor state from s in O(entries touched
 // here or in s).
 func (b *BPU) Restore(s *State) {
 	b.pht.Restore(&s.pht)
-	b.btb.Restore(&s.btb)
 	b.indirect.Restore(&s.indirect)
 	b.rsb.Restore(&s.rsb)
 	b.rsbTop = s.rsbTop
-	b.DirectionLookups = s.dirLookups
-	b.DirectionMisses = s.dirMisses
 }
 
 // Reset clears all predictor state in O(entries touched), leaving the
 // BPU equal to a new one.
 func (b *BPU) Reset() {
 	b.pht.Reset()
-	b.btb.Reset()
 	b.indirect.Reset()
 	b.rsb.Reset()
 	b.rsbTop = 0
-	b.DirectionLookups, b.DirectionMisses = 0, 0
 }

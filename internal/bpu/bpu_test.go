@@ -14,13 +14,13 @@ func TestDirectionTrainsTaken(t *testing.T) {
 	if b.PredictDirection(pc) {
 		t.Error("cold prediction taken (counters init weakly not-taken)")
 	}
-	b.UpdateDirection(pc, true, true)
-	b.UpdateDirection(pc, true, false)
+	b.UpdateDirection(pc, true)
+	b.UpdateDirection(pc, true)
 	if !b.PredictDirection(pc) {
 		t.Error("not taken after two taken updates")
 	}
-	b.UpdateDirection(pc, false, true)
-	b.UpdateDirection(pc, false, false)
+	b.UpdateDirection(pc, false)
+	b.UpdateDirection(pc, false)
 	if b.PredictDirection(pc) {
 		t.Error("still taken after two not-taken updates")
 	}
@@ -30,40 +30,12 @@ func TestDirectionSaturates(t *testing.T) {
 	b := newBPU()
 	pc := uint64(0x42)
 	for i := 0; i < 10; i++ {
-		b.UpdateDirection(pc, true, false)
+		b.UpdateDirection(pc, true)
 	}
 	// One contrary outcome must not flip a saturated counter.
-	b.UpdateDirection(pc, false, true)
+	b.UpdateDirection(pc, false)
 	if !b.PredictDirection(pc) {
 		t.Error("saturated counter flipped by one outcome")
-	}
-}
-
-func TestMispredictStats(t *testing.T) {
-	b := newBPU()
-	b.PredictDirection(0x10)
-	b.UpdateDirection(0x10, true, true)
-	if b.DirectionLookups != 1 || b.DirectionMisses != 1 {
-		t.Errorf("lookups %d misses %d", b.DirectionLookups, b.DirectionMisses)
-	}
-}
-
-func TestBTB(t *testing.T) {
-	b := newBPU()
-	if _, ok := b.PredictTarget(0x100); ok {
-		t.Error("cold BTB hit")
-	}
-	b.UpdateTarget(0x100, 0x2000)
-	tgt, ok := b.PredictTarget(0x100)
-	if !ok || tgt != 0x2000 {
-		t.Errorf("BTB = %#x, %v", tgt, ok)
-	}
-	// A different PC aliasing the same entry replaces it and must not
-	// hit for the original until retrained.
-	alias := 0x100 + uint64(BTBEntries)
-	b.UpdateTarget(alias, 0x3000)
-	if _, ok := b.PredictTarget(0x100); ok {
-		t.Error("stale BTB entry hit after alias replacement")
 	}
 }
 
@@ -126,12 +98,12 @@ func TestDirectionIgnoresHistory(t *testing.T) {
 	for _, trained := range []bool{true, false} {
 		for trial := 0; trial < 64; trial++ {
 			b := newBPU()
-			b.UpdateDirection(pc, trained, false)
-			b.UpdateDirection(pc, trained, false)
+			b.UpdateDirection(pc, trained)
+			b.UpdateDirection(pc, trained)
 			n := 1 + rng.Intn(32)
 			for i := 0; i < n; i++ {
 				other := 0x1000 + 4*uint64(rng.Intn(64))
-				b.UpdateDirection(other, rng.Intn(2) == 1, false)
+				b.UpdateDirection(other, rng.Intn(2) == 1)
 			}
 			if got := b.PredictDirection(pc); got != trained {
 				t.Fatalf("trial %d: branch trained taken=%v predicts taken=%v after %d other outcomes",
@@ -143,16 +115,14 @@ func TestDirectionIgnoresHistory(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	b := newBPU()
-	b.UpdateDirection(0x10, true, false)
-	b.UpdateDirection(0x10, true, false)
-	b.UpdateTarget(0x10, 0x99)
+	b.UpdateDirection(0x10, true)
+	b.UpdateDirection(0x10, true)
 	b.UpdateIndirect(0x20, 0x99)
 	b.PushRSB(0x30)
-	b.PredictDirection(0x10)
-	b.UpdateDirection(0x40, true, true)
+	b.UpdateDirection(0x40, true)
 	b.Reset()
-	// The reset predictor must equal a new one in every field: RSB slot
-	// contents and the direction statistics included.
+	// The reset predictor must equal a new one in every field, RSB slot
+	// contents included.
 	var got, want State
 	b.Save(&got)
 	newBPU().Save(&want)
@@ -161,9 +131,6 @@ func TestReset(t *testing.T) {
 	}
 	if b.PredictDirection(0x10) {
 		t.Error("direction survived reset")
-	}
-	if _, ok := b.PredictTarget(0x10); ok {
-		t.Error("BTB survived reset")
 	}
 	if _, ok := b.PredictIndirect(0x20); ok {
 		t.Error("indirect survived reset")
@@ -181,9 +148,8 @@ func TestSaveScalesWithTouchedEntries(t *testing.T) {
 	b := newBPU()
 	for i := uint64(0); i < k; i++ {
 		pc := 0x1000 + 4*i
-		b.UpdateDirection(pc, true, false)
-		b.UpdateDirection(pc, true, false) // a repeat write adds no entry
-		b.UpdateTarget(pc, pc+0x100)
+		b.UpdateDirection(pc, true)
+		b.UpdateDirection(pc, true) // a repeat write adds no entry
 		b.UpdateIndirect(pc, pc+0x200)
 		b.PushRSB(pc + 5)
 	}
@@ -194,7 +160,6 @@ func TestSaveScalesWithTouchedEntries(t *testing.T) {
 		n    int
 	}{
 		{"pht", s.pht.Len()},
-		{"btb", s.btb.Len()},
 		{"indirect", s.indirect.Len()},
 		{"rsb", s.rsb.Len()},
 	} {
@@ -204,14 +169,14 @@ func TestSaveScalesWithTouchedEntries(t *testing.T) {
 	}
 
 	c := newBPU()
-	c.UpdateTarget(0x9000, 0x1) // touched here, absent from s: Restore must clear it
+	c.UpdateIndirect(0x9000, 0x1) // touched here, absent from s: Restore must clear it
 	c.Restore(&s)
 	var got State
 	c.Save(&got)
 	if !reflect.DeepEqual(got, s) {
 		t.Errorf("restored state differs from the snapshot:\n got %+v\nwant %+v", got, s)
 	}
-	if _, ok := c.PredictTarget(0x9000); ok {
+	if _, ok := c.PredictIndirect(0x9000); ok {
 		t.Error("entry touched only after the snapshot survived Restore")
 	}
 	for i := uint64(0); i < k; i++ {

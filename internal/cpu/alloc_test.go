@@ -10,10 +10,10 @@ import (
 )
 
 // TestSteadyStateRunAllocs pins the steady-state cycle loop to zero
-// heap allocations. After warmup the predictors are trained and every
-// reusable buffer — the IDQ, the DSB stream buffer, the reusable fetch
-// group and the dispatch pop buffer — has grown to capacity, and the
-// ROB's entries live in a fixed ring, so a whole Run (including the
+// heap allocations. After warmup the predictors are trained, the
+// reusable fetch group has grown to capacity, a DSB hit streams the
+// cached trace's own µops, and the IDQ and the ROB's entries live in
+// fixed rings, so a whole Run (including the
 // final mispredicted loop exit and its squash) must not touch the
 // heap. Two loops cover both delivery paths: a hot loop whose trace
 // the µop cache holds, and a tiger/zebra prime→probe loop whose 16

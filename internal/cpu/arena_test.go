@@ -14,8 +14,8 @@ import (
 // arenaDirtyProg leaves state in every structure an arena recycles: a
 // strided load/store loop fills 256 distinct sets at every cache level
 // (and dirties guest pages), its back edge trains the direction
-// predictor and the BTB, and a direct and an indirect call train the
-// RSB and the indirect-target predictor.
+// predictor, and a direct and an indirect call train the RSB and the
+// indirect-target predictor.
 func arenaDirtyProg() *asm.Program {
 	b := asm.New(0x1000)
 	b.Movi(isa.R1, 0x10_0000)
@@ -60,8 +60,8 @@ func TestArenaRecycledCoreMatchesFresh(t *testing.T) {
 			if n := old.Hierarchy().LLC().Stats().Misses; n < 256 {
 				t.Fatalf("dirtying run filled %d LLC lines, want at least 256", n)
 			}
-			if _, ok := old.BPU(0).PredictTarget(dirty.MustLabel("back")); !ok {
-				t.Fatal("dirtying run left the back edge out of the BTB")
+			if !old.BPU(0).PredictDirection(dirty.MustLabel("back")) {
+				t.Fatal("dirtying run left the back edge predicted not taken")
 			}
 
 			cfg := FromProfile(next)

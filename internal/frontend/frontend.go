@@ -66,34 +66,34 @@ type FrontEnd struct {
 	stallOther int
 
 	// pending delivery state
-	pendingUops   []isa.Uop          // DSB stream awaiting IDQ slots
-	pendingGroup  *fetchGroup        // fetch-control applied once the stream drains
-	plan          *decode.RegionPlan // MITE schedule in progress (read-only, memoized)
-	planTrace     *uopcache.Trace    // the plan's fill (read-only, memoized)
-	planIdx       int
-	planGroup     *fetchGroup // group being decoded by MITE (for fill)
-	planDelivered []isa.Uop   // µops delivered so far from the plan (LSD recording only)
-	sysRet        []uint64    // syscall return-address stack (architectural)
+	pendingUops  []isa.Uop          // DSB stream awaiting IDQ slots (read-only: the hit trace's µops)
+	pendingGroup *fetchGroup        // fetch-control applied once the stream drains
+	plan         *decode.RegionPlan // MITE schedule in progress (read-only, memoized)
+	planTrace    *uopcache.Trace    // the plan's fill (read-only, memoized)
+	planIdx      int
+	planGroup    *fetchGroup // group being decoded by MITE (for fill)
+	sysRet       []uint64    // syscall return-address stack (architectural)
 
-	// LSD (loop stream detector) state: recently delivered groups and,
-	// when a loop locks, the replaying µop ring.
+	// LSD (loop stream detector) state: the current group's delivered
+	// µops, recently delivered groups and, when a loop locks, the
+	// replaying µop ring.
+	delivered []isa.Uop
 	lsdLog    []lsdRec
 	lsdLoop   []isa.Uop
 	lsdIdx    int
 	lsdActive bool
 
-	idq []isa.Uop
+	// idq is the instruction decode queue, a ring of idqLen µops
+	// starting at idqHead.
+	idq     [IDQCapacity]isa.Uop
+	idqHead int
+	idqLen  int
 
 	// group is the one reusable fetch-group buffer: at most one fetch
 	// group is ever live (either pendingGroup on the DSB path or
 	// planGroup on the MITE path, never both), so planFetch rebuilds
 	// this struct in place instead of allocating per fetch.
 	group fetchGroup
-	// streamBuf is the reusable DSB stream buffer LookupAppend fills;
-	// pendingUops slices into it. It is safe to reuse because startFetch
-	// only runs once the previous stream has fully drained into the IDQ
-	// (and lsdRecord copies anything it retains).
-	streamBuf []isa.Uop
 }
 
 // New builds a fetch engine for one hardware thread. memo is the
@@ -115,13 +115,6 @@ func New(cfg Config, thread int, uc *uopcache.Cache, hier *mem.Hierarchy, bp *bp
 		regionSize:    ucfg.RegionSize(),
 		streamWidth:   ucfg.SlotsPerLine,
 		switchPenalty: ucfg.SwitchPenalty,
-
-		// Pre-size the IDQ and the DSB stream buffer so the steady-state
-		// cycle loop never grows either: the IDQ is hard-capped at
-		// IDQCapacity, and one region streams at most
-		// MaxLinesPerRegion × SlotsPerLine micro-ops.
-		idq:       make([]isa.Uop, 0, IDQCapacity),
-		streamBuf: make([]isa.Uop, 0, uopcache.MaxLinesPerRegion*ucfg.SlotsPerLine),
 	}
 }
 
@@ -149,11 +142,12 @@ func (f *FrontEnd) Redirect(pc uint64) {
 	f.planTrace = nil
 	f.planIdx = 0
 	f.planGroup = nil
+	f.delivered = f.delivered[:0]
 	f.lsdLog = f.lsdLog[:0]
 	f.lsdLoop = nil
 	f.lsdIdx = 0
 	f.lsdActive = false
-	f.idq = f.idq[:0]
+	f.idqHead, f.idqLen = 0, 0
 }
 
 // Stop halts fetch (thread finished).
@@ -181,20 +175,36 @@ func (f *FrontEnd) SerializeDone(resume uint64) {
 func (f *FrontEnd) InMITE() bool { return f.plan != nil }
 
 // IDQLen returns the number of micro-ops buffered for the backend.
-func (f *FrontEnd) IDQLen() int { return len(f.idq) }
+func (f *FrontEnd) IDQLen() int { return f.idqLen }
 
-// PopInto removes up to len(dst) micro-ops from the IDQ into dst for
-// rename/dispatch and returns how many were copied. The backend's
-// dispatch stage passes the same buffer every cycle, so it allocates
-// nothing.
-func (f *FrontEnd) PopInto(dst []isa.Uop) int {
-	n := len(dst)
-	if n > len(f.idq) {
-		n = len(f.idq)
+// Pop removes the oldest micro-op from the IDQ for rename/dispatch,
+// or returns nil if the IDQ is empty. The µop stays valid until the
+// next Tick or Redirect; the caller copies it into its ROB entry.
+func (f *FrontEnd) Pop() *isa.Uop {
+	if f.idqLen == 0 {
+		return nil
 	}
-	copy(dst, f.idq[:n])
-	f.idq = f.idq[:copy(f.idq, f.idq[n:])]
-	return n
+	u := &f.idq[f.idqHead]
+	f.idqHead = (f.idqHead + 1) % IDQCapacity
+	f.idqLen--
+	return u
+}
+
+// deliver copies u into the IDQ's next slot, marks the path that
+// delivered it and, for a fetched group g, attaches g's branch
+// predictions. While the LSD is unlocked it also records the µop for
+// loop detection. Every µop reaches the IDQ through here.
+func (f *FrontEnd) deliver(u *isa.Uop, path isa.Path, g *fetchGroup) {
+	d := &f.idq[(f.idqHead+f.idqLen)%IDQCapacity]
+	*d = *u
+	d.Path = path
+	if g != nil {
+		g.annotate(d)
+	}
+	f.idqLen++
+	if f.cfg.LSDCapacity > 0 && !f.lsdActive {
+		f.delivered = append(f.delivered, *d)
+	}
 }
 
 // fetchGroup is one fetch unit of work: the static macro-ops from the
@@ -391,7 +401,7 @@ func (f *FrontEnd) Tick() {
 		f.ctr.Inc(perfctr.DSBMissPenaltyCycles)
 		return
 	}
-	room := IDQCapacity - len(f.idq)
+	room := IDQCapacity - f.idqLen
 	if room <= 0 {
 		return
 	}
@@ -425,7 +435,7 @@ func (f *FrontEnd) SkipBound() uint64 {
 	if n := f.stallOther + f.stallPen; n > 0 {
 		return uint64(n)
 	}
-	if IDQCapacity-len(f.idq) <= 0 {
+	if f.idqLen >= IDQCapacity {
 		return ^uint64(0)
 	}
 	return 0
@@ -490,9 +500,7 @@ func (f *FrontEnd) tickLSD(room int) {
 		n = room
 	}
 	for i := 0; i < n; i++ {
-		u := f.lsdLoop[f.lsdIdx]
-		u.Path = isa.PathLSD
-		f.idq = append(f.idq, u)
+		f.deliver(&f.lsdLoop[f.lsdIdx], isa.PathLSD, nil)
 		f.lsdIdx = (f.lsdIdx + 1) % len(f.lsdLoop)
 	}
 	f.ctr.Add(perfctr.LSDUops, uint64(n))
@@ -527,15 +535,15 @@ func (f *FrontEnd) lsdCheck(entry uint64) bool {
 	return false
 }
 
-// lsdRecord retains a delivered group for loop detection.
-func (f *FrontEnd) lsdRecord(entry uint64, uops []isa.Uop) {
+// lsdRecord retains the group entered at entry, whose µops deliver
+// has collected, for loop detection.
+func (f *FrontEnd) lsdRecord(entry uint64) {
 	if f.cfg.LSDCapacity <= 0 || f.lsdActive {
 		return
 	}
 	const maxLog = 16
-	// Copy: the caller's slice aliases a reusable delivery buffer
-	// (streamBuf on the DSB path) that the next fetch overwrites.
-	f.lsdLog = append(f.lsdLog, lsdRec{entry: entry, uops: append([]isa.Uop(nil), uops...)})
+	f.lsdLog = append(f.lsdLog, lsdRec{entry: entry, uops: append([]isa.Uop(nil), f.delivered...)})
+	f.delivered = f.delivered[:0]
 	if len(f.lsdLog) > maxLog {
 		f.lsdLog = f.lsdLog[len(f.lsdLog)-maxLog:]
 	}
@@ -560,14 +568,10 @@ func (f *FrontEnd) tickDSB(room int) {
 	if len(f.pendingUops) == 0 {
 		return
 	}
-	n := f.streamWidth
-	if n > room {
-		n = room
+	n := min(f.streamWidth, room, len(f.pendingUops))
+	for i := range n {
+		f.deliver(&f.pendingUops[i], isa.PathDSB, f.pendingGroup)
 	}
-	if n > len(f.pendingUops) {
-		n = len(f.pendingUops)
-	}
-	f.idq = append(f.idq, f.pendingUops[:n]...)
 	f.ctr.Add(perfctr.DSBUops, uint64(n))
 	f.pendingUops = f.pendingUops[n:]
 	if len(f.pendingUops) == 0 {
@@ -592,12 +596,8 @@ func (f *FrontEnd) tickMITE(room int) {
 			return
 		}
 		for i := range slot {
-			u := slot[i]
-			f.planGroup.annotate(&u)
-			f.idq = append(f.idq, u)
-			if f.cfg.LSDCapacity > 0 {
-				f.planDelivered = append(f.planDelivered, u)
-			}
+			u := &slot[i]
+			f.deliver(u, u.Path, f.planGroup)
 			if u.Path == isa.PathMSROM {
 				f.ctr.Inc(perfctr.MSROMUops)
 			} else {
@@ -614,17 +614,17 @@ func (f *FrontEnd) tickMITE(room int) {
 	f.uc.Fill(f.thread, f.planTrace)
 	f.ctr.Add(perfctr.LCPStallCycles, uint64(f.plan.LCPStalls))
 	f.ctr.Add(perfctr.JccAlignStallCycles, uint64(f.plan.AlignStalls))
-	f.lsdRecord(g.entry, f.planDelivered)
 	f.plan = nil
 	f.planTrace = nil
 	f.planIdx = 0
 	f.planGroup = nil
-	f.planDelivered = f.planDelivered[:0]
 	f.finishGroup(g)
 }
 
-// finishGroup applies the group's post-delivery fetch control.
+// finishGroup records the delivered group for the LSD and applies its
+// post-delivery fetch control.
 func (f *FrontEnd) finishGroup(g *fetchGroup) {
+	f.lsdRecord(g.entry)
 	switch {
 	case g.halt:
 		f.active = false
@@ -666,18 +666,11 @@ func (f *FrontEnd) startFetch() bool {
 		f.ctr.Inc(perfctr.L1IMisses)
 	}
 
-	if uops, hit := f.uc.LookupAppend(f.thread, g.entry, f.streamBuf[:0]); hit {
-		f.streamBuf = uops[:0] // keep the (possibly grown) backing array
+	if uops, hit := f.uc.Lookup(f.thread, g.entry); hit {
 		if covered := f.coverage(uops); covered >= g.groupEnd() {
-			stream := f.truncateToGroup(uops, g)
-			for i := range stream {
-				stream[i].Path = isa.PathDSB
-				g.annotate(&stream[i])
-			}
-			f.lsdRecord(g.entry, stream)
-			f.pendingUops = stream
+			f.pendingUops = f.truncateToGroup(uops, g)
 			f.pendingGroup = g
-			if len(stream) == 0 {
+			if len(f.pendingUops) == 0 {
 				f.pendingGroup = nil
 				f.finishGroup(g)
 			}
@@ -704,14 +697,13 @@ func (f *FrontEnd) coverage(uops []isa.Uop) uint64 {
 	if len(uops) == 0 {
 		return 0
 	}
-	last := uops[len(uops)-1]
+	last := &uops[len(uops)-1]
 	return last.MacroAddr + uint64(last.MacroLen)
 }
 
 // truncateToGroup cuts a cached trace down to the fetch group's extent
-// (the group may end early at a predicted-taken branch). The trace
-// lives in the front end's own stream buffer, so truncation is a
-// re-slice, not a copy.
+// (the group may end early at a predicted-taken branch). Truncation is
+// a re-slice of the trace, not a copy.
 func (f *FrontEnd) truncateToGroup(uops []isa.Uop, g *fetchGroup) []isa.Uop {
 	end := g.groupEnd()
 	for i := range uops {

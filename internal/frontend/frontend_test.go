@@ -33,10 +33,11 @@ func harness(p *asm.Program) (*FrontEnd, *uopcache.Cache, *perfctr.Counters) {
 // slice.
 func drain(fe *FrontEnd, cycles int) []isa.Uop {
 	var out []isa.Uop
-	buf := make([]isa.Uop, 64)
 	for i := 0; i < cycles; i++ {
 		fe.Tick()
-		out = append(out, buf[:fe.PopInto(buf)]...)
+		for u := fe.Pop(); u != nil; u = fe.Pop() {
+			out = append(out, *u)
+		}
 	}
 	return out
 }
@@ -233,12 +234,13 @@ func TestPopPartial(t *testing.T) {
 	for i := 0; i < 20 && fe.IDQLen() < 4; i++ {
 		fe.Tick()
 	}
-	got := make([]isa.Uop, 2)
-	if n := fe.PopInto(got); n != 2 {
-		t.Fatalf("PopInto of 2 copied %d", n)
-	}
-	if got[0].MacroAddr != 0x1000 || got[1].MacroAddr != 0x1001 {
+	n := fe.IDQLen()
+	first, second := *fe.Pop(), *fe.Pop()
+	if first.MacroAddr != 0x1000 || second.MacroAddr != 0x1001 {
 		t.Error("pop order wrong")
+	}
+	if fe.IDQLen() != n-2 {
+		t.Errorf("IDQ holds %d µops after popping 2 of %d", fe.IDQLen(), n)
 	}
 }
 
@@ -258,8 +260,8 @@ func lsdHarness(p *asm.Program, capacity int) (*FrontEnd, *uopcache.Cache, *perf
 		hier.AccessInst(in.Addr)
 		hier.AccessInst(in.End())
 		if in.Op == isa.JCC {
-			bp.UpdateDirection(in.Addr, true, false)
-			bp.UpdateDirection(in.Addr, true, false)
+			bp.UpdateDirection(in.Addr, true)
+			bp.UpdateDirection(in.Addr, true)
 		}
 	}
 	return fe, uc, ctr
@@ -334,5 +336,46 @@ func TestLSDCapacityRespected(t *testing.T) {
 	drain(fe, 200)
 	if ctr.Get(perfctr.LSDUops) != 0 {
 		t.Error("LSD locked a loop larger than its capacity")
+	}
+}
+
+// TestLSDRecordDropsInterruptedGroup pins that a redirect discards the
+// µops a MITE refill delivered before it was interrupted: the next
+// group the LSD records, and so the loop it locks, must hold only µops
+// delivered after the redirect.
+func TestLSDRecordDropsInterruptedGroup(t *testing.T) {
+	b := asm.New(0x1000)
+	b.Label("loop")
+	b.Nop(4)
+	b.Nop(4)
+	b.Subi(isa.R14, 1)
+	b.Cmpi(isa.R14, 0)
+	b.Jcc(isa.NE, "loop")
+	b.Halt()
+	b.Org(0x2000)
+	b.Label("other")
+	for i := 0; i < 8; i++ {
+		b.Nop(1)
+	}
+	b.Halt()
+	p := b.MustBuild()
+	fe, _, ctr := lsdHarness(p, 64)
+
+	fe.Redirect(p.MustLabel("other"))
+	for i := 0; i < 20 && fe.IDQLen() == 0; i++ {
+		fe.Tick()
+	}
+	if fe.IDQLen() == 0 || !fe.InMITE() {
+		t.Fatalf("set-up: MITE refill of 0x2000 not part-way (IDQ %d, in MITE %v)", fe.IDQLen(), fe.InMITE())
+	}
+	fe.Redirect(p.MustLabel("loop"))
+	uops := drain(fe, 200)
+	if ctr.Get(perfctr.LSDUops) == 0 {
+		t.Fatal("LSD never locked the loop")
+	}
+	for _, u := range uops {
+		if u.Path == isa.PathLSD && u.MacroAddr >= p.MustLabel("other") {
+			t.Fatalf("LSD replays µop of %#x from the interrupted group", u.MacroAddr)
+		}
 	}
 }

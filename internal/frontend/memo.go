@@ -10,8 +10,8 @@ import (
 // Decoded is what one MITE refill of a fetch group builds: the
 // legacy-decode schedule the fetch engine delivers slot by slot and the
 // trace it then installs in the micro-op cache. Both are read-only once
-// built: delivery copies micro-ops out of the plan's slots, and Fill
-// shares the trace's line slices by header.
+// built: delivery copies micro-ops out of the plan's slots and out of
+// a hit trace's µops, and the cache's lines point at the trace.
 type Decoded struct {
 	Plan  *decode.RegionPlan
 	Trace *uopcache.Trace

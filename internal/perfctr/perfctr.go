@@ -63,7 +63,9 @@ const (
 	// fast path auditable. It has no hardware analogue.
 	SkippedCycles
 
-	// NumEvents is the number of defined events.
+	// NumEvents is the number of defined events. The benchmark module
+	// digests every event up to NumEvents into its seed-1 goldens, so
+	// adding, removing or reordering an event changes benchmark data.
 	NumEvents
 )
 

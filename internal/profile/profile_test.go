@@ -180,8 +180,8 @@ func TestMITEOnlyZeroDSBHits(t *testing.T) {
 		const region = 0x10000
 		tr := fillableTrace(p.UopCache, region)
 		c.Fill(0, tr)
-		c.LookupAppend(0, region, nil) // warm re-run
-		c.LookupAppend(0, region, nil)
+		c.Lookup(0, region) // warm re-run
+		c.Lookup(0, region)
 		return c.Stats()
 	}
 

@@ -223,7 +223,7 @@ func (a *Analysis) footprintOf(ranges []uopcache.Range) uopcache.FootprintResult
 		rf := uopcache.RegionFootprint{Region: sg.Region, Entry: sg.Entry,
 			Set: uc.SetIndexOf(sg.Region), Cacheable: t.Cacheable, Reason: t.Reason}
 		if t.Cacheable {
-			rf.Ways, rf.Uops = len(t.Lines), t.TotalUops
+			rf.Ways, rf.Uops = len(t.Lines), len(t.Uops)
 			res.Sets[rf.Set] += rf.Ways
 		} else {
 			res.Uncacheable++

@@ -33,7 +33,7 @@ func ProbeModelFullReplay(cfg Config, prime, victimRuns int, taken, fall uopcach
 	}
 	recv := func(cache *uopcache.Cache, n int) (misses, extra int) {
 		touch := func(s probeSeg) {
-			if !cache.Hit(0, s.addr) {
+			if _, hit := cache.Lookup(0, s.addr); !hit {
 				misses++
 				extra += s.delta
 				cache.Fill(0, s.trace)
@@ -60,7 +60,7 @@ func ProbeModelFullReplay(cfg Config, prime, victimRuns int, taken, fall uopcach
 		victim := victimSegs(fp)
 		for r := 0; r < victimRuns; r++ {
 			for _, s := range victim {
-				if !cache.Hit(0, s.addr) {
+				if _, hit := cache.Lookup(0, s.addr); !hit {
 					cache.Fill(0, s.trace)
 				}
 			}

@@ -372,11 +372,11 @@ func probeSetup(cfg Config, proto protocol, div []int, dec func(uopcache.Segment
 
 // recv runs the receiver routine once with n probe traversals, refilling
 // every segment that misses as MITE would, and returns the missed
-// segment count and the refill cycles they add. Hit tests copy no µops.
+// segment count and the refill cycles they add.
 // Traversals past the fixed point (runsLeft) are skipped.
 func (rp *probeReplay) recv(cache *uopcache.Cache, n int) (misses, extra int) {
 	touch := func(s probeSeg) {
-		if cache.Hit(0, s.addr) {
+		if _, hit := cache.Lookup(0, s.addr); hit {
 			return
 		}
 		misses++
@@ -431,7 +431,7 @@ func (rp *probeReplay) victimProbe(cache *uopcache.Cache, fp uopcache.FootprintR
 	for left := rp.proto.victimRuns; left > 0; {
 		missed := false
 		for _, s := range victim {
-			if !cache.Hit(0, s.addr) {
+			if _, hit := cache.Lookup(0, s.addr); !hit {
 				missed = true
 				cache.Fill(0, s.trace)
 			}

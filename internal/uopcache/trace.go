@@ -18,6 +18,8 @@ type MacroUops struct {
 
 // LineUops is one would-be cache line of a built trace.
 type LineUops struct {
+	// Uops is the line's run of its trace's Uops, capped so that an
+	// append never writes into the next line.
 	Uops     []isa.Uop
 	Slots    int
 	Branches int
@@ -27,17 +29,20 @@ type LineUops struct {
 
 // Trace is the result of applying the placement rules (§II-B) to the
 // decoded macro-ops of one 32-byte code region, entered at a given
-// offset. A non-cacheable trace records why.
+// offset. A non-cacheable trace records why and holds no µops. A
+// trace is read-only once built: the micro-op cache's lines point at
+// it and a hit streams its Uops.
 type Trace struct {
-	Region    uint64
-	Entry     uint8
+	Region uint64
+	Entry  uint8
+	// Uops holds every line's µops in line order; each line's Uops is
+	// a subslice of it.
+	Uops      []isa.Uop
 	Lines     []LineUops
 	Cacheable bool
 	// Reason explains a non-cacheable result ("too-many-lines",
 	// "uncacheable-op").
 	Reason string
-	// TotalUops is the µop count across lines.
-	TotalUops int
 }
 
 // BuildTrace applies the placement rules to macro-ops of one region:
@@ -54,44 +59,49 @@ type Trace struct {
 // region+entry and ending at the region's last instruction or its
 // first unconditional jump, whichever is earlier.
 func BuildTrace(cfg Config, region uint64, entry uint8, macros []MacroUops) *Trace {
-	t := &Trace{Region: region, Entry: entry, Cacheable: true}
-	if cfg.Disabled {
-		t.Cacheable = false
-		t.Reason = "dsb-disabled"
+	t := &Trace{Region: region, Entry: entry}
+	fail := func(reason string) *Trace {
+		t.Uops, t.Lines, t.Reason = nil, nil, reason
 		return t
+	}
+	if cfg.Disabled {
+		return fail("dsb-disabled")
 	}
 	if len(macros) == 0 {
-		t.Cacheable = false
-		t.Reason = "empty"
-		return t
+		return fail("empty")
 	}
 
+	// Size Uops up front so it never moves: the lines slice into it as
+	// they close.
+	n := 0
+	for mi := range macros {
+		n += len(macros[mi].Uops)
+	}
+	t.Uops = make([]isa.Uop, 0, n)
 	var cur LineUops
+	start := 0
 	closeLine := func() {
-		if len(cur.Uops) > 0 || cur.MSROM {
+		if end := len(t.Uops); end > start || cur.MSROM {
+			cur.Uops = t.Uops[start:end:end]
 			t.Lines = append(t.Lines, cur)
 		}
-		cur = LineUops{}
+		cur, start = LineUops{}, len(t.Uops)
 	}
 
 	for mi := range macros {
 		m := &macros[mi]
 		if m.Uncacheable {
-			t.Cacheable = false
-			t.Reason = "uncacheable-op"
-			t.Lines = nil
-			return t
+			return fail("uncacheable-op")
 		}
 		if m.Microcoded {
 			// MSROM micro-ops consume an entire line of their own.
 			closeLine()
-			msLine := LineUops{MSROM: true, Slots: cfg.SlotsPerLine}
-			msLine.Uops = append(msLine.Uops, m.Uops...)
+			cur = LineUops{MSROM: true, Slots: cfg.SlotsPerLine}
 			if m.Branch {
-				msLine.Branches = 1
+				cur.Branches = 1
 			}
-			t.Lines = append(t.Lines, msLine)
-			t.TotalUops += len(m.Uops)
+			t.Uops = append(t.Uops, m.Uops...)
+			closeLine()
 			continue
 		}
 		slots := 0
@@ -105,20 +115,15 @@ func BuildTrace(cfg Config, region uint64, entry uint8, macros []MacroUops) *Tra
 		if slots > cfg.SlotsPerLine {
 			// A non-microcoded macro-op that cannot fit any line makes
 			// the region uncacheable.
-			t.Cacheable = false
-			t.Reason = "macro-op-too-wide"
-			t.Lines = nil
-			return t
+			return fail("macro-op-too-wide")
 		}
 		if cur.Slots+slots > cfg.SlotsPerLine ||
-			cur.Branches+branches > MaxBranchesPerLine ||
-			cur.MSROM {
+			cur.Branches+branches > MaxBranchesPerLine {
 			closeLine()
 		}
-		cur.Uops = append(cur.Uops, m.Uops...)
+		t.Uops = append(t.Uops, m.Uops...)
 		cur.Slots += slots
 		cur.Branches += branches
-		t.TotalUops += len(m.Uops)
 		if m.UncondJump {
 			// An unconditional jump terminates the line (and, by
 			// construction of macros, the trace).
@@ -128,10 +133,8 @@ func BuildTrace(cfg Config, region uint64, entry uint8, macros []MacroUops) *Tra
 	closeLine()
 
 	if len(t.Lines) > MaxLinesPerRegion {
-		t.Cacheable = false
-		t.Reason = "too-many-lines"
-		t.Lines = nil
-		return t
+		return fail("too-many-lines")
 	}
+	t.Cacheable = true
 	return t
 }

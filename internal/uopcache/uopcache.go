@@ -119,16 +119,14 @@ type Stats struct {
 	Invalidations uint64 // lines dropped by L1I/iTLB inclusion
 }
 
-// line is one cached way.
+// line is one cached way: the seq-th line of the trace it points at.
 type line struct {
 	valid   bool
 	thread  int
 	region  uint64 // region base address
 	entry   uint8  // entry offset within the region
 	seq     uint8  // line index within the trace
-	total   uint8  // number of lines in the trace
-	uops    []isa.Uop
-	slots   int
+	trace   *Trace
 	hotness int
 }
 
@@ -239,91 +237,60 @@ func (c *Cache) matches(l *line, thread int, region uint64, entry uint8) bool {
 	return l.valid && l.region == region && l.entry == entry && l.thread == thread
 }
 
-// LookupAppend streams the trace for the code at addr for the given
-// hardware thread. On a hit it appends the trace's micro-ops to dst in
-// order, bumps line hotness and reports true, so a caller owning a
-// reusable buffer (the fetch engine's stream buffer) stays
-// allocation-free on every DSB hit. On a miss dst is returned
-// unchanged.
-func (c *Cache) LookupAppend(thread int, addr uint64, dst []isa.Uop) ([]isa.Uop, bool) {
-	return c.lookup(thread, addr, dst, true)
-}
-
-// Hit is LookupAppend without the copy: it reports whether the trace
-// for addr is fully cached, with the same hotness and counter updates,
-// but copies no micro-ops. Callers that need only the hit/miss outcome
-// (the static receiver model's protocol replay) use it.
-func (c *Cache) Hit(thread int, addr uint64) bool {
-	_, ok := c.lookup(thread, addr, nil, false)
-	return ok
-}
-
-// lookup is LookupAppend and Hit: it appends the hit trace's µops to
-// dst only when copyUops is set.
-func (c *Cache) lookup(thread int, addr uint64, dst []isa.Uop, copyUops bool) ([]isa.Uop, bool) {
-	region := c.RegionOf(addr)
-	entry := uint8(addr - region)
+// Lookup streams the trace for the code at addr for the given hardware
+// thread. On a hit it bumps line hotness and returns the trace's µops,
+// which the caller must not modify.
+func (c *Cache) Lookup(thread int, addr uint64) ([]isa.Uop, bool) {
 	c.stats.Lookups++
 	if c.cfg.Disabled {
 		c.stats.Misses++
-		return dst, false
+		return nil, false
 	}
-	set := c.sets.Row(c.setIndex(thread, region))
-
 	var found [MaxLinesPerRegion]*line
-	var total int = -1
-	n := 0
-	for i := range set {
-		l := &set[i]
-		if c.matches(l, thread, region, entry) {
-			if int(l.seq) < len(found) && found[l.seq] == nil {
-				found[l.seq] = l
-				n++
-			}
-			total = int(l.total)
-		}
-	}
-	if total < 0 || n != total {
+	n := c.resident(thread, addr, &found)
+	if n == 0 {
 		c.stats.Misses++
-		return dst, false
+		return nil, false
 	}
-	uops := dst
-	streamed := 0
-	for s := 0; s < total; s++ {
-		l := found[s]
-		if l == nil {
-			c.stats.Misses++
-			return dst, false
-		}
+	for _, l := range found[:n] {
 		if l.hotness < c.cfg.HotnessMax {
 			l.hotness++
 		}
-		if copyUops {
-			uops = append(uops, l.uops...)
-		}
-		streamed += len(l.uops)
 	}
+	uops := found[0].trace.Uops
 	c.stats.Hits++
-	c.stats.StreamedUops += uint64(streamed)
+	c.stats.StreamedUops += uint64(len(uops))
 	return uops, true
 }
 
 // Present reports whether the trace for addr is fully cached, without
 // perturbing hotness or statistics.
 func (c *Cache) Present(thread int, addr uint64) bool {
+	var found [MaxLinesPerRegion]*line
+	return c.resident(thread, addr, &found) > 0
+}
+
+// resident gathers the lines of the trace cached for the code at addr
+// into found and returns their count, or 0 unless every line of the
+// trace is present. All lines matching (thread, region, entry) in a
+// set come from one trace, because Fill drops every one of them before
+// it installs a new trace; so the trace is resident exactly when the
+// matching lines number as many as its lines.
+func (c *Cache) resident(thread int, addr uint64, found *[MaxLinesPerRegion]*line) int {
 	region := c.RegionOf(addr)
 	entry := uint8(addr - region)
 	set := c.sets.Row(c.setIndex(thread, region))
-	have := 0
-	total := -1
+	n := 0
 	for i := range set {
-		l := &set[i]
-		if c.matches(l, thread, region, entry) {
-			have++
-			total = int(l.total)
+		if l := &set[i]; c.matches(l, thread, region, entry) && n < len(found) {
+			found[n] = l
+			n++
 		}
 	}
-	return total >= 0 && have == total
+	if n == 0 || n != len(found[0].trace.Lines) {
+		return 0
+	}
+	return n
 }
 
 // Fill attempts to install a built trace. The hotness replacement
@@ -348,7 +315,7 @@ func (c *Cache) Fill(thread int, t *Trace) {
 		}
 	}
 
-	for seq, lu := range t.Lines {
+	for seq := range t.Lines {
 		victim := -1
 		for i := range set {
 			if !set[i].valid {
@@ -383,9 +350,7 @@ func (c *Cache) Fill(thread int, t *Trace) {
 			region:  t.Region,
 			entry:   t.Entry,
 			seq:     uint8(seq),
-			total:   uint8(len(t.Lines)),
-			uops:    lu.Uops,
-			slots:   lu.Slots,
+			trace:   t,
 			hotness: 1,
 		}
 		c.stats.Fills++
@@ -396,10 +361,8 @@ func (c *Cache) Fill(thread int, t *Trace) {
 // set's ways (validity, tags, hotness), the round-robin victim
 // pointers, the privilege domains, the SMT mode, and the counters.
 // Its cost scales with the sets a workload filled, not the cache's
-// size. Line micro-op slices are shared by header, not copied: a
-// trace's µops are immutable once installed (Fill stores the freshly
-// built slice, LookupAppend copies out of it), so sharing is safe
-// across any number of restores. Backing arrays are recycled across
+// size. Lines point at their traces, which are read-only once built,
+// so a snapshot shares them safely across any number of restores. Backing arrays are recycled across
 // Save calls; a snapshot only restores into a cache built from the
 // same geometry.
 type State struct {
@@ -477,10 +440,11 @@ func (c *Cache) Snapshot() []LineInfo {
 			if !l.valid {
 				continue
 			}
+			lu := &l.trace.Lines[l.seq]
 			out = append(out, LineInfo{
 				Set: s, Way: w, Thread: l.thread,
 				Region: l.region, Entry: l.entry, Seq: l.seq,
-				Slots: l.slots, Uops: len(l.uops), Hotness: l.hotness,
+				Slots: lu.Slots, Uops: len(lu.Uops), Hotness: l.hotness,
 			})
 		}
 	}

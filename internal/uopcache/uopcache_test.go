@@ -81,7 +81,7 @@ func competitive() Config {
 func TestTraceSingleLine(t *testing.T) {
 	cfg := Skylake()
 	tr := simpleTrace(cfg, 0x1000, 6)
-	if !tr.Cacheable || len(tr.Lines) != 1 || tr.TotalUops != 6 {
+	if !tr.Cacheable || len(tr.Lines) != 1 || len(tr.Uops) != 6 {
 		t.Errorf("trace %+v", tr)
 	}
 }
@@ -215,11 +215,11 @@ func TestTraceEmpty(t *testing.T) {
 func TestLookupFillRoundtrip(t *testing.T) {
 	c := New(Skylake())
 	tr := simpleTrace(c.Config(), 0x1000, 6)
-	if _, hit := c.LookupAppend(0, 0x1000, nil); hit {
+	if _, hit := c.Lookup(0, 0x1000); hit {
 		t.Error("cold lookup hit")
 	}
 	c.Fill(0, tr)
-	uops, hit := c.LookupAppend(0, 0x1000, nil)
+	uops, hit := c.Lookup(0, 0x1000)
 	if !hit || len(uops) != 6 {
 		t.Fatalf("warm lookup: hit=%v n=%d", hit, len(uops))
 	}
@@ -233,10 +233,10 @@ func TestLookupKeyedByEntryOffset(t *testing.T) {
 	c := New(Skylake())
 	tr := BuildTrace(c.Config(), 0x1000, 8, []MacroUops{mkMacro(0x1008, 4, 3)})
 	c.Fill(0, tr)
-	if _, hit := c.LookupAppend(0, 0x1008, nil); !hit {
+	if _, hit := c.Lookup(0, 0x1008); !hit {
 		t.Error("matching entry offset missed")
 	}
-	if _, hit := c.LookupAppend(0, 0x1000, nil); hit {
+	if _, hit := c.Lookup(0, 0x1000); hit {
 		t.Error("different entry offset hit")
 	}
 }
@@ -262,12 +262,12 @@ func TestHotnessProtectsResidents(t *testing.T) {
 		region := uint64(w) * 1024
 		c.Fill(0, simpleTrace(cfg, region, 6))
 		for i := 0; i < 8; i++ {
-			c.LookupAppend(0, region, nil) // heat to the cap
+			c.Lookup(0, region) // heat to the cap
 		}
 	}
 	// A single fill attempt must fail against hot residents.
 	c.Fill(0, simpleTrace(cfg, 8*1024, 6))
-	if _, hit := c.LookupAppend(0, 8*1024, nil); hit {
+	if _, hit := c.Lookup(0, 8*1024); hit {
 		t.Error("cold challenger displaced a hot resident immediately")
 	}
 	if c.Stats().FillFailures == 0 {
@@ -278,7 +278,7 @@ func TestHotnessProtectsResidents(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Fill(0, simpleTrace(cfg, 8*1024, 6))
 	}
-	if _, hit := c.LookupAppend(0, 8*1024, nil); !hit {
+	if _, hit := c.Lookup(0, 8*1024); !hit {
 		t.Error("persistent challenger never displaced a resident")
 	}
 }
@@ -292,7 +292,7 @@ func TestMultiLineTraceAllOrNothing(t *testing.T) {
 	}
 	tr := BuildTrace(cfg, 0x1000, 0, macros) // 2 lines
 	c.Fill(0, tr)
-	if uops, hit := c.LookupAppend(0, 0x1000, nil); !hit || len(uops) != 12 {
+	if uops, hit := c.Lookup(0, 0x1000); !hit || len(uops) != 12 {
 		t.Fatalf("multi-line lookup: %v %d", hit, len(uops))
 	}
 	// Invalidate one line of the trace: the whole trace must miss.
@@ -302,7 +302,7 @@ func TestMultiLineTraceAllOrNothing(t *testing.T) {
 			break
 		}
 	}
-	if _, hit := c.LookupAppend(0, 0x1000, nil); hit {
+	if _, hit := c.Lookup(0, 0x1000); hit {
 		t.Error("partial trace hit")
 	}
 }
@@ -315,13 +315,13 @@ func TestInvalidateCodeLine(t *testing.T) {
 	c.Fill(0, simpleTrace(cfg, 0x1020, 3))
 	c.Fill(0, simpleTrace(cfg, 0x1040, 3))
 	c.InvalidateCodeLine(0x1000, 64)
-	if _, hit := c.LookupAppend(0, 0x1000, nil); hit {
+	if _, hit := c.Lookup(0, 0x1000); hit {
 		t.Error("region 0x1000 survived icache-line invalidation")
 	}
-	if _, hit := c.LookupAppend(0, 0x1020, nil); hit {
+	if _, hit := c.Lookup(0, 0x1020); hit {
 		t.Error("region 0x1020 survived icache-line invalidation")
 	}
-	if _, hit := c.LookupAppend(0, 0x1040, nil); !hit {
+	if _, hit := c.Lookup(0, 0x1040); !hit {
 		t.Error("region 0x1040 wrongly invalidated")
 	}
 }
@@ -448,7 +448,7 @@ func TestAMDCompetitiveSharing(t *testing.T) {
 		t.Error("AMD SMT threads must compete for the same physical set")
 	}
 	// Lookups are thread-tagged even when capacity is shared.
-	if _, hit := c.LookupAppend(0, 0x1000, nil); !hit {
+	if _, hit := c.Lookup(0, 0x1000); !hit {
 		t.Error("thread-0 lookup missed its own line")
 	}
 }
@@ -456,8 +456,8 @@ func TestAMDCompetitiveSharing(t *testing.T) {
 func TestStreamedUopsCounter(t *testing.T) {
 	c := New(Skylake())
 	c.Fill(0, simpleTrace(c.Config(), 0x1000, 5))
-	c.LookupAppend(0, 0x1000, nil)
-	c.LookupAppend(0, 0x1000, nil)
+	c.Lookup(0, 0x1000)
+	c.Lookup(0, 0x1000)
 	if got := c.Stats().StreamedUops; got != 10 {
 		t.Errorf("streamed µops %d, want 10", got)
 	}
@@ -467,55 +467,45 @@ func TestStreamedUopsCounter(t *testing.T) {
 // and requires it to hit.
 func TestLongestTraceHits(t *testing.T) {
 	c := New(Skylake())
-	tr := &Trace{Region: 0x1000, Lines: make([]LineUops, MaxLinesPerRegion), Cacheable: true}
+	tr := &Trace{Region: 0x1000, Uops: make([]isa.Uop, MaxLinesPerRegion),
+		Lines: make([]LineUops, MaxLinesPerRegion), Cacheable: true}
 	for i := range tr.Lines {
-		tr.Lines[i] = LineUops{Uops: []isa.Uop{{Op: isa.NOP, Slots: 1}}, Slots: 1}
+		tr.Uops[i] = isa.Uop{Op: isa.NOP, Slots: 1}
+		tr.Lines[i] = LineUops{Uops: tr.Uops[i : i+1 : i+1], Slots: 1}
 	}
 	c.Fill(0, tr)
-	uops, ok := c.LookupAppend(0, 0x1000, nil)
+	uops, ok := c.Lookup(0, 0x1000)
 	if !ok || len(uops) != MaxLinesPerRegion {
 		t.Errorf("%d-line trace: hit %v with %d µops", MaxLinesPerRegion, ok, len(uops))
 	}
 }
 
-// TestHitMatchesLookupAppend drives two caches through the same
-// lookup/fill sequence, one testing hits with Hit and one with
-// LookupAppend: line state (hotness included) and every counter must
-// agree after each step.
-func TestHitMatchesLookupAppend(t *testing.T) {
+// TestLookupReturnsLatestTrace pins the assumption Lookup rests on:
+// a fill drops every line of the same (thread, region, entry) before
+// installing its own, so after a 3-line trace is replaced by a 1-line
+// one under the same key, a hit returns exactly the second trace's
+// µops, not a mix of the two.
+func TestLookupReturnsLatestTrace(t *testing.T) {
 	cfg := Skylake()
-	a, b := New(cfg), New(cfg)
-	traces := []*Trace{
-		simpleTrace(cfg, 0x1000, 5),
-		simpleTrace(cfg, 0x1400, 6),
-		BuildTrace(cfg, 0x1800, 0, []MacroUops{mkMacro(0x1800, 4, 6), mkMacro(0x1804, 4, 6)}),
+	c := New(cfg)
+	long := BuildTrace(cfg, 0x1000, 0, []MacroUops{
+		mkMacro(0x1000, 4, 4), mkMacro(0x1004, 4, 4), mkMacro(0x1008, 4, 4),
+	})
+	if !long.Cacheable || len(long.Lines) != 3 {
+		t.Fatalf("set-up: long trace has %d lines, cacheable %v", len(long.Lines), long.Cacheable)
 	}
-	for i := 0; i < 40; i++ {
-		tr := traces[i%len(traces)]
-		hitA := a.Hit(0, tr.Region)
-		_, hitB := b.LookupAppend(0, tr.Region, nil)
-		if hitA != hitB {
-			t.Fatalf("step %d: Hit %v, LookupAppend %v", i, hitA, hitB)
-		}
-		if !hitA {
-			a.Fill(0, tr)
-			b.Fill(0, tr)
-		}
-		if a.Stats() != b.Stats() {
-			t.Fatalf("step %d: stats diverged\nHit:          %+v\nLookupAppend: %+v", i, a.Stats(), b.Stats())
-		}
-		sa, sb := a.Snapshot(), b.Snapshot()
-		if len(sa) != len(sb) {
-			t.Fatalf("step %d: %d vs %d valid lines", i, len(sa), len(sb))
-		}
-		for j := range sa {
-			if sa[j] != sb[j] {
-				t.Fatalf("step %d: line %+v vs %+v", i, sa[j], sb[j])
-			}
-		}
+	short := simpleTrace(cfg, 0x1000, 2)
+	c.Fill(0, long)
+	c.Fill(0, short)
+	uops, hit := c.Lookup(0, 0x1000)
+	if !hit {
+		t.Fatal("lookup of the refilled key missed")
 	}
-	if a.Stats().Hits == 0 || a.Stats().StreamedUops == 0 {
-		t.Fatalf("sequence never hit: %+v", a.Stats())
+	if len(uops) != len(short.Uops) || &uops[0] != &short.Uops[0] {
+		t.Errorf("lookup returned %d µops, want the second trace's %d", len(uops), len(short.Uops))
+	}
+	if n := len(c.Snapshot()); n != 1 {
+		t.Errorf("%d lines cached, want the second trace's 1", n)
 	}
 }
 
@@ -570,7 +560,8 @@ func TestPolicyStrings(t *testing.T) {
 // TestTraceBuilderInvariants property-checks the placement rules over
 // random macro-op sequences: every produced line respects the slot and
 // branch caps, lines never split a macro-op, and any cacheable trace
-// fits the per-region way budget.
+// fits the per-region way budget, and the lines are consecutive runs
+// of the trace's one µop slice.
 func TestTraceBuilderInvariants(t *testing.T) {
 	cfg := Skylake()
 	f := func(shape []uint8) bool {
@@ -599,6 +590,18 @@ func TestTraceBuilderInvariants(t *testing.T) {
 			return true // rejection is always safe
 		}
 		if len(tr.Lines) > MaxLinesPerRegion {
+			return false
+		}
+		// The lines are capped subslices of Uops that concatenate to it.
+		off := 0
+		for _, l := range tr.Lines {
+			if cap(l.Uops) != len(l.Uops) || off+len(l.Uops) > len(tr.Uops) ||
+				(len(l.Uops) > 0 && &l.Uops[0] != &tr.Uops[off]) {
+				return false
+			}
+			off += len(l.Uops)
+		}
+		if off != len(tr.Uops) {
 			return false
 		}
 		for _, l := range tr.Lines {
@@ -639,14 +642,14 @@ func TestLookupNeverReturnsPartialTrace(t *testing.T) {
 		c.Fill(0, tr)
 		want := -1
 		if tr.Cacheable {
-			want = tr.TotalUops
+			want = len(tr.Uops)
 		}
 		// Random competing fills churn the set.
 		for _, v := range churn {
 			region := uint64(v&0x1F) * 1024 // same set 0 bank
 			c.Fill(0, simpleTrace(cfg, region+0x40000, 1+int(v%6)))
 		}
-		uops, hit := c.LookupAppend(0, 0x1000, nil)
+		uops, hit := c.Lookup(0, 0x1000)
 		if !hit {
 			return true // a miss is always acceptable
 		}
@@ -726,8 +729,8 @@ func TestSaveScalesWithFilledSets(t *testing.T) {
 		c.Fill(0, simpleTrace(cfg, uint64(w)*1024, 6))
 	}
 	c.Fill(0, simpleTrace(cfg, 32, 6))
-	c.LookupAppend(0, 32, nil)
-	c.LookupAppend(0, 32, nil)
+	c.Lookup(0, 32)
+	c.Lookup(0, 32)
 	c.Fill(0, simpleTrace(cfg, 64, 6))
 	const k = 3
 	var s State
@@ -743,7 +746,7 @@ func TestSaveScalesWithFilledSets(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Fill(0, simpleTrace(cfg, uint64(cfg.Ways+1)*1024, 6))
 	}
-	c.LookupAppend(0, 32, nil)
+	c.Lookup(0, 32)
 	c.Fill(0, simpleTrace(cfg, 10*32, 6))
 	c.Restore(&s)
 
