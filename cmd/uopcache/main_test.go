@@ -68,21 +68,64 @@ func TestCSVHeader(t *testing.T) {
 	}
 }
 
+// docs are the files, relative to the repository root, whose quoted
+// commands the tests below check.
+var docs = []string{"README.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+
+// readDoc returns one of docs.
+func readDoc(t *testing.T, doc string) string {
+	t.Helper()
+	text, err := os.ReadFile(filepath.Join("..", "..", doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(text)
+}
+
 // docCommand matches a quoted uopcache invocation up to the end of its
 // shell command: a closing backtick, pipe, redirect, comment or ";".
 var docCommand = regexp.MustCompile("go run \\./cmd/uopcache([^`|>#;\n]*)")
+
+// goCommand matches a quoted go test or go run command, ended the same
+// way, and docPackage a package path in one; a path holding a
+// placeholder such as <pkg> or $id does not match.
+var (
+	goCommand  = regexp.MustCompile("go (?:test|run)[^`|>#;\n]*")
+	docPackage = regexp.MustCompile(`\./(?:internal|cmd)/[\w./-]*`)
+)
+
+// TestDocPackagesExist checks every ./internal/... or ./cmd/... package
+// a quoted go test or go run command names is still a package: a doc
+// that names a deleted one fails here.
+func TestDocPackagesExist(t *testing.T) {
+	checked := 0
+	for _, doc := range docs {
+		for _, cmd := range goCommand.FindAllString(readDoc(t, doc), -1) {
+			for _, field := range strings.Fields(cmd) {
+				pkg := docPackage.FindString(field)
+				if pkg != field {
+					continue
+				}
+				dir := filepath.Join("..", "..", strings.TrimSuffix(strings.TrimSuffix(pkg, "..."), "/"))
+				if srcs, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(srcs) == 0 {
+					t.Errorf("%s: %q names %s, which holds no Go package", doc, cmd, pkg)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Error("the docs quote no go test or go run package")
+	}
+}
 
 // TestDocCommandsParse checks every uopcache command the docs quote
 // still parses: each one, with its id placeholder filled in and -list
 // appended so nothing runs, must exit 0. A doc that names a removed
 // flag fails here.
 func TestDocCommandsParse(t *testing.T) {
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
-		text, err := os.ReadFile(filepath.Join("..", "..", doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmds := docCommand.FindAllStringSubmatch(string(text), -1)
+	for _, doc := range docs {
+		cmds := docCommand.FindAllStringSubmatch(readDoc(t, doc), -1)
 		if len(cmds) == 0 {
 			t.Errorf("%s quotes no uopcache command", doc)
 		}

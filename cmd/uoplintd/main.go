@@ -11,18 +11,23 @@
 //	GET  /v1/stats      cache hit/miss counters, havoc rate, queue depth
 //	GET  /healthz       liveness
 //
-// A full queue answers 429 with Retry-After. Usage:
+// A full queue answers 429 with Retry-After. On SIGINT or SIGTERM the
+// daemon stops accepting connections, finishes the requests in flight,
+// runs the queued jobs to completion and exits 0. Usage:
 //
 //	uoplintd -addr 127.0.0.1:8077 -workers 4 -queue 64
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"deaduops/internal/auditd"
@@ -38,11 +43,22 @@ const (
 	idleTimeout       = 60 * time.Second
 )
 
+// shutdownTimeout bounds how long a shutdown waits for requests in
+// flight (a client can stall a POST body indefinitely); connections
+// still open after it are closed.
+const shutdownTimeout = 10 * time.Second
+
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// run serves until ctx is cancelled, then shuts down gracefully: the
+// listener closes, requests in flight finish, and the deferred
+// srv.Close runs every queued job before run returns 0.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("uoplintd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -76,9 +92,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// tests, CI — can parse the chosen port.
 	fmt.Fprintf(stdout, "uoplintd: listening on %s\n", ln.Addr())
 	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
-	if err := hs.Serve(ln); err != nil {
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
 		fmt.Fprintln(stderr, "uoplintd:", err)
 		return 1
+	case <-ctx.Done():
 	}
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := hs.Shutdown(sctx); err != nil {
+		fmt.Fprintln(stderr, "uoplintd: shutdown:", err)
+		hs.Close()
+	}
+	// Serve closes the listener before it returns, also when Shutdown
+	// ran before Serve began.
+	<-served
 	return 0
 }

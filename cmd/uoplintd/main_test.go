@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -14,14 +15,14 @@ import (
 
 func TestRunBadFlag(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errb); code != 2 {
+	if code := run(context.Background(), []string{"-no-such-flag"}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d, want 2; stderr: %s", code, errb.String())
 	}
 }
 
 func TestRunBadAddr(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-addr", "definitely-not-an-address:xyz"}, &out, &errb); code != 1 {
+	if code := run(context.Background(), []string{"-addr", "definitely-not-an-address:xyz"}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
 	}
 	if !strings.Contains(errb.String(), "uoplintd:") {
@@ -49,12 +50,32 @@ func (w *lineWriter) Write(p []byte) (int, error) {
 }
 
 // startDaemon boots the daemon on an ephemeral port and returns the
-// address it listens on. The serve goroutine is not joined — the
-// server runs for the process lifetime, exactly like the real daemon.
-func startDaemon(t *testing.T) string {
+// address it listens on and a stop function that cancels the daemon
+// and returns its exit code, or -1 if it has not exited within
+// stopTimeout. The test's cleanup stops the daemon too and fails the
+// test unless it exited 0.
+func startDaemon(t *testing.T) (addr string, stop func() int) {
 	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
 	w := &lineWriter{ch: make(chan string, 1)}
-	go run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-queue", "4"}, w, io.Discard)
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-queue", "4"}, w, io.Discard)
+	}()
+	stop = sync.OnceValue(func() int {
+		cancel()
+		select {
+		case code := <-exit:
+			return code
+		case <-time.After(stopTimeout):
+			return -1
+		}
+	})
+	t.Cleanup(func() {
+		if code := stop(); code != 0 {
+			t.Errorf("daemon stopped with %d, want 0", code)
+		}
+	})
 
 	var banner string
 	select {
@@ -66,13 +87,31 @@ func startDaemon(t *testing.T) string {
 	if !strings.HasPrefix(banner, prefix) {
 		t.Fatalf("banner %q", banner)
 	}
-	return strings.TrimPrefix(banner, prefix)
+	return strings.TrimPrefix(banner, prefix), stop
+}
+
+// stopTimeout bounds a cancelled daemon's exit: an idle daemon has no
+// request in flight and no queued job, so it should exit at once.
+const stopTimeout = 5 * time.Second
+
+// TestRunShutsDownOnCancel: cancelling run's context makes an idle
+// daemon exit 0 promptly and release its port.
+func TestRunShutsDownOnCancel(t *testing.T) {
+	addr, stop := startDaemon(t)
+	if code := stop(); code != 0 {
+		t.Fatalf("cancelled daemon returned %d, want 0 within %v", code, stopTimeout)
+	}
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Fatalf("%s still accepts connections after shutdown", addr)
+	}
 }
 
 // TestSlowHeadersClosed: a client that never finishes its request
 // headers loses the connection once the header timeout passes.
 func TestSlowHeadersClosed(t *testing.T) {
-	conn, err := net.Dial("tcp", startDaemon(t))
+	addr, _ := startDaemon(t)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +134,8 @@ func TestSlowHeadersClosed(t *testing.T) {
 // TestDaemonRoundTrip walks the full client path against a booted
 // daemon: healthz, job submission, polling to done, stats.
 func TestDaemonRoundTrip(t *testing.T) {
-	base := "http://" + startDaemon(t)
+	addr, _ := startDaemon(t)
+	base := "http://" + addr
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {

@@ -18,90 +18,64 @@ func TestEveryCalibrationRecordsStats(t *testing.T) {
 	cfg := channel.DefaultConfig()
 	cases := []struct {
 		name       string
-		calibrated func() ([]attack.Threshold, error)
+		calibrated func() (attack.Threshold, error)
 	}{
-		{"SameAddressSpace", func() ([]attack.Threshold, error) {
+		{"SameAddressSpace", func() (attack.Threshold, error) {
 			ch, err := channel.NewSameAddressSpace(cpu.New(cpu.Intel()), cfg)
 			if err != nil {
-				return nil, err
+				return attack.Threshold{}, err
 			}
-			return []attack.Threshold{ch.Threshold()}, nil
+			return ch.Threshold(), nil
 		}},
-		{"MultiSymbol", func() ([]attack.Threshold, error) {
-			ch, err := channel.NewMultiSymbol(cpu.New(cpu.Intel()), cfg, 2)
-			if err != nil {
-				return nil, err
-			}
-			return ch.Thresholds(), nil
-		}},
-		{"UserKernel", func() ([]attack.Threshold, error) {
+		{"UserKernel", func() (attack.Threshold, error) {
 			ch, err := channel.NewUserKernel(cpu.New(cpu.Intel()), cfg)
 			if err != nil {
-				return nil, err
+				return attack.Threshold{}, err
 			}
-			return []attack.Threshold{ch.Threshold()}, nil
+			return ch.Threshold(), nil
 		}},
-		{"CrossSMT", func() ([]attack.Threshold, error) {
+		{"CrossSMT", func() (attack.Threshold, error) {
 			ch, err := channel.NewCrossSMT(cpu.New(cpu.AMD()), cfg)
 			if err != nil {
-				return nil, err
+				return attack.Threshold{}, err
 			}
-			return []attack.Threshold{ch.Threshold()}, nil
+			return ch.Threshold(), nil
 		}},
-		{"Alignment", func() ([]attack.Threshold, error) {
-			ch, err := channel.NewAlignment(cpu.New(cpu.Intel()), cfg)
-			if err != nil {
-				return nil, err
-			}
-			return []attack.Threshold{ch.Threshold()}, nil
-		}},
-		{"Variant1", func() ([]attack.Threshold, error) {
+		{"Variant1", func() (attack.Threshold, error) {
 			v, err := transient.NewVariant1(cpu.New(cpu.Intel()))
 			if err != nil {
-				return nil, err
+				return attack.Threshold{}, err
 			}
-			return []attack.Threshold{v.Threshold()}, nil
+			return v.Threshold(), nil
 		}},
-		{"Variant2", func() ([]attack.Threshold, error) {
+		{"Variant2", func() (attack.Threshold, error) {
 			v, err := transient.NewVariant2(cpu.New(cpu.Intel()), victim.WithLFENCE)
 			if err != nil {
-				return nil, err
+				return attack.Threshold{}, err
 			}
 			if err := v.Calibrate(4); err != nil {
-				return nil, err
+				return attack.Threshold{}, err
 			}
-			return []attack.Threshold{v.Threshold()}, nil
-		}},
-		{"NaturalGadget", func() ([]attack.Threshold, error) {
-			v, err := transient.NewNaturalGadget(cpu.New(cpu.Intel()))
-			if err != nil {
-				return nil, err
-			}
-			return []attack.Threshold{v.Threshold()}, nil
+			return v.Threshold(), nil
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ths, err := tc.calibrated()
+			th, err := tc.calibrated()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ths) == 0 {
-				t.Fatal("no threshold calibrated")
+			if th.HitMin > th.HitMean || th.HitMean > th.HitMax {
+				t.Errorf("hit mean outside its spread: %s", th.Spread())
 			}
-			for _, th := range ths {
-				if th.HitMin > th.HitMean || th.HitMean > th.HitMax {
-					t.Errorf("hit mean outside its spread: %s", th.Spread())
-				}
-				if th.MissMin > th.MissMean || th.MissMean > th.MissMax {
-					t.Errorf("miss mean outside its spread: %s", th.Spread())
-				}
-				if th.HitMax <= 0 || th.MissMax <= 0 {
-					t.Errorf("spread not recorded: %+v", th)
-				}
-				if th.ProbeIters <= 0 {
-					t.Errorf("probe unit not recorded: %+v", th)
-				}
+			if th.MissMin > th.MissMean || th.MissMean > th.MissMax {
+				t.Errorf("miss mean outside its spread: %s", th.Spread())
+			}
+			if th.HitMax <= 0 || th.MissMax <= 0 {
+				t.Errorf("spread not recorded: %+v", th)
+			}
+			if th.ProbeIters <= 0 {
+				t.Errorf("probe unit not recorded: %+v", th)
 			}
 		})
 	}

@@ -8,6 +8,7 @@ package channel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"deaduops/internal/asm"
 	"deaduops/internal/attack"
@@ -153,29 +154,39 @@ func (ch *SameAddressSpace) TransmitBit(bit bool) (bool, error) {
 // Transmit sends payload bit-by-bit and returns the received bytes and
 // the channel statistics.
 func (ch *SameAddressSpace) Transmit(payload []byte) ([]byte, Result, error) {
-	return transmitBits(payload, ch.c, func(bit bool) (bool, error) {
-		return ch.TransmitBit(bit)
-	})
+	return transmitBits(payload, ch.c, ch.TransmitBit)
 }
 
-// transmitBits drives a per-bit channel function over a payload,
-// measuring cycles via the CPU's global clock.
+// transmitBits drives a per-bit channel function over a payload and
+// counts the bits received wrong.
 func transmitBits(payload []byte, c *cpu.CPU, bitFn func(bool) (bool, error)) ([]byte, Result, error) {
-	out := make([]byte, len(payload))
+	out, res, err := receiveBits(len(payload), c, func(i, k int) (bool, error) {
+		return bitFn((payload[i]>>k)&1 == 1)
+	})
+	if err != nil {
+		return nil, res, err
+	}
+	for i := range payload {
+		res.BitErrors += bits.OnesCount8(payload[i] ^ out[i])
+	}
+	return out, res, nil
+}
+
+// receiveBits is the one per-bit loop every channel runs: it receives
+// nBytes bytes most significant bit first, asking bitFn for bit k of
+// byte i, and measures cycles via the CPU's global clock.
+func receiveBits(nBytes int, c *cpu.CPU, bitFn func(i, k int) (bool, error)) ([]byte, Result, error) {
+	out := make([]byte, nBytes)
 	var res Result
 	start := c.Cycle()
-	for i, b := range payload {
+	for i := range out {
 		for k := 7; k >= 0; k-- {
-			sent := (b>>k)&1 == 1
-			got, err := bitFn(sent)
+			got, err := bitFn(i, k)
 			if err != nil {
 				return nil, res, fmt.Errorf("channel: bit %d: %w", res.Bits, err)
 			}
 			if got {
 				out[i] |= 1 << k
-			}
-			if got != sent {
-				res.BitErrors++
 			}
 			res.Bits++
 		}

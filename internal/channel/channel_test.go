@@ -173,49 +173,3 @@ func TestGeometryDisjointSets(t *testing.T) {
 		}
 	}
 }
-
-func TestMultiSymbolTransmits(t *testing.T) {
-	c := cpu.New(cpu.Intel())
-	ch, err := NewMultiSymbol(c, DefaultConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.Symbols() != 4 || ch.BitsPerSymbol() != 2 {
-		t.Fatalf("alphabet %d/%d", ch.Symbols(), ch.BitsPerSymbol())
-	}
-	payload := []byte("4-ary!")
-	got, res, err := ch.Transmit(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Errorf("got %q want %q (%d bit errors)", got, payload, res.BitErrors)
-	}
-}
-
-func TestMultiSymbolEachSymbolDecodes(t *testing.T) {
-	c := cpu.New(cpu.Intel())
-	ch, err := NewMultiSymbol(c, DefaultConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sym := range []int{0, 1, 2, 3, 3, 0, 2, 1} {
-		got, err := ch.TransmitSymbol(sym)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != sym {
-			t.Errorf("sent symbol %d, received %d", sym, got)
-		}
-	}
-	if _, err := ch.TransmitSymbol(4); err == nil {
-		t.Error("out-of-range symbol accepted")
-	}
-}
-
-func TestMultiSymbolRejectsBadBits(t *testing.T) {
-	c := cpu.New(cpu.Intel())
-	if _, err := NewMultiSymbol(c, DefaultConfig(), 3); err == nil {
-		t.Error("bits=3 accepted (bytes would not divide)")
-	}
-}

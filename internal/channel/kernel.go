@@ -169,22 +169,7 @@ func (ch *UserKernel) LeakBit(bitIndex int64) (bool, error) {
 // channel statistics. The caller compares against the planted secret
 // for the error rate.
 func (ch *UserKernel) Leak(nBytes int) ([]byte, Result, error) {
-	out := make([]byte, nBytes)
-	var res Result
-	start := ch.c.Cycle()
-	for i := 0; i < nBytes; i++ {
-		for k := 7; k >= 0; k-- {
-			idx := int64(i*8 + k)
-			bit, err := ch.LeakBit(idx)
-			if err != nil {
-				return nil, res, err
-			}
-			if bit {
-				out[i] |= 1 << k
-			}
-			res.Bits++
-		}
-	}
-	res.Cycles = ch.c.Cycle() - start
-	return out, res, nil
+	return receiveBits(nBytes, ch.c, func(i, k int) (bool, error) {
+		return ch.LeakBit(int64(i*8 + k))
+	})
 }

@@ -14,10 +14,9 @@ type transmitter interface {
 }
 
 // TestChannelMatrix drives every channel flavour through one table:
-// the binary same-address-space baseline, the 1- and 2-bit multisymbol
-// encodings (§V-B), and the cross-SMT channel on the competitively
-// shared Zen micro-op cache (§V-C). Each must deliver the payload
-// bit-exact with a sane Result.
+// the binary same-address-space baseline and the cross-SMT channel on
+// the competitively shared Zen micro-op cache (§V-C). Each must deliver
+// the payload bit-exact with a sane Result.
 func TestChannelMatrix(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -32,32 +31,11 @@ func TestChannelMatrix(t *testing.T) {
 			payload: "dead uops",
 		},
 		{
-			name: "multisymbol-1bit-intel",
-			open: func() (transmitter, error) {
-				return NewMultiSymbol(cpu.New(cpu.Intel()), DefaultConfig(), 1)
-			},
-			payload: "unary alphabet",
-		},
-		{
-			name: "multisymbol-2bit-intel",
-			open: func() (transmitter, error) {
-				return NewMultiSymbol(cpu.New(cpu.Intel()), DefaultConfig(), 2)
-			},
-			payload: "4-ary alphabet",
-		},
-		{
 			name: "cross-smt-zen",
 			open: func() (transmitter, error) {
 				return NewCrossSMT(cpu.New(cpu.AMD()), DefaultConfig())
 			},
 			payload: "smt neighbours",
-		},
-		{
-			name: "jump-alignment-intel",
-			open: func() (transmitter, error) {
-				return NewAlignment(cpu.New(cpu.Intel()), DefaultConfig())
-			},
-			payload: "frontal bits",
 		},
 	}
 	for _, tc := range cases {
@@ -87,7 +65,7 @@ func TestChannelMatrix(t *testing.T) {
 }
 
 // TestTransmitWithReedSolomon is the §V-D stack end to end: the
-// payload is Reed–Solomon encoded, carried over the multisymbol
+// payload is Reed–Solomon encoded, carried over the same-address-space
 // channel, corrupted at the receiver (symbol flips standing in for the
 // bit errors a real noisy machine injects), and decoded. Up to
 // nParity/2 corrupted bytes per block must be transparent; more must
@@ -104,7 +82,7 @@ func TestTransmitWithReedSolomon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := NewMultiSymbol(cpu.New(cpu.Intel()), DefaultConfig(), 2)
+	ch, err := NewSameAddressSpace(cpu.New(cpu.Intel()), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,25 +188,3 @@ func TestStatsSeconds(t *testing.T) {
 		t.Errorf("Seconds = %v", got)
 	}
 }
-
-func TestNaturalGadgetLeaksTagBits(t *testing.T) {
-	// §VI-A: the pci_vpd_find_tag-style gadget leaks with no
-	// attacker-side disclosure code at all.
-	c := cpu.New(cpu.Intel())
-	v, err := NewNaturalGadget(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secret := []byte{0x80, 0x01, 0xFF, 0x00, 0x93, 0x7F}
-	v.WriteSecret(secret)
-	for i, b := range secret {
-		got, err := v.LeakTagBit(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := b&0x80 != 0
-		if got != want {
-			t.Errorf("byte %d (%#x): tag bit leaked as %v, want %v", i, b, got, want)
-		}
-	}
-}

@@ -153,8 +153,8 @@ func buildBoundsCheck(l Layout) *asm.Program {
 // tag handlers linked in. The handlers land in distinct 32-byte code
 // regions with different sizes, so the two sides of the tag branch
 // have genuinely different micro-op cache footprints — the property
-// the paper's §VI-A attack observes and the static divergence checker
-// must flag. Exported because the differential validation test drives
+// an attack on the routine would observe and the static divergence
+// checker must flag. Exported because the differential validation test drives
 // this exact program through the cycle-level front end: the "main"
 // harness calls the routine once and halts, so a simulator run and the
 // linted program share every address.

@@ -6,13 +6,14 @@ import (
 )
 
 // PCIVPDStyleGadget emits a victim modelled on the Linux PCI driver
-// routine pci_vpd_find_tag, the naturally occurring gadget class the
-// paper demonstrates in §VI-A: the routine reads a header byte at an
-// attacker-influenced offset, bit-masks it, and takes a dependent
-// branch on the tag — so the victim itself performs both the
-// unauthorized transient access and the secret-dependent control
-// transfer. No attacker-side disclosure gadget is needed; the
-// attacker only probes which of the victim's two paths was fetched.
+// routine pci_vpd_find_tag, which §VI-A cites as an example of a
+// naturally occurring gadget (the paper does not demonstrate an attack
+// on it): the routine reads a header byte at an attacker-influenced
+// offset, bit-masks it, and takes a dependent branch on the tag — so
+// the victim itself performs both the unauthorized transient access
+// and the secret-dependent control transfer, and an attacker would
+// need no disclosure gadget of its own. It is the static analyzer's
+// pci-vpd fixture.
 //
 //	int find_tag(buf, off, len) {
 //	    if (off < len) {             // bounds check (flushable guard)
