@@ -85,20 +85,24 @@ bench-diff:
 # indirect shapes), the receiver model's predicted vs attack-measured
 # probe cycles, and the jump-alignment stall asymmetry on
 # alignment-divergent victims; and the audit service's POST decoder
-# and request planner.
+# and request planner. Each line passes -run '^$$' so the package's
+# unit tests, which make test runs, are not rerun first in the
+# coverage-instrumented fuzzing binary; the seed corpus still runs as
+# the fuzzing baseline. cmd/uopcache's TestMakeFuzzListsEveryTarget
+# keeps this list and the module's fuzz targets in sync.
 fuzz:
-	$(GO) test ./internal/asm -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/decode -fuzz FuzzPlanRegion -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cpu -fuzz FuzzDecodeMemo -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/rows -fuzz FuzzTableSaveRestore -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/staticlint -fuzz FuzzIndirectResolve -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/staticlint -fuzz FuzzProbeModelReplay -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/staticlint -fuzz FuzzBuildCFG -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/staticlint/difftest -fuzz FuzzPredictedDelta -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/staticlint/difftest -fuzz FuzzProbeModel -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/staticlint/difftest -fuzz FuzzAlignmentDelta -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/staticlint/difftest -fuzz FuzzIndirectDelta -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/auditd -fuzz FuzzJobRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/decode -run '^$$' -fuzz FuzzPlanRegion -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cpu -run '^$$' -fuzz FuzzDecodeMemo -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rows -run '^$$' -fuzz FuzzTableSaveRestore -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/staticlint -run '^$$' -fuzz FuzzIndirectResolve -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/staticlint -run '^$$' -fuzz FuzzProbeModelReplay -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/staticlint -run '^$$' -fuzz FuzzBuildCFG -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/staticlint/difftest -run '^$$' -fuzz FuzzPredictedDelta -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/staticlint/difftest -run '^$$' -fuzz FuzzProbeModel -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/staticlint/difftest -run '^$$' -fuzz FuzzAlignmentDelta -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/staticlint/difftest -run '^$$' -fuzz FuzzIndirectDelta -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/auditd -run '^$$' -fuzz FuzzJobRequest -fuzztime $(FUZZTIME)
 
 # bench-module vets and tests the frozen bench/ module, its own Go
 # module that the root ./... patterns do not reach, against the

@@ -1,10 +1,10 @@
 // Command uopcache runs any of the paper's experiments by id and
-// prints its data as text or CSV.
+// prints its data as text.
 //
 // Usage:
 //
 //	uopcache -list
-//	uopcache -exp fig3a [-workers 8] [-csv]
+//	uopcache -exp fig3a [-workers 8]
 //	uopcache -exp all
 //
 // Each experiment has one configuration, the one its golden output
@@ -32,7 +32,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exp     = fs.String("exp", "", "experiment id (see -list), or \"all\"")
 		list    = fs.Bool("list", false, "list experiment ids")
 		workers = fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		csv     = fs.Bool("csv", false, "CSV output where supported")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -65,12 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", id, err)
 			return 1
-		}
-		if *csv {
-			if fig, isFig := out.(*experiments.Figure); isFig {
-				fmt.Fprint(stdout, fig.CSV())
-				continue
-			}
 		}
 		fmt.Fprintln(stdout, out.Render())
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -58,21 +59,12 @@ func TestGoldenExperiments(t *testing.T) {
 	}
 }
 
-func TestCSVHeader(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "fig4", "-csv"}, &out, &errb); code != 0 {
-		t.Fatalf("uopcache -exp fig4 -csv exited %d: %s", code, errb.String())
-	}
-	if !strings.HasPrefix(out.String(), "series,x,y") {
-		t.Errorf("CSV output starts %.40q, want series,x,y", out.String())
-	}
-}
-
 // docs are the files, relative to the repository root, whose quoted
 // commands the tests below check.
 var docs = []string{"README.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
 
-// readDoc returns one of docs.
+// readDoc returns a file, relative to the repository root: one of
+// docs or the Makefile.
 func readDoc(t *testing.T, doc string) string {
 	t.Helper()
 	text, err := os.ReadFile(filepath.Join("..", "..", doc))
@@ -116,6 +108,81 @@ func TestDocPackagesExist(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("the docs quote no go test or go run package")
+	}
+}
+
+// fuzzTarget matches a fuzz target's declaration in a test file.
+var fuzzTarget = regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+
+// TestMakeFuzzListsEveryTarget checks the Makefile's fuzz recipe and
+// the module's fuzz targets agree: every target has a recipe line that
+// fuzzes it in its own package with -run '^$$', so the package's unit
+// tests are not rerun in the fuzzing binary, and every recipe line
+// names a target (a -fuzz pattern that matches none exits 0).
+func TestMakeFuzzListsEveryTarget(t *testing.T) {
+	root := filepath.Join("..", "..")
+	declared := map[string]bool{} // "./internal/asm FuzzAssemble"
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // another module, or not Go source
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzTarget.FindAllStringSubmatch(string(src), -1) {
+			declared["./"+filepath.ToSlash(rel)+" "+m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(declared) == 0 {
+		t.Fatal("the module declares no fuzz target")
+	}
+
+	_, recipe, ok := strings.Cut(readDoc(t, "Makefile"), "\nfuzz:\n")
+	if !ok {
+		t.Fatal("the Makefile has no fuzz target")
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(recipe, "\n") {
+		if !strings.HasPrefix(line, "\t") {
+			break
+		}
+		f := strings.Fields(line)
+		if len(f) < 7 || f[1] != "test" || f[3] != "-run" || f[4] != "'^$$'" || f[5] != "-fuzz" {
+			t.Errorf("fuzz recipe line %q is not \"$(GO) test ./<pkg> -run '^$$' -fuzz FuzzX ...\"", line)
+			continue
+		}
+		listed[f[2]+" "+f[6]] = true
+	}
+	for target := range declared {
+		if !listed[target] {
+			t.Errorf("fuzz target %s has no line in the Makefile fuzz recipe", target)
+		}
+	}
+	for target := range listed {
+		if !declared[target] {
+			t.Errorf("the Makefile fuzz recipe fuzzes %s, which the module does not declare", target)
+		}
 	}
 }
 

@@ -43,18 +43,6 @@ func (f *Figure) Render() string {
 	return sb.String()
 }
 
-// CSV renders the figure as comma-separated series rows.
-func (f *Figure) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("series,x,y\n")
-	for _, s := range f.Series {
-		for i := range s.X {
-			fmt.Fprintf(&sb, "%s,%g,%g\n", s.Label, s.X[i], s.Y[i])
-		}
-	}
-	return sb.String()
-}
-
 // Grid is a 2-D heat map (Fig 5).
 type Grid struct {
 	ID    string

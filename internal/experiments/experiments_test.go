@@ -370,9 +370,6 @@ func TestRenderers(t *testing.T) {
 	if out := fig.Render(); !strings.Contains(out, "1\t3") {
 		t.Errorf("figure render: %q", out)
 	}
-	if out := fig.CSV(); !strings.Contains(out, "s,1,3") {
-		t.Errorf("figure csv: %q", out)
-	}
 	grid := &Grid{ID: "g", XVals: []int{0, 1}, YVals: []int{1},
 		Cell: [][]float64{{5, 6}}}
 	if out := grid.Render(); !strings.Contains(out, "5") {

@@ -275,11 +275,9 @@ func TestPoolBackpressure(t *testing.T) {
 }
 
 // TestPoolSurvivesJobPanic checks a panicking job is contained: the
-// worker reports it through OnPanic and keeps serving later jobs.
+// worker recovers and keeps serving later jobs.
 func TestPoolSurvivesJobPanic(t *testing.T) {
 	p := NewPool(1, 8)
-	var caught atomic.Pointer[PanicError]
-	p.OnPanic = func(pe *PanicError) { caught.Store(pe) }
 	if !p.TrySubmit(func() { panic("job exploded") }) {
 		t.Fatal("submission rejected")
 	}
@@ -289,13 +287,6 @@ func TestPoolSurvivesJobPanic(t *testing.T) {
 	}
 	<-done
 	p.Close()
-	pe := caught.Load()
-	if pe == nil {
-		t.Fatal("OnPanic never observed the job panic")
-	}
-	if v, ok := pe.Value.(string); !ok || v != "job exploded" {
-		t.Fatalf("OnPanic payload = %#v, want original string", pe.Value)
-	}
 }
 
 // TestPoolClosedRejects checks submissions after Close are refused.

@@ -12,19 +12,14 @@ import (
 // queue rejects the submission immediately (the caller turns that into
 // 429 + Retry-After) instead of growing memory without bound. Safe for
 // concurrent submission. A panicking job is contained: the worker
-// recovers, reports through OnPanic when set, and keeps serving.
+// recovers and keeps serving. A caller that needs the panic recovers
+// inside the job itself.
 type Pool struct {
 	jobs chan func()
 	wg   sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
-
-	// OnPanic, when non-nil, observes a job's recovered panic (wrapped
-	// with the worker's stack). Set it before the first submission;
-	// when nil, panics are swallowed after recovery — the pool itself
-	// must survive either way.
-	OnPanic func(*PanicError)
 
 	workers int
 }
@@ -44,22 +39,16 @@ func NewPool(workers, queueCap int) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for job := range p.jobs {
-				p.runJob(job)
+				runJob(job)
 			}
 		}()
 	}
 	return p
 }
 
-func (p *Pool) runJob(job func()) {
-	defer func() {
-		if v := recover(); v != nil {
-			pe := wrapPanic(v)
-			if p.OnPanic != nil {
-				p.OnPanic(pe)
-			}
-		}
-	}()
+// runJob runs job and swallows its panic, so the worker survives.
+func runJob(job func()) {
+	defer func() { _ = recover() }()
 	job()
 }
 

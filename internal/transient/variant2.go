@@ -13,7 +13,6 @@ import (
 // Variant-2 layout bases.
 const (
 	v2GadgetCode = 0x30000
-	v2EraserBase = 0x40000
 	v2Fun1Base   = 0x80000 // transmitter target for secret = 1 (probed sets)
 	v2Fun0Base   = 0xC0000 // transmitter target for secret = 0 (disjoint sets)
 )
@@ -33,7 +32,6 @@ type Variant2 struct {
 
 	th          attack.Threshold
 	attackEntry uint64
-	trainEntry  uint64
 	probeEntry  uint64
 	resetEntry  uint64
 }
@@ -65,13 +63,6 @@ func NewVariant2(c *cpu.CPU, fence victim.Fence) (*Variant2, error) {
 	// unauthorized id.
 	ab.Label("v2_attack")
 	ab.Clflush(isa.R2, int64(lay.AuthAddr))
-	ab.Call("victim2")
-	ab.Halt()
-	// Training entry: a legitimate authorized call (R1 holds the
-	// token); the transmitter executes architecturally and trains the
-	// indirect predictor with the secret-selected target.
-	orgToSet(ab, 28)
-	ab.Label("v2_train")
 	ab.Call("victim2")
 	ab.Halt()
 	// Probe entry: call the secret=1 target once and time it.
@@ -111,7 +102,6 @@ func NewVariant2(c *cpu.CPU, fence victim.Fence) (*Variant2, error) {
 	v := &Variant2{
 		c: c, lay: lay, fence: fence,
 		attackEntry: prog.MustLabel("v2_attack"),
-		trainEntry:  prog.MustLabel("v2_train"),
 		probeEntry:  prog.MustLabel("v2_probe"),
 		resetEntry:  prog.MustLabel("v2_reset"),
 	}

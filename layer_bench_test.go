@@ -1,8 +1,7 @@
 // Layer benchmarks: each times one layer of the simulator or the
 // analyzer on a fixed input and reports a domain metric next to Go's
 // timing. SimulatorThroughput and its Parallel form time the cycle
-// loop on a µop-cache-resident tiger; RSCodec times the Reed-Solomon
-// codec behind Table I's corrected bandwidth. Predict, ProbeModel and
+// loop on a µop-cache-resident tiger. Predict, ProbeModel and
 // CoreConstruction time what a difftest point pays outside the cycle
 // loop: the analyzer's whole prediction (Harness.Predict), the
 // receiver model's protocol replay within it (staticlint.ProbeModel),
@@ -22,7 +21,6 @@ import (
 	"deaduops/internal/attack"
 	"deaduops/internal/codegen"
 	"deaduops/internal/cpu"
-	"deaduops/internal/ecc"
 	"deaduops/internal/profile"
 	"deaduops/internal/staticlint"
 	"deaduops/internal/staticlint/difftest"
@@ -178,30 +176,5 @@ func BenchmarkSimulatorThroughputParallel(b *testing.B) {
 	})
 	if elapsed := time.Since(start); elapsed > 0 {
 		b.ReportMetric(float64(cycles.Load())/elapsed.Seconds(), "sim-cycles/s")
-	}
-}
-
-// BenchmarkRSCodec measures the Reed-Solomon encode+decode pipeline
-// used for Table I's corrected bandwidth.
-func BenchmarkRSCodec(b *testing.B) {
-	codec, err := ecc.NewCodec(42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 512)
-	for i := range data {
-		data[i] = byte(i * 31)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc, err := codec.Encode(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		enc[i%len(enc)] ^= 0xFF // one error per block of interest
-		if _, err := codec.Decode(enc, len(data)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
