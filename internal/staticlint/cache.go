@@ -51,7 +51,9 @@ import (
 // Both layers are safe for concurrent use: entries are immutable once
 // stored (summaries are never mutated after computeSummaries builds
 // them; cached reports are returned as shallow copies and their
-// findings are read-only by contract), and the store is guarded by one
+// findings are read-only by contract — Report.Filter hands the same
+// backing array, capacity-clipped, to every job whose filter keeps
+// every finding), and the store is guarded by one
 // mutex sized for lookups, not analysis — analyses run outside the
 // lock, so two goroutines may race to compute the same entry and the
 // later store wins with an identical value.
@@ -467,7 +469,9 @@ func (a *Analysis) sccKeys(scc []int, specFP, cfgFP cacheKey, funcKey []cacheKey
 // per-function summary reuse and stores the new report. The second
 // result reports whether the report layer hit. A nil cache degrades to
 // plain Lint. Cached reports are shared structure — callers must treat
-// findings as read-only (Filter and JSON encoding both do).
+// findings as read-only. JSON encoding only reads them, and Filter
+// passes them on: when it keeps every finding, its result shares the
+// cached array, clipped so an append copies.
 func LintCached(prog *asm.Program, spec Spec, cfg Config, c *Cache) (*Report, bool) {
 	if c == nil {
 		return Lint(prog, spec, cfg), false

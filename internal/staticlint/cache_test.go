@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -367,7 +368,15 @@ func TestLintCachedConcurrent(t *testing.T) {
 				for _, prof := range profs {
 					cfg := ConfigForProfile(prof)
 					for _, fx := range fixtures {
+						// Jobs filter the shared report and may grow the
+						// result; the capacity clip makes that append copy
+						// rather than race on the cached backing array.
 						r, _ := LintCached(fx.Prog, spec, cfg, c)
+						r = r.Filter(SevInfo)
+						if grown := append(r.Findings, Finding{Checker: "appended"}); len(grown) != len(r.Findings)+1 {
+							errs <- fmt.Errorf("goroutine %d: append lost a finding", g)
+							return
+						}
 						b, err := json.Marshal(r)
 						if err != nil {
 							errs <- err
@@ -392,6 +401,60 @@ func TestLintCachedConcurrent(t *testing.T) {
 		t.Errorf("concurrent run produced no cache hits: %+v", s)
 	}
 	checkSummariesUnchanged(t, c, before)
+}
+
+// TestFilterSharesUnfilteredFindings pins Filter's sharing contract on
+// a report-cache hit: a filter that keeps every finding returns the
+// cached backing array clipped to its length, so a job that appends to
+// its result copies and never writes the cached report; a filter that
+// drops a finding returns a fresh slice; and no findings stay nil on
+// the wire.
+func TestFilterSharesUnfilteredFindings(t *testing.T) {
+	lay := victim.DefaultLayout()
+	spec := fixtureSpec(lay)
+	cfg := DefaultConfig()
+	var fx *victim.Fixture
+	for _, f := range victim.Fixtures(lay) {
+		r := Lint(f.Prog, spec, cfg)
+		if top := r.MaxSeverity(); slices.ContainsFunc(r.Findings, func(f Finding) bool { return f.Severity < top }) {
+			fx = &f
+			break
+		}
+	}
+	if fx == nil {
+		t.Fatal("no fixture has findings of two severities")
+	}
+	c := NewCache()
+	LintCached(fx.Prog, spec, cfg, c)
+	r, hit := LintCached(fx.Prog, spec, cfg, c)
+	if !hit {
+		t.Fatalf("%s: second audit missed the report cache", fx.Name)
+	}
+	cached := c.reports[reportKey(fx.Prog, spec, cfg)]
+	want := reportJSON(t, cached)
+	n := len(cached.Findings)
+
+	all := r.Filter(SevInfo)
+	if len(all.Findings) != n || cap(all.Findings) != n || &all.Findings[0] != &cached.Findings[0] {
+		t.Fatalf("Filter(info): len %d cap %d over %d cached findings, shared %v; want the cached array clipped to its length",
+			len(all.Findings), cap(all.Findings), n, &all.Findings[0] == &cached.Findings[0])
+	}
+	grown := append(all.Findings, Finding{Checker: "appended"})
+	grown[0].Message = "rewritten by a job"
+	if got := reportJSON(t, cached); !bytes.Equal(got, want) {
+		t.Fatalf("appending to the filtered findings changed the cached report:\n got %s\nwant %s", got, want)
+	}
+
+	dropped := r.Filter(r.MaxSeverity())
+	if len(dropped.Findings) == 0 || len(dropped.Findings) >= n || &dropped.Findings[0] == &cached.Findings[0] {
+		t.Fatalf("Filter(%v) kept %d of %d findings in the cached array; want a fresh, shorter slice", r.MaxSeverity(), len(dropped.Findings), n)
+	}
+
+	for _, empty := range []*Report{{}, {Findings: []Finding{}}, r.Filter(SevError + 1)} {
+		if b := reportJSON(t, empty.Filter(SevInfo)); !bytes.Contains(b, []byte(`"findings":null`)) {
+			t.Errorf("a report with no findings encodes as %s, want \"findings\":null", b)
+		}
+	}
 }
 
 // TestCachedSummaryNeverWritten: a summary cached before any caller

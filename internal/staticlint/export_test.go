@@ -103,6 +103,13 @@ func ScanGadgets(prog *asm.Program, cfg Config) []GadgetHit {
 	return Analyze(prog, Spec{}, cfg).gadgets
 }
 
+// ResolveIndirect reruns the value-set resolution pass over a's CFG.
+func (a *Analysis) ResolveIndirect() { a.resolveIndirect() }
+
+// ResolvedMutualProg is resolvedMutualProg: mutual recursion through
+// CALLI sites the resolution pass must resolve.
+var ResolvedMutualProg = resolvedMutualProg
+
 // ReferenceCFG is the address-keyed control-flow graph BuildCFG is held
 // to: blocks found through maps from block start and from every
 // instruction address to the block index.

@@ -3,6 +3,7 @@ package staticlint
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -326,9 +327,17 @@ func (r *Report) MaxSeverity() Severity {
 
 // Filter returns a report keeping findings at or above min severity.
 // Resolution results are analysis facts, not findings, and pass through
-// unfiltered.
+// unfiltered. When every finding passes, the result shares r's backing
+// array, clipped to its length (r.Findings[:n:n]) so an append copies
+// instead of writing into r; findings are read-only under that
+// contract. Otherwise the kept findings are a fresh slice, nil when
+// none pass.
 func (r *Report) Filter(min Severity) *Report {
 	out := &Report{Resolved: r.Resolved, Precision: r.Precision}
+	if n := len(r.Findings); n > 0 && !slices.ContainsFunc(r.Findings, func(f Finding) bool { return f.Severity < min }) {
+		out.Findings = r.Findings[:n:n]
+		return out
+	}
 	for _, f := range r.Findings {
 		if f.Severity >= min {
 			out.Findings = append(out.Findings, f)

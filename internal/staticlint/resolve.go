@@ -434,19 +434,24 @@ var vsaHavoc = func() *vsaState {
 // every block b ending in a CALLI/JMPI whose target set passed the
 // completeness gate. A capped fixpoint resolves nothing: partial VSA
 // states could miss a reaching value, so the degrade-to-havoc contract
-// takes over wholesale.
+// takes over wholesale. A program with no CALLI/JMPI skips the
+// fixpoint: its only output is read at such sites, so a site-free
+// program's a.resolved is all nil either way.
 func (a *Analysis) resolveIndirect() {
 	g := a.CFG
 	a.resolved = make([][]uint64, len(g.Blocks))
+	if !slices.ContainsFunc(g.Blocks, endsIndirect) {
+		return
+	}
 	in, _, capped := fixpoint(g, vsaFlow{a}, g.Entries(), a.vsaEntry)
 	if capped {
 		return
 	}
 	for _, b := range g.Blocks {
-		last := b.Last()
-		if (last.Op != isa.CALLI && last.Op != isa.JMPI) || in[b.Index] == nil {
+		if !endsIndirect(b) || in[b.Index] == nil {
 			continue
 		}
+		last := b.Last()
 		st := in[b.Index].clone()
 		for _, inst := range b.Insts[:len(b.Insts)-1] {
 			a.vsaStep(st, inst)
@@ -455,6 +460,13 @@ func (a *Analysis) resolveIndirect() {
 			a.resolved[b.Index] = ts
 		}
 	}
+}
+
+// endsIndirect reports whether b ends in an indirect call or jump, the
+// only sites whose value sets resolution reads.
+func endsIndirect(b *Block) bool {
+	op := b.Last().Op
+	return op == isa.CALLI || op == isa.JMPI
 }
 
 // completeTargets applies the completeness gate: a target set is usable
@@ -575,7 +587,7 @@ func (a *Analysis) ResolvedTargets() []ResolvedSite {
 func (a *Analysis) PrecisionMetrics() *Precision {
 	p := &Precision{}
 	for _, b := range a.CFG.Blocks {
-		if op := b.Last().Op; op == isa.CALLI || op == isa.JMPI {
+		if endsIndirect(b) {
 			p.IndirectSites++
 			if len(a.resolved[b.Index]) > 0 {
 				p.ResolvedSites++
